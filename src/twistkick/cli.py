@@ -307,6 +307,16 @@ def _parse_override(text: str):
     return key, value
 
 
+def _point_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= count <= 10**6:
+        raise argparse.ArgumentTypeError(f"count must lie in [1, 1e6], got {count}")
+    return count
+
+
 class _UsageError(TwistkickError):
     default_code = "USAGE"
 
@@ -373,7 +383,7 @@ def build_parser() -> _Parser:
                    help="sweep start [lambda] (default: 0.001)")
     p.add_argument("--b-max-lambda", type=float, default=1.5,
                    help="sweep stop [lambda] (default: 1.5)")
-    p.add_argument("--count", type=int, default=300,
+    p.add_argument("--count", type=_point_count, default=300,
                    help="number of points [1] (default: 300)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_am_transfer)
@@ -387,7 +397,7 @@ def build_parser() -> _Parser:
                    help="sweep start [lambda] (default: 0.001)")
     p.add_argument("--b-max-lambda", type=float, default=1.5,
                    help="sweep stop [lambda] (default: 1.5)")
-    p.add_argument("--count", type=int, default=300,
+    p.add_argument("--count", type=_point_count, default=300,
                    help="number of points [1] (default: 300)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_recoil_ratio)

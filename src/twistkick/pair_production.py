@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .beam import TwistedPhotonBeam, first_bessel_peak_argument, profile_peak_radius
@@ -221,16 +220,3 @@ def fit_beam_for_threshold_factor(
         peak_radius=profile_peak_radius(fitted),
     )
 
-
-def threshold_curve_vs_b(
-    omega2: float, pitch_angle: float, l_gamma: int, b_values: np.ndarray
-) -> np.ndarray:
-    """Threshold energies over an array of impact parameters (nm)."""
-    out = np.empty(len(b_values))
-    for i, b in enumerate(b_values):
-        q = PairThresholdQuery(
-            omega2=omega2, pitch_angle=pitch_angle,
-            impact_parameter=float(b), l_gamma=l_gamma,
-        )
-        out[i] = pair_threshold(q).photon_energy
-    return out

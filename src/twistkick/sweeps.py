@@ -11,9 +11,7 @@ the metadata, never silently interpolated.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,11 +27,6 @@ from .transitions import TransitionChannel, mean_cm_am, recoil_ratio, sublevel_p
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
     constants_sha256, nonrel_recoil_energy, wavelength_to_energy
-
-#: Environment variable capping the worker threads used for row evaluation.
-#: Unset or "1" evaluates serially; results are identical either way.
-MAX_WORKERS_ENV = "TWISTKICK_MAX_WORKERS"
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -102,7 +95,8 @@ class _Figure:
 _M_GAMMA_SERIES = (1, 2, 3)
 
 
-def _am_transfer_builder(j: int, lambda_spin: int):
+def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
+    # one column of kernel(beam, channel, b) per m_gamma, b in wavelengths
     def build(params):
         wavelength = params["lambda_nm"]
         energy = wavelength_to_energy(wavelength)
@@ -113,23 +107,7 @@ def _am_transfer_builder(j: int, lambda_spin: int):
         ]
         def row(x):
             b = x * wavelength
-            return [x] + [mean_cm_am(beam, channel, b) for beam in beams]
-        return row
-    return build
-
-
-def _recoil_ratio_builder(j: int, lambda_spin: int):
-    def build(params):
-        wavelength = params["lambda_nm"]
-        energy = wavelength_to_energy(wavelength)
-        channel = TransitionChannel(float(j))
-        beams = [
-            TwistedPhotonBeam(m, lambda_spin, energy, params["theta_k"])
-            for m in _M_GAMMA_SERIES
-        ]
-        def row(x):
-            b = x * wavelength
-            return [x] + [recoil_ratio(beam, channel, b) for beam in beams]
+            return [x] + [kernel(beam, channel, b) for beam in beams]
         return row
     return build
 
@@ -255,27 +233,20 @@ def _register(figure_id, columns, defaults, grid, builder, description):
     _REGISTRY[figure_id] = _Figure(columns, defaults, grid, builder, description)
 
 
+_AM_PANELS = (
+    ("fig2", _lz_columns, mean_cm_am, 1, "c.m. angular momentum"),
+    ("fig3", _lz_columns, mean_cm_am, -1, "c.m. angular momentum"),
+    ("fig4", _ratio_columns, recoil_ratio, 1, "recoil ratio p_T/p_z"),
+    ("fig5", _ratio_columns, recoil_ratio, -1, "recoil ratio p_T/p_z"),
+)
 for _letter, _j in (("a", 1), ("b", 2), ("c", 3)):
-    _register(
-        f"fig2{_letter}", _lz_columns(), dict(_AM_DEFAULTS),
-        GridSpec(1e-3, 1.5, 600, "loglin"), _am_transfer_builder(_j, 1),
-        f"c.m. angular momentum vs b/lambda, multipole J={_j}, helicity +1",
-    )
-    _register(
-        f"fig3{_letter}", _lz_columns(), dict(_AM_DEFAULTS),
-        GridSpec(1e-3, 1.5, 600, "loglin"), _am_transfer_builder(_j, -1),
-        f"c.m. angular momentum vs b/lambda, multipole J={_j}, helicity -1",
-    )
-    _register(
-        f"fig4{_letter}", _ratio_columns(), dict(_AM_DEFAULTS),
-        GridSpec(1e-3, 1.5, 600, "loglin"), _recoil_ratio_builder(_j, 1),
-        f"recoil ratio p_T/p_z vs b/lambda, multipole J={_j}, helicity +1",
-    )
-    _register(
-        f"fig5{_letter}", _ratio_columns(), dict(_AM_DEFAULTS),
-        GridSpec(1e-3, 1.5, 600, "loglin"), _recoil_ratio_builder(_j, -1),
-        f"recoil ratio p_T/p_z vs b/lambda, multipole J={_j}, helicity -1",
-    )
+    for _prefix, _columns, _kernel, _spin, _quantity in _AM_PANELS:
+        _register(
+            f"{_prefix}{_letter}", _columns(), dict(_AM_DEFAULTS),
+            GridSpec(1e-3, 1.5, 600, "loglin"),
+            _m_gamma_series_builder(_kernel, _j, _spin),
+            f"{_quantity} vs b/lambda, multipole J={_j}, helicity {_spin:+d}",
+        )
 
 _register(
     "fig6",
@@ -337,14 +308,6 @@ def figure_description(figure_id: str) -> str:
     return figure.description
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(MAX_WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested figure; identical specs give identical results."""
     figure = _REGISTRY.get(spec.figure_id)
@@ -388,12 +351,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             return None
         return [float(v) for v in row]
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw_rows = list(pool.map(evaluate, list(points)))
-    else:
-        raw_rows = [evaluate(p) for p in points]
+    raw_rows = [evaluate(p) for p in points]
 
     rows = [r for r in raw_rows if r is not None]
     dropped = len(raw_rows) - len(rows)

@@ -22,12 +22,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, ive, jv
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning
-from .special_functions import bessel_j, bessel_j_array
+from .special_functions import bessel_j, bessel_j_array, check_bessel_domain
 from .units import HBARC_EV_NM, frequency_to_energy, nonrel_recoil_energy
 
 
@@ -89,14 +88,6 @@ def jump_probability_point(p_t: float, trap: TrapModel) -> float:
     return 1.0 - math.exp(-eta_sq)
 
 
-def _vortex_coords(b: float, s: float, alpha: float) -> tuple[float, float]:
-    # (rho, phi) about the vortex line for a point at polar (s, alpha) about
-    # the trap center, which sits at distance b along x
-    x = b + s * math.cos(alpha)
-    y = s * math.sin(alpha)
-    return math.hypot(x, y), math.atan2(y, x)
-
-
 def jump_probability_extended(
     beam: TwistedPhotonBeam, nu: int, b: float, trap: TrapModel, sigma: float
 ) -> float:
@@ -104,10 +95,23 @@ def jump_probability_extended(
 
     P = 1 - |<0|F|0>|^2 / <0||F|^2|0>, i.e. the conditional probability of
     leaving the motional ground state given that absorption happened.  Both
-    integrals run through adaptive 2D quadrature (relative error <= 1e-6).
-    ``trap`` fixes the energy scale of the levels jumped into; the packet
-    shape is set by ``sigma`` (pass trap.ground_state_sigma() for a
-    trap-consistent packet).
+    packet averages are closed-form series in x = (kappa sigma)^2:
+
+        <0|F|0>     = J_nu(kappa b) exp(-x/2),
+        <0||F|^2|0> = sum_l J_{nu-l}(kappa b)^2 exp(-x) I_l(x).
+
+    The first is the Gaussian average of the plane-wave (conical)
+    decomposition of F.  The second follows from Graf's addition theorem
+    (DLMF 10.23.7), F = sum_l J_{nu-l}(kappa b) J_l(kappa s) e^{i l alpha}
+    about the trap center, and Weber's second exponential integral
+    (DLMF 10.22.67) for the radial average of J_l(kappa s)^2.  The sum runs
+    over |l| <= max(|nu|, 9 sqrt(x)) + 30; beyond that exp(-x) I_l(x) has
+    fallen below exp(-40) of the terms kept.  Once exp(-x) underflows
+    (x > 745, a packet wider than ~27/kappa) the carrier is gone and P = 1.
+    The domain is that of the beam factor over the packet out to 9 sigma:
+    |nu| <= 64 and kappa (b + 9 sigma) <= 1e6.  ``trap`` fixes the energy
+    scale of the levels jumped into; the packet shape is set by ``sigma``
+    (pass trap.ground_state_sigma() for a trap-consistent packet).
     """
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
@@ -115,34 +119,21 @@ def jump_probability_extended(
         raise DomainError(f"impact parameter must be non-negative, got {b}")
     kappa = transverse_wavenumber(beam)
     nu = int(nu)
-    norm = 1.0 / (2.0 * math.pi * sigma * sigma)
-    s_max = 9.0 * sigma
-
-    def weighted(alpha: float, s: float, kind: str) -> float:
-        rho, phi = _vortex_coords(b, s, alpha)
-        f = bessel_j(nu, kappa * rho)
-        if kind == "sq":
-            val = f * f
-        else:
-            val = f * math.cos(nu * phi)
-        return val * math.exp(-0.5 * (s / sigma) ** 2) * s * norm
-
-    # integrands are symmetric under alpha -> -alpha; halve the domain
-    denom, _ = dblquad(
-        lambda a, s: weighted(a, s, "sq"), 0.0, s_max, 0.0, math.pi,
-        epsabs=1e-14, epsrel=1e-9,
-    )
-    denom *= 2.0
+    check_bessel_domain(nu, kappa * (b + 9.0 * sigma))
+    kb = kappa * b
+    x = (kappa * sigma) ** 2
+    carrier_decay = math.exp(-x)
+    if carrier_decay == 0.0:
+        # x > 745: no carrier amplitude survives, while <|F|^2> > 0
+        return 1.0
+    half_width = math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
+    l = np.arange(-half_width, half_width + 1)
+    denom = float(np.sum(jv(nu - l, kb) ** 2 * ive(l, x)))
     if denom <= 0.0 or not math.isfinite(denom):
         raise NoAbsorptionError(
             f"absorption strength <|F|^2> = {denom}; jump probability undefined"
         )
-    numer, _ = dblquad(
-        lambda a, s: weighted(a, s, "carrier"), 0.0, s_max, 0.0, math.pi,
-        epsabs=1e-9 * math.sqrt(denom), epsrel=1e-10,
-    )
-    numer *= 2.0
-    p = 1.0 - numer * numer / denom
+    p = 1.0 - bessel_j(nu, kb) ** 2 * carrier_decay / denom
     return min(max(p, 0.0), 1.0)
 
 

@@ -72,6 +72,19 @@ def test_usage_error_exit_code():
     assert cp.returncode == 1
 
 
+def test_sweep_count_bounds():
+    for command in ("am-transfer", "recoil-ratio"):
+        for count in ("0", "-1", "1000001"):
+            cp = run_cli(command, "--count", count)
+            assert cp.returncode == 1, (command, count)
+            assert "error [USAGE]" in cp.stderr
+            assert cp.stdout == ""
+        cp = run_cli(command, "--count", "1")
+        assert cp.returncode == 0, cp.stderr
+        header, rows = parse_csv(cp.stdout)
+        assert len(rows) == 1
+
+
 def test_csv_format_contract():
     cp = run_cli("ion-recoil", "--b-nm", "10")
     assert cp.returncode == 0

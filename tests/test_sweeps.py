@@ -207,10 +207,3 @@ def test_loglin_grid_structure():
     # linear spacing in the upper section
     upper = values[-300:]
     assert np.allclose(np.diff(upper), upper[1] - upper[0])
-
-
-def test_worker_env_var_does_not_change_results(monkeypatch):
-    serial = run_sweep(SweepSpec("fig8a", grid=GridSpec(20.0, 2000.0, 25, "log")))
-    monkeypatch.setenv("TWISTKICK_MAX_WORKERS", "4")
-    parallel = run_sweep(SweepSpec("fig8a", grid=GridSpec(20.0, 2000.0, 25, "log")))
-    assert serial.rows == parallel.rows

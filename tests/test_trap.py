@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 from scipy.special import jv
 
-from twistkick.beam import TwistedPhotonBeam, superkick, transverse_wavenumber
+from twistkick.beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick, \
+    transverse_wavenumber
 from twistkick.errors import DomainError, NoAbsorptionError, TruncationWarning
 from twistkick.trap import (
     TrapModel,
@@ -95,6 +97,87 @@ def test_jump_point_monotonicity():
     assert all(a < b for a, b in zip(ps, ps[1:]))
     stiffer = ca_trap(3.0)
     assert jump_probability_point(2.0, stiffer) < jump_probability_point(2.0, trap)
+
+
+def dblquad_jump_oracle(beam, nu, b, sigma):
+    """Independent extended-packet jump probability: both packet averages by
+    adaptive 2-D quadrature in polar coordinates (s, alpha) about the trap
+    center, out to s = 9 sigma (the former runtime engine)."""
+    kappa = transverse_wavenumber(beam)
+    norm = 1.0 / (2.0 * math.pi * sigma * sigma)
+    s_max = 9.0 * sigma
+
+    def weighted(alpha, s, kind):
+        x = b + s * math.cos(alpha)
+        y = s * math.sin(alpha)
+        f = float(jv(nu, kappa * math.hypot(x, y)))
+        val = f * f if kind == "sq" else f * math.cos(nu * math.atan2(y, x))
+        return val * math.exp(-0.5 * (s / sigma) ** 2) * s * norm
+
+    # integrands are symmetric under alpha -> -alpha; halve the domain
+    denom, _ = dblquad(
+        lambda a, s: weighted(a, s, "sq"), 0.0, s_max, 0.0, math.pi,
+        epsabs=1e-14, epsrel=1e-9,
+    )
+    denom *= 2.0
+    numer, _ = dblquad(
+        lambda a, s: weighted(a, s, "carrier"), 0.0, s_max, 0.0, math.pi,
+        epsabs=1e-9 * math.sqrt(denom), epsrel=1e-10,
+    )
+    numer *= 2.0
+    return min(max(1.0 - numer * numer / denom, 0.0), 1.0)
+
+
+def test_jump_extended_matches_dblquad_oracle_fig7_defaults():
+    beam = TwistedPhotonBeam(-2, -1, wavelength_to_energy(729.0), DEFAULT_PITCH_ANGLE)
+    for b in (10.0, 300.0, 3000.0):
+        p = jump_probability_extended(beam, -1, b, ca_trap(), 10.0)
+        assert p == pytest.approx(dblquad_jump_oracle(beam, -1, b, 10.0), abs=1e-9)
+
+
+def test_jump_extended_matches_dblquad_oracle_random():
+    # criterion 9's beam, nu and sigma ranges, with b out to 3000 nm
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        beam = TwistedPhotonBeam(
+            int(rng.integers(-3, 4)), int(rng.choice([-1, 1])),
+            wavelength_to_energy(float(rng.uniform(350.0, 1000.0))),
+            float(rng.uniform(0.01, 0.3)),
+        )
+        nu = int(rng.integers(-2, 3))
+        b = float(rng.choice([rng.uniform(0.0, 40.0), rng.uniform(0.0, 3000.0)]))
+        sigma = float(rng.uniform(4.0, 20.0))
+        p = jump_probability_extended(beam, nu, b, ca_trap(), sigma)
+        assert p == pytest.approx(dblquad_jump_oracle(beam, nu, b, sigma), abs=1e-9)
+
+
+def test_jump_extended_domain_edges():
+    beam = make_beam()
+    kappa = transverse_wavenumber(beam)
+    with pytest.raises(DomainError):
+        jump_probability_extended(beam, 65, 10.0, ca_trap(), 10.0)
+    with pytest.raises(DomainError):
+        jump_probability_extended(beam, -65, 10.0, ca_trap(), 10.0)
+    # the beam factor is needed out to b + 9 sigma from the vortex line
+    sigma = 10.0
+    b_edge = 1e6 / kappa - 9.0 * sigma
+    with pytest.raises(DomainError):
+        jump_probability_extended(beam, 1, b_edge * (1.0 + 1e-9), ca_trap(), sigma)
+    assert 0.0 <= jump_probability_extended(
+        beam, 1, b_edge * (1.0 - 1e-9), ca_trap(), sigma
+    ) <= 1.0
+
+
+def test_jump_extended_wide_packet_stays_bounded():
+    # kappa sigma = 27 sits just below the exp(-x) underflow, where the series
+    # is longest (~9 kappa sigma terms per side); kappa sigma = 5e4 is beyond it
+    beam = make_beam(theta=0.3)
+    kappa = transverse_wavenumber(beam)
+    for kappa_sigma in (27.0, 5e4):
+        sigma = kappa_sigma / kappa
+        for b in (0.0, 1e5 / kappa):
+            p = jump_probability_extended(beam, 2, b, ca_trap(), sigma)
+            assert 0.0 <= p <= 1.0
 
 
 def test_jump_extended_carrier_suppression_on_axis():
