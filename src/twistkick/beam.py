@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, DomainError, QuadratureError
-from .special_functions import bessel_first_max, bessel_j, bessel_j_array
+from .special_functions import bessel_first_max, bessel_j, bessel_j_array, \
+    check_bessel_domain, scan_golden_max
 from .units import HBARC_EV_NM, energy_to_wavelength
 
 #: Pitch angle used by figure sweeps when none is specified.  The value is a
@@ -140,16 +140,53 @@ def bessel_gauss_amplitude(beam: TwistedPhotonBeam, rho) -> float | np.ndarray:
     return bessel_j_array(beam.l_gamma, kappa * rho) * np.exp(-((rho / w0) ** 2))
 
 
-def bessel_gauss_norm(beam: TwistedPhotonBeam) -> float:
-    """Constant A with integral |A psi|^2 2 pi rho d rho = 1 (rel. err <= 1e-8)."""
-    w0 = _require_w0(beam)
-    upper = 8.0 * w0  # envelope exp(-2 rho^2/w0^2) < 1e-55 beyond
+# 16-node Gauss-Legendre panels, evaluated _PANEL_CHUNK panels at a time so
+# that kappa * upper near the Bessel limit (~3e5 panels) stays small in memory
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_MIN_PANELS = 8
+_PANEL_CHUNK = 4096
 
-    def integrand(rho):
+
+def _composite_gl(beam: TwistedPhotonBeam, upper: float, panels: int) -> float:
+    h = upper / panels
+    offsets = 0.5 * (_GL_X + 1.0)
+    total = 0.0
+    for start in range(0, panels, _PANEL_CHUNK):
+        index = np.arange(start, min(start + _PANEL_CHUNK, panels))
+        rho = h * (index[:, None] + offsets)
         amp = bessel_gauss_amplitude(beam, rho)
-        return amp * amp * 2.0 * math.pi * rho
+        total += float(np.sum(amp * amp * rho * _GL_W))
+    return 0.5 * h * total
 
-    value, err = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=400)
+
+def radial_intensity_integral(beam: TwistedPhotonBeam, upper: float) -> tuple[float, float]:
+    """Integral of |psi(rho)|^2 rho d rho over [0, upper] (nm), unnormalized,
+    with an error estimate.
+
+    Composite Gauss-Legendre: 16 nodes per panel on panels about one Bessel
+    period 2 pi/kappa wide (at least 8).  The returned estimate is the change
+    when the panel count is doubled; the value is the doubled-count sum.
+    """
+    kappa = transverse_wavenumber(beam)
+    check_bessel_domain(beam.l_gamma, kappa * upper)
+    panels = max(_MIN_PANELS, math.ceil(kappa * upper / (2.0 * math.pi)))
+    coarse = _composite_gl(beam, upper, panels)
+    fine = _composite_gl(beam, upper, 2 * panels)
+    return fine, abs(fine - coarse)
+
+
+def bessel_gauss_norm(beam: TwistedPhotonBeam) -> float:
+    """Constant A with integral |A psi|^2 2 pi rho d rho = 1.
+
+    The integral over [0, 8 w0] uses :func:`radial_intensity_integral`; a
+    QuadratureError is raised when its panel-doubling estimate exceeds 1e-8
+    relative.
+    """
+    w0 = _require_w0(beam)
+    # envelope exp(-2 rho^2/w0^2) < 1e-55 beyond 8 w0
+    integral, err = radial_intensity_integral(beam, 8.0 * w0)
+    value = 2.0 * math.pi * integral
+    err *= 2.0 * math.pi
     if value <= 0.0 or not math.isfinite(value):
         raise QuadratureError(f"profile is not normalizable (integral {value})")
     if err > 1e-8 * value:
@@ -163,7 +200,7 @@ def profile_peak_radius(beam: TwistedPhotonBeam) -> float:
     """Radius (nm) of the global maximum of |bessel_gauss_amplitude|.
 
     Searches rho in (0, 10 w0] with a dense scan refined by golden-section
-    to 1e-6 relative.  Requires |l_gamma| >= 1 (for l_gamma = 0 the profile
+    to 1e-7 relative.  Requires |l_gamma| >= 1 (for l_gamma = 0 the profile
     peaks trivially at the axis) and a nonvanishing transverse wavenumber.
     """
     w0 = _require_w0(beam)
@@ -172,31 +209,13 @@ def profile_peak_radius(beam: TwistedPhotonBeam) -> float:
             "profile peak is at rho = 0 for l_gamma = 0; no interior peak",
             code="NO_PEAK",
         )
-    grid = np.linspace(1e-6 * w0, 10.0 * w0, 4000)
-    vals = np.abs(bessel_gauss_amplitude(beam, grid))
-    i = int(np.argmax(vals))
-    if vals[i] <= 0.0:
+    rho, value = scan_golden_max(
+        lambda r: abs(bessel_gauss_amplitude(beam, r)),
+        1e-6 * w0, 10.0 * w0, 4000, rtol=1e-7,
+    )
+    if value <= 0.0:
         raise DomainError("profile vanishes identically; no peak", code="NO_PEAK")
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, len(grid) - 1)])
-
-    def f(rho: float) -> float:
-        return abs(bessel_gauss_amplitude(beam, rho))
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-7 * max(a, 1e-300):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    return rho
 
 
 def first_bessel_peak_argument(l_gamma: int) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -307,6 +308,16 @@ def _parse_override(text: str):
     return key, value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
+    return value
+
+
 def _point_count(text: str) -> int:
     try:
         count = int(text)
@@ -342,26 +353,26 @@ def _add_output_flags(parser):
 
 
 def _add_beam_flags(parser, lambda_default, m_default, spin_default):
-    parser.add_argument("--lambda-nm", type=float, default=lambda_default,
+    parser.add_argument("--lambda-nm", type=_finite_float, default=lambda_default,
                         help=f"photon wavelength [nm] (default: {lambda_default})")
     parser.add_argument("--m-gamma", type=int, default=m_default,
                         help=f"total AM projection m_gamma [hbar] (default: {m_default})")
     parser.add_argument("--lambda-spin", type=int, choices=(-1, 1), default=spin_default,
                         help=f"paraxial helicity [1] (default: {spin_default})")
-    parser.add_argument("--pitch-rad", type=float, default=DEFAULT_PITCH_ANGLE,
+    parser.add_argument("--pitch-rad", type=_finite_float, default=DEFAULT_PITCH_ANGLE,
                         help=f"pitch angle [rad] (default: {DEFAULT_PITCH_ANGLE})")
 
 
 def _add_trap_flags(parser):
     parser.add_argument("--nu", type=int, default=1,
                         help="AM units transferred to the c.m. [hbar] (default: 1)")
-    parser.add_argument("--b-nm", type=float, required=True,
+    parser.add_argument("--b-nm", type=_finite_float, required=True,
                         help="impact parameter [nm] (required)")
-    parser.add_argument("--sigma-nm", type=float, default=10.0,
+    parser.add_argument("--sigma-nm", type=_finite_float, default=10.0,
                         help="wavepacket rms spread per axis [nm] (default: 10)")
-    parser.add_argument("--trap-mhz", type=float, default=1.5,
+    parser.add_argument("--trap-mhz", type=_finite_float, default=1.5,
                         help="trap frequency [MHz] (default: 1.5)")
-    parser.add_argument("--mass-mev", type=float, default=_CA40_MEV,
+    parser.add_argument("--mass-mev", type=_finite_float, default=_CA40_MEV,
                         help=f"ion rest energy [MeV] (default: {_CA40_MEV:.4f}, 40Ca+)")
 
 
@@ -379,9 +390,9 @@ def build_parser() -> _Parser:
     p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),
                    help="multipole order J [1] (default: 1)")
     _add_beam_flags(p, 397.0, 2, 1)
-    p.add_argument("--b-min-lambda", type=float, default=1e-3,
+    p.add_argument("--b-min-lambda", type=_finite_float, default=1e-3,
                    help="sweep start [lambda] (default: 0.001)")
-    p.add_argument("--b-max-lambda", type=float, default=1.5,
+    p.add_argument("--b-max-lambda", type=_finite_float, default=1.5,
                    help="sweep stop [lambda] (default: 1.5)")
     p.add_argument("--count", type=_point_count, default=300,
                    help="number of points [1] (default: 300)")
@@ -393,9 +404,9 @@ def build_parser() -> _Parser:
     p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),
                    help="multipole order J [1] (default: 1)")
     _add_beam_flags(p, 397.0, 2, 1)
-    p.add_argument("--b-min-lambda", type=float, default=1e-3,
+    p.add_argument("--b-min-lambda", type=_finite_float, default=1e-3,
                    help="sweep start [lambda] (default: 0.001)")
-    p.add_argument("--b-max-lambda", type=float, default=1.5,
+    p.add_argument("--b-max-lambda", type=_finite_float, default=1.5,
                    help="sweep stop [lambda] (default: 1.5)")
     p.add_argument("--count", type=_point_count, default=300,
                    help="number of points [1] (default: 300)")
@@ -405,9 +416,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ion-recoil",
                        help="longitudinal and superkick recoil energies for a trapped ion")
     _add_beam_flags(p, 397.0, 2, 1)
-    p.add_argument("--b-nm", type=float, required=True,
+    p.add_argument("--b-nm", type=_finite_float, required=True,
                    help="impact parameter [nm] (required)")
-    p.add_argument("--mass-mev", type=float, default=_CA40_MEV,
+    p.add_argument("--mass-mev", type=_finite_float, default=_CA40_MEV,
                    help=f"ion rest energy [MeV] (default: {_CA40_MEV:.4f}, 40Ca+)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_ion_recoil)
@@ -424,7 +435,7 @@ def build_parser() -> _Parser:
     _add_beam_flags(p, 729.0, -2, -1)
     _add_trap_flags(p)
     p.add_argument("--n-max", type=int, default=8,
-                   help="highest trap level retained [1] (default: 8)")
+                   help="highest trap level retained, 2-170 [1] (default: 8)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_sidebands)
 
@@ -434,40 +445,40 @@ def build_parser() -> _Parser:
                    help="photon total AM [hbar] (default: 2)")
     p.add_argument("--internal-am", type=int, default=1,
                    help="AM absorbed internally (multipole J) [hbar] (default: 1)")
-    p.add_argument("--b-fm", type=float, required=True,
+    p.add_argument("--b-fm", type=_finite_float, required=True,
                    help="impact parameter [fm] (required)")
-    p.add_argument("--lambda-fm", type=float, default=559.0,
+    p.add_argument("--lambda-fm", type=_finite_float, default=559.0,
                    help="photon wavelength [fm] (default: 559)")
-    p.add_argument("--pitch-rad", type=float, default=DEFAULT_PITCH_ANGLE,
+    p.add_argument("--pitch-rad", type=_finite_float, default=DEFAULT_PITCH_ANGLE,
                    help=f"pitch angle [rad] (default: {DEFAULT_PITCH_ANGLE})")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_deuteron_threshold)
 
     p = sub.add_parser("focus-fraction",
                        help="fraction of absorptions with recoil ratio above a cut")
-    p.add_argument("--w0-pm", type=float, required=True,
+    p.add_argument("--w0-pm", type=_finite_float, required=True,
                    help="Bessel-Gauss envelope scale [pm] (required)")
-    p.add_argument("--ratio-cut", type=float, default=0.1,
+    p.add_argument("--ratio-cut", type=_finite_float, default=0.1,
                    help="p_T/p_z cut [1] (default: 0.1)")
     p.add_argument("--delta-l", type=int, default=1,
                    help="AM to the c.m. [hbar] (default: 1)")
-    p.add_argument("--energy-mev", type=float, default=DEUTERON_BINDING_EV / MEV,
+    p.add_argument("--energy-mev", type=_finite_float, default=DEUTERON_BINDING_EV / MEV,
                    help="photon energy [MeV] (default: deuteron binding 2.22452)")
-    p.add_argument("--pitch-rad", type=float, default=DEFAULT_PITCH_ANGLE,
+    p.add_argument("--pitch-rad", type=_finite_float, default=DEFAULT_PITCH_ANGLE,
                    help=f"pitch angle [rad] (default: {DEFAULT_PITCH_ANGLE})")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_focus_fraction)
 
     p = sub.add_parser("pair-threshold",
                        help="gamma-gamma pair-production threshold for a twisted photon")
-    p.add_argument("--omega2-ev", type=float, default=2.5,
+    p.add_argument("--omega2-ev", type=_finite_float, default=2.5,
                    help="background photon energy [eV] (default: 2.5)")
-    p.add_argument("--pitch-urad", type=float, required=True,
+    p.add_argument("--pitch-urad", type=_finite_float, required=True,
                    help="pitch angle [urad] (required)")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pt-mev", type=float, default=None,
+    group.add_argument("--pt-mev", type=_finite_float, default=None,
                        help="transverse kick [MeV/c] (alternative to --b-fm)")
-    group.add_argument("--b-fm", type=float, default=None,
+    group.add_argument("--b-fm", type=_finite_float, default=None,
                        help="impact parameter [fm] (alternative to --pt-mev)")
     p.add_argument("--l-gamma", type=int, default=1,
                    help="orbital index l_gamma [1] (default: 1)")
@@ -476,7 +487,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("crossover",
                        help="b*theta_k product where twisted and plane-wave thresholds meet")
-    p.add_argument("--omega2-ev", type=float, default=2.5,
+    p.add_argument("--omega2-ev", type=_finite_float, default=2.5,
                    help="background photon energy [eV] (default: 2.5)")
     p.add_argument("--l-gamma", type=int, default=1,
                    help="orbital index l_gamma [1] (default: 1)")
@@ -485,13 +496,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("beam-fit",
                        help="beam parameters realizing a requested threshold increase")
-    p.add_argument("--factor", type=float, default=10.0,
+    p.add_argument("--factor", type=_finite_float, default=10.0,
                    help="threshold multiplication factor [1] (default: 10)")
-    p.add_argument("--omega2-ev", type=float, default=2.5,
+    p.add_argument("--omega2-ev", type=_finite_float, default=2.5,
                    help="background photon energy [eV] (default: 2.5)")
     p.add_argument("--l-gamma", type=int, default=1,
                    help="orbital index l_gamma [1] (default: 1)")
-    p.add_argument("--w0-over-b", type=float, default=2.0,
+    p.add_argument("--w0-over-b", type=_finite_float, default=2.0,
                    help="envelope scale over target radius [1] (default: 2)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_beam_fit)
@@ -501,9 +512,9 @@ def build_parser() -> _Parser:
                    help="figure id")
     p.add_argument("--set", action="append", type=_parse_override, metavar="KEY=VALUE",
                    help="override a figure parameter (repeatable)")
-    p.add_argument("--grid-start", type=float, default=None,
+    p.add_argument("--grid-start", type=_finite_float, default=None,
                    help="replacement grid start [figure x-unit]")
-    p.add_argument("--grid-stop", type=float, default=None,
+    p.add_argument("--grid-stop", type=_finite_float, default=None,
                    help="replacement grid stop [figure x-unit]")
     p.add_argument("--grid-count", type=int, default=None,
                    help="replacement grid point count [1]")

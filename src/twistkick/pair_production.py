@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .beam import TwistedPhotonBeam, first_bessel_peak_argument, profile_peak_radius
 from .errors import DomainError, SolverError
 from .recoil_kinematics import ThresholdSolution
@@ -120,6 +118,8 @@ def crossover_product(
     decade; the returned product is their mean and ``relative_variation``
     the (max-min)/mean spread, quantifying how invariant the product is.
     """
+    from scipy.optimize import brentq  # deferred: keeps scipy.optimize off the import path
+
     if l_gamma < 1:
         raise DomainError(f"l_gamma must be >= 1 for a crossover, got {l_gamma}")
     reference = plane_wave_threshold(omega2)
@@ -181,6 +181,8 @@ def fit_beam_for_threshold_factor(
     (documented modeling default) and the pitch angle solved by bracketed
     root finding so the Bessel-Gauss profile peaks at b.
     """
+    from scipy.optimize import brentq  # deferred: keeps scipy.optimize off the import path
+
     if not factor > 1.0:
         raise DomainError(f"threshold factor must exceed 1, got {factor}")
     if l_gamma < 1:
@@ -202,6 +204,12 @@ def fit_beam_for_threshold_factor(
     x_peak = first_bessel_peak_argument(l_gamma)
     theta_hi = min(1.0, 10.0 * x_peak * HBARC_EV_NM / (b * omega1))
     theta_lo = 1e-3 * x_peak * HBARC_EV_NM / (b * omega1)
+    if not all(0.0 < v < math.inf for v in (b, w0, omega1, theta_lo, theta_hi)):
+        raise DomainError(
+            f"threshold factor {factor:g} at omega2 = {omega2:g} eV leaves the "
+            "floating-point range: the fit radius, envelope, photon energy or "
+            "pitch-angle bracket is not finite and positive"
+        )
     if peak_minus_b(theta_lo) <= 0.0 or peak_minus_b(theta_hi) >= 0.0:
         raise SolverError("pitch-angle bracketing failed for the profile fit", code="FIT")
     theta = brentq(peak_minus_b, theta_lo, theta_hi, rtol=1e-12)

@@ -9,6 +9,9 @@ Energy conservation with target recoil reads
 with the paraxial p_z = hbar w / c and the superkick p_T = dl * hbar / b.
 That makes the absorbed energy a quadratic in w, solved here in the
 cancellation-free closed form (no iteration tolerances in the goldens).
+The focus fraction integrates the Bessel-Gauss intensity with the composite
+Gauss-Legendre rule of :func:`twistkick.beam.radial_intensity_integral`,
+whose error estimate comes from doubling the panel count.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from . import units
-from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, longitudinal_momentum, superkick
+from .beam import TwistedPhotonBeam, longitudinal_momentum, radial_intensity_integral, \
+    superkick
 from .errors import DomainError, QuadratureError, SolverError
 from .units import DEUTERON_BINDING_EV, DEUTERON_MASS_EV, nonrel_recoil_energy
 
@@ -140,27 +142,25 @@ def focus_fraction(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float) -
     Model: the absorption probability density follows the Bessel-Gauss
     intensity, dP ~ |psi(rho)|^2 2 pi rho d rho; the returned value is the
     probability that the absorption happens inside the critical radius
-    b* = dl hbar / (ratio_cut p_z).  Both integrals use adaptive quadrature
-    to 1e-8 relative.
+    b* = dl hbar / (ratio_cut p_z).  Both integrals use the composite
+    Gauss-Legendre rule of :func:`radial_intensity_integral`; a
+    QuadratureError is raised when either panel-doubling error estimate
+    exceeds 1e-8 of the total over [0, 8 w0].
     """
     b_star = ratio_cut_radius(beam, delta_l_cm, ratio_cut)
     w0 = beam.envelope_w0
     if w0 is None:
         raise DomainError("beam needs envelope_w0 for the focus-fraction estimate")
 
-    def density(rho: float) -> float:
-        amp = bessel_gauss_amplitude(beam, rho)
-        return amp * amp * rho
-
     upper = 8.0 * w0
-    total, err_t = quad(density, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=400)
+    total, err_t = radial_intensity_integral(beam, upper)
     if total <= 0.0 or not math.isfinite(total):
         raise QuadratureError(f"absorption profile not normalizable (integral {total})")
     if err_t > 1e-8 * total:
         raise QuadratureError(f"profile normalization stalled at error {err_t:g}")
     if b_star >= upper:
         return 1.0
-    inner, err_i = quad(
-        density, 0.0, b_star, epsabs=1e-10 * total, epsrel=1e-10, limit=400
-    )
+    inner, err_i = radial_intensity_integral(beam, b_star)
+    if err_i > 1e-8 * total:
+        raise QuadratureError(f"inner profile integral stalled at error {err_i:g}")
     return inner / total

@@ -67,11 +67,40 @@ def bessel_j_array(n: int, x: np.ndarray) -> np.ndarray:
     return np.where(flip, -values, values)
 
 
+def scan_golden_max(f, lo: float, hi: float, count: int, rtol: float) -> tuple[float, float]:
+    """Location and value of the maximum of ``f`` on [lo, hi], lo > 0.
+
+    ``f`` is called once on a ``count``-point linspace (so it must accept an
+    array) and then on scalars: the largest sample is refined by
+    golden-section search over its two neighbouring cells until the bracket
+    [a, b] satisfies b - a <= rtol * a.
+    """
+    grid = np.linspace(lo, hi, count)
+    i = int(np.argmax(f(grid)))
+    a = float(grid[max(i - 1, 0)])
+    b = float(grid[min(i + 1, count - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > rtol * a:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    xm = 0.5 * (a + b)
+    return xm, float(f(xm))
+
+
 def bessel_first_max(n: int) -> tuple[float, float]:
     """Location and value of the first (global) maximum of |J_n| on x >= 0.
 
     For n = 0 the maximum sits at x = 0; for n >= 1 it is the first interior
-    extremum, found by a dense scan refined with golden-section search.
+    extremum, found by :func:`scan_golden_max` to 1e-12 relative.
     """
     n = abs(int(n))
     if n > MAX_ORDER:
@@ -84,28 +113,9 @@ def bessel_first_max(n: int) -> tuple[float, float]:
     else:
         # first extremum lies between n and the first zero (< n + 2(n+2)^(1/3) + 3)
         hi = n + 3.0 * (n + 2.0) ** (1.0 / 3.0) + 3.0
-        grid = np.linspace(max(n * 0.3, 1e-3), hi, 600)
-        vals = [bessel_j(n, float(g)) for g in grid]
-        i = int(np.argmax(vals))
-        lo_b = grid[max(i - 1, 0)]
-        hi_b = grid[min(i + 1, len(grid) - 1)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = float(lo_b), float(hi_b)
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = bessel_j(n, c)
-        fd = bessel_j(n, d)
-        while b - a > 1e-12 * max(1.0, b):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = bessel_j(n, c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = bessel_j(n, d)
-        xm = 0.5 * (a + b)
-        result = (xm, bessel_j(n, xm))
+        result = scan_golden_max(
+            lambda x: bessel_j_array(n, x), max(n * 0.3, 1e-3), hi, 600, rtol=1e-12
+        )
     _FIRST_MAX_CACHE[n] = result
     return result
 

@@ -308,6 +308,21 @@ def figure_description(figure_id: str) -> str:
     return figure.description
 
 
+def _check_override_type(figure_id: str, key: str, value, default) -> None:
+    # an int default takes an int; a float default a finite int or float
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if isinstance(default, int):
+        ok, expected = is_int, "an integer"
+    else:
+        ok = (is_int or isinstance(value, (float, np.floating))) and math.isfinite(value)
+        expected = "a finite number"
+    if not ok:
+        raise DomainError(
+            f"figure {figure_id!r} parameter {key!r} expects {expected}, got {value!r}",
+            code="PARAMETER_TYPE",
+        )
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested figure; identical specs give identical results."""
     figure = _REGISTRY.get(spec.figure_id)
@@ -322,6 +337,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 f"(available: {', '.join(sorted(params)) or 'none'})",
                 code="UNKNOWN_PARAMETER",
             )
+        _check_override_type(spec.figure_id, key, value, params[key])
         params[key] = value
 
     if figure.grid is None:

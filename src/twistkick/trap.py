@@ -154,6 +154,12 @@ class SidebandSpectrum:
     quantum_energy: float
 
 
+#: Highest trap level a sideband spectrum may retain: the radial
+#: normalization needs (n_r + l)! <= n_max! as a finite double, and 171!
+#: overflows.
+MAX_SIDEBAND_LEVEL = 170
+
+
 def _radial_eigenfunctions(n_max: int, s_over_a: np.ndarray, a: float) -> dict:
     # R_{n,l}(s) = sqrt(2 n!/(a^2 (n+l)!)) (s/a)^l L_n^l(s^2/a^2) e^{-s^2/(2a^2)}
     gauss = np.exp(-0.5 * s_over_a**2)
@@ -186,10 +192,10 @@ def sideband_spectrum(
     state is exactly the packet used by :func:`jump_probability_extended`.
     Matrix elements use Gauss-Legendre radial quadrature and a uniform
     (spectrally accurate) azimuthal grid.  A residual above 1e-3 raises a
-    TruncationWarning.
+    TruncationWarning.  ``n_max`` must lie in [2, MAX_SIDEBAND_LEVEL = 170].
     """
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
+    if not 2 <= n_max <= MAX_SIDEBAND_LEVEL:
+        raise DomainError(f"n_max must lie in [2, {MAX_SIDEBAND_LEVEL}], got {n_max}")
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if b < 0.0:

@@ -1,9 +1,13 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import jv
 
+from twistkick import beam as beam_module
 from twistkick.beam import (
     TwistedPhotonBeam,
     bessel_gauss_amplitude,
@@ -14,9 +18,9 @@ from twistkick.beam import (
     superkick,
     transverse_wavenumber,
 )
-from twistkick.errors import ConfigurationError, DomainError
-from twistkick.units import ELECTRON_MASS_EV, FM, GEV, HBARC_EV_NM, MEV, TEV, \
-    wavelength_to_energy
+from twistkick.errors import ConfigurationError, DomainError, QuadratureError
+from twistkick.units import DEUTERON_BINDING_EV, ELECTRON_MASS_EV, FM, GEV, \
+    HBARC_EV_NM, MEV, PM, TEV, wavelength_to_energy
 
 
 def make_beam(m=2, spin=1, energy=None, theta=0.1, w0=None):
@@ -185,6 +189,59 @@ def test_bessel_gauss_norm_unit_integral():
     amp = a * bessel_gauss_amplitude(beam, rho)
     integral = float(np.sum(amp * amp * 2.0 * math.pi * rho) * upper / n)
     assert integral == pytest.approx(1.0, rel=1e-6)
+
+
+def quad_intensity(beam, upper):
+    """Test-only oracle: adaptive quadrature of |psi|^2 rho over [0, upper]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value, err = quad(
+            lambda rho: bessel_gauss_amplitude(beam, rho) ** 2 * rho,
+            0.0, upper, epsabs=0.0, epsrel=1e-13, limit=5000,
+        )
+    assert err <= 1e-12 * value
+    return value
+
+
+def seeded_profile_beams(seed, count=20):
+    """Deuteron-threshold photons over w0 2-100 pm, theta_k 0.01-0.3 and
+    delta_l 1-3, plus the 1 TeV / 60 fm configuration."""
+    rng = np.random.default_rng(seed)
+    beams = []
+    for _ in range(count - 1):
+        delta_l = int(rng.integers(1, 4))
+        beams.append(make_beam(
+            m=delta_l + 1, spin=1, energy=DEUTERON_BINDING_EV,
+            theta=float(rng.uniform(0.01, 0.3)),
+            w0=float(10.0 ** rng.uniform(math.log10(2.0), 2.0)) * PM,
+        ))
+    beams.append(make_beam(m=2, spin=1, energy=1.0 * TEV, theta=5e-6, w0=60.0 * FM))
+    return beams
+
+
+def test_bessel_gauss_norm_matches_quad_oracle():
+    for beam in seeded_profile_beams(31):
+        oracle = 1.0 / math.sqrt(
+            2.0 * math.pi * quad_intensity(beam, 8.0 * beam.envelope_w0)
+        )
+        assert bessel_gauss_norm(beam) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_bessel_gauss_norm_rejects_large_error_estimate(monkeypatch):
+    beam = make_beam(m=2, spin=1, w0=100.0)
+    monkeypatch.setattr(beam_module, "radial_intensity_integral",
+                        lambda beam, upper: (1.0, 2e-8))
+    with pytest.raises(QuadratureError):
+        bessel_gauss_norm(beam)
+    monkeypatch.setattr(beam_module, "radial_intensity_integral",
+                        lambda beam, upper: (1.0, 0.5e-8))
+    assert bessel_gauss_norm(beam) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi))
+
+
+def test_bessel_gauss_norm_not_normalizable():
+    # kappa = 0 with l_gamma = 1: the amplitude vanishes identically
+    with pytest.raises(QuadratureError):
+        bessel_gauss_norm(make_beam(m=2, spin=1, theta=0.0, w0=10.0))
 
 
 def test_profile_peak_large_kappa_w0_regime():

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from twistkick.cli import main
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -16,6 +18,16 @@ SUBCOMMANDS = [
     "deuteron-threshold", "focus-fraction", "pair-threshold", "crossover",
     "beam-fit", "reproduce",
 ]
+
+
+def run_main(capsys, *args: str):
+    """In-process CLI call: (exit code, stdout, stderr)."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def parse_csv(text: str):
@@ -201,3 +213,67 @@ def test_beam_fit_runs():
         6.0 * 0.51099895, rel=1e-9
     )
     assert rows[0][header.index("b [fm]")] == pytest.approx(64.36, rel=0.01)
+
+
+def test_import_path_skips_scipy_integrate_and_optimize():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import twistkick.cli\n"
+        "at_import = sorted(m for m in ('scipy.integrate', 'scipy.optimize')\n"
+        "                   if m in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = twistkick.cli.main(['focus-fraction', '--w0-pm', '50'])\n"
+        "print(json.dumps([at_import, status, 'scipy.integrate' in sys.modules]))\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout) == [[], 0, False]
+
+
+@pytest.mark.parametrize("figure,override,expected", [
+    ("fig2a", "theta_k=abc", "a finite number"),
+    ("fig2a", "theta_k=inf", "a finite number"),
+    ("fig8a", "pitch_urad=nan", "a finite number"),
+    ("fig7", "m_gamma=1.5", "an integer"),
+    ("fig8b", "l_gamma=two", "an integer"),
+])
+def test_reproduce_override_type_error(capsys, figure, override, expected):
+    code, out, err = run_main(capsys, "reproduce", "--figure", figure, "--set", override)
+    assert code == 2
+    assert out == ""
+    key = override.split("=")[0]
+    assert "error [PARAMETER_TYPE]" in err
+    assert repr(key) in err and expected in err
+
+
+@pytest.mark.parametrize("n_max", ["171", "100000"])
+def test_sidebands_n_max_cap(capsys, n_max):
+    code, out, err = run_main(capsys, "sidebands", "--b-nm", "10", "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert "error [DOMAIN]" in err and "170" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossover", "--omega2-ev", "inf"],
+    ["ion-recoil", "--b-nm", "inf"],
+    ["ion-recoil", "--b-nm", "nan"],
+    ["trap-jump", "--b-nm", "10", "--sigma-nm=-inf"],
+    ["focus-fraction", "--w0-pm", "NaN"],
+    ["beam-fit", "--factor", "1e999"],
+    ["reproduce", "--figure", "fig6", "--grid-start", "1", "--grid-stop", "inf",
+     "--grid-count", "3"],
+])
+def test_non_finite_float_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error [USAGE]" in err and "must be finite" in err
+
+
+def test_beam_fit_out_of_range_factor_has_no_nan(capsys):
+    code, out, err = run_main(capsys, "beam-fit", "--factor", "1e300")
+    assert code == 2
+    assert out == ""
+    assert "error [DOMAIN]" in err
+    assert "nan" not in err.lower()

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
+from twistkick import recoil_kinematics
 from twistkick.beam import TwistedPhotonBeam, bessel_gauss_amplitude
-from twistkick.errors import DomainError, SolverError
+from twistkick.errors import DomainError, QuadratureError, SolverError
 from twistkick.recoil_kinematics import (
     TargetParticle,
     absorption_energy,
@@ -23,6 +26,7 @@ from twistkick.units import (
     MEV,
     NEV,
     PM,
+    TEV,
     frequency_to_energy,
     wavelength_to_energy,
 )
@@ -186,3 +190,61 @@ def test_focus_fraction_monotone_in_w0():
     tight = make_beam(2, energy=DEUTERON_BINDING_EV, w0=3.0 * PM)
     loose = make_beam(2, energy=DEUTERON_BINDING_EV, w0=50.0 * PM)
     assert focus_fraction(tight, 1, 0.1) > focus_fraction(loose, 1, 0.1)
+
+
+def quad_density(beam, upper):
+    """Test-only oracle: adaptive quadrature of |psi|^2 rho over [0, upper]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value, err = quad(
+            lambda rho: bessel_gauss_amplitude(beam, rho) ** 2 * rho,
+            0.0, upper, epsabs=0.0, epsrel=1e-13, limit=5000,
+        )
+    assert err <= 1e-12 * value
+    return value
+
+
+def test_focus_fraction_matches_quad_oracle():
+    rng = np.random.default_rng(47)
+    cases = []
+    for _ in range(19):
+        delta_l = int(rng.integers(1, 4))
+        beam = make_beam(
+            delta_l + 1, energy=DEUTERON_BINDING_EV,
+            theta=float(rng.uniform(0.01, 0.3)),
+            w0=float(10.0 ** rng.uniform(math.log10(2.0), 2.0)) * PM,
+        )
+        cases.append((beam, delta_l, float(10.0 ** rng.uniform(-2.0, 0.0))))
+    cases.append((make_beam(2, energy=1.0 * TEV, theta=5e-6, w0=60.0 * FM), 1, 0.1))
+    for beam, delta_l, cut in cases:
+        b_star = ratio_cut_radius(beam, delta_l, cut)
+        upper = 8.0 * beam.envelope_w0
+        assert b_star < upper
+        oracle = quad_density(beam, b_star) / quad_density(beam, upper)
+        assert focus_fraction(beam, delta_l, cut) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_focus_fraction_wide_cut_radius_is_one():
+    beam = make_beam(2, energy=DEUTERON_BINDING_EV, w0=2.0 * PM)
+    assert ratio_cut_radius(beam, 1, 1e-3) >= 8.0 * beam.envelope_w0
+    assert focus_fraction(beam, 1, 1e-3) == 1.0
+
+
+def test_focus_fraction_rejects_large_error_estimates(monkeypatch):
+    beam = make_beam(2, energy=DEUTERON_BINDING_EV, w0=50.0 * PM)
+    upper = 8.0 * beam.envelope_w0
+
+    def fake(total_err, inner_err):
+        def integral(beam, limit):
+            return (2.0, total_err) if limit == upper else (1.0, inner_err)
+        return integral
+
+    monkeypatch.setattr(recoil_kinematics, "radial_intensity_integral", fake(4e-8, 0.0))
+    with pytest.raises(QuadratureError):
+        focus_fraction(beam, 1, 0.1)
+    # the inner estimate is measured against the total, not the inner value
+    monkeypatch.setattr(recoil_kinematics, "radial_intensity_integral", fake(0.0, 4e-8))
+    with pytest.raises(QuadratureError):
+        focus_fraction(beam, 1, 0.1)
+    monkeypatch.setattr(recoil_kinematics, "radial_intensity_integral", fake(0.0, 1e-8))
+    assert focus_fraction(beam, 1, 0.1) == 0.5

@@ -9,6 +9,7 @@ from twistkick.special_functions import (
     bessel_first_max,
     bessel_j,
     bessel_j_array,
+    scan_golden_max,
     wigner_small_d,
 )
 
@@ -127,6 +128,20 @@ def test_first_max_j1():
     x, val = bessel_first_max(1)
     assert x == pytest.approx(1.8412, rel=1e-3)
     assert val == pytest.approx(0.5819, rel=1e-3)
+
+
+def test_scan_golden_max_smooth_peak():
+    # x exp(-x^2) peaks at 1/sqrt(2); near a maximum f resolves the location
+    # only to about sqrt(machine epsilon)
+    x, value = scan_golden_max(lambda t: t * np.exp(-t * t), 0.1, 3.0, 50, rtol=1e-12)
+    assert x == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-7)
+    assert value == pytest.approx(math.exp(-0.5) / math.sqrt(2.0), rel=1e-14)
+
+
+def test_scan_golden_max_peak_at_grid_edge():
+    x, value = scan_golden_max(lambda t: -t, 1.0, 2.0, 11, rtol=1e-10)
+    assert x == pytest.approx(1.0, abs=1e-9)
+    assert value == pytest.approx(-1.0, abs=1e-9)
 
 
 # --- Wigner small-d -----------------------------------------------------------

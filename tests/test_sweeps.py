@@ -207,3 +207,17 @@ def test_loglin_grid_structure():
     # linear spacing in the upper section
     upper = values[-300:]
     assert np.allclose(np.diff(upper), upper[1] - upper[0])
+
+
+def test_override_types_checked_against_defaults():
+    with pytest.raises(DomainError) as info:
+        run_sweep(SweepSpec("fig7", overrides={"m_gamma": 1.0}))
+    assert info.value.code == "PARAMETER_TYPE"
+    for bad in ("0.1", True, float("nan"), None):
+        with pytest.raises(DomainError) as info:
+            run_sweep(SweepSpec("fig2a", overrides={"theta_k": bad}))
+        assert info.value.code == "PARAMETER_TYPE"
+    grid = GridSpec(10.0, 20.0, 2)
+    result = run_sweep(SweepSpec("fig7", overrides={"m_gamma": np.int64(-2),
+                                                    "sigma_nm": 8}, grid=grid))
+    assert len(result.rows) == 2

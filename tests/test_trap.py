@@ -9,6 +9,7 @@ from twistkick.beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick, \
     transverse_wavenumber
 from twistkick.errors import DomainError, NoAbsorptionError, TruncationWarning
 from twistkick.trap import (
+    MAX_SIDEBAND_LEVEL,
     TrapModel,
     in_lamb_dicke_regime,
     jump_probability_extended,
@@ -333,6 +334,19 @@ def test_sideband_rejects_bad_inputs():
         sideband_spectrum(beam, 1, 5.0, ca_trap(), -1.0, n_max=4)
     with pytest.raises(DomainError):
         jump_probability_extended(beam, 1, -2.0, ca_trap(), 10.0)
+
+
+def test_sideband_n_max_cap():
+    # 170 is the largest n with n! finite as a double; the basis stays finite
+    assert MAX_SIDEBAND_LEVEL == 170
+    beam = make_beam()
+    spectrum = sideband_spectrum(beam, -1, 20.0, ca_trap(), 10.0, n_max=MAX_SIDEBAND_LEVEL)
+    assert len(spectrum.weights) == MAX_SIDEBAND_LEVEL + 1
+    assert all(math.isfinite(w) and w >= 0.0 for w in spectrum.weights.values())
+    assert abs(spectrum.truncation_residual) < 1e-12
+    for n_max in (MAX_SIDEBAND_LEVEL + 1, 100_000):
+        with pytest.raises(DomainError):
+            sideband_spectrum(beam, -1, 20.0, ca_trap(), 10.0, n_max=n_max)
 
 
 def test_no_absorption_error():
