@@ -46,12 +46,15 @@ from .recoil_kinematics import (
 )
 from .special_functions import bessel_j, wigner_small_d
 from .transitions import (
+    AmPartition,
     SublevelDistribution,
     TransitionChannel,
+    am_partition,
     excitation_probabilities,
     mean_cm_am,
     mean_internal_am,
     recoil_ratio,
+    recoil_ratio_array,
     sublevel_profile,
     transition_amplitudes,
 )

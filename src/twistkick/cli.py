@@ -27,7 +27,8 @@ from .pair_production import PairThresholdQuery, crossover_product, \
 from .recoil_kinematics import TargetParticle, absorption_energy, \
     deuteron_threshold, focus_fraction, ratio_cut_radius, transverse_recoil_energy
 from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, run_sweep
-from .transitions import TransitionChannel, mean_internal_am, recoil_ratio
+from .transitions import TransitionChannel, am_partition, raise_first_row_error, \
+    recoil_ratio_array
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
 from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, KEV, \
@@ -89,21 +90,21 @@ def _scalar_result(command: str, parameters: dict, columns, row) -> SweepResult:
 
 # --- subcommand handlers ------------------------------------------------------
 
-def _cmd_am_transfer(args) -> SweepResult:
+def _am_sweep(command: str, args, columns, kernel) -> SweepResult:
+    # kernel(beam, channel, b) -> (value columns, row errors) over the b grid;
+    # the first failing point raises its coded error
     energy = wavelength_to_energy(args.lambda_nm)
     beam = TwistedPhotonBeam(args.m_gamma, args.lambda_spin, energy, args.pitch_rad)
     channel = TransitionChannel(float(args.multipole_j))
     xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
-    rows = []
-    for x in xs:
-        b = float(x) * args.lambda_nm
-        internal = mean_internal_am(beam, channel, b)
-        rows.append([float(x), internal, beam.m_gamma - internal])
+    b = xs * args.lambda_nm
+    values, errors = kernel(beam, channel, b)
+    raise_first_row_error(errors, beam, channel, b)
     return SweepResult(
-        columns=[("b", "lambda"), ("lz_internal", "hbar"), ("lz_cm", "hbar")],
-        rows=rows,
+        columns=[("b", "lambda")] + columns,
+        rows=np.column_stack([xs, *values]).tolist(),
         metadata={
-            "command": "am-transfer",
+            "command": command,
             "parameters": {
                 "multipole_j": args.multipole_j, "m_gamma": args.m_gamma,
                 "lambda_spin": args.lambda_spin, "pitch_rad": args.pitch_rad,
@@ -112,30 +113,25 @@ def _cmd_am_transfer(args) -> SweepResult:
             "library_version": __version__,
         },
     )
+
+
+def _am_transfer_columns(beam, channel, b):
+    partition = am_partition(beam, channel, b)
+    return (partition.lz_internal, partition.lz_cm), partition.errors
+
+
+def _recoil_ratio_column(beam, channel, b):
+    ratio, errors = recoil_ratio_array(beam, channel, b)
+    return (ratio,), errors
+
+
+def _cmd_am_transfer(args) -> SweepResult:
+    return _am_sweep("am-transfer", args, [("lz_internal", "hbar"), ("lz_cm", "hbar")],
+                     _am_transfer_columns)
 
 
 def _cmd_recoil_ratio(args) -> SweepResult:
-    energy = wavelength_to_energy(args.lambda_nm)
-    beam = TwistedPhotonBeam(args.m_gamma, args.lambda_spin, energy, args.pitch_rad)
-    channel = TransitionChannel(float(args.multipole_j))
-    xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
-    rows = [
-        [float(x), recoil_ratio(beam, channel, float(x) * args.lambda_nm)]
-        for x in xs
-    ]
-    return SweepResult(
-        columns=[("b", "lambda"), ("pT_over_pz", "1")],
-        rows=rows,
-        metadata={
-            "command": "recoil-ratio",
-            "parameters": {
-                "multipole_j": args.multipole_j, "m_gamma": args.m_gamma,
-                "lambda_spin": args.lambda_spin, "pitch_rad": args.pitch_rad,
-                "lambda_nm": args.lambda_nm,
-            },
-            "library_version": __version__,
-        },
-    )
+    return _am_sweep("recoil-ratio", args, [("pT_over_pz", "1")], _recoil_ratio_column)
 
 
 def _cmd_ion_recoil(args) -> SweepResult:

@@ -40,10 +40,12 @@ class PairThresholdQuery:
     l_gamma: int = 0
 
     def __post_init__(self):
-        if not self.omega2 > 0.0:
-            raise DomainError(f"omega2 must be positive, got {self.omega2}")
+        if not (self.omega2 > 0.0 and math.isfinite(self.omega2)):
+            raise DomainError(f"omega2 must be finite and positive, got {self.omega2}")
         if not 0.0 <= self.pitch_angle < 0.5 * math.pi:
             raise DomainError(f"pitch angle must lie in [0, pi/2), got {self.pitch_angle}")
+        if not math.isfinite(self.impact_parameter):
+            raise DomainError(f"impact parameter must be finite, got {self.impact_parameter}")
         if self.l_gamma < 0:
             raise DomainError(f"l_gamma must be non-negative, got {self.l_gamma}")
         if self.l_gamma > 0 and not self.impact_parameter > 0.0:
@@ -55,8 +57,8 @@ class PairThresholdQuery:
 
 def plane_wave_threshold(omega2: float) -> float:
     """Minimum VHE photon energy m_e^2/omega2 for untwisted head-on photons."""
-    if not omega2 > 0.0:
-        raise DomainError(f"omega2 must be positive, got {omega2}")
+    if not (omega2 > 0.0 and math.isfinite(omega2)):
+        raise DomainError(f"omega2 must be finite and positive, got {omega2}")
     return ELECTRON_MASS_EV * ELECTRON_MASS_EV / omega2
 
 

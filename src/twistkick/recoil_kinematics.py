@@ -38,12 +38,15 @@ class TargetParticle:
     def __post_init__(self):
         if not self.mass > 0.0:
             raise DomainError(f"mass must be positive, got {self.mass}")
-        if self.impact_parameter < 0.0:
+        if not 0.0 <= self.impact_parameter < math.inf:
             raise DomainError(
-                f"impact parameter must be non-negative, got {self.impact_parameter}"
+                f"impact parameter must be finite and non-negative, "
+                f"got {self.impact_parameter}"
             )
-        if self.spread_rms is not None and not self.spread_rms > 0.0:
-            raise DomainError(f"spread_rms must be positive, got {self.spread_rms}")
+        if self.spread_rms is not None and not 0.0 < self.spread_rms < math.inf:
+            raise DomainError(
+                f"spread_rms must be finite and positive, got {self.spread_rms}"
+            )
 
 
 @dataclass(frozen=True)

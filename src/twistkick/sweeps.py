@@ -3,9 +3,15 @@ modules into deterministic data tables with stable column schemas.
 
 Every figure id carries documented default parameters (pitch angle, trap
 frequency, wavelength, ...) for the quantities its source plot leaves
-unstated; all of them are overridable.  Rows whose evaluation hits a
-physical singularity (e.g. the vortex line b = 0) are dropped and counted in
-the metadata, never silently interpolated.
+unstated; all of them are overridable.
+
+A figure builder evaluates the whole grid at once and returns its rows with
+one error code per row ("" where the row is defined).  The AM panels
+(fig2-fig5) do so through the array kernels of :mod:`.transitions`; the
+other figures lift a per-point row function with :func:`_per_point`, which
+turns each point's coded error into that row's code.  Rows that carry a code
+(e.g. the vortex line b = 0) or a non-finite value are dropped and counted
+in the metadata, never silently interpolated.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .pair_production import PairThresholdQuery, crossover_product, pair_thresho
     fit_beam_for_threshold_factor, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, deuteron_threshold, \
     transverse_recoil_energy
-from .transitions import TransitionChannel, mean_cm_am, recoil_ratio, sublevel_profile
+from .transitions import TransitionChannel, am_partition, recoil_ratio_array, \
+    sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
     constants_sha256, nonrel_recoil_energy, wavelength_to_energy
@@ -95,9 +102,32 @@ class _Figure:
 _M_GAMMA_SERIES = (1, 2, 3)
 
 
+def _per_point(build_row):
+    """Lift ``build_row(params) -> row(point)`` to a whole-grid builder: a
+    point whose row raises a coded error gets that code and no row."""
+    def build(params, points):
+        row = build_row(params)
+        rows, errors = [], []
+        for point in points:
+            try:
+                rows.append(row(point))
+                errors.append("")
+            except TwistkickError as exc:
+                rows.append(None)
+                errors.append(exc.code)
+        return rows, errors
+    return build
+
+
+def _lz_cm_array(beam, channel, b):
+    partition = am_partition(beam, channel, b)
+    return partition.lz_cm, partition.errors
+
+
 def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
-    # one column of kernel(beam, channel, b) per m_gamma, b in wavelengths
-    def build(params):
+    # one column of kernel(beam, channel, b) -> (values, errors) per m_gamma,
+    # b in wavelengths; a row takes the first error code of its columns
+    def build(params, xs):
         wavelength = params["lambda_nm"]
         energy = wavelength_to_energy(wavelength)
         channel = TransitionChannel(float(j))
@@ -105,10 +135,14 @@ def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
             TwistedPhotonBeam(m, lambda_spin, energy, params["theta_k"])
             for m in _M_GAMMA_SERIES
         ]
-        def row(x):
-            b = x * wavelength
-            return [x] + [kernel(beam, channel, b) for beam in beams]
-        return row
+        b = xs * wavelength
+        columns = [xs]
+        errors = np.full(len(xs), "", dtype=object)
+        for beam in beams:
+            values, beam_errors = kernel(beam, channel, b)
+            columns.append(values)
+            errors = np.where(errors == "", beam_errors, errors)
+        return np.column_stack(columns).tolist(), errors
     return build
 
 
@@ -234,10 +268,10 @@ def _register(figure_id, columns, defaults, grid, builder, description):
 
 
 _AM_PANELS = (
-    ("fig2", _lz_columns, mean_cm_am, 1, "c.m. angular momentum"),
-    ("fig3", _lz_columns, mean_cm_am, -1, "c.m. angular momentum"),
-    ("fig4", _ratio_columns, recoil_ratio, 1, "recoil ratio p_T/p_z"),
-    ("fig5", _ratio_columns, recoil_ratio, -1, "recoil ratio p_T/p_z"),
+    ("fig2", _lz_columns, _lz_cm_array, 1, "c.m. angular momentum"),
+    ("fig3", _lz_columns, _lz_cm_array, -1, "c.m. angular momentum"),
+    ("fig4", _ratio_columns, recoil_ratio_array, 1, "recoil ratio p_T/p_z"),
+    ("fig5", _ratio_columns, recoil_ratio_array, -1, "recoil ratio p_T/p_z"),
 )
 for _letter, _j in (("a", 1), ("b", 2), ("c", 3)):
     for _prefix, _columns, _kernel, _spin, _quantity in _AM_PANELS:
@@ -253,7 +287,7 @@ _register(
     [("b", "nm"), ("E_long", "neV"), ("E_T(m_gamma=2)", "neV"),
      ("E_T(m_gamma=3)", "neV"), ("E_T(m_gamma=4)", "neV")],
     {"lambda_nm": 397.0},
-    GridSpec(1.0, 100.0, 200, "log"), _fig6_build,
+    GridSpec(1.0, 100.0, 200, "log"), _per_point(_fig6_build),
     "trapped-ion recoil energies vs impact parameter (40Ca+, 397 nm)",
 )
 _register(
@@ -263,21 +297,21 @@ _register(
     {"lambda_nm": 729.0, "theta_k": DEFAULT_PITCH_ANGLE, "m_gamma": -2,
      "lambda_spin": -1, "m_initial": -0.5, "m_final": -1.5,
      "sigma_nm": 10.0, "trap_mhz": 1.5},
-    GridSpec(10.0, 3000.0, 120, "lin"), _fig7_build,
+    GridSpec(10.0, 3000.0, 120, "lin"), _per_point(_fig7_build),
     "sublevel excitation profile and trap-jump probabilities vs b",
 )
 _register(
     "fig8a",
     [("b", "fm"), ("threshold", "GeV"), ("plane_wave", "GeV")],
     {"omega2_ev": 2.5, "l_gamma": 1, "pitch_urad": 5.0},
-    GridSpec(20.0, 2000.0, 200, "log"), _fig8a_build,
+    GridSpec(20.0, 2000.0, 200, "log"), _per_point(_fig8a_build),
     "pair-production threshold vs impact parameter at fixed pitch angle",
 )
 _register(
     "fig8b",
     [("theta_k", "urad"), ("threshold", "GeV"), ("plane_wave", "GeV")],
     {"omega2_ev": 2.5, "l_gamma": 1, "b_fm": 200.0},
-    GridSpec(0.5, 50.0, 200, "log"), _fig8b_build,
+    GridSpec(0.5, 50.0, 200, "log"), _per_point(_fig8b_build),
     "pair-production threshold vs pitch angle at fixed impact parameter",
 )
 _register(
@@ -285,7 +319,7 @@ _register(
     [("m_gamma", "hbar"), ("internal_am", "hbar"), ("b", "fm"),
      ("threshold", "MeV"), ("recoil", "keV"), ("transverse_recoil", "keV")],
     {"lambda_fm": 559.0, "theta_k": DEFAULT_PITCH_ANGLE},
-    None, _deuteron_table_build,
+    None, _per_point(_deuteron_table_build),
     "deuteron photodisintegration thresholds per multipole channel",
 )
 _register(
@@ -294,7 +328,7 @@ _register(
      ("b", "fm"), ("w0", "fm"), ("theta_k", "urad"), ("peak_radius", "fm"),
      ("plane_wave", "GeV"), ("threshold", "GeV"), ("crossover", "pm*urad")],
     {"omega2_ev": 2.5},
-    None, _pair_table_build,
+    None, _per_point(_pair_table_build),
     "beam parameters for ten-fold pair-threshold increase and crossover products",
 )
 
@@ -356,21 +390,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             "count": grid.count, "scale": grid.scale,
         }
 
-    row_fn = figure.builder(params)
-
-    def evaluate(point):
-        try:
-            row = row_fn(point)
-        except TwistkickError:
-            return None
-        if any(not math.isfinite(v) for v in row):
-            return None
-        return [float(v) for v in row]
-
-    raw_rows = [evaluate(p) for p in points]
-
-    rows = [r for r in raw_rows if r is not None]
-    dropped = len(raw_rows) - len(rows)
+    table, errors = figure.builder(params, points)
+    rows = [
+        [float(v) for v in row] for row, error in zip(table, errors)
+        if not error and all(math.isfinite(v) for v in row)
+    ]
+    dropped = len(points) - len(rows)
 
     metadata = {
         "figure": spec.figure_id,

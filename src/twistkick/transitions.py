@@ -15,6 +15,15 @@ The final-sublevel band is the full inclusive range m_i - J ... m_i + J.
 Probabilities and their means reproduce the angular-momentum bookkeeping:
 whatever the internal excitation does not absorb goes to the center of
 mass, whose recoil is the superkick.
+
+:func:`am_partition` is the array kernel behind every mean: it takes a whole
+array of impact parameters, evaluates each Wigner d once per (beam, dm) and
+one Bessel array per order, and returns the internal and c.m. means with a
+per-row error code instead of raising, so a figure sweep is evaluated over
+its whole grid at once and drops exactly the rows that carry a code.  The
+scalar :func:`mean_internal_am`, :func:`mean_cm_am` and :func:`recoil_ratio`
+are one-row wrappers that raise what the code names.  The per-point dict
+path :func:`excitation_probabilities` is kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -22,9 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, UndefinedDistributionError
-from .special_functions import bessel_first_max, bessel_j, wigner_small_d
+from .special_functions import MAX_ARGUMENT, MAX_ORDER, bessel_first_max, bessel_j, \
+    bessel_j_array, check_bessel_domain, wigner_small_d
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,124 @@ def excitation_probabilities(
     )
 
 
+@dataclass(frozen=True)
+class AmPartition:
+    """Sublevel weights and mean angular momentum (units hbar) over a 1-D
+    array of impact parameters.
+
+    ``weights[J + dm]`` is the row of w(m_i + dm) for dm = -J ... J;
+    ``lz_internal`` is the probability-weighted mean of m_f - m_i and
+    ``lz_cm = m_gamma - lz_internal`` its exact complement.  ``errors`` holds
+    one code per row: "" where the row is defined, otherwise the code of the
+    error the scalar functions raise there (``DOMAIN`` for b < 0 or a
+    Bessel order/argument outside the supported range,
+    ``UNDEFINED_DISTRIBUTION`` where every amplitude vanishes); every value
+    of such a row is NaN.
+    """
+
+    weights: np.ndarray
+    lz_internal: np.ndarray
+    lz_cm: np.ndarray
+    errors: np.ndarray
+
+
+def _orders(beam: TwistedPhotonBeam, channel: TransitionChannel) -> list[int]:
+    # Bessel order m_gamma - dm per dm = -J ... J, in evaluation order
+    j = channel.j_int
+    return [beam.m_gamma - dm for dm in range(-j, j + 1)]
+
+
+def am_partition(
+    beam: TwistedPhotonBeam, channel: TransitionChannel, b
+) -> AmPartition:
+    """Sublevel weights and internal/c.m. mean angular momentum at every
+    impact parameter of the 1-D array ``b`` (nm), with a per-row error code
+    in place of an exception.
+
+    Each Wigner d is evaluated once and each Bessel order in one array call.
+    The arithmetic is that of :func:`excitation_probabilities` row by row
+    (squared amplitudes summed in +-dm pairs, means accumulated from dm = 1
+    up), so every row is bit-identical to a scalar evaluation.
+    """
+    b = np.asarray(b, dtype=float)
+    j = channel.j_int
+    if any(abs(nu) > MAX_ORDER for nu in _orders(beam, channel)):
+        nan = np.full(b.shape, np.nan)
+        return AmPartition(weights=np.full((2 * j + 1,) + b.shape, np.nan),
+                           lz_internal=nan, lz_cm=nan,
+                           errors=np.full(b.shape, "DOMAIN", dtype=object))
+    with np.errstate(invalid="ignore"):  # inf * 0 is a NaN row, coded below
+        x = transverse_wavenumber(beam) * b
+    valid = np.isfinite(x) & (np.abs(x) <= MAX_ARGUMENT) & ~(b < 0.0)
+    errors = np.where(valid, "", "DOMAIN").astype(object)
+    x = np.where(valid, x, 0.0)
+    sq = {}
+    for dm in range(-j, j + 1):
+        d = wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
+        amplitude = bessel_j_array(beam.m_gamma - dm, x) * d
+        sq[dm] = amplitude * amplitude
+    total = sq[0]
+    for dm in range(1, j + 1):
+        total = total + (sq[dm] + sq[-dm])
+    undefined = valid & (total == 0.0)
+    errors[undefined] = "UNDEFINED_DISTRIBUTION"
+    valid &= ~undefined
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.where(valid, np.stack([sq[dm] for dm in range(-j, j + 1)]) / total,
+                           np.nan)
+    internal = 0.0
+    for dm in range(1, j + 1):
+        internal = internal + dm * (weights[j + dm] - weights[j - dm])
+    return AmPartition(weights=weights, lz_internal=internal,
+                       lz_cm=beam.m_gamma - internal, errors=errors)
+
+
+def recoil_ratio_array(
+    beam: TwistedPhotonBeam, channel: TransitionChannel, b
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`recoil_ratio` at every impact parameter of ``b`` (nm): the
+    ratios and per-row error codes as in :class:`AmPartition`, with
+    ``B_SINGULARITY`` (checked first) wherever b > 0 fails."""
+    b = np.asarray(b, dtype=float)
+    partition = am_partition(beam, channel, b)
+    positive = b > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = partition.lz_cm * beam.wavelength / (2.0 * math.pi * b)
+    errors = np.where(positive, partition.errors, "B_SINGULARITY")
+    return np.where(positive, ratio, np.nan), errors
+
+
+def raise_first_row_error(
+    errors: np.ndarray, beam: TwistedPhotonBeam, channel: TransitionChannel, b
+) -> None:
+    """Raise, for the first row of ``b`` whose code in ``errors`` is set, the
+    exception a scalar evaluation raises there; nothing if no row failed."""
+    failed = np.flatnonzero(errors != "")
+    if not failed.size:
+        return
+    code, b = errors[failed[0]], b[failed[0]]
+    if code == "B_SINGULARITY":
+        raise DomainError(f"impact parameter must be positive, got {b}", code=code)
+    if code == "UNDEFINED_DISTRIBUTION":
+        raise UndefinedDistributionError(
+            f"all sublevel amplitudes vanish at b={b}; no absorption"
+        )
+    if b < 0.0:
+        raise DomainError(f"impact parameter must be non-negative, got {b}")
+    x = transverse_wavenumber(beam) * b
+    for nu in _orders(beam, channel):
+        check_bessel_domain(nu, x)
+    raise AssertionError(f"row error code {code!r} at b={b} names no error")
+
+
+def _checked_row(
+    beam: TwistedPhotonBeam, channel: TransitionChannel, b: float
+) -> AmPartition:
+    partition = am_partition(beam, channel, [b])
+    raise_first_row_error(partition.errors, beam, channel, [b])
+    return partition
+
+
 def mean_internal_am(
     beam: TwistedPhotonBeam, channel: TransitionChannel, b: float
 ) -> float:
@@ -135,19 +265,13 @@ def mean_internal_am(
 
     Probability-weighted mean of m_f - m_i over the sublevel distribution.
     """
-    dist = excitation_probabilities(beam, channel, b)
-    j = channel.j_int
-    mi = float(channel.m_initial)
-    total = 0.0
-    for dm in range(1, j + 1):
-        total += dm * (dist.weights[mi + dm] - dist.weights[mi - dm])
-    return total
+    return float(_checked_row(beam, channel, b).lz_internal[0])
 
 
 def mean_cm_am(beam: TwistedPhotonBeam, channel: TransitionChannel, b: float) -> float:
     """Mean angular momentum passed to the center of mass: m_gamma minus the
     internal mean (exact complement)."""
-    return beam.m_gamma - mean_internal_am(beam, channel, b)
+    return float(_checked_row(beam, channel, b).lz_cm[0])
 
 
 def recoil_ratio(beam: TwistedPhotonBeam, channel: TransitionChannel, b: float) -> float:
@@ -155,12 +279,9 @@ def recoil_ratio(beam: TwistedPhotonBeam, channel: TransitionChannel, b: float) 
 
     p_T/p_z = <l_z>_cm * lambda / (2 pi b), with the paraxial p_z = E/c.
     """
-    if not b > 0.0:
-        raise DomainError(
-            f"impact parameter must be positive, got {b}", code="B_SINGULARITY"
-        )
-    lz_cm = mean_cm_am(beam, channel, b)
-    return lz_cm * beam.wavelength / (2.0 * math.pi * b)
+    ratio, errors = recoil_ratio_array(beam, channel, [b])
+    raise_first_row_error(errors, beam, channel, [b])
+    return float(ratio[0])
 
 
 def sublevel_profile(

@@ -277,3 +277,42 @@ def test_beam_fit_out_of_range_factor_has_no_nan(capsys):
     assert out == ""
     assert "error [DOMAIN]" in err
     assert "nan" not in err.lower()
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["am-transfer", "--m-gamma", "3", "--b-min-lambda", "0"], "UNDEFINED_DISTRIBUTION",
+     "all sublevel amplitudes vanish at b=0.0; no absorption"),
+    (["recoil-ratio", "--b-min-lambda", "0"], "B_SINGULARITY",
+     "impact parameter must be positive, got 0.0"),
+    (["am-transfer", "--b-min-lambda", "2", "--b-max-lambda", "-1", "--count", "9"],
+     "DOMAIN", "impact parameter must be non-negative, got -99.25"),
+    (["recoil-ratio", "--b-max-lambda", "1e7", "--count", "50"], "DOMAIN",
+     "Bessel argument |x| <= 1e+06 supported, got 1024117.3174895761"),
+    (["am-transfer", "--m-gamma", "-63", "--multipole-j", "2"], "DOMAIN",
+     "Bessel order |n| <= 64 supported, got -65"),
+])
+def test_am_sweep_first_failing_point_error(capsys, argv, code, message):
+    status, out, err = run_main(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err == f"twistkick: error [{code}]: {message}\n"
+
+
+def test_am_transfer_rows_match_sublevel_weights(capsys):
+    from twistkick.beam import TwistedPhotonBeam
+    from twistkick.transitions import TransitionChannel, excitation_probabilities
+    from twistkick.units import wavelength_to_energy
+
+    status, out, _ = run_main(capsys, "am-transfer", "--multipole-j", "3", "--m-gamma", "-2",
+                              "--lambda-spin", "-1", "--pitch-rad", "0.3", "--count", "40",
+                              "--format", "json")
+    assert status == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 40
+    beam = TwistedPhotonBeam(-2, -1, wavelength_to_energy(397.0), 0.3)
+    for x, internal, cm in rows:
+        weights = excitation_probabilities(beam, TransitionChannel(3), x * 397.0).weights
+        expected = sum(m_f * w for m_f, w in weights.items())
+        # the printed values carry 12 significant digits
+        assert internal == pytest.approx(expected, abs=1e-11)
+        assert cm == pytest.approx(-2.0 - expected, abs=1e-11)

@@ -170,3 +170,24 @@ def test_query_validation():
     with pytest.raises(DomainError) as err:
         PairThresholdQuery(omega2=2.5, pitch_angle=1e-6, l_gamma=1)
     assert err.value.code == "B_SINGULARITY"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("omega2", math.inf), ("omega2", math.nan),
+    ("pitch_angle", math.inf), ("pitch_angle", math.nan),
+    ("impact_parameter", math.inf), ("impact_parameter", math.nan),
+])
+def test_query_rejects_non_finite_inputs(field, value):
+    inputs = {"omega2": 2.5, "pitch_angle": 1e-6, "impact_parameter": 200.0 * FM,
+              "l_gamma": 1}
+    inputs[field] = value
+    with pytest.raises(DomainError) as err:
+        PairThresholdQuery(**inputs)
+    assert err.value.code == "DOMAIN"
+
+
+@pytest.mark.parametrize("omega2", [math.inf, math.nan, -math.inf])
+def test_crossover_rejects_non_finite_omega2(omega2):
+    with pytest.raises(DomainError) as err:
+        crossover_product(omega2, 1)
+    assert err.value.code == "DOMAIN"

@@ -248,3 +248,13 @@ def test_focus_fraction_rejects_large_error_estimates(monkeypatch):
         focus_fraction(beam, 1, 0.1)
     monkeypatch.setattr(recoil_kinematics, "radial_intensity_integral", fake(0.0, 1e-8))
     assert focus_fraction(beam, 1, 0.1) == 0.5
+
+
+@pytest.mark.parametrize("inputs", [
+    {"impact_parameter": math.inf}, {"impact_parameter": math.nan},
+    {"spread_rms": math.inf}, {"spread_rms": math.nan},
+])
+def test_target_rejects_non_finite_inputs(inputs):
+    with pytest.raises(DomainError) as err:
+        TargetParticle(CA40_ION_MASS_EV, **inputs)
+    assert err.value.code == "DOMAIN"

@@ -144,6 +144,31 @@ def test_error_rows_dropped_and_counted():
     assert len(result.rows) == 2
 
 
+def test_am_figure_drops_vortex_line_row():
+    # p_T/p_z = lz_cm lambda / (2 pi b) is singular at b = 0 for every m_gamma
+    result = run_sweep(SweepSpec("fig4a", grid=GridSpec(0.0, 1.0, 5)))
+    assert result.metadata["dropped_rows"] == 1
+    assert [row[0] for row in result.rows] == [0.25, 0.5, 0.75, 1.0]
+
+
+def test_am_figure_drops_vanishing_distribution_row():
+    # at b = 0 only J_0 survives; with J = 1 the orders of m_gamma = 2 (1..3)
+    # and m_gamma = 3 (2..4) all vanish, so their distributions are undefined
+    result = run_sweep(SweepSpec("fig2a", grid=GridSpec(0.0, 1.0, 5)))
+    assert result.metadata["dropped_rows"] == 1
+    assert len(result.rows) == 4
+    assert result.rows[0][0] == 0.25
+
+
+def test_am_figure_drops_only_rows_past_bessel_limit():
+    # kappa b = 1e6 sits at b = 1.59e6 lambda for theta_k = 0.1; the four
+    # grid points beyond it are dropped, the rest of the sweep is kept
+    result = run_sweep(SweepSpec("fig2a", grid=GridSpec(1e-3, 1e7, 41, "log")))
+    assert result.metadata["dropped_rows"] == 4
+    assert len(result.rows) == 37
+    assert result.rows[-1][0] == pytest.approx(1e6)
+
+
 def test_degenerate_grid():
     result = run_sweep(SweepSpec("fig8a", grid=GridSpec(20.0, 2000.0, 2, "log")))
     assert len(result.rows) == 2

@@ -9,10 +9,12 @@ from twistkick.errors import DomainError, UndefinedDistributionError
 from twistkick.transitions import (
     SublevelDistribution,
     TransitionChannel,
+    am_partition,
     excitation_probabilities,
     mean_cm_am,
     mean_internal_am,
     recoil_ratio,
+    recoil_ratio_array,
     sublevel_profile,
     transition_amplitudes,
 )
@@ -308,3 +310,89 @@ def test_mirror_symmetry_property_exact():
         mirrored = excitation_probabilities(mirrored_beam, mirrored_channel, b)
         for m_f, w in dist.weights.items():
             assert mirrored.weights[-m_f] == w
+
+
+# --- array kernel against the per-point dict path ------------------------------
+
+def _oracle_row(beam, channel, b):
+    """(code, lz_cm) of one row from excitation_probabilities alone."""
+    try:
+        dist = excitation_probabilities(beam, channel, b)
+    except DomainError as exc:
+        return exc.code, None
+    except UndefinedDistributionError as exc:
+        return exc.code, None
+    mi = channel.m_initial
+    internal = math.fsum((m_f - mi) * w for m_f, w in dist.weights.items())
+    return "", beam.m_gamma - internal
+
+
+def test_am_partition_matches_dict_oracle():
+    rng = np.random.default_rng(211)
+    rows = 0
+    for draw in range(60):
+        j = int(rng.integers(1, 4))
+        beam = make_beam(int(rng.integers(-3, 4)), spin=int(rng.choice([-1, 1])),
+                         theta=0.0 if draw % 10 == 0 else float(rng.uniform(0.0, 0.3)))
+        channel = TransitionChannel(j, m_initial=float(rng.choice([0.0, -0.5, 0.5])))
+        b = [0.0] + list(rng.uniform(1e-4, 3.0, 8) * beam.wavelength)
+        kappa = transverse_wavenumber(beam)
+        if kappa > 0.0:
+            # both sides of the Bessel argument limit kappa*b = 1e6
+            b += [1e6 / kappa * (1.0 - 1e-9), 1e6 / kappa * (1.0 + 1e-9)]
+        b = np.array(b)
+        partition = am_partition(beam, channel, b)
+        ratio, ratio_errors = recoil_ratio_array(beam, channel, b)
+        for i, b_i in enumerate(b):
+            code, lz_cm = _oracle_row(beam, channel, float(b_i))
+            assert partition.errors[i] == code, (draw, b_i)
+            if b_i == 0.0:
+                assert ratio_errors[i] == "B_SINGULARITY"
+            else:
+                assert ratio_errors[i] == code
+            if code:
+                assert math.isnan(partition.lz_cm[i]) and math.isnan(ratio[i])
+                continue
+            assert partition.lz_cm[i] == pytest.approx(lz_cm, abs=1e-12)
+            if b_i > 0.0:
+                scale = beam.wavelength / (2.0 * math.pi * b_i)
+                assert ratio[i] == pytest.approx(lz_cm * scale, rel=0, abs=1e-12 * scale)
+            rows += 1
+    assert rows >= 300
+
+
+def test_am_partition_error_codes():
+    beam = make_beam(3)
+    channel = TransitionChannel(2)
+    kappa = transverse_wavenumber(beam)
+    b = np.array([-1.0, 0.0, 50.0, 2e6 / kappa, np.nan, np.inf])
+    partition = am_partition(beam, channel, b)
+    assert list(partition.errors) == ["DOMAIN", "UNDEFINED_DISTRIBUTION", "", "DOMAIN",
+                                      "DOMAIN", "DOMAIN"]
+    assert np.isnan(partition.weights[:, [0, 1, 3]]).all()
+    assert math.fsum(partition.weights[:, 2]) == pytest.approx(1.0, abs=1e-15)
+    _, ratio_errors = recoil_ratio_array(beam, channel, b)
+    assert list(ratio_errors) == ["B_SINGULARITY", "B_SINGULARITY", "", "DOMAIN",
+                                  "B_SINGULARITY", "DOMAIN"]
+    # a Bessel order beyond 64 fails every row, whatever b is
+    partition = am_partition(make_beam(64), TransitionChannel(1), np.array([1.0, 2.0]))
+    assert list(partition.errors) == ["DOMAIN", "DOMAIN"]
+
+
+@pytest.mark.parametrize("function", [mean_internal_am, mean_cm_am, recoil_ratio])
+def test_scalar_wrappers_raise_row_errors(function):
+    beam = make_beam(3)
+    channel = TransitionChannel(2)
+    kappa = transverse_wavenumber(beam)
+    singular = "B_SINGULARITY" if function is recoil_ratio else "UNDEFINED_DISTRIBUTION"
+    with pytest.raises(DomainError if function is recoil_ratio
+                       else UndefinedDistributionError) as err:
+        function(beam, channel, 0.0)
+    assert err.value.code == singular
+    with pytest.raises(DomainError) as err:
+        function(beam, channel, 2e6 / kappa)
+    assert err.value.code == "DOMAIN"
+    assert "Bessel argument" in str(err.value)
+    with pytest.raises(DomainError) as err:
+        function(make_beam(64), TransitionChannel(1), 10.0)
+    assert "Bessel order" in str(err.value)
