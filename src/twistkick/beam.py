@@ -46,14 +46,16 @@ class TwistedPhotonBeam:
             raise DomainError(f"lambda_spin must be +1 or -1, got {self.lambda_spin}")
         if not isinstance(self.m_gamma, (int, np.integer)):
             raise DomainError(f"m_gamma must be an integer, got {self.m_gamma!r}")
-        if not self.energy > 0.0:
-            raise DomainError(f"energy must be positive, got {self.energy}")
+        if not 0.0 < self.energy < math.inf:
+            raise DomainError(f"energy must be positive and finite, got {self.energy}")
         if not 0.0 <= self.pitch_angle < 0.5 * math.pi:
             raise DomainError(
                 f"pitch angle must lie in [0, pi/2), got {self.pitch_angle}"
             )
-        if self.envelope_w0 is not None and not self.envelope_w0 > 0.0:
-            raise DomainError(f"envelope_w0 must be positive, got {self.envelope_w0}")
+        if self.envelope_w0 is not None and not 0.0 < self.envelope_w0 < math.inf:
+            raise DomainError(
+                f"envelope_w0 must be positive and finite, got {self.envelope_w0}"
+            )
 
     @property
     def l_gamma(self) -> int:

@@ -214,7 +214,9 @@ def fit_beam_for_threshold_factor(
         )
     if peak_minus_b(theta_lo) <= 0.0 or peak_minus_b(theta_hi) >= 0.0:
         raise SolverError("pitch-angle bracketing failed for the profile fit", code="FIT")
-    theta = brentq(peak_minus_b, theta_lo, theta_hi, rtol=1e-12)
+    # bracket-relative tolerance: theta can sit far below brentq's absolute
+    # default xtol, and 1e-7 matches the resolution of profile_peak_radius
+    theta = brentq(peak_minus_b, theta_lo, theta_hi, xtol=1e-4 * theta_lo, rtol=1e-7)
 
     fitted = TwistedPhotonBeam(
         m_gamma=l_gamma + 1, lambda_spin=1, energy=omega1,

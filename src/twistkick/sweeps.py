@@ -50,6 +50,8 @@ class GridSpec:
     def __post_init__(self):
         if not 2 <= self.count <= 10**6:
             raise DomainError(f"grid count must lie in [2, 1e6], got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise DomainError(f"grid ends must be finite, got [{self.start}, {self.stop}]")
         if not self.stop > self.start:
             raise DomainError(f"grid needs stop > start, got [{self.start}, {self.stop}]")
         if self.scale not in ("lin", "log", "loglin"):

@@ -43,6 +43,17 @@ def test_beam_validation():
     assert make_beam(m=3, spin=-1).l_gamma == 4
 
 
+@pytest.mark.parametrize("field, value", [
+    ("energy", math.inf), ("energy", math.nan),
+    ("w0", math.inf), ("w0", math.nan),
+])
+def test_beam_rejects_non_finite_inputs(field, value):
+    with pytest.raises(DomainError) as err:
+        make_beam(**{field: value})
+    assert err.value.code == "DOMAIN"
+    assert "finite" in str(err.value)
+
+
 def test_transverse_wavenumber_plane_wave_limit():
     assert transverse_wavenumber(make_beam(theta=0.0)) == 0.0
 

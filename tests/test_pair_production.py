@@ -156,6 +156,14 @@ def test_fit_tenfold():
     assert fit.photon_energy == pytest.approx(10.0 * plane_wave_threshold(2.5), rel=1e-12)
 
 
+@pytest.mark.parametrize("factor", [1.5, 10.0, 1e4, 1e10, 1e20, 1e30])
+def test_fit_peaks_at_b_for_every_factor(factor):
+    # the pitch angle falls like 1/factor; an absolute root tolerance would
+    # stop at the kappa -> 0 limit, where the profile peaks at sqrt(2) b
+    fit = fit_beam_for_threshold_factor(factor, 2.5)
+    assert abs(fit.peak_radius - fit.impact_parameter) <= 1e-6 * fit.impact_parameter
+
+
 def test_fit_factor_to_one_unbounded():
     fit = fit_beam_for_threshold_factor(1.0 + 1e-10, 2.5)
     assert fit.p_T == pytest.approx(2.0 * ELECTRON_MASS_EV * 1e-5, rel=1e-6)

@@ -230,6 +230,16 @@ def test_focus_fraction_wide_cut_radius_is_one():
     assert focus_fraction(beam, 1, 1e-3) == 1.0
 
 
+def test_focus_fraction_at_most_one_below_cut_off():
+    # b* at 0.59 of the 8 w0 cut-off: [0, b*] holds all the mass, and the two
+    # panel layouts used to round the ratio to 1.0000000000000004
+    beam = TwistedPhotonBeam(4, 1, DEUTERON_BINDING_EV, 0.1,
+                             envelope_w0=0.005116442060521341)
+    cut = 0.010977828570905743
+    assert ratio_cut_radius(beam, 3, cut) < 8.0 * beam.envelope_w0
+    assert focus_fraction(beam, 3, cut) == 1.0
+
+
 def test_focus_fraction_rejects_large_error_estimates(monkeypatch):
     beam = make_beam(2, energy=DEUTERON_BINDING_EV, w0=50.0 * PM)
     upper = 8.0 * beam.envelope_w0

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,20 @@ def test_grid_validation():
         GridSpec(0.0, 1.0, 5, "log")
     with pytest.raises(DomainError):
         GridSpec(0.0, 1.0, 5, "cubic")
+
+
+@pytest.mark.parametrize("figure_id", ["fig2a", "fig6", "fig8a"])
+@pytest.mark.parametrize("start, stop", [
+    (1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+])
+def test_grid_rejects_non_finite_ends(figure_id, start, stop):
+    # an infinite end used to pass `stop > start` and sweep into an empty
+    # table, every row dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            run_sweep(SweepSpec(figure_id, grid=GridSpec(start, stop, 5)))
+    assert err.value.code == "DOMAIN"
 
 
 def test_loglin_grid_structure():

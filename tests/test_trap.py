@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
-from scipy.special import jv
+from scipy.special import eval_genlaguerre, jv
 
 from twistkick.beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick, \
     transverse_wavenumber
@@ -35,6 +35,16 @@ def test_trap_validation():
         TrapModel(0.0, 1.5e6, CA40_ION_MASS_EV)
     with pytest.raises(DomainError):
         TrapModel(1.5e6, 1.5e6, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("slot", range(3))
+def test_trap_rejects_non_finite_inputs(slot, bad):
+    inputs = [1.5e6, 1.5e6, CA40_ION_MASS_EV]
+    inputs[slot] = bad
+    with pytest.raises(DomainError) as err:
+        TrapModel(*inputs)
+    assert err.value.code == "DOMAIN"
 
 
 def test_level_spacing_quotable():
@@ -261,6 +271,114 @@ def test_models_converge_for_ground_state_packet_at_large_b():
     assert p_ext == pytest.approx(p_point, rel=0.01)
 
 
+def grid_sideband_oracle(beam, nu, b, sigma, n_max):
+    """Independent sideband weights: matrix elements <n_r, l|F|0> of the polar
+    2D oscillator basis (a = sigma sqrt 2) by Gauss-Legendre radial quadrature
+    out to s = 9a and an FFT over a uniform azimuthal grid, normalized by the
+    same grid's <|F|^2> (the former runtime engine)."""
+    radial_nodes, azimuthal_nodes = 240, 512
+    kappa = transverse_wavenumber(beam)
+    a = sigma * math.sqrt(2.0)
+    nodes, gl_weights = np.polynomial.legendre.leggauss(radial_nodes)
+    s = 4.5 * a * (nodes + 1.0)
+    ws = 4.5 * a * gl_weights
+    alpha = 2.0 * math.pi * np.arange(azimuthal_nodes) / azimuthal_nodes
+    x = b + s[:, None] * np.cos(alpha)[None, :]
+    y = s[:, None] * np.sin(alpha)[None, :]
+    f_grid = jv(nu, kappa * np.hypot(x, y)) * np.exp(1j * nu * np.arctan2(y, x))
+    # azimuthal Fourier coefficients g_l(s) = (1/2pi) int F e^{-i l alpha}
+    g = np.fft.fft(f_grid, axis=1) / azimuthal_nodes
+
+    def radial(n_r, l):
+        # R_{n,l}(s) = sqrt(2 n!/(a^2 (n+l)!)) (s/a)^l L_n^l(s^2/a^2) e^{-s^2/(2a^2)}
+        u = (s / a) ** 2
+        norm = math.sqrt(2.0 * math.factorial(n_r) / (a * a * math.factorial(n_r + l)))
+        return norm * (s / a) ** l * eval_genlaguerre(n_r, l, u) * np.exp(-0.5 * u)
+
+    r00 = radial(0, 0)
+    # the polar ground state is R00/sqrt(2pi); the 1/(2pi) from the pair of
+    # angular normalizations cancels against the 2pi of the measure
+    denom = float(np.sum(ws * s * r00**2 * np.mean(np.abs(f_grid) ** 2, axis=1)))
+    weights = []
+    for n in range(n_max + 1):
+        total = 0.0
+        for l in range(-n, n + 1, 2):
+            me = np.sum(ws * s * radial((n - abs(l)) // 2, abs(l)) * r00
+                        * g[:, l % azimuthal_nodes])
+            total += abs(me) ** 2
+        weights.append(total / denom)
+    return weights
+
+
+def assert_matches_grid_oracle(beam, nu, b, sigma, n_max):
+    spectrum = sideband_spectrum(beam, nu, b, ca_trap(), sigma, n_max=n_max)
+    oracle = grid_sideband_oracle(beam, nu, b, sigma, n_max)
+    assert list(spectrum.weights) == list(range(n_max + 1))
+    for n, expected in enumerate(oracle):
+        assert spectrum.weights[n] == pytest.approx(expected, abs=1e-12), n
+
+
+def test_sideband_matches_grid_oracle_criterion_9_draws():
+    # the draws of acceptance criterion 9, where P_jump = 1 - carrier holds by
+    # construction; this oracle keeps that check tied to a second method
+    rng = np.random.default_rng(4096)
+    for _ in range(100):
+        beam = TwistedPhotonBeam(
+            int(rng.integers(-3, 4)), int(rng.choice([-1, 1])),
+            wavelength_to_energy(float(rng.uniform(350.0, 1000.0))),
+            float(rng.uniform(0.01, 0.3)),
+        )
+        nu = int(rng.integers(-2, 3))
+        b = float(rng.uniform(0.0, 40.0))
+        sigma = float(rng.uniform(4.0, 20.0))
+        assert_matches_grid_oracle(beam, nu, b, sigma, 10)
+
+
+@pytest.mark.parametrize("nu, b, sigma, n_max", [
+    (-1, 20.0, 10.0, MAX_SIDEBAND_LEVEL),   # every accepted level
+    (-1, 0.0, 10.0, 10),                    # on the vortex axis
+    (2, 0.0, 10.0, 10),
+    (-1, 20.0, 4000.0, 40),                 # wide packet, x = 11.8
+])
+def test_sideband_matches_grid_oracle_edges(nu, b, sigma, n_max):
+    assert_matches_grid_oracle(make_beam(), nu, b, sigma, n_max)
+
+
+def test_sideband_beyond_carrier_underflow():
+    # x = (kappa sigma)^2 > 745: exp(-x) underflows, no level keeps a
+    # representable weight and the jump is certain
+    beam = make_beam(theta=0.3)
+    sigma = 28.0 / transverse_wavenumber(beam)
+    with pytest.warns(TruncationWarning):
+        spectrum = sideband_spectrum(beam, 1, 10.0, ca_trap(), sigma, n_max=8)
+    assert all(w == 0.0 for w in spectrum.weights.values())
+    assert spectrum.carrier_weight == 0.0
+    assert spectrum.truncation_residual == 1.0
+    assert jump_probability_extended(beam, 1, 10.0, ca_trap(), sigma) == 1.0
+
+
+def test_sideband_shares_jump_domain():
+    # the spectrum checks the beam factor out to b + 9 sigma, as the jump does
+    beam = make_beam()
+    with pytest.raises(DomainError):
+        sideband_spectrum(beam, 65, 10.0, ca_trap(), 10.0, n_max=4)
+    b_edge = 1e6 / transverse_wavenumber(beam) - 90.0
+    with pytest.raises(DomainError):
+        sideband_spectrum(beam, 1, b_edge * (1.0 + 1e-9), ca_trap(), 10.0, n_max=4)
+    with pytest.raises(NoAbsorptionError):
+        sideband_spectrum(make_beam(m=5, spin=1, theta=1e-8), 40, 0.0, ca_trap(), 1e-3,
+                          n_max=4)
+    for b in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="impact parameter"):
+            sideband_spectrum(beam, 1, b, ca_trap(), 10.0, n_max=4)
+
+
+def test_sideband_plane_wave_limit():
+    # theta_k = 0: kappa = 0, x = 0 and F = 1 for nu = 0, so only the carrier
+    spectrum = sideband_spectrum(make_beam(theta=0.0), 0, 5.0, ca_trap(), 10.0, n_max=4)
+    assert spectrum.weights == {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
+
+
 def test_sideband_no_negative_levels():
     spectrum = sideband_spectrum(make_beam(), -1, 15.0, ca_trap(), 10.0, n_max=8)
     assert all(n >= 0 for n in spectrum.weights)
@@ -337,7 +455,8 @@ def test_sideband_rejects_bad_inputs():
 
 
 def test_sideband_n_max_cap():
-    # 170 is the largest n with n! finite as a double; the basis stays finite
+    # the log-space series has no overflow; 170 is where the grid oracle's
+    # factorial normalization still is finite (171! overflows a double)
     assert MAX_SIDEBAND_LEVEL == 170
     beam = make_beam()
     spectrum = sideband_spectrum(beam, -1, 20.0, ca_trap(), 10.0, n_max=MAX_SIDEBAND_LEVEL)
