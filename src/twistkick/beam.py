@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ive
 
 from .errors import ConfigurationError, DomainError, QuadratureError
 from .special_functions import bessel_first_max, bessel_j, bessel_j_array, \
@@ -177,25 +178,28 @@ def radial_intensity_integral(beam: TwistedPhotonBeam, upper: float) -> tuple[fl
     return fine, abs(fine - coarse)
 
 
-def bessel_gauss_norm(beam: TwistedPhotonBeam) -> float:
-    """Constant A with integral |A psi|^2 2 pi rho d rho = 1.
+def radial_intensity_total(beam: TwistedPhotonBeam) -> float:
+    """Integral of |psi(rho)|^2 rho d rho over [0, inf) (nm^2), unnormalized.
 
-    The integral over [0, 8 w0] uses :func:`radial_intensity_integral`; a
-    QuadratureError is raised when its panel-doubling estimate exceeds 1e-8
-    relative.
+    Weber's second exponential integral (DLMF 10.22.67) gives it in closed
+    form, (w0^2/4) exp(-y) I_l(y) with y = kappa^2 w0^2/4.  The accepted
+    inputs are those of :func:`radial_intensity_integral` over [0, 8 w0]; a
+    QuadratureError is raised when the integral is zero (kappa = 0 with
+    l_gamma != 0) or not finite.
     """
     w0 = _require_w0(beam)
-    # envelope exp(-2 rho^2/w0^2) < 1e-55 beyond 8 w0
-    integral, err = radial_intensity_integral(beam, 8.0 * w0)
-    value = 2.0 * math.pi * integral
-    err *= 2.0 * math.pi
+    kappa = transverse_wavenumber(beam)
+    check_bessel_domain(beam.l_gamma, kappa * 8.0 * w0)
+    value = 0.25 * w0 * w0 * float(ive(abs(beam.l_gamma), 0.25 * (kappa * w0) ** 2))
     if value <= 0.0 or not math.isfinite(value):
         raise QuadratureError(f"profile is not normalizable (integral {value})")
-    if err > 1e-8 * value:
-        raise QuadratureError(
-            f"normalization quadrature did not reach 1e-8 relative (err {err:g})"
-        )
-    return 1.0 / math.sqrt(value)
+    return value
+
+
+def bessel_gauss_norm(beam: TwistedPhotonBeam) -> float:
+    """Constant A with integral |A psi|^2 2 pi rho d rho = 1, from
+    :func:`radial_intensity_total`."""
+    return 1.0 / math.sqrt(2.0 * math.pi * radial_intensity_total(beam))
 
 
 def profile_peak_radius(beam: TwistedPhotonBeam) -> float:

@@ -16,12 +16,13 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
-from .errors import TwistkickError
+from .errors import TruncationWarning, TwistkickError
 from .pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, absorption_energy, \
@@ -522,17 +523,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a TruncationWarning as one coded stderr line; others as Python does."""
+    if issubclass(category, TruncationWarning):
+        text = f"twistkick: warning [TRUNCATION]: {message}\n"
+    else:
+        text = warnings.formatwarning(message, category, filename, lineno, line)
+    sys.stderr.write(text)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        result = args.handler(args)
-        _emit(result, args)
-    except TwistkickError as exc:
-        print(f"twistkick: error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1 if exc.code == "USAGE" else 2
-    except BrokenPipeError:
-        return 0
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            result = args.handler(args)
+            _emit(result, args)
+        except TwistkickError as exc:
+            print(f"twistkick: error [{exc.code}]: {exc}", file=sys.stderr)
+            return 1 if exc.code == "USAGE" else 2
+        except BrokenPipeError:
+            return 0
     return 0
 
 

@@ -14,8 +14,12 @@ degenerates smoothly to the linear small-angle relation
     w1 = m_e^2/w2 + p_T^2/(4 w2).
 
 The pitch-angle term lowers the threshold (less longitudinal momentum to
-balance), the superkick raises it; the crossover sits at an almost invariant
-product b*theta_k.
+balance), the superkick raises it.  The two balance, w1 = m_e^2/w2, where
+p_T = (m_e^2/w2) sin(theta_k), i.e. at the product
+
+    b*theta_k = l_gamma hbar c w2/m_e^2 * theta_k/sin(theta_k),
+
+invariant up to the relative term theta_k^2/6.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from .beam import TwistedPhotonBeam, first_bessel_peak_argument, profile_peak_radius
 from .errors import DomainError, SolverError
 from .recoil_kinematics import ThresholdSolution
+from .special_functions import bessel_j
 from .units import ELECTRON_MASS_EV, HBARC_EV_NM
 
 
@@ -113,45 +118,20 @@ def crossover_product(
     l_gamma: int,
     pitch_angles: tuple[float, ...] = (1e-6, 1.7783e-6, 3.1623e-6, 5.6234e-6, 1e-5),
 ) -> CrossoverResult:
-    """Solve for the product b*theta_k at which twisted and plane-wave
-    thresholds coincide, by 1-D root bracketing in the product variable.
-
-    The root is solved independently at each pitch angle of the supplied
-    decade; the returned product is their mean and ``relative_variation``
-    the (max-min)/mean spread, quantifying how invariant the product is.
+    """The product b*theta_k at which twisted and plane-wave thresholds
+    coincide, l_gamma hbar c w2/m_e^2 * theta_k/sin(theta_k) (module
+    docstring), averaged over the supplied pitch angles; ``relative_variation``
+    is its (max-min)/mean spread, quantifying how invariant the product is.
     """
-    from scipy.optimize import brentq  # deferred: keeps scipy.optimize off the import path
-
     if l_gamma < 1:
         raise DomainError(f"l_gamma must be >= 1 for a crossover, got {l_gamma}")
-    reference = plane_wave_threshold(omega2)
-    guess = l_gamma * HBARC_EV_NM * omega2 / (ELECTRON_MASS_EV * ELECTRON_MASS_EV)
-
-    products = []
-    for theta in pitch_angles:
-        def excess(product: float) -> float:
-            q = PairThresholdQuery(
-                omega2=omega2,
-                pitch_angle=theta,
-                impact_parameter=product / theta,
-                l_gamma=l_gamma,
-            )
-            return pair_threshold(q).photon_energy - reference
-
-        lo, hi = guess * 1e-3, guess * 1e3
-        if excess(lo) * excess(hi) > 0.0:
-            raise SolverError(
-                f"crossover bracketing failed at theta_k={theta}", code="BRACKET"
-            )
-        products.append(brentq(excess, lo, hi, xtol=1e-30, rtol=1e-14))
-
+    pitch_angles = tuple(pitch_angles)
+    if not pitch_angles or not all(0.0 < t < 0.5 * math.pi for t in pitch_angles):
+        raise DomainError(f"pitch angles must be one or more in (0, pi/2), got {pitch_angles}")
+    invariant = l_gamma * HBARC_EV_NM / plane_wave_threshold(omega2)
+    products = [invariant * theta / math.sin(theta) for theta in pitch_angles]
     mean = math.fsum(products) / len(products)
-    variation = (max(products) - min(products)) / mean
-    return CrossoverResult(
-        product=mean,
-        relative_variation=variation,
-        pitch_angles=tuple(pitch_angles),
-    )
+    return CrossoverResult(mean, (max(products) - min(products)) / mean, pitch_angles)
 
 
 @dataclass(frozen=True)
@@ -180,11 +160,16 @@ def fit_beam_for_threshold_factor(
     From the small-angle relation, p_T = 2 m_e sqrt(factor - 1) and the
     superkick locates the production radius at b = l_gamma hbar / p_T
     (unbounded as factor -> 1+).  The envelope is set to w0 = w0_over_b * b
-    (documented modeling default) and the pitch angle solved by bracketed
-    root finding so the Bessel-Gauss profile peaks at b.
-    """
-    from scipy.optimize import brentq  # deferred: keeps scipy.optimize off the import path
+    (documented modeling default).  The profile J_l(kappa rho) exp(-rho^2/w0^2)
+    is stationary at rho = b when x = kappa b solves
 
+        x J_{l-1}(x) = (l + 2 b^2/w0^2) J_l(x),
+
+    which has one root below the first maximum of J_l, found by bisection;
+    then sin(theta_k) = x hbar c / (b w1).  The fit fails with code FIT when
+    l <= 2 b^2/w0^2 (no interior peak), theta_k > 1 rad, or the global
+    maximum (``peak_radius``) misses b by more than 1e-7 b.
+    """
     if not factor > 1.0:
         raise DomainError(f"threshold factor must exceed 1, got {factor}")
     if l_gamma < 1:
@@ -193,35 +178,32 @@ def fit_beam_for_threshold_factor(
     b = l_gamma * HBARC_EV_NM / p_t
     w0 = w0_over_b * b
     omega1 = factor * plane_wave_threshold(omega2)
-
-    def peak_minus_b(theta: float) -> float:
-        trial = TwistedPhotonBeam(
-            m_gamma=l_gamma + 1, lambda_spin=1, energy=omega1,
-            pitch_angle=theta, envelope_w0=w0,
-        )
-        return profile_peak_radius(trial) - b
-
-    # with w0 = 2b the kappa -> 0 peak w0*sqrt(l/2) >= b*sqrt(2) lies above b;
-    # push theta_hi until the Bessel factor alone pins the peak below b
-    x_peak = first_bessel_peak_argument(l_gamma)
-    theta_hi = min(1.0, 10.0 * x_peak * HBARC_EV_NM / (b * omega1))
-    theta_lo = 1e-3 * x_peak * HBARC_EV_NM / (b * omega1)
-    if not all(0.0 < v < math.inf for v in (b, w0, omega1, theta_lo, theta_hi)):
+    sin_per_x = HBARC_EV_NM / (b * omega1)  # sin(theta_k) / (kappa b)
+    if not all(0.0 < v < math.inf for v in (b, w0, omega1, sin_per_x)):
         raise DomainError(
-            f"threshold factor {factor:g} at omega2 = {omega2:g} eV leaves the "
-            "floating-point range: the fit radius, envelope, photon energy or "
-            "pitch-angle bracket is not finite and positive"
+            f"threshold factor {factor:g} at omega2 = {omega2:g} eV leaves the floating-point "
+            "range: the fit radius, envelope, energy or pitch angle is not finite and positive"
         )
-    if peak_minus_b(theta_lo) <= 0.0 or peak_minus_b(theta_hi) >= 0.0:
-        raise SolverError("pitch-angle bracketing failed for the profile fit", code="FIT")
-    # bracket-relative tolerance: theta can sit far below brentq's absolute
-    # default xtol, and 1e-7 matches the resolution of profile_peak_radius
-    theta = brentq(peak_minus_b, theta_lo, theta_hi, xtol=1e-4 * theta_lo, rtol=1e-7)
-
-    fitted = TwistedPhotonBeam(
-        m_gamma=l_gamma + 1, lambda_spin=1, energy=omega1,
-        pitch_angle=theta, envelope_w0=w0,
-    )
+    envelope_slope = 2.0 / (w0_over_b * w0_over_b)
+    if not l_gamma > envelope_slope:
+        raise SolverError(f"w0/b = {w0_over_b:g} gives no interior peak", code="FIT")
+    # x J_l'/J_l = x J_{l-1}/J_l - l falls from l to 0 below the first
+    # maximum of J_l, so it crosses envelope_slope once there
+    lo, hi = 0.0, first_bessel_peak_argument(l_gamma)
+    x = 0.5 * hi
+    while lo < x < hi:
+        if x * bessel_j(l_gamma - 1, x) > (l_gamma + envelope_slope) * bessel_j(l_gamma, x):
+            lo = x
+        else:
+            hi = x
+        x = 0.5 * (lo + hi)
+    sin_theta = x * sin_per_x
+    if not sin_theta <= math.sin(1.0):
+        raise SolverError("the profile fit needs a pitch angle above 1 rad", code="FIT")
+    theta = math.asin(sin_theta)
+    peak = profile_peak_radius(TwistedPhotonBeam(l_gamma + 1, 1, omega1, theta, envelope_w0=w0))
+    if abs(peak - b) > 1e-7 * b:
+        raise SolverError(f"fitted profile peaks at {peak:g} nm, not {b:g} nm", code="FIT")
     return BeamFitResult(
         threshold_factor=factor,
         p_T=p_t,
@@ -229,6 +211,6 @@ def fit_beam_for_threshold_factor(
         pitch_angle=theta,
         envelope_w0=w0,
         photon_energy=omega1,
-        peak_radius=profile_peak_radius(fitted),
+        peak_radius=peak,
     )
 

@@ -9,9 +9,10 @@ Energy conservation with target recoil reads
 with the paraxial p_z = hbar w / c and the superkick p_T = dl * hbar / b.
 That makes the absorbed energy a quadratic in w, solved here in the
 cancellation-free closed form (no iteration tolerances in the goldens).
-The focus fraction integrates the Bessel-Gauss intensity with the composite
-Gauss-Legendre rule of :func:`twistkick.beam.radial_intensity_integral`,
-whose error estimate comes from doubling the panel count.
+The focus fraction divides the Bessel-Gauss intensity inside a radius,
+integrated with the composite Gauss-Legendre rule of
+:func:`twistkick.beam.radial_intensity_integral` (error estimate from
+doubling the panel count), by its closed-form total.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from . import units
 from .beam import TwistedPhotonBeam, longitudinal_momentum, radial_intensity_integral, \
-    superkick
+    radial_intensity_total, superkick
 from .errors import DomainError, QuadratureError, SolverError
 from .units import DEUTERON_BINDING_EV, DEUTERON_MASS_EV, nonrel_recoil_energy
 
@@ -145,27 +146,24 @@ def focus_fraction(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float) -
     Model: the absorption probability density follows the Bessel-Gauss
     intensity, dP ~ |psi(rho)|^2 2 pi rho d rho; the returned value is the
     probability that the absorption happens inside the critical radius
-    b* = dl hbar / (ratio_cut p_z).  Both integrals use the composite
-    Gauss-Legendre rule of :func:`radial_intensity_integral`; a
-    QuadratureError is raised when either panel-doubling error estimate
-    exceeds 1e-8 of the total over [0, 8 w0].
+    b* = dl hbar / (ratio_cut p_z).  The total is the closed form of
+    :func:`radial_intensity_total`; the inner integral over [0, b*] uses the
+    composite Gauss-Legendre rule of :func:`radial_intensity_integral`, and a
+    QuadratureError is raised when its panel-doubling error estimate exceeds
+    1e-8 of the total.
     """
     b_star = ratio_cut_radius(beam, delta_l_cm, ratio_cut)
     w0 = beam.envelope_w0
     if w0 is None:
         raise DomainError("beam needs envelope_w0 for the focus-fraction estimate")
 
-    upper = 8.0 * w0
-    total, err_t = radial_intensity_integral(beam, upper)
-    if total <= 0.0 or not math.isfinite(total):
-        raise QuadratureError(f"absorption profile not normalizable (integral {total})")
-    if err_t > 1e-8 * total:
-        raise QuadratureError(f"profile normalization stalled at error {err_t:g}")
-    if b_star >= upper:
+    total = radial_intensity_total(beam)
+    # the envelope exp(-2 rho^2/w0^2) < 1e-55 beyond 8 w0
+    if b_star >= 8.0 * w0:
         return 1.0
     inner, err_i = radial_intensity_integral(beam, b_star)
     if err_i > 1e-8 * total:
         raise QuadratureError(f"inner profile integral stalled at error {err_i:g}")
-    # inner and total use different panels; when [0, b*] already holds all
-    # the mass, rounding can put their ratio an ulp or two above 1
+    # the inner rule and the closed-form total round differently; when
+    # [0, b*] already holds all the mass their ratio can land an ulp above 1
     return min(inner / total, 1.0)

@@ -144,9 +144,9 @@ def jump_probability_extended(
     has fallen below exp(-40) of the terms kept.  Once exp(-x) underflows
     (x > 745, a packet wider than ~27/kappa) the carrier is gone and P = 1.
     The domain is that of the beam factor over the packet out to 9 sigma:
-    |nu| <= 64 and kappa (b + 9 sigma) <= 1e6.  ``trap`` fixes the energy
-    scale of the levels jumped into; the packet shape is set by ``sigma``
-    (pass trap.ground_state_sigma() for a trap-consistent packet).
+    |nu| <= 64 and kappa (b + 9 sigma) <= 1e6.  ``trap`` is not read: the
+    probability depends only on the beam, nu, b and the packet width
+    ``sigma`` (pass trap.ground_state_sigma() for a trap-consistent packet).
     """
     *_, strength, carrier = _packet_series(beam, nu, b, sigma)
     if strength is None:

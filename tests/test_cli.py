@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twistkick
 from twistkick.cli import main
 
 
@@ -222,12 +224,43 @@ def test_import_path_skips_scipy_integrate_and_optimize():
         "at_import = sorted(m for m in ('scipy.integrate', 'scipy.optimize')\n"
         "                   if m in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = twistkick.cli.main(['focus-fraction', '--w0-pm', '50'])\n"
-        "print(json.dumps([at_import, status, 'scipy.integrate' in sys.modules]))\n"
+        "    status = [twistkick.cli.main(argv) for argv in (\n"
+        "        ['focus-fraction', '--w0-pm', '50'], ['crossover'], ['beam-fit'])]\n"
+        "print(json.dumps([at_import, status, sorted(\n"
+        "    m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules)]))\n"
     )
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    assert json.loads(cp.stdout) == [[], 0, False]
+    assert json.loads(cp.stdout) == [[], [0, 0, 0], []]
+
+
+def test_package_source_names_no_scipy_solvers():
+    package = Path(twistkick.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text()
+        for name in ("scipy.optimize", "scipy.integrate", "brentq"):
+            assert name not in text, f"{path.name} names {name}"
+
+
+def test_truncation_warning_is_one_coded_line(capsys):
+    argv = ["sidebands", "--b-nm", "60", "--nu", "3", "--sigma-nm", "25", "--n-max", "2",
+            "--pitch-rad", "0.3", "--lambda-nm", "397"]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0
+    assert err == ("twistkick: warning [TRUNCATION]: sideband truncation residual "
+                   "3.748e-02 above 1e-3 at n_max=2\n")
+    header, rows = parse_csv(out)
+    assert header == ["n [1]", "weight [1]", "energy_shift [neV]"]
+    assert [row[0] for row in rows] == [0.0, 1.0, 2.0]
+    code, out, err = run_main(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert err.startswith("twistkick: warning [TRUNCATION]: ") and err.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["metadata"]["truncation_residual"] == pytest.approx(3.748e-2, abs=1e-5)
+    assert payload["metadata"]["carrier_weight"] == pytest.approx(payload["rows"][0][1],
+                                                                  rel=1e-11)
 
 
 @pytest.mark.parametrize("figure,override,expected", [

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twistkick.errors import DomainError
+from twistkick import pair_production
+from twistkick.errors import DomainError, SolverError
 from twistkick.pair_production import (
     PairThresholdQuery,
     crossover_product,
@@ -145,6 +146,26 @@ def test_crossover_requires_orbital_am():
         crossover_product(2.5, 0)
 
 
+@pytest.mark.parametrize("pitch_angles", [
+    (), (0.0, 1e-6), (1e-6, -1e-6), (1e-6, 0.5 * math.pi), (math.nan,), (math.inf,),
+])
+def test_crossover_rejects_bad_pitch_angles(pitch_angles):
+    with pytest.raises(DomainError) as err:
+        crossover_product(2.5, 1, pitch_angles)
+    assert err.value.code == "DOMAIN"
+
+
+def test_crossover_closed_form():
+    # b*theta_k = l hbar c w2/m_e^2 * theta_k/sin(theta_k); the spread over
+    # the default decade is (1e-10 - 1e-12)/6 to leading order
+    result = crossover_product(2.5, 2, (1e-6, 0.5))
+    invariant = 2.0 * HBARC_EV_NM * 2.5 / ELECTRON_MASS_EV**2
+    assert result.product == pytest.approx(
+        0.5 * invariant * (1e-6 / math.sin(1e-6) + 0.5 / math.sin(0.5)), rel=1e-15, abs=0.0)
+    assert crossover_product(2.5, 1).relative_variation == pytest.approx(
+        (1e-10 - 1e-12) / 6.0, rel=1e-3, abs=0.0)
+
+
 def test_fit_tenfold():
     fit = fit_beam_for_threshold_factor(10.0, 2.5)
     assert fit.p_T == pytest.approx(6.0 * ELECTRON_MASS_EV, rel=1e-15)
@@ -199,3 +220,36 @@ def test_crossover_rejects_non_finite_omega2(omega2):
     with pytest.raises(DomainError) as err:
         crossover_product(omega2, 1)
     assert err.value.code == "DOMAIN"
+
+
+@pytest.mark.parametrize("w0_over_b", [0.5, 1.0, 1.4142])
+def test_fit_without_interior_peak_is_fit_error(w0_over_b):
+    # l_gamma = 1 <= 2 b^2/w0^2: the envelope pulls the peak inside b
+    with pytest.raises(SolverError) as err:
+        fit_beam_for_threshold_factor(10.0, 2.5, 1, w0_over_b)
+    assert err.value.code == "FIT"
+
+
+def test_fit_pitch_angle_above_one_radian_is_fit_error():
+    with pytest.raises(SolverError) as err:
+        fit_beam_for_threshold_factor(10.0, 1e6)
+    assert err.value.code == "FIT"
+
+
+def test_fit_highest_bessel_order():
+    fit = fit_beam_for_threshold_factor(10.0, 2.5, 64)
+    assert abs(fit.peak_radius - fit.impact_parameter) <= 1e-7 * fit.impact_parameter
+
+
+@pytest.mark.parametrize("offset, fails", [(5e-8, False), (-5e-8, False),
+                                           (2e-7, True), (-0.4, True)])
+def test_fit_checks_global_peak_against_b(monkeypatch, offset, fails):
+    b = HBARC_EV_NM / (6.0 * ELECTRON_MASS_EV)
+    monkeypatch.setattr(pair_production, "profile_peak_radius",
+                        lambda beam: b * (1.0 + offset))
+    if fails:
+        with pytest.raises(SolverError) as err:
+            fit_beam_for_threshold_factor(10.0, 2.5)
+        assert err.value.code == "FIT"
+    else:
+        assert fit_beam_for_threshold_factor(10.0, 2.5).peak_radius == b * (1.0 + offset)

@@ -1,5 +1,6 @@
-"""Property tests of the AM-partition array kernel and the extended-packet
-engine (hypothesis, derandomized so that every run draws the same
+"""Property tests of the AM-partition array kernel, the extended-packet
+engine, the closed-form profile norm, pair crossover and beam fit, and the
+pair threshold (hypothesis, derandomized so that every run draws the same
 examples)."""
 
 import math
@@ -11,12 +12,20 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from twistkick.beam import TwistedPhotonBeam, transverse_wavenumber  # noqa: E402
+from scipy.optimize import brentq  # noqa: E402
+
+from twistkick.beam import TwistedPhotonBeam, bessel_gauss_norm, \
+    first_bessel_peak_argument, profile_peak_radius, radial_intensity_integral, \
+    transverse_wavenumber  # noqa: E402
 from twistkick.errors import TruncationWarning  # noqa: E402
+from twistkick.pair_production import PairThresholdQuery, crossover_product, \
+    fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold, \
+    small_angle_threshold  # noqa: E402
 from twistkick.transitions import TransitionChannel, am_partition  # noqa: E402
 from twistkick.trap import TrapModel, jump_probability_extended, \
     sideband_spectrum  # noqa: E402
-from twistkick.units import CA40_ION_MASS_EV, wavelength_to_energy  # noqa: E402
+from twistkick.units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, ELECTRON_MASS_EV, \
+    HBARC_EV_NM, PM, wavelength_to_energy  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, max_examples=300, deadline=None,
                          database=None)
@@ -99,3 +108,97 @@ def test_packet_engine_beyond_carrier_underflow(beam, nu, b, kappa_sigma, n_max)
     assert all(w == 0.0 for w in spectrum.weights.values())
     assert spectrum.truncation_residual == 1.0
     assert jump_probability_extended(beam, nu, b, CA_TRAP, sigma) == 1.0
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(
+    l_gamma=st.integers(-3, 3),
+    theta=st.floats(0.01, 0.3),
+    w0_pm=st.floats(2.0, 100.0),
+)
+def test_profile_norm_matches_gauss_legendre(l_gamma, theta, w0_pm):
+    # Weber's closed form against the composite Gauss-Legendre rule to 8 w0
+    beam = TwistedPhotonBeam(l_gamma + 1, 1, DEUTERON_BINDING_EV, theta,
+                             envelope_w0=w0_pm * PM)
+    integral, _ = radial_intensity_integral(beam, 8.0 * beam.envelope_w0)
+    oracle = 1.0 / math.sqrt(2.0 * math.pi * integral)
+    assert bessel_gauss_norm(beam) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def brentq_crossover(omega2, l_gamma, pitch_angles):
+    """Test-only oracle: the product b*theta_k where pair_threshold meets the
+    plane-wave threshold, root-bracketed at each pitch angle."""
+    reference = plane_wave_threshold(omega2)
+    guess = l_gamma * HBARC_EV_NM * omega2 / ELECTRON_MASS_EV**2
+    products = []
+    for theta in pitch_angles:
+        def excess(product):
+            query = PairThresholdQuery(omega2, theta, product / theta, l_gamma)
+            return pair_threshold(query).photon_energy - reference
+        products.append(brentq(excess, 1e-3 * guess, 1e3 * guess, xtol=1e-30, rtol=1e-14))
+    return math.fsum(products) / len(products)
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(omega2=st.floats(0.1, 10.0), l_gamma=st.integers(1, 3))
+def test_crossover_matches_root_bracketing(omega2, l_gamma):
+    result = crossover_product(omega2, l_gamma)
+    oracle = brentq_crossover(omega2, l_gamma, result.pitch_angles)
+    assert result.product == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def brentq_fit_theta(factor, omega2, l_gamma, w0_over_b):
+    """Test-only oracle: the pitch angle that puts the profile_peak_radius scan
+    at b, root-bracketed over three decades around the first Bessel peak."""
+    p_t = 2.0 * ELECTRON_MASS_EV * math.sqrt(factor - 1.0)
+    b = l_gamma * HBARC_EV_NM / p_t
+    omega1 = factor * plane_wave_threshold(omega2)
+
+    def peak_minus_b(theta):
+        beam = TwistedPhotonBeam(l_gamma + 1, 1, omega1, theta,
+                                 envelope_w0=w0_over_b * b)
+        return profile_peak_radius(beam) - b
+
+    x_peak = first_bessel_peak_argument(l_gamma)
+    theta_lo = 1e-3 * x_peak * HBARC_EV_NM / (b * omega1)
+    theta_hi = min(1.0, 10.0 * x_peak * HBARC_EV_NM / (b * omega1))
+    return brentq(peak_minus_b, theta_lo, theta_hi, xtol=1e-4 * theta_lo, rtol=1e-7)
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(
+    factor=st.floats(0.18, 30.0).map(lambda e: 10.0**e),
+    omega2=st.floats(-1.0, 2.0).map(lambda e: 10.0**e),
+    l_gamma=st.integers(1, 3),
+    w0_over_b=st.floats(1.5, 3.0),
+)
+def test_beam_fit_matches_profile_scan_root(factor, omega2, l_gamma, w0_over_b):
+    fit = fit_beam_for_threshold_factor(factor, omega2, l_gamma, w0_over_b)
+    oracle = brentq_fit_theta(factor, omega2, l_gamma, w0_over_b)
+    assert fit.pitch_angle == pytest.approx(oracle, rel=2e-7, abs=0.0)
+    assert abs(fit.peak_radius - fit.impact_parameter) <= 1e-7 * fit.impact_parameter
+
+
+@DETERMINISTIC
+@given(
+    omega2=st.floats(0.1, 100.0),
+    b=st.floats(1e-6, 1e-3),
+    l_gamma=st.integers(0, 3),
+)
+def test_pair_threshold_at_zero_pitch_is_small_angle_form(omega2, b, l_gamma):
+    solution = pair_threshold(PairThresholdQuery(omega2, 0.0, b, l_gamma))
+    assert solution.photon_energy == pytest.approx(
+        small_angle_threshold(omega2, solution.p_T), rel=1e-15, abs=0.0)
+
+
+@DETERMINISTIC
+@given(
+    omega2=st.floats(0.1, 100.0),
+    b=st.floats(1e-6, 1e-3),
+    l_gamma=st.integers(0, 3),
+    thetas=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=8),
+)
+def test_pair_threshold_does_not_rise_with_pitch(omega2, b, l_gamma, thetas):
+    thresholds = [pair_threshold(PairThresholdQuery(omega2, t, b, l_gamma)).photon_energy
+                  for t in sorted(thetas)]
+    assert all(a >= c for a, c in zip(thresholds, thresholds[1:]))
