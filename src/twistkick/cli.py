@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -77,13 +78,20 @@ def _emit(result: SweepResult, args) -> None:
         sys.stdout.write(text)
 
 
-def _scalar_result(command: str, parameters: dict, columns, row) -> SweepResult:
+# every parsed option but these is a parameter of the run
+_NOT_PARAMETERS = ("command", "handler", "format", "output")
+
+
+def _table(args, columns, rows, **extra) -> SweepResult:
+    """A subcommand's table, with every option it was run with as metadata;
+    ``extra`` adds further metadata entries."""
     return SweepResult(
         columns=list(columns),
-        rows=[[float(v) for v in row]],
+        rows=[[float(v) for v in row] for row in rows],
         metadata={
-            "command": command,
-            "parameters": parameters,
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
+            **extra,
             "library_version": __version__,
         },
     )
@@ -91,29 +99,16 @@ def _scalar_result(command: str, parameters: dict, columns, row) -> SweepResult:
 
 # --- subcommand handlers ------------------------------------------------------
 
-def _am_sweep(command: str, args, columns, kernel) -> SweepResult:
+def _am_sweep(args, columns, kernel) -> SweepResult:
     # kernel(beam, channel, b) -> (value columns, row errors) over the b grid;
     # the first failing point raises its coded error
-    energy = wavelength_to_energy(args.lambda_nm)
-    beam = TwistedPhotonBeam(args.m_gamma, args.lambda_spin, energy, args.pitch_rad)
+    beam = _beam(args)
     channel = TransitionChannel(float(args.multipole_j))
     xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
     b = xs * args.lambda_nm
     values, errors = kernel(beam, channel, b)
     raise_first_row_error(errors, beam, channel, b)
-    return SweepResult(
-        columns=[("b", "lambda")] + columns,
-        rows=np.column_stack([xs, *values]).tolist(),
-        metadata={
-            "command": command,
-            "parameters": {
-                "multipole_j": args.multipole_j, "m_gamma": args.m_gamma,
-                "lambda_spin": args.lambda_spin, "pitch_rad": args.pitch_rad,
-                "lambda_nm": args.lambda_nm,
-            },
-            "library_version": __version__,
-        },
-    )
+    return _table(args, [("b", "lambda")] + columns, np.column_stack([xs, *values]).tolist())
 
 
 def _am_transfer_columns(beam, channel, b):
@@ -126,15 +121,6 @@ def _recoil_ratio_column(beam, channel, b):
     return (ratio,), errors
 
 
-def _cmd_am_transfer(args) -> SweepResult:
-    return _am_sweep("am-transfer", args, [("lz_internal", "hbar"), ("lz_cm", "hbar")],
-                     _am_transfer_columns)
-
-
-def _cmd_recoil_ratio(args) -> SweepResult:
-    return _am_sweep("recoil-ratio", args, [("pT_over_pz", "1")], _recoil_ratio_column)
-
-
 def _cmd_ion_recoil(args) -> SweepResult:
     energy = wavelength_to_energy(args.lambda_nm)
     delta_l = args.m_gamma - args.lambda_spin
@@ -142,63 +128,37 @@ def _cmd_ion_recoil(args) -> SweepResult:
     e_long = nonrel_recoil_energy(energy, target.mass)
     e_t = transverse_recoil_energy(target, delta_l) if delta_l > 0 else 0.0
     solution = absorption_energy(energy, target, max(delta_l, 0))
-    return _scalar_result(
-        "ion-recoil",
-        {"lambda_nm": args.lambda_nm, "m_gamma": args.m_gamma,
-         "lambda_spin": args.lambda_spin, "b_nm": args.b_nm,
-         "mass_mev": args.mass_mev},
-        [("b", "nm"), ("delta_l", "hbar"), ("E_long", "neV"),
-         ("E_T", "neV"), ("shift_total", "neV")],
-        [args.b_nm, delta_l, e_long / NEV, e_t / NEV,
-         solution.recoil_energy / NEV],
+    return _table(
+        args,
+        [("b", "nm"), ("delta_l", "hbar"), ("E_long", "neV"), ("E_T", "neV"),
+         ("shift_total", "neV")],
+        [[args.b_nm, delta_l, e_long / NEV, e_t / NEV, solution.recoil_energy / NEV]],
     )
 
 
 def _cmd_trap_jump(args) -> SweepResult:
-    energy = wavelength_to_energy(args.lambda_nm)
-    beam = TwistedPhotonBeam(args.m_gamma, args.lambda_spin, energy, args.pitch_rad)
-    trap = TrapModel(args.trap_mhz * 1e6, args.trap_mhz * 1e6, args.mass_mev * MEV)
+    beam, trap = _beam(args), _trap(args)
     p_t = superkick(abs(args.nu), args.b_nm)
     p_point = jump_probability_point(p_t, trap)
     p_ext = jump_probability_extended(beam, args.nu, args.b_nm, trap, args.sigma_nm)
-    return _scalar_result(
-        "trap-jump",
-        {"nu": args.nu, "b_nm": args.b_nm, "sigma_nm": args.sigma_nm,
-         "trap_mhz": args.trap_mhz, "lambda_nm": args.lambda_nm,
-         "pitch_rad": args.pitch_rad, "mass_mev": args.mass_mev,
-         "m_gamma": args.m_gamma, "lambda_spin": args.lambda_spin},
+    return _table(
+        args,
         [("b", "nm"), ("p_T", "eV/c"), ("jump_point", "1"), ("jump_extended", "1")],
-        [args.b_nm, p_t, p_point, p_ext],
+        [[args.b_nm, p_t, p_point, p_ext]],
     )
 
 
 def _cmd_sidebands(args) -> SweepResult:
-    energy = wavelength_to_energy(args.lambda_nm)
-    beam = TwistedPhotonBeam(args.m_gamma, args.lambda_spin, energy, args.pitch_rad)
-    trap = TrapModel(args.trap_mhz * 1e6, args.trap_mhz * 1e6, args.mass_mev * MEV)
     spectrum = sideband_spectrum(
-        beam, args.nu, args.b_nm, trap, args.sigma_nm, args.n_max
+        _beam(args), args.nu, args.b_nm, _trap(args), args.sigma_nm, args.n_max
     )
-    rows = [
-        [float(n), spectrum.weights[n], n * spectrum.quantum_energy / NEV]
-        for n in sorted(spectrum.weights)
-    ]
-    return SweepResult(
-        columns=[("n", "1"), ("weight", "1"), ("energy_shift", "neV")],
-        rows=rows,
-        metadata={
-            "command": "sidebands",
-            "parameters": {
-                "nu": args.nu, "b_nm": args.b_nm, "sigma_nm": args.sigma_nm,
-                "trap_mhz": args.trap_mhz, "lambda_nm": args.lambda_nm,
-                "pitch_rad": args.pitch_rad, "mass_mev": args.mass_mev,
-                "m_gamma": args.m_gamma, "lambda_spin": args.lambda_spin,
-                "n_max": args.n_max,
-            },
-            "carrier_weight": spectrum.carrier_weight,
-            "truncation_residual": spectrum.truncation_residual,
-            "library_version": __version__,
-        },
+    return _table(
+        args,
+        [("n", "1"), ("weight", "1"), ("energy_shift", "neV")],
+        [[n, spectrum.weights[n], n * spectrum.quantum_energy / NEV]
+         for n in sorted(spectrum.weights)],
+        carrier_weight=spectrum.carrier_weight,
+        truncation_residual=spectrum.truncation_residual,
     )
 
 
@@ -206,15 +166,12 @@ def _cmd_deuteron_threshold(args) -> SweepResult:
     energy = wavelength_to_energy(args.lambda_fm * FM)
     beam = TwistedPhotonBeam(args.m_gamma, 1, energy, args.pitch_rad)
     solution = deuteron_threshold(beam, args.internal_am, args.b_fm * FM)
-    return _scalar_result(
-        "deuteron-threshold",
-        {"m_gamma": args.m_gamma, "internal_am": args.internal_am,
-         "b_fm": args.b_fm, "lambda_fm": args.lambda_fm},
+    return _table(
+        args,
         [("m_gamma", "hbar"), ("internal_am", "hbar"), ("b", "fm"),
          ("threshold", "MeV"), ("recoil", "keV"), ("p_T", "MeV/c")],
-        [args.m_gamma, args.internal_am, args.b_fm,
-         solution.photon_energy / MEV, solution.recoil_energy / KEV,
-         solution.p_T / MEV],
+        [[args.m_gamma, args.internal_am, args.b_fm, solution.photon_energy / MEV,
+          solution.recoil_energy / KEV, solution.p_T / MEV]],
     )
 
 
@@ -225,53 +182,40 @@ def _cmd_focus_fraction(args) -> SweepResult:
     )
     fraction = focus_fraction(beam, args.delta_l, args.ratio_cut)
     b_star = ratio_cut_radius(beam, args.delta_l, args.ratio_cut)
-    return _scalar_result(
-        "focus-fraction",
-        {"w0_pm": args.w0_pm, "ratio_cut": args.ratio_cut,
-         "delta_l": args.delta_l, "energy_mev": args.energy_mev,
-         "pitch_rad": args.pitch_rad},
+    return _table(
+        args,
         [("w0", "pm"), ("ratio_cut", "1"), ("b_star", "fm"), ("fraction", "1")],
-        [args.w0_pm, args.ratio_cut, b_star / FM, fraction],
+        [[args.w0_pm, args.ratio_cut, b_star / FM, fraction]],
     )
 
 
 def _cmd_pair_threshold(args) -> SweepResult:
-    if args.pt_mev is not None:
-        # express the requested kick as the impact parameter delivering it
-        p_t = args.pt_mev * MEV
-        query = PairThresholdQuery(
-            omega2=args.omega2_ev, pitch_angle=args.pitch_urad * 1e-6,
-            impact_parameter=0.0 if p_t == 0.0 else args.l_gamma * HBARC_EV_NM / p_t,
-            l_gamma=0 if p_t == 0.0 else args.l_gamma,
-        )
-    else:
-        query = PairThresholdQuery(
-            omega2=args.omega2_ev, pitch_angle=args.pitch_urad * 1e-6,
-            impact_parameter=args.b_fm * FM, l_gamma=args.l_gamma,
-        )
-    solution = pair_threshold(query)
-    return _scalar_result(
-        "pair-threshold",
-        {"omega2_ev": args.omega2_ev, "pitch_urad": args.pitch_urad,
-         "l_gamma": args.l_gamma, "pt_mev": args.pt_mev, "b_fm": args.b_fm},
+    l_gamma = args.l_gamma
+    if args.pt_mev is None:
+        b = args.b_fm * FM
+    elif args.pt_mev == 0.0:
+        b, l_gamma = 0.0, 0
+    else:  # express the requested kick as the impact parameter delivering it
+        b = l_gamma * HBARC_EV_NM / (args.pt_mev * MEV)
+    solution = pair_threshold(
+        PairThresholdQuery(args.omega2_ev, args.pitch_urad * 1e-6, b, l_gamma)
+    )
+    return _table(
+        args,
         [("omega2", "eV"), ("theta_k", "urad"), ("p_T", "MeV/c"),
          ("threshold", "GeV"), ("plane_wave", "GeV"), ("shift", "GeV")],
-        [args.omega2_ev, args.pitch_urad, solution.p_T / MEV,
-         solution.photon_energy / GEV,
-         plane_wave_threshold(args.omega2_ev) / GEV,
-         solution.recoil_energy / GEV],
+        [[args.omega2_ev, args.pitch_urad, solution.p_T / MEV, solution.photon_energy / GEV,
+          plane_wave_threshold(args.omega2_ev) / GEV, solution.recoil_energy / GEV]],
     )
 
 
 def _cmd_crossover(args) -> SweepResult:
     result = crossover_product(args.omega2_ev, args.l_gamma)
-    return _scalar_result(
-        "crossover",
-        {"omega2_ev": args.omega2_ev, "l_gamma": args.l_gamma},
-        [("omega2", "eV"), ("l_gamma", "1"), ("product", "pm*urad"),
-         ("variation", "1")],
-        [args.omega2_ev, args.l_gamma, result.product / (PM * 1e-6),
-         result.relative_variation],
+    return _table(
+        args,
+        [("omega2", "eV"), ("l_gamma", "1"), ("product", "pm*urad"), ("variation", "1")],
+        [[args.omega2_ev, args.l_gamma, result.product / (PM * 1e-6),
+          result.relative_variation]],
     )
 
 
@@ -279,15 +223,12 @@ def _cmd_beam_fit(args) -> SweepResult:
     fit = fit_beam_for_threshold_factor(
         args.factor, args.omega2_ev, args.l_gamma, args.w0_over_b
     )
-    return _scalar_result(
-        "beam-fit",
-        {"factor": args.factor, "omega2_ev": args.omega2_ev,
-         "l_gamma": args.l_gamma, "w0_over_b": args.w0_over_b},
+    return _table(
+        args,
         [("factor", "1"), ("p_T", "MeV/c"), ("b", "fm"), ("theta_k", "urad"),
          ("w0", "fm"), ("peak_radius", "fm"), ("threshold", "GeV")],
-        [args.factor, fit.p_T / MEV, fit.impact_parameter / FM,
-         fit.pitch_angle * 1e6, fit.envelope_w0 / FM, fit.peak_radius / FM,
-         fit.photon_energy / GEV],
+        [[args.factor, fit.p_T / MEV, fit.impact_parameter / FM, fit.pitch_angle * 1e6,
+          fit.envelope_w0 / FM, fit.peak_radius / FM, fit.photon_energy / GEV]],
     )
 
 
@@ -349,6 +290,24 @@ def _add_output_flags(parser):
                         help="write to PATH instead of stdout")
 
 
+# flags that several subcommands share, each defined once
+_SHARED_FLAGS = {
+    "--b-nm": dict(type=_finite_float, required=True, help="impact parameter [nm] (required)"),
+    "--mass-mev": dict(type=_finite_float, default=_CA40_MEV,
+                       help=f"ion rest energy [MeV] (default: {_CA40_MEV:.4f}, 40Ca+)"),
+    "--pitch-rad": dict(type=_finite_float, default=DEFAULT_PITCH_ANGLE,
+                        help=f"pitch angle [rad] (default: {DEFAULT_PITCH_ANGLE})"),
+    "--omega2-ev": dict(type=_finite_float, default=2.5,
+                        help="background photon energy [eV] (default: 2.5)"),
+    "--l-gamma": dict(type=int, default=1, help="orbital index l_gamma [1] (default: 1)"),
+}
+
+
+def _add_shared_flags(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
 def _add_beam_flags(parser, lambda_default, m_default, spin_default):
     parser.add_argument("--lambda-nm", type=_finite_float, default=lambda_default,
                         help=f"photon wavelength [nm] (default: {lambda_default})")
@@ -356,21 +315,27 @@ def _add_beam_flags(parser, lambda_default, m_default, spin_default):
                         help=f"total AM projection m_gamma [hbar] (default: {m_default})")
     parser.add_argument("--lambda-spin", type=int, choices=(-1, 1), default=spin_default,
                         help=f"paraxial helicity [1] (default: {spin_default})")
-    parser.add_argument("--pitch-rad", type=_finite_float, default=DEFAULT_PITCH_ANGLE,
-                        help=f"pitch angle [rad] (default: {DEFAULT_PITCH_ANGLE})")
+    _add_shared_flags(parser, "--pitch-rad")
+
+
+def _beam(args) -> TwistedPhotonBeam:
+    energy = wavelength_to_energy(args.lambda_nm)
+    return TwistedPhotonBeam(args.m_gamma, args.lambda_spin, energy, args.pitch_rad)
 
 
 def _add_trap_flags(parser):
     parser.add_argument("--nu", type=int, default=1,
                         help="AM units transferred to the c.m. [hbar] (default: 1)")
-    parser.add_argument("--b-nm", type=_finite_float, required=True,
-                        help="impact parameter [nm] (required)")
+    _add_shared_flags(parser, "--b-nm")
     parser.add_argument("--sigma-nm", type=_finite_float, default=10.0,
                         help="wavepacket rms spread per axis [nm] (default: 10)")
     parser.add_argument("--trap-mhz", type=_finite_float, default=1.5,
                         help="trap frequency [MHz] (default: 1.5)")
-    parser.add_argument("--mass-mev", type=_finite_float, default=_CA40_MEV,
-                        help=f"ion rest energy [MeV] (default: {_CA40_MEV:.4f}, 40Ca+)")
+    _add_shared_flags(parser, "--mass-mev")
+
+
+def _trap(args) -> TrapModel:
+    return TrapModel(args.trap_mhz * 1e6, args.trap_mhz * 1e6, args.mass_mev * MEV)
 
 
 def build_parser() -> _Parser:
@@ -382,41 +347,30 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"twistkick {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("am-transfer",
-                       help="mean internal/c.m. angular momentum vs impact parameter")
-    p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),
-                   help="multipole order J [1] (default: 1)")
-    _add_beam_flags(p, 397.0, 2, 1)
-    p.add_argument("--b-min-lambda", type=_finite_float, default=1e-3,
-                   help="sweep start [lambda] (default: 0.001)")
-    p.add_argument("--b-max-lambda", type=_finite_float, default=1.5,
-                   help="sweep stop [lambda] (default: 1.5)")
-    p.add_argument("--count", type=_point_count, default=300,
-                   help="number of points [1] (default: 300)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_am_transfer)
-
-    p = sub.add_parser("recoil-ratio",
-                       help="transverse/longitudinal recoil ratio vs impact parameter")
-    p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),
-                   help="multipole order J [1] (default: 1)")
-    _add_beam_flags(p, 397.0, 2, 1)
-    p.add_argument("--b-min-lambda", type=_finite_float, default=1e-3,
-                   help="sweep start [lambda] (default: 0.001)")
-    p.add_argument("--b-max-lambda", type=_finite_float, default=1.5,
-                   help="sweep stop [lambda] (default: 1.5)")
-    p.add_argument("--count", type=_point_count, default=300,
-                   help="number of points [1] (default: 300)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_recoil_ratio)
+    for name, help_text, columns, kernel in (
+        ("am-transfer", "mean internal/c.m. angular momentum vs impact parameter",
+         [("lz_internal", "hbar"), ("lz_cm", "hbar")], _am_transfer_columns),
+        ("recoil-ratio", "transverse/longitudinal recoil ratio vs impact parameter",
+         [("pT_over_pz", "1")], _recoil_ratio_column),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),
+                       help="multipole order J [1] (default: 1)")
+        _add_beam_flags(p, 397.0, 2, 1)
+        p.add_argument("--b-min-lambda", type=_finite_float, default=1e-3,
+                       help="sweep start [lambda] (default: 0.001)")
+        p.add_argument("--b-max-lambda", type=_finite_float, default=1.5,
+                       help="sweep stop [lambda] (default: 1.5)")
+        p.add_argument("--count", type=_point_count, default=300,
+                       help="number of points [1] (default: 300)")
+        _add_output_flags(p)
+        p.set_defaults(handler=partial(_am_sweep, columns=columns, kernel=kernel))
 
     p = sub.add_parser("ion-recoil",
                        help="longitudinal and superkick recoil energies for a trapped ion")
+    # --pitch-rad is accepted but unread: the recoil energies do not depend on it
     _add_beam_flags(p, 397.0, 2, 1)
-    p.add_argument("--b-nm", type=_finite_float, required=True,
-                   help="impact parameter [nm] (required)")
-    p.add_argument("--mass-mev", type=_finite_float, default=_CA40_MEV,
-                   help=f"ion rest energy [MeV] (default: {_CA40_MEV:.4f}, 40Ca+)")
+    _add_shared_flags(p, "--b-nm", "--mass-mev")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_ion_recoil)
 
@@ -446,8 +400,7 @@ def build_parser() -> _Parser:
                    help="impact parameter [fm] (required)")
     p.add_argument("--lambda-fm", type=_finite_float, default=559.0,
                    help="photon wavelength [fm] (default: 559)")
-    p.add_argument("--pitch-rad", type=_finite_float, default=DEFAULT_PITCH_ANGLE,
-                   help=f"pitch angle [rad] (default: {DEFAULT_PITCH_ANGLE})")
+    _add_shared_flags(p, "--pitch-rad")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_deuteron_threshold)
 
@@ -461,15 +414,13 @@ def build_parser() -> _Parser:
                    help="AM to the c.m. [hbar] (default: 1)")
     p.add_argument("--energy-mev", type=_finite_float, default=DEUTERON_BINDING_EV / MEV,
                    help="photon energy [MeV] (default: deuteron binding 2.22452)")
-    p.add_argument("--pitch-rad", type=_finite_float, default=DEFAULT_PITCH_ANGLE,
-                   help=f"pitch angle [rad] (default: {DEFAULT_PITCH_ANGLE})")
+    _add_shared_flags(p, "--pitch-rad")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_focus_fraction)
 
     p = sub.add_parser("pair-threshold",
                        help="gamma-gamma pair-production threshold for a twisted photon")
-    p.add_argument("--omega2-ev", type=_finite_float, default=2.5,
-                   help="background photon energy [eV] (default: 2.5)")
+    _add_shared_flags(p, "--omega2-ev")
     p.add_argument("--pitch-urad", type=_finite_float, required=True,
                    help="pitch angle [urad] (required)")
     group = p.add_mutually_exclusive_group(required=True)
@@ -477,17 +428,13 @@ def build_parser() -> _Parser:
                        help="transverse kick [MeV/c] (alternative to --b-fm)")
     group.add_argument("--b-fm", type=_finite_float, default=None,
                        help="impact parameter [fm] (alternative to --pt-mev)")
-    p.add_argument("--l-gamma", type=int, default=1,
-                   help="orbital index l_gamma [1] (default: 1)")
+    _add_shared_flags(p, "--l-gamma")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_pair_threshold)
 
     p = sub.add_parser("crossover",
                        help="b*theta_k product where twisted and plane-wave thresholds meet")
-    p.add_argument("--omega2-ev", type=_finite_float, default=2.5,
-                   help="background photon energy [eV] (default: 2.5)")
-    p.add_argument("--l-gamma", type=int, default=1,
-                   help="orbital index l_gamma [1] (default: 1)")
+    _add_shared_flags(p, "--omega2-ev", "--l-gamma")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_crossover)
 
@@ -495,10 +442,7 @@ def build_parser() -> _Parser:
                        help="beam parameters realizing a requested threshold increase")
     p.add_argument("--factor", type=_finite_float, default=10.0,
                    help="threshold multiplication factor [1] (default: 10)")
-    p.add_argument("--omega2-ev", type=_finite_float, default=2.5,
-                   help="background photon energy [eV] (default: 2.5)")
-    p.add_argument("--l-gamma", type=int, default=1,
-                   help="orbital index l_gamma [1] (default: 1)")
+    _add_shared_flags(p, "--omega2-ev", "--l-gamma")
     p.add_argument("--w0-over-b", type=_finite_float, default=2.0,
                    help="envelope scale over target radius [1] (default: 2)")
     _add_output_flags(p)

@@ -25,6 +25,7 @@ invariant up to the relative term theta_k^2/6.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .beam import TwistedPhotonBeam, first_bessel_peak_argument, profile_peak_radius
@@ -32,6 +33,11 @@ from .errors import DomainError, SolverError
 from .recoil_kinematics import ThresholdSolution
 from .special_functions import bessel_j
 from .units import ELECTRON_MASS_EV, HBARC_EV_NM
+
+
+def _check_l_gamma(l_gamma, least: int) -> None:
+    if not (isinstance(l_gamma, numbers.Integral) and l_gamma >= least):
+        raise DomainError(f"l_gamma must be an integer >= {least}, got {l_gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,7 @@ class PairThresholdQuery:
             raise DomainError(f"pitch angle must lie in [0, pi/2), got {self.pitch_angle}")
         if not math.isfinite(self.impact_parameter):
             raise DomainError(f"impact parameter must be finite, got {self.impact_parameter}")
-        if self.l_gamma < 0:
-            raise DomainError(f"l_gamma must be non-negative, got {self.l_gamma}")
+        _check_l_gamma(self.l_gamma, 0)
         if self.l_gamma > 0 and not self.impact_parameter > 0.0:
             raise DomainError(
                 "l_gamma > 0 requires a positive impact parameter",
@@ -123,8 +128,7 @@ def crossover_product(
     docstring), averaged over the supplied pitch angles; ``relative_variation``
     is its (max-min)/mean spread, quantifying how invariant the product is.
     """
-    if l_gamma < 1:
-        raise DomainError(f"l_gamma must be >= 1 for a crossover, got {l_gamma}")
+    _check_l_gamma(l_gamma, 1)
     pitch_angles = tuple(pitch_angles)
     if not pitch_angles or not all(0.0 < t < 0.5 * math.pi for t in pitch_angles):
         raise DomainError(f"pitch angles must be one or more in (0, pi/2), got {pitch_angles}")
@@ -172,8 +176,7 @@ def fit_beam_for_threshold_factor(
     """
     if not factor > 1.0:
         raise DomainError(f"threshold factor must exceed 1, got {factor}")
-    if l_gamma < 1:
-        raise DomainError(f"l_gamma must be >= 1, got {l_gamma}")
+    _check_l_gamma(l_gamma, 1)
     p_t = 2.0 * ELECTRON_MASS_EV * math.sqrt(factor - 1.0)
     b = l_gamma * HBARC_EV_NM / p_t
     w0 = w0_over_b * b

@@ -90,12 +90,13 @@ class SweepResult:
 
 
 class _Figure:
-    def __init__(self, columns, defaults, grid, builder, description):
+    def __init__(self, columns, defaults, grid, builder, description, cases):
         self.columns = columns
         self.defaults = defaults
         self.grid = grid
         self.builder = builder
         self.description = description
+        self.cases = cases  # the fixed rows of a figure without a grid
 
 
 # the m_gamma series of each panel is part of the figure identity (it is
@@ -265,8 +266,8 @@ _AM_DEFAULTS = {
 _REGISTRY: dict[str, _Figure] = {}
 
 
-def _register(figure_id, columns, defaults, grid, builder, description):
-    _REGISTRY[figure_id] = _Figure(columns, defaults, grid, builder, description)
+def _register(figure_id, columns, defaults, grid, builder, description, cases=()):
+    _REGISTRY[figure_id] = _Figure(columns, defaults, grid, builder, description, cases)
 
 
 _AM_PANELS = (
@@ -322,7 +323,7 @@ _register(
      ("threshold", "MeV"), ("recoil", "keV"), ("transverse_recoil", "keV")],
     {"lambda_fm": 559.0, "theta_k": DEFAULT_PITCH_ANGLE},
     None, _per_point(_deuteron_table_build),
-    "deuteron photodisintegration thresholds per multipole channel",
+    "deuteron photodisintegration thresholds per multipole channel", _DEUTERON_CASES,
 )
 _register(
     "pair_table",
@@ -332,6 +333,7 @@ _register(
     {"omega2_ev": 2.5},
     None, _per_point(_pair_table_build),
     "beam parameters for ten-fold pair-threshold increase and crossover products",
+    _PAIR_CASES,
 )
 
 FIGURE_IDS = tuple(sorted(_REGISTRY))
@@ -382,7 +384,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 f"figure {spec.figure_id!r} is a fixed table and accepts no grid",
                 code="UNKNOWN_PARAMETER",
             )
-        points = _DEUTERON_CASES if spec.figure_id == "deuteron_table" else _PAIR_CASES
+        points = figure.cases
         grid_meta = None
     else:
         grid = spec.grid or figure.grid
@@ -413,6 +415,5 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _meta_value(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+    # numpy scalars (accepted as overrides) become the Python numbers JSON takes
+    return value.item() if isinstance(value, np.generic) else value

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import twistkick
-from twistkick.cli import main
+from twistkick.cli import build_parser, main
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -46,11 +46,11 @@ def test_help_lists_all_subcommands():
         assert name in cp.stdout
 
 
-def test_subcommand_help_shows_units_and_defaults():
+def test_subcommand_help_shows_units_and_defaults(capsys):
     for name in SUBCOMMANDS:
-        cp = run_cli(name, "--help")
-        assert cp.returncode == 0, cp.stderr
-        assert "[" in cp.stdout and "default" in cp.stdout
+        code, out, err = run_main(capsys, name, "--help")
+        assert code == 0, err
+        assert "[" in out and "default" in out
 
 
 def test_crossover_quotable():
@@ -86,16 +86,16 @@ def test_usage_error_exit_code():
     assert cp.returncode == 1
 
 
-def test_sweep_count_bounds():
+def test_sweep_count_bounds(capsys):
     for command in ("am-transfer", "recoil-ratio"):
         for count in ("0", "-1", "1000001"):
-            cp = run_cli(command, "--count", count)
-            assert cp.returncode == 1, (command, count)
-            assert "error [USAGE]" in cp.stderr
-            assert cp.stdout == ""
-        cp = run_cli(command, "--count", "1")
-        assert cp.returncode == 0, cp.stderr
-        header, rows = parse_csv(cp.stdout)
+            code, out, err = run_main(capsys, command, "--count", count)
+            assert code == 1, (command, count)
+            assert "error [USAGE]" in err
+            assert out == ""
+        code, out, err = run_main(capsys, command, "--count", "1")
+        assert code == 0, err
+        header, rows = parse_csv(out)
         assert len(rows) == 1
 
 
@@ -349,3 +349,26 @@ def test_am_transfer_rows_match_sublevel_weights(capsys):
         # the printed values carry 12 significant digits
         assert internal == pytest.approx(expected, abs=1e-11)
         assert cm == pytest.approx(-2.0 - expected, abs=1e-11)
+
+
+@pytest.mark.parametrize("argv", [
+    ["am-transfer", "--count", "3", "--pitch-rad", "0.2"],
+    ["recoil-ratio", "--count", "3", "--b-min-lambda", "0.5", "--multipole-j", "2"],
+    ["ion-recoil", "--b-nm", "10", "--pitch-rad", "0.2"],
+    ["trap-jump", "--b-nm", "20", "--nu", "-1"],
+    ["sidebands", "--b-nm", "20", "--n-max", "4"],
+    ["deuteron-threshold", "--b-fm", "89", "--pitch-rad", "0.2"],
+    ["focus-fraction", "--w0-pm", "50"],
+    ["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1"],
+    ["crossover", "--l-gamma", "2"],
+    ["beam-fit", "--factor", "20"],
+])
+def test_json_parameters_record_every_parsed_option(capsys, argv):
+    code, out, err = run_main(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    metadata = json.loads(out)["metadata"]
+    parsed = vars(build_parser().parse_args(argv))
+    assert metadata["command"] == parsed.pop("command") == argv[0]
+    for key in ("handler", "format", "output"):
+        del parsed[key]
+    assert metadata["parameters"] == parsed

@@ -253,3 +253,16 @@ def test_fit_checks_global_peak_against_b(monkeypatch, offset, fails):
         assert err.value.code == "FIT"
     else:
         assert fit_beam_for_threshold_factor(10.0, 2.5).peak_radius == b * (1.0 + offset)
+
+
+@pytest.mark.parametrize("call", [
+    lambda l_gamma: crossover_product(2.5, l_gamma),
+    lambda l_gamma: pair_threshold(PairThresholdQuery(2.5, 1e-6, 1e-4, l_gamma)),
+    lambda l_gamma: fit_beam_for_threshold_factor(10.0, 2.5, l_gamma),
+], ids=["crossover_product", "pair_threshold", "fit_beam_for_threshold_factor"])
+@pytest.mark.parametrize("l_gamma", [1.5, math.nan])
+def test_non_integer_l_gamma_is_domain_error(call, l_gamma):
+    with pytest.raises(DomainError) as err:
+        call(l_gamma)
+    assert err.value.code == "DOMAIN"
+    assert "l_gamma" in str(err.value)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -260,6 +261,10 @@ def test_override_types_checked_against_defaults():
             run_sweep(SweepSpec("fig2a", overrides={"theta_k": bad}))
         assert info.value.code == "PARAMETER_TYPE"
     grid = GridSpec(10.0, 20.0, 2)
-    result = run_sweep(SweepSpec("fig7", overrides={"m_gamma": np.int64(-2),
-                                                    "sigma_nm": 8}, grid=grid))
+    result = run_sweep(SweepSpec("fig7", overrides={"m_gamma": np.int64(-2), "sigma_nm": 8,
+                                                    "trap_mhz": np.float64(2.5)}, grid=grid))
     assert len(result.rows) == 2
+    # numpy overrides reach the metadata as the Python numbers JSON takes
+    parameters = result.metadata["parameters"]
+    assert json.loads(json.dumps(parameters)) == parameters
+    assert (type(parameters["m_gamma"]), type(parameters["trap_mhz"])) == (int, float)
