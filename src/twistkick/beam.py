@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
 
 from .errors import ConfigurationError, DomainError, QuadratureError
 from .special_functions import bessel_first_max, bessel_j, bessel_j_array, \
-    check_bessel_domain, scan_golden_max
+    check_bessel_domain, scan_golden_max, scipy_bessel
 from .units import HBARC_EV_NM, energy_to_wavelength
 
 #: Pitch angle used by figure sweeps when none is specified.  The value is a
@@ -190,6 +189,7 @@ def radial_intensity_total(beam: TwistedPhotonBeam) -> float:
     w0 = _require_w0(beam)
     kappa = transverse_wavenumber(beam)
     check_bessel_domain(beam.l_gamma, kappa * 8.0 * w0)
+    _, ive = scipy_bessel()
     value = 0.25 * w0 * w0 * float(ive(abs(beam.l_gamma), 0.25 * (kappa * w0) ** 2))
     if value <= 0.0 or not math.isfinite(value):
         raise QuadratureError(f"profile is not normalizable (integral {value})")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
-from .errors import TruncationWarning, TwistkickError
+from .errors import DomainError, TruncationWarning, TwistkickError
 from .pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, absorption_energy, \
@@ -193,6 +193,8 @@ def _cmd_pair_threshold(args) -> SweepResult:
     l_gamma = args.l_gamma
     if args.pt_mev is None:
         b = args.b_fm * FM
+    elif args.pt_mev < 0.0:
+        raise DomainError(f"p_T must be non-negative, got {args.pt_mev:g} MeV/c")
     elif args.pt_mev == 0.0:
         b, l_gamma = 0.0, 0
     else:  # express the requested kick as the impact parameter delivering it

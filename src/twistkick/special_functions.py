@@ -8,6 +8,14 @@ This is the only transcendental machinery the physics modules need.
 J_{-n}(x) = (-1)^n J_n(x) = J_n(-x), so sign-flipped calls share
 bit-identical magnitudes.
 
+``scipy.special`` is bound lazily.  Importing it takes about 0.3 s, more
+than the rest of a CLI call that needs no Bessel function (the ion recoil,
+the deuteron and pair thresholds, the crossover), so no module imports it
+at load time.  :func:`scipy_bessel` imports it on the first Bessel
+evaluation and caches ``jv`` and ``ive`` in a module global; every Bessel
+evaluation in the package, here and in :mod:`.beam` and :mod:`.trap`, goes
+through it.
+
 ``wigner_small_d`` evaluates the finite explicit sum in the Condon-Shortley
 convention.  Arguments are canonicalized through the exact index symmetries
 first, so sign-mirrored calls reuse bit-identical arithmetic.
@@ -18,12 +26,23 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import DomainError
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 1.0e6
+
+_SCIPY_BESSEL = None
+
+
+def scipy_bessel():
+    """``(jv, ive)`` from ``scipy.special``, imported on the first call and
+    cached, so later calls cost one global lookup."""
+    global _SCIPY_BESSEL
+    if _SCIPY_BESSEL is None:
+        from scipy.special import ive, jv
+        _SCIPY_BESSEL = jv, ive
+    return _SCIPY_BESSEL
 
 
 def check_bessel_domain(n: int, x: float) -> None:
@@ -48,6 +67,7 @@ def bessel_j(n: int, x: float) -> float:
     """
     check_bessel_domain(n, x)
     n = int(n)
+    jv, _ = scipy_bessel()
     value = float(jv(abs(n), abs(x)))
     # odd order: one sign flip for n < 0, another for x < 0
     return -value if n % 2 and (x < 0.0) != (n < 0) else value
@@ -60,6 +80,7 @@ def bessel_j_array(n: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     check_bessel_domain(n, float(np.max(np.abs(x))) if x.size else 0.0)
     n = int(n)
+    jv, _ = scipy_bessel()
     values = jv(abs(n), np.abs(x))
     if n % 2 == 0:
         return values

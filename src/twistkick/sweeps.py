@@ -11,7 +11,8 @@ one error code per row ("" where the row is defined).  The AM panels
 other figures lift a per-point row function with :func:`_per_point`, which
 turns each point's coded error into that row's code.  Rows that carry a code
 (e.g. the vortex line b = 0) or a non-finite value are dropped and counted
-in the metadata, never silently interpolated.
+in the metadata, never silently interpolated.  A sweep that drops every row
+raises the first row's coded error instead of returning an empty table.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .pair_production import PairThresholdQuery, crossover_product, pair_thresho
     fit_beam_for_threshold_factor, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, deuteron_threshold, \
     transverse_recoil_energy
-from .transitions import TransitionChannel, am_partition, recoil_ratio_array, \
-    sublevel_profile
+from .transitions import TransitionChannel, am_partition, raise_first_row_error, \
+    recoil_ratio_array, sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
     constants_sha256, nonrel_recoil_energy, wavelength_to_energy
@@ -107,8 +108,9 @@ _M_GAMMA_SERIES = (1, 2, 3)
 
 def _per_point(build_row):
     """Lift ``build_row(params) -> row(point)`` to a whole-grid builder: a
-    point whose row raises a coded error gets that code and no row."""
-    def build(params, points):
+    point whose row raises a coded error gets that code and no row, or with
+    ``strict`` raises it."""
+    def build(params, points, strict=False):
         row = build_row(params)
         rows, errors = [], []
         for point in points:
@@ -116,6 +118,8 @@ def _per_point(build_row):
                 rows.append(row(point))
                 errors.append("")
             except TwistkickError as exc:
+                if strict:
+                    raise
                 rows.append(None)
                 errors.append(exc.code)
         return rows, errors
@@ -129,8 +133,9 @@ def _lz_cm_array(beam, channel, b):
 
 def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
     # one column of kernel(beam, channel, b) -> (values, errors) per m_gamma,
-    # b in wavelengths; a row takes the first error code of its columns
-    def build(params, xs):
+    # b in wavelengths; a row takes the first error code of its columns, or
+    # with strict raises that column's error
+    def build(params, xs, strict=False):
         wavelength = params["lambda_nm"]
         energy = wavelength_to_energy(wavelength)
         channel = TransitionChannel(float(j))
@@ -143,6 +148,8 @@ def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
         errors = np.full(len(xs), "", dtype=object)
         for beam in beams:
             values, beam_errors = kernel(beam, channel, b)
+            if strict:
+                raise_first_row_error(beam_errors, beam, channel, b)
             columns.append(values)
             errors = np.where(errors == "", beam_errors, errors)
         return np.column_stack(columns).tolist(), errors
@@ -399,6 +406,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         [float(v) for v in row] for row, error in zip(table, errors)
         if not error and all(math.isfinite(v) for v in row)
     ]
+    if not rows:
+        _raise_every_row_dropped(spec.figure_id, figure, params, points)
     dropped = len(points) - len(rows)
 
     metadata = {
@@ -412,6 +421,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "constants_sha256": constants_sha256(),
     }
     return SweepResult(columns=list(figure.columns), rows=rows, metadata=metadata)
+
+
+def _raise_every_row_dropped(figure_id, figure, params, points) -> None:
+    """Raise the coded error of the first of ``points``, a sweep that dropped
+    every row, with the figure and the point named; a row dropped for a
+    non-finite value raises ``NON_FINITE``."""
+    name, unit = figure.columns[0]
+    point = f"{name}={points[0]:g} {unit}" if figure.grid is not None else f"case {points[0]}"
+    prefix = f"figure {figure_id!r} dropped every row; at {point}: "
+    try:
+        (row,), _ = figure.builder(params, points[:1], strict=True)
+    except TwistkickError as exc:
+        raise type(exc)(prefix + str(exc), code=exc.code) from exc
+    column = next(name for (name, _), v in zip(figure.columns, row) if not math.isfinite(v))
+    raise DomainError(prefix + f"{column} is not finite", code="NON_FINITE")
 
 
 def _meta_value(value):

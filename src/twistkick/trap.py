@@ -32,11 +32,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive, jv
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning
-from .special_functions import bessel_j, check_bessel_domain
+from .special_functions import bessel_j, check_bessel_domain, scipy_bessel
 from .units import HBARC_EV_NM, frequency_to_energy, nonrel_recoil_energy
 
 
@@ -117,6 +116,7 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b: float, sigma: float):
         return nu, kb, x, None, 0.0
     half_width = math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
     l = np.arange(-half_width, half_width + 1)
+    jv, ive = scipy_bessel()
     strength = float(np.sum(jv(nu - l, kb) ** 2 * ive(l, x)))
     if strength <= 0.0 or not math.isfinite(strength):
         raise NoAbsorptionError(
@@ -211,6 +211,7 @@ def sideband_spectrum(
     if strength is not None:
         log_half_x = math.log(0.5 * x) if x > 0.0 else -math.inf
         # J_{nu-l}(kappa b)^2 at index l + n_max
+        jv, _ = scipy_bessel()
         j_sq = (jv(nu - np.arange(-n_max, n_max + 1), kb) ** 2).tolist()
         for n in range(1, n_max + 1):
             total = 0.0

@@ -217,21 +217,42 @@ def test_beam_fit_runs():
     assert rows[0][header.index("b [fm]")] == pytest.approx(64.36, rel=0.01)
 
 
-def test_import_path_skips_scipy_integrate_and_optimize():
+def test_scipy_loaded_only_by_bessel_evaluations():
+    # the threshold commands, their figures and usage errors need no Bessel
+    # function, so they must not pay for importing scipy.special
     code = (
         "import contextlib, io, json, sys\n"
         "import twistkick.cli\n"
-        "at_import = sorted(m for m in ('scipy.integrate', 'scipy.optimize')\n"
-        "                   if m in sys.modules)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = [twistkick.cli.main(argv) for argv in (\n"
-        "        ['focus-fraction', '--w0-pm', '50'], ['crossover'], ['beam-fit'])]\n"
-        "print(json.dumps([at_import, status, sorted(\n"
-        "    m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules)]))\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            return twistkick.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            return exc.code\n"
+        "at_import = loaded()\n"
+        "status = [run(argv) for argv in (\n"
+        "    ['ion-recoil', '--b-nm', '10'],\n"
+        "    ['deuteron-threshold', '--b-fm', '89'],\n"
+        "    ['pair-threshold', '--pitch-urad', '5', '--b-fm', '200'],\n"
+        "    ['pair-threshold', '--pitch-urad', '5', '--pt-mev', '1'],\n"
+        "    ['crossover'],\n"
+        "    ['reproduce', '--figure', 'fig6'], ['reproduce', '--figure', 'fig8a'],\n"
+        "    ['reproduce', '--figure', 'fig8b'],\n"
+        "    ['reproduce', '--figure', 'deuteron_table'],\n"
+        "    ['ion-recoil'])]\n"
+        "after_cheap = loaded()\n"
+        "status += [run(argv) for argv in (['trap-jump', '--b-nm', '20'],\n"
+        "    ['focus-fraction', '--w0-pm', '50'], ['beam-fit'])]\n"
+        "print(json.dumps([at_import, status, after_cheap, sorted(\n"
+        "    m for m in ('scipy.special', 'scipy.integrate', 'scipy.optimize')\n"
+        "    if m in sys.modules)]))\n"
     )
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    assert json.loads(cp.stdout) == [[], [0, 0, 0], []]
+    assert json.loads(cp.stdout) == [[], [0] * 9 + [1, 0, 0, 0], [], ["scipy.special"]]
 
 
 def test_package_source_names_no_scipy_solvers():
@@ -372,3 +393,33 @@ def test_json_parameters_record_every_parsed_option(capsys, argv):
     for key in ("handler", "format", "output"):
         del parsed[key]
     assert metadata["parameters"] == parsed
+
+
+@pytest.mark.parametrize("figure,override,code,message", [
+    ("fig7", "sigma_nm=-1", "DOMAIN",
+     "figure 'fig7' dropped every row; at b=10 nm: sigma must be positive, got -1"),
+    ("pair_table", "omega2_ev=0", "DOMAIN",
+     "figure 'pair_table' dropped every row; at case (1, 10.0): "
+     "omega2 must be finite and positive, got 0"),
+    ("fig2a", "theta_k=0", "UNDEFINED_DISTRIBUTION",
+     "figure 'fig2a' dropped every row; at b=0.001 lambda: "
+     "all sublevel amplitudes vanish at b=0.397; no absorption"),
+    ("fig8a", "omega2_ev=1e300", "NO_ROOT",
+     "figure 'fig8a' dropped every row; at b=20 fm: no positive threshold root (got 0.0)"),
+    ("fig6", "lambda_nm=1e-300", "NON_FINITE",
+     "figure 'fig6' dropped every row; at b=1 nm: E_long is not finite"),
+], ids=["fig7", "pair_table", "fig2a", "fig8a", "fig6"])
+def test_sweep_dropping_every_row_is_coded_error(capsys, figure, override, code, message):
+    # a fault in a figure parameter drops every row; that is an error, not
+    # a header-only table
+    status, out, err = run_main(capsys, "reproduce", "--figure", figure, "--set", override)
+    assert status == 2
+    assert out == ""
+    assert err == f"twistkick: error [{code}]: {message}\n"
+
+
+def test_pair_threshold_negative_kick_is_domain_error(capsys):
+    status, out, err = run_main(capsys, "pair-threshold", "--pitch-urad", "5", "--pt-mev", "-1")
+    assert status == 2
+    assert out == ""
+    assert err == "twistkick: error [DOMAIN]: p_T must be non-negative, got -1 MeV/c\n"
