@@ -191,8 +191,11 @@ def radial_intensity_total(beam: TwistedPhotonBeam) -> float:
     check_bessel_domain(beam.l_gamma, kappa * 8.0 * w0)
     _, ive = scipy_bessel()
     value = 0.25 * w0 * w0 * float(ive(abs(beam.l_gamma), 0.25 * (kappa * w0) ** 2))
-    if value <= 0.0 or not math.isfinite(value):
-        raise QuadratureError(f"profile is not normalizable (integral {value})")
+    if not 0.0 < value < math.inf:  # NaN where w0^2 overflows and I_l(y) = 0
+        raise QuadratureError(
+            f"profile is not normalizable: its integral at w0 = {w0:g} nm is "
+            f"{'zero' if value == 0.0 else 'not finite'}"
+        )
     return value
 
 

@@ -6,8 +6,13 @@ Conventions: every physical flag carries its unit in the flag name
 diagnostics go to stderr with a machine-readable code.  Exit codes: 0 on
 success, 1 on usage errors, 2 on numerical/physical errors.  CSV output uses
 a ``name [unit]`` header row, 12-significant-digit scientific notation, '.'
-decimal separator and LF line endings; the JSON form carries numerically
-identical values.
+decimal separator and LF line endings; the JSON form (``indent=2``) carries
+the float of each CSV value, so both hold the same 12-digit values.
+
+Rows are formatted a row at a time, not a value at a time: each CSV line is
+one ``str.format`` call on a per-table template, and the JSON rows are the
+CSV values parsed back, spelled by one ``json.dumps`` of the flat list and
+laid out by a row template exactly as ``json.dumps(..., indent=2)`` would.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 import sys
 import warnings
 from functools import partial
+from itertools import starmap
 
 import numpy as np
 
@@ -39,26 +45,36 @@ from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, 
 _CA40_MEV = CA40_ION_MASS_EV / MEV
 
 
-def _format_value(x: float) -> str:
-    return f"{x:.11e}"
+def _row_texts(result: SweepResult) -> list[str]:
+    """Each row's CSV line, one ``str.format`` call per row: every value in
+    12-significant-digit scientific notation, one value per column."""
+    template = ",".join(["{:.11e}"] * len(result.columns))
+    return list(starmap(template.format, result.rows))
 
 
 def result_to_csv(result: SweepResult) -> str:
-    lines = [",".join(f"{name} [{unit}]" for name, unit in result.columns)]
-    for row in result.rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+    header = ",".join(f"{name} [{unit}]" for name, unit in result.columns)
+    return "\n".join([header, *_row_texts(result)]) + "\n"
 
 
 def result_to_json(result: SweepResult) -> str:
-    payload = {
+    head = json.dumps({
         "metadata": result.metadata,
         "columns": [{"name": name, "unit": unit} for name, unit in result.columns],
-        # round-trip through the CSV formatting so both outputs carry the
-        # same 12-significant-digit values
-        "rows": [[float(_format_value(v)) for v in row] for row in result.rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        "rows": [],
+    }, indent=2)
+    lines = _row_texts(result)
+    if not lines:
+        return head + "\n"
+    # each value is the float of its CSV text, so both outputs carry the same
+    # 12-significant-digit values; one flat json.dumps spells them all (with
+    # its NaN/Infinity), and the row template lays them out as indent=2 would
+    width = len(result.columns)
+    values = json.dumps(list(map(float, ",".join(lines).split(","))))[1:-1].split(", ")
+    row = "    [\n      " + ",\n      ".join(["{}"] * width) + "\n    ]"
+    rows = ",\n".join(map(row.format, *(values[i::width] for i in range(width))))
+    # head ends in '"rows": []\n}'
+    return head[:-len("[]\n}")] + "[\n" + rows + "\n  ]\n}\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +100,15 @@ _NOT_PARAMETERS = ("command", "handler", "format", "output")
 
 def _table(args, columns, rows, **extra) -> SweepResult:
     """A subcommand's table, with every option it was run with as metadata;
-    ``extra`` adds further metadata entries."""
+    ``extra`` adds further metadata entries.  A non-finite value is a
+    ``NON_FINITE`` error naming its column."""
+    table = np.array(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=0))
+    if bad.size:
+        raise DomainError(f"{columns[bad[0]][0]} is not finite", code="NON_FINITE")
     return SweepResult(
         columns=list(columns),
-        rows=[[float(v) for v in row] for row in rows],
+        rows=table.tolist(),
         metadata={
             "command": args.command,
             "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
@@ -108,7 +129,7 @@ def _am_sweep(args, columns, kernel) -> SweepResult:
     b = xs * args.lambda_nm
     values, errors = kernel(beam, channel, b)
     raise_first_row_error(errors, beam, channel, b)
-    return _table(args, [("b", "lambda")] + columns, np.column_stack([xs, *values]).tolist())
+    return _table(args, [("b", "lambda")] + columns, np.column_stack([xs, *values]))
 
 
 def _am_transfer_columns(beam, channel, b):

@@ -69,7 +69,13 @@ def plane_wave_threshold(omega2: float) -> float:
     """Minimum VHE photon energy m_e^2/omega2 for untwisted head-on photons."""
     if not (omega2 > 0.0 and math.isfinite(omega2)):
         raise DomainError(f"omega2 must be finite and positive, got {omega2}")
-    return ELECTRON_MASS_EV * ELECTRON_MASS_EV / omega2
+    threshold = ELECTRON_MASS_EV * ELECTRON_MASS_EV / omega2
+    if not math.isfinite(threshold):
+        raise DomainError(
+            f"omega2 = {omega2:g} eV puts the plane-wave threshold m_e^2/omega2 "
+            "beyond the floating-point range"
+        )
+    return threshold
 
 
 def small_angle_threshold(omega2: float, p_t: float) -> float:
@@ -88,10 +94,16 @@ def pair_threshold(query: PairThresholdQuery) -> ThresholdSolution:
     the shift w1 - m_e^2/w2 relative to the plane-wave threshold (negative
     when the pitch angle wins over the superkick).
     """
+    plane_wave = plane_wave_threshold(query.omega2)
     if query.l_gamma > 0:
         p_t = query.l_gamma * HBARC_EV_NM / query.impact_parameter
     else:
         p_t = 0.0
+    if not math.isfinite(p_t * p_t):
+        raise DomainError(
+            f"the superkick p_T = l_gamma hbar c / b at b = {query.impact_parameter:g} nm "
+            "is too large to square in floating point"
+        )
     sin_t = math.sin(query.pitch_angle)
     rhs = 4.0 * ELECTRON_MASS_EV * ELECTRON_MASS_EV + p_t * p_t
     # positive root of sin^2 w1^2 + 4 w2 w1 - rhs = 0, rationalized so the
@@ -104,7 +116,7 @@ def pair_threshold(query: PairThresholdQuery) -> ThresholdSolution:
         photon_energy=omega1,
         p_z=omega1 * math.cos(query.pitch_angle),
         p_T=p_t,
-        recoil_energy=omega1 - plane_wave_threshold(query.omega2),
+        recoil_energy=omega1 - plane_wave,
     )
 
 
@@ -176,6 +188,8 @@ def fit_beam_for_threshold_factor(
     """
     if not factor > 1.0:
         raise DomainError(f"threshold factor must exceed 1, got {factor}")
+    if not w0_over_b > 0.0:
+        raise DomainError(f"w0/b must be positive, got {w0_over_b:g}")
     _check_l_gamma(l_gamma, 1)
     p_t = 2.0 * ELECTRON_MASS_EV * math.sqrt(factor - 1.0)
     b = l_gamma * HBARC_EV_NM / p_t
@@ -187,9 +201,11 @@ def fit_beam_for_threshold_factor(
             f"threshold factor {factor:g} at omega2 = {omega2:g} eV leaves the floating-point "
             "range: the fit radius, envelope, energy or pitch angle is not finite and positive"
         )
-    envelope_slope = 2.0 / (w0_over_b * w0_over_b)
-    if not l_gamma > envelope_slope:
+    # l > 2 b^2/w0^2, tested without the division that (w0/b)^2 underflowing
+    # to 0 would make
+    if not l_gamma * w0_over_b * w0_over_b > 2.0:
         raise SolverError(f"w0/b = {w0_over_b:g} gives no interior peak", code="FIT")
+    envelope_slope = 2.0 / (w0_over_b * w0_over_b)
     # x J_l'/J_l = x J_{l-1}/J_l - l falls from l to 0 below the first
     # maximum of J_l, so it crosses envelope_slope once there
     lo, hi = 0.0, first_bessel_peak_argument(l_gamma)

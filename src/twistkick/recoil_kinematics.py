@@ -137,7 +137,14 @@ def ratio_cut_radius(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float)
     if delta_l_cm <= 0:
         raise DomainError(f"delta_l_cm must be positive, got {delta_l_cm}")
     p_z = longitudinal_momentum(beam, paraxial=True)
-    return delta_l_cm * units.HBARC_EV_NM / (ratio_cut * p_z)
+    denominator = ratio_cut * p_z
+    b_star = delta_l_cm * units.HBARC_EV_NM / denominator if denominator > 0.0 else math.inf
+    if b_star == math.inf:
+        raise DomainError(
+            f"ratio_cut {ratio_cut:g} at p_z = {p_z:g} eV/c puts b* beyond the "
+            "floating-point range"
+        )
+    return b_star
 
 
 def focus_fraction(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float) -> float:

@@ -5,14 +5,15 @@ Every figure id carries documented default parameters (pitch angle, trap
 frequency, wavelength, ...) for the quantities its source plot leaves
 unstated; all of them are overridable.
 
-A figure builder evaluates the whole grid at once and returns its rows with
-one error code per row ("" where the row is defined).  The AM panels
-(fig2-fig5) do so through the array kernels of :mod:`.transitions`; the
-other figures lift a per-point row function with :func:`_per_point`, which
-turns each point's coded error into that row's code.  Rows that carry a code
-(e.g. the vortex line b = 0) or a non-finite value are dropped and counted
-in the metadata, never silently interpolated.  A sweep that drops every row
-raises the first row's coded error instead of returning an empty table.
+A figure builder evaluates the whole grid at once and returns its rows as a
+2-D float array with one error code per row ("" where the row is defined,
+NaN values where it is not).  The AM panels (fig2-fig5) do so through the
+array kernels of :mod:`.transitions`; the other figures lift a per-point row
+function with :func:`_per_point`, which turns each point's coded error into
+that row's code.  Rows that carry a code (e.g. the vortex line b = 0) or a
+non-finite value are dropped and counted in the metadata, never silently
+interpolated.  A sweep that drops every row raises the first row's coded
+error instead of returning an empty table.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ _M_GAMMA_SERIES = (1, 2, 3)
 
 def _per_point(build_row):
     """Lift ``build_row(params) -> row(point)`` to a whole-grid builder: a
-    point whose row raises a coded error gets that code and no row, or with
-    ``strict`` raises it."""
+    point whose row raises a coded error gets that code and a NaN row, or
+    with ``strict`` raises it."""
     def build(params, points, strict=False):
         row = build_row(params)
         rows, errors = [], []
@@ -122,7 +123,9 @@ def _per_point(build_row):
                     raise
                 rows.append(None)
                 errors.append(exc.code)
-        return rows, errors
+        nan_row = [math.nan] * max((len(r) for r in rows if r is not None), default=0)
+        table = np.array([nan_row if r is None else r for r in rows], dtype=float)
+        return table, np.array(errors)
     return build
 
 
@@ -152,7 +155,7 @@ def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
                 raise_first_row_error(beam_errors, beam, channel, b)
             columns.append(values)
             errors = np.where(errors == "", beam_errors, errors)
-        return np.column_stack(columns).tolist(), errors
+        return np.column_stack(columns), errors
     return build
 
 
@@ -402,10 +405,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         }
 
     table, errors = figure.builder(params, points)
-    rows = [
-        [float(v) for v in row] for row, error in zip(table, errors)
-        if not error and all(math.isfinite(v) for v in row)
-    ]
+    rows = table[(errors == "") & np.isfinite(table).all(axis=1)].tolist()
     if not rows:
         _raise_every_row_dropped(spec.figure_id, figure, params, points)
     dropped = len(points) - len(rows)

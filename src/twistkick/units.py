@@ -76,7 +76,12 @@ def wavelength_to_energy(wavelength_nm: float) -> float:
     """Photon energy E = 2*pi*hbar*c / lambda, eV for lambda in nm."""
     if not wavelength_nm > 0.0:
         raise DomainError(f"wavelength must be positive, got {wavelength_nm}")
-    return 2.0 * math.pi * HBARC_EV_NM / wavelength_nm
+    energy = 2.0 * math.pi * HBARC_EV_NM / wavelength_nm
+    if energy == math.inf:
+        raise DomainError(
+            f"wavelength {wavelength_nm:g} nm is too short: its photon energy overflows"
+        )
+    return energy
 
 
 def energy_to_wavelength(energy_ev: float) -> float:

@@ -1,4 +1,7 @@
 import json
+import math
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import twistkick
-from twistkick.cli import build_parser, main
+from twistkick.cli import build_parser, main, result_to_csv, result_to_json
+from twistkick.sweeps import FIGURE_IDS, SweepResult, SweepSpec, run_sweep
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -423,3 +427,85 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
     assert status == 2
     assert out == ""
     assert err == "twistkick: error [DOMAIN]: p_T must be non-negative, got -1 MeV/c\n"
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["crossover", "--omega2-ev", "1e-300"], "DOMAIN",
+     "omega2 = 1e-300 eV puts the plane-wave threshold m_e^2/omega2 "
+     "beyond the floating-point range"),
+    (["pair-threshold", "--pitch-urad", "5", "--b-fm", "1", "--omega2-ev", "1e-300"], "DOMAIN",
+     "omega2 = 1e-300 eV puts the plane-wave threshold m_e^2/omega2 "
+     "beyond the floating-point range"),
+    (["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1e300"], "DOMAIN",
+     "the superkick p_T = l_gamma hbar c / b at b = 1.97327e-304 nm "
+     "is too large to square in floating point"),
+    (["pair-threshold", "--pitch-urad", "5", "--b-fm", "1e-300"], "DOMAIN",
+     "the superkick p_T = l_gamma hbar c / b at b = 1e-306 nm "
+     "is too large to square in floating point"),
+    (["beam-fit", "--w0-over-b", "1e-300"], "FIT", "w0/b = 1e-300 gives no interior peak"),
+    (["beam-fit", "--w0-over-b", "0"], "DOMAIN", "w0/b must be positive, got 0"),
+    (["focus-fraction", "--w0-pm", "1e300", "--pitch-rad", "0"], "QUADRATURE",
+     "profile is not normalizable: its integral at w0 = 1e+297 nm is not finite"),
+    (["focus-fraction", "--w0-pm", "1e300", "--ratio-cut", "1e-300", "--energy-mev", "1e-300"],
+     "DOMAIN", "ratio_cut 1e-300 at p_z = 1e-294 eV/c puts b* beyond the floating-point range"),
+    (["ion-recoil", "--lambda-nm", "1e-300", "--b-nm", "7", "--mass-mev", "1e300"],
+     "NON_FINITE", "E_long is not finite"),
+    (["deuteron-threshold", "--b-fm", "1", "--lambda-fm", "1e-300"], "DOMAIN",
+     "wavelength 1e-306 nm is too short: its photon energy overflows"),
+], ids=["crossover", "pair-plane-wave", "pair-pt", "pair-b", "fit-tiny-w0", "fit-zero-w0",
+        "focus-norm", "focus-b-star", "ion-recoil", "deuteron-wavelength"])
+def test_overflowing_inputs_are_coded_errors(capsys, argv, code, message):
+    # each of these overflowed to inf or NaN inside the computation and ended
+    # in a traceback, a NaN/inf in the error text or a non-finite table
+    status, out, err = run_main(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err == f"twistkick: error [{code}]: {message}\n"
+    assert not re.search(r"\b(nan|inf)\b", err, re.IGNORECASE)
+
+
+def oracle_csv(result) -> str:
+    """The per-value CSV formatter the fast path must reproduce."""
+    lines = [",".join(f"{name} [{unit}]" for name, unit in result.columns)]
+    lines += [",".join(f"{v:.11e}" for v in row) for row in result.rows]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json(result) -> str:
+    """The per-value JSON formatter the fast path must reproduce: indent=2,
+    rows rounded through their CSV text."""
+    return json.dumps({
+        "metadata": result.metadata,
+        "columns": [{"name": name, "unit": unit} for name, unit in result.columns],
+        "rows": [[float(f"{v:.11e}") for v in row] for row in result.rows],
+    }, indent=2) + "\n"
+
+
+_EDGE_VALUES = (-0.0, 0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+def formatter_cases():
+    """Every default reproduce table, seeded random tables with the float edge
+    values, a 1-column and a 0-row table."""
+    cases = [run_sweep(SweepSpec(figure)) for figure in FIGURE_IDS]
+    rng = random.Random(9)
+    for draw in range(200):
+        width = rng.randint(1, 8)
+        count = rng.choice((0, 1, 2, rng.randint(3, 40)))
+        rows = [[rng.choice(_EDGE_VALUES) if rng.random() < 0.3
+                 else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+                 for _ in range(width)] for _ in range(count)]
+        columns = [(f"c{i}", "1") for i in range(width)]
+        cases.append(SweepResult(columns, rows, {"draw": draw}))
+    edge = list(_EDGE_VALUES)
+    cases.append(SweepResult([("x", "1")], [[v] for v in edge], {"note": '"rows": []'}))
+    cases.append(SweepResult([(f"c{i}", "1") for i in range(len(edge))], [edge],
+                             {"rows": [], "note": '"rows": []\n}'}))
+    cases.append(SweepResult([("x", "nm"), ("y", "eV")], [], {"note": '"rows": []'}))
+    return cases
+
+
+def test_formatters_match_per_value_oracle():
+    for result in formatter_cases():
+        assert result_to_csv(result) == oracle_csv(result)
+        assert result_to_json(result) == oracle_json(result)

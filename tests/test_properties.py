@@ -1,26 +1,32 @@
 """Property tests of the AM-partition array kernel, the extended-packet
-engine, the closed-form profile norm, pair crossover and beam fit, and the
-pair threshold (hypothesis, derandomized so that every run draws the same
-examples)."""
+engine, the closed-form profile norm, pair crossover and beam fit, the pair
+threshold, and the command line's answer to any numeric argv (hypothesis,
+derandomized so that every run draws the same examples)."""
 
+import argparse
+import contextlib
+import io
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from scipy.optimize import brentq  # noqa: E402
 
 from twistkick.beam import TwistedPhotonBeam, bessel_gauss_norm, \
     first_bessel_peak_argument, profile_peak_radius, radial_intensity_integral, \
     transverse_wavenumber  # noqa: E402
+from twistkick.cli import build_parser, main  # noqa: E402
 from twistkick.errors import TruncationWarning  # noqa: E402
 from twistkick.pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold, \
     small_angle_threshold  # noqa: E402
+from twistkick.sweeps import _REGISTRY  # noqa: E402
 from twistkick.transitions import TransitionChannel, am_partition  # noqa: E402
 from twistkick.trap import TrapModel, jump_probability_extended, \
     sideband_spectrum  # noqa: E402
@@ -202,3 +208,69 @@ def test_pair_threshold_does_not_rise_with_pitch(omega2, b, l_gamma, thetas):
     thresholds = [pair_threshold(PairThresholdQuery(omega2, t, b, l_gamma)).photon_energy
                   for t in sorted(thetas)]
     assert all(a >= c for a, c in zip(thresholds, thresholds[1:]))
+
+
+FUZZ_VALUES = ("0", "-1", "1e300", "1e-300", "7")
+
+
+def _numeric_flags():
+    """{subcommand: [(flag, required)]} for every flag that takes a number."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [(a.option_strings[0], a.required) for a in parser._actions
+               if a.option_strings and a.type is not None and a.dest != "set"]
+        for name, parser in subparsers.choices.items()
+    }
+
+
+NUMERIC_FLAGS = _numeric_flags()
+
+
+@st.composite
+def numeric_argv(draw):
+    """A subcommand with its required numeric flags and a subset of the
+    optional ones, each set to one of FUZZ_VALUES; ``reproduce`` also sets
+    up to three parameters of a figure."""
+    value = st.sampled_from(FUZZ_VALUES)
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    argv = [command]
+    if command == "reproduce":
+        figure = draw(st.sampled_from(sorted(_REGISTRY)))
+        argv += ["--figure", figure]
+        keys = st.sampled_from(sorted(_REGISTRY[figure].defaults))
+        for key in draw(st.lists(keys, unique=True, max_size=3)):
+            argv += ["--set", f"{key}={draw(value)}"]
+    for flag, required in NUMERIC_FLAGS[command]:
+        if required or draw(st.booleans()):
+            argv += [flag, draw(value)]
+    return argv
+
+
+@DETERMINISTIC
+@given(argv=numeric_argv())
+@example(argv=["crossover", "--omega2-ev", "1e-300"])
+@example(argv=["pair-threshold", "--pitch-urad", "5", "--b-fm", "1", "--omega2-ev", "1e-300"])
+@example(argv=["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1e300"])
+@example(argv=["pair-threshold", "--pitch-urad", "5", "--b-fm", "1e-300"])
+@example(argv=["beam-fit", "--w0-over-b", "1e-300"])
+@example(argv=["focus-fraction", "--w0-pm", "1e300", "--pitch-rad", "0"])
+@example(argv=["ion-recoil", "--lambda-nm", "1e-300", "--b-nm", "7", "--mass-mev", "1e300"])
+def test_every_numeric_argv_ends_in_finite_csv_or_coded_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            status = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if status == 0:
+        header, *lines = out.rstrip("\n").split("\n")
+        assert lines, out
+        assert all(math.isfinite(float(v)) for line in lines for v in line.split(",")), out
+    else:
+        assert status in (1, 2), (status, err)
+        assert out == ""
+        assert len(re.findall(r"error \[[A-Z_]+\]: ", err)) == 1, err
+        assert "Traceback" not in err
+        assert not re.search(r"\bnan\b", err, re.IGNORECASE), err
