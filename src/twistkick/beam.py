@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, QuadratureError
 from .special_functions import bessel_first_max, bessel_j, bessel_j_array, \
-    check_bessel_domain, scan_golden_max, scipy_bessel
+    check_bessel_domain, scipy_bessel
 from .units import HBARC_EV_NM, energy_to_wavelength
 
 #: Pitch angle used by figure sweeps when none is specified.  The value is a
@@ -205,12 +205,37 @@ def bessel_gauss_norm(beam: TwistedPhotonBeam) -> float:
     return 1.0 / math.sqrt(2.0 * math.pi * radial_intensity_total(beam))
 
 
+def first_lobe_peak_argument(l_gamma: int, envelope_slope) -> float:
+    """The root x below the first maximum j'_{l,1} of J_l, l = |l_gamma| >= 1,
+    of x J_{l-1}(x)/J_l(x) = l + s(x): the first-lobe stationary point of
+    J_l(x) times an envelope of log-slope -s(x) = x d/dx ln(envelope).  There
+    x J_l'/J_l = x J_{l-1}/J_l - l falls from l to 0, so for a non-negative,
+    non-decreasing s = ``envelope_slope`` the root is unique; bisection finds
+    it to the last bit.  Where J_l underflows to 0, the ratio takes its
+    small-x limit 2l."""
+    l = abs(l_gamma)
+    lo, hi = 0.0, bessel_first_max(l)[0]
+    x = 0.5 * hi
+    while lo < x < hi:
+        j_l = bessel_j(l, x)
+        ratio = x * bessel_j(l - 1, x) / j_l if j_l else 2.0 * l
+        if ratio > l + envelope_slope(x):
+            lo = x
+        else:
+            hi = x
+        x = 0.5 * (lo + hi)
+    return x
+
+
 def profile_peak_radius(beam: TwistedPhotonBeam) -> float:
     """Radius (nm) of the global maximum of |bessel_gauss_amplitude|.
 
-    Searches rho in (0, 10 w0] with a dense scan refined by golden-section
-    to 1e-7 relative.  Requires |l_gamma| >= 1 (for l_gamma = 0 the profile
-    peaks trivially at the axis) and a nonvanishing transverse wavenumber.
+    Beyond the first maximum of |J_l| the Bessel factor never exceeds that
+    maximum and the envelope only falls, so the peak is the first-lobe
+    stationary point, :func:`first_lobe_peak_argument` with s(x) =
+    2 x^2/(kappa w0)^2 at x = kappa rho.  No point past the first lobe is
+    evaluated, so any kappa w0 > 0 is answered.  NO_PEAK when l_gamma = 0
+    (the peak is the axis) or kappa = 0 (the profile vanishes).
     """
     w0 = _require_w0(beam)
     if abs(beam.l_gamma) < 1:
@@ -218,15 +243,10 @@ def profile_peak_radius(beam: TwistedPhotonBeam) -> float:
             "profile peak is at rho = 0 for l_gamma = 0; no interior peak",
             code="NO_PEAK",
         )
-    rho, value = scan_golden_max(
-        lambda r: abs(bessel_gauss_amplitude(beam, r)),
-        1e-6 * w0, 10.0 * w0, 4000, rtol=1e-7,
-    )
-    if value <= 0.0:
+    kappa = transverse_wavenumber(beam)
+    scale = kappa * w0
+    if not scale > 0.0:
         raise DomainError("profile vanishes identically; no peak", code="NO_PEAK")
-    return rho
-
-
-def first_bessel_peak_argument(l_gamma: int) -> float:
-    """Argument of the first maximum of |J_{l_gamma}| (0 for l_gamma = 0)."""
-    return bessel_first_max(l_gamma)[0]
+    # (x/scale) squared by a product, which overflows to inf, not to an error
+    x = first_lobe_peak_argument(beam.l_gamma, lambda x: 2.0 * (x / scale) * (x / scale))
+    return x / kappa

@@ -125,8 +125,12 @@ def _am_sweep(args, columns, kernel) -> SweepResult:
     # the first failing point raises its coded error
     beam = _beam(args)
     channel = TransitionChannel(float(args.multipole_j))
+    if not math.isfinite(args.b_max_lambda - args.b_min_lambda):
+        raise DomainError(f"sweep span [{args.b_min_lambda:g}, {args.b_max_lambda:g}] "
+                          "lambda is beyond the floating-point range")
     xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
-    b = xs * args.lambda_nm
+    with np.errstate(over="ignore"):  # an overflowing b is a coded row error
+        b = xs * args.lambda_nm
     values, errors = kernel(beam, channel, b)
     raise_first_row_error(errors, beam, channel, b)
     return _table(args, [("b", "lambda")] + columns, np.column_stack([xs, *values]))
@@ -218,6 +222,8 @@ def _cmd_pair_threshold(args) -> SweepResult:
         raise DomainError(f"p_T must be non-negative, got {args.pt_mev:g} MeV/c")
     elif args.pt_mev == 0.0:
         b, l_gamma = 0.0, 0
+    elif not math.isfinite(args.pt_mev * MEV):
+        raise DomainError(f"p_T = {args.pt_mev:g} MeV/c is beyond the floating-point range")
     else:  # express the requested kick as the impact parameter delivering it
         b = l_gamma * HBARC_EV_NM / (args.pt_mev * MEV)
     solution = pair_threshold(

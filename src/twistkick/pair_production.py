@@ -28,10 +28,12 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .beam import TwistedPhotonBeam, first_bessel_peak_argument, profile_peak_radius
+import numpy as np
+
+from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, first_lobe_peak_argument, \
+    profile_peak_radius
 from .errors import DomainError, SolverError
 from .recoil_kinematics import ThresholdSolution
-from .special_functions import bessel_j
 from .units import ELECTRON_MASS_EV, HBARC_EV_NM
 
 
@@ -181,10 +183,11 @@ def fit_beam_for_threshold_factor(
 
         x J_{l-1}(x) = (l + 2 b^2/w0^2) J_l(x),
 
-    which has one root below the first maximum of J_l, found by bisection;
-    then sin(theta_k) = x hbar c / (b w1).  The fit fails with code FIT when
-    l <= 2 b^2/w0^2 (no interior peak), theta_k > 1 rad, or the global
-    maximum (``peak_radius``) misses b by more than 1e-7 b.
+    which has one root below the first maximum of J_l; then sin(theta_k) =
+    x hbar c / (b w1).  The fit fails with code FIT when l <= 2 b^2/w0^2 (no
+    interior peak), theta_k > 1 rad, the global maximum (``peak_radius``)
+    misses b by more than 1e-7 b, or a 4000-point grid of the profile over
+    [0, 10 w0] exceeds its value at b (so 10 kappa w0 must be <= 1e6).
     """
     if not factor > 1.0:
         raise DomainError(f"threshold factor must exceed 1, got {factor}")
@@ -206,23 +209,22 @@ def fit_beam_for_threshold_factor(
     if not l_gamma * w0_over_b * w0_over_b > 2.0:
         raise SolverError(f"w0/b = {w0_over_b:g} gives no interior peak", code="FIT")
     envelope_slope = 2.0 / (w0_over_b * w0_over_b)
-    # x J_l'/J_l = x J_{l-1}/J_l - l falls from l to 0 below the first
-    # maximum of J_l, so it crosses envelope_slope once there
-    lo, hi = 0.0, first_bessel_peak_argument(l_gamma)
-    x = 0.5 * hi
-    while lo < x < hi:
-        if x * bessel_j(l_gamma - 1, x) > (l_gamma + envelope_slope) * bessel_j(l_gamma, x):
-            lo = x
-        else:
-            hi = x
-        x = 0.5 * (lo + hi)
+    x = first_lobe_peak_argument(l_gamma, lambda x: envelope_slope)
     sin_theta = x * sin_per_x
     if not sin_theta <= math.sin(1.0):
         raise SolverError("the profile fit needs a pitch angle above 1 rad", code="FIT")
     theta = math.asin(sin_theta)
-    peak = profile_peak_radius(TwistedPhotonBeam(l_gamma + 1, 1, omega1, theta, envelope_w0=w0))
+    beam = TwistedPhotonBeam(l_gamma + 1, 1, omega1, theta, envelope_w0=w0)
+    peak = profile_peak_radius(beam)
     if abs(peak - b) > 1e-7 * b:
         raise SolverError(f"fitted profile peaks at {peak:g} nm, not {b:g} nm", code="FIT")
+    # peak_radius solves the fit's own equation, so a grid of the profile checks
+    # that b is the global maximum (to rounding at a grid point next to b)
+    rho = np.linspace(0.0, 10.0 * w0, 4000)
+    grid = np.abs(bessel_gauss_amplitude(beam, rho))
+    if grid.max() > abs(bessel_gauss_amplitude(beam, b)) * (1.0 + 1e-12):
+        raise SolverError(f"fitted profile is larger at {rho[grid.argmax()]:g} nm "
+                          f"than at b = {b:g} nm", code="FIT")
     return BeamFitResult(
         threshold_factor=factor,
         p_T=p_t,

@@ -56,6 +56,9 @@ class GridSpec:
             raise DomainError(f"grid ends must be finite, got [{self.start}, {self.stop}]")
         if not self.stop > self.start:
             raise DomainError(f"grid needs stop > start, got [{self.start}, {self.stop}]")
+        if not math.isfinite(self.stop - self.start):
+            raise DomainError(f"grid span [{self.start:g}, {self.stop:g}] is beyond the "
+                              "floating-point range")
         if self.scale not in ("lin", "log", "loglin"):
             raise DomainError(f"grid scale must be lin/log/loglin, got {self.scale!r}")
         if self.scale in ("log", "loglin") and not self.start > 0.0:
@@ -347,13 +350,6 @@ _register(
 )
 
 FIGURE_IDS = tuple(sorted(_REGISTRY))
-
-
-def figure_description(figure_id: str) -> str:
-    figure = _REGISTRY.get(figure_id)
-    if figure is None:
-        raise DomainError(f"unknown figure id {figure_id!r}", code="UNKNOWN_FIGURE")
-    return figure.description
 
 
 def _check_override_type(figure_id: str, key: str, value, default) -> None:

@@ -186,7 +186,8 @@ def am_partition(
         return AmPartition(weights=np.full((2 * j + 1,) + b.shape, np.nan),
                            lz_internal=nan, lz_cm=nan,
                            errors=np.full(b.shape, "DOMAIN", dtype=object))
-    with np.errstate(invalid="ignore"):  # inf * 0 is a NaN row, coded below
+    # an overflowing kappa b, or inf * 0 (a NaN), is a row coded below
+    with np.errstate(over="ignore", invalid="ignore"):
         x = transverse_wavenumber(beam) * b
     valid = np.isfinite(x) & (np.abs(x) <= MAX_ARGUMENT) & ~(b < 0.0)
     errors = np.where(valid, "", "DOMAIN").astype(object)
@@ -235,16 +236,18 @@ def raise_first_row_error(
     failed = np.flatnonzero(errors != "")
     if not failed.size:
         return
-    code, b = errors[failed[0]], b[failed[0]]
+    code, b = errors[failed[0]], float(b[failed[0]])
     if code == "B_SINGULARITY":
         raise DomainError(f"impact parameter must be positive, got {b}", code=code)
     if code == "UNDEFINED_DISTRIBUTION":
         raise UndefinedDistributionError(
             f"all sublevel amplitudes vanish at b={b}; no absorption"
         )
+    x = transverse_wavenumber(beam) * b
+    if not math.isfinite(x):
+        raise DomainError("the Bessel argument kappa b overflows the floating-point range")
     if b < 0.0:
         raise DomainError(f"impact parameter must be non-negative, got {b}")
-    x = transverse_wavenumber(beam) * b
     for nu in _orders(beam, channel):
         check_bessel_domain(nu, x)
     raise AssertionError(f"row error code {code!r} at b={b} names no error")

@@ -21,6 +21,8 @@ from twistkick.errors import ConfigurationError, DomainError, QuadratureError
 from twistkick.units import DEUTERON_BINDING_EV, ELECTRON_MASS_EV, FM, GEV, \
     HBARC_EV_NM, MEV, PM, TEV, wavelength_to_energy
 
+from oracles import dense_grid_peak_radius
+
 
 def make_beam(m=2, spin=1, energy=None, theta=0.1, w0=None):
     return TwistedPhotonBeam(
@@ -282,6 +284,34 @@ def test_profile_peak_matches_dense_grid_oracle():
     vals = np.abs(jv(beam.l_gamma, kappa * rho) * np.exp(-((rho / beam.envelope_w0) ** 2)))
     oracle = float(rho[np.argmax(vals)])
     assert profile_peak_radius(beam) == pytest.approx(oracle, rel=1e-4)
+
+
+def test_profile_peak_matches_dense_grid_oracle_on_seeded_beams():
+    # kappa w0 log-uniform over 1e-2..1e4, l_gamma 1..8 (either sign), 397 nm
+    rng = np.random.default_rng(1017)
+    beams = [make_beam(m=2, spin=1, w0=1e6)]  # 1 mm: first lobe far below w0
+    while len(beams) < 200:
+        l_gamma = int(rng.integers(1, 9)) * int(rng.choice([-1, 1]))
+        theta = float(rng.uniform(0.01, 0.3))
+        kappa = transverse_wavenumber(make_beam(theta=theta))
+        w0 = float(10.0 ** rng.uniform(-2.0, 4.0)) / kappa
+        beams.append(make_beam(m=l_gamma + 1, spin=1, theta=theta, w0=w0))
+    for beam in beams:
+        assert profile_peak_radius(beam) == pytest.approx(
+            dense_grid_peak_radius(beam), rel=1e-6, abs=0.0)
+    assert profile_peak_radius(beams[0]) == pytest.approx(1165.28, abs=0.005)
+
+
+def test_profile_peak_beyond_bessel_domain_and_underflow_range():
+    # 10 kappa w0 far beyond the Bessel argument limit: only the first lobe
+    # is evaluated, which envelope and Bessel factor both put at j'_{1,1}
+    beam = make_beam(m=2, spin=1, w0=1e300)
+    assert profile_peak_radius(beam) == pytest.approx(
+        1.8411837813406593 / transverse_wavenumber(beam), rel=1e-14)
+    # kappa w0 ~ 1e-63: J_8 underflows to zero near the peak, which is the
+    # small-kappa w0 limit w0 sqrt(l/2)
+    beam = make_beam(m=9, spin=1, theta=1e-3, w0=1e-58)
+    assert profile_peak_radius(beam) == pytest.approx(2e-58, rel=1e-14)
 
 
 def test_profile_peak_degenerate_profiles():

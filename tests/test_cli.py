@@ -221,6 +221,24 @@ def test_beam_fit_runs():
     assert rows[0][header.index("b [fm]")] == pytest.approx(64.36, rel=0.01)
 
 
+def test_beam_fit_wide_envelope_peaks_at_b(capsys):
+    # the first lobe at b is narrower than a step of a 4000-point grid over
+    # [0, 10 w0], so only the first-lobe stationary point finds it
+    code, out, err = run_main(capsys, "beam-fit", "--l-gamma", "5", "--w0-over-b", "1000")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert rows[0][header.index("peak_radius [fm]")] == rows[0][header.index("b [fm]")]
+
+
+def test_output_file_holds_what_stdout_would(capsys, tmp_path):
+    argv = ["reproduce", "--figure", "fig8b", "--format", "json"]
+    _, expected, _ = run_main(capsys, *argv)
+    path = tmp_path / "fig8b.json"
+    code, out, err = run_main(capsys, *argv, "--output", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == expected.encode("ascii")
+
+
 def test_scipy_loaded_only_by_bessel_evaluations():
     # the threshold commands, their figures and usage errors need no Bessel
     # function, so they must not pay for importing scipy.special
@@ -442,6 +460,20 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
     (["pair-threshold", "--pitch-urad", "5", "--b-fm", "1e-300"], "DOMAIN",
      "the superkick p_T = l_gamma hbar c / b at b = 1e-306 nm "
      "is too large to square in floating point"),
+    (["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1e308"], "DOMAIN",
+     "p_T = 1e+308 MeV/c is beyond the floating-point range"),
+    (["reproduce", "--figure", "fig2a", "--grid-start=-1.7e308", "--grid-stop=1.7e308",
+      "--grid-count", "3"], "DOMAIN",
+     "grid span [-1.7e+308, 1.7e+308] is beyond the floating-point range"),
+    (["reproduce", "--figure", "fig6", "--grid-start=-1.7e308", "--grid-stop=1.7e308",
+      "--grid-count", "3"], "DOMAIN",
+     "grid span [-1.7e+308, 1.7e+308] is beyond the floating-point range"),
+    (["am-transfer", "--b-min-lambda", "1e308", "--b-max-lambda=-1e308"], "DOMAIN",
+     "sweep span [1e+308, -1e+308] lambda is beyond the floating-point range"),
+    (["am-transfer", "--lambda-nm", "1e300", "--b-min-lambda", "1e300"], "DOMAIN",
+     "the Bessel argument kappa b overflows the floating-point range"),
+    (["focus-fraction", "--w0-pm", "1e300", "--energy-mev", "1e300"], "DOMAIN",
+     "Bessel argument |x| <= 1e+06 supported, got a non-finite value (an input overflows)"),
     (["beam-fit", "--w0-over-b", "1e-300"], "FIT", "w0/b = 1e-300 gives no interior peak"),
     (["beam-fit", "--w0-over-b", "0"], "DOMAIN", "w0/b must be positive, got 0"),
     (["focus-fraction", "--w0-pm", "1e300", "--pitch-rad", "0"], "QUADRATURE",
@@ -452,11 +484,14 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
      "NON_FINITE", "E_long is not finite"),
     (["deuteron-threshold", "--b-fm", "1", "--lambda-fm", "1e-300"], "DOMAIN",
      "wavelength 1e-306 nm is too short: its photon energy overflows"),
-], ids=["crossover", "pair-plane-wave", "pair-pt", "pair-b", "fit-tiny-w0", "fit-zero-w0",
+], ids=["crossover", "pair-plane-wave", "pair-pt", "pair-b", "pair-pt-overflow",
+        "fig2a-span", "fig6-span", "am-transfer-span", "am-transfer-kappa-b", "focus-bessel",
+        "fit-tiny-w0", "fit-zero-w0",
         "focus-norm", "focus-b-star", "ion-recoil", "deuteron-wavelength"])
 def test_overflowing_inputs_are_coded_errors(capsys, argv, code, message):
     # each of these overflowed to inf or NaN inside the computation and ended
-    # in a traceback, a NaN/inf in the error text or a non-finite table
+    # in a traceback, a NaN/inf or a numpy RuntimeWarning in the error text,
+    # a non-finite table or an error naming the wrong input
     status, out, err = run_main(capsys, *argv)
     assert status == 2
     assert out == ""

@@ -255,6 +255,25 @@ def test_fit_checks_global_peak_against_b(monkeypatch, offset, fails):
         assert fit_beam_for_threshold_factor(10.0, 2.5).peak_radius == b * (1.0 + offset)
 
 
+@pytest.mark.parametrize("l_gamma, w0_over_b", [(5, 1000.0), (1, 1e4), (64, 10.0)])
+def test_fit_wide_envelope_peaks_at_b(l_gamma, w0_over_b):
+    fit = fit_beam_for_threshold_factor(10.0, 2.5, l_gamma, w0_over_b)
+    assert abs(fit.peak_radius - fit.impact_parameter) <= 1e-12 * fit.impact_parameter
+
+
+def test_fit_grid_check_sees_a_larger_lobe_than_b(monkeypatch):
+    # a root on the second lobe of J_1 that the peak search confirms: only
+    # the grid of the fitted profile sees that the first lobe is larger
+    b = HBARC_EV_NM / (6.0 * ELECTRON_MASS_EV)
+    monkeypatch.setattr(pair_production, "first_lobe_peak_argument",
+                        lambda l_gamma, envelope_slope: 5.3314)
+    monkeypatch.setattr(pair_production, "profile_peak_radius", lambda beam: b)
+    with pytest.raises(SolverError) as err:
+        fit_beam_for_threshold_factor(10.0, 2.5)
+    assert err.value.code == "FIT"
+    assert "fitted profile is larger at" in str(err.value)
+
+
 @pytest.mark.parametrize("call", [
     lambda l_gamma: crossover_product(2.5, l_gamma),
     lambda l_gamma: pair_threshold(PairThresholdQuery(2.5, 1e-6, 1e-4, l_gamma)),

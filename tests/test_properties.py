@@ -18,14 +18,15 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from scipy.optimize import brentq  # noqa: E402
 
+from oracles import dense_grid_peak_radius  # noqa: E402
 from twistkick.beam import TwistedPhotonBeam, bessel_gauss_norm, \
-    first_bessel_peak_argument, profile_peak_radius, radial_intensity_integral, \
-    transverse_wavenumber  # noqa: E402
+    radial_intensity_integral, transverse_wavenumber  # noqa: E402
 from twistkick.cli import build_parser, main  # noqa: E402
 from twistkick.errors import TruncationWarning  # noqa: E402
 from twistkick.pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold, \
     small_angle_threshold  # noqa: E402
+from twistkick.special_functions import bessel_first_max  # noqa: E402
 from twistkick.sweeps import _REGISTRY  # noqa: E402
 from twistkick.transitions import TransitionChannel, am_partition  # noqa: E402
 from twistkick.trap import TrapModel, jump_probability_extended, \
@@ -154,8 +155,9 @@ def test_crossover_matches_root_bracketing(omega2, l_gamma):
 
 
 def brentq_fit_theta(factor, omega2, l_gamma, w0_over_b):
-    """Test-only oracle: the pitch angle that puts the profile_peak_radius scan
-    at b, root-bracketed over three decades around the first Bessel peak."""
+    """Test-only oracle: the pitch angle that puts the dense-grid peak of the
+    profile at b, root-bracketed over three decades around the first Bessel
+    peak."""
     p_t = 2.0 * ELECTRON_MASS_EV * math.sqrt(factor - 1.0)
     b = l_gamma * HBARC_EV_NM / p_t
     omega1 = factor * plane_wave_threshold(omega2)
@@ -163,9 +165,9 @@ def brentq_fit_theta(factor, omega2, l_gamma, w0_over_b):
     def peak_minus_b(theta):
         beam = TwistedPhotonBeam(l_gamma + 1, 1, omega1, theta,
                                  envelope_w0=w0_over_b * b)
-        return profile_peak_radius(beam) - b
+        return dense_grid_peak_radius(beam) - b
 
-    x_peak = first_bessel_peak_argument(l_gamma)
+    x_peak = bessel_first_max(l_gamma)[0]
     theta_lo = 1e-3 * x_peak * HBARC_EV_NM / (b * omega1)
     theta_hi = min(1.0, 10.0 * x_peak * HBARC_EV_NM / (b * omega1))
     return brentq(peak_minus_b, theta_lo, theta_hi, xtol=1e-4 * theta_lo, rtol=1e-7)
@@ -273,4 +275,4 @@ def test_every_numeric_argv_ends_in_finite_csv_or_coded_error(argv):
         assert out == ""
         assert len(re.findall(r"error \[[A-Z_]+\]: ", err)) == 1, err
         assert "Traceback" not in err
-        assert not re.search(r"\bnan\b", err, re.IGNORECASE), err
+        assert not re.search(r"\b(nan|inf)\b", err, re.IGNORECASE), err

@@ -9,7 +9,6 @@ from twistkick.special_functions import (
     bessel_first_max,
     bessel_j,
     bessel_j_array,
-    scan_golden_max,
     wigner_small_d,
 )
 
@@ -130,18 +129,15 @@ def test_first_max_j1():
     assert val == pytest.approx(0.5819, rel=1e-3)
 
 
-def test_scan_golden_max_smooth_peak():
-    # x exp(-x^2) peaks at 1/sqrt(2); near a maximum f resolves the location
-    # only to about sqrt(machine epsilon)
-    x, value = scan_golden_max(lambda t: t * np.exp(-t * t), 0.1, 3.0, 50, rtol=1e-12)
-    assert x == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-7)
-    assert value == pytest.approx(math.exp(-0.5) / math.sqrt(2.0), rel=1e-14)
-
-
-def test_scan_golden_max_peak_at_grid_edge():
-    x, value = scan_golden_max(lambda t: -t, 1.0, 2.0, 11, rtol=1e-10)
-    assert x == pytest.approx(1.0, abs=1e-9)
-    assert value == pytest.approx(-1.0, abs=1e-9)
+def test_first_max_matches_mpmath_derivative_zero():
+    mpmath.mp.dps = 30
+    for n in range(1, 65):
+        x, value = bessel_first_max(n)
+        assert x == pytest.approx(
+            float(mpmath.besseljzero(n, 1, derivative=1)), rel=1e-14, abs=0.0)
+        assert value == bessel_j(n, x)
+        assert bessel_first_max(-n) == (x, value)
+    assert bessel_first_max(0) == (0.0, 1.0)
 
 
 # --- Wigner small-d -----------------------------------------------------------

@@ -225,6 +225,15 @@ def test_sublevel_profile_nu_zero_peaks_on_axis():
     assert sublevel_profile(beam, channel, 1.0, 30.0) < 1.0
 
 
+def test_sublevel_profile_vanishing_wigner_d_is_exact_zero():
+    # theta_k = 0: d^J_{dm, Lambda}(0) vanishes unless dm = Lambda, whatever b
+    beam = make_beam(1, spin=1, theta=0.0)
+    for m_f in (-1.0, 0.0):
+        for b in (0.0, 40.0, 1e9):
+            assert sublevel_profile(beam, TransitionChannel(1), m_f, b) == 0.0
+    assert sublevel_profile(beam, TransitionChannel(1), 1.0, 0.0) == 1.0
+
+
 def test_sublevel_profile_unreachable_m_f():
     beam = make_beam(1)
     with pytest.raises(DomainError):
