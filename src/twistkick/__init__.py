@@ -56,7 +56,6 @@ from .transitions import (
     recoil_ratio,
     recoil_ratio_array,
     sublevel_profile,
-    transition_amplitudes,
 )
 from .trap import (
     SidebandSpectrum,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, QuadratureError
 from .special_functions import bessel_first_max, bessel_j, bessel_j_array, \
     check_bessel_domain, scipy_bessel
-from .units import HBARC_EV_NM, energy_to_wavelength
+from .units import HBARC_EV_NM, check_float_range, energy_to_wavelength
 
 #: Pitch angle used by figure sweeps when none is specified.  The value is a
 #: documented modeling default, not a measured quantity; every consumer
@@ -95,6 +95,7 @@ def superkick(delta_l: int, b: float) -> float:
     """
     if delta_l < 0:
         raise DomainError(f"delta_l must be non-negative, got {delta_l}")
+    check_float_range(delta_l, "delta_l")
     if not b > 0.0:
         raise DomainError(
             f"impact parameter must be positive, got {b}", code="B_SINGULARITY"
@@ -182,15 +183,26 @@ def radial_intensity_total(beam: TwistedPhotonBeam) -> float:
 
     Weber's second exponential integral (DLMF 10.22.67) gives it in closed
     form, (w0^2/4) exp(-y) I_l(y) with y = kappa^2 w0^2/4.  The accepted
-    inputs are those of :func:`radial_intensity_integral` over [0, 8 w0]; a
+    inputs are those of :func:`radial_intensity_integral` over [0, 8 w0], so
+    y <= 3.9e9.  From y = 1e9 on, where ``scipy.special.ive`` turns NaN, the
+    four-term large-argument expansion (DLMF 10.40.1) replaces it.  A
     QuadratureError is raised when the integral is zero (kappa = 0 with
     l_gamma != 0) or not finite.
     """
     w0 = _require_w0(beam)
     kappa = transverse_wavenumber(beam)
-    check_bessel_domain(beam.l_gamma, kappa * 8.0 * w0)
-    _, ive = scipy_bessel()
-    value = 0.25 * w0 * w0 * float(ive(abs(beam.l_gamma), 0.25 * (kappa * w0) ** 2))
+    l = abs(beam.l_gamma)
+    check_bessel_domain(l, kappa * 8.0 * w0)
+    y = 0.25 * (kappa * w0) ** 2
+    if y < 1e9:
+        scaled = float(scipy_bessel()[1](l, y))
+    else:  # the next term is below 1e-23 relative for l <= 64
+        term = series = 1.0
+        for k in (1, 2, 3):
+            term *= -(4.0 * l * l - (2 * k - 1) ** 2) / (8.0 * k * y)
+            series += term
+        scaled = series / math.sqrt(2.0 * math.pi * y)
+    value = 0.25 * w0 * w0 * scaled
     if not 0.0 < value < math.inf:  # NaN where w0^2 overflows and I_l(y) = 0
         raise QuadratureError(
             f"profile is not normalizable: its integral at w0 = {w0:g} nm is "

@@ -40,7 +40,7 @@ from .transitions import TransitionChannel, am_partition, raise_first_row_error,
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
 from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, KEV, \
-    MEV, NEV, PM, nonrel_recoil_energy, wavelength_to_energy
+    MEV, NEV, PM, check_float_range, nonrel_recoil_energy, wavelength_to_energy
 
 _CA40_MEV = CA40_ION_MASS_EV / MEV
 
@@ -225,6 +225,7 @@ def _cmd_pair_threshold(args) -> SweepResult:
     elif not math.isfinite(args.pt_mev * MEV):
         raise DomainError(f"p_T = {args.pt_mev:g} MeV/c is beyond the floating-point range")
     else:  # express the requested kick as the impact parameter delivering it
+        check_float_range(l_gamma, "l_gamma")
         b = l_gamma * HBARC_EV_NM / (args.pt_mev * MEV)
     solution = pair_threshold(
         PairThresholdQuery(args.omega2_ev, args.pitch_urad * 1e-6, b, l_gamma)

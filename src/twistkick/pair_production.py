@@ -34,12 +34,13 @@ from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, first_lobe_peak_arg
     profile_peak_radius
 from .errors import DomainError, SolverError
 from .recoil_kinematics import ThresholdSolution
-from .units import ELECTRON_MASS_EV, HBARC_EV_NM
+from .units import ELECTRON_MASS_EV, HBARC_EV_NM, check_float_range
 
 
 def _check_l_gamma(l_gamma, least: int) -> None:
     if not (isinstance(l_gamma, numbers.Integral) and l_gamma >= least):
         raise DomainError(f"l_gamma must be an integer >= {least}, got {l_gamma!r}")
+    check_float_range(l_gamma, "l_gamma")
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,8 @@ def fit_beam_for_threshold_factor(
     x hbar c / (b w1).  The fit fails with code FIT when l <= 2 b^2/w0^2 (no
     interior peak), theta_k > 1 rad, the global maximum (``peak_radius``)
     misses b by more than 1e-7 b, or a 4000-point grid of the profile over
-    [0, 10 w0] exceeds its value at b (so 10 kappa w0 must be <= 1e6).
+    [0, min(10, sqrt(-ln|A(b)|)) w0] exceeds its value A(b) at b (so kappa
+    times that radius must be <= 1e6).
     """
     if not factor > 1.0:
         raise DomainError(f"threshold factor must exceed 1, got {factor}")
@@ -219,10 +221,12 @@ def fit_beam_for_threshold_factor(
     if abs(peak - b) > 1e-7 * b:
         raise SolverError(f"fitted profile peaks at {peak:g} nm, not {b:g} nm", code="FIT")
     # peak_radius solves the fit's own equation, so a grid of the profile checks
-    # that b is the global maximum (to rounding at a grid point next to b)
-    rho = np.linspace(0.0, 10.0 * w0, 4000)
+    # that b is the global maximum (to rounding at a grid point next to b); it
+    # ends where the envelope, which bounds the profile, falls below |A(b)|
+    at_b = abs(bessel_gauss_amplitude(beam, b))
+    rho = np.linspace(0.0, min(10.0, math.sqrt(-math.log(at_b))) * w0, 4000)
     grid = np.abs(bessel_gauss_amplitude(beam, rho))
-    if grid.max() > abs(bessel_gauss_amplitude(beam, b)) * (1.0 + 1e-12):
+    if grid.max() > at_b * (1.0 + 1e-12):
         raise SolverError(f"fitted profile is larger at {rho[grid.argmax()]:g} nm "
                           f"than at b = {b:g} nm", code="FIT")
     return BeamFitResult(

@@ -136,6 +136,7 @@ def ratio_cut_radius(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float)
         raise DomainError(f"ratio_cut must be positive, got {ratio_cut}")
     if delta_l_cm <= 0:
         raise DomainError(f"delta_l_cm must be positive, got {delta_l_cm}")
+    units.check_float_range(delta_l_cm, "delta_l_cm")
     p_z = longitudinal_momentum(beam, paraxial=True)
     denominator = ratio_cut * p_z
     b_star = delta_l_cm * units.HBARC_EV_NM / denominator if denominator > 0.0 else math.inf

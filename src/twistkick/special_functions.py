@@ -17,12 +17,14 @@ evaluation in the package, here and in :mod:`.beam` and :mod:`.trap`, goes
 through it.
 
 ``wigner_small_d`` evaluates the finite explicit sum in the Condon-Shortley
-convention.  Arguments are canonicalized through the exact index symmetries
+convention; the factorial coefficients of each (j, m', m) are computed once
+and cached.  Arguments are canonicalized through the exact index symmetries
 first, so sign-mirrored calls reuse bit-identical arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -74,19 +76,24 @@ def bessel_j(n: int, x: float) -> float:
     return -value if n % 2 and (x < 0.0) != (n < 0) else value
 
 
-def bessel_j_array(n: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`bessel_j` over an array of arguments: one
-    ``scipy.special.jv`` call on |x| with the order and argument signs
-    folded in afterwards."""
+def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`bessel_j`: J_n(x) with the integer order ``n`` (a
+    scalar or an array) broadcast against the arguments ``x``.
+
+    One domain check over the largest order and argument, one
+    ``scipy.special.jv`` call on (|n|, |x|) and one ``np.where`` folding in
+    the signs, so each element is bit-identical to the scalar call; an order
+    column of shape (k, 1) against x of shape (m,) gives the (k, m) table."""
     x = np.asarray(x, dtype=float)
-    check_bessel_domain(n, float(np.max(np.abs(x))) if x.size else 0.0)
-    n = int(n)
+    order = np.asarray(n)
+    # the widest of integer orders stands for all; a float order, or an int
+    # beyond int64, goes to the check as given, which rejects it
+    widest = int(order.flat[np.abs(order).argmax()]) if order.dtype.kind in "iu" else n
+    check_bessel_domain(widest, float(np.abs(x).max()) if x.size else 0.0)
     jv, _ = scipy_bessel()
-    values = jv(abs(n), np.abs(x))
-    if n % 2 == 0:
-        return values
-    flip = (x < 0.0) != (n < 0)
-    return np.where(flip, -values, values)
+    values = jv(np.abs(order), np.abs(x))
+    # odd order: one sign flip for n < 0, another for x < 0
+    return np.where((order % 2 == 1) & ((x < 0.0) != (order < 0)), -values, values)
 
 
 def bessel_first_max(n: int) -> tuple[float, float]:
@@ -125,8 +132,10 @@ def _half_int(value: float, name: str) -> int:
     return int(two)
 
 
-def _d_sum(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
-    # explicit Condon-Shortley sum; all factorial arguments are integers here
+@functools.lru_cache(maxsize=1024)
+def _d_terms(two_j: int, two_mp: int, two_m: int) -> tuple[tuple[float, int, int], ...]:
+    # the explicit Condon-Shortley sum as (coefficient, power of cos(theta/2),
+    # power of sin(theta/2)) per term; all factorial arguments are integers here
     jpm = (two_j + two_m) // 2
     jmm = (two_j - two_m) // 2
     jpmp = (two_j + two_mp) // 2
@@ -135,24 +144,16 @@ def _d_sum(two_j: int, two_mp: int, two_m: int, theta: float) -> float:
         math.factorial(jpmp) * math.factorial(jmmp)
         * math.factorial(jpm) * math.factorial(jmm)
     )
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
     mp_minus_m = (two_mp - two_m) // 2
-    k_min = max(0, -mp_minus_m)
-    k_max = min(jpm, jmmp)
-    total = 0.0
-    for k in range(k_min, k_max + 1):
+    terms = []
+    for k in range(max(0, -mp_minus_m), min(jpm, jmmp) + 1):
         denom = (
             math.factorial(jpm - k) * math.factorial(k)
             * math.factorial(jmmp - k) * math.factorial(k + mp_minus_m)
         )
         phase = -1.0 if (k + mp_minus_m) % 2 else 1.0
-        total += (
-            phase * root / denom
-            * c ** (jpm + jmmp - 2 * k)
-            * s ** (2 * k + mp_minus_m)
-        )
-    return total
+        terms.append((phase * root / denom, jpm + jmmp - 2 * k, 2 * k + mp_minus_m))
+    return tuple(terms)
 
 
 def wigner_small_d(j: float, m_f: float, m_i: float, theta: float) -> float:
@@ -181,4 +182,8 @@ def wigner_small_d(j: float, m_f: float, m_i: float, theta: float) -> float:
         if ((two_mf - two_mi) // 2) % 2:
             sign = -1.0
         two_mf, two_mi = -two_mf, -two_mi
-    return sign * _d_sum(two_j, two_mf, two_mi, theta)
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    total = 0.0
+    for coefficient, cos_power, sin_power in _d_terms(two_j, two_mf, two_mi):
+        total += coefficient * c ** cos_power * s ** sin_power
+    return sign * total

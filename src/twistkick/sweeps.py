@@ -19,6 +19,7 @@ error instead of returning an empty table.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -358,7 +359,8 @@ def _check_override_type(figure_id: str, key: str, value, default) -> None:
     if isinstance(default, int):
         ok, expected = is_int, "an integer"
     else:
-        ok = (is_int or isinstance(value, (float, np.floating))) and math.isfinite(value)
+        ok = (is_int or isinstance(value, (float, np.floating))) \
+            and abs(value) <= sys.float_info.max  # finite; isfinite raises on a huge int
         expected = "a finite number"
     if not ok:
         raise DomainError(

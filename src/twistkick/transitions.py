@@ -16,20 +16,21 @@ Probabilities and their means reproduce the angular-momentum bookkeeping:
 whatever the internal excitation does not absorb goes to the center of
 mass, whose recoil is the superkick.
 
-:func:`am_partition` is the array kernel behind every mean: it takes a whole
-array of impact parameters, evaluates each Wigner d once per (beam, dm) and
-one Bessel array per order, and returns the internal and c.m. means with a
-per-row error code instead of raising, so a figure sweep is evaluated over
-its whole grid at once and drops exactly the rows that carry a code.  The
-scalar :func:`mean_internal_am`, :func:`mean_cm_am` and :func:`recoil_ratio`
-are one-row wrappers that raise what the code names.  The per-point dict
-path :func:`excitation_probabilities` is kept as an independent reference.
+:func:`am_partition` is the one implementation of the distribution: it
+takes a whole array of impact parameters, evaluates the 2J+1 Wigner d once
+and all 2J+1 Bessel orders in one array call, and returns the amplitudes,
+weights and internal and c.m. means with a per-row error code instead of
+raising, so a figure sweep is evaluated over its whole grid at once and
+drops exactly the rows that carry a code.  The scalar
+:func:`excitation_probabilities`, :func:`mean_internal_am`,
+:func:`mean_cm_am` and :func:`recoil_ratio` are one-row views that raise
+what the code names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,82 +80,32 @@ class TransitionChannel:
 
 @dataclass(frozen=True)
 class SublevelDistribution:
-    """Relative amplitudes and probabilities over final sublevels m_f.
-
-    ``amplitudes`` holds the real factor J_{m_gamma-dm}(kappa b) * d-element;
-    ``winding`` the integer azimuthal phase winding m_gamma - dm of the
-    omitted factor exp(i nu phi_b); ``weights`` is empty until the
-    distribution is normalized by :func:`excitation_probabilities`.
-    """
+    """One impact parameter's sublevel distribution, keyed by m_f: the
+    ``amplitudes`` J_{m_gamma-dm}(kappa b) * d-element, the integer
+    ``winding`` m_gamma - dm of the omitted factor exp(i nu phi_b), and the
+    normalized ``weights``; one row of :func:`am_partition`."""
 
     amplitudes: dict[float, float]
     winding: dict[float, int]
-    weights: dict[float, float] = field(default_factory=dict)
-
-
-def transition_amplitudes(
-    beam: TwistedPhotonBeam, channel: TransitionChannel, b: float
-) -> SublevelDistribution:
-    """Relative sublevel amplitudes at impact parameter b (nm, >= 0)."""
-    if b < 0.0:
-        raise DomainError(f"impact parameter must be non-negative, got {b}")
-    kappa = transverse_wavenumber(beam)
-    x = kappa * b
-    j = channel.j_int
-    mi = float(channel.m_initial)
-    amps: dict[float, float] = {}
-    winding: dict[float, int] = {}
-    for dm in range(-j, j + 1):
-        m_f = mi + dm
-        nu = beam.m_gamma - dm
-        d = wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
-        amps[m_f] = bessel_j(nu, x) * d
-        winding[m_f] = nu
-    return SublevelDistribution(amplitudes=amps, winding=winding)
-
-
-def excitation_probabilities(
-    beam: TwistedPhotonBeam, channel: TransitionChannel, b: float
-) -> SublevelDistribution:
-    """Normalized probabilities w(m_f) = |A(m_f)|^2 / sum |A|^2.
-
-    Raises UndefinedDistributionError when every amplitude vanishes (the
-    physical answer is "no absorption"; downstream means are undefined).
-    """
-    dist = transition_amplitudes(beam, channel, b)
-    j = channel.j_int
-    mi = float(channel.m_initial)
-    # sum in +-dm pairs so a global sign mirror of the quantum numbers
-    # produces bit-identical normalization
-    sq = {m_f: a * a for m_f, a in dist.amplitudes.items()}
-    total = sq[mi]
-    for dm in range(1, j + 1):
-        total += sq[mi + dm] + sq[mi - dm]
-    if total == 0.0:
-        raise UndefinedDistributionError(
-            f"all sublevel amplitudes vanish at b={b}; no absorption"
-        )
-    weights = {m_f: v / total for m_f, v in sq.items()}
-    return SublevelDistribution(
-        amplitudes=dist.amplitudes, winding=dist.winding, weights=weights
-    )
+    weights: dict[float, float]
 
 
 @dataclass(frozen=True)
 class AmPartition:
-    """Sublevel weights and mean angular momentum (units hbar) over a 1-D
-    array of impact parameters.
+    """Sublevel amplitudes, weights and mean angular momentum (units hbar)
+    over a 1-D array of impact parameters.
 
-    ``weights[J + dm]`` is the row of w(m_i + dm) for dm = -J ... J;
-    ``lz_internal`` is the probability-weighted mean of m_f - m_i and
-    ``lz_cm = m_gamma - lz_internal`` its exact complement.  ``errors`` holds
-    one code per row: "" where the row is defined, otherwise the code of the
-    error the scalar functions raise there (``DOMAIN`` for b < 0 or a
-    Bessel order/argument outside the supported range,
-    ``UNDEFINED_DISTRIBUTION`` where every amplitude vanishes); every value
-    of such a row is NaN.
+    ``amplitudes[J + dm]`` and ``weights[J + dm]`` are the rows of A and w
+    for m_f = m_i + dm, dm = -J ... J; ``lz_internal`` is the mean of
+    m_f - m_i and ``lz_cm = m_gamma - lz_internal`` its exact complement.
+    ``errors`` holds one code per row: "" where the row is defined, else the
+    code the scalar functions raise there (``DOMAIN`` for b < 0 or a Bessel
+    order/argument outside the supported range, ``UNDEFINED_DISTRIBUTION``
+    where every amplitude vanishes).  Every value of such a row is NaN, but
+    for the amplitudes of an ``UNDEFINED_DISTRIBUTION`` row: its zeros.
     """
 
+    amplitudes: np.ndarray
     weights: np.ndarray
     lz_internal: np.ndarray
     lz_cm: np.ndarray
@@ -170,47 +121,44 @@ def _orders(beam: TwistedPhotonBeam, channel: TransitionChannel) -> list[int]:
 def am_partition(
     beam: TwistedPhotonBeam, channel: TransitionChannel, b
 ) -> AmPartition:
-    """Sublevel weights and internal/c.m. mean angular momentum at every
+    """Sublevel distribution and internal/c.m. mean angular momentum at every
     impact parameter of the 1-D array ``b`` (nm), with a per-row error code
     in place of an exception.
 
-    Each Wigner d is evaluated once and each Bessel order in one array call.
-    The arithmetic is that of :func:`excitation_probabilities` row by row
-    (squared amplitudes summed in +-dm pairs, means accumulated from dm = 1
-    up), so every row is bit-identical to a scalar evaluation.
+    This is the package's one implementation of the distribution.  The 2J+1
+    Wigner d form one column and all 2J+1 Bessel orders come from one
+    :func:`bessel_j_array` call.  Squared amplitudes are summed in +-dm pairs
+    and the means accumulated from dm = 1 up, so a global sign mirror of the
+    quantum numbers gives bit-identical weights.
     """
     b = np.asarray(b, dtype=float)
     j = channel.j_int
-    if any(abs(nu) > MAX_ORDER for nu in _orders(beam, channel)):
-        nan = np.full(b.shape, np.nan)
-        return AmPartition(weights=np.full((2 * j + 1,) + b.shape, np.nan),
-                           lz_internal=nan, lz_cm=nan,
+    if abs(beam.m_gamma) + j > MAX_ORDER:  # the widest order m_gamma -+ J
+        nan = np.full((2 * j + 1,) + b.shape, np.nan)
+        return AmPartition(amplitudes=nan, weights=nan, lz_internal=nan[0], lz_cm=nan[0],
                            errors=np.full(b.shape, "DOMAIN", dtype=object))
-    # an overflowing kappa b, or inf * 0 (a NaN), is a row coded below
-    with np.errstate(over="ignore", invalid="ignore"):
+    d = np.array([wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
+                  for dm in range(-j, j + 1)])
+    # an overflowing kappa b, inf * 0 (a NaN) and the NaN of an invalid row
+    # are coded, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = transverse_wavenumber(beam) * b
-    valid = np.isfinite(x) & (np.abs(x) <= MAX_ARGUMENT) & ~(b < 0.0)
+        valid = (np.abs(x) <= MAX_ARGUMENT) & (b >= 0.0)  # False for NaN and inf
+        orders = np.array(_orders(beam, channel))[:, None]
+        amplitudes = bessel_j_array(orders, np.where(valid, x, 0.0)) * d[:, None]
+        sq = amplitudes * amplitudes
+        total = sq[j]
+        for dm in range(1, j + 1):
+            total = total + (sq[j + dm] + sq[j - dm])
+        undefined = valid & (total == 0.0)
+        weights = np.where(valid & ~undefined, sq / total, np.nan)
     errors = np.where(valid, "", "DOMAIN").astype(object)
-    x = np.where(valid, x, 0.0)
-    sq = {}
-    for dm in range(-j, j + 1):
-        d = wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
-        amplitude = bessel_j_array(beam.m_gamma - dm, x) * d
-        sq[dm] = amplitude * amplitude
-    total = sq[0]
-    for dm in range(1, j + 1):
-        total = total + (sq[dm] + sq[-dm])
-    undefined = valid & (total == 0.0)
     errors[undefined] = "UNDEFINED_DISTRIBUTION"
-    valid &= ~undefined
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(valid, np.stack([sq[dm] for dm in range(-j, j + 1)]) / total,
-                           np.nan)
     internal = 0.0
     for dm in range(1, j + 1):
         internal = internal + dm * (weights[j + dm] - weights[j - dm])
-    return AmPartition(weights=weights, lz_internal=internal,
-                       lz_cm=beam.m_gamma - internal, errors=errors)
+    return AmPartition(amplitudes=np.where(valid, amplitudes, np.nan), weights=weights,
+                       lz_internal=internal, lz_cm=beam.m_gamma - internal, errors=errors)
 
 
 def recoil_ratio_array(
@@ -259,6 +207,25 @@ def _checked_row(
     partition = am_partition(beam, channel, [b])
     raise_first_row_error(partition.errors, beam, channel, [b])
     return partition
+
+
+def excitation_probabilities(
+    beam: TwistedPhotonBeam, channel: TransitionChannel, b: float
+) -> SublevelDistribution:
+    """The sublevel distribution at impact parameter b (nm, >= 0): one row
+    of :func:`am_partition`, with w(m_f) = |A(m_f)|^2 / sum |A|^2.
+
+    Raises UndefinedDistributionError when every amplitude vanishes (the
+    physical answer is "no absorption"; downstream means are undefined) and
+    DomainError where the row is coded ``DOMAIN``.
+    """
+    partition = _checked_row(beam, channel, b)
+    m_f = channel.final_sublevels()
+    return SublevelDistribution(
+        amplitudes=dict(zip(m_f, partition.amplitudes[:, 0].tolist())),
+        winding=dict(zip(m_f, _orders(beam, channel))),
+        weights=dict(zip(m_f, partition.weights[:, 0].tolist())),
+    )
 
 
 def mean_internal_am(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 
 from .errors import DomainError
 
@@ -71,6 +72,13 @@ def constants_sha256() -> str:
 
 
 # --- conversions -------------------------------------------------------------
+
+def check_float_range(value: int, name: str) -> None:
+    """Raise DomainError naming ``name`` when the integer ``value`` is beyond
+    the floating-point range, where ``value * HBARC_EV_NM`` would overflow."""
+    if abs(value) > sys.float_info.max:
+        raise DomainError(f"{name} is beyond the floating-point range")
+
 
 def wavelength_to_energy(wavelength_nm: float) -> float:
     """Photon energy E = 2*pi*hbar*c / lambda, eV for lambda in nm."""

@@ -7,6 +7,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import jv
 
 from twistkick.beam import transverse_wavenumber
+from twistkick.errors import DomainError, UndefinedDistributionError
+from twistkick.special_functions import bessel_j, wigner_small_d
 
 
 def dense_grid_peak_radius(beam) -> float:
@@ -35,3 +37,35 @@ def dense_grid_peak_radius(beam) -> float:
     found = minimize_scalar(lambda r: -amplitude(r), bounds=(lo, hi), method="bounded",
                             options={"xatol": 1e-12 * hi})
     return float(found.x)
+
+
+def dict_sublevel_distribution(beam, channel, b):
+    """``(amplitudes, winding, weights)`` dicts keyed by m_f, built one
+    sublevel at a time from the scalar ``bessel_j`` and ``wigner_small_d``:
+    the per-point path that ``am_partition`` replaced, kept as its oracle.
+
+    Squared amplitudes are summed in +-dm pairs, as ``am_partition`` sums
+    them, so the weights must agree bit for bit.
+    """
+    if b < 0.0:
+        raise DomainError(f"impact parameter must be non-negative, got {b}")
+    x = transverse_wavenumber(beam) * b
+    j = channel.j_int
+    mi = float(channel.m_initial)
+    amps = {}
+    winding = {}
+    for dm in range(-j, j + 1):
+        m_f = mi + dm
+        nu = beam.m_gamma - dm
+        d = wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
+        amps[m_f] = bessel_j(nu, x) * d
+        winding[m_f] = nu
+    sq = {m_f: a * a for m_f, a in amps.items()}
+    total = sq[mi]
+    for dm in range(1, j + 1):
+        total += sq[mi + dm] + sq[mi - dm]
+    if total == 0.0:
+        raise UndefinedDistributionError(
+            f"all sublevel amplitudes vanish at b={b}; no absorption"
+        )
+    return amps, winding, {m_f: v / total for m_f, v in sq.items()}

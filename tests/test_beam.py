@@ -2,6 +2,7 @@ import math
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -14,6 +15,7 @@ from twistkick.beam import (
     equal_kick_radius,
     longitudinal_momentum,
     profile_peak_radius,
+    radial_intensity_total,
     superkick,
     transverse_wavenumber,
 )
@@ -237,6 +239,25 @@ def test_bessel_gauss_norm_matches_quad_oracle():
             2.0 * math.pi * quad_intensity(beam, 8.0 * beam.envelope_w0)
         )
         assert bessel_gauss_norm(beam) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_radial_intensity_total_beyond_scipy_ive_range_matches_mpmath():
+    # y = (kappa w0)^2/4 in [1e9, 3.9e9], where scipy.special.ive returns NaN;
+    # 3.9e9 is about the Bessel domain limit kappa 8 w0 <= 1e6
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(59)
+    cases = [(0, 1e9), (64, 1e9), (-64, 3.9e9), (1, 3.9e9)]
+    cases += [(int(rng.integers(-64, 65)), float(rng.uniform(1e9, 3.9e9))) for _ in range(8)]
+    for l_gamma, y in cases:
+        spin = 1 if l_gamma >= 0 else -1
+        beam = make_beam(m=l_gamma + spin, spin=spin, energy=DEUTERON_BINDING_EV, theta=0.1)
+        kappa = transverse_wavenumber(beam)
+        beam = make_beam(m=l_gamma + spin, spin=spin, energy=DEUTERON_BINDING_EV, theta=0.1,
+                         w0=2.0 * math.sqrt(y) / kappa)
+        w0 = beam.envelope_w0
+        y = 0.25 * (kappa * w0) ** 2
+        oracle = 0.25 * w0 * w0 * float(mpmath.besseli(abs(l_gamma), y) * mpmath.exp(-y))
+        assert radial_intensity_total(beam) == pytest.approx(oracle, rel=1e-14)
 
 
 def test_bessel_gauss_norm_not_normalizable():

@@ -211,6 +211,30 @@ def test_focus_fraction_runs():
     assert 0.0 <= fraction <= 1.0
 
 
+def test_focus_fraction_beyond_scipy_ive_range(capsys):
+    # w0 = 62 nm puts y = (kappa w0)^2/4 at 3.1e9, where scipy.special.ive
+    # returns NaN; oracle: quad over [0, b*] (kappa b* ~ 1) over mpmath's total
+    import mpmath
+    from scipy.integrate import quad
+    from scipy.special import jv
+
+    from twistkick.beam import TwistedPhotonBeam, transverse_wavenumber
+    from twistkick.recoil_kinematics import ratio_cut_radius
+    from twistkick.units import DEUTERON_BINDING_EV
+
+    status, out, err = run_main(capsys, "focus-fraction", "--w0-pm", "6.2e4")
+    assert status == 0, err
+    header, rows = parse_csv(out)
+    beam = TwistedPhotonBeam(2, 1, DEUTERON_BINDING_EV, 0.1, envelope_w0=62.0)
+    kappa, w0 = transverse_wavenumber(beam), beam.envelope_w0
+    inner, _ = quad(lambda rho: jv(1, kappa * rho) ** 2 * math.exp(-2.0 * (rho / w0) ** 2) * rho,
+                    0.0, ratio_cut_radius(beam, 1, 0.1), epsabs=0.0, epsrel=1e-13)
+    mpmath.mp.dps = 30
+    y = 0.25 * (kappa * w0) ** 2
+    total = 0.25 * w0 * w0 * float(mpmath.besseli(1, y) * mpmath.exp(-y))
+    assert rows[0][header.index("fraction [1]")] == pytest.approx(inner / total, rel=1e-10)
+
+
 def test_beam_fit_runs():
     cp = run_cli("beam-fit", "--factor", "10")
     assert cp.returncode == 0, cp.stderr

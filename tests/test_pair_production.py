@@ -255,7 +255,7 @@ def test_fit_checks_global_peak_against_b(monkeypatch, offset, fails):
         assert fit_beam_for_threshold_factor(10.0, 2.5).peak_radius == b * (1.0 + offset)
 
 
-@pytest.mark.parametrize("l_gamma, w0_over_b", [(5, 1000.0), (1, 1e4), (64, 10.0)])
+@pytest.mark.parametrize("l_gamma, w0_over_b", [(5, 1000.0), (1, 1e4), (64, 10.0), (5, 1e5)])
 def test_fit_wide_envelope_peaks_at_b(l_gamma, w0_over_b):
     fit = fit_beam_for_threshold_factor(10.0, 2.5, l_gamma, w0_over_b)
     assert abs(fit.peak_radius - fit.impact_parameter) <= 1e-12 * fit.impact_parameter
@@ -279,7 +279,7 @@ def test_fit_grid_check_sees_a_larger_lobe_than_b(monkeypatch):
     lambda l_gamma: pair_threshold(PairThresholdQuery(2.5, 1e-6, 1e-4, l_gamma)),
     lambda l_gamma: fit_beam_for_threshold_factor(10.0, 2.5, l_gamma),
 ], ids=["crossover_product", "pair_threshold", "fit_beam_for_threshold_factor"])
-@pytest.mark.parametrize("l_gamma", [1.5, math.nan])
+@pytest.mark.parametrize("l_gamma", [1.5, math.nan, pytest.param(10**400, id="10**400")])
 def test_non_integer_l_gamma_is_domain_error(call, l_gamma):
     with pytest.raises(DomainError) as err:
         call(l_gamma)

@@ -212,7 +212,9 @@ def test_pair_threshold_does_not_rise_with_pitch(omega2, b, l_gamma, thetas):
     assert all(a >= c for a, c in zip(thresholds, thresholds[1:]))
 
 
-FUZZ_VALUES = ("0", "-1", "1e300", "1e-300", "7")
+# beyond the float range, where `int * float` raises OverflowError
+HUGE_INT = "1" + "0" * 400
+FUZZ_VALUES = ("0", "-1", "1e300", "1e-300", "7", HUGE_INT)
 
 
 def _numeric_flags():
@@ -258,6 +260,11 @@ def numeric_argv(draw):
 @example(argv=["beam-fit", "--w0-over-b", "1e-300"])
 @example(argv=["focus-fraction", "--w0-pm", "1e300", "--pitch-rad", "0"])
 @example(argv=["ion-recoil", "--lambda-nm", "1e-300", "--b-nm", "7", "--mass-mev", "1e300"])
+@example(argv=["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1", "--l-gamma", HUGE_INT])
+@example(argv=["ion-recoil", "--b-nm", "7", "--m-gamma", HUGE_INT])
+@example(argv=["trap-jump", "--b-nm", "7", "--nu", HUGE_INT])
+@example(argv=["focus-fraction", "--w0-pm", "7", "--delta-l", HUGE_INT])
+@example(argv=["reproduce", "--figure", "fig2a", "--set", "theta_k=" + HUGE_INT])
 def test_every_numeric_argv_ends_in_finite_csv_or_coded_error(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -110,6 +110,12 @@ def test_array_matches_scalar():
     for n in (-3, 0, 1, 5):
         scalars = np.array([bessel_j(n, float(x)) for x in xs])
         assert np.array_equal(bessel_j_array(n, xs), scalars)
+    # an order column broadcast against the arguments: one call, every order
+    orders = np.arange(-4, 5)
+    table = bessel_j_array(orders[:, None], xs)
+    assert table.shape == (orders.size, xs.size)
+    for n, row in zip(orders.tolist(), table):
+        assert np.array_equal(row, [bessel_j(n, float(x)) for x in xs])
 
 
 def test_bessel_domain_errors():

@@ -256,7 +256,7 @@ def test_override_types_checked_against_defaults():
     with pytest.raises(DomainError) as info:
         run_sweep(SweepSpec("fig7", overrides={"m_gamma": 1.0}))
     assert info.value.code == "PARAMETER_TYPE"
-    for bad in ("0.1", True, float("nan"), None):
+    for bad in ("0.1", True, float("nan"), None, 10**400):
         with pytest.raises(DomainError) as info:
             run_sweep(SweepSpec("fig2a", overrides={"theta_k": bad}))
         assert info.value.code == "PARAMETER_TYPE"

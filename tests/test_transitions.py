@@ -16,9 +16,10 @@ from twistkick.transitions import (
     recoil_ratio,
     recoil_ratio_array,
     sublevel_profile,
-    transition_amplitudes,
 )
 from twistkick.units import wavelength_to_energy
+
+from oracles import dict_sublevel_distribution
 
 E397 = wavelength_to_energy(397.0)
 
@@ -60,7 +61,7 @@ def test_channel_validation():
 def test_amplitudes_vortex_center_selection():
     # at b = 0 only the Bessel order 0 survives: m_f = m_gamma
     beam = make_beam(2)
-    dist = transition_amplitudes(beam, TransitionChannel(2), 0.0)
+    dist = excitation_probabilities(beam, TransitionChannel(2), 0.0)
     assert dist.amplitudes[2.0] != 0.0
     for m_f, amp in dist.amplitudes.items():
         if m_f != 2.0:
@@ -70,7 +71,7 @@ def test_amplitudes_vortex_center_selection():
 def test_amplitudes_paraxial_selection():
     # theta_k = 0 with m_gamma = Lambda: only dm = Lambda survives
     beam = make_beam(1, theta=0.0)
-    dist = transition_amplitudes(beam, TransitionChannel(1), 123.0)
+    dist = excitation_probabilities(beam, TransitionChannel(1), 123.0)
     assert dist.amplitudes[1.0] == 1.0
     assert dist.amplitudes[0.0] == 0.0
     assert dist.amplitudes[-1.0] == 0.0
@@ -81,7 +82,7 @@ def test_amplitude_ratios_against_series_oracle():
     beam = make_beam(2, theta=0.1)
     kappa = transverse_wavenumber(beam)
     b = 2.0 / kappa
-    dist = transition_amplitudes(beam, TransitionChannel(1), b)
+    dist = excitation_probabilities(beam, TransitionChannel(1), b)
     for dm in (-1, 0, 1):
         oracle = float(jv(2 - dm, 2.0)) * d_oracle(1, dm, 1, 0.1)
         assert dist.amplitudes[float(dm)] == pytest.approx(oracle, rel=1e-10)
@@ -324,16 +325,14 @@ def test_mirror_symmetry_property_exact():
 # --- array kernel against the per-point dict path ------------------------------
 
 def _oracle_row(beam, channel, b):
-    """(code, lz_cm) of one row from excitation_probabilities alone."""
+    """(code, amplitudes, weights, lz_cm) of one row from the dict oracle."""
     try:
-        dist = excitation_probabilities(beam, channel, b)
-    except DomainError as exc:
-        return exc.code, None
-    except UndefinedDistributionError as exc:
-        return exc.code, None
+        amplitudes, _, weights = dict_sublevel_distribution(beam, channel, b)
+    except (DomainError, UndefinedDistributionError) as exc:
+        return exc.code, None, None, None
     mi = channel.m_initial
-    internal = math.fsum((m_f - mi) * w for m_f, w in dist.weights.items())
-    return "", beam.m_gamma - internal
+    internal = math.fsum((m_f - mi) * w for m_f, w in weights.items())
+    return "", list(amplitudes.values()), list(weights.values()), beam.m_gamma - internal
 
 
 def test_am_partition_matches_dict_oracle():
@@ -353,7 +352,7 @@ def test_am_partition_matches_dict_oracle():
         partition = am_partition(beam, channel, b)
         ratio, ratio_errors = recoil_ratio_array(beam, channel, b)
         for i, b_i in enumerate(b):
-            code, lz_cm = _oracle_row(beam, channel, float(b_i))
+            code, amplitudes, weights, lz_cm = _oracle_row(beam, channel, float(b_i))
             assert partition.errors[i] == code, (draw, b_i)
             if b_i == 0.0:
                 assert ratio_errors[i] == "B_SINGULARITY"
@@ -361,7 +360,10 @@ def test_am_partition_matches_dict_oracle():
                 assert ratio_errors[i] == code
             if code:
                 assert math.isnan(partition.lz_cm[i]) and math.isnan(ratio[i])
+                assert np.isnan(partition.weights[:, i]).all()
                 continue
+            assert partition.amplitudes[:, i].tolist() == amplitudes
+            assert partition.weights[:, i].tolist() == weights
             assert partition.lz_cm[i] == pytest.approx(lz_cm, abs=1e-12)
             if b_i > 0.0:
                 scale = beam.wavelength / (2.0 * math.pi * b_i)
@@ -379,6 +381,9 @@ def test_am_partition_error_codes():
     assert list(partition.errors) == ["DOMAIN", "UNDEFINED_DISTRIBUTION", "", "DOMAIN",
                                       "DOMAIN", "DOMAIN"]
     assert np.isnan(partition.weights[:, [0, 1, 3]]).all()
+    # amplitudes: NaN on DOMAIN rows, the true zeros on the undefined row
+    assert np.isnan(partition.amplitudes[:, [0, 3, 4, 5]]).all()
+    assert (partition.amplitudes[:, 1] == 0.0).all()
     assert math.fsum(partition.weights[:, 2]) == pytest.approx(1.0, abs=1e-15)
     _, ratio_errors = recoil_ratio_array(beam, channel, b)
     assert list(ratio_errors) == ["B_SINGULARITY", "B_SINGULARITY", "", "DOMAIN",
