@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, QuadratureError
-from .special_functions import bessel_first_max, bessel_j, bessel_j_array, \
-    check_bessel_domain, scipy_bessel
+from .errors import ConfigurationError, DomainError, QuadratureError, shown
+from .special_functions import bessel_i_scaled_orders, bessel_j, bessel_j_array, \
+    check_bessel_domain, first_lobe_peak_argument
 from .units import HBARC_EV_NM, check_float_range, energy_to_wavelength
 
 #: Pitch angle used by figure sweeps when none is specified.  The value is a
@@ -50,7 +50,7 @@ class TwistedPhotonBeam:
             raise DomainError(f"energy must be positive and finite, got {self.energy}")
         if not 0.0 <= self.pitch_angle < 0.5 * math.pi:
             raise DomainError(
-                f"pitch angle must lie in [0, pi/2), got {self.pitch_angle}"
+                f"pitch angle must lie in [0, pi/2), got {shown(self.pitch_angle)}"
             )
         if self.envelope_w0 is not None and not 0.0 < self.envelope_w0 < math.inf:
             raise DomainError(
@@ -150,21 +150,23 @@ _MIN_PANELS = 8
 _PANEL_CHUNK = 4096
 
 
-def _composite_gl(beam: TwistedPhotonBeam, upper: float, panels: int) -> float:
-    h = upper / panels
+def _composite_gl(beam: TwistedPhotonBeam, lower: float, upper: float, panels: int) -> float:
+    h = (upper - lower) / panels
     offsets = 0.5 * (_GL_X + 1.0)
     total = 0.0
     for start in range(0, panels, _PANEL_CHUNK):
         index = np.arange(start, min(start + _PANEL_CHUNK, panels))
-        rho = h * (index[:, None] + offsets)
+        rho = lower + h * (index[:, None] + offsets)
         amp = bessel_gauss_amplitude(beam, rho)
         total += float(np.sum(amp * amp * rho * _GL_W))
     return 0.5 * h * total
 
 
-def radial_intensity_integral(beam: TwistedPhotonBeam, upper: float) -> tuple[float, float]:
-    """Integral of |psi(rho)|^2 rho d rho over [0, upper] (nm), unnormalized,
-    with an error estimate.
+def radial_intensity_integral(
+    beam: TwistedPhotonBeam, upper: float, lower: float = 0.0
+) -> tuple[float, float]:
+    """Integral of |psi(rho)|^2 rho d rho over [lower, upper] (nm),
+    unnormalized, with an error estimate.
 
     Composite Gauss-Legendre: 16 nodes per panel on panels about one Bessel
     period 2 pi/kappa wide (at least 8).  The returned estimate is the change
@@ -172,9 +174,9 @@ def radial_intensity_integral(beam: TwistedPhotonBeam, upper: float) -> tuple[fl
     """
     kappa = transverse_wavenumber(beam)
     check_bessel_domain(beam.l_gamma, kappa * upper)
-    panels = max(_MIN_PANELS, math.ceil(kappa * upper / (2.0 * math.pi)))
-    coarse = _composite_gl(beam, upper, panels)
-    fine = _composite_gl(beam, upper, 2 * panels)
+    panels = max(_MIN_PANELS, math.ceil(kappa * (upper - lower) / (2.0 * math.pi)))
+    coarse = _composite_gl(beam, lower, upper, panels)
+    fine = _composite_gl(beam, lower, upper, 2 * panels)
     return fine, abs(fine - coarse)
 
 
@@ -182,10 +184,9 @@ def radial_intensity_total(beam: TwistedPhotonBeam) -> float:
     """Integral of |psi(rho)|^2 rho d rho over [0, inf) (nm^2), unnormalized.
 
     Weber's second exponential integral (DLMF 10.22.67) gives it in closed
-    form, (w0^2/4) exp(-y) I_l(y) with y = kappa^2 w0^2/4.  The accepted
-    inputs are those of :func:`radial_intensity_integral` over [0, 8 w0], so
-    y <= 3.9e9.  From y = 1e9 on, where ``scipy.special.ive`` turns NaN, the
-    four-term large-argument expansion (DLMF 10.40.1) replaces it.  A
+    form, (w0^2/4) exp(-y) I_l(y) with y = kappa^2 w0^2/4, from
+    :func:`bessel_i_scaled_orders`.  The accepted inputs are those of
+    :func:`radial_intensity_integral` over [0, 8 w0], so y <= 3.9e9.  A
     QuadratureError is raised when the integral is zero (kappa = 0 with
     l_gamma != 0) or not finite.
     """
@@ -193,16 +194,7 @@ def radial_intensity_total(beam: TwistedPhotonBeam) -> float:
     kappa = transverse_wavenumber(beam)
     l = abs(beam.l_gamma)
     check_bessel_domain(l, kappa * 8.0 * w0)
-    y = 0.25 * (kappa * w0) ** 2
-    if y < 1e9:
-        scaled = float(scipy_bessel()[1](l, y))
-    else:  # the next term is below 1e-23 relative for l <= 64
-        term = series = 1.0
-        for k in (1, 2, 3):
-            term *= -(4.0 * l * l - (2 * k - 1) ** 2) / (8.0 * k * y)
-            series += term
-        scaled = series / math.sqrt(2.0 * math.pi * y)
-    value = 0.25 * w0 * w0 * scaled
+    value = 0.25 * w0 * w0 * float(bessel_i_scaled_orders(l, 0.25 * (kappa * w0) ** 2)[l])
     if not 0.0 < value < math.inf:  # NaN where w0^2 overflows and I_l(y) = 0
         raise QuadratureError(
             f"profile is not normalizable: its integral at w0 = {w0:g} nm is "
@@ -215,28 +207,6 @@ def bessel_gauss_norm(beam: TwistedPhotonBeam) -> float:
     """Constant A with integral |A psi|^2 2 pi rho d rho = 1, from
     :func:`radial_intensity_total`."""
     return 1.0 / math.sqrt(2.0 * math.pi * radial_intensity_total(beam))
-
-
-def first_lobe_peak_argument(l_gamma: int, envelope_slope) -> float:
-    """The root x below the first maximum j'_{l,1} of J_l, l = |l_gamma| >= 1,
-    of x J_{l-1}(x)/J_l(x) = l + s(x): the first-lobe stationary point of
-    J_l(x) times an envelope of log-slope -s(x) = x d/dx ln(envelope).  There
-    x J_l'/J_l = x J_{l-1}/J_l - l falls from l to 0, so for a non-negative,
-    non-decreasing s = ``envelope_slope`` the root is unique; bisection finds
-    it to the last bit.  Where J_l underflows to 0, the ratio takes its
-    small-x limit 2l."""
-    l = abs(l_gamma)
-    lo, hi = 0.0, bessel_first_max(l)[0]
-    x = 0.5 * hi
-    while lo < x < hi:
-        j_l = bessel_j(l, x)
-        ratio = x * bessel_j(l - 1, x) / j_l if j_l else 2.0 * l
-        if ratio > l + envelope_slope(x):
-            lo = x
-        else:
-            hi = x
-        x = 0.5 * (lo + hi)
-    return x
 
 
 def profile_peak_radius(beam: TwistedPhotonBeam) -> float:

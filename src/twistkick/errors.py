@@ -4,6 +4,18 @@ Every error carries a short machine-readable ``code`` so the CLI can report
 failures in a stable, grep-able form on stderr.
 """
 
+import math
+
+
+def shown(value) -> str:
+    """``value`` as error text: a string quoted, an integer of more than 20
+    digits named by its length instead of echoed digit for digit."""
+    if isinstance(value, int) and abs(value) >= 10**20:
+        digits = int(math.log10(abs(value)))  # may round across a power of ten
+        digits += (10 ** (digits + 1) <= abs(value)) - (10**digits > abs(value))
+        return f"an integer of {digits + 1} digits"
+    return repr(value) if isinstance(value, str) else str(value)
+
 
 class TwistkickError(Exception):
     """Base class for all errors raised by this package."""

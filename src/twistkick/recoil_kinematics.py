@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import units
 from .beam import TwistedPhotonBeam, longitudinal_momentum, radial_intensity_integral, \
     radial_intensity_total, superkick
-from .errors import DomainError, QuadratureError, SolverError
+from .errors import DomainError, QuadratureError, SolverError, shown
 from .units import DEUTERON_BINDING_EV, DEUTERON_MASS_EV, nonrel_recoil_energy
 
 
@@ -122,7 +122,8 @@ def deuteron_threshold(
     delta_l_cm = int(beam.m_gamma) - int(internal_am_absorbed)
     if delta_l_cm < 0:
         raise DomainError(
-            f"internal AM {internal_am_absorbed} exceeds the photon's m_gamma={beam.m_gamma}"
+            f"internal AM {shown(internal_am_absorbed)} exceeds the photon's "
+            f"m_gamma={beam.m_gamma}"
         )
     target = TargetParticle(mass=DEUTERON_MASS_EV, impact_parameter=b)
     return absorption_energy(DEUTERON_BINDING_EV, target, delta_l_cm)
@@ -158,7 +159,9 @@ def focus_fraction(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float) -
     :func:`radial_intensity_total`; the inner integral over [0, b*] uses the
     composite Gauss-Legendre rule of :func:`radial_intensity_integral`, and a
     QuadratureError is raised when its panel-doubling error estimate exceeds
-    1e-8 of the total.
+    1e-8 of the total.  Where the inner integral holds more than half of the
+    total, the fraction is 1 minus the integral over [b*, 8 w0] over the
+    total, from the same rule.
     """
     b_star = ratio_cut_radius(beam, delta_l_cm, ratio_cut)
     w0 = beam.envelope_w0
@@ -172,6 +175,12 @@ def focus_fraction(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float) -
     inner, err_i = radial_intensity_integral(beam, b_star)
     if err_i > 1e-8 * total:
         raise QuadratureError(f"inner profile integral stalled at error {err_i:g}")
-    # the inner rule and the closed-form total round differently; when
-    # [0, b*] already holds all the mass their ratio can land an ulp above 1
-    return min(inner / total, 1.0)
+    if inner <= 0.5 * total:
+        return inner / total
+    # most of the mass lies inside b*: the fraction comes from the smaller
+    # mass beyond it, which keeps its digits next to 1 (the rule and the
+    # closed-form total round differently by a few ulp)
+    outer, err_o = radial_intensity_integral(beam, 8.0 * w0, b_star)
+    if err_o > 1e-8 * total:
+        raise QuadratureError(f"outer profile integral stalled at error {err_o:g}")
+    return 1.0 - outer / total

@@ -1,20 +1,44 @@
-"""Integer-order Bessel functions J_n and Wigner small-d rotation elements.
+"""Integer-order Bessel functions J_n and e^{-x} I_n, the first-lobe peak of
+J_n, and Wigner small-d rotation elements.
 
-This is the only transcendental machinery the physics modules need.
+This is the only transcendental machinery the physics modules need, and it
+is numpy alone.
 
-``bessel_j`` and ``bessel_j_array`` are thin wrappers over
-``scipy.special.jv`` that enforce the package contract (integer order
-|n| <= 64, finite argument |x| <= 1e6) and canonicalize signs through
-J_{-n}(x) = (-1)^n J_n(x) = J_n(-x), so sign-flipped calls share
-bit-identical magnitudes.
+**J_0 ... J_n at once** (:func:`bessel_j_orders`).  Three-term recurrences
+give every order of one argument for the price of one (Gautschi, SIAM Rev.
+9 (1967) 24; DLMF 3.6):
 
-``scipy.special`` is bound lazily.  Importing it takes about 0.3 s, more
-than the rest of a CLI call that needs no Bessel function (the ion recoil,
-the deuteron and pair thresholds, the crossover), so no module imports it
-at load time.  :func:`scipy_bessel` imports it on the first Bessel
-evaluation and caches ``jv`` and ``ive`` in a module global; every Bessel
-evaluation in the package, here and in :mod:`.beam` and :mod:`.trap`, goes
-through it.
+- Where x < 25, or where an order exceeds x, Miller's backward recurrence
+  runs from an order far enough above max(n, x) that the truncation has
+  died out, two orders a step on the ratios x J_{k-1}/J_k and
+  x^2 J_{k-2}/J_k, and is normalised by J_0 + 2 sum_k J_{2k} = 1 (DLMF
+  10.12.4).  The scaled ratios neither overflow nor vanish, so tiny
+  arguments need no rescaling.
+- For x >= 25 and every order below x, J_0 and J_1 come from Hankel's
+  expansion (DLMF 10.17.3) and the forward recurrence, which is stable while
+  the order stays below x.
+
+The start order of the backward recurrence depends on the argument only
+through its octave (2^(e-1) <= x < 2^e, all x < 4 alike), so an array of
+arguments runs one recurrence per octave.  ``bessel_j`` and
+``bessel_j_array`` read orders 0...8 from tables of top order 8 and orders
+9...64 from tables of top order 64, so a value never depends on the other
+orders or arguments of the call: the scalar and the array function agree
+bit for bit.  Both enforce the package contract (integer order |n| <= 64,
+finite argument |x| <= 1e6) and canonicalize signs through
+J_{-n}(x) = (-1)^n J_n(x) = J_n(-x).
+
+**e^{-x} I_0 ... I_n** (:func:`bessel_i_scaled_orders`).  The same backward
+recurrence, I_k/I_{k-1} = 1/(2k/x + I_{k+1}/I_k), normalised by
+e^{-x} (I_0 + 2 sum_k I_k) = 1 (DLMF 10.35.5).  Beyond x = 4 n^2 + 1e3 the
+large-argument expansion (DLMF 10.40.1) gives the top two orders and the
+backward recurrence, which only adds there, the rest.
+
+**First maximum of J_n** (:func:`bessel_first_max`): the root of
+x J_{n-1} = n J_n, the stationary point that
+:func:`first_lobe_peak_argument` finds by bisection on the ratio
+x J_{n-1}/J_n = 2n - x J_{n+1}/J_n, itself a backward recurrence that needs
+no normalisation.
 
 ``wigner_small_d`` evaluates the finite explicit sum in the Condon-Shortley
 convention; the factorial coefficients of each (j, m', m) are computed once
@@ -29,22 +53,177 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 1.0e6
 
-_SCIPY_BESSEL = None
+#: from here on J_0 and J_1 come from Hankel's expansion
+HANKEL_MIN_X = 25.0
+#: top orders of the tables ``bessel_j`` and ``bessel_j_array`` read from
+_BANDS = (8, MAX_ORDER)
 
 
-def scipy_bessel():
-    """``(jv, ive)`` from ``scipy.special``, imported on the first call and
-    cached, so later calls cost one global lookup."""
-    global _SCIPY_BESSEL
-    if _SCIPY_BESSEL is None:
-        from scipy.special import ive, jv
-        _SCIPY_BESSEL = jv, ive
-    return _SCIPY_BESSEL
+def _hankel_coefficients(nu: int, terms: int) -> tuple[list[float], list[float]]:
+    # (-1)^k a_{2k}(nu) and (-1)^k a_{2k+1}(nu) of DLMF 10.17.3, as Horner
+    # coefficients in 1/x^2, highest first
+    a = [1.0]
+    for k in range(1, 2 * terms):
+        a.append(a[-1] * (4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    even = [(-1) ** k * a[2 * k] for k in range(terms)]
+    odd = [(-1) ** k * a[2 * k + 1] for k in range(terms)]
+    return even[::-1], odd[::-1]
+
+
+# 15 terms each put the truncation below 1e-17 of J at x = 25
+_HANKEL = [_hankel_coefficients(nu, 15) for nu in (0, 1)]
+
+
+def _hankel_j01(x):
+    """J_0(x) and J_1(x) for x >= 25 from Hankel's expansion, with the phases
+    x - pi/4 and x - 3 pi/4 taken through cos x and sin x."""
+    w = 1.0 / (x * x)
+    pq = []
+    for even, odd in _HANKEL:
+        p = q = 0.0
+        for c_even, c_odd in zip(even, odd):
+            p = p * w + c_even
+            q = q * w + c_odd
+        pq.append((p, q / x))
+    (p0, q0), (p1, q1) = pq
+    c, s = np.cos(x), np.sin(x)
+    scale = 1.0 / np.sqrt(np.pi * x)
+    return scale * (p0 * (c + s) - q0 * (s - c)), scale * (p1 * (s - c) + q1 * (s + c))
+
+
+def _forward(n_max: int, x) -> list:
+    """J_0 ... J_{n_max}(x), x >= max(25, n_max): Hankel, then upward."""
+    j0, j1 = _hankel_j01(x)
+    values = [j0, j1]
+    for k in range(1, n_max):
+        values.append(2 * k / x * values[k] - values[k - 1])
+    return values[:n_max + 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _start_order(n: int, x: float) -> int:
+    """Even order from which the backward recurrence reaches orders <= n at
+    arguments <= x with a truncation below 1e-17 of min(1, sqrt(2/(pi x)))
+    (fitted to the converged recurrence for n <= 340, x <= 512)."""
+    cube = 12.0 * x ** (1.0 / 3.0)
+    start = max(x + cube + 2.0, n + 8.0 + cube * min(1.0, x * x / max(n, 1) ** 2))
+    return 2 * math.ceil(0.5 * start)
+
+
+def _miller(n_max: int, x, start: int) -> list:
+    """J_0 ... J_{n_max}(x) by the backward recurrence from ``start`` (even),
+    two orders a step, normalised by J_0 + 2 sum J_2k = 1.
+
+    At even k the step carries t = x J_{k-1}/J_k = 2k - w t', d =
+    x^2 J_{k-2}/J_k = 2(k-1) t - x^2 and w = x^2/d = J_k/J_{k-2}, and the
+    sum s of J_j/J_k over even j >= k becomes 1 + s w.  Scaled by x these
+    neither overflow nor vanish as x -> 0, and each step divides once.
+    Where x lies within rounding of a zero of some J_k the recurrence
+    divides by zero: a float x raises ZeroDivisionError, an array element
+    comes out NaN (``0 * s`` turns an infinite sum into NaN)."""
+    x2 = x * x
+    t = w = 0.0 * x
+    s = 1.0 + t
+    pairs = [(t, t)] * ((n_max + 1) // 2)  # (J_{k-1}/J_{k-2}, J_k/J_{k-2}), k = 2, 4, ...
+    for k in range(start, 0, -2):
+        t = 2 * k - w * t
+        d = (2 * k - 2) * t - x2
+        w = x2 / d
+        s = s * w + 1.0
+        if k <= n_max + 1:
+            pairs[k // 2 - 1] = (x * t / d, w)
+    value = 1.0 / (2.0 * s - 1.0) + 0.0 * s
+    values = [value]
+    for odd, even in pairs:
+        values.append(value * odd)
+        value = value * even
+        values.append(value)
+    return values[:n_max + 1]
+
+
+def _miller_retry(n_max: int, x, start: int) -> list:
+    # _miller, at the next float up where x is (within rounding) a zero of
+    # some J_k; the scalar and the array path step alike
+    if np.ndim(x) == 0:
+        while True:
+            try:
+                return _miller(n_max, x, start)
+            except ZeroDivisionError:
+                x = math.nextafter(x, math.inf)
+    values = np.array(_miller(n_max, x, start))
+    bad = np.isnan(values[0]) & np.isfinite(x)  # a NaN argument stays NaN
+    while bad.any():
+        x = np.where(bad, np.nextafter(x, math.inf), x)
+        values[:, bad] = np.array(_miller(n_max, x[bad], start))
+        bad = np.isnan(values[0]) & np.isfinite(x)
+    return values
+
+
+def _octaves(x: np.ndarray) -> np.ndarray:
+    # the start-order argument of each x: 2^e with 2^(e-1) <= x < 2^e, at least 4
+    return np.maximum(np.ldexp(1.0, np.frexp(x)[1]), 4.0)
+
+
+def _j_list(n_max: int, x: float) -> list:
+    # bessel_j_orders at one argument, as a list
+    if x == 0.0:
+        return [1.0] + [0.0] * n_max
+    if x >= max(HANKEL_MIN_X, n_max):
+        return _forward(n_max, x)
+    octave = max(math.ldexp(1.0, math.frexp(x)[1]), 4.0)  # as _octaves
+    return _miller_retry(n_max, x, _start_order(n_max, octave))
+
+
+def bessel_j_orders(n_max: int, x) -> np.ndarray:
+    """J_0(x) ... J_{n_max}(x) for every argument x >= 0 (finite) of a scalar
+    or array ``x``: shape (n_max + 1,) + shape(x).
+
+    Miller's backward recurrence where x < max(25, n_max), Hankel's
+    expansion and the forward recurrence elsewhere (module docstring).  The
+    start order depends on n_max and on the octave of x, so a value depends
+    on n_max but not on the other arguments.  Absolute error below 5e-14 of
+    min(1, sqrt(2/(pi x))) for n_max <= 340.  No domain check: callers pass
+    |x| <= 1e6.
+    """
+    n_max = int(n_max)
+    if np.ndim(x) == 0:
+        return np.array(_j_list(n_max, float(x)), dtype=float)
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    table = np.empty((n_max + 1, flat.size))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        forward = flat >= max(HANKEL_MIN_X, n_max)
+        octaves = _octaves(flat)
+        groups = [(forward, None)] + [
+            (~forward & (octaves == octave), octave)
+            for octave in np.unique(octaves[~forward])]
+        for mask, octave in groups:
+            whole = bool(mask.all())
+            if not whole and not mask.any():
+                continue
+            xs = flat if whole else flat[mask]
+            if octave is None:
+                rows = _forward(n_max, xs)
+            else:
+                rows = _miller_retry(n_max, xs, _start_order(n_max, float(octave)))
+            if whole:
+                table[:] = rows
+            else:
+                table[:, mask] = rows
+    return table.reshape((n_max + 1,) + x.shape)
+
+
+def _band_table(n_top: int, x) -> np.ndarray:
+    # J_0 ... J_{n_top}(x), each order from the table of its band
+    low = bessel_j_orders(_BANDS[0], x)
+    if n_top <= _BANDS[0]:
+        return low[:n_top + 1]
+    return np.concatenate([low, bessel_j_orders(_BANDS[1], x)[_BANDS[0] + 1:n_top + 1]])
 
 
 def check_bessel_domain(n: int, x: float) -> None:
@@ -53,7 +232,7 @@ def check_bessel_domain(n: int, x: float) -> None:
     if not isinstance(n, (int, np.integer)):
         raise DomainError(f"Bessel order must be an integer, got {n!r}")
     if abs(int(n)) > MAX_ORDER:
-        raise DomainError(f"Bessel order |n| <= {MAX_ORDER} supported, got {n}")
+        raise DomainError(f"Bessel order |n| <= {MAX_ORDER} supported, got {shown(n)}")
     if not abs(x) <= MAX_ARGUMENT:
         got = x if math.isfinite(x) else "a non-finite value (an input overflows)"
         raise DomainError(f"Bessel argument |x| <= {MAX_ARGUMENT:g} supported, got {got}")
@@ -64,14 +243,13 @@ def bessel_j(n: int, x: float) -> float:
 
     The symmetries J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x) are
     applied before evaluation, so sign-flipped calls share bit-identical
-    arithmetic.  ``scipy.special.jv`` then evaluates J_|n|(|x|): absolute
-    error <= ~1e-13 for |x| <= 50, relative (to the envelope sqrt(2/pi x))
-    ~1e-12 beyond.
+    arithmetic; J_|n|(|x|) is read from :func:`bessel_j_orders` (absolute
+    error below 5e-14 of min(1, sqrt(2/(pi |x|)))).
     """
     check_bessel_domain(n, x)
     n = int(n)
-    jv, _ = scipy_bessel()
-    value = float(jv(abs(n), abs(x)))
+    top = _BANDS[0] if abs(n) <= _BANDS[0] else _BANDS[1]
+    value = float(_j_list(top, abs(float(x)))[abs(n)])
     # odd order: one sign flip for n < 0, another for x < 0
     return -value if n % 2 and (x < 0.0) != (n < 0) else value
 
@@ -80,8 +258,8 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`bessel_j`: J_n(x) with the integer order ``n`` (a
     scalar or an array) broadcast against the arguments ``x``.
 
-    One domain check over the largest order and argument, one
-    ``scipy.special.jv`` call on (|n|, |x|) and one ``np.where`` folding in
+    One domain check over the largest order and argument, one table of
+    every order up to the largest at |x| and one ``np.where`` folding in
     the signs, so each element is bit-identical to the scalar call; an order
     column of shape (k, 1) against x of shape (m,) gives the (k, m) table."""
     x = np.asarray(x, dtype=float)
@@ -90,31 +268,121 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     # beyond int64, goes to the check as given, which rejects it
     widest = int(order.flat[np.abs(order).argmax()]) if order.dtype.kind in "iu" else n
     check_bessel_domain(widest, float(np.abs(x).max()) if x.size else 0.0)
-    jv, _ = scipy_bessel()
-    values = jv(np.abs(order), np.abs(x))
+    table = _band_table(abs(widest), np.abs(x))
+    index = np.abs(order)
+    values = table[(index,) + np.ix_(*map(range, x.shape))] if index.ndim else table[index]
     # odd order: one sign flip for n < 0, another for x < 0
     return np.where((order % 2 == 1) & ((x < 0.0) != (order < 0)), -values, values)
+
+
+def bessel_i_scaled_orders(n_max: int, x: float) -> np.ndarray:
+    """e^{-x} I_0(x) ... e^{-x} I_{n_max}(x) at one argument x >= 0.
+
+    Below x = 4 n_max^2 + 1e3 the backward ratio recurrence runs from an
+    order where I_k/I_{n_max} < 1e-20 and is normalised by
+    e^{-x}(I_0 + 2 sum_k I_k) = 1; beyond it, the large-argument expansion
+    (DLMF 10.40.1) gives orders n_max and n_max + 1 and the recurrence
+    I_{k-1} = I_{k+1} + (2k/x) I_k the rest.  Relative error below 5e-14.
+    """
+    n_max, x = int(n_max), float(x)
+    if x == 0.0:
+        return np.array([1.0] + [0.0] * n_max)
+    if x > 4.0 * n_max * n_max + 1e3:
+        upper, top = (_i_scaled_expansion(nu, x) for nu in (n_max + 1, n_max))
+        values = [top]
+        for k in range(n_max, 0, -1):
+            upper, top = top, upper + 2 * k / x * top
+            values.append(top)
+        return np.array(values[::-1])
+    start = 2 * math.ceil(0.5 * math.sqrt(n_max * n_max + 92.0 * x)) + 10
+    p = 0.0
+    s = 1.0
+    ratios = [p] * (n_max + 1)  # I_{k+1}/I_k at index k
+    for k in range(start, 0, -2):
+        q = 1.0 / (2 * k / x + p)  # I_k / I_{k-1}
+        p = 1.0 / ((2 * k - 2) / x + q)  # I_{k-1} / I_{k-2}
+        s = 1.0 + (1.0 + s * q) * p
+        if k <= n_max + 1:
+            ratios[k - 1] = q
+            ratios[k - 2] = p
+    value = 1.0 / (2.0 * s - 1.0)
+    values = [value]
+    for p in ratios[:n_max]:
+        value = value * p
+        values.append(value)
+    return np.array(values)
+
+
+def _i_scaled_expansion(nu: int, x: float) -> float:
+    # DLMF 10.40.1 summed until a term is below 1e-17 of the sum; for
+    # x > 4 nu^2 + 1e3 the terms fall at least eightfold per order
+    term = total = 1.0
+    k = 0
+    while abs(term) > 1e-17 * total:
+        k += 1
+        term *= -(4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        total += term
+    return total / math.sqrt(2.0 * math.pi * x)
+
+
+def _first_lobe_bracket(l: int) -> float:
+    # between the first maximum j'_{l,1} ~ l + 0.81 l^(1/3) and the first zero
+    # j_{l,1} ~ l + 1.86 l^(1/3) of J_l; tests check it for l = 1...64
+    return l + 1.33 * l ** (1.0 / 3.0)
+
+
+def _lobe_ratio(l: int, x: float, start: int) -> float:
+    # x J_{l-1}(x)/J_l(x) = 2l - x J_{l+1}(x)/J_l(x), the ratio from the
+    # backward recurrence from ``start`` (x > 0)
+    q = 0.0
+    for k in range(start, l, -1):
+        q = 1.0 / (2 * k / x - q)
+    return 2.0 * l - x * q
+
+
+def first_lobe_peak_argument(l_gamma: int, envelope_slope) -> float:
+    """The root x below the first maximum j'_{l,1} of J_l, l = |l_gamma| in
+    1...64, of x J_{l-1}(x)/J_l(x) = l + s(x): the first-lobe stationary
+    point of J_l(x) times an envelope of log-slope -s(x) = x d/dx
+    ln(envelope).  There x J_l'/J_l = x J_{l-1}/J_l - l falls from l to 0,
+    so for a non-negative, non-decreasing s = ``envelope_slope`` the root is
+    unique; bisection from a bracket below the first zero of J_l finds it to
+    the last bit.  The ratio tends to 2l as x -> 0, so no underflow of J_l
+    can stop it."""
+    l = abs(int(l_gamma))
+    if not 1 <= l <= MAX_ORDER:
+        raise DomainError(f"first-lobe order 1 <= |l| <= {MAX_ORDER} supported, "
+                          f"got {shown(l_gamma)}")
+    lo, hi = 0.0, _first_lobe_bracket(l)
+    start = _start_order(l + 1, hi)
+    x = 0.5 * hi
+    while lo < x < hi:
+        if _lobe_ratio(l, x, start) > l + envelope_slope(x):
+            lo = x
+        else:
+            hi = x
+        x = 0.5 * (lo + hi)
+    return x
 
 
 def bessel_first_max(n: int) -> tuple[float, float]:
     """Location and value of the first (global) maximum of |J_n| on x >= 0.
 
     For n = 0 the maximum sits at x = 0; for n >= 1 it is the first zero
-    j'_{n,1} of J_n', from ``scipy.special.jnp_zeros`` (within 1e-15
-    relative of mpmath's ``besseljzero(n, 1, derivative=1)`` for
-    n = 1...64).  Results are cached per order.
+    j'_{n,1} of J_n', the root of x J_{n-1} = n J_n that
+    :func:`first_lobe_peak_argument` finds with a zero envelope slope.
+    Results are cached per order.
     """
     n = abs(int(n))
     if n > MAX_ORDER:
-        raise DomainError(f"Bessel order |n| <= {MAX_ORDER} supported, got {n}")
+        raise DomainError(f"Bessel order |n| <= {MAX_ORDER} supported, got {shown(n)}")
     cached = _FIRST_MAX_CACHE.get(n)
     if cached is not None:
         return cached
     if n == 0:
         result = (0.0, 1.0)
     else:
-        from scipy.special import jnp_zeros
-        x = float(jnp_zeros(n, 1)[0])
+        x = first_lobe_peak_argument(n, lambda x: 0.0)
         result = (x, bessel_j(n, x))
     _FIRST_MAX_CACHE[n] = result
     return result

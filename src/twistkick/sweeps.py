@@ -27,12 +27,12 @@ import numpy as np
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
-from .errors import DomainError, TwistkickError
+from .errors import DomainError, TwistkickError, shown
 from .pair_production import PairThresholdQuery, crossover_product, pair_threshold, \
     fit_beam_for_threshold_factor, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, deuteron_threshold, \
     transverse_recoil_energy
-from .transitions import TransitionChannel, am_partition, raise_first_row_error, \
+from .transitions import TransitionChannel, am_partitions, raise_first_row_error, \
     recoil_ratio_array, sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
@@ -133,15 +133,15 @@ def _per_point(build_row):
     return build
 
 
-def _lz_cm_array(beam, channel, b):
-    partition = am_partition(beam, channel, b)
+def _lz_cm_array(beam, channel, b, partition):
     return partition.lz_cm, partition.errors
 
 
 def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
-    # one column of kernel(beam, channel, b) -> (values, errors) per m_gamma,
-    # b in wavelengths; a row takes the first error code of its columns, or
-    # with strict raises that column's error
+    # one column of kernel(beam, channel, b, partition) -> (values, errors)
+    # per m_gamma, the partitions of all three from one Bessel table, b in
+    # wavelengths; a row takes the first error code of its columns, or with
+    # strict raises that column's error
     def build(params, xs, strict=False):
         wavelength = params["lambda_nm"]
         energy = wavelength_to_energy(wavelength)
@@ -153,8 +153,8 @@ def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
         b = xs * wavelength
         columns = [xs]
         errors = np.full(len(xs), "", dtype=object)
-        for beam in beams:
-            values, beam_errors = kernel(beam, channel, b)
+        for beam, partition in zip(beams, am_partitions(beams, channel, b)):
+            values, beam_errors = kernel(beam, channel, b, partition)
             if strict:
                 raise_first_row_error(beam_errors, beam, channel, b)
             columns.append(values)
@@ -364,7 +364,7 @@ def _check_override_type(figure_id: str, key: str, value, default) -> None:
         expected = "a finite number"
     if not ok:
         raise DomainError(
-            f"figure {figure_id!r} parameter {key!r} expects {expected}, got {value!r}",
+            f"figure {figure_id!r} parameter {key!r} expects {expected}, got {shown(value)}",
             code="PARAMETER_TYPE",
         )
 

@@ -18,10 +18,11 @@ mass, whose recoil is the superkick.
 
 :func:`am_partition` is the one implementation of the distribution: it
 takes a whole array of impact parameters, evaluates the 2J+1 Wigner d once
-and all 2J+1 Bessel orders in one array call, and returns the amplitudes,
-weights and internal and c.m. means with a per-row error code instead of
-raising, so a figure sweep is evaluated over its whole grid at once and
-drops exactly the rows that carry a code.  The scalar
+and all 2J+1 Bessel orders in one array call (:func:`am_partitions` makes
+one call for several beams of one transverse wavenumber), and returns the
+amplitudes, weights and internal and c.m. means with a per-row error code
+instead of raising, so a figure sweep is evaluated over its whole grid at
+once and drops exactly the rows that carry a code.  The scalar
 :func:`excitation_probabilities`, :func:`mean_internal_am`,
 :func:`mean_cm_am` and :func:`recoil_ratio` are one-row views that raise
 what the code names.
@@ -125,27 +126,56 @@ def am_partition(
     impact parameter of the 1-D array ``b`` (nm), with a per-row error code
     in place of an exception.
 
-    This is the package's one implementation of the distribution.  The 2J+1
-    Wigner d form one column and all 2J+1 Bessel orders come from one
-    :func:`bessel_j_array` call.  Squared amplitudes are summed in +-dm pairs
-    and the means accumulated from dm = 1 up, so a global sign mirror of the
-    quantum numbers gives bit-identical weights.
+    This is the package's one implementation of the distribution
+    (:func:`am_partitions` for one beam).  The 2J+1 Wigner d form one column
+    and all 2J+1 Bessel orders come from one :func:`bessel_j_array` call.
+    Squared amplitudes are summed in +-dm pairs and the means accumulated
+    from dm = 1 up, so a global sign mirror of the quantum numbers gives
+    bit-identical weights.
     """
+    return am_partitions([beam], channel, b)[0]
+
+
+def am_partitions(
+    beams, channel: TransitionChannel, b
+) -> list[AmPartition]:
+    """:func:`am_partition` of each of ``beams``, which share one transverse
+    wavenumber (the m_gamma series of an AM panel), from one
+    :func:`bessel_j_array` call for every order they need."""
     b = np.asarray(b, dtype=float)
     j = channel.j_int
-    if abs(beam.m_gamma) + j > MAX_ORDER:  # the widest order m_gamma -+ J
-        nan = np.full((2 * j + 1,) + b.shape, np.nan)
-        return AmPartition(amplitudes=nan, weights=nan, lz_internal=nan[0], lz_cm=nan[0],
-                           errors=np.full(b.shape, "DOMAIN", dtype=object))
-    d = np.array([wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
-                  for dm in range(-j, j + 1)])
+    kappa = transverse_wavenumber(beams[0])
+    if any(transverse_wavenumber(beam) != kappa for beam in beams):
+        raise DomainError("am_partitions needs beams of one transverse wavenumber")
+    # a beam whose widest order m_gamma -+ J is beyond the Bessel range has
+    # every row coded
+    in_range = [abs(beam.m_gamma) + j <= MAX_ORDER for beam in beams]
     # an overflowing kappa b, inf * 0 (a NaN) and the NaN of an invalid row
     # are coded, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = transverse_wavenumber(beam) * b
+        x = kappa * b
         valid = (np.abs(x) <= MAX_ARGUMENT) & (b >= 0.0)  # False for NaN and inf
-        orders = np.array(_orders(beam, channel))[:, None]
-        amplitudes = bessel_j_array(orders, np.where(valid, x, 0.0)) * d[:, None]
+        if any(in_range):
+            orders = np.array([_orders(beam, channel)
+                               for beam, ok in zip(beams, in_range) if ok])
+            tables = iter(bessel_j_array(orders[:, :, None], np.where(valid, x, 0.0)))
+    return [_partition(beam, channel, valid, next(tables)) if ok
+            else _out_of_range(channel, b.shape) for beam, ok in zip(beams, in_range)]
+
+
+def _out_of_range(channel: TransitionChannel, shape) -> AmPartition:
+    nan = np.full((2 * channel.j_int + 1,) + shape, np.nan)
+    return AmPartition(amplitudes=nan, weights=nan, lz_internal=nan[0], lz_cm=nan[0],
+                       errors=np.full(shape, "DOMAIN", dtype=object))
+
+
+def _partition(beam, channel, valid, bessel) -> AmPartition:
+    # the distribution from the Bessel rows J_{m_gamma - dm}(kappa b), dm = -J ... J
+    j = channel.j_int
+    d = np.array([wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
+                  for dm in range(-j, j + 1)])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        amplitudes = bessel * d[:, None]
         sq = amplitudes * amplitudes
         total = sq[j]
         for dm in range(1, j + 1):
@@ -162,13 +192,15 @@ def am_partition(
 
 
 def recoil_ratio_array(
-    beam: TwistedPhotonBeam, channel: TransitionChannel, b
+    beam: TwistedPhotonBeam, channel: TransitionChannel, b, partition=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`recoil_ratio` at every impact parameter of ``b`` (nm): the
     ratios and per-row error codes as in :class:`AmPartition`, with
-    ``B_SINGULARITY`` (checked first) wherever b > 0 fails."""
+    ``B_SINGULARITY`` (checked first) wherever b > 0 fails.  ``partition``,
+    when given, is ``am_partition(beam, channel, b)`` evaluated already."""
     b = np.asarray(b, dtype=float)
-    partition = am_partition(beam, channel, b)
+    if partition is None:
+        partition = am_partition(beam, channel, b)
     positive = b > 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = partition.lz_cm * beam.wavelength / (2.0 * math.pi * b)
@@ -191,6 +223,8 @@ def raise_first_row_error(
         raise UndefinedDistributionError(
             f"all sublevel amplitudes vanish at b={b}; no absorption"
         )
+    if math.isnan(b):
+        raise DomainError(f"impact parameter must be a finite number, got {b}")
     x = transverse_wavenumber(beam) * b
     if not math.isfinite(x):
         raise DomainError("the Bessel argument kappa b overflows the floating-point range")

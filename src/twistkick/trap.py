@@ -27,15 +27,14 @@ series; :func:`sideband_spectrum` splits it level by level.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning
-from .special_functions import bessel_j, check_bessel_domain, scipy_bessel
+from .special_functions import bessel_i_scaled_orders, bessel_j_orders, check_bessel_domain
 from .units import HBARC_EV_NM, frequency_to_energy, nonrel_recoil_energy
 
 
@@ -97,11 +96,20 @@ def jump_probability_point(p_t: float, trap: TrapModel) -> float:
     return 1.0 - math.exp(-eta_sq)
 
 
-def _packet_series(beam: TwistedPhotonBeam, nu: int, b: float, sigma: float):
+@functools.lru_cache(maxsize=64)
+def _packet_weights(half_width: int, x: float) -> tuple[float, ...]:
+    # e^{-x} I_l(x), l = 0 ... half_width: one packet's weights, shared by
+    # every b of a sweep
+    return tuple(bessel_i_scaled_orders(half_width, x).tolist())
+
+
+def _packet_series(beam: TwistedPhotonBeam, nu: int, b: float, sigma: float,
+                   n_max: int = 0):
     """Input checks and packet averages shared by the extended-packet jump and
-    spectrum: (nu, kappa b, x, strength <0||F|^2|0>, carrier
-    |<0|F|0>|^2 / strength).  Once exp(-x) underflows (x > 745) strength is
-    None and carrier 0."""
+    spectrum: (nu, J_k(kappa b)^2 for k = 0 ... |nu| + max(half width,
+    n_max), x, strength <0||F|^2|0>, carrier |<0|F|0>|^2 / strength).  Once
+    exp(-x) underflows (x > 745) the table and strength are None and the
+    carrier 0."""
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not 0.0 <= b < math.inf:
@@ -109,21 +117,23 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b: float, sigma: float):
     kappa = transverse_wavenumber(beam)
     nu = int(nu)
     check_bessel_domain(nu, kappa * (b + 9.0 * sigma))
-    kb = kappa * b
     x = (kappa * sigma) ** 2
     carrier_decay = math.exp(-x)
     if carrier_decay == 0.0:
-        return nu, kb, x, None, 0.0
+        return nu, None, x, None, 0.0
     half_width = math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
-    l = np.arange(-half_width, half_width + 1)
-    jv, ive = scipy_bessel()
-    strength = float(np.sum(jv(nu - l, kb) ** 2 * ive(l, x)))
+    j_sq = (bessel_j_orders(abs(nu) + max(half_width, n_max), kappa * b) ** 2).tolist()
+    i_scaled = _packet_weights(half_width, x)
+    # J_{nu-l}^2 = J_{|nu-l|}^2 and e^{-x} I_l = e^{-x} I_{|l|}: the terms
+    # summed in +-l pairs
+    strength = j_sq[abs(nu)] * i_scaled[0] + sum([
+        i_scaled[l] * (j_sq[abs(nu - l)] + j_sq[abs(nu + l)]) for l in range(1, half_width + 1)])
     if strength <= 0.0 or not math.isfinite(strength):
         raise NoAbsorptionError(
             f"absorption strength <|F|^2> = {strength}; jump probability and "
             "sideband spectrum undefined"
         )
-    return nu, kb, x, strength, bessel_j(nu, kb) ** 2 * carrier_decay / strength
+    return nu, j_sq, x, strength, j_sq[abs(nu)] * carrier_decay / strength
 
 
 def jump_probability_extended(
@@ -205,21 +215,19 @@ def sideband_spectrum(
     """
     if not 2 <= n_max <= MAX_SIDEBAND_LEVEL:
         raise DomainError(f"n_max must lie in [2, {MAX_SIDEBAND_LEVEL}], got {n_max}")
-    nu, kb, x, strength, carrier = _packet_series(beam, nu, b, sigma)
+    nu, j_sq, x, strength, carrier = _packet_series(beam, nu, b, sigma, n_max)
     weights = {n: 0.0 for n in range(n_max + 1)}
     weights[0] = carrier
     if strength is not None:
         log_half_x = math.log(0.5 * x) if x > 0.0 else -math.inf
-        # J_{nu-l}(kappa b)^2 at index l + n_max
-        jv, _ = scipy_bessel()
-        j_sq = (jv(nu - np.arange(-n_max, n_max + 1), kb) ** 2).tolist()
+        log_factorial = [math.lgamma(k + 1) for k in range(n_max + 1)]
         for n in range(1, n_max + 1):
             total = 0.0
+            scale = n * log_half_x - x
             for l in range(-n, n + 1, 2):
                 n_r = (n - abs(l)) // 2
-                total += j_sq[l + n_max] * math.exp(
-                    n * log_half_x - x - math.lgamma(n_r + 1) - math.lgamma(n_r + abs(l) + 1)
-                )
+                total += j_sq[abs(nu - l)] * math.exp(
+                    scale - log_factorial[n_r] - log_factorial[n_r + abs(l)])
             weights[n] = total / strength
 
     residual = 1.0 - math.fsum(weights.values())

@@ -263,9 +263,9 @@ def test_output_file_holds_what_stdout_would(capsys, tmp_path):
     assert path.read_bytes() == expected.encode("ascii")
 
 
-def test_scipy_loaded_only_by_bessel_evaluations():
-    # the threshold commands, their figures and usage errors need no Bessel
-    # function, so they must not pay for importing scipy.special
+def test_no_call_loads_scipy():
+    # the Bessel functions are numpy recurrences: neither the threshold
+    # commands nor the Bessel-using ones, nor usage errors, import scipy
     code = (
         "import contextlib, io, json, sys\n"
         "import twistkick.cli\n"
@@ -298,7 +298,7 @@ def test_scipy_loaded_only_by_bessel_evaluations():
     )
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    assert json.loads(cp.stdout) == [[], [0] * 9 + [1, 0, 0, 0], [], ["scipy.special"]]
+    assert json.loads(cp.stdout) == [[], [0] * 9 + [1, 0, 0, 0], [], []]
 
 
 def test_package_source_names_no_scipy_solvers():
@@ -309,6 +309,67 @@ def test_package_source_names_no_scipy_solvers():
         text = path.read_text()
         for name in ("scipy.optimize", "scipy.integrate", "brentq"):
             assert name not in text, f"{path.name} names {name}"
+
+
+def test_package_source_names_no_scipy():
+    # scipy is a test oracle, not a runtime dependency
+    sources = sorted(Path(twistkick.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert "scipy" not in path.read_text(), f"{path.name} names scipy"
+
+
+BESSEL_ARGV = [
+    ["am-transfer", "--count", "3"], ["recoil-ratio", "--count", "3"],
+    ["ion-recoil", "--b-nm", "10"], ["trap-jump", "--b-nm", "20"],
+    ["sidebands", "--b-nm", "20"], ["deuteron-threshold", "--b-fm", "89"],
+    ["focus-fraction", "--w0-pm", "50"], ["focus-fraction", "--w0-pm", "6.2e4"],
+    ["pair-threshold", "--pitch-urad", "5", "--b-fm", "200"], ["crossover"], ["beam-fit"],
+] + [["reproduce", "--figure", figure] for figure in FIGURE_IDS]
+
+
+def test_every_call_runs_with_scipy_blocked(capsys):
+    # an import of any scipy module fails in the child, which runs every
+    # subcommand and every default figure; each prints what it prints here
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import twistkick.cli\n"
+        "def run(argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        return twistkick.cli.main(argv), out.getvalue()\n"
+        f"print(json.dumps([run(argv) for argv in {BESSEL_ARGV!r}]))\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert len(FIGURE_IDS) == 18
+    for argv, (status, out) in zip(BESSEL_ARGV, json.loads(cp.stdout)):
+        assert (status, out) == run_main(capsys, *argv)[:2], argv
+        assert status == 0 and out, argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sidebands", "--b-nm", "10", "--nu", "1" + "0" * 60], "DOMAIN"),
+    (["deuteron-threshold", "--b-fm", "10", "--internal-am", "1" + "0" * 60], "DOMAIN"),
+    (["reproduce", "--figure", "fig2a", "--set", "theta_k=1" + "0" * 400], "PARAMETER_TYPE"),
+], ids=["sidebands-nu", "deuteron-internal-am", "reproduce-theta-k"])
+def test_huge_integer_is_named_by_its_length(capsys, argv, code):
+    status, out, err = run_main(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.startswith(f"twistkick: error [{code}]: ") and err.count("\n") == 1
+    assert "an integer of" in err and "0" * 21 not in err
+    assert len(err) < 200
+
+
+def test_shown_counts_the_digits_of_huge_integers():
+    from twistkick.errors import shown
+    assert shown(10**20 - 1) == "99999999999999999999"
+    assert shown(10**20) == "an integer of 21 digits"
+    assert shown(-(10**21 - 1)) == "an integer of 21 digits"
+    # beyond the 4300 digits int -> str converts
+    assert shown(10**5000) == "an integer of 5001 digits"
+    assert shown("a") == "'a'" and shown(1.5) == "1.5"
 
 
 def test_truncation_warning_is_one_coded_line(capsys):

@@ -170,7 +170,7 @@ def brentq_fit_theta(factor, omega2, l_gamma, w0_over_b):
     x_peak = bessel_first_max(l_gamma)[0]
     theta_lo = 1e-3 * x_peak * HBARC_EV_NM / (b * omega1)
     theta_hi = min(1.0, 10.0 * x_peak * HBARC_EV_NM / (b * omega1))
-    return brentq(peak_minus_b, theta_lo, theta_hi, xtol=1e-4 * theta_lo, rtol=1e-7)
+    return brentq(peak_minus_b, theta_lo, theta_hi, xtol=1e-9 * theta_lo, rtol=1e-10)
 
 
 @settings(DETERMINISTIC, max_examples=60)

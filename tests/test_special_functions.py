@@ -6,9 +6,15 @@ import pytest
 
 from twistkick.errors import DomainError
 from twistkick.special_functions import (
+    _first_lobe_bracket,
+    _lobe_ratio,
+    _start_order,
     bessel_first_max,
+    bessel_i_scaled_orders,
     bessel_j,
     bessel_j_array,
+    bessel_j_orders,
+    first_lobe_peak_argument,
     wigner_small_d,
 )
 
@@ -139,11 +145,114 @@ def test_first_max_matches_mpmath_derivative_zero():
     mpmath.mp.dps = 30
     for n in range(1, 65):
         x, value = bessel_first_max(n)
-        assert x == pytest.approx(
-            float(mpmath.besseljzero(n, 1, derivative=1)), rel=1e-14, abs=0.0)
+        first_max = float(mpmath.besseljzero(n, 1, derivative=1))
+        assert x == pytest.approx(first_max, rel=1e-14, abs=0.0)
+        # the bisection bracket lies between the first maximum and the first
+        # zero of J_n
+        assert first_max < _first_lobe_bracket(n) < float(mpmath.besseljzero(n, 1))
         assert value == bessel_j(n, x)
         assert bessel_first_max(-n) == (x, value)
     assert bessel_first_max(0) == (0.0, 1.0)
+
+
+def _envelope(x):
+    return min(1.0, math.sqrt(2.0 / (math.pi * x))) if x > 0.0 else 1.0
+
+
+@pytest.mark.parametrize("regime, n_max, xs", [
+    # Miller's backward recurrence below x = 25
+    ("small", 64, 10.0 ** np.linspace(-6.0, math.log10(24.99), 40)),
+    # orders above x >= 25: Miller normalised over every order up to x
+    ("order-above", 340, np.linspace(25.0, 339.0, 24)),
+    # Hankel's expansion and the forward recurrence up to x = 1e6
+    ("large", 64, 10.0 ** np.linspace(math.log10(64.0), 6.0, 30)),
+    ("large-wide", 340, np.array([341.3, 500.0, 2345.6, 1e5, 1e6])),
+])
+def test_bessel_j_orders_against_mpmath(regime, n_max, xs):
+    # one table for all arguments, every order checked against mpmath within
+    # 5e-14 of the envelope min(1, sqrt(2/(pi x)))
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(41)
+    table = bessel_j_orders(n_max, xs)
+    assert table.shape == (n_max + 1, xs.size)
+    for i, x in enumerate(xs.tolist()):
+        for n in {0, 1, n_max, *rng.integers(0, n_max + 1, 4).tolist()}:
+            reference = float(mpmath.besselj(n, x))
+            assert abs(table[n, i] - reference) <= 5e-14 * _envelope(x), (n, x)
+        assert np.array_equal(table[:, i], bessel_j_orders(n_max, x))
+
+
+def test_bessel_j_orders_relative_accuracy_where_j_is_tiny():
+    # below its turning point J_n(x) is kept to its last digits, not only
+    # to the envelope
+    mpmath.mp.dps = 30
+    for n, x in [(3, 1e-3), (64, 1e-3), (40, 2.0), (64, 30.0), (30, 1e-6), (276, 100.0)]:
+        reference = float(mpmath.besselj(n, x))
+        assert bessel_j_orders(n, x)[n] == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+
+def test_scalar_and_array_agree_at_zeros():
+    # arguments within rounding of a zero of J_0 ... J_3 make the recurrence
+    # divide by zero; both paths step to the next float alike
+    xs = []
+    for n in range(4):
+        for k in (1, 2, 3):
+            xs.append(float(mpmath.besseljzero(n, k)))
+    xs = np.array(xs)
+    for n in range(9):
+        array = bessel_j_array(n, xs)
+        assert np.isfinite(array).all()
+        assert np.array_equal(array, [bessel_j(n, float(x)) for x in xs])
+        assert np.abs(array - [float(mpmath.besselj(n, x)) for x in xs]).max() <= 1e-15
+
+
+def test_bessel_i_scaled_against_mpmath():
+    # e^{-x} I_l(x) over x in [1e-6, 3.9e9] and l <= 276, relative 5e-14;
+    # x < 1 is where scipy's ive is off by up to 1.7e-13
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(43)
+    xs = list(10.0 ** rng.uniform(-6.0, math.log10(3.9e9), 40)) + [1e-6, 0.3, 745.0]
+    for x in xs:
+        for n_max in (0, 3, 64, 276):
+            values = bessel_i_scaled_orders(n_max, x)
+            for n in {0, n_max // 2, n_max}:
+                reference = float(mpmath.besseli(n, x) * mpmath.exp(-x))
+                assert values[n] == pytest.approx(reference, rel=5e-14, abs=1e-300), (n, x)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 64])
+def test_bessel_i_scaled_continuous_across_expansion_switch(n_max):
+    # the recurrence hands over to DLMF 10.40.1 at x = 4 n_max^2 + 1e3
+    mpmath.mp.dps = 30
+    switch = 4.0 * n_max * n_max + 1e3
+    for x in (math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)):
+        values = bessel_i_scaled_orders(n_max, x)
+        for n in range(n_max + 1):
+            reference = float(mpmath.besseli(n, x) * mpmath.exp(-x))
+            assert values[n] == pytest.approx(reference, rel=5e-15)
+
+
+def test_first_lobe_ratio_against_mpmath():
+    # x J_{l-1}(x)/J_l(x) from the unnormalised backward recurrence
+    mpmath.mp.dps = 30
+    for l in range(1, 65):
+        hi = _first_lobe_bracket(l)
+        start = _start_order(l + 1, hi)
+        for x in (1e-3 * hi, 0.5 * hi, 0.9 * hi, hi):
+            reference = float(x * mpmath.besselj(l - 1, x) / mpmath.besselj(l, x))
+            assert _lobe_ratio(l, x, start) == pytest.approx(reference, rel=3e-15)
+
+
+def test_first_lobe_peak_argument_with_slope():
+    # the root of x J_{l-1} = (l + s) J_l for a constant envelope slope s
+    mpmath.mp.dps = 30
+    for l, slope in [(1, 0.5), (3, 1.0), (64, 2.0)]:
+        x = first_lobe_peak_argument(l, lambda x: slope)
+        reference = mpmath.findroot(
+            lambda t: t * mpmath.besselj(l - 1, t) - (l + slope) * mpmath.besselj(l, t), x)
+        assert x == pytest.approx(float(reference), rel=1e-14)
+    with pytest.raises(DomainError):
+        first_lobe_peak_argument(65, lambda x: 0.0)
 
 
 # --- Wigner small-d -----------------------------------------------------------

@@ -10,6 +10,7 @@ from twistkick.transitions import (
     SublevelDistribution,
     TransitionChannel,
     am_partition,
+    am_partitions,
     excitation_probabilities,
     mean_cm_am,
     mean_internal_am,
@@ -410,3 +411,30 @@ def test_scalar_wrappers_raise_row_errors(function):
     with pytest.raises(DomainError) as err:
         function(make_beam(64), TransitionChannel(1), 10.0)
     assert "Bessel order" in str(err.value)
+
+
+@pytest.mark.parametrize("function", [mean_cm_am, excitation_probabilities])
+def test_nan_impact_parameter_is_named(function):
+    # a NaN b is not an overflowing Bessel argument
+    with pytest.raises(DomainError) as err:
+        function(make_beam(1), TransitionChannel(1), float("nan"))
+    assert err.value.code == "DOMAIN"
+    assert str(err.value) == "impact parameter must be a finite number, got nan"
+
+
+def test_am_partitions_match_one_beam_at_a_time():
+    # one Bessel table for an m_gamma series gives each beam's partition bit
+    # for bit, out-of-range orders included
+    channel = TransitionChannel(3, m_initial=0.5)
+    beams = [make_beam(m, spin=-1, theta=0.2) for m in (-3, 1, 6, 62)]
+    b = np.array([-1.0, 0.0, 1e-3, 50.0, 400.0, 3e4, np.nan])
+    for beam, partition in zip(beams, am_partitions(beams, channel, b)):
+        single = am_partition(beam, channel, b)
+        for name in ("amplitudes", "weights", "lz_internal", "lz_cm"):
+            assert np.array_equal(getattr(partition, name), getattr(single, name),
+                                  equal_nan=True)
+        assert list(partition.errors) == list(single.errors)
+        ratio, errors = recoil_ratio_array(beam, channel, b, partition)
+        assert np.array_equal(ratio, recoil_ratio_array(beam, channel, b)[0], equal_nan=True)
+    with pytest.raises(DomainError):
+        am_partitions([make_beam(1), make_beam(2, theta=0.3)], channel, b)
