@@ -62,6 +62,8 @@ MAX_ARGUMENT = 1.0e6
 HANKEL_MIN_X = 25.0
 #: top orders of the tables ``bessel_j`` and ``bessel_j_array`` read from
 _BANDS = (8, MAX_ORDER)
+#: up to this many arguments a loop of float recurrences beats numpy arrays
+_FLOAT_LOOP_SIZE = 8
 
 
 def _hankel_coefficients(nu: int, terms: int) -> tuple[list[float], list[float]]:
@@ -194,6 +196,12 @@ def bessel_j_orders(n_max: int, x) -> np.ndarray:
     if np.ndim(x) == 0:
         return np.array(_j_list(n_max, float(x)), dtype=float)
     x = np.asarray(x, dtype=float)
+    if x.size <= _FLOAT_LOOP_SIZE:
+        # a float recurrence per argument: the same arithmetic, so the same
+        # bits, without numpy's cost per call on a handful of elements
+        with np.errstate(invalid="ignore"):
+            rows = [_j_list(n_max, value) for value in x.ravel().tolist()]
+        return np.array(rows, dtype=float).T.reshape((n_max + 1,) + x.shape)
     flat = x.ravel()
     table = np.empty((n_max + 1, flat.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -270,7 +278,7 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     check_bessel_domain(widest, float(np.abs(x).max()) if x.size else 0.0)
     table = _band_table(abs(widest), np.abs(x))
     index = np.abs(order)
-    values = table[(index,) + np.ix_(*map(range, x.shape))] if index.ndim else table[index]
+    values = table[(index,) + np.indices(x.shape, sparse=True)] if index.ndim else table[index]
     # odd order: one sign flip for n < 0, another for x < 0
     return np.where((order % 2 == 1) & ((x < 0.0) != (order < 0)), -values, values)
 
@@ -326,8 +334,9 @@ def _i_scaled_expansion(nu: int, x: float) -> float:
 
 
 def _first_lobe_bracket(l: int) -> float:
-    # between the first maximum j'_{l,1} ~ l + 0.81 l^(1/3) and the first zero
-    # j_{l,1} ~ l + 1.86 l^(1/3) of J_l; tests check it for l = 1...64
+    # between the first maximum j'_{l,1} ~ l + 0.81 l^(1/3) (tests check
+    # l = 1...64 against mpmath) and the first zero of J_l, which exceeds
+    # l + 1.8557 l^(1/3) (Qu and Wong, Trans. Amer. Math. Soc. 351 (1999) 2833)
     return l + 1.33 * l ** (1.0 / 3.0)
 
 

@@ -159,8 +159,8 @@ def am_partitions(
             orders = np.array([_orders(beam, channel)
                                for beam, ok in zip(beams, in_range) if ok])
             tables = iter(bessel_j_array(orders[:, :, None], np.where(valid, x, 0.0)))
-    return [_partition(beam, channel, valid, next(tables)) if ok
-            else _out_of_range(channel, b.shape) for beam, ok in zip(beams, in_range)]
+        return [_partition(beam, channel, valid, next(tables)) if ok
+                else _out_of_range(channel, b.shape) for beam, ok in zip(beams, in_range)]
 
 
 def _out_of_range(channel: TransitionChannel, shape) -> AmPartition:
@@ -170,18 +170,18 @@ def _out_of_range(channel: TransitionChannel, shape) -> AmPartition:
 
 
 def _partition(beam, channel, valid, bessel) -> AmPartition:
-    # the distribution from the Bessel rows J_{m_gamma - dm}(kappa b), dm = -J ... J
+    # the distribution from the Bessel rows J_{m_gamma - dm}(kappa b), dm = -J ... J,
+    # under the caller's errstate
     j = channel.j_int
     d = np.array([wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
                   for dm in range(-j, j + 1)])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        amplitudes = bessel * d[:, None]
-        sq = amplitudes * amplitudes
-        total = sq[j]
-        for dm in range(1, j + 1):
-            total = total + (sq[j + dm] + sq[j - dm])
-        undefined = valid & (total == 0.0)
-        weights = np.where(valid & ~undefined, sq / total, np.nan)
+    amplitudes = bessel * d[:, None]
+    sq = amplitudes * amplitudes
+    total = sq[j]
+    for dm in range(1, j + 1):
+        total = total + (sq[j + dm] + sq[j - dm])
+    undefined = valid & (total == 0.0)
+    weights = np.where(valid & ~undefined, sq / total, np.nan)
     errors = np.where(valid, "", "DOMAIN").astype(object)
     errors[undefined] = "UNDEFINED_DISTRIBUTION"
     internal = 0.0

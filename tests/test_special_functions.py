@@ -147,9 +147,9 @@ def test_first_max_matches_mpmath_derivative_zero():
         x, value = bessel_first_max(n)
         first_max = float(mpmath.besseljzero(n, 1, derivative=1))
         assert x == pytest.approx(first_max, rel=1e-14, abs=0.0)
-        # the bisection bracket lies between the first maximum and the first
-        # zero of J_n
-        assert first_max < _first_lobe_bracket(n) < float(mpmath.besseljzero(n, 1))
+        # the bisection bracket lies above the first maximum and below the
+        # Qu-Wong lower bound n + 1.8557 n^(1/3) of the first zero of J_n
+        assert first_max < _first_lobe_bracket(n) < n + 1.8557 * n ** (1.0 / 3.0)
         assert value == bessel_j(n, x)
         assert bessel_first_max(-n) == (x, value)
     assert bessel_first_max(0) == (0.0, 1.0)
@@ -230,6 +230,12 @@ def test_bessel_i_scaled_continuous_across_expansion_switch(n_max):
         for n in range(n_max + 1):
             reference = float(mpmath.besseli(n, x) * mpmath.exp(-x))
             assert values[n] == pytest.approx(reference, rel=5e-15)
+
+
+def test_first_zero_above_qu_wong_bound():
+    mpmath.mp.dps = 30
+    for n in (1, 8, 64):
+        assert float(mpmath.besseljzero(n, 1)) > n + 1.8557 * n ** (1.0 / 3.0)
 
 
 def test_first_lobe_ratio_against_mpmath():
