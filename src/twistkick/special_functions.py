@@ -107,7 +107,7 @@ def _forward(n_max: int, x) -> list:
     return values[:n_max + 1]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _start_order(n: int, x: float) -> int:
     """Even order from which the backward recurrence reaches orders <= n at
     arguments <= x with a truncation below 1e-17 of min(1, sqrt(2/(pi x)))
