@@ -62,8 +62,6 @@ MAX_ARGUMENT = 1.0e6
 HANKEL_MIN_X = 25.0
 #: top orders of the tables ``bessel_j`` and ``bessel_j_array`` read from
 _BANDS = (8, MAX_ORDER)
-#: up to this many arguments a loop of float recurrences beats numpy arrays
-_FLOAT_LOOP_SIZE = 8
 
 
 def _hankel_coefficients(nu: int, terms: int) -> tuple[list[float], list[float]]:
@@ -107,7 +105,6 @@ def _forward(n_max: int, x) -> list:
     return values[:n_max + 1]
 
 
-@functools.lru_cache(maxsize=1024)
 def _start_order(n: int, x: float) -> int:
     """Even order from which the backward recurrence reaches orders <= n at
     arguments <= x with a truncation below 1e-17 of min(1, sqrt(2/(pi x)))
@@ -196,12 +193,6 @@ def bessel_j_orders(n_max: int, x) -> np.ndarray:
     if np.ndim(x) == 0:
         return np.array(_j_list(n_max, float(x)), dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.size <= _FLOAT_LOOP_SIZE:
-        # a float recurrence per argument: the same arithmetic, so the same
-        # bits, without numpy's cost per call on a handful of elements
-        with np.errstate(invalid="ignore"):
-            rows = [_j_list(n_max, value) for value in x.ravel().tolist()]
-        return np.array(rows, dtype=float).T.reshape((n_max + 1,) + x.shape)
     flat = x.ravel()
     table = np.empty((n_max + 1, flat.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

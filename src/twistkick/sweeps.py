@@ -32,8 +32,8 @@ from .pair_production import PairThresholdQuery, crossover_product, pair_thresho
     fit_beam_for_threshold_factor, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, deuteron_threshold, \
     transverse_recoil_energy
-from .transitions import TransitionChannel, am_partitions, raise_first_row_error, \
-    recoil_ratio_array, sublevel_profile
+from .transitions import TransitionChannel, _ratio_from_partition, am_partitions, \
+    raise_first_row_error, sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
     constants_sha256, nonrel_recoil_energy, wavelength_to_energy
@@ -133,12 +133,12 @@ def _per_point(build_row):
     return build
 
 
-def _lz_cm_array(beam, channel, b, partition):
+def _lz_cm_array(beam, b, partition):
     return partition.lz_cm, partition.errors
 
 
 def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
-    # one column of kernel(beam, channel, b, partition) -> (values, errors)
+    # one column of kernel(beam, b, partition) -> (values, errors)
     # per m_gamma, the partitions of all three from one Bessel table, b in
     # wavelengths; a row takes the first error code of its columns, or with
     # strict raises that column's error
@@ -154,7 +154,7 @@ def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
         columns = [xs]
         errors = np.full(len(xs), "", dtype=object)
         for beam, partition in zip(beams, am_partitions(beams, channel, b)):
-            values, beam_errors = kernel(beam, channel, b, partition)
+            values, beam_errors = kernel(beam, b, partition)
             if strict:
                 raise_first_row_error(beam_errors, beam, channel, b)
             columns.append(values)
@@ -287,8 +287,8 @@ def _register(figure_id, columns, defaults, grid, builder, description, cases=()
 _AM_PANELS = (
     ("fig2", _lz_columns, _lz_cm_array, 1, "c.m. angular momentum"),
     ("fig3", _lz_columns, _lz_cm_array, -1, "c.m. angular momentum"),
-    ("fig4", _ratio_columns, recoil_ratio_array, 1, "recoil ratio p_T/p_z"),
-    ("fig5", _ratio_columns, recoil_ratio_array, -1, "recoil ratio p_T/p_z"),
+    ("fig4", _ratio_columns, _ratio_from_partition, 1, "recoil ratio p_T/p_z"),
+    ("fig5", _ratio_columns, _ratio_from_partition, -1, "recoil ratio p_T/p_z"),
 )
 for _letter, _j in (("a", 1), ("b", 2), ("c", 3)):
     for _prefix, _columns, _kernel, _spin, _quantity in _AM_PANELS:

@@ -192,15 +192,20 @@ def _partition(beam, channel, valid, bessel) -> AmPartition:
 
 
 def recoil_ratio_array(
-    beam: TwistedPhotonBeam, channel: TransitionChannel, b, partition=None
+    beam: TwistedPhotonBeam, channel: TransitionChannel, b
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`recoil_ratio` at every impact parameter of ``b`` (nm): the
     ratios and per-row error codes as in :class:`AmPartition`, with
-    ``B_SINGULARITY`` (checked first) wherever b > 0 fails.  ``partition``,
-    when given, is ``am_partition(beam, channel, b)`` evaluated already."""
+    ``B_SINGULARITY`` (checked first) wherever b > 0 fails."""
     b = np.asarray(b, dtype=float)
-    if partition is None:
-        partition = am_partition(beam, channel, b)
+    return _ratio_from_partition(beam, b, am_partition(beam, channel, b))
+
+
+def _ratio_from_partition(
+    beam: TwistedPhotonBeam, b: np.ndarray, partition: AmPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    # recoil_ratio_array(beam, channel, b) from its partition
+    # am_partition(beam, channel, b)
     positive = b > 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = partition.lz_cm * beam.wavelength / (2.0 * math.pi * b)

@@ -434,7 +434,5 @@ def test_am_partitions_match_one_beam_at_a_time():
             assert np.array_equal(getattr(partition, name), getattr(single, name),
                                   equal_nan=True)
         assert list(partition.errors) == list(single.errors)
-        ratio, errors = recoil_ratio_array(beam, channel, b, partition)
-        assert np.array_equal(ratio, recoil_ratio_array(beam, channel, b)[0], equal_nan=True)
     with pytest.raises(DomainError):
         am_partitions([make_beam(1), make_beam(2, theta=0.3)], channel, b)
