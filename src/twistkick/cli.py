@@ -34,9 +34,9 @@ from .pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, absorption_energy, \
     deuteron_threshold, focus_fraction, ratio_cut_radius, transverse_recoil_energy
-from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, run_sweep
-from .transitions import TransitionChannel, am_partition, raise_first_row_error, \
-    recoil_ratio_array
+from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, _am_columns, \
+    _am_transfer_columns, run_sweep
+from .transitions import TransitionChannel, _ratio_from_partition
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
 from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, KEV, \
@@ -121,29 +121,15 @@ def _table(args, columns, rows, **extra) -> SweepResult:
 # --- subcommand handlers ------------------------------------------------------
 
 def _am_sweep(args, columns, kernel) -> SweepResult:
-    # kernel(beam, channel, b) -> (value columns, row errors) over the b grid;
-    # the first failing point raises its coded error
+    # the AM sweep of one beam; the first failing point raises its coded error
     beam = _beam(args)
-    channel = TransitionChannel(float(args.multipole_j))
     if not math.isfinite(args.b_max_lambda - args.b_min_lambda):
         raise DomainError(f"sweep span [{args.b_min_lambda:g}, {args.b_max_lambda:g}] "
                           "lambda is beyond the floating-point range")
     xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
-    with np.errstate(over="ignore"):  # an overflowing b is a coded row error
-        b = xs * args.lambda_nm
-    values, errors = kernel(beam, channel, b)
-    raise_first_row_error(errors, beam, channel, b)
-    return _table(args, [("b", "lambda")] + columns, np.column_stack([xs, *values]))
-
-
-def _am_transfer_columns(beam, channel, b):
-    partition = am_partition(beam, channel, b)
-    return (partition.lz_internal, partition.lz_cm), partition.errors
-
-
-def _recoil_ratio_column(beam, channel, b):
-    ratio, errors = recoil_ratio_array(beam, channel, b)
-    return (ratio,), errors
+    table, _ = _am_columns([beam], TransitionChannel(float(args.multipole_j)), xs,
+                           args.lambda_nm, kernel, strict=True)
+    return _table(args, [("b", "lambda")] + columns, table)
 
 
 def _cmd_ion_recoil(args) -> SweepResult:
@@ -381,7 +367,7 @@ def build_parser() -> _Parser:
         ("am-transfer", "mean internal/c.m. angular momentum vs impact parameter",
          [("lz_internal", "hbar"), ("lz_cm", "hbar")], _am_transfer_columns),
         ("recoil-ratio", "transverse/longitudinal recoil ratio vs impact parameter",
-         [("pT_over_pz", "1")], _recoil_ratio_column),
+         [("pT_over_pz", "1")], _ratio_from_partition),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),

@@ -7,10 +7,11 @@ unstated; all of them are overridable.
 
 A figure builder evaluates the whole grid at once and returns its rows as a
 2-D float array with one error code per row ("" where the row is defined,
-NaN values where it is not).  The AM panels (fig2-fig5) do so through the
-array kernels of :mod:`.transitions`; the other figures lift a per-point row
-function with :func:`_per_point`, which turns each point's coded error into
-that row's code.  Rows that carry a code (e.g. the vortex line b = 0) or a
+NaN values where it is not).  The AM panels (fig2-fig5) do so through
+:func:`_am_columns`, the one AM sweep, which ``am-transfer`` and
+``recoil-ratio`` share; the other figures lift a per-point row function with
+:func:`_per_point`, which turns each point's coded error into that row's
+code.  Rows that carry a code (e.g. the vortex line b = 0) or a
 non-finite value are dropped and counted in the metadata, never silently
 interpolated.  A sweep that drops every row raises the first row's coded
 error instead of returning an empty table.
@@ -114,11 +115,12 @@ _M_GAMMA_SERIES = (1, 2, 3)
 def _per_point(build_row):
     """Lift ``build_row(params) -> row(point)`` to a whole-grid builder: a
     point whose row raises a coded error gets that code and a NaN row, or
-    with ``strict`` raises it."""
+    with ``strict`` raises it.  Grid points reach ``row`` as Python floats,
+    as argparse hands them to the CLI handlers."""
     def build(params, points, strict=False):
         row = build_row(params)
         rows, errors = [], []
-        for point in points:
+        for point in points.tolist() if isinstance(points, np.ndarray) else points:
             try:
                 rows.append(row(point))
                 errors.append("")
@@ -133,33 +135,44 @@ def _per_point(build_row):
     return build
 
 
-def _lz_cm_array(beam, b, partition):
-    return partition.lz_cm, partition.errors
+def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
+    """The AM sweep of ``am-transfer``, ``recoil-ratio`` and fig2-fig5: the
+    table [xs, kernel columns of each beam] at b = xs * wavelength, with the
+    partitions of all ``beams`` from one :func:`am_partitions` call, and the
+    first error code of each row, or with ``strict`` the error of the first
+    failing row of the first failing beam raised."""
+    with np.errstate(over="ignore"):  # an overflowing b is a coded row error
+        b = xs * wavelength
+    columns = [xs]
+    errors = np.full(len(xs), "", dtype=object)
+    for beam, partition in zip(beams, am_partitions(beams, channel, b)):
+        values, beam_errors = kernel(beam, b, partition)
+        if strict:
+            raise_first_row_error(beam_errors, beam, channel, b)
+        columns.extend(values)
+        errors = np.where(errors == "", beam_errors, errors)
+    return np.column_stack(columns), errors
+
+
+# AM kernels, as _ratio_from_partition: (beam, b, partition) -> (columns, row errors)
+def _lz_cm_column(beam, b, partition):
+    return (partition.lz_cm,), partition.errors
+
+
+def _am_transfer_columns(beam, b, partition):
+    return (partition.lz_internal, partition.lz_cm), partition.errors
 
 
 def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
-    # one column of kernel(beam, b, partition) -> (values, errors)
-    # per m_gamma, the partitions of all three from one Bessel table, b in
-    # wavelengths; a row takes the first error code of its columns, or with
-    # strict raises that column's error
+    # the kernel's column per m_gamma, b in wavelengths
     def build(params, xs, strict=False):
-        wavelength = params["lambda_nm"]
-        energy = wavelength_to_energy(wavelength)
-        channel = TransitionChannel(float(j))
+        energy = wavelength_to_energy(params["lambda_nm"])
         beams = [
             TwistedPhotonBeam(m, lambda_spin, energy, params["theta_k"])
             for m in _M_GAMMA_SERIES
         ]
-        b = xs * wavelength
-        columns = [xs]
-        errors = np.full(len(xs), "", dtype=object)
-        for beam, partition in zip(beams, am_partitions(beams, channel, b)):
-            values, beam_errors = kernel(beam, b, partition)
-            if strict:
-                raise_first_row_error(beam_errors, beam, channel, b)
-            columns.append(values)
-            errors = np.where(errors == "", beam_errors, errors)
-        return np.column_stack(columns), errors
+        return _am_columns(beams, TransitionChannel(float(j)), xs, params["lambda_nm"],
+                           kernel, strict)
     return build
 
 
@@ -285,8 +298,8 @@ def _register(figure_id, columns, defaults, grid, builder, description, cases=()
 
 
 _AM_PANELS = (
-    ("fig2", _lz_columns, _lz_cm_array, 1, "c.m. angular momentum"),
-    ("fig3", _lz_columns, _lz_cm_array, -1, "c.m. angular momentum"),
+    ("fig2", _lz_columns, _lz_cm_column, 1, "c.m. angular momentum"),
+    ("fig3", _lz_columns, _lz_cm_column, -1, "c.m. angular momentum"),
     ("fig4", _ratio_columns, _ratio_from_partition, 1, "recoil ratio p_T/p_z"),
     ("fig5", _ratio_columns, _ratio_from_partition, -1, "recoil ratio p_T/p_z"),
 )

@@ -198,19 +198,20 @@ def recoil_ratio_array(
     ratios and per-row error codes as in :class:`AmPartition`, with
     ``B_SINGULARITY`` (checked first) wherever b > 0 fails."""
     b = np.asarray(b, dtype=float)
-    return _ratio_from_partition(beam, b, am_partition(beam, channel, b))
+    (ratio,), errors = _ratio_from_partition(beam, b, am_partition(beam, channel, b))
+    return ratio, errors
 
 
 def _ratio_from_partition(
     beam: TwistedPhotonBeam, b: np.ndarray, partition: AmPartition
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray], np.ndarray]:
     # recoil_ratio_array(beam, channel, b) from its partition
-    # am_partition(beam, channel, b)
+    # am_partition(beam, channel, b), as the one column of an AM sweep kernel
     positive = b > 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = partition.lz_cm * beam.wavelength / (2.0 * math.pi * b)
     errors = np.where(positive, partition.errors, "B_SINGULARITY")
-    return np.where(positive, ratio, np.nan), errors
+    return (np.where(positive, ratio, np.nan),), errors
 
 
 def raise_first_row_error(
