@@ -47,14 +47,14 @@ class TwistedPhotonBeam:
         if not isinstance(self.m_gamma, (int, np.integer)):
             raise DomainError(f"m_gamma must be an integer, got {self.m_gamma!r}")
         if not 0.0 < self.energy < math.inf:
-            raise DomainError(f"energy must be positive and finite, got {self.energy}")
+            raise DomainError(f"energy must be positive and finite, got {shown(self.energy)}")
         if not 0.0 <= self.pitch_angle < 0.5 * math.pi:
             raise DomainError(
                 f"pitch angle must lie in [0, pi/2), got {shown(self.pitch_angle)}"
             )
         if self.envelope_w0 is not None and not 0.0 < self.envelope_w0 < math.inf:
             raise DomainError(
-                f"envelope_w0 must be positive and finite, got {self.envelope_w0}"
+                f"envelope_w0 must be positive and finite, got {shown(self.envelope_w0)}"
             )
 
     @property

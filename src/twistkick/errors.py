@@ -8,8 +8,12 @@ import math
 
 
 def shown(value) -> str:
-    """``value`` as error text: a string quoted, an integer of more than 20
-    digits named by its length instead of echoed digit for digit."""
+    """``value`` as error text: a string quoted, a non-finite float (from an
+    input that overflows) named as such rather than spelled nan or inf, an
+    integer of more than 20 digits named by its length instead of echoed
+    digit for digit."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "a non-finite value (an input overflows)"
     if isinstance(value, int) and abs(value) >= 10**20:
         digits = int(math.log10(abs(value)))  # may round across a power of ten
         digits += (10 ** (digits + 1) <= abs(value)) - (10**digits > abs(value))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, first_lobe_peak_argument, \
     profile_peak_radius
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, shown
 from .recoil_kinematics import ThresholdSolution
 from .units import ELECTRON_MASS_EV, HBARC_EV_NM, check_float_range
 
@@ -55,11 +55,13 @@ class PairThresholdQuery:
 
     def __post_init__(self):
         if not (self.omega2 > 0.0 and math.isfinite(self.omega2)):
-            raise DomainError(f"omega2 must be finite and positive, got {self.omega2}")
+            raise DomainError(f"omega2 must be finite and positive, got {shown(self.omega2)}")
         if not 0.0 <= self.pitch_angle < 0.5 * math.pi:
-            raise DomainError(f"pitch angle must lie in [0, pi/2), got {self.pitch_angle}")
+            raise DomainError(
+                f"pitch angle must lie in [0, pi/2), got {shown(self.pitch_angle)}")
         if not math.isfinite(self.impact_parameter):
-            raise DomainError(f"impact parameter must be finite, got {self.impact_parameter}")
+            raise DomainError(
+                f"impact parameter must be finite, got {shown(self.impact_parameter)}")
         _check_l_gamma(self.l_gamma, 0)
         if self.l_gamma > 0 and not self.impact_parameter > 0.0:
             raise DomainError(

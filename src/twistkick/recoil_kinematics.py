@@ -164,11 +164,8 @@ def focus_fraction(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float) -
     total, from the same rule.
     """
     b_star = ratio_cut_radius(beam, delta_l_cm, ratio_cut)
+    total = radial_intensity_total(beam)  # ConfigurationError without envelope_w0
     w0 = beam.envelope_w0
-    if w0 is None:
-        raise DomainError("beam needs envelope_w0 for the focus-fraction estimate")
-
-    total = radial_intensity_total(beam)
     # the envelope exp(-2 rho^2/w0^2) < 1e-55 beyond 8 w0
     if b_star >= 8.0 * w0:
         return 1.0

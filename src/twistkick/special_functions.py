@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -233,8 +234,7 @@ def check_bessel_domain(n: int, x: float) -> None:
     if abs(int(n)) > MAX_ORDER:
         raise DomainError(f"Bessel order |n| <= {MAX_ORDER} supported, got {shown(n)}")
     if not abs(x) <= MAX_ARGUMENT:
-        got = x if math.isfinite(x) else "a non-finite value (an input overflows)"
-        raise DomainError(f"Bessel argument |x| <= {MAX_ARGUMENT:g} supported, got {got}")
+        raise DomainError(f"Bessel argument |x| <= {MAX_ARGUMENT:g} supported, got {shown(x)}")
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -394,6 +394,11 @@ _FIRST_MAX_CACHE: dict[int, tuple[float, float]] = {}
 # --- Wigner small-d ----------------------------------------------------------
 
 def _half_int(value: float, name: str) -> int:
+    """2 * value as an integer; DomainError unless 2 * value is finite and
+    ``value`` an integer or half-integer."""
+    if not abs(value) <= 0.5 * sys.float_info.max:  # also False for NaN
+        raise DomainError(f"{name} must be an integer or half-integer of magnitude at most "
+                          f"{0.5 * sys.float_info.max:g}, got {shown(value)}")
     two = round(2.0 * value)
     if abs(2.0 * value - two) > 1e-9:
         raise DomainError(f"{name} must be integer or half-integer, got {value}")

@@ -194,10 +194,11 @@ def _fig7_build(params):
     )
     channel = TransitionChannel(2.0, params["m_initial"])
     trap = TrapModel(params["trap_mhz"] * 1e6, params["trap_mhz"] * 1e6, CA40_ION_MASS_EV)
-    nu = params["m_gamma"] - round(params["m_final"] - params["m_initial"])
     sigma = params["sigma_nm"]
     def row(b):
         excitation = sublevel_profile(beam, channel, params["m_final"], b)
+        # a reachable m_final, so m_final - m_initial rounds
+        nu = params["m_gamma"] - round(params["m_final"] - params["m_initial"])
         p_point = jump_probability_point(superkick(abs(nu), b), trap)
         p_ext = jump_probability_extended(beam, nu, b, trap, sigma)
         return [b, excitation, p_point, p_ext,

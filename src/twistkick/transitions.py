@@ -37,8 +37,8 @@ import numpy as np
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, UndefinedDistributionError
-from .special_functions import MAX_ARGUMENT, MAX_ORDER, bessel_first_max, bessel_j, \
-    bessel_j_array, check_bessel_domain, wigner_small_d
+from .special_functions import MAX_ARGUMENT, MAX_ORDER, _half_int, bessel_first_max, \
+    bessel_j, bessel_j_array, check_bessel_domain, wigner_small_d
 
 
 @dataclass(frozen=True)
@@ -56,18 +56,14 @@ class TransitionChannel:
     label: str = ""
 
     def __post_init__(self):
-        j = float(self.multipole_J)
-        if not j >= 1.0:
+        two_j = _half_int(self.multipole_J, "multipole_J")
+        if not self.multipole_J >= 1.0:
             raise DomainError(f"multipole_J must be >= 1, got {self.multipole_J}")
-        if abs(j - round(j)) > 1e-9:
+        if two_j % 2:
             raise DomainError(
                 f"multipole_J must be an integer (photon multipolarity), got {self.multipole_J}"
             )
-        two_mi = round(2.0 * float(self.m_initial))
-        if abs(2.0 * float(self.m_initial) - two_mi) > 1e-9:
-            raise DomainError(
-                f"m_initial must be integer or half-integer, got {self.m_initial}"
-            )
+        _half_int(self.m_initial, "m_initial")
 
     @property
     def j_int(self) -> int:
@@ -209,7 +205,8 @@ def _ratio_from_partition(
     # am_partition(beam, channel, b), as the one column of an AM sweep kernel
     positive = b > 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = partition.lz_cm * beam.wavelength / (2.0 * math.pi * b)
+        # lambda / b first: lz_cm lambda and 2 pi b overflow where the ratio does not
+        ratio = partition.lz_cm * (beam.wavelength / b) / (2.0 * math.pi)
     errors = np.where(positive, partition.errors, "B_SINGULARITY")
     return (np.where(positive, ratio, np.nan),), errors
 
@@ -304,16 +301,15 @@ def sublevel_profile(
     drop out.  For nu = 0 the maximum sits at b = 0, otherwise at the first
     Bessel maximum.
     """
-    dm = float(m_f) - float(channel.m_initial)
-    dm_int = round(dm)
-    if abs(dm - dm_int) > 1e-9 or abs(dm_int) > channel.j_int:
+    two_dm = _half_int(float(m_f) - float(channel.m_initial), "m_f - m_i")
+    if two_dm % 2 or abs(two_dm) > 2 * channel.j_int:
         raise DomainError(
             f"m_f={m_f} is not reachable from m_i={channel.m_initial} "
             f"with multipole J={channel.multipole_J}"
         )
-    nu = beam.m_gamma - int(dm_int)
+    nu = beam.m_gamma - two_dm // 2
     d = wigner_small_d(
-        float(channel.j_int), float(dm_int), float(beam.lambda_spin), beam.pitch_angle
+        float(channel.j_int), two_dm / 2, float(beam.lambda_spin), beam.pitch_angle
     )
     if d == 0.0:
         return 0.0

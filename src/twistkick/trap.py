@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
-from .errors import DomainError, NoAbsorptionError, TruncationWarning
+from .errors import DomainError, NoAbsorptionError, TruncationWarning, shown
 from .special_functions import bessel_i_scaled_orders, bessel_j_orders, check_bessel_domain
 from .units import HBARC_EV_NM, frequency_to_energy, nonrel_recoil_energy
 
@@ -51,7 +51,7 @@ class TrapModel:
         for name in ("axial_frequency", "transverse_frequency", "ion_mass"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be positive and finite, got {value}")
+                raise DomainError(f"{name} must be positive and finite, got {shown(value)}")
 
     def oscillator_length(self, axis: str = "transverse") -> float:
         """x0 = sqrt(hbar / (M omega)) in nm."""

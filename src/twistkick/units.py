@@ -103,7 +103,12 @@ def frequency_to_energy(frequency_hz: float) -> float:
     """Quantum energy h*f of an oscillation at ``frequency_hz``."""
     if not frequency_hz > 0.0:
         raise DomainError(f"frequency must be positive, got {frequency_hz}")
-    return PLANCK_H_EV_S * frequency_hz
+    energy = PLANCK_H_EV_S * frequency_hz
+    if energy == 0.0:
+        raise DomainError(
+            f"frequency {frequency_hz:g} Hz is too low: its quantum energy underflows to 0"
+        )
+    return energy
 
 
 def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:

@@ -569,10 +569,42 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
      "NON_FINITE", "E_long is not finite"),
     (["deuteron-threshold", "--b-fm", "1", "--lambda-fm", "1e-300"], "DOMAIN",
      "wavelength 1e-306 nm is too short: its photon energy overflows"),
+    (["reproduce", "--figure", "fig7", "--set", "m_initial=1e308"], "DOMAIN",
+     "m_initial must be an integer or half-integer of magnitude at most 8.98847e+307, "
+     "got 1e+308"),
+    (["reproduce", "--figure", "fig7", "--set", "m_final=1.7e308", "--set", "m_initial=-8e307"],
+     "DOMAIN", "figure 'fig7' dropped every row; at b=10 nm: m_f - m_i must be an integer "
+     "or half-integer of magnitude at most 8.98847e+307, got a non-finite value "
+     "(an input overflows)"),
+    (["trap-jump", "--b-nm", "20", "--trap-mhz", "5e-324"], "DOMAIN",
+     "frequency 4.94066e-318 Hz is too low: its quantum energy underflows to 0"),
+    (["sidebands", "--b-nm", "20", "--trap-mhz", "5e-324"], "DOMAIN",
+     "frequency 4.94066e-318 Hz is too low: its quantum energy underflows to 0"),
+    (["reproduce", "--figure", "fig7", "--set", "trap_mhz=5e-324"], "DOMAIN",
+     "figure 'fig7' dropped every row; at b=10 nm: "
+     "frequency 4.94066e-318 Hz is too low: its quantum energy underflows to 0"),
+    (["reproduce", "--figure", "fig6", "--grid-start", "1e-300", "--grid-stop", "2e-300",
+      "--grid-count", "2"], "NON_FINITE",
+     "figure 'fig6' dropped every row; at b=1e-300 nm: E_T(m_gamma=2) is not finite"),
+    (["reproduce", "--figure", "fig8a", "--grid-start", "1e-300", "--grid-stop", "2e-300",
+      "--grid-count", "2"], "DOMAIN",
+     "figure 'fig8a' dropped every row; at b=1e-300 fm: the superkick p_T = l_gamma hbar c / b "
+     "at b = 1e-306 nm is too large to square in floating point"),
+    (["trap-jump", "--b-nm", "20", "--trap-mhz", "1e308"], "DOMAIN",
+     "axial_frequency must be positive and finite, got a non-finite value (an input overflows)"),
+    (["trap-jump", "--b-nm", "20", "--mass-mev", "1e308"], "DOMAIN",
+     "ion_mass must be positive and finite, got a non-finite value (an input overflows)"),
+    (["focus-fraction", "--w0-pm", "50", "--energy-mev", "1e308"], "DOMAIN",
+     "energy must be positive and finite, got a non-finite value (an input overflows)"),
+    (["pair-threshold", "--pitch-urad", "5", "--pt-mev", "5e-324"], "DOMAIN",
+     "impact parameter must be finite, got a non-finite value (an input overflows)"),
 ], ids=["crossover", "pair-plane-wave", "pair-pt", "pair-b", "pair-pt-overflow",
         "fig2a-span", "fig6-span", "am-transfer-span", "am-transfer-kappa-b", "focus-bessel",
         "fit-tiny-w0", "fit-zero-w0",
-        "focus-norm", "focus-b-star", "ion-recoil", "deuteron-wavelength"])
+        "focus-norm", "focus-b-star", "ion-recoil", "deuteron-wavelength",
+        "fig7-m-initial", "fig7-m-final", "trap-jump-spacing", "sidebands-spacing",
+        "fig7-spacing", "fig6-tiny-b", "fig8a-tiny-b", "trap-frequency", "trap-mass",
+        "focus-energy", "pair-tiny-pt"])
 def test_overflowing_inputs_are_coded_errors(capsys, argv, code, message):
     # each of these overflowed to inf or NaN inside the computation and ended
     # in a traceback, a NaN/inf or a numpy RuntimeWarning in the error text,
@@ -582,6 +614,41 @@ def test_overflowing_inputs_are_coded_errors(capsys, argv, code, message):
     assert out == ""
     assert err == f"twistkick: error [{code}]: {message}\n"
     assert not re.search(r"\b(nan|inf)\b", err, re.IGNORECASE)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--figure", "fig2a", "--set", "lambda_nm=1e308", "--grid-start", "1",
+     "--grid-stop", "10", "--grid-count", "3"],
+    ["reproduce", "--figure", "fig7", "--set", "trap_mhz=1e-310", "--grid-start", "10",
+     "--grid-stop", "20", "--grid-count", "2"],
+    ["trap-jump", "--b-nm", "1e-300"],
+], ids=["fig2a-long-wavelength", "fig7-low-trap", "trap-jump-tiny-b"])
+def test_extreme_inputs_print_a_table_and_nothing_else(capsys, argv):
+    # these printed a numpy RuntimeWarning on stderr when figure rows ran on
+    # numpy floats and fig2-fig5 left b = x lambda unguarded
+    status, out, err = run_main(capsys, *argv)
+    assert status == 0
+    assert err == ""
+    _, rows = parse_csv(out)
+    assert rows and all(math.isfinite(v) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("argv", [
+    ["recoil-ratio", "--lambda-nm", "1e308", "--b-min-lambda", "1", "--b-max-lambda", "1.5",
+     "--m-gamma", "3", "--count", "2"],
+    ["reproduce", "--figure", "fig4a", "--set", "lambda_nm=1e308", "--grid-start", "0.1",
+     "--grid-stop", "0.5", "--grid-count", "2"],
+], ids=["recoil-ratio", "fig4a"])
+def test_recoil_ratio_at_huge_wavelength_matches_long_wavelength(capsys, argv):
+    # lz_cm lambda and 2 pi b overflow at lambda = 1e308 nm; the ratio does
+    # not, and depends on b/lambda alone (theta_k fixed), as at 1e300 nm
+    status, out, err = run_main(capsys, *argv)
+    assert (status, err) == (0, "")
+    reference = [a.replace("1e308", "1e300") for a in argv]
+    assert run_main(capsys, *reference) == (0, out, "")
+    if argv[0] == "recoil-ratio":
+        assert out.split("\n")[1:3] == ["1.00000000000e+00,3.18318743274e-01",
+                                         "1.50000000000e+00,2.12220159181e-01"]
 
 
 def oracle_csv(result) -> str:

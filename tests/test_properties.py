@@ -214,7 +214,7 @@ def test_pair_threshold_does_not_rise_with_pitch(omega2, b, l_gamma, thetas):
 
 # beyond the float range, where `int * float` raises OverflowError
 HUGE_INT = "1" + "0" * 400
-FUZZ_VALUES = ("0", "-1", "1e300", "1e-300", "7", HUGE_INT)
+FUZZ_VALUES = ("0", "-1", "1e300", "1e-300", "7", HUGE_INT, "1e308", "5e-324")
 
 
 def _numeric_flags():
@@ -265,6 +265,29 @@ def numeric_argv(draw):
 @example(argv=["trap-jump", "--b-nm", "7", "--nu", HUGE_INT])
 @example(argv=["focus-fraction", "--w0-pm", "7", "--delta-l", HUGE_INT])
 @example(argv=["reproduce", "--figure", "fig2a", "--set", "theta_k=" + HUGE_INT])
+@example(argv=["reproduce", "--figure", "fig2a", "--set", "lambda_nm=1e308",
+               "--grid-start", "1", "--grid-stop", "10", "--grid-count", "3"])
+@example(argv=["reproduce", "--figure", "fig6", "--grid-start", "1e-300",
+               "--grid-stop", "2e-300", "--grid-count", "2"])
+@example(argv=["reproduce", "--figure", "fig8a", "--grid-start", "1e-300",
+               "--grid-stop", "2e-300", "--grid-count", "2"])
+@example(argv=["reproduce", "--figure", "fig7", "--set", "trap_mhz=1e-310"])
+@example(argv=["trap-jump", "--b-nm", "1e-300"])
+@example(argv=["reproduce", "--figure", "fig7", "--set", "m_initial=1e308"])
+@example(argv=["trap-jump", "--b-nm", "20", "--trap-mhz", "5e-324"])
+@example(argv=["sidebands", "--b-nm", "20", "--trap-mhz", "5e-324"])
+@example(argv=["reproduce", "--figure", "fig7", "--set", "trap_mhz=5e-324"])
+@example(argv=["recoil-ratio", "--lambda-nm", "1e308", "--b-min-lambda", "1",
+               "--b-max-lambda", "1.5", "--m-gamma", "3", "--count", "2"])
+@example(argv=["recoil-ratio", "--lambda-nm", "1e300", "--b-min-lambda", "1",
+               "--b-max-lambda", "1.5", "--m-gamma", "3", "--count", "2"])
+@example(argv=["reproduce", "--figure", "fig4a", "--set", "lambda_nm=1e308",
+               "--grid-start", "0.1", "--grid-stop", "0.5", "--grid-count", "2"])
+@example(argv=["trap-jump", "--b-nm", "20", "--trap-mhz", "1e308"])
+@example(argv=["trap-jump", "--b-nm", "20", "--mass-mev", "1e308"])
+@example(argv=["focus-fraction", "--w0-pm", "50", "--energy-mev", "1e308"])
+@example(argv=["pair-threshold", "--pitch-urad", "5", "--pt-mev", "5e-324"])
+@example(argv=["ion-recoil", "--b-nm", "10", "--mass-mev", "1e308"])
 def test_every_numeric_argv_ends_in_finite_csv_or_coded_error(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -277,6 +300,7 @@ def test_every_numeric_argv_ends_in_finite_csv_or_coded_error(argv):
         header, *lines = out.rstrip("\n").split("\n")
         assert lines, out
         assert all(math.isfinite(float(v)) for line in lines for v in line.split(",")), out
+        assert all(line.startswith("twistkick: warning [") for line in err.splitlines()), err
     else:
         assert status in (1, 2), (status, err)
         assert out == ""

@@ -7,7 +7,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from twistkick import recoil_kinematics
 from twistkick.beam import TwistedPhotonBeam, bessel_gauss_amplitude, radial_intensity_total
-from twistkick.errors import DomainError, QuadratureError, SolverError
+from twistkick.errors import ConfigurationError, DomainError, QuadratureError, SolverError
 from twistkick.recoil_kinematics import (
     TargetParticle,
     absorption_energy,
@@ -176,6 +176,15 @@ def test_focus_fraction_riemann_oracle():
     inner = float(np.sum(dens[rho < b_star]))
     assert frac == pytest.approx(inner / total, abs=1e-4)
     assert 0.0 < frac < 1.0
+
+
+def test_focus_fraction_without_envelope_is_configuration_error():
+    # the same CONFIG error every other profile operation raises
+    beam = TwistedPhotonBeam(2, 1, DEUTERON_BINDING_EV, 0.1)
+    with pytest.raises(ConfigurationError) as err:
+        focus_fraction(beam, 1, 0.1)
+    assert err.value.code == "CONFIG"
+    assert "envelope_w0" in str(err.value)
 
 
 def test_focus_fraction_monotone_in_cut():

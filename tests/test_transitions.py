@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from twistkick.transitions import (
     recoil_ratio_array,
     sublevel_profile,
 )
+from twistkick.special_functions import wigner_small_d
 from twistkick.units import wavelength_to_energy
 
 from oracles import dict_sublevel_distribution
@@ -46,6 +48,24 @@ def d_oracle(j, mp, m, beta):
             * math.sin(beta / 2.0) ** (2 * k - m + mp)
         )
     return total
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TransitionChannel(math.inf),
+    lambda: TransitionChannel(math.nan),
+    lambda: TransitionChannel(10**400),
+    lambda: TransitionChannel(1, m_initial=1e308),
+    lambda: TransitionChannel(1, m_initial=math.nan),
+    lambda: wigner_small_d(1e308, 0, 0, 0.1),
+    lambda: sublevel_profile(make_beam(1), TransitionChannel(1), 1e308, 10.0),
+], ids=["j-inf", "j-nan", "j-huge-int", "m-initial-huge", "m-initial-nan", "wigner-j-huge",
+        "m-final-huge"])
+def test_half_integers_beyond_float_range_are_domain_errors(call):
+    # each raised OverflowError or ValueError from rounding 2 m, or showed nan
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.code == "DOMAIN"
+    assert not re.search(r"\b(nan|inf)\b", str(err.value), re.IGNORECASE)
 
 
 def test_channel_validation():
