@@ -34,8 +34,7 @@ from .pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, absorption_energy, \
     deuteron_threshold, focus_fraction, ratio_cut_radius, transverse_recoil_energy
-from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, _am_columns, \
-    _am_transfer_columns, run_sweep
+from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, _am_columns, run_sweep
 from .transitions import TransitionChannel, _ratio_from_partition
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
@@ -130,6 +129,10 @@ def _am_sweep(args, columns, kernel) -> SweepResult:
     table, _ = _am_columns([beam], TransitionChannel(float(args.multipole_j)), xs,
                            args.lambda_nm, kernel, strict=True)
     return _table(args, [("b", "lambda")] + columns, table)
+
+
+def _am_transfer_columns(beam, b, partition):
+    return (partition.lz_internal, partition.lz_cm), partition.errors
 
 
 def _cmd_ion_recoil(args) -> SweepResult:

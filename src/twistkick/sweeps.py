@@ -154,13 +154,9 @@ def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
     return np.column_stack(columns), errors
 
 
-# AM kernels, as _ratio_from_partition: (beam, b, partition) -> (columns, row errors)
+# an AM kernel, as _ratio_from_partition: (beam, b, partition) -> (columns, row errors)
 def _lz_cm_column(beam, b, partition):
     return (partition.lz_cm,), partition.errors
-
-
-def _am_transfer_columns(beam, b, partition):
-    return (partition.lz_internal, partition.lz_cm), partition.errors
 
 
 def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):

@@ -301,7 +301,7 @@ def sublevel_profile(
     drop out.  For nu = 0 the maximum sits at b = 0, otherwise at the first
     Bessel maximum.
     """
-    two_dm = _half_int(float(m_f) - float(channel.m_initial), "m_f - m_i")
+    two_dm = _half_int(m_f, "m_f") - _half_int(channel.m_initial, "m_initial")
     if two_dm % 2 or abs(two_dm) > 2 * channel.j_int:
         raise DomainError(
             f"m_f={m_f} is not reachable from m_i={channel.m_initial} "

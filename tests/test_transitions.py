@@ -58,8 +58,9 @@ def d_oracle(j, mp, m, beta):
     lambda: TransitionChannel(1, m_initial=math.nan),
     lambda: wigner_small_d(1e308, 0, 0, 0.1),
     lambda: sublevel_profile(make_beam(1), TransitionChannel(1), 1e308, 10.0),
+    lambda: sublevel_profile(make_beam(1), TransitionChannel(1), 10**400, 10.0),
 ], ids=["j-inf", "j-nan", "j-huge-int", "m-initial-huge", "m-initial-nan", "wigner-j-huge",
-        "m-final-huge"])
+        "m-final-huge", "m-final-huge-int"])
 def test_half_integers_beyond_float_range_are_domain_errors(call):
     # each raised OverflowError or ValueError from rounding 2 m, or showed nan
     with pytest.raises(DomainError) as err:
