@@ -9,10 +9,19 @@ a ``name [unit]`` header row, 12-significant-digit scientific notation, '.'
 decimal separator and LF line endings; the JSON form (``indent=2``) carries
 the float of each CSV value, so both hold the same 12-digit values.
 
-Rows are formatted a row at a time, not a value at a time: each CSV line is
-one ``str.format`` call on a per-table template, and the JSON rows are the
-CSV values parsed back, spelled by one ``json.dumps`` of the flat list and
-laid out by a row template exactly as ``json.dumps(..., indent=2)`` would.
+Each table is written by one ``%`` operation over its values flattened row
+by row: CSV by a ``"%.11e"`` template for the whole table, JSON by a
+``"%.12g"`` template whose slots also carry the ``indent=2`` row layout.
+For a normal double, ``%.12g`` gives the same 12 correctly rounded digits as
+the CSV text, without trailing zeros, and those digits are exactly ``repr``
+of the CSV value parsed back: a decimal of at most 15 significant digits
+survives the round trip, so no shorter digit string maps to the same float.
+The two spellings differ in four classes only: values that round to an
+integer, +-0 included (``repr`` adds ".0"), 1e12 <= |x| < 1e16 (``%g``
+switches to exponent form there and ``repr`` does not), subnormals
+(``repr`` is shorter), and NaN and +-inf (JSON spells them NaN and
+Infinity).  A numpy mask finds a superset of these values, and each of them
+is written as ``json.dumps`` of its CSV value parsed back.
 """
 
 from __future__ import annotations
@@ -23,13 +32,13 @@ import math
 import sys
 import warnings
 from functools import partial
-from itertools import starmap
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
-from .errors import DomainError, TruncationWarning, TwistkickError
+from .errors import DomainError, TruncationWarning, TwistkickError, shown
 from .pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, absorption_energy, \
@@ -44,16 +53,23 @@ from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, 
 _CA40_MEV = CA40_ION_MASS_EV / MEV
 
 
-def _row_texts(result: SweepResult) -> list[str]:
-    """Each row's CSV line, one ``str.format`` call per row: every value in
-    12-significant-digit scientific notation, one value per column."""
-    template = ",".join(["{:.11e}"] * len(result.columns))
-    return list(starmap(template.format, result.rows))
-
-
 def result_to_csv(result: SweepResult) -> str:
     header = ",".join(f"{name} [{unit}]" for name, unit in result.columns)
-    return "\n".join([header, *_row_texts(result)]) + "\n"
+    line = ",".join(["%.11e"] * len(result.columns)) + "\n"
+    return header + "\n" + line * len(result.rows) % tuple(chain.from_iterable(result.rows))
+
+
+def _needs_repr(values: tuple) -> np.ndarray:
+    """Where ``%.12g`` may spell a value otherwise than ``repr`` of its CSV
+    float, with a margin for the rounding to 12 digits: values that round to
+    an integer below 1e16 (``repr`` adds ".0"; every |x| >= 2.5e10 is within
+    2e-11 |x| of one, so this takes in 1e12 <= |x| < 1e16, where ``%g``
+    switches to exponent form and ``repr`` does not), subnormals and zeros,
+    and non-finite values."""
+    x = np.abs(np.array(values, dtype=float))
+    with np.errstate(invalid="ignore"):
+        return ((x >= 0.5) & (x < 1.01e16) & (np.abs(x - np.rint(x)) <= 2e-11 * x)) \
+            | (x < 2.3e-308) | ~np.isfinite(x)
 
 
 def result_to_json(result: SweepResult) -> str:
@@ -62,18 +78,24 @@ def result_to_json(result: SweepResult) -> str:
         "columns": [{"name": name, "unit": unit} for name, unit in result.columns],
         "rows": [],
     }, indent=2)
-    lines = _row_texts(result)
-    if not lines:
+    values = tuple(chain.from_iterable(result.rows))
+    if not values:
         return head + "\n"
-    # each value is the float of its CSV text, so both outputs carry the same
-    # 12-significant-digit values; one flat json.dumps spells them all (with
-    # its NaN/Infinity), and the row template lays them out as indent=2 would
+    # one template slot per value, joined by ","; the slots carry the indent=2
+    # layout, the first and last of a row its brackets
     width = len(result.columns)
-    values = json.dumps(list(map(float, ",".join(lines).split(","))))[1:-1].split(", ")
-    row = "    [\n      " + ",\n      ".join(["{}"] * width) + "\n    ]"
-    rows = ",\n".join(map(row.format, *(values[i::width] for i in range(width))))
+    slots = ["\n      %s"] * width
+    slots[0] = "\n    [" + slots[0]
+    slots[-1] += "\n    ]"
+    specs = [slot.replace("%s", "%.12g") for slot in slots] * len(result.rows)
+    odd = np.flatnonzero(_needs_repr(values)).tolist()
+    if odd:
+        values = list(values)
+        for i in odd:
+            specs[i] = slots[i % width]
+            values[i] = json.dumps(float(f"{values[i]:.11e}"))
     # head ends in '"rows": []\n}'
-    return head[:-len("[]\n}")] + "[\n" + rows + "\n  ]\n}\n"
+    return head[:-len("]\n}")] + ",".join(specs) % tuple(values) + "\n  ]\n}\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,7 +160,12 @@ def _am_transfer_columns(beam, b, partition):
 def _cmd_ion_recoil(args) -> SweepResult:
     energy = wavelength_to_energy(args.lambda_nm)
     delta_l = args.m_gamma - args.lambda_spin
-    target = TargetParticle(args.mass_mev * MEV, args.b_nm)
+    # the library takes an infinite mass as a recoil-free absorber; here it
+    # can only be a --mass-mev whose conversion to eV overflows
+    mass = args.mass_mev * MEV
+    if not 0.0 < mass < math.inf:
+        raise DomainError(f"ion_mass must be positive and finite, got {shown(mass)}")
+    target = TargetParticle(mass, args.b_nm)
     e_long = nonrel_recoil_energy(energy, target.mass)
     e_t = transverse_recoil_energy(target, delta_l) if delta_l > 0 else 0.0
     solution = absorption_energy(energy, target, max(delta_l, 0))

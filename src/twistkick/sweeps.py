@@ -12,7 +12,8 @@ NaN values where it is not).  The AM panels (fig2-fig5) do so through
 ``recoil-ratio`` share; the other figures lift a per-point row function with
 :func:`_per_point`, which turns each point's coded error into that row's
 code.  Rows that carry a code (e.g. the vortex line b = 0) or a
-non-finite value are dropped and counted in the metadata, never silently
+non-finite value are dropped and counted in the metadata, in total and per
+error code (``NON_FINITE`` for a non-finite value), never silently
 interpolated.  A sweep that drops every row raises the first row's coded
 error instead of returning an empty table.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -413,10 +415,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         }
 
     table, errors = figure.builder(params, points)
-    rows = table[(errors == "") & np.isfinite(table).all(axis=1)].tolist()
+    kept = (errors == "") & np.isfinite(table).all(axis=1)
+    rows = table[kept].tolist()
     if not rows:
         _raise_every_row_dropped(spec.figure_id, figure, params, points)
-    dropped = len(points) - len(rows)
+    # a row without a code was dropped for a non-finite value
+    dropped_codes = np.where(errors == "", "NON_FINITE", errors)[~kept].tolist()
 
     metadata = {
         "figure": spec.figure_id,
@@ -424,7 +428,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "parameters": {k: _meta_value(v) for k, v in params.items()},
         "grid": grid_meta,
         "rows": len(rows),
-        "dropped_rows": dropped,
+        "dropped_rows": len(dropped_codes),
+        "dropped_by_code": dict(sorted(Counter(dropped_codes).items())),
         "library_version": __version__,
         "constants_sha256": constants_sha256(),
     }

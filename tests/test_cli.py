@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twistkick
@@ -593,6 +594,8 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
      "axial_frequency must be positive and finite, got a non-finite value (an input overflows)"),
     (["trap-jump", "--b-nm", "20", "--mass-mev", "1e308"], "DOMAIN",
      "ion_mass must be positive and finite, got a non-finite value (an input overflows)"),
+    (["ion-recoil", "--b-nm", "10", "--mass-mev", "1e308"], "DOMAIN",
+     "ion_mass must be positive and finite, got a non-finite value (an input overflows)"),
     (["focus-fraction", "--w0-pm", "50", "--energy-mev", "1e308"], "DOMAIN",
      "energy must be positive and finite, got a non-finite value (an input overflows)"),
     (["pair-threshold", "--pitch-urad", "5", "--pt-mev", "5e-324"], "DOMAIN",
@@ -603,7 +606,7 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
         "focus-norm", "focus-b-star", "ion-recoil", "deuteron-wavelength",
         "fig7-m-initial", "fig7-m-final", "trap-jump-spacing", "sidebands-spacing",
         "fig7-spacing", "fig6-tiny-b", "fig8a-tiny-b", "trap-frequency", "trap-mass",
-        "focus-energy", "pair-tiny-pt"])
+        "ion-recoil-mass", "focus-energy", "pair-tiny-pt"])
 def test_overflowing_inputs_are_coded_errors(capsys, argv, code, message):
     # each of these overflowed to inf or NaN inside the computation and ended
     # in a traceback, a NaN/inf or a numpy RuntimeWarning in the error text,
@@ -652,10 +655,34 @@ def oracle_json(result) -> str:
 
 _EDGE_VALUES = (-0.0, 0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
 
+# the edges of each class whose shortest repr differs from its 12 CSV digits
+# spelled by %g: values rounding to an integer, 1e12 <= |x| < 1e16 and
+# subnormals, with the neighbours on either side
+_SPELLING_EDGES = (
+    0.5, 0.9999999999995, 2.9999999999995, 2.99999999999949, 123456789012.0,
+    999999999999.4, 999999999999.5, 1e12, 9999999999999998.0, 1e16, 1.5e16,
+    2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0), 1e-310,
+    9.99999999999995e-05, 1e-4,
+)
+
+
+def _mixed_table(rng, rows, width):
+    """Near-integers (within 1e-16..1e-9 relative) mixed with values
+    log-uniform over [1e-320, 1e308], either sign."""
+    def value():
+        sign = rng.choice((-1.0, 1.0))
+        if rng.random() < 0.3:
+            n = rng.choice((0, 1, 2, 3, rng.randint(4, 10**15)))
+            return sign * n * (1.0 + rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-16, -9))
+        return sign * 10.0 ** rng.uniform(-320, 308)
+    return [[value() for _ in range(width)] for _ in range(rows)]
+
 
 def formatter_cases():
     """Every default reproduce table, seeded random tables with the float edge
-    values, a 1-column and a 0-row table."""
+    values, a 1-column and a 0-row table, the spelling edges with both signs,
+    a 2000-row table of near-integers and log-uniform values, and cells that
+    are a Python int or a numpy.float64."""
     cases = [run_sweep(SweepSpec(figure)) for figure in FIGURE_IDS]
     rng = random.Random(9)
     for draw in range(200):
@@ -671,6 +698,14 @@ def formatter_cases():
     cases.append(SweepResult([(f"c{i}", "1") for i in range(len(edge))], [edge],
                              {"rows": [], "note": '"rows": []\n}'}))
     cases.append(SweepResult([("x", "nm"), ("y", "eV")], [], {"note": '"rows": []'}))
+    edges = [sign * v for v in _SPELLING_EDGES for sign in (1.0, -1.0)]
+    cases.append(SweepResult([("x", "1")], [[v] for v in edges], {}))
+    cases.append(SweepResult([("x", "1"), ("y", "1")],
+                             [edges[i:i + 2] for i in range(0, len(edges), 2)], {}))
+    cases.append(SweepResult([(f"c{i}", "1") for i in range(6)], _mixed_table(rng, 2000, 6), {}))
+    cases.append(SweepResult([("n", "1"), ("x", "1"), ("y", "1")],
+                             [[0, np.float64(2.5), 10**17], [-3, np.float64(-0.0), 7],
+                              [123456789012345, np.float64(1e-310), np.float64(3.0)]], {}))
     return cases
 
 

@@ -64,6 +64,7 @@ def test_fig6_values():
     result = run_sweep(SweepSpec("fig6"))
     rows = np.array(result.rows)
     assert result.metadata["dropped_rows"] == 0
+    assert result.metadata["dropped_by_code"] == {}
     assert len(rows) == 200
     # constant longitudinal recoil column at 0.13 neV (5%)
     assert np.all(rows[:, 1] == rows[0, 1])
@@ -145,6 +146,7 @@ def test_error_rows_dropped_and_counted():
     # model; the row is dropped, not interpolated
     result = run_sweep(SweepSpec("fig7", grid=GridSpec(0.0, 100.0, 3)))
     assert result.metadata["dropped_rows"] == 1
+    assert result.metadata["dropped_by_code"] == {"B_SINGULARITY": 1}
     assert len(result.rows) == 2
 
 
@@ -152,6 +154,7 @@ def test_am_figure_drops_vortex_line_row():
     # p_T/p_z = lz_cm lambda / (2 pi b) is singular at b = 0 for every m_gamma
     result = run_sweep(SweepSpec("fig4a", grid=GridSpec(0.0, 1.0, 5)))
     assert result.metadata["dropped_rows"] == 1
+    assert result.metadata["dropped_by_code"] == {"B_SINGULARITY": 1}
     assert [row[0] for row in result.rows] == [0.25, 0.5, 0.75, 1.0]
 
 
@@ -160,6 +163,7 @@ def test_am_figure_drops_vanishing_distribution_row():
     # and m_gamma = 3 (2..4) all vanish, so their distributions are undefined
     result = run_sweep(SweepSpec("fig2a", grid=GridSpec(0.0, 1.0, 5)))
     assert result.metadata["dropped_rows"] == 1
+    assert result.metadata["dropped_by_code"] == {"UNDEFINED_DISTRIBUTION": 1}
     assert len(result.rows) == 4
     assert result.rows[0][0] == 0.25
 
@@ -169,8 +173,26 @@ def test_am_figure_drops_only_rows_past_bessel_limit():
     # grid points beyond it are dropped, the rest of the sweep is kept
     result = run_sweep(SweepSpec("fig2a", grid=GridSpec(1e-3, 1e7, 41, "log")))
     assert result.metadata["dropped_rows"] == 4
+    assert result.metadata["dropped_by_code"] == {"DOMAIN": 4}
     assert len(result.rows) == 37
     assert result.rows[-1][0] == pytest.approx(1e6)
+
+
+def test_dropped_rows_counted_per_code_in_code_order():
+    # b = 0 leaves no distribution and b = 2e6 lambda is past the Bessel
+    # limit; the counts are listed by code, not by the order rows met them
+    result = run_sweep(SweepSpec("fig2a", grid=GridSpec(0.0, 2e6, 5)))
+    assert result.metadata["dropped_rows"] == 2
+    assert list(result.metadata["dropped_by_code"].items()) == [
+        ("DOMAIN", 1), ("UNDEFINED_DISTRIBUTION", 1)]
+    assert len(result.rows) == 3
+
+
+def test_non_finite_row_counted_as_non_finite():
+    # E_T ~ 1/b^2 overflows at b = 1e-300 nm; the row has no error code
+    result = run_sweep(SweepSpec("fig6", grid=GridSpec(1e-300, 5.0, 3)))
+    assert result.metadata["dropped_by_code"] == {"NON_FINITE": 1}
+    assert len(result.rows) == 2
 
 
 def test_degenerate_grid():
