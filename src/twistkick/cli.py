@@ -56,7 +56,7 @@ _CA40_MEV = CA40_ION_MASS_EV / MEV
 def result_to_csv(result: SweepResult) -> str:
     header = ",".join(f"{name} [{unit}]" for name, unit in result.columns)
     line = ",".join(["%.11e"] * len(result.columns)) + "\n"
-    return header + "\n" + line * len(result.rows) % tuple(chain.from_iterable(result.rows))
+    return header + "\n" + (line * len(result.rows)) % tuple(chain.from_iterable(result.rows))
 
 
 def _needs_repr(values: tuple) -> np.ndarray:
