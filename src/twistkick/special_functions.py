@@ -20,11 +20,12 @@ give every order of one argument for the price of one (Gautschi, SIAM Rev.
 
 The start order of the backward recurrence depends on the argument only
 through its octave (2^(e-1) <= x < 2^e, all x < 4 alike), so an array of
-arguments runs one recurrence per octave.  ``bessel_j`` and
-``bessel_j_array`` read orders 0...8 from tables of top order 8 and orders
-9...64 from tables of top order 64, so a value never depends on the other
-orders or arguments of the call: the scalar and the array function agree
-bit for bit.  Both enforce the package contract (integer order |n| <= 64,
+arguments runs one recurrence per octave; an array of at most 8 arguments
+runs the float recurrence of a scalar argument once per element.
+``bessel_j`` and ``bessel_j_array`` read orders 0...8 from tables of top
+order 8 and orders 9...64 from tables of top order 64, so a value never
+depends on the other orders or arguments of the call: the scalar and the
+array function agree bit for bit.  Both enforce the package contract (integer order |n| <= 64,
 finite argument |x| <= 1e6) and canonicalize signs through
 J_{-n}(x) = (-1)^n J_n(x) = J_n(-x).
 
@@ -63,6 +64,9 @@ MAX_ARGUMENT = 1.0e6
 HANKEL_MIN_X = 25.0
 #: top orders of the tables ``bessel_j`` and ``bessel_j_array`` read from
 _BANDS = (8, MAX_ORDER)
+#: up to this many arguments a table is one float recurrence per argument:
+#: numpy's cost per call exceeds the arithmetic below about 16 arguments
+_FEW_ARGUMENTS = 8
 
 
 def _hankel_coefficients(nu: int, terms: int) -> tuple[list[float], list[float]]:
@@ -186,7 +190,8 @@ def bessel_j_orders(n_max: int, x) -> np.ndarray:
     Miller's backward recurrence where x < max(25, n_max), Hankel's
     expansion and the forward recurrence elsewhere (module docstring).  The
     start order depends on n_max and on the octave of x, so a value depends
-    on n_max but not on the other arguments.  Absolute error below 5e-14 of
+    on n_max but not on the other arguments, and an array of at most 8
+    arguments runs as that many scalar calls.  Absolute error below 5e-14 of
     min(1, sqrt(2/(pi x))) for n_max <= 340.  No domain check: callers pass
     |x| <= 1e6.
     """
@@ -197,6 +202,11 @@ def bessel_j_orders(n_max: int, x) -> np.ndarray:
     flat = x.ravel()
     table = np.empty((n_max + 1, flat.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if flat.size <= _FEW_ARGUMENTS:
+            # the same arithmetic on floats, so the same bits
+            for i, value in enumerate(flat.tolist()):
+                table[:, i] = _j_list(n_max, value)
+            return table.reshape((n_max + 1,) + x.shape)
         forward = flat >= max(HANKEL_MIN_X, n_max)
         octaves = _octaves(flat)
         groups = [(forward, None)] + [

