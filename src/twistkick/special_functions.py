@@ -25,9 +25,9 @@ runs the float recurrence of a scalar argument once per element.
 ``bessel_j`` and ``bessel_j_array`` read orders 0...8 from tables of top
 order 8 and orders 9...64 from tables of top order 64, so a value never
 depends on the other orders or arguments of the call: the scalar and the
-array function agree bit for bit.  Both enforce the package contract (integer order |n| <= 64,
-finite argument |x| <= 1e6) and canonicalize signs through
-J_{-n}(x) = (-1)^n J_n(x) = J_n(-x).
+array function agree bit for bit.  Both enforce the package contract
+(integer order |n| <= 64, finite argument |x| <= 1e6) and canonicalize
+signs through J_{-n}(x) = (-1)^n J_n(x) = J_n(-x).
 
 **e^{-x} I_0 ... I_n** (:func:`bessel_i_scaled_orders`).  The same backward
 recurrence, I_k/I_{k-1} = 1/(2k/x + I_{k+1}/I_k), normalised by

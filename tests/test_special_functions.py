@@ -139,7 +139,8 @@ def test_array_matches_scalar():
                 assert np.array_equal(bessel_j_array(n, pool[index]),
                                       [bessel_j(n, x) for x in pool[index].tolist()])
     grid = pool[:12].reshape(3, 4)  # a 2-D table beyond the float loop
-    assert np.array_equal(bessel_j_orders(9, grid), bessel_j_orders(9, pool[:12]).reshape(10, 3, 4))
+    assert np.array_equal(bessel_j_orders(9, grid),
+                          bessel_j_orders(9, pool[:12]).reshape(10, 3, 4))
 
 
 def test_bessel_domain_errors():
