@@ -11,10 +11,10 @@ Gaussian envelope of scale w0 is imposed.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigurationError, DomainError, QuadratureError, shown
 from .special_functions import bessel_i_scaled_orders, bessel_j, bessel_j_array, \
@@ -44,7 +44,7 @@ class TwistedPhotonBeam:
     def __post_init__(self):
         if self.lambda_spin not in (-1, 1):
             raise DomainError(f"lambda_spin must be +1 or -1, got {self.lambda_spin}")
-        if not isinstance(self.m_gamma, (int, np.integer)):
+        if not isinstance(self.m_gamma, numbers.Integral):
             raise DomainError(f"m_gamma must be an integer, got {self.m_gamma!r}")
         if not 0.0 < self.energy < math.inf:
             raise DomainError(f"energy must be positive and finite, got {shown(self.energy)}")
@@ -133,10 +133,11 @@ def bessel_gauss_amplitude(beam: TwistedPhotonBeam, rho) -> float | np.ndarray:
     """
     w0 = _require_w0(beam)
     kappa = transverse_wavenumber(beam)
-    if np.isscalar(rho):
+    if isinstance(rho, numbers.Real):
         if rho < 0.0:
             raise DomainError(f"rho must be non-negative, got {rho}")
         return bessel_j(beam.l_gamma, kappa * rho) * math.exp(-(rho / w0) ** 2)
+    import numpy as np
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0.0):
         raise DomainError("rho must be non-negative")
@@ -145,20 +146,27 @@ def bessel_gauss_amplitude(beam: TwistedPhotonBeam, rho) -> float | np.ndarray:
 
 # 16-node Gauss-Legendre panels, evaluated _PANEL_CHUNK panels at a time so
 # that kappa * upper near the Bessel limit (~3e5 panels) stays small in memory
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _MIN_PANELS = 8
 _PANEL_CHUNK = 4096
 
 
+@functools.cache
+def _gauss_legendre():  # the nodes and weights, built at the first quadrature
+    import numpy as np
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _composite_gl(beam: TwistedPhotonBeam, lower: float, upper: float, panels: int) -> float:
+    import numpy as np
+    nodes, weights = _gauss_legendre()
     h = (upper - lower) / panels
-    offsets = 0.5 * (_GL_X + 1.0)
+    offsets = 0.5 * (nodes + 1.0)
     total = 0.0
     for start in range(0, panels, _PANEL_CHUNK):
         index = np.arange(start, min(start + _PANEL_CHUNK, panels))
         rho = lower + h * (index[:, None] + offsets)
         amp = bessel_gauss_amplitude(beam, rho)
-        total += float(np.sum(amp * amp * rho * _GL_W))
+        total += float(np.sum(amp * amp * rho * weights))
     return 0.5 * h * total
 
 
@@ -194,7 +202,7 @@ def radial_intensity_total(beam: TwistedPhotonBeam) -> float:
     kappa = transverse_wavenumber(beam)
     l = abs(beam.l_gamma)
     check_bessel_domain(l, kappa * 8.0 * w0)
-    value = 0.25 * w0 * w0 * float(bessel_i_scaled_orders(l, 0.25 * (kappa * w0) ** 2)[l])
+    value = 0.25 * w0 * w0 * bessel_i_scaled_orders(l, 0.25 * (kappa * w0) ** 2)[l]
     if not 0.0 < value < math.inf:  # NaN where w0^2 overflows and I_l(y) = 0
         raise QuadratureError(
             f"profile is not normalizable: its integral at w0 = {w0:g} nm is "

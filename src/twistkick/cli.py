@@ -21,7 +21,11 @@ integer, +-0 included (``repr`` adds ".0"), 1e12 <= |x| < 1e16 (``%g``
 switches to exponent form there and ``repr`` does not), subnormals
 (``repr`` is shorter), and NaN and +-inf (JSON spells them NaN and
 Infinity).  A numpy mask finds a superset of these values, and each of them
-is written as ``json.dumps`` of its CSV value parsed back.
+is written as ``json.dumps`` of its CSV value parsed back.  That spelling is
+right for every value, so a table of fewer than 60 values (every scalar
+subcommand's, sidebands up to ``--n-max 18``) takes it for all of them and
+needs no numpy, whose import costs ~0.1 s; once numpy is loaded the mask is
+the cheaper from about a dozen values up, ~0.1 ms cheaper at 60.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ import sys
 import warnings
 from functools import partial
 from itertools import chain
-
-import numpy as np
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
@@ -51,6 +53,7 @@ from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, 
     MEV, NEV, PM, check_float_range, nonrel_recoil_energy, wavelength_to_energy
 
 _CA40_MEV = CA40_ION_MASS_EV / MEV
+_EXACT_TABLE_VALUES = 60  # a smaller table spells every value exactly
 
 
 def result_to_csv(result: SweepResult) -> str:
@@ -59,17 +62,19 @@ def result_to_csv(result: SweepResult) -> str:
     return header + "\n" + (line * len(result.rows)) % tuple(chain.from_iterable(result.rows))
 
 
-def _needs_repr(values: tuple) -> np.ndarray:
-    """Where ``%.12g`` may spell a value otherwise than ``repr`` of its CSV
-    float, with a margin for the rounding to 12 digits: values that round to
-    an integer below 1e16 (``repr`` adds ".0"; every |x| >= 2.5e10 is within
-    2e-11 |x| of one, so this takes in 1e12 <= |x| < 1e16, where ``%g``
-    switches to exponent form and ``repr`` does not), subnormals and zeros,
-    and non-finite values."""
+def _needs_repr(values: tuple) -> list[int]:
+    """The indices of the values ``%.12g`` may spell otherwise than ``repr``
+    of their CSV float, with a margin for the rounding to 12 digits: values
+    that round to an integer below 1e16 (``repr`` adds ".0"; every |x| >=
+    2.5e10 is within 2e-11 |x| of one, so this takes in 1e12 <= |x| < 1e16,
+    where ``%g`` switches to exponent form and ``repr`` does not), subnormals
+    and zeros, and non-finite values."""
+    import numpy as np
     x = np.abs(np.array(values, dtype=float))
     with np.errstate(invalid="ignore"):
-        return ((x >= 0.5) & (x < 1.01e16) & (np.abs(x - np.rint(x)) <= 2e-11 * x)) \
-            | (x < 2.3e-308) | ~np.isfinite(x)
+        return np.flatnonzero(
+            ((x >= 0.5) & (x < 1.01e16) & (np.abs(x - np.rint(x)) <= 2e-11 * x))
+            | (x < 2.3e-308) | ~np.isfinite(x)).tolist()
 
 
 def result_to_json(result: SweepResult) -> str:
@@ -87,11 +92,15 @@ def result_to_json(result: SweepResult) -> str:
     slots = ["\n      %s"] * width
     slots[0] = "\n    [" + slots[0]
     slots[-1] += "\n    ]"
-    specs = [slot.replace("%s", "%.12g") for slot in slots] * len(result.rows)
-    odd = np.flatnonzero(_needs_repr(values)).tolist()
-    if odd:
+    if len(values) < _EXACT_TABLE_VALUES:
+        # every value spelled exactly; json.dumps spells each value of a list
+        # as it spells that value alone
+        specs = slots * len(result.rows)
+        values = json.dumps([float(f"{v:.11e}") for v in values])[1:-1].split(", ")
+    else:
+        specs = [slot.replace("%s", "%.12g") for slot in slots] * len(result.rows)
         values = list(values)
-        for i in odd:
+        for i in _needs_repr(values):
             specs[i] = slots[i % width]
             values[i] = json.dumps(float(f"{values[i]:.11e}"))
     # head ends in '"rows": []\n}'
@@ -120,16 +129,21 @@ _NOT_PARAMETERS = ("command", "handler", "format", "output")
 
 
 def _table(args, columns, rows, **extra) -> SweepResult:
-    """A subcommand's table, with every option it was run with as metadata;
-    ``extra`` adds further metadata entries.  A non-finite value is a
-    ``NON_FINITE`` error naming its column."""
-    table = np.array(rows, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=0))
-    if bad.size:
-        raise DomainError(f"{columns[bad[0]][0]} is not finite", code="NON_FINITE")
+    """A subcommand's table, from a list of rows or the AM sweep's array,
+    with every option it was run with as metadata; ``extra`` adds further
+    metadata entries.  A non-finite value is a ``NON_FINITE`` error naming
+    its column."""
+    if isinstance(rows, list):
+        rows = [[float(v) for v in row] for row in rows]
+        finite = [all(map(math.isfinite, column)) for column in zip(*rows)]
+    else:
+        import numpy as np
+        finite, rows = np.isfinite(rows).all(axis=0).tolist(), rows.tolist()
+    if not all(finite):
+        raise DomainError(f"{columns[finite.index(False)][0]} is not finite", code="NON_FINITE")
     return SweepResult(
         columns=list(columns),
-        rows=table.tolist(),
+        rows=rows,
         metadata={
             "command": args.command,
             "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
@@ -147,6 +161,7 @@ def _am_sweep(args, columns, kernel) -> SweepResult:
     if not math.isfinite(args.b_max_lambda - args.b_min_lambda):
         raise DomainError(f"sweep span [{args.b_min_lambda:g}, {args.b_max_lambda:g}] "
                           "lambda is beyond the floating-point range")
+    import numpy as np
     xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
     table, _ = _am_columns([beam], TransitionChannel(float(args.multipole_j)), xs,
                            args.lambda_nm, kernel, strict=True)

@@ -28,8 +28,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, first_lobe_peak_argument, \
     profile_peak_radius
 from .errors import DomainError, SolverError, shown
@@ -225,6 +223,7 @@ def fit_beam_for_threshold_factor(
     # peak_radius solves the fit's own equation, so a grid of the profile checks
     # that b is the global maximum (to rounding at a grid point next to b); it
     # ends where the envelope, which bounds the profile, falls below |A(b)|
+    import numpy as np
     at_b = abs(bessel_gauss_amplitude(beam, b))
     rho = np.linspace(0.0, min(10.0, math.sqrt(-math.log(at_b))) * w0, 4000)
     grid = np.abs(bessel_gauss_amplitude(beam, rho))

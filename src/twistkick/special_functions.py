@@ -2,7 +2,8 @@
 J_n, and Wigner small-d rotation elements.
 
 This is the only transcendental machinery the physics modules need, and it
-is numpy alone.
+is numpy alone, imported by the array functions on first use: a scalar
+argument runs on Python floats and ``math``.
 
 **J_0 ... J_n at once** (:func:`bessel_j_orders`).  Three-term recurrences
 give every order of one argument for the price of one (Gautschi, SIAM Rev.
@@ -51,9 +52,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
-
-import numpy as np
 
 from .errors import DomainError, shown
 
@@ -86,7 +86,8 @@ _HANKEL = [_hankel_coefficients(nu, 15) for nu in (0, 1)]
 
 def _hankel_j01(x):
     """J_0(x) and J_1(x) for x >= 25 from Hankel's expansion, with the phases
-    x - pi/4 and x - 3 pi/4 taken through cos x and sin x."""
+    x - pi/4 and x - 3 pi/4 taken through cos x and sin x: ``math``'s for a
+    float x, numpy's for an array, which agree bit for bit (a test checks)."""
     w = 1.0 / (x * x)
     pq = []
     for even, odd in _HANKEL:
@@ -96,8 +97,11 @@ def _hankel_j01(x):
             q = q * w + c_odd
         pq.append((p, q / x))
     (p0, q0), (p1, q1) = pq
-    c, s = np.cos(x), np.sin(x)
-    scale = 1.0 / np.sqrt(np.pi * x)
+    if isinstance(x, float):
+        c, s, scale = math.cos(x), math.sin(x), 1.0 / math.sqrt(math.pi * x)
+    else:
+        import numpy as np
+        c, s, scale = np.cos(x), np.sin(x), 1.0 / np.sqrt(np.pi * x)
     return scale * (p0 * (c + s) - q0 * (s - c)), scale * (p1 * (s - c) + q1 * (s + c))
 
 
@@ -153,12 +157,13 @@ def _miller(n_max: int, x, start: int) -> list:
 def _miller_retry(n_max: int, x, start: int) -> list:
     # _miller, at the next float up where x is (within rounding) a zero of
     # some J_k; the scalar and the array path step alike
-    if np.ndim(x) == 0:
+    if isinstance(x, float):
         while True:
             try:
                 return _miller(n_max, x, start)
             except ZeroDivisionError:
                 x = math.nextafter(x, math.inf)
+    import numpy as np
     values = np.array(_miller(n_max, x, start))
     bad = np.isnan(values[0]) & np.isfinite(x)  # a NaN argument stays NaN
     while bad.any():
@@ -168,18 +173,13 @@ def _miller_retry(n_max: int, x, start: int) -> list:
     return values
 
 
-def _octaves(x: np.ndarray) -> np.ndarray:
-    # the start-order argument of each x: 2^e with 2^(e-1) <= x < 2^e, at least 4
-    return np.maximum(np.ldexp(1.0, np.frexp(x)[1]), 4.0)
-
-
 def _j_list(n_max: int, x: float) -> list:
-    # bessel_j_orders at one argument, as a list
+    # bessel_j_orders at one float argument, as a list of floats
     if x == 0.0:
         return [1.0] + [0.0] * n_max
     if x >= max(HANKEL_MIN_X, n_max):
         return _forward(n_max, x)
-    octave = max(math.ldexp(1.0, math.frexp(x)[1]), 4.0)  # as _octaves
+    octave = max(math.ldexp(1.0, math.frexp(x)[1]), 4.0)  # as in bessel_j_orders
     return _miller_retry(n_max, x, _start_order(n_max, octave))
 
 
@@ -195,6 +195,7 @@ def bessel_j_orders(n_max: int, x) -> np.ndarray:
     min(1, sqrt(2/(pi x))) for n_max <= 340.  No domain check: callers pass
     |x| <= 1e6.
     """
+    import numpy as np
     n_max = int(n_max)
     if np.ndim(x) == 0:
         return np.array(_j_list(n_max, float(x)), dtype=float)
@@ -208,7 +209,8 @@ def bessel_j_orders(n_max: int, x) -> np.ndarray:
                 table[:, i] = _j_list(n_max, value)
             return table.reshape((n_max + 1,) + x.shape)
         forward = flat >= max(HANKEL_MIN_X, n_max)
-        octaves = _octaves(flat)
+        # the start-order argument of each x: 2^e with 2^(e-1) <= x < 2^e, at least 4
+        octaves = np.maximum(np.ldexp(1.0, np.frexp(flat)[1]), 4.0)
         groups = [(forward, None)] + [
             (~forward & (octaves == octave), octave)
             for octave in np.unique(octaves[~forward])]
@@ -228,21 +230,18 @@ def bessel_j_orders(n_max: int, x) -> np.ndarray:
     return table.reshape((n_max + 1,) + x.shape)
 
 
-def _band_table(n_top: int, x) -> np.ndarray:
-    # J_0 ... J_{n_top}(x), each order from the table of its band
-    low = bessel_j_orders(_BANDS[0], x)
-    if n_top <= _BANDS[0]:
-        return low[:n_top + 1]
-    return np.concatenate([low, bessel_j_orders(_BANDS[1], x)[_BANDS[0] + 1:n_top + 1]])
-
-
 def check_bessel_domain(n: int, x: float) -> None:
     """Raise DomainError unless n is an integer with |n| <= 64 and x is
     finite with |x| <= 1e6."""
-    if not isinstance(n, (int, np.integer)):
+    if not isinstance(n, numbers.Integral):
         raise DomainError(f"Bessel order must be an integer, got {n!r}")
     if abs(int(n)) > MAX_ORDER:
         raise DomainError(f"Bessel order |n| <= {MAX_ORDER} supported, got {shown(n)}")
+    check_bessel_argument(x)
+
+
+def check_bessel_argument(x: float) -> None:
+    """Raise DomainError unless x is finite with |x| <= 1e6."""
     if not abs(x) <= MAX_ARGUMENT:
         raise DomainError(f"Bessel argument |x| <= {MAX_ARGUMENT:g} supported, got {shown(x)}")
 
@@ -271,21 +270,29 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     every order up to the largest at |x| and one ``np.where`` folding in
     the signs, so each element is bit-identical to the scalar call; an order
     column of shape (k, 1) against x of shape (m,) gives the (k, m) table."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     order = np.asarray(n)
     # the widest of integer orders stands for all; a float order, or an int
     # beyond int64, goes to the check as given, which rejects it
     widest = int(order.flat[np.abs(order).argmax()]) if order.dtype.kind in "iu" else n
-    check_bessel_domain(widest, float(np.abs(x).max()) if x.size else 0.0)
-    table = _band_table(abs(widest), np.abs(x))
+    magnitude = np.abs(x)
+    check_bessel_domain(widest, float(magnitude.max()) if x.size else 0.0)
+    # J_0 ... J_|widest|(|x|), each order from the table of its band
+    n_top = abs(widest)
+    table = bessel_j_orders(_BANDS[0], magnitude)[:n_top + 1]
+    if n_top > _BANDS[0]:
+        table = np.concatenate(
+            [table, bessel_j_orders(_BANDS[1], magnitude)[_BANDS[0] + 1:n_top + 1]])
     index = np.abs(order)
     values = table[(index,) + np.indices(x.shape, sparse=True)] if index.ndim else table[index]
     # odd order: one sign flip for n < 0, another for x < 0
     return np.where((order % 2 == 1) & ((x < 0.0) != (order < 0)), -values, values)
 
 
-def bessel_i_scaled_orders(n_max: int, x: float) -> np.ndarray:
-    """e^{-x} I_0(x) ... e^{-x} I_{n_max}(x) at one argument x >= 0.
+def bessel_i_scaled_orders(n_max: int, x: float) -> list[float]:
+    """e^{-x} I_0(x) ... e^{-x} I_{n_max}(x) at one argument x >= 0, as a
+    list of floats.
 
     Below x = 4 n_max^2 + 1e3 the backward ratio recurrence runs from an
     order where I_k/I_{n_max} < 1e-20 and is normalised by
@@ -295,14 +302,14 @@ def bessel_i_scaled_orders(n_max: int, x: float) -> np.ndarray:
     """
     n_max, x = int(n_max), float(x)
     if x == 0.0:
-        return np.array([1.0] + [0.0] * n_max)
+        return [1.0] + [0.0] * n_max
     if x > 4.0 * n_max * n_max + 1e3:
         upper, top = (_i_scaled_expansion(nu, x) for nu in (n_max + 1, n_max))
         values = [top]
         for k in range(n_max, 0, -1):
             upper, top = top, upper + 2 * k / x * top
             values.append(top)
-        return np.array(values[::-1])
+        return values[::-1]
     start = 2 * math.ceil(0.5 * math.sqrt(n_max * n_max + 92.0 * x)) + 10
     p = 0.0
     s = 1.0
@@ -319,7 +326,7 @@ def bessel_i_scaled_orders(n_max: int, x: float) -> np.ndarray:
     for p in ratios[:n_max]:
         value = value * p
         values.append(value)
-    return np.array(values)
+    return values
 
 
 def _i_scaled_expansion(nu: int, x: float) -> float:

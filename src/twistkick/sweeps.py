@@ -23,12 +23,11 @@ error instead of returning an empty table.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick, transverse_wavenumber
@@ -73,6 +72,7 @@ class GridSpec:
             raise DomainError("log-spaced grids need start > 0")
 
     def values(self) -> np.ndarray:
+        import numpy as np
         if self.scale == "lin":
             return np.linspace(self.start, self.stop, self.count)
         if self.scale == "log":
@@ -124,6 +124,7 @@ def _per_point(build_row):
     with ``strict`` raises it.  Grid points reach ``row`` as Python floats,
     as argparse hands them to the CLI handlers."""
     def build(params, points, strict=False):
+        import numpy as np
         row = build_row(params)
         rows, errors = [], []
         for point in points.tolist() if isinstance(points, np.ndarray) else points:
@@ -147,6 +148,7 @@ def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
     partitions of all ``beams`` from one :func:`am_partitions` call, and the
     first error code of each row, or with ``strict`` the error of the first
     failing row of the first failing beam raised."""
+    import numpy as np
     with np.errstate(over="ignore"):  # an overflowing b is a coded row error
         b = xs * wavelength
     columns = [xs]
@@ -218,6 +220,7 @@ def _fig7_grid(params, points, strict=False):
     :func:`_fig7_build`'s row, the one source of fig7's error codes, every
     row those arrays leave unanswered, every row when they raise, and every
     row with ``strict``."""
+    import numpy as np
     parts = _fig7_parts(params)  # a build error propagates, as from _fig7_build
     per_point = _per_point(_fig7_build)
     if strict:
@@ -240,6 +243,7 @@ def _fig7_rows(params, beam, channel, trap, b):
     # _fig7_build's rows at every b of the array b, NaN where unanswered, and
     # the mask of the rows answered: b > 0 (the point kick's domain), the
     # packet inside the Bessel domain and a positive, finite strength
+    import numpy as np
     sigma = params["sigma_nm"]
     with np.errstate(over="ignore", invalid="ignore"):
         inside = (b > 0.0) & (np.abs(transverse_wavenumber(beam) * (b + 9.0 * sigma))
@@ -427,7 +431,8 @@ FIGURE_IDS = tuple(sorted(_REGISTRY))
 
 def _check_override_type(figure_id: str, key: str, value, default) -> None:
     # an int default takes an int; a float default a finite int or float
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    import numpy as np
+    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if isinstance(default, int):
         ok, expected = is_int, "an integer"
     else:
@@ -443,6 +448,7 @@ def _check_override_type(figure_id: str, key: str, value, default) -> None:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested figure; identical specs give identical results."""
+    import numpy as np
     figure = _REGISTRY.get(spec.figure_id)
     if figure is None:
         raise DomainError(f"unknown figure id {spec.figure_id!r}", code="UNKNOWN_FIGURE")
@@ -485,7 +491,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     metadata = {
         "figure": spec.figure_id,
         "description": figure.description,
-        "parameters": {k: _meta_value(v) for k, v in params.items()},
+        # numpy scalars (accepted as overrides) become the Python numbers JSON takes
+        "parameters": {k: v.item() if isinstance(v, np.generic) else v
+                       for k, v in params.items()},
         "grid": grid_meta,
         "rows": len(rows),
         "dropped_rows": len(dropped_codes),
@@ -509,8 +517,3 @@ def _raise_every_row_dropped(figure_id, figure, params, points) -> None:
         raise type(exc)(prefix + str(exc), code=exc.code) from exc
     column = next(name for (name, _), v in zip(figure.columns, row) if not math.isfinite(v))
     raise DomainError(prefix + f"{column} is not finite", code="NON_FINITE")
-
-
-def _meta_value(value):
-    # numpy scalars (accepted as overrides) become the Python numbers JSON takes
-    return value.item() if isinstance(value, np.generic) else value

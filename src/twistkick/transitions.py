@@ -31,14 +31,13 @@ what the code names.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, UndefinedDistributionError
 from .special_functions import MAX_ARGUMENT, MAX_ORDER, _half_int, bessel_first_max, \
-    bessel_j, bessel_j_array, check_bessel_domain, wigner_small_d
+    bessel_j, bessel_j_array, check_bessel_argument, check_bessel_domain, wigner_small_d
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,7 @@ def am_partitions(
     """:func:`am_partition` of each of ``beams``, which share one transverse
     wavenumber (the m_gamma series of an AM panel), from one
     :func:`bessel_j_array` call for every order they need."""
+    import numpy as np
     b = np.asarray(b, dtype=float)
     j = channel.j_int
     kappa = transverse_wavenumber(beams[0])
@@ -160,6 +160,7 @@ def am_partitions(
 
 
 def _out_of_range(channel: TransitionChannel, shape) -> AmPartition:
+    import numpy as np
     nan = np.full((2 * channel.j_int + 1,) + shape, np.nan)
     return AmPartition(amplitudes=nan, weights=nan, lz_internal=nan[0], lz_cm=nan[0],
                        errors=np.full(shape, "DOMAIN", dtype=object))
@@ -168,6 +169,7 @@ def _out_of_range(channel: TransitionChannel, shape) -> AmPartition:
 def _partition(beam, channel, valid, bessel) -> AmPartition:
     # the distribution from the Bessel rows J_{m_gamma - dm}(kappa b), dm = -J ... J,
     # under the caller's errstate
+    import numpy as np
     j = channel.j_int
     d = np.array([wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
                   for dm in range(-j, j + 1)])
@@ -193,6 +195,7 @@ def recoil_ratio_array(
     """:func:`recoil_ratio` at every impact parameter of ``b`` (nm): the
     ratios and per-row error codes as in :class:`AmPartition`, with
     ``B_SINGULARITY`` (checked first) wherever b > 0 fails."""
+    import numpy as np
     b = np.asarray(b, dtype=float)
     (ratio,), errors = _ratio_from_partition(beam, b, am_partition(beam, channel, b))
     return ratio, errors
@@ -203,6 +206,7 @@ def _ratio_from_partition(
 ) -> tuple[tuple[np.ndarray], np.ndarray]:
     # recoil_ratio_array(beam, channel, b) from its partition
     # am_partition(beam, channel, b), as the one column of an AM sweep kernel
+    import numpy as np
     positive = b > 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # lambda / b first: lz_cm lambda and 2 pi b overflow where the ratio does not
@@ -216,6 +220,7 @@ def raise_first_row_error(
 ) -> None:
     """Raise, for the first row of ``b`` whose code in ``errors`` is set, the
     exception a scalar evaluation raises there; nothing if no row failed."""
+    import numpy as np
     failed = np.flatnonzero(errors != "")
     if not failed.size:
         return
@@ -302,7 +307,8 @@ def sublevel_profile(
     Bessel maximum.  Accepts a scalar or array ``b`` (nm); an array takes
     its Bessel values from one :func:`bessel_j_array` call, each equal to the
     scalar result bit for bit, and raises for the whole array where the
-    scalar call raises for some b.
+    scalar call raises for some b.  Also where the Wigner d vanishes, b < 0 and
+    a kappa b that is NaN or beyond the Bessel range raise DomainError.
     """
     two_dm = _half_int(m_f, "m_f") - _half_int(channel.m_initial, "m_initial")
     if two_dm % 2 or abs(two_dm) > 2 * channel.j_int:
@@ -314,10 +320,17 @@ def sublevel_profile(
     d = wigner_small_d(
         float(channel.j_int), two_dm / 2, float(beam.lambda_spin), beam.pitch_angle
     )
-    scalar = np.isscalar(b)
+    scalar = isinstance(b, numbers.Real)
+    if not scalar:
+        import numpy as np
+        b = np.asarray(b, dtype=float)
+    x = transverse_wavenumber(beam) * b
+    check_bessel_argument(x if scalar else float(np.abs(x).max()) if x.size else 0.0)
+    if b < 0.0 if scalar else np.any(b < 0.0):
+        raise DomainError("impact parameter must be non-negative"
+                          + (f", got {b}" if scalar else ""))
     if d == 0.0:
-        return 0.0 if scalar else np.zeros(np.shape(b))
-    x = transverse_wavenumber(beam) * (b if scalar else np.asarray(b, dtype=float))
+        return 0.0 if scalar else np.zeros(b.shape)
     peak = bessel_first_max(nu)[1]
     val = (bessel_j(nu, x) if scalar else bessel_j_array(nu, x)) / peak
     return val * val

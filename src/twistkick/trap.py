@@ -36,11 +36,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning, shown
-from .special_functions import bessel_i_scaled_orders, bessel_j_orders, check_bessel_domain
+from .special_functions import _j_list, bessel_i_scaled_orders, bessel_j_orders, \
+    check_bessel_domain
 from .units import HBARC_EV_NM, frequency_to_energy, nonrel_recoil_energy
 
 
@@ -106,7 +105,7 @@ def jump_probability_point(p_t: float, trap: TrapModel) -> float:
 def _packet_weights(half_width: int, x: float) -> tuple[float, ...]:
     # e^{-x} I_l(x), l = 0 ... half_width: one packet's weights, shared by
     # every b of a sweep
-    return tuple(bessel_i_scaled_orders(half_width, x).tolist())
+    return tuple(bessel_i_scaled_orders(half_width, x))
 
 
 def _half_width(nu: int, x: float) -> int:
@@ -146,7 +145,7 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b: float, sigma: float,
     if carrier_decay == 0.0:
         return nu, None, x, None, 0.0
     half_width = _half_width(nu, x)
-    j_sq = (bessel_j_orders(abs(nu) + max(half_width, n_max), kappa * b) ** 2).tolist()
+    j_sq = [j * j for j in _j_list(abs(nu) + max(half_width, n_max), float(kappa * b))]
     i_scaled = _packet_weights(half_width, x)
     strength = _packet_strength(j_sq, i_scaled, nu, half_width)
     if strength <= 0.0 or not math.isfinite(strength):
@@ -199,6 +198,7 @@ def jump_probability_extended_array(
     call's :func:`_packet_strength`, so every defined row equals the scalar
     result bit for bit.
     """
+    import numpy as np
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     b = np.asarray(b, dtype=float)

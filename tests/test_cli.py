@@ -350,6 +350,55 @@ def test_every_call_runs_with_scipy_blocked(capsys):
         assert status == 0 and out, argv
 
 
+# the subcommands that answer one point on Python floats, and their coded
+# errors (with a usage error)
+SCALAR_ARGV = [
+    ["ion-recoil", "--b-nm", "10"], ["trap-jump", "--b-nm", "20"],
+    ["sidebands", "--b-nm", "20"], ["pair-threshold", "--pitch-urad", "5", "--b-fm", "200"],
+    ["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1"],
+    ["deuteron-threshold", "--b-fm", "89"], ["crossover"],
+]
+SCALAR_ERROR_ARGV = [
+    ["ion-recoil", "--b-nm", "0"], ["pair-threshold", "--pitch-urad", "5", "--b-fm", "0"],
+    ["crossover", "--l-gamma", "0"], ["sidebands", "--b-nm", "10", "--n-max", "1"],
+    ["trap-jump", "--b-nm", "10", "--sigma-nm", "0"],
+    ["deuteron-threshold", "--m-gamma", "1", "--internal-am", "2", "--b-fm", "89"],
+    ["am-transfer", "--multipole-j", "4"],
+]
+
+
+def test_scalar_calls_run_with_numpy_blocked(capsys):
+    # importing the package loads no numpy; with every numpy import failing,
+    # the child runs each scalar subcommand and coded error in CSV and JSON,
+    # and each gives the status, stdout and stderr it gives here
+    argvs = [argv + ["--format", fmt] for argv in SCALAR_ARGV + SCALAR_ERROR_ARGV
+             for fmt in ("csv", "json")]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import twistkick\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "import twistkick.cli\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "sys.modules['numpy'] = None\n"
+        "def run(argv):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            status = twistkick.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            status = exc.code\n"
+        "    return status, out.getvalue(), err.getvalue()\n"
+        f"print(json.dumps([loaded, [run(argv) for argv in {argvs!r}]]))\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    loaded, runs = json.loads(cp.stdout)
+    assert loaded == [False, False]
+    for argv, run in zip(argvs, runs):
+        assert tuple(run) == run_main(capsys, *argv), argv
+        assert (run[0] == 0) == (argv[:-2] in SCALAR_ARGV), argv
+
+
 @pytest.mark.parametrize("argv, code", [
     (["sidebands", "--b-nm", "10", "--nu", "1" + "0" * 60], "DOMAIN"),
     (["deuteron-threshold", "--b-fm", "10", "--internal-am", "1" + "0" * 60], "DOMAIN"),
@@ -712,4 +761,13 @@ def formatter_cases():
 def test_formatters_match_per_value_oracle():
     for result in formatter_cases():
         assert result_to_csv(result) == oracle_csv(result)
+        assert result_to_json(result) == oracle_json(result)
+
+
+@pytest.mark.parametrize("cut", [0, 10**9], ids=["mask-only", "exact-only"])
+def test_json_spellings_agree_across_the_small_table_cut(monkeypatch, cut):
+    # every table spelled through the numpy mask alone, then through the
+    # exact spelling of small tables alone
+    monkeypatch.setattr("twistkick.cli._EXACT_TABLE_VALUES", cut)
+    for result in formatter_cases():
         assert result_to_json(result) == oracle_json(result)

@@ -7,6 +7,7 @@ import pytest
 from twistkick.errors import DomainError
 from twistkick.special_functions import (
     _first_lobe_bracket,
+    _hankel_j01,
     _lobe_ratio,
     _start_order,
     bessel_first_max,
@@ -141,6 +142,20 @@ def test_array_matches_scalar():
     grid = pool[:12].reshape(3, 4)  # a 2-D table beyond the float loop
     assert np.array_equal(bessel_j_orders(9, grid),
                           bessel_j_orders(9, pool[:12]).reshape(10, 3, 4))
+
+
+def test_hankel_float_path_matches_array_path():
+    # a float argument takes math.cos, math.sin and math.sqrt, an array
+    # numpy's: the scalar Bessel functions equal the array ones only where
+    # libm and numpy agree bit for bit
+    rng = np.random.default_rng(16)
+    xs = np.concatenate([rng.uniform(25.0, 1e6, 20000),
+                         10.0 ** rng.uniform(math.log10(25.0), 6.0, 20000), [25.0, 1e6]])
+    j0, j1 = _hankel_j01(xs)
+    floats = [_hankel_j01(x) for x in xs.tolist()]
+    assert all(type(value) is float for pair in floats[:3] for value in pair)
+    assert np.array_equal(j0, [pair[0] for pair in floats])
+    assert np.array_equal(j1, [pair[1] for pair in floats])
 
 
 def test_bessel_domain_errors():

@@ -356,3 +356,26 @@ def test_override_types_checked_against_defaults():
     parameters = result.metadata["parameters"]
     assert json.loads(json.dumps(parameters)) == parameters
     assert (type(parameters["m_gamma"]), type(parameters["trap_mhz"])) == (int, float)
+
+
+def test_numpy_integers_pass_every_integer_check():
+    # the integer checks take numbers.Integral, where numpy registers its
+    # integers; a bool stays no integer override
+    from twistkick.beam import TwistedPhotonBeam
+    from twistkick.special_functions import bessel_j, bessel_j_array
+    grid = GridSpec(10.0, 20.0, 2)
+    expected = run_sweep(SweepSpec("fig7", overrides={"m_gamma": -2}, grid=grid))
+    for m_gamma in (np.int64(-2), np.int8(-2)):
+        result = run_sweep(SweepSpec("fig7", overrides={"m_gamma": m_gamma}, grid=grid))
+        assert (result.rows, result.metadata) == (expected.rows, expected.metadata)
+    with pytest.raises(DomainError) as info:
+        run_sweep(SweepSpec("fig7", overrides={"m_gamma": True}, grid=grid))
+    assert info.value.code == "PARAMETER_TYPE"
+    assert TwistedPhotonBeam(np.int64(2), 1, 1.0, 0.1).l_gamma == 1
+    with pytest.raises(DomainError):
+        TwistedPhotonBeam(np.float64(2.0), 1, 1.0, 0.1)
+    for order in (np.int64(-3), np.uint8(3)):
+        assert bessel_j(order, 7.5) == bessel_j(int(order), 7.5)
+        assert bessel_j_array(order, [7.5]).tolist() == [bessel_j(int(order), 7.5)]
+    with pytest.raises(DomainError):
+        bessel_j(np.float64(3.0), 7.5)

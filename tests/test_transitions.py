@@ -263,6 +263,28 @@ def test_sublevel_profile_unreachable_m_f():
         sublevel_profile(beam, TransitionChannel(1), 2.0, 5.0)
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-200])
+def test_sublevel_profile_checks_b_where_the_wigner_d_vanishes(theta):
+    # m_i = -1/2 -> m_f = 1/2 with J = 2 and Lambda = -1: d^2_{1,-1}(theta)
+    # carries sin^2(theta/2), exactly 0 at theta = 0 and underflowing to 0 at
+    # 1e-200, where kappa > 0 puts kappa 1e300 beyond the Bessel range
+    beam = make_beam(-2, spin=-1, theta=theta, energy=wavelength_to_energy(729.0))
+    channel = TransitionChannel(2, m_initial=-0.5)
+    assert wigner_small_d(2.0, 1.0, -1.0, theta) == 0.0
+    bad = [math.nan, -1.0] + ([1e300] if theta else [])
+    for b in bad:
+        for form in (b, [10.0, b]):
+            with pytest.raises(DomainError) as info:
+                sublevel_profile(beam, channel, 0.5, form)
+            assert info.value.code == "DOMAIN"
+    assert sublevel_profile(beam, channel, 0.5, 10.0) == 0.0
+    assert sublevel_profile(beam, channel, 0.5, [10.0, 20.0]).tolist() == [0.0, 0.0]
+    # where d does not vanish the same b raise as well
+    for b in bad:
+        with pytest.raises(DomainError):
+            sublevel_profile(beam, channel, -1.5, b)
+
+
 # --- property suites ----------------------------------------------------------
 
 def _random_config(rng):
