@@ -325,7 +325,7 @@ def sublevel_profile(
         import numpy as np
         b = np.asarray(b, dtype=float)
     x = transverse_wavenumber(beam) * b
-    check_bessel_argument(x if scalar else float(np.abs(x).max()) if x.size else 0.0)
+    check_bessel_argument(x if scalar else (float(np.abs(x).max()) if x.size else 0.0))
     if b < 0.0 if scalar else np.any(b < 0.0):
         raise DomainError("impact parameter must be non-negative"
                           + (f", got {b}" if scalar else ""))
