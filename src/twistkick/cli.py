@@ -129,16 +129,11 @@ _NOT_PARAMETERS = ("command", "handler", "format", "output")
 
 
 def _table(args, columns, rows, **extra) -> SweepResult:
-    """A subcommand's table, from a list of rows or the AM sweep's array,
-    with every option it was run with as metadata; ``extra`` adds further
-    metadata entries.  A non-finite value is a ``NON_FINITE`` error naming
-    its column."""
-    if isinstance(rows, list):
-        rows = [[float(v) for v in row] for row in rows]
-        finite = [all(map(math.isfinite, column)) for column in zip(*rows)]
-    else:
-        import numpy as np
-        finite, rows = np.isfinite(rows).all(axis=0).tolist(), rows.tolist()
+    """A subcommand's table, with every option it was run with as metadata;
+    ``extra`` adds further metadata entries.  A non-finite value is a
+    ``NON_FINITE`` error naming its column."""
+    rows = [[float(v) for v in row] for row in rows]
+    finite = [all(map(math.isfinite, column)) for column in zip(*rows)]
     if not all(finite):
         raise DomainError(f"{columns[finite.index(False)][0]} is not finite", code="NON_FINITE")
     return SweepResult(
@@ -165,7 +160,7 @@ def _am_sweep(args, columns, kernel) -> SweepResult:
     xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
     table, _ = _am_columns([beam], TransitionChannel(float(args.multipole_j)), xs,
                            args.lambda_nm, kernel, strict=True)
-    return _table(args, [("b", "lambda")] + columns, table)
+    return _table(args, [("b", "lambda")] + columns, table.tolist())
 
 
 def _am_transfer_columns(beam, b, partition):

@@ -307,8 +307,9 @@ def sublevel_profile(
     Bessel maximum.  Accepts a scalar or array ``b`` (nm); an array takes
     its Bessel values from one :func:`bessel_j_array` call, each equal to the
     scalar result bit for bit, and raises for the whole array where the
-    scalar call raises for some b.  Also where the Wigner d vanishes, b < 0 and
-    a kappa b that is NaN or beyond the Bessel range raise DomainError.
+    scalar call raises for some b.  Where the Wigner d vanishes the profile
+    is 0, but b < 0 and a kappa b that is NaN or beyond the Bessel range
+    still raise DomainError.
     """
     two_dm = _half_int(m_f, "m_f") - _half_int(channel.m_initial, "m_initial")
     if two_dm % 2 or abs(two_dm) > 2 * channel.j_int:
@@ -325,11 +326,11 @@ def sublevel_profile(
         import numpy as np
         b = np.asarray(b, dtype=float)
     x = transverse_wavenumber(beam) * b
-    check_bessel_argument(x if scalar else (float(np.abs(x).max()) if x.size else 0.0))
-    if b < 0.0 if scalar else np.any(b < 0.0):
-        raise DomainError("impact parameter must be non-negative"
-                          + (f", got {b}" if scalar else ""))
     if d == 0.0:
+        check_bessel_argument(x if scalar else (float(np.abs(x).max()) if x.size else 0.0))
+        if b < 0.0 if scalar else np.any(b < 0.0):
+            raise DomainError("impact parameter must be non-negative"
+                              + (f", got {b}" if scalar else ""))
         return 0.0 if scalar else np.zeros(b.shape)
     peak = bessel_first_max(nu)[1]
     val = (bessel_j(nu, x) if scalar else bessel_j_array(nu, x)) / peak

@@ -216,6 +216,15 @@ def test_error_rows_dropped_and_counted():
     assert len(result.rows) == 2
 
 
+def test_fig7_rows_at_negative_b_coded_by_the_point_kick():
+    # the sublevel profile answers b < 0 where its Wigner d is nonzero (J_nu^2
+    # is even), so b <= 0 rows fall to the point kick's B_SINGULARITY, as the
+    # AM figures code them
+    result = run_sweep(SweepSpec("fig7", grid=GridSpec(-5.0, 5.0, 3)))
+    assert result.metadata["dropped_by_code"] == {"B_SINGULARITY": 2}
+    assert [row[0] for row in result.rows] == [5.0]
+
+
 def test_am_figure_drops_vortex_line_row():
     # p_T/p_z = lz_cm lambda / (2 pi b) is singular at b = 0 for every m_gamma
     result = run_sweep(SweepSpec("fig4a", grid=GridSpec(0.0, 1.0, 5)))
