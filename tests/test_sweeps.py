@@ -214,12 +214,8 @@ def test_error_rows_dropped_and_counted():
     assert result.metadata["dropped_rows"] == 1
     assert result.metadata["dropped_by_code"] == {"B_SINGULARITY": 1}
     assert len(result.rows) == 2
-
-
-def test_fig7_rows_at_negative_b_coded_by_the_point_kick():
     # the sublevel profile answers b < 0 where its Wigner d is nonzero (J_nu^2
-    # is even), so b <= 0 rows fall to the point kick's B_SINGULARITY, as the
-    # AM figures code them
+    # is even), so b < 0 rows fall to the point kick as well
     result = run_sweep(SweepSpec("fig7", grid=GridSpec(-5.0, 5.0, 3)))
     assert result.metadata["dropped_by_code"] == {"B_SINGULARITY": 2}
     assert [row[0] for row in result.rows] == [5.0]
