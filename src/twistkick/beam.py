@@ -84,23 +84,31 @@ def longitudinal_momentum(beam: TwistedPhotonBeam, paraxial: bool = True) -> flo
     return beam.energy * math.cos(beam.pitch_angle)
 
 
-def superkick(delta_l: int, b: float) -> float:
+def superkick(delta_l: int, b) -> float | np.ndarray:
     """Transverse recoil momentum p_T = delta_l * hbar / b (as p_T*c in eV).
 
     ``delta_l`` is the angular momentum (units hbar) delivered to the
-    absorber's center of mass; ``b`` its distance from the vortex line in nm.
-    The vortex line itself (b = 0) is a hard domain error: the formula
-    diverges there and the physical cutoff is the target's own extent, which
-    callers must model explicitly.
+    absorber's center of mass; ``b`` its distance from the vortex line in nm,
+    a float or an array.  The vortex line itself (b = 0) is a hard domain
+    error: the formula diverges there and the physical cutoff is the
+    target's own extent, which callers must model explicitly.  An array
+    raises for the whole array where the float call raises for some b.
     """
-    if delta_l < 0:
+    if not delta_l >= 0:
         raise DomainError(f"delta_l must be non-negative, got {delta_l}")
     check_float_range(delta_l, "delta_l")
-    if not b > 0.0:
-        raise DomainError(
-            f"impact parameter must be positive, got {b}", code="B_SINGULARITY"
-        )
-    return delta_l * HBARC_EV_NM / b
+    if isinstance(b, (float, int)):
+        if not b > 0.0:
+            raise DomainError(
+                f"impact parameter must be positive, got {b}", code="B_SINGULARITY"
+            )
+        return delta_l * HBARC_EV_NM / b
+    import numpy as np
+    b = np.asarray(b, dtype=float)
+    if not np.all(b > 0.0):
+        raise DomainError("impact parameter must be positive", code="B_SINGULARITY")
+    with np.errstate(over="ignore"):  # a kick beyond the float range is inf, as on floats
+        return delta_l * HBARC_EV_NM / b
 
 
 def equal_kick_radius(beam: TwistedPhotonBeam) -> float:

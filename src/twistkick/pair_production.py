@@ -83,10 +83,10 @@ def plane_wave_threshold(omega2: float) -> float:
 
 def small_angle_threshold(omega2: float, p_t: float) -> float:
     """Threshold in the very-small-pitch-angle limit: m_e^2/w2 + p_T^2/(4 w2)."""
-    if not omega2 > 0.0:
-        raise DomainError(f"omega2 must be positive, got {omega2}")
-    if p_t < 0.0:
-        raise DomainError(f"p_T must be non-negative, got {p_t}")
+    if not 0.0 < omega2 < math.inf:
+        raise DomainError(f"omega2 must be finite and positive, got {shown(omega2)}")
+    if not 0.0 <= p_t < math.inf:
+        raise DomainError(f"p_T must be finite and non-negative, got {shown(p_t)}")
     return (ELECTRON_MASS_EV * ELECTRON_MASS_EV + 0.25 * p_t * p_t) / omega2
 
 

@@ -9,9 +9,9 @@ A figure builder takes the whole grid and returns its rows as a 2-D float
 array with one error code per row ("" where the row is defined, NaN values
 where it is not).  The AM panels (fig2-fig5) evaluate the grid at once
 through :func:`_am_columns`, the one AM sweep, which ``am-transfer`` and
-``recoil-ratio`` share.  fig7 evaluates it at once through
-:func:`_fig7_grid` and hands the rows its arrays cannot answer to its
-per-point row, the one source of its error codes.  The other figures lift
+``recoil-ratio`` share.  fig7 calls its per-point row once on the array of
+every b (:func:`_fig7_grid`); where that call raises, the whole grid runs
+per point, the one source of fig7's error codes.  The other figures lift
 a per-point row function with :func:`_per_point`, which turns each point's
 coded error into that row's code.  Rows that carry a code (e.g. the vortex
 line b = 0) or a non-finite value are dropped and counted in the metadata,
@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import __version__
-from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick, transverse_wavenumber
+from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
 from .errors import DomainError, TwistkickError, shown
 from .pair_production import PairThresholdQuery, crossover_product, pair_threshold, \
     fit_beam_for_threshold_factor, plane_wave_threshold
@@ -38,11 +38,9 @@ from .recoil_kinematics import TargetParticle, deuteron_threshold, \
     transverse_recoil_energy
 from .transitions import TransitionChannel, _ratio_from_partition, am_partitions, \
     raise_first_row_error, sublevel_profile
-from .special_functions import MAX_ARGUMENT
-from .trap import TrapModel, jump_probability_extended, jump_probability_extended_array, \
-    jump_probability_point, level_spacing
-from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, HBARC_EV_NM, KEV, MEV, \
-    NEV, constants_sha256, nonrel_recoil_energy, wavelength_to_energy
+from .trap import TrapModel, jump_probability_extended, jump_probability_point
+from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
+    constants_sha256, nonrel_recoil_energy, wavelength_to_energy
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -191,20 +189,15 @@ def _fig6_build(params):
     return row
 
 
-def _fig7_parts(params):
+def _fig7_build(params):
     energy = wavelength_to_energy(params["lambda_nm"])
     beam = TwistedPhotonBeam(
         params["m_gamma"], params["lambda_spin"], energy, params["theta_k"]
     )
     channel = TransitionChannel(2.0, params["m_initial"])
     trap = TrapModel(params["trap_mhz"] * 1e6, params["trap_mhz"] * 1e6, CA40_ION_MASS_EV)
-    return beam, channel, trap
-
-
-def _fig7_build(params):
-    beam, channel, trap = _fig7_parts(params)
     sigma = params["sigma_nm"]
-    def row(b):
+    def row(b):  # b a float or an array
         excitation = sublevel_profile(beam, channel, params["m_final"], b)
         # a reachable m_final, so m_final - m_initial rounds
         nu = params["m_gamma"] - round(params["m_final"] - params["m_initial"])
@@ -216,56 +209,19 @@ def _fig7_build(params):
 
 
 def _fig7_grid(params, points, strict=False):
-    """fig7 over its whole grid: the rows of :func:`_fig7_rows`, and through
-    :func:`_fig7_build`'s row, the one source of fig7's error codes, every
-    row those arrays leave unanswered, every row when they raise, and every
-    row with ``strict``."""
+    """fig7 over its whole grid: :func:`_fig7_build`'s row called once on the
+    array of every b.  When that call raises, and with ``strict``, the row
+    runs per point instead, the one source of fig7's error codes."""
     import numpy as np
-    parts = _fig7_parts(params)  # a build error propagates, as from _fig7_build
-    per_point = _per_point(_fig7_build)
-    if strict:
-        return per_point(params, points, strict)
-    b = np.asarray(points, dtype=float)
-    try:
-        table, answered = _fig7_rows(params, *parts, b)
-    except TwistkickError:
-        return per_point(params, points)
-    errors = np.full(len(b), "", dtype=object)
-    if not answered.all():
-        rest = ~answered
-        rest_table, errors[rest] = per_point(params, b[rest])
-        if rest_table.size:  # else every such row failed and stays NaN
-            table[rest] = rest_table
-    return table, errors
-
-
-def _fig7_rows(params, beam, channel, trap, b):
-    # _fig7_build's rows at every b of the array b, NaN where unanswered, and
-    # the mask of the rows answered: b > 0 (the point kick's domain), the
-    # packet inside the Bessel domain and a positive, finite strength
-    import numpy as np
-    sigma = params["sigma_nm"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        inside = (b > 0.0) & (np.abs(transverse_wavenumber(beam) * (b + 9.0 * sigma))
-                              <= MAX_ARGUMENT)
-    b_in = b[inside]
-    excitation = sublevel_profile(beam, channel, params["m_final"], b_in)
-    # as the row: nu once m_final has passed sublevel_profile's checks
-    nu = params["m_gamma"] - round(params["m_final"] - params["m_initial"])
-    p_ext, defined = jump_probability_extended_array(beam, nu, b_in, sigma)
-    # jump_probability_point(superkick(|nu|, b)), with |nu| <= 64 checked
-    # above and math.exp per row, as the row takes it; a kick that
-    # overflows at tiny b is an infinite eta^2, as on floats
-    with np.errstate(over="ignore"):
-        eta_sq = nonrel_recoil_energy(abs(nu) * HBARC_EV_NM / b_in, trap.ion_mass) \
-            / level_spacing(trap, "transverse")
-    p_point = np.array([1.0 - math.exp(-e) for e in eta_sq.tolist()])
-    table = np.full((len(b), 6), math.nan)
-    table[inside] = np.column_stack([b_in, excitation, p_point, p_ext,
-                                     excitation * p_point, excitation * p_ext])
-    answered = inside.copy()
-    answered[inside] = defined
-    return table, answered
+    row = _fig7_build(params)  # a build error propagates, as per point
+    if not strict:
+        try:
+            table = np.column_stack(row(np.asarray(points, dtype=float)))
+        except TwistkickError:
+            pass
+        else:
+            return table, np.full(len(table), "")
+    return _per_point(_fig7_build)(params, points, strict)
 
 
 def _fig8a_build(params):

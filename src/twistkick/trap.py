@@ -22,17 +22,20 @@ the oscillator states |n_r, l> with weight
 exp(-x) (x/2)^n / (n_r! (n_r+|l|)!), n = 2 n_r + |l|, x = (kappa sigma)^2.
 Summed over n_r that weight is exp(-x) I_l(x) (Weber's second exponential
 integral, DLMF 10.22.67).  :func:`jump_probability_extended` sums the whole
-series; :func:`sideband_spectrum` splits it level by level.  Both stay on
-Python floats, one b a call.  :func:`jump_probability_extended_array` sums
-the series at every b of an array from one Bessel table; one helper,
-:func:`_packet_strength`, adds the terms in the same order on floats and on
-arrays, so the two agree bit for bit.
+series; :func:`sideband_spectrum` splits it level by level, one b a call.
+The jump probabilities also take a 1-D array (of b, of p_T).  A float runs
+on Python floats and ``math``; an array of b sums the series from one
+Bessel table, and one helper, :func:`_packet_strength`, adds the terms in
+the same order on both, so each element equals the float result bit for
+bit.  An array call raises for the whole array where the float call raises
+for some element.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -89,16 +92,26 @@ def in_lamb_dicke_regime(eta: float) -> bool:
     return eta < 1.0
 
 
-def jump_probability_point(p_t: float, trap: TrapModel) -> float:
-    """Probability that a sudden momentum kick p_T (eV/c) excites the trap.
+def jump_probability_point(p_t, trap: TrapModel) -> float | np.ndarray:
+    """Probability that a sudden momentum kick p_T (eV/c, a float or an array)
+    excites the trap.
 
     Displaced-ground-state overlap: P = 1 - exp(-eta^2) with
-    eta^2 = (p_T^2/2M) / (hbar omega_T).
+    eta^2 = (p_T^2/2M) / (hbar omega_T).  An array takes ``math.exp`` per
+    element, so each equals the float call bit for bit.
     """
-    if p_t < 0.0:
-        raise DomainError(f"p_T must be non-negative, got {p_t}")
-    eta_sq = nonrel_recoil_energy(p_t, trap.ion_mass) / level_spacing(trap, "transverse")
-    return 1.0 - math.exp(-eta_sq)
+    if isinstance(p_t, (float, int)):
+        if not p_t >= 0.0:
+            raise DomainError(f"p_T must be non-negative, got {p_t}")
+        eta_sq = nonrel_recoil_energy(p_t, trap.ion_mass) / level_spacing(trap, "transverse")
+        return 1.0 - math.exp(-eta_sq)
+    import numpy as np
+    p_t = np.asarray(p_t, dtype=float)
+    if not np.all(p_t >= 0.0):
+        raise DomainError("p_T must be non-negative")
+    with np.errstate(over="ignore"):  # an infinite eta^2, as on floats
+        eta_sq = nonrel_recoil_energy(p_t, trap.ion_mass) / level_spacing(trap, "transverse")
+    return np.array([1.0 - math.exp(-e) for e in eta_sq.ravel().tolist()]).reshape(p_t.shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -125,40 +138,54 @@ def _packet_strength(j_sq, i_scaled, nu: int, half_width: int):
         i_scaled[l] * (j_sq[abs(nu - l)] + j_sq[abs(nu + l)]) for l in range(1, half_width + 1)])
 
 
-def _packet_series(beam: TwistedPhotonBeam, nu: int, b: float, sigma: float,
-                   n_max: int = 0):
+def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int = 0):
     """Input checks and packet averages shared by the extended-packet jump and
-    spectrum at one b: (nu, J_k(kappa b)^2 for k = 0 ... |nu| + max(half
-    width, n_max) as a list of floats, x, strength <0||F|^2|0> from
-    :func:`_packet_strength`, carrier |<0|F|0>|^2 / strength).  Once
-    exp(-x) underflows (x > 745) the table and strength are None and the
-    carrier 0.  Floats, not a one-element numpy table, keep a call cheap."""
+    spectrum at a float b or at every b of a 1-D array: (nu, J_k(kappa b)^2
+    for k = 0 ... |nu| + max(half width, n_max), x, strength <0||F|^2|0>
+    from :func:`_packet_strength`, carrier |<0|F|0>|^2 / strength).  For a
+    float the J^2 are a list of floats, which keeps a call cheap; for an
+    array a table of rows, one per order.  Once exp(-x) underflows
+    (x > 745) the table and strength are None and the carrier 0.  An array
+    raises where the float call raises for some b."""
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if not 0.0 <= b < math.inf:
-        raise DomainError(f"impact parameter must be finite and non-negative, got {b}")
+    scalar = isinstance(b, (float, int))
+    if scalar:
+        if not 0.0 <= b < math.inf:
+            raise DomainError(f"impact parameter must be finite and non-negative, got {b}")
+        b_max = b
+    else:
+        import numpy as np
+        b = np.asarray(b, dtype=float)
+        if not np.all((b >= 0.0) & (b < math.inf)):
+            raise DomainError("impact parameter must be finite and non-negative")
+        b_max = float(b.max(initial=0.0))
     kappa = transverse_wavenumber(beam)
     nu = int(nu)
-    check_bessel_domain(nu, kappa * (b + 9.0 * sigma))
+    # kappa (b + 9 sigma) rounds monotonically in b, so the largest b stands for all
+    check_bessel_domain(nu, kappa * (b_max + 9.0 * sigma))
     x = (kappa * sigma) ** 2
     carrier_decay = math.exp(-x)
     if carrier_decay == 0.0:
-        return nu, None, x, None, 0.0
+        return nu, None, x, None, 0.0 * b
     half_width = _half_width(nu, x)
-    j_sq = [j * j for j in _j_list(abs(nu) + max(half_width, n_max), float(kappa * b))]
-    i_scaled = _packet_weights(half_width, x)
-    strength = _packet_strength(j_sq, i_scaled, nu, half_width)
-    if strength <= 0.0 or not math.isfinite(strength):
-        raise NoAbsorptionError(
-            f"absorption strength <|F|^2> = {strength}; jump probability and "
-            "sideband spectrum undefined"
-        )
+    n_top = abs(nu) + max(half_width, n_max)
+    if scalar:
+        j_sq = [j * j for j in _j_list(n_top, float(kappa * b))]
+    else:
+        j_sq = bessel_j_orders(n_top, kappa * b) ** 2
+    strength = _packet_strength(j_sq, _packet_weights(half_width, x), nu, half_width)
+    if not (0.0 < strength < math.inf if scalar
+            else np.all((0.0 < strength) & (strength < math.inf))):
+        value = f"= {strength}" if scalar else "is not positive and finite at some b"
+        raise NoAbsorptionError(f"absorption strength <|F|^2> {value}; jump probability "
+                                "and sideband spectrum undefined")
     return nu, j_sq, x, strength, j_sq[abs(nu)] * carrier_decay / strength
 
 
 def jump_probability_extended(
-    beam: TwistedPhotonBeam, nu: int, b: float, trap: TrapModel, sigma: float
-) -> float:
+    beam: TwistedPhotonBeam, nu: int, b, trap: TrapModel, sigma: float
+) -> float | np.ndarray:
     """Trap-jump probability for a Gaussian wavepacket of per-axis rms sigma.
 
     P = 1 - |<0|F|0>|^2 / <0||F|^2|0>, i.e. the conditional probability of
@@ -174,54 +201,18 @@ def jump_probability_extended(
     has fallen below exp(-40) of the terms kept.  Once exp(-x) underflows
     (x > 745, a packet wider than ~27/kappa) the carrier is gone and P = 1.
     The domain is that of the beam factor over the packet out to 9 sigma:
-    |nu| <= 64 and kappa (b + 9 sigma) <= 1e6.  ``trap`` is not read: the
-    probability depends only on the beam, nu, b and the packet width
-    ``sigma`` (pass trap.ground_state_sigma() for a trap-consistent packet).
+    |nu| <= 64 and kappa (b + 9 sigma) <= 1e6.  ``b`` (nm) is a float or a
+    1-D array; an array raises for the whole array where the float call
+    raises for some b.  ``trap`` is not read: the probability depends only
+    on the beam, nu, b and the packet width ``sigma`` (pass
+    trap.ground_state_sigma() for a trap-consistent packet).
     """
-    *_, strength, carrier = _packet_series(beam, nu, b, sigma)
-    if strength is None:
-        return 1.0
-    return min(max(1.0 - carrier, 0.0), 1.0)
-
-
-def jump_probability_extended_array(
-    beam: TwistedPhotonBeam, nu: int, b, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`jump_probability_extended` at every impact parameter of the 1-D
-    array ``b`` (nm), and the mask of the rows where it is defined.
-
-    An input the scalar call rejects for some b (sigma, nu, a b < 0 or
-    kappa (b + 9 sigma) beyond the Bessel domain) raises DomainError for the
-    whole array.  A row whose strength is not positive and finite, where the
-    scalar call raises NoAbsorptionError, is NaN and masked False.  The J
-    table is one :func:`bessel_j_orders` call and the series the scalar
-    call's :func:`_packet_strength`, so every defined row equals the scalar
-    result bit for bit.
-    """
+    # the carrier is not negative, so 1 - carrier <= 1
+    carrier = _packet_series(beam, nu, b, sigma)[-1]
+    if isinstance(carrier, float):
+        return max(1.0 - carrier, 0.0)
     import numpy as np
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    b = np.asarray(b, dtype=float)
-    if not np.all((b >= 0.0) & (b < math.inf)):
-        raise DomainError("impact parameter must be finite and non-negative")
-    kappa = transverse_wavenumber(beam)
-    nu = int(nu)
-    # the largest argument, at least that of b = 0 (so a packet beyond the
-    # domain at every b raises also for an empty b); an overflow fails the check
-    with np.errstate(over="ignore"):
-        check_bessel_domain(nu, float(np.max(kappa * (b + 9.0 * sigma),
-                                             initial=kappa * (9.0 * sigma))))
-    x = (kappa * sigma) ** 2
-    carrier_decay = math.exp(-x)
-    if carrier_decay == 0.0:
-        return np.ones(b.shape), np.ones(b.shape, dtype=bool)
-    half_width = _half_width(nu, x)
-    j_sq = bessel_j_orders(abs(nu) + half_width, kappa * b) ** 2
-    strength = _packet_strength(j_sq, _packet_weights(half_width, x), nu, half_width)
-    defined = (strength > 0.0) & np.isfinite(strength)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        carrier = j_sq[abs(nu)] * carrier_decay / strength
-    return np.where(defined, np.minimum(np.maximum(1.0 - carrier, 0.0), 1.0), np.nan), defined
+    return np.maximum(1.0 - carrier, 0.0)
 
 
 @dataclass(frozen=True)
@@ -273,6 +264,8 @@ def sideband_spectrum(
     every weight is 0 and the residual 1.  ``n_max`` must lie in
     [2, MAX_SIDEBAND_LEVEL = 170].
     """
+    if not isinstance(b, numbers.Real):
+        raise DomainError(f"impact parameter must be a real number, got {type(b).__name__}")
     if not 2 <= n_max <= MAX_SIDEBAND_LEVEL:
         raise DomainError(f"n_max must lie in [2, {MAX_SIDEBAND_LEVEL}], got {n_max}")
     nu, j_sq, x, strength, carrier = _packet_series(beam, nu, b, sigma, n_max)

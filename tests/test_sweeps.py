@@ -176,6 +176,11 @@ _FIG7_SPECS = [
     SweepSpec("fig7", grid=GridSpec(1e8, 3e9, 40)),  # past kappa (b + 9 sigma) = 1e6
     SweepSpec("fig7", grid=GridSpec(1e-300, 1e-299, 3)),  # the point kick overflows
     SweepSpec("fig7", grid=GridSpec(-5.0, 0.0, 3)),
+    # a wide packet crosses kappa (b + 9 sigma) = 1e6 inside the grid
+    SweepSpec("fig7", {"sigma_nm": 1e7}, grid=GridSpec(1e9, 1.3e9, 7)),
+    # no absorption at the small b of the grid only
+    SweepSpec("fig7", {"m_gamma": 40, "theta_k": 1e-6, "sigma_nm": 1.0},
+              grid=GridSpec(1.0, 1e9, 9, "log")),
 ] + _fig7_seeded_specs(30)
 
 

@@ -8,12 +8,12 @@ from scipy.special import eval_genlaguerre, jv
 from twistkick.beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick, \
     transverse_wavenumber
 from twistkick.errors import DomainError, NoAbsorptionError, TruncationWarning
+from twistkick.pair_production import small_angle_threshold
 from twistkick.trap import (
     MAX_SIDEBAND_LEVEL,
     TrapModel,
     in_lamb_dicke_regime,
     jump_probability_extended,
-    jump_probability_extended_array,
     jump_probability_point,
     lamb_dicke,
     level_spacing,
@@ -181,35 +181,78 @@ def test_jump_extended_domain_edges():
 
 
 def test_jump_extended_array_matches_scalar_calls():
-    # every b of the array equals the scalar call bit for bit, across the
-    # packet widths of the Bessel regimes and the carrier underflow; a row
-    # masked undefined is one where the scalar call finds no absorption
+    # every b of the array equals the float call bit for bit, across the
+    # packet widths of the Bessel regimes and the carrier underflow; an array
+    # holding a b where the float call finds no absorption raises for all
     beam = make_beam()
     kappa = transverse_wavenumber(beam)
     b = np.concatenate([[0.0, 1e-300], np.geomspace(1e-2, 5e5, 15) / kappa])
     for nu in (-3, 0, 2, 64):
         for sigma in (0.1, 10.0, 30.0 / kappa, 5e4 / kappa):
-            inside = b[kappa * (b + 9.0 * sigma) <= 1e6]
-            p, defined = jump_probability_extended_array(beam, nu, inside, sigma)
-            assert p[defined].tolist() == [
-                jump_probability_extended(beam, nu, v, ca_trap(), sigma)
-                for v in inside[defined].tolist()]
-            for v in inside[~defined].tolist():
+            inside = b[kappa * (b + 9.0 * sigma) <= 1e6].tolist()
+            floats = {}
+            for v in inside:
+                try:
+                    floats[v] = jump_probability_extended(beam, nu, v, ca_trap(), sigma)
+                except NoAbsorptionError:
+                    pass
+            if len(floats) < len(inside):
                 with pytest.raises(NoAbsorptionError):
-                    jump_probability_extended(beam, nu, v, ca_trap(), sigma)
-            assert np.isnan(p[~defined]).all() and defined.sum() >= 10
+                    jump_probability_extended(beam, nu, np.array(inside), ca_trap(), sigma)
+            p = jump_probability_extended(beam, nu, np.array(list(floats)), ca_trap(), sigma)
+            assert p.tolist() == list(floats.values()) and len(floats) >= 10
 
 
-def test_jump_extended_array_masks_no_absorption_and_raises_bad_input():
+def test_jump_extended_array_raises_for_the_whole_array():
     beam = make_beam(m=5, spin=1, theta=1e-8)
-    p, defined = jump_probability_extended_array(beam, 40, np.array([0.0, 1.0]), 1e-3)
-    assert defined.tolist() == [False, False] and np.isnan(p).all()
+    with pytest.raises(NoAbsorptionError):
+        jump_probability_extended(beam, 40, np.array([0.0, 1.0]), ca_trap(), 1e-3)
     beam = make_beam()
     kappa = transverse_wavenumber(beam)
     for nu, b, sigma in ((65, [1.0], 10.0), (1, [-1.0, 1.0], 10.0), (1, [1.0], 0.0),
-                         (1, [1.0, 1e6 / kappa], 10.0), (1, [], 1e6 / kappa)):
+                         (1, [1.0, math.nan], 10.0), (1, [1.0, 1e6 / kappa], 10.0),
+                         (1, [], 1e6 / kappa)):
         with pytest.raises(DomainError):
-            jump_probability_extended_array(beam, nu, np.array(b), sigma)
+            jump_probability_extended(beam, nu, np.array(b), ca_trap(), sigma)
+
+
+def test_point_kick_arrays_match_float_calls():
+    # superkick and the point jump, each element bit for bit the float call,
+    # through a kick that overflows to inf; any b <= 0 is a B_SINGULARITY
+    trap = ca_trap()
+    b = np.concatenate([[1e-310, 1e-300], np.geomspace(1e-3, 1e9, 20)])
+    for delta_l in (0, 1, 3):
+        kicks = superkick(delta_l, b)
+        assert kicks.tolist() == [superkick(delta_l, v) for v in b.tolist()]
+        assert jump_probability_point(kicks, trap).tolist() == [
+            jump_probability_point(k, trap) for k in kicks.tolist()]
+    for bad in ([1.0, 0.0], [2.0, -1.0], [1.0, math.nan]):
+        with pytest.raises(DomainError) as err:
+            superkick(1, np.array(bad))
+        assert err.value.code == "B_SINGULARITY"
+    with pytest.raises(DomainError):
+        jump_probability_point(np.array([1.0, -1.0]), trap)
+    # a numpy scalar that is not a float takes the array path
+    assert jump_probability_point(np.float32(2.0), trap) == jump_probability_point(2.0, trap)
+    assert superkick(1, np.int64(5)) == superkick(1, 5.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: jump_probability_point(math.nan, ca_trap()),
+    lambda: jump_probability_point(np.array([1.0, math.nan]), ca_trap()),
+    lambda: superkick(math.nan, 1.0),
+    lambda: superkick(math.nan, np.array([1.0, 2.0])),
+    lambda: small_angle_threshold(2.5, math.nan),
+    lambda: small_angle_threshold(2.5, math.inf),
+    lambda: small_angle_threshold(math.nan, 1.0),
+    lambda: small_angle_threshold(math.inf, 1.0),
+], ids=["jump-point", "jump-point-array", "superkick", "superkick-array",
+        "small-angle-nan-pt", "small-angle-inf-pt", "small-angle-nan-omega2",
+        "small-angle-inf-omega2"])
+def test_non_finite_input_is_a_domain_error(call):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.code == "DOMAIN"
 
 
 def test_jump_extended_wide_packet_stays_bounded():
@@ -404,6 +447,13 @@ def test_sideband_shares_jump_domain():
     for b in (math.nan, math.inf):
         with pytest.raises(DomainError, match="impact parameter"):
             sideband_spectrum(beam, 1, b, ca_trap(), 10.0, n_max=4)
+
+
+def test_sideband_takes_a_float_b_only():
+    # one b per spectrum: an array b is a coded error, not a numpy traceback
+    with pytest.raises(DomainError) as err:
+        sideband_spectrum(make_beam(), -1, np.array([20.0, 30.0]), ca_trap(), 10.0, 4)
+    assert err.value.code == "DOMAIN"
 
 
 def test_sideband_plane_wave_limit():
