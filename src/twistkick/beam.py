@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, DomainError, QuadratureError, shown
 from .special_functions import bessel_i_scaled_orders, bessel_j, bessel_j_array, \
     check_bessel_domain, first_lobe_peak_argument
-from .units import HBARC_EV_NM, check_float_range, energy_to_wavelength
+from .units import HBARC_EV_NM, check_float_range, energy_to_wavelength, extremes
 
 #: Pitch angle used by figure sweeps when none is specified.  The value is a
 #: documented modeling default, not a measured quantity; every consumer
@@ -97,18 +97,16 @@ def superkick(delta_l: int, b) -> float | np.ndarray:
     if not delta_l >= 0:
         raise DomainError(f"delta_l must be non-negative, got {delta_l}")
     check_float_range(delta_l, "delta_l")
-    if isinstance(b, (float, int)):
-        if not b > 0.0:
+    for end in extremes(b, "impact parameter"):
+        if not end > 0.0:
             raise DomainError(
-                f"impact parameter must be positive, got {b}", code="B_SINGULARITY"
+                f"impact parameter must be positive, got {end}", code="B_SINGULARITY"
             )
+    if isinstance(b, (float, int)):
         return delta_l * HBARC_EV_NM / b
     import numpy as np
-    b = np.asarray(b, dtype=float)
-    if not np.all(b > 0.0):
-        raise DomainError("impact parameter must be positive", code="B_SINGULARITY")
     with np.errstate(over="ignore"):  # a kick beyond the float range is inf, as on floats
-        return delta_l * HBARC_EV_NM / b
+        return delta_l * HBARC_EV_NM / np.asarray(b, dtype=float)
 
 
 def equal_kick_radius(beam: TwistedPhotonBeam) -> float:

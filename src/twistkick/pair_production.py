@@ -32,7 +32,8 @@ from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, first_lobe_peak_arg
     profile_peak_radius
 from .errors import DomainError, SolverError, shown
 from .recoil_kinematics import ThresholdSolution
-from .units import ELECTRON_MASS_EV, HBARC_EV_NM, check_float_range
+from .units import ELECTRON_MASS_EV, HBARC_EV_NM, check_float_range, extremes, \
+    per_element, sqrt
 
 
 def _check_l_gamma(l_gamma, least: int) -> None:
@@ -44,24 +45,27 @@ def _check_l_gamma(l_gamma, least: int) -> None:
 @dataclass(frozen=True)
 class PairThresholdQuery:
     """Inputs for one threshold evaluation: background photon energy (eV),
-    pitch angle (rad), impact parameter (nm), orbital index l_gamma."""
+    pitch angle (rad), impact parameter (nm), orbital index l_gamma.  The
+    pitch angle or the impact parameter may be an array of them, each
+    checked as a float is."""
 
     omega2: float
-    pitch_angle: float
-    impact_parameter: float = 0.0
+    pitch_angle: float | np.ndarray
+    impact_parameter: float | np.ndarray = 0.0
     l_gamma: int = 0
 
     def __post_init__(self):
         if not (self.omega2 > 0.0 and math.isfinite(self.omega2)):
             raise DomainError(f"omega2 must be finite and positive, got {shown(self.omega2)}")
-        if not 0.0 <= self.pitch_angle < 0.5 * math.pi:
-            raise DomainError(
-                f"pitch angle must lie in [0, pi/2), got {shown(self.pitch_angle)}")
-        if not math.isfinite(self.impact_parameter):
-            raise DomainError(
-                f"impact parameter must be finite, got {shown(self.impact_parameter)}")
+        for theta in extremes(self.pitch_angle, "pitch angle"):
+            if not 0.0 <= theta < 0.5 * math.pi:
+                raise DomainError(f"pitch angle must lie in [0, pi/2), got {shown(theta)}")
+        ends = extremes(self.impact_parameter, "impact parameter")
+        for b in ends:
+            if not math.isfinite(b):
+                raise DomainError(f"impact parameter must be finite, got {shown(b)}")
         _check_l_gamma(self.l_gamma, 0)
-        if self.l_gamma > 0 and not self.impact_parameter > 0.0:
+        if self.l_gamma > 0 and not all(b > 0.0 for b in ends):
             raise DomainError(
                 "l_gamma > 0 requires a positive impact parameter",
                 code="B_SINGULARITY",
@@ -87,7 +91,16 @@ def small_angle_threshold(omega2: float, p_t: float) -> float:
         raise DomainError(f"omega2 must be finite and positive, got {shown(omega2)}")
     if not 0.0 <= p_t < math.inf:
         raise DomainError(f"p_T must be finite and non-negative, got {shown(p_t)}")
-    return (ELECTRON_MASS_EV * ELECTRON_MASS_EV + 0.25 * p_t * p_t) / omega2
+    check_float_range(omega2, "omega2")  # an int beyond the float range
+    check_float_range(p_t, "p_T")
+    numerator = ELECTRON_MASS_EV * ELECTRON_MASS_EV + 0.25 * p_t * p_t
+    if numerator == math.inf:
+        raise DomainError(f"p_T = {p_t:g} eV is too large to square in floating point")
+    threshold = numerator / omega2
+    if threshold == math.inf:
+        raise DomainError(f"omega2 = {omega2:g} eV puts the small-angle threshold beyond the "
+                          "floating-point range")
+    return threshold
 
 
 def pair_threshold(query: PairThresholdQuery) -> ThresholdSolution:
@@ -95,29 +108,36 @@ def pair_threshold(query: PairThresholdQuery) -> ThresholdSolution:
 
     Returns the solved w1 with its momentum budget; ``recoil_energy`` holds
     the shift w1 - m_e^2/w2 relative to the plane-wave threshold (negative
-    when the pitch angle wins over the superkick).
+    when the pitch angle wins over the superkick).  A query holding an array
+    of pitch angles or of impact parameters gives a solution of arrays, each
+    element equal to the float call bit for bit (sin and cos from ``math``
+    per element); it raises for the whole array where the float call raises
+    for some element.
     """
     plane_wave = plane_wave_threshold(query.omega2)
     if query.l_gamma > 0:
         p_t = query.l_gamma * HBARC_EV_NM / query.impact_parameter
     else:
         p_t = 0.0
-    if not math.isfinite(p_t * p_t):
-        raise DomainError(
-            f"the superkick p_T = l_gamma hbar c / b at b = {query.impact_parameter:g} nm "
-            "is too large to square in floating point"
-        )
-    sin_t = math.sin(query.pitch_angle)
+    for square in extremes(p_t * p_t, "p_T^2"):
+        if not math.isfinite(square):
+            b = extremes(query.impact_parameter, "impact parameter")[0]  # the largest kick
+            raise DomainError(
+                f"the superkick p_T = l_gamma hbar c / b at b = {b:g} nm "
+                "is too large to square in floating point"
+            )
+    sin_t = per_element(math.sin, query.pitch_angle)
     rhs = 4.0 * ELECTRON_MASS_EV * ELECTRON_MASS_EV + p_t * p_t
     # positive root of sin^2 w1^2 + 4 w2 w1 - rhs = 0, rationalized so the
     # sin -> 0 limit reduces exactly to the small-angle form
     disc = 4.0 * query.omega2 * query.omega2 + sin_t * sin_t * rhs
-    omega1 = rhs / (2.0 * query.omega2 + math.sqrt(disc))
-    if not (omega1 > 0.0 and math.isfinite(omega1)):
-        raise SolverError(f"no positive threshold root (got {omega1})")
+    omega1 = rhs / (2.0 * query.omega2 + sqrt(disc))
+    for end in extremes(omega1, "omega1"):
+        if not (end > 0.0 and math.isfinite(end)):
+            raise SolverError(f"no positive threshold root (got {end})")
     return ThresholdSolution(
         photon_energy=omega1,
-        p_z=omega1 * math.cos(query.pitch_angle),
+        p_z=omega1 * per_element(math.cos, query.pitch_angle),
         p_T=p_t,
         recoil_energy=omega1 - plane_wave,
     )

@@ -24,26 +24,25 @@ from . import units
 from .beam import TwistedPhotonBeam, longitudinal_momentum, radial_intensity_integral, \
     radial_intensity_total, superkick
 from .errors import DomainError, QuadratureError, SolverError, shown
-from .units import DEUTERON_BINDING_EV, DEUTERON_MASS_EV, nonrel_recoil_energy
+from .units import DEUTERON_BINDING_EV, DEUTERON_MASS_EV, extremes, nonrel_recoil_energy
 
 
 @dataclass(frozen=True)
 class TargetParticle:
     """Absorber: rest energy (eV), distance from the vortex line (nm), and an
-    optional per-axis Gaussian rms spread (nm)."""
+    optional per-axis Gaussian rms spread (nm).  The distance may be an array
+    of them, each checked as a float is."""
 
     mass: float
-    impact_parameter: float = 0.0
+    impact_parameter: float | np.ndarray = 0.0
     spread_rms: float | None = None
 
     def __post_init__(self):
         if not self.mass > 0.0:
             raise DomainError(f"mass must be positive, got {self.mass}")
-        if not 0.0 <= self.impact_parameter < math.inf:
-            raise DomainError(
-                f"impact parameter must be finite and non-negative, "
-                f"got {self.impact_parameter}"
-            )
+        for b in extremes(self.impact_parameter, "impact parameter"):
+            if not 0.0 <= b < math.inf:
+                raise DomainError(f"impact parameter must be finite and non-negative, got {b}")
         if self.spread_rms is not None and not 0.0 < self.spread_rms < math.inf:
             raise DomainError(
                 f"spread_rms must be finite and positive, got {self.spread_rms}"
@@ -103,8 +102,9 @@ def absorption_energy(
     )
 
 
-def transverse_recoil_energy(target: TargetParticle, delta_l_cm: int) -> float:
-    """Superkick recoil energy (dl hbar / b)^2 / (2M) in eV."""
+def transverse_recoil_energy(target: TargetParticle, delta_l_cm: int) -> float | np.ndarray:
+    """Superkick recoil energy (dl hbar / b)^2 / (2M) in eV, an array for an
+    array of b, each element equal to the float call bit for bit."""
     p_t = superkick(delta_l_cm, target.impact_parameter)
     return nonrel_recoil_energy(p_t, target.mass)
 

@@ -9,11 +9,12 @@ A figure builder takes the whole grid and returns its rows as a 2-D float
 array with one error code per row ("" where the row is defined, NaN values
 where it is not).  The AM panels (fig2-fig5) evaluate the grid at once
 through :func:`_am_columns`, the one AM sweep, which ``am-transfer`` and
-``recoil-ratio`` share.  fig7 calls its per-point row once on the array of
-every b (:func:`_fig7_grid`); where that call raises, the whole grid runs
-per point, the one source of fig7's error codes.  The other figures lift
-a per-point row function with :func:`_per_point`, which turns each point's
-coded error into that row's code.  Rows that carry a code (e.g. the vortex
+``recoil-ratio`` share.  fig6, fig7, fig8a and fig8b write one row function
+that takes a float or an array, and :func:`_whole_grid` calls it once on
+the array of every grid point; where that call raises, the whole grid runs
+per point through :func:`_per_point`, which turns each point's coded error
+into that row's code, the one source of per-row error codes.  The two
+fixed tables run per point.  Rows that carry a code (e.g. the vortex
 line b = 0) or a non-finite value are dropped and counted in the metadata,
 in total and per error code (``NON_FINITE`` for a non-finite value), never
 silently interpolated.  A sweep that drops every row raises the first row's coded
@@ -140,6 +141,29 @@ def _per_point(build_row):
     return build
 
 
+def _whole_grid(build_row):
+    """Lift ``build_row(params) -> row(point)``, whose row takes a float or an
+    array, to a whole-grid builder that calls the row once on the array of
+    every grid point.  Where that call raises a coded error, and with
+    ``strict``, the grid runs through :func:`_per_point` instead."""
+    def build(params, points, strict=False):
+        import numpy as np
+        row = build_row(params)  # a build error propagates, as per point
+        if not strict:
+            try:
+                with np.errstate(over="ignore"):  # overflow is inf, as on floats
+                    columns = row(np.asarray(points, dtype=float))
+            except TwistkickError:
+                pass
+            else:
+                table = np.empty((len(points), len(columns)))
+                for i, column in enumerate(columns):
+                    table[:, i] = column  # a float fills its column
+                return table, np.full(len(points), "")
+        return _per_point(build_row)(params, points, strict)
+    return build
+
+
 def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
     """The AM sweep of ``am-transfer``, ``recoil-ratio`` and fig2-fig5: the
     table [xs, kernel columns of each beam] at b = xs * wavelength, with the
@@ -181,7 +205,7 @@ def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
 def _fig6_build(params):
     energy = wavelength_to_energy(params["lambda_nm"])
     e_long = nonrel_recoil_energy(energy, CA40_ION_MASS_EV)
-    def row(b):
+    def row(b):  # b a float or an array
         target = TargetParticle(CA40_ION_MASS_EV, b)
         return [b, e_long / NEV] + [
             transverse_recoil_energy(target, m - 1) / NEV for m in (2, 3, 4)
@@ -208,44 +232,19 @@ def _fig7_build(params):
     return row
 
 
-def _fig7_grid(params, points, strict=False):
-    """fig7 over its whole grid: :func:`_fig7_build`'s row called once on the
-    array of every b.  When that call raises, and with ``strict``, the row
-    runs per point instead, the one source of fig7's error codes."""
-    import numpy as np
-    row = _fig7_build(params)  # a build error propagates, as per point
-    if not strict:
-        try:
-            table = np.column_stack(row(np.asarray(points, dtype=float)))
-        except TwistkickError:
-            pass
-        else:
-            return table, np.full(len(table), "")
-    return _per_point(_fig7_build)(params, points, strict)
-
-
-def _fig8a_build(params):
-    reference = plane_wave_threshold(params["omega2_ev"])
-    theta = params["pitch_urad"] * 1e-6
-    def row(b_fm):
-        q = PairThresholdQuery(
-            omega2=params["omega2_ev"], pitch_angle=theta,
-            impact_parameter=b_fm * FM, l_gamma=params["l_gamma"],
-        )
-        return [b_fm, pair_threshold(q).photon_energy / GEV, reference / GEV]
-    return row
-
-
-def _fig8b_build(params):
-    reference = plane_wave_threshold(params["omega2_ev"])
-    b = params["b_fm"] * FM
-    def row(theta_urad):
-        q = PairThresholdQuery(
-            omega2=params["omega2_ev"], pitch_angle=theta_urad * 1e-6,
-            impact_parameter=b, l_gamma=params["l_gamma"],
-        )
-        return [theta_urad, pair_threshold(q).photon_energy / GEV, reference / GEV]
-    return row
+def _fig8_build(swept):
+    # fig8a sweeps b_fm at a fixed pitch_urad, fig8b pitch_urad at a fixed b_fm
+    def build(params):
+        reference = plane_wave_threshold(params["omega2_ev"])
+        def row(point):  # a float or an array
+            values = {**params, swept: point}
+            q = PairThresholdQuery(
+                omega2=params["omega2_ev"], pitch_angle=values["pitch_urad"] * 1e-6,
+                impact_parameter=values["b_fm"] * FM, l_gamma=params["l_gamma"],
+            )
+            return [point, pair_threshold(q).photon_energy / GEV, reference / GEV]
+        return row
+    return build
 
 
 _DEUTERON_CASES = (
@@ -336,7 +335,7 @@ _register(
     [("b", "nm"), ("E_long", "neV"), ("E_T(m_gamma=2)", "neV"),
      ("E_T(m_gamma=3)", "neV"), ("E_T(m_gamma=4)", "neV")],
     {"lambda_nm": 397.0},
-    GridSpec(1.0, 100.0, 200, "log"), _per_point(_fig6_build),
+    GridSpec(1.0, 100.0, 200, "log"), _whole_grid(_fig6_build),
     "trapped-ion recoil energies vs impact parameter (40Ca+, 397 nm)",
 )
 _register(
@@ -346,21 +345,21 @@ _register(
     {"lambda_nm": 729.0, "theta_k": DEFAULT_PITCH_ANGLE, "m_gamma": -2,
      "lambda_spin": -1, "m_initial": -0.5, "m_final": -1.5,
      "sigma_nm": 10.0, "trap_mhz": 1.5},
-    GridSpec(10.0, 3000.0, 120, "lin"), _fig7_grid,
+    GridSpec(10.0, 3000.0, 120, "lin"), _whole_grid(_fig7_build),
     "sublevel excitation profile and trap-jump probabilities vs b",
 )
 _register(
     "fig8a",
     [("b", "fm"), ("threshold", "GeV"), ("plane_wave", "GeV")],
     {"omega2_ev": 2.5, "l_gamma": 1, "pitch_urad": 5.0},
-    GridSpec(20.0, 2000.0, 200, "log"), _per_point(_fig8a_build),
+    GridSpec(20.0, 2000.0, 200, "log"), _whole_grid(_fig8_build("b_fm")),
     "pair-production threshold vs impact parameter at fixed pitch angle",
 )
 _register(
     "fig8b",
     [("theta_k", "urad"), ("threshold", "GeV"), ("plane_wave", "GeV")],
     {"omega2_ev": 2.5, "l_gamma": 1, "b_fm": 200.0},
-    GridSpec(0.5, 50.0, 200, "log"), _per_point(_fig8b_build),
+    GridSpec(0.5, 50.0, 200, "log"), _whole_grid(_fig8_build("pitch_urad")),
     "pair-production threshold vs pitch angle at fixed impact parameter",
 )
 _register(

@@ -43,7 +43,8 @@ from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning, shown
 from .special_functions import _j_list, bessel_i_scaled_orders, bessel_j_orders, \
     check_bessel_domain
-from .units import HBARC_EV_NM, frequency_to_energy, nonrel_recoil_energy
+from .units import HBARC_EV_NM, extremes, frequency_to_energy, nonrel_recoil_energy, \
+    per_element
 
 
 @dataclass(frozen=True)
@@ -100,18 +101,17 @@ def jump_probability_point(p_t, trap: TrapModel) -> float | np.ndarray:
     eta^2 = (p_T^2/2M) / (hbar omega_T).  An array takes ``math.exp`` per
     element, so each equals the float call bit for bit.
     """
+    for end in extremes(p_t, "p_T"):
+        if not end >= 0.0:
+            raise DomainError(f"p_T must be non-negative, got {end}")
     if isinstance(p_t, (float, int)):
-        if not p_t >= 0.0:
-            raise DomainError(f"p_T must be non-negative, got {p_t}")
         eta_sq = nonrel_recoil_energy(p_t, trap.ion_mass) / level_spacing(trap, "transverse")
         return 1.0 - math.exp(-eta_sq)
     import numpy as np
-    p_t = np.asarray(p_t, dtype=float)
-    if not np.all(p_t >= 0.0):
-        raise DomainError("p_T must be non-negative")
     with np.errstate(over="ignore"):  # an infinite eta^2, as on floats
-        eta_sq = nonrel_recoil_energy(p_t, trap.ion_mass) / level_spacing(trap, "transverse")
-    return np.array([1.0 - math.exp(-e) for e in eta_sq.ravel().tolist()]).reshape(p_t.shape)
+        eta_sq = nonrel_recoil_energy(np.asarray(p_t, dtype=float), trap.ion_mass) \
+            / level_spacing(trap, "transverse")
+    return per_element(lambda e: 1.0 - math.exp(-e), eta_sq)
 
 
 @functools.lru_cache(maxsize=64)
@@ -149,17 +149,15 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int
     raises where the float call raises for some b."""
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
+    ends = extremes(b, "impact parameter")
+    for end in ends:
+        if not 0.0 <= end < math.inf:
+            raise DomainError(f"impact parameter must be finite and non-negative, got {end}")
+    b_max = max(ends, default=0.0)
     scalar = isinstance(b, (float, int))
-    if scalar:
-        if not 0.0 <= b < math.inf:
-            raise DomainError(f"impact parameter must be finite and non-negative, got {b}")
-        b_max = b
-    else:
+    if not scalar:
         import numpy as np
         b = np.asarray(b, dtype=float)
-        if not np.all((b >= 0.0) & (b < math.inf)):
-            raise DomainError("impact parameter must be finite and non-negative")
-        b_max = float(b.max(initial=0.0))
     kappa = transverse_wavenumber(beam)
     nu = int(nu)
     # kappa (b + 9 sigma) rounds monotonically in b, so the largest b stands for all

@@ -81,6 +81,43 @@ def check_float_range(value: int, name: str) -> None:
         raise DomainError(f"{name} is beyond the floating-point range")
 
 
+def extremes(value, name: str) -> tuple:
+    """What a bound or finiteness check of ``value`` must pass: ``(value,)``
+    for a float or an int, and for an array its least and greatest element
+    as floats (both NaN where some element is NaN; none for an empty array).
+    A check written once for a float thus holds for every element of an
+    array exactly when it holds for each extreme.  An int beyond the
+    floating-point range raises DomainError naming ``name``: it would
+    overflow the first formula it met."""
+    if isinstance(value, (float, int)):
+        if isinstance(value, int):
+            check_float_range(value, name)
+        return (value,)
+    import numpy as np
+    value = np.asarray(value, dtype=float)
+    return (float(value.min()), float(value.max())) if value.size else ()
+
+
+def per_element(func, x):
+    """``func(x)`` for a float; for an array, an array of ``func`` called on
+    each element as a float.  ``math`` and numpy need not round alike, so
+    each element then equals the float call bit for bit."""
+    if isinstance(x, (float, int)):
+        return func(x)
+    import numpy as np
+    x = np.asarray(x, dtype=float)
+    return np.array([func(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def sqrt(x):
+    """``math.sqrt`` for a float, ``numpy.sqrt`` for an array: both round
+    correctly, so each element equals the float call bit for bit."""
+    if isinstance(x, (float, int)):
+        return math.sqrt(x)
+    import numpy as np
+    return np.sqrt(x)
+
+
 def wavelength_to_energy(wavelength_nm: float) -> float:
     """Photon energy E = 2*pi*hbar*c / lambda, eV for lambda in nm."""
     if not wavelength_nm > 0.0:
@@ -115,8 +152,9 @@ def frequency_to_energy(frequency_hz: float) -> float:
 def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:
     """Non-relativistic kinetic energy p^2 c^2 / (2 M c^2).
 
-    ``p_ev`` is the momentum as p*c in eV and ``mass_ev`` the rest energy in
-    eV; ``mass_ev = math.inf`` is accepted and yields 0.
+    ``p_ev`` is the momentum as p*c in eV, a float or an array, and
+    ``mass_ev`` the rest energy in eV; ``mass_ev = math.inf`` is accepted and
+    yields 0.
     """
     if not mass_ev > 0.0:
         raise DomainError(f"mass must be positive, got {mass_ev}")

@@ -36,6 +36,37 @@ def test_plane_wave_threshold_symmetric_point():
     )
 
 
+def test_pair_threshold_array_matches_float_calls():
+    # a query of impact parameters (fig8a) or of pitch angles (fig8b): each
+    # element of every field equals the float call bit for bit
+    b = np.geomspace(1e-8, 1e3, 40)
+    theta = np.concatenate([[0.0, 1e-300], np.geomspace(1e-9, 1.5, 40)])
+    for omega2 in (2.5, 1e-3, 1e5):
+        for l_gamma in (0, 1, 3):
+            query = dict(omega2=omega2, pitch_angle=5e-6, impact_parameter=2e-4,
+                         l_gamma=l_gamma)
+            for field, points in (("impact_parameter", b), ("pitch_angle", theta)):
+                solution = pair_threshold(PairThresholdQuery(**dict(query, **{field: points})))
+                floats = [pair_threshold(PairThresholdQuery(**dict(query, **{field: v})))
+                          for v in points.tolist()]
+                for name in ("photon_energy", "p_z", "p_T", "recoil_energy"):
+                    column = np.broadcast_to(getattr(solution, name), points.shape)
+                    assert column.tolist() == [getattr(f, name) for f in floats], name
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("impact_parameter", 0.0), ("impact_parameter", -1.0), ("impact_parameter", math.nan),
+    ("impact_parameter", 1e-306),  # the superkick is too large to square
+    ("pitch_angle", -1e-6), ("pitch_angle", math.nan), ("pitch_angle", 1.6),
+])
+def test_pair_threshold_array_raises_where_a_float_call_raises(field, bad):
+    query = dict(omega2=2.5, pitch_angle=5e-6, impact_parameter=2e-4, l_gamma=1)
+    with pytest.raises(DomainError):
+        pair_threshold(PairThresholdQuery(**dict(query, **{field: bad})))
+    with pytest.raises(DomainError), np.errstate(over="ignore"):
+        pair_threshold(PairThresholdQuery(**dict(query, **{field: np.array([query[field], bad])})))
+
+
 def quadratic_oracle(omega2, theta, p_t):
     """Independent root via the numpy companion-matrix solver."""
     roots = np.roots([

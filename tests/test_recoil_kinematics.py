@@ -28,6 +28,7 @@ from twistkick.units import (
     PM,
     TEV,
     frequency_to_energy,
+    nonrel_recoil_energy,
     wavelength_to_energy,
 )
 
@@ -109,6 +110,27 @@ def test_transverse_recoil_scalings():
 def test_transverse_recoil_domain():
     with pytest.raises(DomainError):
         transverse_recoil_energy(TargetParticle(DEUTERON_MASS_EV), 1)
+
+
+def test_transverse_recoil_array_matches_float_calls():
+    # fig6's kernels on an array of b: each element equals the float call bit
+    # for bit, through a kick that overflows to inf; an array holding a b that
+    # the float call rejects raises for the whole array
+    b = np.concatenate([[1e-300], np.geomspace(1e-6, 1e9, 40)])
+    for delta_l in (0, 1, 3):
+        with np.errstate(over="ignore"):  # (1.97e302 eV)^2 is inf, as on floats
+            energies = transverse_recoil_energy(TargetParticle(CA40_ION_MASS_EV, b), delta_l)
+        assert energies.tolist() == [
+            transverse_recoil_energy(TargetParticle(CA40_ION_MASS_EV, v), delta_l)
+            for v in b.tolist()]
+    momenta = b[1:] * 1e3
+    assert nonrel_recoil_energy(momenta, CA40_ION_MASS_EV).tolist() == [
+        nonrel_recoil_energy(p, CA40_ION_MASS_EV) for p in momenta.tolist()]
+    for bad in ([1.0, 0.0], [1.0, -1.0], [1.0, math.nan], [1.0, math.inf]):
+        with pytest.raises(DomainError):
+            transverse_recoil_energy(TargetParticle(CA40_ION_MASS_EV, bad[1]), 1)
+        with pytest.raises(DomainError):
+            transverse_recoil_energy(TargetParticle(CA40_ION_MASS_EV, np.array(bad)), 1)
 
 
 def make_beam(m, energy=None, theta=0.1, w0=None):

@@ -193,23 +193,113 @@ def _outcome(spec):
     return repr(result.rows), result.metadata
 
 
-@pytest.mark.parametrize("spec", _FIG7_SPECS)
-def test_fig7_grid_matches_per_point_rows(monkeypatch, spec):
+# the per-point row of each figure that sweeps its grid with _whole_grid
+_ROW_BUILDERS = {"fig6": sweeps._fig6_build, "fig7": sweeps._fig7_build,
+                 "fig8a": sweeps._fig8_build("b_fm"), "fig8b": sweeps._fig8_build("pitch_urad")}
+
+
+def _assert_whole_grid_matches_per_point_rows(monkeypatch, spec):
     # the whole-grid builder against its oracle, the per-point row: the same
     # bits, dropped_by_code and errors (type, code and message)
     outcome = _outcome(spec)
-    monkeypatch.setattr(sweeps._REGISTRY["fig7"], "builder",
-                        sweeps._per_point(sweeps._fig7_build))
+    monkeypatch.setattr(sweeps._REGISTRY[spec.figure_id], "builder",
+                        sweeps._per_point(_ROW_BUILDERS[spec.figure_id]))
     assert outcome == _outcome(spec)
+
+
+@pytest.mark.parametrize("spec", _FIG7_SPECS)
+def test_fig7_grid_matches_per_point_rows(monkeypatch, spec):
+    _assert_whole_grid_matches_per_point_rows(monkeypatch, spec)
+
+
+def _closed_form_seeded_specs(figure_id, count):
+    # overrides drawn log-uniformly over and beyond their usual ranges, and
+    # grids through 0, below the float range of 1/b^2 and up to 1e9
+    rng = np.random.default_rng(1806 + len(figure_id))
+    ranges = {"fig6": {"lambda_nm": (1e-3, 1e6)},
+              "fig8a": {"omega2_ev": (1e-6, 1e6), "pitch_urad": (1e-3, 2e6)},
+              "fig8b": {"omega2_ev": (1e-6, 1e6), "b_fm": (1e-3, 1e6)}}[figure_id]
+    specs = []
+    for _ in range(count):
+        overrides = {key: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+                     for key, (lo, hi) in ranges.items() if rng.random() < 0.5}
+        if figure_id != "fig6" and rng.random() < 0.4:
+            overrides["l_gamma"] = int(rng.integers(-1, 5))
+        grid = None
+        if rng.random() < 0.7:
+            start = float(rng.choice([0.0, -5.0, 1e-300, 1e-3, 10.0, 1e4, 1.5e6]))
+            stop = start + float(np.exp(rng.uniform(0.0, np.log(1e9))))
+            scale = "lin" if start <= 0.0 else str(rng.choice(["lin", "log", "loglin"]))
+            grid = GridSpec(start, stop, int(rng.integers(2, 60)), scale)
+        specs.append(SweepSpec(figure_id, overrides=overrides, grid=grid))
+    return specs
+
+
+_AROUND_ZERO = GridSpec(-5.0, 5.0, 5)
+_TINY_START = GridSpec(1e-300, 5.0, 3)  # 1/b^2 overflows at the first point
+_CLOSED_FORM_SPECS = [
+    SweepSpec("fig6"), SweepSpec("fig8a"), SweepSpec("fig8b"),
+    SweepSpec("fig6", grid=_AROUND_ZERO),
+    SweepSpec("fig8a", grid=_AROUND_ZERO),
+    SweepSpec("fig8b", grid=_AROUND_ZERO),
+    SweepSpec("fig8a", {"l_gamma": 0}, grid=_AROUND_ZERO),  # every row kept
+    SweepSpec("fig6", grid=_TINY_START),
+    SweepSpec("fig8a", grid=_TINY_START),
+    SweepSpec("fig8a", {"omega2_ev": 1e300}),
+    SweepSpec("fig8b", {"omega2_ev": 1e300}),
+    SweepSpec("fig6", {"lambda_nm": 1e-300}),
+] + [spec for figure_id in ("fig6", "fig8a", "fig8b")
+     for spec in _closed_form_seeded_specs(figure_id, 30)]
+
+
+@pytest.mark.parametrize(
+    "spec", _CLOSED_FORM_SPECS,
+    ids=[f"{spec.figure_id}-{i}" for i, spec in enumerate(_CLOSED_FORM_SPECS)])
+def test_closed_form_grid_matches_per_point_rows(monkeypatch, spec):
+    _assert_whole_grid_matches_per_point_rows(monkeypatch, spec)
+
+
+@pytest.mark.parametrize("figure_id, dropped_by_code", [
+    ("fig6", {"B_SINGULARITY": 1, "DOMAIN": 2}),  # b < 0 fails the target first
+    ("fig8a", {"B_SINGULARITY": 3}),
+    ("fig8b", {"DOMAIN": 2}),  # a negative pitch angle
+])
+def test_closed_form_grid_drops_rows_around_zero(figure_id, dropped_by_code):
+    result = run_sweep(SweepSpec(figure_id, grid=_AROUND_ZERO))
+    assert result.metadata["dropped_by_code"] == dropped_by_code
+    assert len(result.rows) == 5 - sum(dropped_by_code.values())
 
 
 def test_fig7_grid_keeps_each_rows_error_code():
     # sigma < 0 fails every b > 0 with DOMAIN, and b = 0 first with B_SINGULARITY
     params = dict(sweeps._REGISTRY["fig7"].defaults, sigma_nm=-1.0)
     points = GridSpec(0.0, 100.0, 5).values()
-    _, errors = sweeps._fig7_grid(params, points)
+    _, errors = sweeps._REGISTRY["fig7"].builder(params, points)
     _, oracle = sweeps._per_point(sweeps._fig7_build)(params, points)
     assert errors.tolist() == oracle.tolist() == ["B_SINGULARITY"] + ["DOMAIN"] * 4
+
+
+def test_fig6_grid_keeps_each_rows_error_code():
+    # b < 0 fails the target with DOMAIN, b = 0 the superkick with B_SINGULARITY
+    params = dict(sweeps._REGISTRY["fig6"].defaults)
+    points = _AROUND_ZERO.values()
+    table, errors = sweeps._REGISTRY["fig6"].builder(params, points)
+    oracle_table, oracle = sweeps._per_point(sweeps._fig6_build)(params, points)
+    assert errors.tolist() == oracle.tolist() == ["DOMAIN", "DOMAIN", "B_SINGULARITY", "", ""]
+    assert repr(table.tolist()) == repr(oracle_table.tolist())
+
+
+def test_every_grid_figure_sweeps_its_whole_grid():
+    # a figure with a grid is built by the AM sweep or by _whole_grid, which
+    # calls its row once on the grid array; only the fixed tables go per point
+    for figure_id, figure in sweeps._REGISTRY.items():
+        lifter = figure.builder.__qualname__.split(".<locals>")[0]
+        if figure.grid is None:
+            assert lifter == "_per_point", figure_id
+        else:
+            assert lifter in ("_m_gamma_series_builder", "_whole_grid"), figure_id
+    assert {figure_id for figure_id, figure in sweeps._REGISTRY.items()
+            if figure.builder.__qualname__.startswith("_whole_grid")} == set(_ROW_BUILDERS)
 
 
 def test_error_rows_dropped_and_counted():

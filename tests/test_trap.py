@@ -255,6 +255,26 @@ def test_non_finite_input_is_a_domain_error(call):
     assert err.value.code == "DOMAIN"
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: superkick(1, 10**400), "impact parameter"),
+    (lambda: jump_probability_point(10**400, ca_trap()), "p_T"),
+    (lambda: jump_probability_extended(make_beam(), -1, 10**400, ca_trap(), 10.0),
+     "impact parameter"),
+    (lambda: small_angle_threshold(2.5, 1e200), "p_T"),
+    (lambda: small_angle_threshold(5e-324, 1.0), "omega2"),
+    (lambda: small_angle_threshold(2.5, 10**400), "p_T"),
+    (lambda: small_angle_threshold(10**400, 1.0), "omega2"),
+], ids=["superkick", "jump-point", "jump-extended", "small-angle-pt", "small-angle-omega2",
+        "small-angle-int-pt", "small-angle-int-omega2"])
+def test_input_beyond_the_float_range_is_a_domain_error(call, name):
+    # an int beyond the float range passes 0 <= b < inf, and a threshold can
+    # overflow from finite inputs; each is a DOMAIN error naming its input
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.code == "DOMAIN"
+    assert str(err.value).startswith(name)
+
+
 def test_jump_extended_wide_packet_stays_bounded():
     # kappa sigma = 27 sits just below the exp(-x) underflow, where the series
     # is longest (~9 kappa sigma terms per side); kappa sigma = 5e4 is beyond it
