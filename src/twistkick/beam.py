@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigurationError, DomainError, QuadratureError, shown
 from .special_functions import bessel_i_scaled_orders, bessel_j, bessel_j_array, \
@@ -27,35 +27,33 @@ from .units import HBARC_EV_NM, check_float_range, energy_to_wavelength, extreme
 DEFAULT_PITCH_ANGLE = 0.1
 
 
-@dataclass(frozen=True)
-class TwistedPhotonBeam:
+class TwistedPhotonBeam(namedtuple("TwistedPhotonBeam",
+                                   "m_gamma lambda_spin energy pitch_angle envelope_w0")):
     """Photon quantum numbers and cone geometry.
 
-    energy in eV, pitch_angle in radians, envelope_w0 in nm (optional, only
-    needed for the Bessel-Gauss profile operations).
+    m_gamma and lambda_spin (+-1) integers, energy in eV, pitch_angle in
+    radians, envelope_w0 in nm or None (only needed for the Bessel-Gauss
+    profile operations).
     """
 
-    m_gamma: int
-    lambda_spin: int
-    energy: float
-    pitch_angle: float
-    envelope_w0: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lambda_spin not in (-1, 1):
-            raise DomainError(f"lambda_spin must be +1 or -1, got {self.lambda_spin}")
-        if not isinstance(self.m_gamma, numbers.Integral):
-            raise DomainError(f"m_gamma must be an integer, got {self.m_gamma!r}")
-        if not 0.0 < self.energy < math.inf:
-            raise DomainError(f"energy must be positive and finite, got {shown(self.energy)}")
-        if not 0.0 <= self.pitch_angle < 0.5 * math.pi:
+    def __new__(cls, m_gamma, lambda_spin, energy, pitch_angle, envelope_w0=None):
+        if lambda_spin not in (-1, 1):
+            raise DomainError(f"lambda_spin must be +1 or -1, got {lambda_spin}")
+        if not isinstance(m_gamma, numbers.Integral):
+            raise DomainError(f"m_gamma must be an integer, got {m_gamma!r}")
+        if not 0.0 < energy < math.inf:
+            raise DomainError(f"energy must be positive and finite, got {shown(energy)}")
+        if not 0.0 <= pitch_angle < 0.5 * math.pi:
+            raise DomainError(f"pitch angle must lie in [0, pi/2), got {shown(pitch_angle)}")
+        if envelope_w0 is not None and not 0.0 < envelope_w0 < math.inf:
             raise DomainError(
-                f"pitch angle must lie in [0, pi/2), got {shown(self.pitch_angle)}"
+                f"envelope_w0 must be positive and finite, got {shown(envelope_w0)}"
             )
-        if self.envelope_w0 is not None and not 0.0 < self.envelope_w0 < math.inf:
-            raise DomainError(
-                f"envelope_w0 must be positive and finite, got {shown(self.envelope_w0)}"
-            )
+        return super().__new__(cls, m_gamma, lambda_spin, energy, pitch_angle, envelope_w0)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
     @property
     def l_gamma(self) -> int:

@@ -25,13 +25,13 @@ is written as ``json.dumps`` of its CSV value parsed back.  That spelling is
 right for every value, so a table of fewer than 60 values (every scalar
 subcommand's, sidebands up to ``--n-max 18``) takes it for all of them and
 needs no numpy, whose import costs ~0.1 s; once numpy is loaded the mask is
-the cheaper from about a dozen values up, ~0.1 ms cheaper at 60.
+the cheaper from about a dozen values up, ~0.1 ms cheaper at 60.  ``json``
+too is imported on first use, so a CSV call never loads it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -78,6 +78,7 @@ def _needs_repr(values: tuple) -> list[int]:
 
 
 def result_to_json(result: SweepResult) -> str:
+    import json
     head = json.dumps({
         "metadata": result.metadata,
         "columns": [{"name": name, "unit": unit} for name, unit in result.columns],

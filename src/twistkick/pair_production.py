@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, first_lobe_peak_argument, \
-    profile_peak_radius
+    profile_peak_radius, superkick
 from .errors import DomainError, SolverError, shown
 from .recoil_kinematics import ThresholdSolution
 from .units import ELECTRON_MASS_EV, HBARC_EV_NM, check_float_range, extremes, \
@@ -42,34 +42,34 @@ def _check_l_gamma(l_gamma, least: int) -> None:
     check_float_range(l_gamma, "l_gamma")
 
 
-@dataclass(frozen=True)
-class PairThresholdQuery:
-    """Inputs for one threshold evaluation: background photon energy (eV),
-    pitch angle (rad), impact parameter (nm), orbital index l_gamma.  The
-    pitch angle or the impact parameter may be an array of them, each
-    checked as a float is."""
+class PairThresholdQuery(namedtuple("PairThresholdQuery",
+                                    "omega2 pitch_angle impact_parameter l_gamma")):
+    """Inputs for one threshold evaluation: background photon energy omega2
+    (eV), pitch angle (rad), impact parameter (nm), integer orbital index
+    l_gamma.  The pitch angle or the impact parameter may be an array of
+    them, each checked as a float is."""
 
-    omega2: float
-    pitch_angle: float | np.ndarray
-    impact_parameter: float | np.ndarray = 0.0
-    l_gamma: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.omega2 > 0.0 and math.isfinite(self.omega2)):
-            raise DomainError(f"omega2 must be finite and positive, got {shown(self.omega2)}")
-        for theta in extremes(self.pitch_angle, "pitch angle"):
+    def __new__(cls, omega2, pitch_angle, impact_parameter=0.0, l_gamma=0):
+        if not (omega2 > 0.0 and math.isfinite(omega2)):
+            raise DomainError(f"omega2 must be finite and positive, got {shown(omega2)}")
+        for theta in extremes(pitch_angle, "pitch angle"):
             if not 0.0 <= theta < 0.5 * math.pi:
                 raise DomainError(f"pitch angle must lie in [0, pi/2), got {shown(theta)}")
-        ends = extremes(self.impact_parameter, "impact parameter")
+        ends = extremes(impact_parameter, "impact parameter")
         for b in ends:
             if not math.isfinite(b):
                 raise DomainError(f"impact parameter must be finite, got {shown(b)}")
-        _check_l_gamma(self.l_gamma, 0)
-        if self.l_gamma > 0 and not all(b > 0.0 for b in ends):
+        _check_l_gamma(l_gamma, 0)
+        if l_gamma > 0 and not all(b > 0.0 for b in ends):
             raise DomainError(
                 "l_gamma > 0 requires a positive impact parameter",
                 code="B_SINGULARITY",
             )
+        return super().__new__(cls, omega2, pitch_angle, impact_parameter, l_gamma)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
 
 def plane_wave_threshold(omega2: float) -> float:
@@ -115,11 +115,14 @@ def pair_threshold(query: PairThresholdQuery) -> ThresholdSolution:
     for some element.
     """
     plane_wave = plane_wave_threshold(query.omega2)
-    if query.l_gamma > 0:
-        p_t = query.l_gamma * HBARC_EV_NM / query.impact_parameter
+    p_t = superkick(query.l_gamma, query.impact_parameter) if query.l_gamma > 0 else 0.0
+    if isinstance(p_t, float):
+        p_t_sq = p_t * p_t
     else:
-        p_t = 0.0
-    for square in extremes(p_t * p_t, "p_T^2"):
+        import numpy as np
+        with np.errstate(over="ignore"):  # inf where it overflows, as on floats
+            p_t_sq = p_t * p_t
+    for square in extremes(p_t_sq, "p_T^2"):
         if not math.isfinite(square):
             b = extremes(query.impact_parameter, "impact parameter")[0]  # the largest kick
             raise DomainError(
@@ -127,7 +130,7 @@ def pair_threshold(query: PairThresholdQuery) -> ThresholdSolution:
                 "is too large to square in floating point"
             )
     sin_t = per_element(math.sin, query.pitch_angle)
-    rhs = 4.0 * ELECTRON_MASS_EV * ELECTRON_MASS_EV + p_t * p_t
+    rhs = 4.0 * ELECTRON_MASS_EV * ELECTRON_MASS_EV + p_t_sq
     # positive root of sin^2 w1^2 + 4 w2 w1 - rhs = 0, rationalized so the
     # sin -> 0 limit reduces exactly to the small-angle form
     disc = 4.0 * query.omega2 * query.omega2 + sin_t * sin_t * rhs
@@ -143,14 +146,13 @@ def pair_threshold(query: PairThresholdQuery) -> ThresholdSolution:
     )
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
+class CrossoverResult(namedtuple("CrossoverResult",
+                                 "product relative_variation pitch_angles")):
     """b*theta_k (nm*rad) where the twisted threshold crosses the plane-wave
-    one, and the relative spread of that product across a decade of theta_k."""
+    one, the relative spread of that product across a decade of theta_k, and
+    the tuple of pitch angles (rad) it was averaged over."""
 
-    product: float
-    relative_variation: float
-    pitch_angles: tuple[float, ...]
+    __slots__ = ()
 
 
 def crossover_product(
@@ -173,19 +175,15 @@ def crossover_product(
     return CrossoverResult(mean, (max(products) - min(products)) / mean, pitch_angles)
 
 
-@dataclass(frozen=True)
-class BeamFitResult:
+class BeamFitResult(namedtuple("BeamFitResult", "threshold_factor p_T impact_parameter "
+                               "pitch_angle envelope_w0 photon_energy peak_radius")):
     """Beam parameters realizing a requested threshold increase: the required
-    superkick, the impact parameter delivering it, and a (pitch angle,
-    envelope) pair whose transverse profile peaks there."""
+    superkick p_T (eV), the impact parameter (nm) delivering it, and a (pitch
+    angle in rad, envelope_w0 in nm) pair whose transverse profile peaks
+    there; photon_energy (eV) is the raised threshold and peak_radius (nm)
+    the maximum of the fitted beam's profile."""
 
-    threshold_factor: float
-    p_T: float
-    impact_parameter: float
-    pitch_angle: float
-    envelope_w0: float
-    photon_energy: float
-    peak_radius: float
+    __slots__ = ()
 
 
 def fit_beam_for_threshold_factor(

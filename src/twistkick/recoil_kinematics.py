@@ -18,7 +18,7 @@ doubling the panel count), by its closed-form total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import units
 from .beam import TwistedPhotonBeam, longitudinal_momentum, radial_intensity_integral, \
@@ -27,41 +27,38 @@ from .errors import DomainError, QuadratureError, SolverError, shown
 from .units import DEUTERON_BINDING_EV, DEUTERON_MASS_EV, extremes, nonrel_recoil_energy
 
 
-@dataclass(frozen=True)
-class TargetParticle:
-    """Absorber: rest energy (eV), distance from the vortex line (nm), and an
-    optional per-axis Gaussian rms spread (nm).  The distance may be an array
-    of them, each checked as a float is."""
+class TargetParticle(namedtuple("TargetParticle", "mass impact_parameter spread_rms")):
+    """Absorber: rest energy mass (eV), distance impact_parameter from the
+    vortex line (nm), and an optional per-axis Gaussian rms spread_rms (nm)
+    or None.  The distance may be an array of them, each checked as a float
+    is."""
 
-    mass: float
-    impact_parameter: float | np.ndarray = 0.0
-    spread_rms: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.mass > 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
-        for b in extremes(self.impact_parameter, "impact parameter"):
+    def __new__(cls, mass, impact_parameter=0.0, spread_rms=None):
+        if not mass > 0.0:
+            raise DomainError(f"mass must be positive, got {mass}")
+        for b in extremes(impact_parameter, "impact parameter"):
             if not 0.0 <= b < math.inf:
                 raise DomainError(f"impact parameter must be finite and non-negative, got {b}")
-        if self.spread_rms is not None and not 0.0 < self.spread_rms < math.inf:
-            raise DomainError(
-                f"spread_rms must be finite and positive, got {self.spread_rms}"
-            )
+        if spread_rms is not None and not 0.0 < spread_rms < math.inf:
+            raise DomainError(f"spread_rms must be finite and positive, got {spread_rms}")
+        return super().__new__(cls, mass, impact_parameter, spread_rms)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
 
-@dataclass(frozen=True)
-class ThresholdSolution:
+class ThresholdSolution(namedtuple("ThresholdSolution",
+                                   "photon_energy p_z p_T recoil_energy")):
     """Solved photon energy plus the momentum budget that produced it.
 
-    All in eV (momenta as p*c).  ``recoil_energy`` is the kinetic energy
-    taken by the final state's motion; for the nonrelativistic solver it
-    satisfies photon_energy = omega0 + recoil_energy to machine precision.
+    All in eV (momenta as p*c); each a float, or an array for an array
+    query.  ``recoil_energy`` is the kinetic energy taken by the final
+    state's motion; for the nonrelativistic solver it satisfies
+    photon_energy = omega0 + recoil_energy to machine precision.
     """
 
-    photon_energy: float
-    p_z: float
-    p_T: float
-    recoil_energy: float
+    __slots__ = ()
 
 
 def absorption_energy(

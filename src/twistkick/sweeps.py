@@ -26,9 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
@@ -43,32 +41,32 @@ from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
     constants_sha256, nonrel_recoil_energy, wavelength_to_energy
 
-@dataclass(frozen=True)
-class GridSpec:
-    """1-D sweep axis: [start, stop] with ``count`` points, spaced linearly
-    ("lin"), geometrically ("log"), or geometrically up to
-    min(100*start, stop/2) and linearly beyond ("loglin", resolving both the
-    a -> 0 limit and structure at O(stop))."""
 
-    start: float
-    stop: float
-    count: int
-    scale: str = "lin"
+class GridSpec(namedtuple("GridSpec", "start stop count scale")):
+    """1-D sweep axis: floats [start, stop] with an integer ``count`` of
+    points, spaced linearly ("lin"), geometrically ("log"), or geometrically
+    up to min(100*start, stop/2) and linearly beyond ("loglin", resolving
+    both the a -> 0 limit and structure at O(stop))."""
 
-    def __post_init__(self):
-        if not 2 <= self.count <= 10**6:
-            raise DomainError(f"grid count must lie in [2, 1e6], got {self.count}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise DomainError(f"grid ends must be finite, got [{self.start}, {self.stop}]")
-        if not self.stop > self.start:
-            raise DomainError(f"grid needs stop > start, got [{self.start}, {self.stop}]")
-        if not math.isfinite(self.stop - self.start):
-            raise DomainError(f"grid span [{self.start:g}, {self.stop:g}] is beyond the "
+    __slots__ = ()
+
+    def __new__(cls, start, stop, count, scale="lin"):
+        if not 2 <= count <= 10**6:
+            raise DomainError(f"grid count must lie in [2, 1e6], got {count}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise DomainError(f"grid ends must be finite, got [{start}, {stop}]")
+        if not stop > start:
+            raise DomainError(f"grid needs stop > start, got [{start}, {stop}]")
+        if not math.isfinite(stop - start):
+            raise DomainError(f"grid span [{start:g}, {stop:g}] is beyond the "
                               "floating-point range")
-        if self.scale not in ("lin", "log", "loglin"):
-            raise DomainError(f"grid scale must be lin/log/loglin, got {self.scale!r}")
-        if self.scale in ("log", "loglin") and not self.start > 0.0:
+        if scale not in ("lin", "log", "loglin"):
+            raise DomainError(f"grid scale must be lin/log/loglin, got {scale!r}")
+        if scale in ("log", "loglin") and not start > 0.0:
             raise DomainError("log-spaced grids need start > 0")
+        return super().__new__(cls, start, stop, count, scale)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
     def values(self) -> np.ndarray:
         import numpy as np
@@ -85,20 +83,21 @@ class GridSpec:
         ])
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A figure id plus optional parameter overrides and grid replacement."""
+class SweepSpec(namedtuple("SweepSpec", "figure_id overrides grid")):
+    """A figure id plus a mapping of parameter overrides (a new empty dict
+    by default) and an optional replacement GridSpec."""
 
-    figure_id: str
-    overrides: Mapping[str, object] = field(default_factory=dict)
-    grid: GridSpec | None = None
+    __slots__ = ()
+
+    def __new__(cls, figure_id, overrides=None, grid=None):
+        return super().__new__(cls, figure_id, {} if overrides is None else overrides, grid)
 
 
-@dataclass
-class SweepResult:
-    columns: list[tuple[str, str]]  # (name, unit)
-    rows: list[list[float]]
-    metadata: dict
+class SweepResult(namedtuple("SweepResult", "columns rows metadata")):
+    """A table: ``columns`` a list of (name, unit) pairs, ``rows`` a list of
+    lists of floats, ``metadata`` a dict."""
+
+    __slots__ = ()
 
 
 class _Figure:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, UndefinedDistributionError
@@ -40,29 +40,29 @@ from .special_functions import MAX_ARGUMENT, MAX_ORDER, _half_int, bessel_first_
     bessel_j, bessel_j_array, check_bessel_argument, check_bessel_domain, wigner_small_d
 
 
-@dataclass(frozen=True)
-class TransitionChannel:
+class TransitionChannel(namedtuple("TransitionChannel", "multipole_J m_initial label")):
     """Target transition descriptor.
 
     multipole_J: angular momentum absorbed internally (1 = dipole E1,
     2 = quadrupole E2, 3 = octupole E3).  The photon carries integer
     multipolarity, so the value must be a positive integer; m_initial may be
-    half-integer (e.g. -1/2 for an S_1/2 ground state).
+    half-integer (e.g. -1/2 for an S_1/2 ground state); label is a string.
     """
 
-    multipole_J: float
-    m_initial: float = 0.0
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        two_j = _half_int(self.multipole_J, "multipole_J")
-        if not self.multipole_J >= 1.0:
-            raise DomainError(f"multipole_J must be >= 1, got {self.multipole_J}")
+    def __new__(cls, multipole_J, m_initial=0.0, label=""):
+        two_j = _half_int(multipole_J, "multipole_J")
+        if not multipole_J >= 1.0:
+            raise DomainError(f"multipole_J must be >= 1, got {multipole_J}")
         if two_j % 2:
             raise DomainError(
-                f"multipole_J must be an integer (photon multipolarity), got {self.multipole_J}"
+                f"multipole_J must be an integer (photon multipolarity), got {multipole_J}"
             )
-        _half_int(self.m_initial, "m_initial")
+        _half_int(m_initial, "m_initial")
+        return super().__new__(cls, multipole_J, m_initial, label)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
     @property
     def j_int(self) -> int:
@@ -74,22 +74,19 @@ class TransitionChannel:
         return [mi + dm for dm in range(-self.j_int, self.j_int + 1)]
 
 
-@dataclass(frozen=True)
-class SublevelDistribution:
-    """One impact parameter's sublevel distribution, keyed by m_f: the
-    ``amplitudes`` J_{m_gamma-dm}(kappa b) * d-element, the integer
-    ``winding`` m_gamma - dm of the omitted factor exp(i nu phi_b), and the
-    normalized ``weights``; one row of :func:`am_partition`."""
+class SublevelDistribution(namedtuple("SublevelDistribution",
+                                      "amplitudes winding weights")):
+    """One impact parameter's sublevel distribution, three dicts keyed by
+    m_f: the float ``amplitudes`` J_{m_gamma-dm}(kappa b) * d-element, the
+    integer ``winding`` m_gamma - dm of the omitted factor exp(i nu phi_b),
+    and the normalized float ``weights``; one row of :func:`am_partition`."""
 
-    amplitudes: dict[float, float]
-    winding: dict[float, int]
-    weights: dict[float, float]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AmPartition:
+class AmPartition(namedtuple("AmPartition", "amplitudes weights lz_internal lz_cm errors")):
     """Sublevel amplitudes, weights and mean angular momentum (units hbar)
-    over a 1-D array of impact parameters.
+    over a 1-D array of impact parameters, each an ndarray.
 
     ``amplitudes[J + dm]`` and ``weights[J + dm]`` are the rows of A and w
     for m_f = m_i + dm, dm = -J ... J; ``lz_internal`` is the mean of
@@ -101,11 +98,7 @@ class AmPartition:
     for the amplitudes of an ``UNDEFINED_DISTRIBUTION`` row: its zeros.
     """
 
-    amplitudes: np.ndarray
-    weights: np.ndarray
-    lz_internal: np.ndarray
-    lz_cm: np.ndarray
-    errors: np.ndarray
+    __slots__ = ()
 
 
 def _orders(beam: TwistedPhotonBeam, channel: TransitionChannel) -> list[int]:

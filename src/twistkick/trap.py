@@ -37,7 +37,7 @@ import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning, shown
@@ -47,20 +47,19 @@ from .units import HBARC_EV_NM, extremes, frequency_to_energy, nonrel_recoil_ene
     per_element
 
 
-@dataclass(frozen=True)
-class TrapModel:
+class TrapModel(namedtuple("TrapModel", "axial_frequency transverse_frequency ion_mass")):
     """Harmonic trap: axial and (isotropic x,y) transverse frequencies in Hz,
-    ion rest energy in eV."""
+    ion rest energy in eV, each a positive finite float."""
 
-    axial_frequency: float
-    transverse_frequency: float
-    ion_mass: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("axial_frequency", "transverse_frequency", "ion_mass"):
-            value = getattr(self, name)
+    def __new__(cls, axial_frequency, transverse_frequency, ion_mass):
+        for name, value in zip(cls._fields, (axial_frequency, transverse_frequency, ion_mass)):
             if not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be positive and finite, got {shown(value)}")
+        return super().__new__(cls, axial_frequency, transverse_frequency, ion_mass)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
     def oscillator_length(self, axis: str = "transverse") -> float:
         """x0 = sqrt(hbar / (M omega)) in nm."""
@@ -213,21 +212,19 @@ def jump_probability_extended(
     return np.maximum(1.0 - carrier, 0.0)
 
 
-@dataclass(frozen=True)
-class SidebandSpectrum:
+class SidebandSpectrum(namedtuple("SidebandSpectrum", "weights carrier_weight "
+                                 "truncation_residual quantum_energy")):
     """Relative weights of transverse trap levels populated by absorption.
 
-    ``weights[n]`` is the probability of gaining n transverse quanta
-    (n = 2 n_r + |l_osc|) from the motional ground state; starting from the
-    ground state no n < 0 entries exist.  ``truncation_residual`` is
+    ``weights[n]`` (a dict of floats keyed by int) is the probability of
+    gaining n transverse quanta (n = 2 n_r + |l_osc|) from the motional
+    ground state; starting from the ground state no n < 0 entries exist.
+    ``carrier_weight`` is weights[0]; ``truncation_residual`` is
     1 - sum(weights) left above n_max; ``quantum_energy`` the energy per
     quantum h f_T in eV.
     """
 
-    weights: dict[int, float]
-    carrier_weight: float
-    truncation_residual: float
-    quantum_energy: float
+    __slots__ = ()
 
 
 #: Highest trap level a sideband spectrum may retain.  The log-space series

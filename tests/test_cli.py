@@ -368,17 +368,19 @@ SCALAR_ERROR_ARGV = [
 
 
 def test_scalar_calls_run_with_numpy_blocked(capsys):
-    # importing the package loads no numpy; with every numpy import failing,
-    # the child runs each scalar subcommand and coded error in CSV and JSON,
-    # and each gives the status, stdout and stderr it gives here
+    # importing the package loads no numpy, and the CLI neither dataclasses
+    # nor json; with every numpy import failing, the child runs each scalar
+    # subcommand and coded error in CSV and JSON, and each gives the status,
+    # stdout and stderr it gives here
     argvs = [argv + ["--format", fmt] for argv in SCALAR_ARGV + SCALAR_ERROR_ARGV
              for fmt in ("csv", "json")]
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "import twistkick\n"
         "loaded = ['numpy' in sys.modules]\n"
         "import twistkick.cli\n"
-        "loaded.append('numpy' in sys.modules)\n"
+        "loaded += [m in sys.modules for m in ('numpy', 'dataclasses', 'json')]\n"
+        "import json\n"
         "sys.modules['numpy'] = None\n"
         "def run(argv):\n"
         "    out, err = io.StringIO(), io.StringIO()\n"
@@ -393,7 +395,7 @@ def test_scalar_calls_run_with_numpy_blocked(capsys):
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     loaded, runs = json.loads(cp.stdout)
-    assert loaded == [False, False]
+    assert loaded == [False, False, False, False]
     for argv, run in zip(argvs, runs):
         assert tuple(run) == run_main(capsys, *argv), argv
         assert (run[0] == 0) == (argv[:-2] in SCALAR_ARGV), argv

@@ -59,11 +59,12 @@ def test_pair_threshold_array_matches_float_calls():
     ("impact_parameter", 1e-306),  # the superkick is too large to square
     ("pitch_angle", -1e-6), ("pitch_angle", math.nan), ("pitch_angle", 1.6),
 ])
+@pytest.mark.filterwarnings("error")  # an overflowing kick raises no numpy warning
 def test_pair_threshold_array_raises_where_a_float_call_raises(field, bad):
     query = dict(omega2=2.5, pitch_angle=5e-6, impact_parameter=2e-4, l_gamma=1)
     with pytest.raises(DomainError):
         pair_threshold(PairThresholdQuery(**dict(query, **{field: bad})))
-    with pytest.raises(DomainError), np.errstate(over="ignore"):
+    with pytest.raises(DomainError):
         pair_threshold(PairThresholdQuery(**dict(query, **{field: np.array([query[field], bad])})))
 
 

@@ -82,6 +82,24 @@ def test_recoil_energy_infinite_mass():
     assert nonrel_recoil_energy(5.0, math.inf) == 0.0
 
 
+def test_recoil_energy_int_beyond_float_range_is_domain():
+    # a coded error naming the momentum, not an OverflowError from the int
+    for p in (10**400, -(10**400)):
+        with pytest.raises(DomainError, match="momentum") as err:
+            nonrel_recoil_energy(p, 1.0)
+        assert err.value.code == "DOMAIN"
+    # an int within the range whose square is not overflows as a float does
+    assert nonrel_recoil_energy(10**200, 1.0) == nonrel_recoil_energy(1e200, 1.0) == math.inf
+    assert nonrel_recoil_energy(3, 2.0) == 2.25
+
+
+@pytest.mark.filterwarnings("error")
+def test_recoil_energy_array_overflows_silently_as_floats_do():
+    for p, mass in (([1.0, 1e200], 1.0), ([1.0, 1e10], 1e-300)):
+        assert nonrel_recoil_energy(np.array(p), mass).tolist() == [
+            nonrel_recoil_energy(v, mass) for v in p]
+
+
 def test_trap_spacing_quotable():
     # h * 1.5 MHz = 6.2 neV within 2%
     assert frequency_to_energy(1.5e6) == pytest.approx(6.2 * NEV, rel=0.02)
