@@ -154,10 +154,26 @@ _MIN_PANELS = 8
 _PANEL_CHUNK = 4096
 
 
+#: (node, weight) of the 16-node rule at its positive nodes, as
+#: numpy.polynomial.legendre.leggauss(16) gives them (a test checks); the
+#: rule is symmetric about 0, so these literals spare numpy.polynomial
+_GL16_HALF = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+
+
 @functools.cache
 def _gauss_legendre():  # the nodes and weights, built at the first quadrature
     import numpy as np
-    return np.polynomial.legendre.leggauss(16)
+    node, weight = np.array(_GL16_HALF).T
+    return np.concatenate([-node[::-1], node]), np.concatenate([weight[::-1], weight])
 
 
 def _composite_gl(beam: TwistedPhotonBeam, lower: float, upper: float, panels: int) -> float:

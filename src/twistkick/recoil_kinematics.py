@@ -36,6 +36,8 @@ class TargetParticle(namedtuple("TargetParticle", "mass impact_parameter spread_
     __slots__ = ()
 
     def __new__(cls, mass, impact_parameter=0.0, spread_rms=None):
+        if isinstance(mass, int):
+            units.check_float_range(mass, "mass")
         if not mass > 0.0:
             raise DomainError(f"mass must be positive, got {mass}")
         for b in extremes(impact_parameter, "impact parameter"):

@@ -38,7 +38,7 @@ backward recurrence, which only adds there, the rest.
 
 **First maximum of J_n** (:func:`bessel_first_max`): the root of
 x J_{n-1} = n J_n, the stationary point that
-:func:`first_lobe_peak_argument` finds by bisection on the ratio
+:func:`first_lobe_peak_argument` finds by ITP on the ratio
 x J_{n-1}/J_n = 2n - x J_{n+1}/J_n, itself a backward recurrence that needs
 no normalisation.
 
@@ -363,23 +363,55 @@ def first_lobe_peak_argument(l_gamma: int, envelope_slope) -> float:
     point of J_l(x) times an envelope of log-slope -s(x) = x d/dx
     ln(envelope).  There x J_l'/J_l = x J_{l-1}/J_l - l falls from l to 0,
     so for a non-negative, non-decreasing s = ``envelope_slope`` the root is
-    unique; bisection from a bracket below the first zero of J_l finds it to
-    the last bit.  The ratio tends to 2l as x -> 0, so no underflow of J_l
-    can stop it."""
+    unique (0.0 where s(0) >= l leaves none).  The ratio tends to 2l as
+    x -> 0, so no underflow of J_l can stop it.
+
+    ITP (Oliveira and Takahashi, ACM TOMS 47 (2020) 5; kappa1 = 0.2/hi,
+    kappa2 = 2, n0 = 1, epsilon half the float spacing at hi) narrows the
+    bracket (0, hi) below the first zero of J_l to adjacent floats and
+    returns their midpoint, in about 20 evaluations of the ratio instead of
+    bisection's 54.  A point counts as below the root exactly where
+    bisection counted it so, ratio > l + s(x), so both end on the same two
+    floats."""
     l = abs(int(l_gamma))
     if not 1 <= l <= MAX_ORDER:
         raise DomainError(f"first-lobe order 1 <= |l| <= {MAX_ORDER} supported, "
                           f"got {shown(l_gamma)}")
     lo, hi = 0.0, _first_lobe_bracket(l)
+    # f(x) = ratio - (l + s(x)), whose sign fl() keeps; f(0) is its limit
+    f_lo = l - envelope_slope(0.0)
+    if not f_lo > 0.0:
+        return 0.0
     start = _start_order(l + 1, hi)
-    x = 0.5 * hi
-    while lo < x < hi:
-        if _lobe_ratio(l, x, start) > l + envelope_slope(x):
-            lo = x
+    f_hi = _lobe_ratio(l, hi, start) - (l + envelope_slope(hi))
+    kappa1 = 0.2 / hi
+    # epsilon 2^(n_max - j), n_max = 54: no bracket after step j is wider
+    reach = 2.0 ** math.frexp(hi)[1]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        width = hi - lo
+        # regula falsi, moved kappa1 width^2 (at least one unit in the last
+        # place, so that a converged estimate still steps across the root)
+        # towards mid and kept within reach - width/2 of it; a point off
+        # (lo, hi), or NaN, becomes mid
+        fall = f_lo - f_hi
+        x = lo + f_lo / fall * width if fall > 0.0 else mid
+        toward = 1.0 if x <= mid else -1.0
+        delta = max(kappa1 * width * width, math.ulp(mid))
+        x = x + toward * delta if delta <= abs(mid - x) else mid
+        radius = reach - 0.5 * width
+        if not abs(x - mid) <= radius:
+            x = mid - toward * radius
+        if not lo < x < hi:
+            x = mid
+        reach *= 0.5
+        f = _lobe_ratio(l, x, start) - (l + envelope_slope(x))
+        if f > 0.0:
+            lo, f_lo = x, f
         else:
-            hi = x
-        x = 0.5 * (lo + hi)
-    return x
+            hi, f_hi = x, f
 
 
 def bessel_first_max(n: int) -> tuple[float, float]:

@@ -155,8 +155,11 @@ def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:
     ``p_ev`` is the momentum as p*c in eV, a float or an array, and
     ``mass_ev`` the rest energy in eV; ``mass_ev = math.inf`` is accepted and
     yields 0.  An energy beyond the floating-point range is inf, on an array
-    as on a float; an int momentum beyond that range raises DomainError.
+    as on a float; an int momentum or mass beyond that range raises
+    DomainError.  Where 2 M overflows, the energy is (p/2) (p/M).
     """
+    if isinstance(mass_ev, int):
+        check_float_range(mass_ev, "mass")
     if not mass_ev > 0.0:
         raise DomainError(f"mass must be positive, got {mass_ev}")
     if isinstance(p_ev, int):
@@ -164,8 +167,9 @@ def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:
         p_ev = float(p_ev)  # its square overflows to inf, where an int's would raise
     if math.isinf(mass_ev):
         return 0.0
+    two_m = 2.0 * mass_ev
     if isinstance(p_ev, float):
-        return p_ev * p_ev / (2.0 * mass_ev)
+        return p_ev * p_ev / two_m if two_m < math.inf else 0.5 * p_ev * (p_ev / mass_ev)
     import numpy as np
     with np.errstate(over="ignore"):
-        return p_ev * p_ev / (2.0 * mass_ev)
+        return p_ev * p_ev / two_m if two_m < math.inf else 0.5 * p_ev * (p_ev / mass_ev)

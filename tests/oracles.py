@@ -6,9 +6,32 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import jv
 
+from twistkick import special_functions
 from twistkick.beam import transverse_wavenumber
 from twistkick.errors import DomainError, UndefinedDistributionError
 from twistkick.special_functions import bessel_j, wigner_small_d
+
+
+def bisection_first_lobe_peak_argument(l_gamma: int, envelope_slope) -> float:
+    """The root of x J_{l-1}(x)/J_l(x) = l + s(x) by bisection of the
+    bracket (0, l + 1.33 l^(1/3)) to adjacent floats, returning their
+    midpoint: the loop that ITP replaced in ``first_lobe_peak_argument``,
+    kept as its oracle.  A point is below the root where the ratio exceeds
+    l + s(x).  The ratio is looked up on the module, so a test can count
+    its calls."""
+    l = abs(int(l_gamma))
+    if not 1 <= l <= special_functions.MAX_ORDER:
+        raise DomainError(f"first-lobe order out of range: {l_gamma}")
+    lo, hi = 0.0, special_functions._first_lobe_bracket(l)
+    start = special_functions._start_order(l + 1, hi)
+    x = 0.5 * hi
+    while lo < x < hi:
+        if special_functions._lobe_ratio(l, x, start) > l + envelope_slope(x):
+            lo = x
+        else:
+            hi = x
+        x = 0.5 * (lo + hi)
+    return x
 
 
 def dense_grid_peak_radius(beam) -> float:

@@ -205,6 +205,15 @@ def test_bessel_gauss_norm_unit_integral():
     assert integral == pytest.approx(1.0, rel=1e-6)
 
 
+def test_gauss_legendre_literals_are_numpys_rule():
+    # the 8 written (node, weight) pairs, mirrored, are leggauss(16) bit for bit
+    from twistkick import beam
+    nodes, weights = beam._gauss_legendre()
+    oracle_nodes, oracle_weights = np.polynomial.legendre.leggauss(16)
+    assert nodes.tobytes() == oracle_nodes.tobytes()
+    assert weights.tobytes() == oracle_weights.tobytes()
+
+
 def quad_intensity(beam, upper):
     """Test-only oracle: adaptive quadrature of |psi|^2 rho over [0, upper]."""
     with warnings.catch_warnings():

@@ -401,6 +401,25 @@ def test_scalar_calls_run_with_numpy_blocked(capsys):
         assert (run[0] == 0) == (argv[:-2] in SCALAR_ARGV), argv
 
 
+def test_focus_fraction_loads_no_numpy_polynomial_or_linalg():
+    # the quadrature's nodes are literals: beyond what importing numpy loads
+    # itself, a focus-fraction call loads neither numpy.polynomial nor
+    # numpy.linalg
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import twistkick.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = twistkick.cli.main(['focus-fraction', '--w0-pm', '50'])\n"
+        "print(status, sorted(m for m in set(sys.modules) - before\n"
+        "                     if m.startswith(('numpy.polynomial', 'numpy.linalg'))))\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "0 []\n"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["sidebands", "--b-nm", "10", "--nu", "1" + "0" * 60], "DOMAIN"),
     (["deuteron-threshold", "--b-fm", "10", "--internal-am", "1" + "0" * 60], "DOMAIN"),

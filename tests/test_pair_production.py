@@ -1,11 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from twistkick import pair_production
-from twistkick.errors import DomainError, SolverError
+from oracles import bisection_first_lobe_peak_argument
+from twistkick import beam, pair_production, special_functions
+from twistkick.errors import DomainError, SolverError, TwistkickError
 from twistkick.pair_production import (
     PairThresholdQuery,
     crossover_product,
@@ -14,6 +16,7 @@ from twistkick.pair_production import (
     plane_wave_threshold,
     small_angle_threshold,
 )
+from twistkick.sweeps import SweepSpec, run_sweep
 from twistkick.units import ELECTRON_MASS_EV, FM, GEV, HBARC_EV_NM, MEV, PM
 
 
@@ -317,3 +320,69 @@ def test_non_integer_l_gamma_is_domain_error(call, l_gamma):
         call(l_gamma)
     assert err.value.code == "DOMAIN"
     assert "l_gamma" in str(err.value)
+
+
+def _fit_draws(count=60, seed=22):
+    # (factor, omega2, l_gamma, w0/b) over the fit's range: an interior peak
+    # needs l (w0/b)^2 > 2; some draws fail FIT on the pitch angle
+    rng = random.Random(seed)
+    draws = [(2.0 * 50.0 ** (k / 4), 0.5 * 20.0 ** (k / 4), 1, 2.0) for k in range(5)]
+    for _ in range(count):
+        l_gamma = rng.randint(1, 8)
+        draws.append((1.0 + 10.0 ** rng.uniform(-2.0, 4.0), 10.0 ** rng.uniform(-2.0, 2.0),
+                      l_gamma, math.sqrt(2.0 / l_gamma) * math.exp(rng.uniform(0.01, 3.0))))
+    return draws
+
+
+def _fit_outcome(draw):
+    try:
+        return repr(fit_beam_for_threshold_factor(*draw))
+    except TwistkickError as err:
+        return err.code, str(err)
+
+
+def test_fit_and_pair_table_are_those_of_the_bisection_root(monkeypatch):
+    # every fit, profile peak and pair_table row bit for bit, and every
+    # failure with the same code and message
+    def outcomes():
+        return ([_fit_outcome(draw) for draw in _fit_draws()],
+                repr([run_sweep(SweepSpec("pair_table", overrides={"omega2_ev": w})).rows
+                      for w in (0.5, 2.5, 10.0)]))
+
+    fits, tables = outcomes()
+    assert sum(isinstance(fit, str) for fit in fits) > 40
+    for module in (pair_production, beam):
+        monkeypatch.setattr(module, "first_lobe_peak_argument",
+                            bisection_first_lobe_peak_argument)
+    assert outcomes() == (fits, tables)
+
+
+def test_fit_roots_take_fewer_ratio_evaluations_than_bisection(monkeypatch):
+    # ITP keeps the bisection's bracket and end; it must need at most 24
+    # ratio evaluations a root on average (bisection: about 54), and never
+    # more than 3 beyond the bisection's count
+    calls = [0]
+    ratio = special_functions._lobe_ratio
+
+    def counted(*args):
+        calls[0] += 1
+        return ratio(*args)
+
+    counts = []
+
+    def recorded(l_gamma, envelope_slope):
+        calls[0] = 0
+        x = special_functions.first_lobe_peak_argument(l_gamma, envelope_slope)
+        itp, calls[0] = calls[0], 0
+        assert x.hex() == bisection_first_lobe_peak_argument(l_gamma, envelope_slope).hex()
+        counts.append((itp, calls[0]))
+        return x
+
+    monkeypatch.setattr(special_functions, "_lobe_ratio", counted)
+    for module in (pair_production, beam):
+        monkeypatch.setattr(module, "first_lobe_peak_argument", recorded)
+    for draw in _fit_draws():
+        _fit_outcome(draw)
+    assert len(counts) > 100
+    assert sum(itp for itp, _ in counts) <= 24 * len(counts)
+    assert all(itp <= bisection + 3 for itp, bisection in counts)

@@ -112,6 +112,15 @@ def test_transverse_recoil_domain():
         transverse_recoil_energy(TargetParticle(DEUTERON_MASS_EV), 1)
 
 
+def test_int_mass_beyond_float_range_is_domain():
+    # named for the mass at construction, not an OverflowError later
+    for mass in (10**400, -(10**400)):
+        with pytest.raises(DomainError, match="mass is beyond") as err:
+            transverse_recoil_energy(TargetParticle(mass, 1.0), 1)
+        assert err.value.code == "DOMAIN"
+    assert TargetParticle(10**300, 1.0).mass == 10**300
+
+
 @pytest.mark.filterwarnings("error")  # (1.97e302 eV)^2 is inf silently, as on floats
 def test_transverse_recoil_array_matches_float_calls():
     # fig6's kernels on an array of b: each element equals the float call bit

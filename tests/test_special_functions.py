@@ -1,9 +1,11 @@
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
+from oracles import bisection_first_lobe_peak_argument as bisection
 from twistkick.errors import DomainError
 from twistkick.special_functions import (
     _first_lobe_bracket,
@@ -293,6 +295,48 @@ def test_first_lobe_peak_argument_with_slope():
         assert x == pytest.approx(float(reference), rel=1e-14)
     with pytest.raises(DomainError):
         first_lobe_peak_argument(65, lambda x: 0.0)
+
+
+# ITP must end on the two floats the bisection it replaced ended on
+def test_first_lobe_root_is_the_bisection_root_for_every_order():
+    for n in range(1, 65):
+        x = bisection(n, lambda x: 0.0)
+        assert first_lobe_peak_argument(n, lambda x: 0.0).hex() == x.hex()
+        assert first_lobe_peak_argument(-n, lambda x: 0.0).hex() == x.hex()
+        assert bessel_first_max(n) == (x, bessel_j(n, x))
+
+
+def test_first_lobe_root_is_the_bisection_root_for_constant_slopes():
+    rng = random.Random(20)
+    for l in range(1, 65):
+        for slope in [rng.uniform(0.0, l) for _ in range(10)] + [0.999999 * l]:
+            envelope = lambda x, slope=slope: slope
+            assert first_lobe_peak_argument(l, envelope).hex() == \
+                bisection(l, envelope).hex(), (l, slope)
+
+
+def test_first_lobe_root_is_the_bisection_root_for_quadratic_slopes():
+    # s = 2 x^2/scale^2, the profile peak's slope, at scales 1e-1 ... 1e5
+    rng = random.Random(21)
+    for l in range(1, 65):
+        for scale in [10.0 ** rng.uniform(-1.0, 5.0) for _ in range(10)]:
+            envelope = lambda x, scale=scale: 2.0 * (x / scale) * (x / scale)
+            assert first_lobe_peak_argument(l, envelope).hex() == \
+                bisection(l, envelope).hex(), (l, scale)
+
+
+@pytest.mark.parametrize("slope", [
+    lambda l, x: l, lambda l, x: l + 1.0, lambda l, x: 2.0 * l + x, lambda l, x: math.inf,
+    lambda l, x: math.nan, lambda l, x: -math.inf, lambda l, x: -5.0 * l,
+    lambda l, x: 1e300 * x, lambda l, x: l - 1e-12,
+], ids=["s=l", "s=l+1", "s>2l", "s=inf", "s=nan", "s=-inf", "f(hi)>0", "s=1e300x",
+        "s~l"])
+def test_first_lobe_root_of_a_degenerate_bracket_is_the_bisection_root(slope):
+    # no sign change, or none below hi, or a root next to 0: ITP returns
+    # what bisection returns, 0.0 where f <= 0 throughout
+    for l in (1, 2, 17, 64):
+        envelope = lambda x, l=l: slope(l, x)
+        assert first_lobe_peak_argument(l, envelope).hex() == bisection(l, envelope).hex()
 
 
 # --- Wigner small-d -----------------------------------------------------------

@@ -93,6 +93,34 @@ def test_recoil_energy_int_beyond_float_range_is_domain():
     assert nonrel_recoil_energy(3, 2.0) == 2.25
 
 
+def test_recoil_energy_int_mass_beyond_float_range_is_domain():
+    for mass in (10**400, -(10**400)):
+        with pytest.raises(DomainError, match="mass is beyond") as err:
+            nonrel_recoil_energy(1.0, mass)
+        assert err.value.code == "DOMAIN"
+    assert nonrel_recoil_energy(3.0, 2) == 2.25
+
+
+@pytest.mark.filterwarnings("error")
+def test_recoil_energy_where_twice_the_mass_overflows():
+    # p^2/(2M) without forming 2M, which overflows past 8.99e307: finite
+    # where the energy is, on an array as on a float
+    big = 1e308
+    assert nonrel_recoil_energy(1e200, big) == pytest.approx(5e91, rel=1e-15)
+    assert nonrel_recoil_energy(1e10, big) == pytest.approx(5e-289, rel=1e-15)
+    assert nonrel_recoil_energy(-1e10, big) == nonrel_recoil_energy(1e10, big)
+    assert nonrel_recoil_energy(0.0, big) == 0.0
+    assert nonrel_recoil_energy(1.7e308, big) == pytest.approx(1.445e308, rel=1e-15)
+    assert nonrel_recoil_energy(math.inf, big) == math.inf
+    p = [0.0, 1e-10, 1e10, 1e200, 1e300, 1.7e308]
+    for mass in (big, 9e307, math.nextafter(0.5 * sys.float_info.max, math.inf)):
+        assert nonrel_recoil_energy(np.array(p), mass).tolist() == [
+            nonrel_recoil_energy(v, mass) for v in p]
+    # below the overflow, the arithmetic is p * p / (2 M) as before
+    half = 0.5 * sys.float_info.max
+    assert nonrel_recoil_energy(1e200, half) == 1e200 * 1e200 / (2.0 * half)
+
+
 @pytest.mark.filterwarnings("error")
 def test_recoil_energy_array_overflows_silently_as_floats_do():
     for p, mass in (([1.0, 1e200], 1.0), ([1.0, 1e10], 1e-300)):
