@@ -39,12 +39,13 @@ class TargetParticle(namedtuple("TargetParticle", "mass impact_parameter spread_
         if isinstance(mass, int):
             units.check_float_range(mass, "mass")
         if not mass > 0.0:
-            raise DomainError(f"mass must be positive, got {mass}")
+            raise DomainError(f"mass must be positive, got {shown(mass)}")
         for b in extremes(impact_parameter, "impact parameter"):
             if not 0.0 <= b < math.inf:
-                raise DomainError(f"impact parameter must be finite and non-negative, got {b}")
+                raise DomainError(f"impact parameter must be finite and non-negative, "
+                                  f"got {shown(b)}")
         if spread_rms is not None and not 0.0 < spread_rms < math.inf:
-            raise DomainError(f"spread_rms must be finite and positive, got {spread_rms}")
+            raise DomainError(f"spread_rms must be finite and positive, got {shown(spread_rms)}")
         return super().__new__(cls, mass, impact_parameter, spread_rms)
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace

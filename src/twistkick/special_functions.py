@@ -24,9 +24,11 @@ through its octave (2^(e-1) <= x < 2^e, all x < 4 alike), so an array of
 arguments runs one recurrence per octave; an array of at most 8 arguments
 runs the float recurrence of a scalar argument once per element.
 ``bessel_j`` and ``bessel_j_array`` read orders 0...8 from tables of top
-order 8 and orders 9...64 from tables of top order 64, so a value never
-depends on the other orders or arguments of the call: the scalar and the
-array function agree bit for bit.  Both enforce the package contract
+order 8 and orders 9...64 from tables of top order 64.  A table's
+recurrences stop at the highest order its caller reads but start where its
+top order puts them, so a value never depends on the other orders or
+arguments of the call: the scalar and the array function agree bit for
+bit.  Both enforce the package contract
 (integer order |n| <= 64, finite argument |x| <= 1e6) and canonicalize
 signs through J_{-n}(x) = (-1)^n J_n(x) = J_n(-x).
 
@@ -105,13 +107,13 @@ def _hankel_j01(x):
     return scale * (p0 * (c + s) - q0 * (s - c)), scale * (p1 * (s - c) + q1 * (s + c))
 
 
-def _forward(n_max: int, x) -> list:
-    """J_0 ... J_{n_max}(x), x >= max(25, n_max): Hankel, then upward."""
+def _forward(rows: int, x) -> list:
+    """J_0 ... J_{rows-1}(x), x >= max(25, rows - 1): Hankel, then upward."""
     j0, j1 = _hankel_j01(x)
     values = [j0, j1]
-    for k in range(1, n_max):
+    for k in range(1, rows - 1):
         values.append(2 * k / x * values[k] - values[k - 1])
-    return values[:n_max + 1]
+    return values[:rows]
 
 
 def _start_order(n: int, x: float) -> int:
@@ -123,9 +125,10 @@ def _start_order(n: int, x: float) -> int:
     return 2 * math.ceil(0.5 * start)
 
 
-def _miller(n_max: int, x, start: int) -> list:
-    """J_0 ... J_{n_max}(x) by the backward recurrence from ``start`` (even),
-    two orders a step, normalised by J_0 + 2 sum J_2k = 1.
+def _miller(rows: int, x, start: int) -> list:
+    """J_0 ... J_{rows-1}(x) by the backward recurrence from ``start`` (even),
+    two orders a step, normalised by J_0 + 2 sum J_2k = 1.  Every step runs
+    whatever ``rows`` is; only the ratios below order ``rows`` are kept.
 
     At even k the step carries t = x J_{k-1}/J_k = 2k - w t', d =
     x^2 J_{k-2}/J_k = 2(k-1) t - x^2 and w = x^2/d = J_k/J_{k-2}, and the
@@ -137,13 +140,13 @@ def _miller(n_max: int, x, start: int) -> list:
     x2 = x * x
     t = w = 0.0 * x
     s = 1.0 + t
-    pairs = [(t, t)] * ((n_max + 1) // 2)  # (J_{k-1}/J_{k-2}, J_k/J_{k-2}), k = 2, 4, ...
+    pairs = [(t, t)] * (rows // 2)  # (J_{k-1}/J_{k-2}, J_k/J_{k-2}), k = 2, 4, ...
     for k in range(start, 0, -2):
         t = 2 * k - w * t
         d = (2 * k - 2) * t - x2
         w = x2 / d
         s = s * w + 1.0
-        if k <= n_max + 1:
+        if k <= rows:
             pairs[k // 2 - 1] = (x * t / d, w)
     value = 1.0 / (2.0 * s - 1.0) + 0.0 * s
     values = [value]
@@ -151,83 +154,89 @@ def _miller(n_max: int, x, start: int) -> list:
         values.append(value * odd)
         value = value * even
         values.append(value)
-    return values[:n_max + 1]
+    return values[:rows]
 
 
-def _miller_retry(n_max: int, x, start: int) -> list:
+def _miller_retry(rows: int, x, start: int) -> list:
     # _miller, at the next float up where x is (within rounding) a zero of
     # some J_k; the scalar and the array path step alike
     if isinstance(x, float):
         while True:
             try:
-                return _miller(n_max, x, start)
+                return _miller(rows, x, start)
             except ZeroDivisionError:
                 x = math.nextafter(x, math.inf)
     import numpy as np
-    values = np.array(_miller(n_max, x, start))
+    values = np.array(_miller(rows, x, start))
     bad = np.isnan(values[0]) & np.isfinite(x)  # a NaN argument stays NaN
     while bad.any():
         x = np.where(bad, np.nextafter(x, math.inf), x)
-        values[:, bad] = np.array(_miller(n_max, x[bad], start))
+        values[:, bad] = np.array(_miller(rows, x[bad], start))
         bad = np.isnan(values[0]) & np.isfinite(x)
     return values
 
 
-def _j_list(n_max: int, x: float) -> list:
+def _j_list(n_max: int, x: float, rows: int) -> list:
     # bessel_j_orders at one float argument, as a list of floats
     if x == 0.0:
-        return [1.0] + [0.0] * n_max
+        return [1.0] + [0.0] * (rows - 1)
     if x >= max(HANKEL_MIN_X, n_max):
-        return _forward(n_max, x)
+        return _forward(rows, x)
     octave = max(math.ldexp(1.0, math.frexp(x)[1]), 4.0)  # as in bessel_j_orders
-    return _miller_retry(n_max, x, _start_order(n_max, octave))
+    return _miller_retry(rows, x, _start_order(n_max, octave))
 
 
-def bessel_j_orders(n_max: int, x) -> np.ndarray:
+def bessel_j_orders(n_max: int, x, rows: int | None = None) -> np.ndarray:
     """J_0(x) ... J_{n_max}(x) for every argument x >= 0 (finite) of a scalar
-    or array ``x``: shape (n_max + 1,) + shape(x).
+    or array ``x``: shape (rows,) + shape(x), with rows = n_max + 1 unless
+    fewer are asked for.
 
     Miller's backward recurrence where x < max(25, n_max), Hankel's
     expansion and the forward recurrence elsewhere (module docstring).  The
     start order depends on n_max and on the octave of x, so a value depends
-    on n_max but not on the other arguments, and an array of at most 8
-    arguments runs as that many scalar calls.  Absolute error below 5e-14 of
-    min(1, sqrt(2/(pi x))) for n_max <= 340.  No domain check: callers pass
+    on n_max but never on the other orders or arguments, and an array of at
+    most 8 arguments runs as that many scalar calls.  Fewer ``rows`` stop
+    the recurrences early, not their start: the first rows of the full
+    table, bit for bit.  Absolute error below 5e-14 of min(1,
+    sqrt(2/(pi x))) for n_max <= 340.  No domain check: callers pass
     |x| <= 1e6.
     """
     import numpy as np
     n_max = int(n_max)
+    rows = n_max + 1 if rows is None else int(rows)
     if np.ndim(x) == 0:
-        return np.array(_j_list(n_max, float(x)), dtype=float)
+        return np.array(_j_list(n_max, float(x), rows), dtype=float)
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    table = np.empty((n_max + 1, flat.size))
+    table = np.empty((rows, flat.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if flat.size <= _FEW_ARGUMENTS:
             # the same arithmetic on floats, so the same bits
             for i, value in enumerate(flat.tolist()):
-                table[:, i] = _j_list(n_max, value)
-            return table.reshape((n_max + 1,) + x.shape)
+                table[:, i] = _j_list(n_max, value, rows)
+            return table.reshape((rows,) + x.shape)
         forward = flat >= max(HANKEL_MIN_X, n_max)
-        # the start-order argument of each x: 2^e with 2^(e-1) <= x < 2^e, at least 4
+        # the start-order argument of each x: 2^e with 2^(e-1) <= x < 2^e, at
+        # least 4; each one once, ascending (np.unique would load numpy.ma)
         octaves = np.maximum(np.ldexp(1.0, np.frexp(flat)[1]), 4.0)
+        ordered = np.sort(octaves[~forward])
+        distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
         groups = [(forward, None)] + [
-            (~forward & (octaves == octave), octave)
-            for octave in np.unique(octaves[~forward])]
+            (~forward & (octaves == octave), octave) for octave in distinct]
         for mask, octave in groups:
             whole = bool(mask.all())
             if not whole and not mask.any():
                 continue
             xs = flat if whole else flat[mask]
             if octave is None:
-                rows = _forward(n_max, xs)
+                values = _forward(rows, xs)
             else:
-                rows = _miller_retry(n_max, xs, _start_order(n_max, float(octave)))
+                values = _miller_retry(rows, xs, _start_order(n_max, float(octave)))
             if whole:
-                table[:] = rows
+                table[:] = values
             else:
-                table[:, mask] = rows
-    return table.reshape((n_max + 1,) + x.shape)
+                table[:, mask] = values
+    return table.reshape((rows,) + x.shape)
 
 
 def check_bessel_domain(n: int, x: float) -> None:
@@ -257,7 +266,7 @@ def bessel_j(n: int, x: float) -> float:
     check_bessel_domain(n, x)
     n = int(n)
     top = _BANDS[0] if abs(n) <= _BANDS[0] else _BANDS[1]
-    value = float(_j_list(top, abs(float(x)))[abs(n)])
+    value = float(_j_list(top, abs(float(x)), abs(n) + 1)[-1])
     # odd order: one sign flip for n < 0, another for x < 0
     return -value if n % 2 and (x < 0.0) != (n < 0) else value
 
@@ -266,10 +275,11 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`bessel_j`: J_n(x) with the integer order ``n`` (a
     scalar or an array) broadcast against the arguments ``x``.
 
-    One domain check over the largest order and argument, one table of
-    every order up to the largest at |x| and one ``np.where`` folding in
-    the signs, so each element is bit-identical to the scalar call; an order
-    column of shape (k, 1) against x of shape (m,) gives the (k, m) table."""
+    One domain check over the largest order and argument, one table per
+    band of the orders up to the largest at |x|, and one ``np.where``
+    folding in the signs, so each element is bit-identical to the scalar
+    call; an order column of shape (k, 1) against x of shape (m,) gives the
+    (k, m) table."""
     import numpy as np
     x = np.asarray(x, dtype=float)
     order = np.asarray(n)
@@ -280,10 +290,10 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     check_bessel_domain(widest, float(magnitude.max()) if x.size else 0.0)
     # J_0 ... J_|widest|(|x|), each order from the table of its band
     n_top = abs(widest)
-    table = bessel_j_orders(_BANDS[0], magnitude)[:n_top + 1]
+    table = bessel_j_orders(_BANDS[0], magnitude, min(n_top, _BANDS[0]) + 1)
     if n_top > _BANDS[0]:
         table = np.concatenate(
-            [table, bessel_j_orders(_BANDS[1], magnitude)[_BANDS[0] + 1:n_top + 1]])
+            [table, bessel_j_orders(_BANDS[1], magnitude, n_top + 1)[_BANDS[0] + 1:]])
     index = np.abs(order)
     values = table[(index,) + np.indices(x.shape, sparse=True)] if index.ndim else table[index]
     # odd order: one sign flip for n < 0, another for x < 0

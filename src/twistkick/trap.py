@@ -168,7 +168,7 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int
     half_width = _half_width(nu, x)
     n_top = abs(nu) + max(half_width, n_max)
     if scalar:
-        j_sq = [j * j for j in _j_list(n_top, float(kappa * b))]
+        j_sq = [j * j for j in _j_list(n_top, float(kappa * b), n_top + 1)]
     else:
         j_sq = bessel_j_orders(n_top, kappa * b) ** 2
     strength = _packet_strength(j_sq, _packet_weights(half_width, x), nu, half_width)

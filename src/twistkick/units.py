@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 # --- unit multipliers (to internal eV / nm) ---------------------------------
 EV = 1.0
@@ -161,7 +161,7 @@ def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:
     if isinstance(mass_ev, int):
         check_float_range(mass_ev, "mass")
     if not mass_ev > 0.0:
-        raise DomainError(f"mass must be positive, got {mass_ev}")
+        raise DomainError(f"mass must be positive, got {shown(mass_ev)}")
     if isinstance(p_ev, int):
         check_float_range(p_ev, "momentum")
         p_ev = float(p_ev)  # its square overflows to inf, where an int's would raise

@@ -8,6 +8,8 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import jv
 
+from twistkick import beam as beam_module
+from twistkick import recoil_kinematics
 from twistkick.beam import (
     TwistedPhotonBeam,
     bessel_gauss_amplitude,
@@ -15,6 +17,7 @@ from twistkick.beam import (
     equal_kick_radius,
     longitudinal_momentum,
     profile_peak_radius,
+    radial_intensity_integral,
     radial_intensity_total,
     superkick,
     transverse_wavenumber,
@@ -23,7 +26,7 @@ from twistkick.errors import ConfigurationError, DomainError, QuadratureError
 from twistkick.units import DEUTERON_BINDING_EV, ELECTRON_MASS_EV, FM, GEV, \
     HBARC_EV_NM, MEV, PM, TEV, wavelength_to_energy
 
-from oracles import dense_grid_peak_radius
+from oracles import dense_grid_peak_radius, per_pass_radial_intensity_integral
 
 
 def make_beam(m=2, spin=1, energy=None, theta=0.1, w0=None):
@@ -240,6 +243,77 @@ def seeded_profile_beams(seed, count=20):
         ))
     beams.append(make_beam(m=2, spin=1, energy=1.0 * TEV, theta=5e-6, w0=60.0 * FM))
     return beams
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.array(a, dtype=float).view("u8"), np.array(b, dtype=float).view("u8"))
+
+
+@pytest.mark.parametrize("chunk, beams", [(4096, 30), (24, 30), (7, 10)])
+def test_radial_intensity_integral_matches_per_pass_oracle(monkeypatch, chunk, beams):
+    # shared amplitude tables give the bits of one table per chunk of each
+    # pass; a small chunk makes every beam span several chunks and batches
+    monkeypatch.setattr(beam_module, "_PANEL_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for beam in seeded_profile_beams(21 + chunk, beams):
+        w0 = beam.envelope_w0
+        for upper, lower in [(8.0 * w0, 0.0), (float(rng.uniform(0.05, 3.0)) * w0, 0.0),
+                             (8.0 * w0, float(rng.uniform(0.05, 3.0)) * w0)]:
+            assert _same_bits(radial_intensity_integral(beam, upper, lower),
+                              per_pass_radial_intensity_integral(beam, upper, lower))
+
+
+def test_radial_intensity_integral_matches_per_pass_oracle_beyond_one_chunk():
+    # 3P > _PANEL_CHUNK at the package's own chunk: P from 1366 to 11600
+    beam = make_beam(m=4, energy=500.0, theta=0.5, w0=1e4)
+    kappa = transverse_wavenumber(beam)
+    for panels in (1366, 1740, 2048, 4097, 11600):
+        upper = panels * 2.0 * math.pi / kappa
+        assert 3 * panels > beam_module._PANEL_CHUNK
+        assert _same_bits(radial_intensity_integral(beam, upper),
+                          per_pass_radial_intensity_integral(beam, upper))
+
+
+@pytest.mark.parametrize("chunk", [4096, 16])
+def test_focus_fraction_matches_per_pass_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(beam_module, "_PANEL_CHUNK", chunk)
+    cuts = 10.0 ** np.random.default_rng(chunk).uniform(-4.0, 1.0, 4)
+
+    def fractions():
+        return [recoil_kinematics.focus_fraction(beam, beam.l_gamma, float(cut))
+                for beam in seeded_profile_beams(2150 + chunk, 30) for cut in cuts]
+
+    shared = fractions()
+    with monkeypatch.context() as patch:
+        patch.setattr(recoil_kinematics, "radial_intensity_integral",
+                      per_pass_radial_intensity_integral)
+        assert _same_bits(shared, fractions())
+    # both branches ran: the inner integral alone, and the outer one as well
+    assert min(shared) < 0.5 and any(0.5 < f < 1.0 for f in shared)
+
+
+def test_profile_integrals_build_one_table_per_batch(monkeypatch):
+    # focus_fraction builds one amplitude table for the inner integral, and
+    # one more where the outer integral runs; no table exceeds _PANEL_CHUNK
+    # panels, and the tables hold the nodes of both passes, 3P panels
+    sizes = []
+
+    def counted(beam, rho):
+        sizes.append(np.size(rho) // 16)
+        return bessel_gauss_amplitude(beam, rho)
+
+    monkeypatch.setattr(beam_module, "bessel_gauss_amplitude", counted)
+    beam = make_beam(m=2, energy=2.5, theta=0.1, w0=5000.0)
+    recoil_kinematics.focus_fraction(beam, 1, 1.0)
+    assert sizes == [24]
+    sizes.clear()
+    assert 0.5 < recoil_kinematics.focus_fraction(beam, 1, 0.01) < 1.0
+    assert len(sizes) == 2
+    sizes.clear()
+    kappa = transverse_wavenumber(beam)
+    radial_intensity_integral(beam, 5000 * 2.0 * math.pi / kappa)
+    assert sum(sizes) == 15000 and max(sizes) <= beam_module._PANEL_CHUNK
+    assert sizes == [4096, 904, 4096, 4096, 1808]
 
 
 def test_bessel_gauss_norm_matches_quad_oracle():

@@ -420,6 +420,24 @@ def test_focus_fraction_loads_no_numpy_polynomial_or_linalg():
     assert cp.stdout == "0 []\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["am-transfer"], ["focus-fraction", "--w0-pm", "50"], ["reproduce", "--figure", "fig7"],
+], ids=["am-transfer", "focus-fraction", "fig7"])
+def test_array_bessel_tables_load_no_numpy_ma(argv):
+    # the octave groups of an array Bessel table are found without
+    # np.unique, which loads numpy.ma
+    code = (
+        "import contextlib, io, sys\n"
+        "import twistkick.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = twistkick.cli.main({argv!r})\n"
+        "print(status, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "0 True False\n"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["sidebands", "--b-nm", "10", "--nu", "1" + "0" * 60], "DOMAIN"),
     (["deuteron-threshold", "--b-fm", "10", "--internal-am", "1" + "0" * 60], "DOMAIN"),

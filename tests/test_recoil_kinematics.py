@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -298,8 +299,18 @@ def test_focus_fraction_rejects_large_error_estimates(monkeypatch):
 @pytest.mark.parametrize("inputs", [
     {"impact_parameter": math.inf}, {"impact_parameter": math.nan},
     {"spread_rms": math.inf}, {"spread_rms": math.nan},
+    {"impact_parameter": -math.inf}, {"spread_rms": -math.inf},
+    {"mass": math.nan}, {"mass": -math.inf},
+    {"impact_parameter": np.array([1.0, math.nan])},
 ])
 def test_target_rejects_non_finite_inputs(inputs):
     with pytest.raises(DomainError) as err:
-        TargetParticle(CA40_ION_MASS_EV, **inputs)
+        TargetParticle(**{"mass": CA40_ION_MASS_EV, **inputs})
     assert err.value.code == "DOMAIN"
+    # the value is named, not spelled nan or inf
+    assert not re.search(r"\b(nan|inf)\b", str(err.value), re.IGNORECASE), err.value
+
+
+def test_target_of_infinite_mass_is_accepted():
+    # an infinitely heavy target takes no recoil (absorption_energy tests it)
+    assert TargetParticle(math.inf).mass == math.inf

@@ -146,6 +146,47 @@ def test_array_matches_scalar():
                           bessel_j_orders(9, pool[:12]).reshape(10, 3, 4))
 
 
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view("u8")
+
+
+@pytest.mark.parametrize("n_max", [8, 64, 340])
+def test_bessel_j_orders_rows_are_the_full_table_sliced(n_max):
+    # each row count stops the recurrences early but starts them where
+    # n_max does, so the trimmed table is the full one sliced, bit for bit:
+    # Miller below x = 25 (and beyond it for orders above x), the retry on
+    # the zeros of J_0 ... J_3, Hankel and the forward recurrence for
+    # x >= max(25, n_max), the float path of at most 8 arguments, a scalar,
+    # and no argument at all
+    rng = np.random.default_rng(2100 + n_max)
+    zeros = [float(mpmath.besseljzero(n, k)) for n in range(4) for k in (1, 2)]
+    pool = np.concatenate([
+        10.0 ** rng.uniform(-6.0, math.log10(25.0), 40), zeros,
+        [math.nextafter(z, math.inf) for z in zeros], [0.0, 25.0],
+        rng.uniform(25.0, 2.0 * n_max + 25.0, 20), 10.0 ** rng.uniform(1.4, 6.0, 20)])
+    pools = [pool, pool[rng.choice(pool.size, 6, replace=False)], pool[:0],
+             pool[:24].reshape(4, 6), float(pool[-1]), zeros[2]]
+    for xs in pools:
+        full = bessel_j_orders(n_max, xs)
+        assert full.shape == (n_max + 1,) + np.shape(xs)
+        for rows in range(1, n_max + 2):
+            assert np.array_equal(_bits(bessel_j_orders(n_max, xs, rows)), _bits(full[:rows]))
+
+
+def test_bessel_j_array_order_columns_match_per_order_calls():
+    # an order column reads each band's table only up to its largest order;
+    # every row equals the call for its order alone, and the scalar call
+    rng = np.random.default_rng(2111)
+    zeros = [float(mpmath.besseljzero(n, k)) for n in range(4) for k in (1, 2)]
+    xs = np.concatenate([rng.uniform(-400.0, 400.0, 60), zeros, np.negative(zeros),
+                         10.0 ** rng.uniform(-5.0, 6.0, 20), [0.0, -0.0, 25.0, -64.0]])
+    for orders in (np.arange(-9, 10), np.arange(-64, 65, 7), np.array([3, -40, 9, 0, -8, 64])):
+        table = bessel_j_array(orders[:, None], xs)
+        for n, row in zip(orders.tolist(), table):
+            assert np.array_equal(_bits(row), _bits(bessel_j_array(n, xs)))
+            assert np.array_equal(_bits(row[::9]), _bits([bessel_j(n, x) for x in xs[::9]]))
+
+
 def test_hankel_float_path_matches_array_path():
     # a float argument takes math.cos, math.sin and math.sqrt, an array
     # numpy's: the scalar Bessel functions equal the array ones only where

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import subprocess
 import sys
 
@@ -91,6 +92,17 @@ def test_recoil_energy_int_beyond_float_range_is_domain():
     # an int within the range whose square is not overflows as a float does
     assert nonrel_recoil_energy(10**200, 1.0) == nonrel_recoil_energy(1e200, 1.0) == math.inf
     assert nonrel_recoil_energy(3, 2.0) == 2.25
+
+
+@pytest.mark.parametrize("mass", [math.nan, -math.inf])
+def test_recoil_energy_non_finite_mass_is_domain(mass):
+    # +inf is the documented infinitely heavy target (above); NaN and -inf
+    # are rejected, and the message names them without spelling nan or inf
+    for p in (1.0, np.array([1.0, 2.0])):
+        with pytest.raises(DomainError) as err:
+            nonrel_recoil_energy(p, mass)
+        assert err.value.code == "DOMAIN"
+        assert not re.search(r"\b(nan|inf)\b", str(err.value), re.IGNORECASE), err.value
 
 
 def test_recoil_energy_int_mass_beyond_float_range_is_domain():
