@@ -161,7 +161,7 @@ def _am_sweep(args, columns, kernel) -> SweepResult:
     xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
     table, _ = _am_columns([beam], TransitionChannel(float(args.multipole_j)), xs,
                            args.lambda_nm, kernel, strict=True)
-    return _table(args, [("b", "lambda")] + columns, table.tolist())
+    return _table(args, [("b", "lambda")] + columns, table)
 
 
 def _am_transfer_columns(beam, b, partition):

@@ -36,10 +36,7 @@ class TargetParticle(namedtuple("TargetParticle", "mass impact_parameter spread_
     __slots__ = ()
 
     def __new__(cls, mass, impact_parameter=0.0, spread_rms=None):
-        if isinstance(mass, int):
-            units.check_float_range(mass, "mass")
-        if not mass > 0.0:
-            raise DomainError(f"mass must be positive, got {shown(mass)}")
+        units.check_positive(mass, "mass")
         for b in extremes(impact_parameter, "impact parameter"):
             if not 0.0 <= b < math.inf:
                 raise DomainError(f"impact parameter must be finite and non-negative, "
@@ -73,8 +70,7 @@ def absorption_energy(
     (physical root of the quadratic).  delta_l_cm > 0 requires a positive
     impact parameter.
     """
-    if not omega0 > 0.0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
+    units.check_positive(omega0, "omega0")
     if delta_l_cm < 0:
         raise DomainError(f"delta_l_cm must be non-negative, got {delta_l_cm}")
     if delta_l_cm > 0:
@@ -133,8 +129,7 @@ def ratio_cut_radius(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float)
     """Impact parameter below which p_T/p_z exceeds ``ratio_cut``.
 
     b* = dl hbar / (ratio_cut * p_z) with the paraxial p_z."""
-    if not ratio_cut > 0.0:
-        raise DomainError(f"ratio_cut must be positive, got {ratio_cut}")
+    units.check_positive(ratio_cut, "ratio_cut")
     if delta_l_cm <= 0:
         raise DomainError(f"delta_l_cm must be positive, got {delta_l_cm}")
     units.check_float_range(delta_l_cm, "delta_l_cm")

@@ -5,20 +5,19 @@ Every figure id carries documented default parameters (pitch angle, trap
 frequency, wavelength, ...) for the quantities its source plot leaves
 unstated; all of them are overridable.
 
-A figure builder takes the whole grid and returns its rows as a 2-D float
-array with one error code per row ("" where the row is defined, NaN values
-where it is not).  The AM panels (fig2-fig5) evaluate the grid at once
-through :func:`_am_columns`, the one AM sweep, which ``am-transfer`` and
-``recoil-ratio`` share.  fig6, fig7, fig8a and fig8b write one row function
-that takes a float or an array, and :func:`_whole_grid` calls it once on
-the array of every grid point; where that call raises, the whole grid runs
-per point through :func:`_per_point`, which turns each point's coded error
-into that row's code, the one source of per-row error codes.  The two
-fixed tables run per point.  Rows that carry a code (e.g. the vortex
-line b = 0) or a non-finite value are dropped and counted in the metadata,
-in total and per error code (``NON_FINITE`` for a non-finite value), never
-silently interpolated.  A sweep that drops every row raises the first row's coded
-error instead of returning an empty table.
+A figure builder takes the whole grid and returns ``(rows, codes)``: rows
+of Python floats and one code per row ("" where the row is defined, NaN
+values where it is not).  The AM panels (fig2-fig5) evaluate the grid at
+once through :func:`_am_columns`, the one AM sweep, which ``am-transfer``
+and ``recoil-ratio`` share.  fig6, fig7, fig8a and fig8b write one row
+function that takes a float or an array, and :func:`_whole_grid` calls it
+once on the array of every grid point; where that call raises, the grid
+runs per point through :func:`_per_point`, the one source of per-row error
+codes, as the two fixed tables do, without numpy.  Rows that carry a code
+(e.g. the vortex line b = 0) or a non-finite value are dropped and counted
+in the metadata, in total and per error code (``NON_FINITE`` for a
+non-finite value), never silently interpolated.  A sweep that drops every
+row raises the first row's coded error instead of returning an empty table.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import math
 import numbers
 import sys
 from collections import Counter, namedtuple
+from itertools import chain
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
@@ -117,26 +117,24 @@ _M_GAMMA_SERIES = (1, 2, 3)
 
 
 def _per_point(build_row):
-    """Lift ``build_row(params) -> row(point)`` to a whole-grid builder: a
-    point whose row raises a coded error gets that code and a NaN row, or
-    with ``strict`` raises it.  Grid points reach ``row`` as Python floats,
-    as argparse hands them to the CLI handlers."""
+    """Lift ``build_row(params) -> row(point)`` to a numpy-free whole-grid
+    builder of ``(rows, codes)``, each value through ``float()``: a point whose
+    row raises a coded error gets that code and a NaN row, or with ``strict``
+    raises it.  Points reach ``row`` as Python floats, as argparse gives them."""
     def build(params, points, strict=False):
-        import numpy as np
         row = build_row(params)
-        rows, errors = [], []
-        for point in points.tolist() if isinstance(points, np.ndarray) else points:
+        rows, codes = [], []
+        for point in points if isinstance(points, (list, tuple)) else points.tolist():
             try:
-                rows.append(row(point))
-                errors.append("")
+                rows.append([float(v) for v in row(point)])
+                codes.append("")
             except TwistkickError as exc:
                 if strict:
                     raise
                 rows.append(None)
-                errors.append(exc.code)
+                codes.append(exc.code)
         nan_row = [math.nan] * max((len(r) for r in rows if r is not None), default=0)
-        table = np.array([nan_row if r is None else r for r in rows], dtype=float)
-        return table, np.array(errors)
+        return [nan_row if r is None else r for r in rows], codes
     return build
 
 
@@ -158,7 +156,7 @@ def _whole_grid(build_row):
                 table = np.empty((len(points), len(columns)))
                 for i, column in enumerate(columns):
                     table[:, i] = column  # a float fills its column
-                return table, np.full(len(points), "")
+                return table.tolist(), [""] * len(points)
         return _per_point(build_row)(params, points, strict)
     return build
 
@@ -180,7 +178,7 @@ def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
             raise_first_row_error(beam_errors, beam, channel, b)
         columns.extend(values)
         errors = np.where(errors == "", beam_errors, errors)
-    return np.column_stack(columns), errors
+    return np.column_stack(columns).tolist(), errors.tolist()
 
 
 # an AM kernel, as _ratio_from_partition: (beam, b, partition) -> (columns, row errors)
@@ -385,12 +383,12 @@ FIGURE_IDS = tuple(sorted(_REGISTRY))
 
 def _check_override_type(figure_id: str, key: str, value, default) -> None:
     # an int default takes an int; a float default a finite int or float
-    import numpy as np
+    np = sys.modules.get("numpy")  # loaded wherever a numpy float exists
     is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if isinstance(default, int):
         ok, expected = is_int, "an integer"
     else:
-        ok = (is_int or isinstance(value, (float, np.floating))) \
+        ok = (is_int or isinstance(value, (float, np.floating) if np else float)) \
             and abs(value) <= sys.float_info.max  # finite; isfinite raises on a huge int
         expected = "a finite number"
     if not ok:
@@ -401,8 +399,8 @@ def _check_override_type(figure_id: str, key: str, value, default) -> None:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the requested figure; identical specs give identical results."""
-    import numpy as np
+    """Evaluate the requested figure; identical specs give identical results.
+    The figure's builder returns ``(rows, codes)``: lists of float rows and codes."""
     figure = _REGISTRY.get(spec.figure_id)
     if figure is None:
         raise DomainError(f"unknown figure id {spec.figure_id!r}", code="UNKNOWN_FIGURE")
@@ -418,37 +416,32 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         _check_override_type(spec.figure_id, key, value, params[key])
         params[key] = value
 
-    if figure.grid is None:
-        if spec.grid is not None:
-            raise DomainError(
-                f"figure {spec.figure_id!r} is a fixed table and accepts no grid",
-                code="UNKNOWN_PARAMETER",
-            )
-        points = figure.cases
-        grid_meta = None
-    else:
-        grid = spec.grid or figure.grid
-        points = grid.values()
-        grid_meta = {
-            "start": grid.start, "stop": grid.stop,
-            "count": grid.count, "scale": grid.scale,
-        }
+    if figure.grid is None and spec.grid is not None:
+        raise DomainError(
+            f"figure {spec.figure_id!r} is a fixed table and accepts no grid",
+            code="UNKNOWN_PARAMETER",
+        )
+    grid = spec.grid or figure.grid  # None for a fixed table
+    points = figure.cases if grid is None else grid.values()
 
-    table, errors = figure.builder(params, points)
-    kept = (errors == "") & np.isfinite(table).all(axis=1)
-    rows = table[kept].tolist()
+    rows, codes = figure.builder(params, points)
+    # no code and a finite sum: every value is finite, and every row is kept
+    if any(codes) or not math.isfinite(sum(chain.from_iterable(rows))):
+        codes = [code or ("" if all(map(math.isfinite, row)) else "NON_FINITE")
+                 for row, code in zip(rows, codes)]
+        rows = [row for row, code in zip(rows, codes) if not code]
     if not rows:
         _raise_every_row_dropped(spec.figure_id, figure, params, points)
-    # a row without a code was dropped for a non-finite value
-    dropped_codes = np.where(errors == "", "NON_FINITE", errors)[~kept].tolist()
+    dropped_codes = [code for code in codes if code]
 
+    np = sys.modules.get("numpy")  # a numpy scalar override needs numpy loaded
     metadata = {
         "figure": spec.figure_id,
         "description": figure.description,
         # numpy scalars (accepted as overrides) become the Python numbers JSON takes
-        "parameters": {k: v.item() if isinstance(v, np.generic) else v
+        "parameters": {k: v.item() if np and isinstance(v, np.generic) else v
                        for k, v in params.items()},
-        "grid": grid_meta,
+        "grid": None if grid is None else grid._asdict(),
         "rows": len(rows),
         "dropped_rows": len(dropped_codes),
         "dropped_by_code": dict(sorted(Counter(dropped_codes).items())),

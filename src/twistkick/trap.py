@@ -43,8 +43,8 @@ from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning, shown
 from .special_functions import _j_list, bessel_i_scaled_orders, bessel_j_orders, \
     check_bessel_domain
-from .units import HBARC_EV_NM, extremes, frequency_to_energy, nonrel_recoil_energy, \
-    per_element
+from .units import HBARC_EV_NM, check_positive, extremes, frequency_to_energy, \
+    nonrel_recoil_energy, per_element
 
 
 class TrapModel(namedtuple("TrapModel", "axial_frequency transverse_frequency ion_mass")):
@@ -63,8 +63,11 @@ class TrapModel(namedtuple("TrapModel", "axial_frequency transverse_frequency io
 
     def oscillator_length(self, axis: str = "transverse") -> float:
         """x0 = sqrt(hbar / (M omega)) in nm."""
-        spacing = level_spacing(self, axis)
-        return HBARC_EV_NM / math.sqrt(self.ion_mass * spacing)
+        product = self.ion_mass * level_spacing(self, axis)
+        if not 0.0 < product < math.inf:
+            raise DomainError("ion mass times level spacing "
+                              + ("overflows" if product else "underflows to 0"))
+        return HBARC_EV_NM / math.sqrt(product)
 
     def ground_state_sigma(self, axis: str = "transverse") -> float:
         """Per-axis rms spread x0/sqrt(2) of the motional ground state (nm)."""
@@ -82,9 +85,11 @@ def level_spacing(trap: TrapModel, axis: str = "axial") -> float:
 
 def lamb_dicke(recoil_energy: float, trap_frequency_hz: float) -> float:
     """Lamb-Dicke parameter eta = sqrt(E_rec / (hbar omega_trap))."""
-    if not recoil_energy > 0.0:
-        raise DomainError(f"recoil energy must be positive, got {recoil_energy}")
-    return math.sqrt(recoil_energy / frequency_to_energy(trap_frequency_hz))
+    check_positive(recoil_energy, "recoil energy")
+    eta_sq = recoil_energy / frequency_to_energy(trap_frequency_hz)
+    if eta_sq == math.inf:
+        raise DomainError("recoil energy over the level spacing overflows")
+    return math.sqrt(eta_sq)
 
 
 def in_lamb_dicke_regime(eta: float) -> bool:
@@ -146,8 +151,7 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int
     array a table of rows, one per order.  Once exp(-x) underflows
     (x > 745) the table and strength are None and the carrier 0.  An array
     raises where the float call raises for some b."""
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    check_positive(sigma, "sigma")
     ends = extremes(b, "impact parameter")
     for end in ends:
         if not 0.0 <= end < math.inf:

@@ -81,6 +81,15 @@ def check_float_range(value: int, name: str) -> None:
         raise DomainError(f"{name} is beyond the floating-point range")
 
 
+def check_positive(value, name: str) -> None:
+    """Raise DomainError naming ``name`` unless ``value`` is positive (NaN is
+    not), or where it is an int beyond the floating-point range."""
+    if isinstance(value, int):
+        check_float_range(value, name)
+    if not value > 0.0:
+        raise DomainError(f"{name} must be positive, got {shown(value)}")
+
+
 def extremes(value, name: str) -> tuple:
     """What a bound or finiteness check of ``value`` must pass: ``(value,)``
     for a float or an int, and for an array its least and greatest element
@@ -120,8 +129,7 @@ def sqrt(x):
 
 def wavelength_to_energy(wavelength_nm: float) -> float:
     """Photon energy E = 2*pi*hbar*c / lambda, eV for lambda in nm."""
-    if not wavelength_nm > 0.0:
-        raise DomainError(f"wavelength must be positive, got {wavelength_nm}")
+    check_positive(wavelength_nm, "wavelength")
     energy = 2.0 * math.pi * HBARC_EV_NM / wavelength_nm
     if energy == math.inf:
         raise DomainError(
@@ -132,15 +140,15 @@ def wavelength_to_energy(wavelength_nm: float) -> float:
 
 def energy_to_wavelength(energy_ev: float) -> float:
     """Inverse of :func:`wavelength_to_energy`; round-trips to 1e-12 relative."""
-    if not energy_ev > 0.0:
-        raise DomainError(f"energy must be positive, got {energy_ev}")
+    check_positive(energy_ev, "energy")
     return 2.0 * math.pi * HBARC_EV_NM / energy_ev
 
 
 def frequency_to_energy(frequency_hz: float) -> float:
     """Quantum energy h*f of an oscillation at ``frequency_hz``."""
-    if not frequency_hz > 0.0:
-        raise DomainError(f"frequency must be positive, got {frequency_hz}")
+    check_positive(frequency_hz, "frequency")
+    if frequency_hz == math.inf:
+        raise DomainError(f"frequency must be finite, got {shown(frequency_hz)}")
     energy = PLANCK_H_EV_S * frequency_hz
     if energy == 0.0:
         raise DomainError(
@@ -158,10 +166,7 @@ def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:
     as on a float; an int momentum or mass beyond that range raises
     DomainError.  Where 2 M overflows, the energy is (p/2) (p/M).
     """
-    if isinstance(mass_ev, int):
-        check_float_range(mass_ev, "mass")
-    if not mass_ev > 0.0:
-        raise DomainError(f"mass must be positive, got {shown(mass_ev)}")
+    check_positive(mass_ev, "mass")
     if isinstance(p_ev, int):
         check_float_range(p_ev, "momentum")
         p_ev = float(p_ev)  # its square overflows to inf, where an int's would raise

@@ -1,6 +1,7 @@
 """Test-only oracles shared by several test modules."""
 
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -33,6 +34,17 @@ def bisection_first_lobe_peak_argument(l_gamma: int, envelope_slope) -> float:
             hi = x
         x = 0.5 * (lo + hi)
     return x
+
+
+def mask_kept_rows(rows, codes):
+    """``(kept rows, dropped_by_code)`` of a figure builder's ``(rows, codes)``
+    by a numpy mask: a row is kept where its code is "" and every value is
+    finite, and a dropped row without a code counts as ``NON_FINITE``.  The
+    bookkeeping that ``run_sweep`` replaced with lists, kept as its oracle."""
+    table, errors = np.array(rows, dtype=float), np.array(codes, dtype=str)
+    kept = (errors == "") & np.isfinite(table).all(axis=1)
+    dropped = np.where(errors == "", "NON_FINITE", errors)[~kept].tolist()
+    return table[kept].tolist(), dict(sorted(Counter(dropped).items()))
 
 
 def composite_gl(beam, lower: float, upper: float, panels: int) -> float:

@@ -13,6 +13,8 @@ import twistkick
 from twistkick.cli import build_parser, main, result_to_csv, result_to_json
 from twistkick.sweeps import FIGURE_IDS, SweepResult, SweepSpec, run_sweep
 
+from child import run_cli_in_child
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -267,39 +269,18 @@ def test_output_file_holds_what_stdout_would(capsys, tmp_path):
 def test_no_call_loads_scipy():
     # the Bessel functions are numpy recurrences: neither the threshold
     # commands nor the Bessel-using ones, nor usage errors, import scipy
-    code = (
-        "import contextlib, io, json, sys\n"
-        "import twistkick.cli\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "def run(argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
-        "            contextlib.redirect_stderr(io.StringIO()):\n"
-        "        try:\n"
-        "            return twistkick.cli.main(argv)\n"
-        "        except SystemExit as exc:\n"
-        "            return exc.code\n"
-        "at_import = loaded()\n"
-        "status = [run(argv) for argv in (\n"
-        "    ['ion-recoil', '--b-nm', '10'],\n"
-        "    ['deuteron-threshold', '--b-fm', '89'],\n"
-        "    ['pair-threshold', '--pitch-urad', '5', '--b-fm', '200'],\n"
-        "    ['pair-threshold', '--pitch-urad', '5', '--pt-mev', '1'],\n"
-        "    ['crossover'],\n"
-        "    ['reproduce', '--figure', 'fig6'], ['reproduce', '--figure', 'fig8a'],\n"
-        "    ['reproduce', '--figure', 'fig8b'],\n"
-        "    ['reproduce', '--figure', 'deuteron_table'],\n"
-        "    ['ion-recoil'])]\n"
-        "after_cheap = loaded()\n"
-        "status += [run(argv) for argv in (['trap-jump', '--b-nm', '20'],\n"
-        "    ['focus-fraction', '--w0-pm', '50'], ['beam-fit'])]\n"
-        "print(json.dumps([at_import, status, after_cheap, sorted(\n"
-        "    m for m in ('scipy.special', 'scipy.integrate', 'scipy.optimize')\n"
-        "    if m in sys.modules)]))\n"
-    )
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
-    assert json.loads(cp.stdout) == [[], [0] * 9 + [1, 0, 0, 0], [], []]
+    imported, runs, loaded = run_cli_in_child([
+        ["ion-recoil", "--b-nm", "10"], ["deuteron-threshold", "--b-fm", "89"],
+        ["pair-threshold", "--pitch-urad", "5", "--b-fm", "200"],
+        ["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1"],
+        ["crossover"], ["reproduce", "--figure", "fig6"], ["reproduce", "--figure", "fig8a"],
+        ["reproduce", "--figure", "fig8b"], ["reproduce", "--figure", "deuteron_table"],
+        ["ion-recoil"], ["trap-jump", "--b-nm", "20"], ["focus-fraction", "--w0-pm", "50"],
+        ["beam-fit"],
+    ], report=["scipy"])
+    assert imported == []
+    assert [status for status, _, _ in runs] == [0] * 9 + [1, 0, 0, 0]
+    assert loaded == []
 
 
 def test_package_source_names_no_scipy_solvers():
@@ -332,20 +313,9 @@ BESSEL_ARGV = [
 def test_every_call_runs_with_scipy_blocked(capsys):
     # an import of any scipy module fails in the child, which runs every
     # subcommand and every default figure; each prints what it prints here
-    code = (
-        "import contextlib, io, json, sys\n"
-        "sys.modules['scipy'] = None\n"
-        "import twistkick.cli\n"
-        "def run(argv):\n"
-        "    out = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out):\n"
-        "        return twistkick.cli.main(argv), out.getvalue()\n"
-        f"print(json.dumps([run(argv) for argv in {BESSEL_ARGV!r}]))\n"
-    )
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
+    _, runs, _ = run_cli_in_child(BESSEL_ARGV, block=["scipy"])
     assert len(FIGURE_IDS) == 18
-    for argv, (status, out) in zip(BESSEL_ARGV, json.loads(cp.stdout)):
+    for argv, (status, out, _) in zip(BESSEL_ARGV, runs):
         assert (status, out) == run_main(capsys, *argv)[:2], argv
         assert status == 0 and out, argv
 
@@ -357,6 +327,7 @@ SCALAR_ARGV = [
     ["sidebands", "--b-nm", "20"], ["pair-threshold", "--pitch-urad", "5", "--b-fm", "200"],
     ["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1"],
     ["deuteron-threshold", "--b-fm", "89"], ["crossover"],
+    ["reproduce", "--figure", "deuteron_table"],
 ]
 SCALAR_ERROR_ARGV = [
     ["ion-recoil", "--b-nm", "0"], ["pair-threshold", "--pitch-urad", "5", "--b-fm", "0"],
@@ -364,40 +335,28 @@ SCALAR_ERROR_ARGV = [
     ["trap-jump", "--b-nm", "10", "--sigma-nm", "0"],
     ["deuteron-threshold", "--m-gamma", "1", "--internal-am", "2", "--b-fm", "89"],
     ["am-transfer", "--multipole-j", "4"],
+    ["reproduce", "--figure", "fig6", "--set", "no_such_key=1"],
+    ["reproduce", "--figure", "deuteron_table", "--set", "theta_k=abc"],
 ]
 
 
-def test_scalar_calls_run_with_numpy_blocked(capsys):
-    # importing the package loads no numpy, and the CLI neither dataclasses
-    # nor json; with every numpy import failing, the child runs each scalar
-    # subcommand and coded error in CSV and JSON, and each gives the status,
-    # stdout and stderr it gives here
+def test_scalar_calls_run_with_numpy_blocked(capsys, tmp_path):
+    # importing the CLI loads neither dataclasses nor json; with every numpy
+    # import failing (so the import loads none either), the child runs each
+    # scalar subcommand, fixed table and coded error in CSV and JSON, and
+    # each gives the status, stdout and stderr it gives here; a table written
+    # with --output holds what stdout would
     argvs = [argv + ["--format", fmt] for argv in SCALAR_ARGV + SCALAR_ERROR_ARGV
              for fmt in ("csv", "json")]
-    code = (
-        "import contextlib, io, sys\n"
-        "import twistkick\n"
-        "loaded = ['numpy' in sys.modules]\n"
-        "import twistkick.cli\n"
-        "loaded += [m in sys.modules for m in ('numpy', 'dataclasses', 'json')]\n"
-        "import json\n"
-        "sys.modules['numpy'] = None\n"
-        "def run(argv):\n"
-        "    out, err = io.StringIO(), io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-        "        try:\n"
-        "            status = twistkick.cli.main(argv)\n"
-        "        except SystemExit as exc:\n"
-        "            status = exc.code\n"
-        "    return status, out.getvalue(), err.getvalue()\n"
-        f"print(json.dumps([loaded, [run(argv) for argv in {argvs!r}]]))\n"
-    )
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
-    loaded, runs = json.loads(cp.stdout)
-    assert loaded == [False, False, False, False]
-    for argv, run in zip(argvs, runs):
-        assert tuple(run) == run_main(capsys, *argv), argv
+    path = tmp_path / "deuteron_table.json"
+    to_file = ["reproduce", "--figure", "deuteron_table", "--format", "json"]
+    imported, runs, _ = run_cli_in_child(argvs + [to_file + ["--output", str(path)]],
+                                         block=["numpy"], report=["dataclasses", "json"])
+    assert imported == []
+    assert runs.pop() == (0, "", "")
+    assert path.read_text(encoding="ascii") == run_main(capsys, *to_file)[1]
+    for argv, run in zip(argvs, runs, strict=True):
+        assert run == run_main(capsys, *argv), argv
         assert (run[0] == 0) == (argv[:-2] in SCALAR_ARGV), argv
 
 
@@ -405,19 +364,9 @@ def test_focus_fraction_loads_no_numpy_polynomial_or_linalg():
     # the quadrature's nodes are literals: beyond what importing numpy loads
     # itself, a focus-fraction call loads neither numpy.polynomial nor
     # numpy.linalg
-    code = (
-        "import contextlib, io, sys\n"
-        "import numpy\n"
-        "before = set(sys.modules)\n"
-        "import twistkick.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = twistkick.cli.main(['focus-fraction', '--w0-pm', '50'])\n"
-        "print(status, sorted(m for m in set(sys.modules) - before\n"
-        "                     if m.startswith(('numpy.polynomial', 'numpy.linalg'))))\n"
-    )
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == "0 []\n"
+    _, runs, loaded = run_cli_in_child([["focus-fraction", "--w0-pm", "50"]], preload=["numpy"],
+                                       report=["numpy.polynomial", "numpy.linalg"])
+    assert ([status for status, _, _ in runs], loaded) == ([0], [])
 
 
 @pytest.mark.parametrize("argv", [
@@ -426,16 +375,8 @@ def test_focus_fraction_loads_no_numpy_polynomial_or_linalg():
 def test_array_bessel_tables_load_no_numpy_ma(argv):
     # the octave groups of an array Bessel table are found without
     # np.unique, which loads numpy.ma
-    code = (
-        "import contextlib, io, sys\n"
-        "import twistkick.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    status = twistkick.cli.main({argv!r})\n"
-        "print(status, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
-    )
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == "0 True False\n"
+    _, ((status, _, _),), loaded = run_cli_in_child([argv], report=["numpy"])
+    assert (status, "numpy" in loaded, "numpy.ma" in loaded) == (0, True, False)
 
 
 @pytest.mark.parametrize("argv, code", [

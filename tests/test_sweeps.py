@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import warnings
 
 import numpy as np
@@ -9,6 +10,8 @@ from twistkick import sweeps
 from twistkick.errors import DomainError, TwistkickError
 from twistkick.sweeps import FIGURE_IDS, GridSpec, SweepSpec, run_sweep
 from twistkick.units import FM, PM
+
+from oracles import mask_kept_rows
 
 _LZ_COLUMNS = ["b [lambda]", "lz_cm(m_gamma=1) [hbar]", "lz_cm(m_gamma=2) [hbar]",
                "lz_cm(m_gamma=3) [hbar]"]
@@ -276,7 +279,7 @@ def test_fig7_grid_keeps_each_rows_error_code():
     points = GridSpec(0.0, 100.0, 5).values()
     _, errors = sweeps._REGISTRY["fig7"].builder(params, points)
     _, oracle = sweeps._per_point(sweeps._fig7_build)(params, points)
-    assert errors.tolist() == oracle.tolist() == ["B_SINGULARITY"] + ["DOMAIN"] * 4
+    assert errors == oracle == ["B_SINGULARITY"] + ["DOMAIN"] * 4
 
 
 def test_fig6_grid_keeps_each_rows_error_code():
@@ -285,8 +288,8 @@ def test_fig6_grid_keeps_each_rows_error_code():
     points = _AROUND_ZERO.values()
     table, errors = sweeps._REGISTRY["fig6"].builder(params, points)
     oracle_table, oracle = sweeps._per_point(sweeps._fig6_build)(params, points)
-    assert errors.tolist() == oracle.tolist() == ["DOMAIN", "DOMAIN", "B_SINGULARITY", "", ""]
-    assert repr(table.tolist()) == repr(oracle_table.tolist())
+    assert errors == oracle == ["DOMAIN", "DOMAIN", "B_SINGULARITY", "", ""]
+    assert repr(table) == repr(oracle_table)
 
 
 def test_every_grid_figure_sweeps_its_whole_grid():
@@ -359,6 +362,76 @@ def test_non_finite_row_counted_as_non_finite():
     result = run_sweep(SweepSpec("fig6", grid=GridSpec(1e-300, 5.0, 3)))
     assert result.metadata["dropped_by_code"] == {"NON_FINITE": 1}
     assert len(result.rows) == 2
+
+
+def _run_table(monkeypatch, rows, codes):
+    # run_sweep on deuteron_table with its builder replaced by one returning
+    # (rows, codes); with strict, it raises the first row's code or returns
+    # that row, as a builder does
+    def builder(params, points, strict=False):
+        if strict and codes[0]:
+            raise DomainError("seeded row error", code=codes[0])
+        n = 1 if strict else len(rows)
+        return [list(row) for row in rows[:n]], list(codes[:n])
+    monkeypatch.setattr(sweeps._REGISTRY["deuteron_table"], "builder", builder)
+    return run_sweep(SweepSpec("deuteron_table"))
+
+
+_EDGE_VALUES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 5e-324)
+_EDGE_TABLES = [
+    ([[1e308, 1e308]], [""]),  # finite, but the sum overflows
+    ([[-1e308, -1e308, 3.0], [1.0, -0.0, 2.0]], ["", ""]),
+    ([[1e308, 1e308], [math.nan, 1.0]], ["", ""]),
+    ([[math.inf, -math.inf], [1.0, 2.0]], ["", ""]),  # the sum is NaN
+    ([[-0.0, 0.0]], [""]),
+    ([[math.nan, math.nan], [1.0, 2.0]], ["DOMAIN", ""]),
+    ([[1.0], [2.0]], ["B_SINGULARITY", "DOMAIN"]),  # every row coded
+    ([[math.nan], [math.inf]], ["", ""]),  # every row non-finite
+]
+
+
+def _seeded_table(rng):
+    n, width = rng.randint(1, 12), rng.randint(1, 6)
+    p_edge, p_code = rng.choice((0.0, 0.05, 0.3, 1.0)), rng.choice((0.0, 0.1, 0.5, 1.0))
+    rows = [[rng.choice(_EDGE_VALUES) if rng.random() < p_edge else rng.uniform(-1e3, 1e3)
+             for _ in range(width)] for _ in range(n)]
+    codes = [rng.choice(("DOMAIN", "B_SINGULARITY")) if rng.random() < p_code else ""
+             for _ in range(n)]
+    return rows, codes
+
+
+def test_row_bookkeeping_matches_the_numpy_mask(monkeypatch):
+    # the kept rows (by repr, so -0.0 stays -0.0) and the drop counts of the
+    # list bookkeeping against the numpy mask it replaced, on edge tables and
+    # seeded ones; a table that keeps no row raises its first row's code
+    rng = random.Random(2204)
+    tables = _EDGE_TABLES + [_seeded_table(rng) for _ in range(400)]
+    outcomes = set()
+    for rows, codes in tables:
+        kept, dropped_by_code = mask_kept_rows(rows, codes)
+        if kept:
+            result = _run_table(monkeypatch, rows, codes)
+            assert repr(result.rows) == repr(kept), (rows, codes)
+            assert result.metadata["dropped_by_code"] == dropped_by_code, (rows, codes)
+            assert result.metadata["dropped_rows"] == len(rows) - len(kept)
+            outcomes.add("some dropped" if dropped_by_code else "all kept")
+        else:
+            with pytest.raises(TwistkickError, match="dropped every row") as info:
+                _run_table(monkeypatch, rows, codes)
+            assert info.value.code == (codes[0] or "NON_FINITE"), (rows, codes)
+            outcomes.add("all dropped")
+    assert outcomes == {"all kept", "some dropped", "all dropped"}
+
+
+def test_numpy_float32_override_gives_python_floats():
+    # a numpy float override is accepted; rows and metadata hold Python floats
+    theta = np.float32(0.1)
+    result = run_sweep(SweepSpec("deuteron_table", overrides={"theta_k": theta}))
+    assert {type(v) for row in result.rows for v in row} == {float}
+    assert type(result.metadata["parameters"]["theta_k"]) is float
+    assert result.metadata["parameters"]["theta_k"] == float(theta)
+    expected = run_sweep(SweepSpec("deuteron_table", overrides={"theta_k": float(theta)}))
+    assert repr(result.rows) == repr(expected.rows)
 
 
 def test_degenerate_grid():

@@ -73,6 +73,29 @@ def test_lamb_dicke_parameter():
     )
 
 
+def test_oscillator_length_out_of_float_range_is_domain():
+    # M h f underflows to 0 (a ZeroDivisionError before) or overflows (an
+    # oscillator length of 0 before)
+    for trap, fault in ((TrapModel(1.5e6, 1e-300, 5e-324), "underflows to 0"),
+                        (TrapModel(1.5e6, 1e20, 1e308), "overflows")):
+        for length in (trap.oscillator_length, trap.ground_state_sigma):
+            with pytest.raises(DomainError, match=fault) as err:
+                length()
+            assert err.value.code == "DOMAIN"
+
+
+def test_lamb_dicke_overflow_is_domain():
+    # E_rec / (h f) overflows, where an infinite eta was returned before
+    for energy in (1.7e308, math.inf):
+        with pytest.raises(DomainError, match="overflows") as err:
+            lamb_dicke(energy, 1.5e6)
+        assert err.value.code == "DOMAIN"
+    with pytest.raises(DomainError, match="recoil energy is beyond"):
+        lamb_dicke(10**400, 1.5e6)
+    with pytest.raises(DomainError, match="a non-finite value"):
+        lamb_dicke(math.nan, 1.5e6)
+
+
 def test_lamb_dicke_regime_flag():
     assert in_lamb_dicke_regime(0.145)
     assert not in_lamb_dicke_regime(1.0)

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import re
-import subprocess
 import sys
 
 import numpy as np
@@ -22,6 +21,8 @@ from twistkick.units import (
     nonrel_recoil_energy,
     wavelength_to_energy,
 )
+
+from child import run_cli_in_child
 
 
 def test_hbarc_frozen_value():
@@ -160,6 +161,30 @@ def test_domain_errors():
         frequency_to_energy(0.0)
 
 
+@pytest.mark.parametrize("convert", [wavelength_to_energy, energy_to_wavelength,
+                                     frequency_to_energy])
+def test_conversion_of_an_int_beyond_float_range_is_domain(convert):
+    # a coded error naming the input, not an OverflowError from the int
+    name = convert.__name__.split("_")[0]
+    for value in (10**400, -(10**400)):
+        with pytest.raises(DomainError, match=f"{name} is beyond") as err:
+            convert(value)
+        assert err.value.code == "DOMAIN"
+
+
+@pytest.mark.parametrize("convert, value", [
+    (wavelength_to_energy, math.nan), (energy_to_wavelength, math.nan),
+    (frequency_to_energy, math.nan), (frequency_to_energy, math.inf),
+])
+def test_conversion_of_a_non_finite_input_is_domain(convert, value):
+    # an infinite frequency has no finite quantum energy; the messages name
+    # a non-finite input without spelling nan or inf
+    with pytest.raises(DomainError) as err:
+        convert(value)
+    assert err.value.code == "DOMAIN"
+    assert not re.search(r"\b(nan|inf)\b", str(err.value), re.IGNORECASE), err.value
+
+
 def test_constants_hash_stable():
     assert units.constants_sha256() == units.constants_sha256()
     assert len(units.constants_sha256()) == 64
@@ -173,8 +198,6 @@ def test_constants_hash_is_the_digest_of_the_table():
 
 def test_fig7_sweep_loads_no_hashlib():
     # the digest is a literal, so no sweep loads OpenSSL to stamp it
-    code = ("import sys, twistkick.cli; from twistkick import sweeps; "
-            "sweeps.run_sweep(sweeps.SweepSpec('fig7')); print('_hashlib' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    assert out == "False\n"
+    _, ((status, _, _),), loaded = run_cli_in_child([["reproduce", "--figure", "fig7"]],
+                                                    report=["_hashlib"])
+    assert (status, loaded) == (0, [])
