@@ -98,7 +98,7 @@ def superkick(delta_l: int, b) -> float | np.ndarray:
     for end in extremes(b, "impact parameter"):
         if not end > 0.0:
             raise DomainError(
-                f"impact parameter must be positive, got {end}", code="B_SINGULARITY"
+                f"impact parameter must be positive, got {shown(end)}", code="B_SINGULARITY"
             )
     if isinstance(b, (float, int)):
         return delta_l * HBARC_EV_NM / b

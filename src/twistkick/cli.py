@@ -25,8 +25,20 @@ is written as ``json.dumps`` of its CSV value parsed back.  That spelling is
 right for every value, so a table of fewer than 60 values (every scalar
 subcommand's, sidebands up to ``--n-max 18``) takes it for all of them and
 needs no numpy, whose import costs ~0.1 s; once numpy is loaded the mask is
-the cheaper from about a dozen values up, ~0.1 ms cheaper at 60.  ``json``
-too is imported on first use, so a CSV call never loads it.
+the cheaper from about a dozen values up, ~0.1 ms cheaper at 60.  A table
+written while numpy is not loaded takes the exact spelling whatever its
+size, so the text is the same either way.  ``json`` too is imported on
+first use, so a CSV call never loads it.
+
+``am-transfer`` and ``recoil-ratio`` run through ``sweeps._am_columns``.  A
+table of at most ``_FLOAT_ROWS`` = 1000 rows builds its grid with a
+pure-Python ``linspace`` that equals ``numpy.linspace`` bit for bit, runs
+on Python floats and loads no numpy; a longer one takes ``numpy.linspace``
+and one array.  Both give the same values.  Measured on a 2-core Xeon VM
+(medians of 7 alternating child runs, handler plus output, numpy import
+included; BENCH_23.json): 300 rows took 16-21 ms on floats against
+91-119 ms on the array path, 1000 rows 32-74 ms against 95-130 ms, and
+3000 rows 75-134 ms against 90-120 ms, so the two meet near 3000 rows.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, 
 
 _CA40_MEV = CA40_ION_MASS_EV / MEV
 _EXACT_TABLE_VALUES = 60  # a smaller table spells every value exactly
+_FLOAT_ROWS = 1000  # an AM table of at most this many rows runs on floats (docstring)
 
 
 def result_to_csv(result: SweepResult) -> str:
@@ -93,7 +106,7 @@ def result_to_json(result: SweepResult) -> str:
     slots = ["\n      %s"] * width
     slots[0] = "\n    [" + slots[0]
     slots[-1] += "\n    ]"
-    if len(values) < _EXACT_TABLE_VALUES:
+    if len(values) < _EXACT_TABLE_VALUES or sys.modules.get("numpy") is None:
         # every value spelled exactly; json.dumps spells each value of a list
         # as it spells that value alone
         specs = slots * len(result.rows)
@@ -157,14 +170,33 @@ def _am_sweep(args, columns, kernel) -> SweepResult:
     if not math.isfinite(args.b_max_lambda - args.b_min_lambda):
         raise DomainError(f"sweep span [{args.b_min_lambda:g}, {args.b_max_lambda:g}] "
                           "lambda is beyond the floating-point range")
-    import numpy as np
-    xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
+    if args.count > _FLOAT_ROWS:
+        import numpy as np
+        xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
+    else:
+        xs = _linspace(args.b_min_lambda, args.b_max_lambda, args.count)
     table, _ = _am_columns([beam], TransitionChannel(float(args.multipole_j)), xs,
                            args.lambda_nm, kernel, strict=True)
     return _table(args, [("b", "lambda")] + columns, table)
 
 
-def _am_transfer_columns(beam, b, partition):
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """``numpy.linspace(start, stop, count)`` as a list of floats, by the
+    same operations, so the same bits (a test holds them equal)."""
+    div = count - 1
+    if div <= 0:
+        return [0.0 * (stop - start) + start]
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:  # a zero span, or a step that underflows: scale the span, as numpy does
+        values = [i / div * delta + start for i in range(count)]
+    else:
+        values = [i * step + start for i in range(count)]
+    values[-1] = stop
+    return values
+
+
+def _am_transfer_columns(beam, b, partition, scalar):
     return (partition.lz_internal, partition.lz_cm), partition.errors
 
 

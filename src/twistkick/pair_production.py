@@ -210,7 +210,7 @@ def fit_beam_for_threshold_factor(
     times that radius must be <= 1e6).
     """
     if not factor > 1.0:
-        raise DomainError(f"threshold factor must exceed 1, got {factor}")
+        raise DomainError(f"threshold factor must exceed 1, got {shown(factor)}")
     if not w0_over_b > 0.0:
         raise DomainError(f"w0/b must be positive, got {w0_over_b:g}")
     _check_l_gamma(l_gamma, 1)

@@ -186,6 +186,16 @@ def _j_list(n_max: int, x: float, rows: int) -> list:
     return _miller_retry(rows, x, _start_order(n_max, octave))
 
 
+def _j_row(orders: list[int], x: float) -> list[float]:
+    # bessel_j_array(orders, x) at one float x >= 0 and orders |n| <= 64, as a
+    # list of floats: one table per band, as there, so the same bits
+    top = max(map(abs, orders))
+    table = _j_list(_BANDS[0], x, min(top, _BANDS[0]) + 1)
+    if top > _BANDS[0]:
+        table += _j_list(_BANDS[1], x, top + 1)[_BANDS[0] + 1:]
+    return [-table[-n] if n < 0 and n % 2 else table[abs(n)] for n in orders]
+
+
 def bessel_j_orders(n_max: int, x, rows: int | None = None) -> np.ndarray:
     """J_0(x) ... J_{n_max}(x) for every argument x >= 0 (finite) of a scalar
     or array ``x``: shape (rows,) + shape(x), with rows = n_max + 1 unless

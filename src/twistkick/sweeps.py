@@ -9,7 +9,8 @@ A figure builder takes the whole grid and returns ``(rows, codes)``: rows
 of Python floats and one code per row ("" where the row is defined, NaN
 values where it is not).  The AM panels (fig2-fig5) evaluate the grid at
 once through :func:`_am_columns`, the one AM sweep, which ``am-transfer``
-and ``recoil-ratio`` share.  fig6, fig7, fig8a and fig8b write one row
+and ``recoil-ratio`` share (they run it point by point on Python floats up
+to 1000 rows).  fig6, fig7, fig8a and fig8b write one row
 function that takes a float or an array, and :func:`_whole_grid` calls it
 once on the array of every grid point; where that call raises, the grid
 runs per point through :func:`_per_point`, the one source of per-row error
@@ -35,8 +36,8 @@ from .pair_production import PairThresholdQuery, crossover_product, pair_thresho
     fit_beam_for_threshold_factor, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, deuteron_threshold, \
     transverse_recoil_energy
-from .transitions import TransitionChannel, _ratio_from_partition, am_partitions, \
-    raise_first_row_error, sublevel_profile
+from .transitions import TransitionChannel, _ratio_from_partition, am_partition, \
+    am_partitions, raise_first_row_error, raise_row_error, sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
     constants_sha256, nonrel_recoil_energy, wavelength_to_energy
@@ -163,17 +164,30 @@ def _whole_grid(build_row):
 
 def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
     """The AM sweep of ``am-transfer``, ``recoil-ratio`` and fig2-fig5: the
-    table [xs, kernel columns of each beam] at b = xs * wavelength, with the
-    partitions of all ``beams`` from one :func:`am_partitions` call, and the
+    table [xs, kernel columns of each beam] at b = xs * wavelength, and the
     first error code of each row, or with ``strict`` the error of the first
-    failing row of the first failing beam raised."""
+    failing row of the first failing beam raised.  An array ``xs`` takes the
+    partitions of all ``beams`` from one :func:`am_partitions` call; a list
+    of floats, for one beam, runs point by point on Python floats.  Either
+    way each value is the same float."""
+    if isinstance(xs, list):
+        (beam,) = beams
+        rows, errors = [], []
+        for x in xs:
+            b = x * wavelength
+            values, code = kernel(beam, b, am_partition(beam, channel, b), True)
+            if strict:
+                raise_row_error(code, beam, channel, b)
+            rows.append([x, *values])
+            errors.append(code)
+        return rows, errors
     import numpy as np
     with np.errstate(over="ignore"):  # an overflowing b is a coded row error
         b = xs * wavelength
     columns = [xs]
     errors = np.full(len(xs), "", dtype=object)
     for beam, partition in zip(beams, am_partitions(beams, channel, b)):
-        values, beam_errors = kernel(beam, b, partition)
+        values, beam_errors = kernel(beam, b, partition, False)
         if strict:
             raise_first_row_error(beam_errors, beam, channel, b)
         columns.extend(values)
@@ -181,8 +195,9 @@ def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
     return np.column_stack(columns).tolist(), errors.tolist()
 
 
-# an AM kernel, as _ratio_from_partition: (beam, b, partition) -> (columns, row errors)
-def _lz_cm_column(beam, b, partition):
+# an AM kernel, as _ratio_from_partition: (beam, b, partition, scalar) ->
+# (columns, row errors), scalar for a float b
+def _lz_cm_column(beam, b, partition, scalar):
     return (partition.lz_cm,), partition.errors
 
 
@@ -388,8 +403,10 @@ def _check_override_type(figure_id: str, key: str, value, default) -> None:
     if isinstance(default, int):
         ok, expected = is_int, "an integer"
     else:
-        ok = (is_int or isinstance(value, (float, np.floating) if np else float)) \
-            and abs(value) <= sys.float_info.max  # finite; isfinite raises on a huge int
+        # finite, compared as a Python float (a numpy float32 would cast the
+        # bound to its own type); isfinite raises on a huge int
+        ok = abs(value) <= sys.float_info.max if is_int else \
+            isinstance(value, (float, np.floating) if np else float) and math.isfinite(value)
         expected = "a finite number"
     if not ok:
         raise DomainError(

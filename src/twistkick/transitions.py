@@ -16,28 +16,37 @@ Probabilities and their means reproduce the angular-momentum bookkeeping:
 whatever the internal excitation does not absorb goes to the center of
 mass, whose recoil is the superkick.
 
-:func:`am_partition` is the one implementation of the distribution: it
-takes a whole array of impact parameters, evaluates the 2J+1 Wigner d once
-and all 2J+1 Bessel orders in one array call (:func:`am_partitions` makes
-one call for several beams of one transverse wavenumber), and returns the
+:func:`am_partition` is the one implementation of the distribution.  It
+takes a float impact parameter or a whole array of them and returns the
 amplitudes, weights and internal and c.m. means with a per-row error code
 instead of raising, so a figure sweep is evaluated over its whole grid at
-once and drops exactly the rows that carry a code.  The scalar
-:func:`excitation_probabilities`, :func:`mean_internal_am`,
-:func:`mean_cm_am` and :func:`recoil_ratio` are one-row views that raise
-what the code names.
+once and drops exactly the rows that carry a code.  An array takes all
+2J+1 Bessel orders from one array call (:func:`am_partitions` makes one
+call for several beams of one transverse wavenumber); a float takes them
+from the same recurrences on Python floats and needs no numpy.  One body,
+``_partition``, then runs the same operations in the same order on a float
+row or on the rows of an array, so each array row equals the float result
+bit for bit (a test holds them equal); the b-independent Wigner d column is
+computed once per beam.  The scalar :func:`excitation_probabilities`,
+:func:`mean_internal_am`, :func:`mean_cm_am` and :func:`recoil_ratio` are
+one-row float calls that raise what the code names, through
+:func:`raise_row_error`, the one source of the row messages.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import numbers
 from collections import namedtuple
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
-from .errors import DomainError, UndefinedDistributionError
-from .special_functions import MAX_ARGUMENT, MAX_ORDER, _half_int, bessel_first_max, \
-    bessel_j, bessel_j_array, check_bessel_argument, check_bessel_domain, wigner_small_d
+from .errors import DomainError, UndefinedDistributionError, shown
+from .special_functions import MAX_ARGUMENT, MAX_ORDER, _half_int, _j_row, \
+    bessel_first_max, bessel_j, bessel_j_array, check_bessel_argument, check_bessel_domain, \
+    wigner_small_d
+from .units import check_float_range
 
 
 class TransitionChannel(namedtuple("TransitionChannel", "multipole_J m_initial label")):
@@ -86,7 +95,8 @@ class SublevelDistribution(namedtuple("SublevelDistribution",
 
 class AmPartition(namedtuple("AmPartition", "amplitudes weights lz_internal lz_cm errors")):
     """Sublevel amplitudes, weights and mean angular momentum (units hbar)
-    over a 1-D array of impact parameters, each an ndarray.
+    over a 1-D array of impact parameters, each an ndarray, or at one float
+    impact parameter: then lists of floats, floats and one code string.
 
     ``amplitudes[J + dm]`` and ``weights[J + dm]`` are the rows of A and w
     for m_f = m_i + dm, dm = -J ... J; ``lz_internal`` is the mean of
@@ -110,15 +120,16 @@ def _orders(beam: TwistedPhotonBeam, channel: TransitionChannel) -> list[int]:
 def am_partition(
     beam: TwistedPhotonBeam, channel: TransitionChannel, b
 ) -> AmPartition:
-    """Sublevel distribution and internal/c.m. mean angular momentum at every
-    impact parameter of the 1-D array ``b`` (nm), with a per-row error code
-    in place of an exception.
+    """Sublevel distribution and internal/c.m. mean angular momentum at a
+    float impact parameter ``b`` (nm) or at every b of a 1-D array, with a
+    per-row error code in place of an exception.
 
     This is the package's one implementation of the distribution
     (:func:`am_partitions` for one beam).  The 2J+1 Wigner d form one column
-    and all 2J+1 Bessel orders come from one :func:`bessel_j_array` call.
-    Squared amplitudes are summed in +-dm pairs and the means accumulated
-    from dm = 1 up, so a global sign mirror of the quantum numbers gives
+    and all 2J+1 Bessel orders come from one :func:`bessel_j_array` call, or
+    for a float from the same recurrences on Python floats.  Squared
+    amplitudes are summed in +-dm pairs and the means accumulated from
+    dm = 1 up, so a global sign mirror of the quantum numbers gives
     bit-identical weights.
     """
     return am_partitions([beam], channel, b)[0]
@@ -128,58 +139,107 @@ def am_partitions(
     beams, channel: TransitionChannel, b
 ) -> list[AmPartition]:
     """:func:`am_partition` of each of ``beams``, which share one transverse
-    wavenumber (the m_gamma series of an AM panel), from one
-    :func:`bessel_j_array` call for every order they need."""
-    import numpy as np
-    b = np.asarray(b, dtype=float)
+    wavenumber (the m_gamma series of an AM panel), from one Bessel table
+    for every order they need."""
+    scalar = isinstance(b, numbers.Real)  # the one float-or-array decision
+    if scalar:
+        b = _point(b)
+    else:
+        import numpy as np
+        b = np.asarray(b, dtype=float)
     j = channel.j_int
     kappa = transverse_wavenumber(beams[0])
     if any(transverse_wavenumber(beam) != kappa for beam in beams):
         raise DomainError("am_partitions needs beams of one transverse wavenumber")
-    # a beam whose widest order m_gamma -+ J is beyond the Bessel range has
-    # every row coded
+    # a beam whose widest order m_gamma -+ J is beyond the Bessel range reads
+    # order 0 at m_gamma 0 and has every row coded
     in_range = [abs(beam.m_gamma) + j <= MAX_ORDER for beam in beams]
+    m_gammas = [int(beam.m_gamma) if ok else 0 for beam, ok in zip(beams, in_range)]
+    orders = [_orders(beam, channel) if ok else [0] * (2 * j + 1)
+              for beam, ok in zip(beams, in_range)]
     # an overflowing kappa b, inf * 0 (a NaN) and the NaN of an invalid row
     # are coded, not warned about
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = kappa * b
-        valid = (np.abs(x) <= MAX_ARGUMENT) & (b >= 0.0)  # False for NaN and inf
-        if any(in_range):
-            orders = np.array([_orders(beam, channel)
-                               for beam, ok in zip(beams, in_range) if ok])
-            tables = iter(bessel_j_array(orders[:, :, None], np.where(valid, x, 0.0)))
-        return [_partition(beam, channel, valid, next(tables)) if ok
-                else _out_of_range(channel, b.shape) for beam, ok in zip(beams, in_range)]
+    with _quiet(scalar):
+        x = float(kappa) * b  # a Python float for a float b, whatever the energy's type
+        valid = (abs(x) <= MAX_ARGUMENT) & (b >= 0.0)  # False for NaN and inf
+        x = _where(scalar, valid, x, 0.0)
+        if scalar:
+            row = _j_row([n for beam_orders in orders for n in beam_orders], x)
+            tables = [row[k:k + 2 * j + 1] for k in range(0, len(row), 2 * j + 1)]
+        else:
+            tables = bessel_j_array(np.array(orders)[:, :, None], x)
+        return [_partition(beam, channel, m_gamma, valid & ok, table, scalar)
+                for beam, m_gamma, ok, table in zip(beams, m_gammas, in_range, tables)]
 
 
-def _out_of_range(channel: TransitionChannel, shape) -> AmPartition:
+def _point(b) -> float:
+    # a scalar impact parameter as a float; an int beyond the float range is DOMAIN
+    if isinstance(b, int):
+        check_float_range(b, "impact parameter")
+    return float(b)
+
+
+def _quiet(scalar: bool):
+    # nothing for a float; for an array, numpy's errstate that leaves an
+    # overflow, an invalid operation or a division by zero to the row codes
+    if scalar:
+        return contextlib.nullcontext()
     import numpy as np
-    nan = np.full((2 * channel.j_int + 1,) + shape, np.nan)
-    return AmPartition(amplitudes=nan, weights=nan, lz_internal=nan[0], lz_cm=nan[0],
-                       errors=np.full(shape, "DOMAIN", dtype=object))
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _partition(beam, channel, valid, bessel) -> AmPartition:
-    # the distribution from the Bessel rows J_{m_gamma - dm}(kappa b), dm = -J ... J,
-    # under the caller's errstate
+def _where(scalar: bool, condition, yes, no):
+    # a conditional expression for a float row, np.where for an array's mask
+    if scalar:
+        return yes if condition else no
     import numpy as np
+    return np.where(condition, yes, no)
+
+
+_ROW_CODES = ("", "UNDEFINED_DISTRIBUTION", "DOMAIN")
+
+
+def _partition(beam, channel, m_gamma, valid, bessel, scalar) -> AmPartition:
+    """The distribution from the Bessel rows J_{m_gamma - dm}(kappa b), dm =
+    -J ... J: with ``scalar``, floats and a truth value ``valid`` for one b,
+    else rows of an array and a mask, under the caller's errstate.  Both run
+    the same operations in the same order, so an array row equals the float
+    result bit for bit; an array takes each step on all rows at once."""
     j = channel.j_int
-    d = np.array([wigner_small_d(float(j), float(dm), float(beam.lambda_spin), beam.pitch_angle)
-                  for dm in range(-j, j + 1)])
-    amplitudes = bessel * d[:, None]
-    sq = amplitudes * amplitudes
+    d = _d_column(j, beam.lambda_spin, beam.pitch_angle)
+    if scalar:
+        amplitudes = [row * d_row for row, d_row in zip(bessel, d)]
+        sq = [a * a for a in amplitudes]
+    else:
+        import numpy as np
+        amplitudes = bessel * np.array(d)[:, None]
+        sq = amplitudes * amplitudes
     total = sq[j]
     for dm in range(1, j + 1):
         total = total + (sq[j + dm] + sq[j - dm])
-    undefined = valid & (total == 0.0)
-    weights = np.where(valid & ~undefined, sq / total, np.nan)
-    errors = np.where(valid, "", "DOMAIN").astype(object)
-    errors[undefined] = "UNDEFINED_DISTRIBUTION"
+    defined = valid & (total != 0.0)
+    divisor = _where(scalar, defined, total, math.nan)
+    weights = [s / divisor for s in sq] if scalar else sq / divisor
     internal = 0.0
     for dm in range(1, j + 1):
         internal = internal + dm * (weights[j + dm] - weights[j - dm])
-    return AmPartition(amplitudes=np.where(valid, amplitudes, np.nan), weights=weights,
-                       lz_internal=internal, lz_cm=beam.m_gamma - internal, errors=errors)
+    code = 2 - defined - valid  # an index into _ROW_CODES: defined 0, vanishing 1, invalid 2
+    if scalar:
+        amplitudes = amplitudes if valid else [math.nan] * len(amplitudes)
+        errors = _ROW_CODES[code]
+    else:
+        amplitudes = np.where(valid, amplitudes, np.nan)
+        errors = np.array(_ROW_CODES, dtype=object)[code]
+    return AmPartition(amplitudes=amplitudes, weights=weights, lz_internal=internal,
+                       lz_cm=m_gamma - internal, errors=errors)
+
+
+@functools.lru_cache(maxsize=64)
+def _d_column(j: int, lambda_spin: int, theta: float) -> tuple[float, ...]:
+    # d^J_{dm, Lambda}(theta_k), dm = -J ... J: independent of b, so the rows
+    # of a sweep and the one-row calls at one beam share it
+    return tuple(wigner_small_d(float(j), float(dm), float(lambda_spin), theta)
+                 for dm in range(-j, j + 1))
 
 
 def recoil_ratio_array(
@@ -190,47 +250,54 @@ def recoil_ratio_array(
     ``B_SINGULARITY`` (checked first) wherever b > 0 fails."""
     import numpy as np
     b = np.asarray(b, dtype=float)
-    (ratio,), errors = _ratio_from_partition(beam, b, am_partition(beam, channel, b))
+    (ratio,), errors = _ratio_from_partition(beam, b, am_partition(beam, channel, b), False)
     return ratio, errors
 
 
-def _ratio_from_partition(
-    beam: TwistedPhotonBeam, b: np.ndarray, partition: AmPartition
-) -> tuple[tuple[np.ndarray], np.ndarray]:
+def _ratio_from_partition(beam: TwistedPhotonBeam, b, partition: AmPartition,
+                          scalar: bool):
     # recoil_ratio_array(beam, channel, b) from its partition
-    # am_partition(beam, channel, b), as the one column of an AM sweep kernel
-    import numpy as np
+    # am_partition(beam, channel, b), as the one column of an AM sweep
+    # kernel; with scalar, the ratio and the code of the float row b
     positive = b > 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with _quiet(scalar):
         # lambda / b first: lz_cm lambda and 2 pi b overflow where the ratio does not
-        ratio = partition.lz_cm * (beam.wavelength / b) / (2.0 * math.pi)
-    errors = np.where(positive, partition.errors, "B_SINGULARITY")
-    return (np.where(positive, ratio, np.nan),), errors
+        ratio = partition.lz_cm * (beam.wavelength / _where(scalar, positive, b, math.nan)) \
+            / (2.0 * math.pi)
+    return (ratio,), _where(scalar, positive, partition.errors, "B_SINGULARITY")
 
 
-def raise_first_row_error(
-    errors: np.ndarray, beam: TwistedPhotonBeam, channel: TransitionChannel, b
-) -> None:
-    """Raise, for the first row of ``b`` whose code in ``errors`` is set, the
-    exception a scalar evaluation raises there; nothing if no row failed."""
+def raise_first_row_error(errors: np.ndarray, beam: TwistedPhotonBeam,
+                          channel: TransitionChannel, b: np.ndarray) -> None:
+    """Raise, for the first row of the array ``b`` whose code in ``errors``
+    is set, the exception a scalar evaluation raises there (through
+    :func:`raise_row_error`); nothing if no row failed."""
     import numpy as np
     failed = np.flatnonzero(errors != "")
-    if not failed.size:
+    if failed.size:
+        raise_row_error(errors[failed[0]], beam, channel, float(b[failed[0]]))
+
+
+def raise_row_error(code: str, beam: TwistedPhotonBeam, channel: TransitionChannel,
+                    b: float) -> None:
+    """Raise the exception that the row code ``code`` names at the float
+    impact parameter ``b``; nothing for the empty code.  The one source of
+    the row messages."""
+    if not code:
         return
-    code, b = errors[failed[0]], float(b[failed[0]])
     if code == "B_SINGULARITY":
-        raise DomainError(f"impact parameter must be positive, got {b}", code=code)
+        raise DomainError(f"impact parameter must be positive, got {shown(b)}", code=code)
     if code == "UNDEFINED_DISTRIBUTION":
         raise UndefinedDistributionError(
             f"all sublevel amplitudes vanish at b={b}; no absorption"
         )
     if math.isnan(b):
-        raise DomainError(f"impact parameter must be a finite number, got {b}")
-    x = transverse_wavenumber(beam) * b
+        raise DomainError(f"impact parameter must be a finite number, got {shown(b)}")
+    x = float(transverse_wavenumber(beam)) * b
     if not math.isfinite(x):
         raise DomainError("the Bessel argument kappa b overflows the floating-point range")
     if b < 0.0:
-        raise DomainError(f"impact parameter must be non-negative, got {b}")
+        raise DomainError(f"impact parameter must be non-negative, got {shown(b)}")
     for nu in _orders(beam, channel):
         check_bessel_domain(nu, x)
     raise AssertionError(f"row error code {code!r} at b={b} names no error")
@@ -239,8 +306,9 @@ def raise_first_row_error(
 def _checked_row(
     beam: TwistedPhotonBeam, channel: TransitionChannel, b: float
 ) -> AmPartition:
-    partition = am_partition(beam, channel, [b])
-    raise_first_row_error(partition.errors, beam, channel, [b])
+    b = _point(b)
+    partition = am_partition(beam, channel, b)
+    raise_row_error(partition.errors, beam, channel, b)
     return partition
 
 
@@ -257,9 +325,9 @@ def excitation_probabilities(
     partition = _checked_row(beam, channel, b)
     m_f = channel.final_sublevels()
     return SublevelDistribution(
-        amplitudes=dict(zip(m_f, partition.amplitudes[:, 0].tolist())),
+        amplitudes=dict(zip(m_f, partition.amplitudes)),
         winding=dict(zip(m_f, _orders(beam, channel))),
-        weights=dict(zip(m_f, partition.weights[:, 0].tolist())),
+        weights=dict(zip(m_f, partition.weights)),
     )
 
 
@@ -270,13 +338,13 @@ def mean_internal_am(
 
     Probability-weighted mean of m_f - m_i over the sublevel distribution.
     """
-    return float(_checked_row(beam, channel, b).lz_internal[0])
+    return _checked_row(beam, channel, b).lz_internal
 
 
 def mean_cm_am(beam: TwistedPhotonBeam, channel: TransitionChannel, b: float) -> float:
     """Mean angular momentum passed to the center of mass: m_gamma minus the
     internal mean (exact complement)."""
-    return float(_checked_row(beam, channel, b).lz_cm[0])
+    return _checked_row(beam, channel, b).lz_cm
 
 
 def recoil_ratio(beam: TwistedPhotonBeam, channel: TransitionChannel, b: float) -> float:
@@ -284,9 +352,10 @@ def recoil_ratio(beam: TwistedPhotonBeam, channel: TransitionChannel, b: float) 
 
     p_T/p_z = <l_z>_cm * lambda / (2 pi b), with the paraxial p_z = E/c.
     """
-    ratio, errors = recoil_ratio_array(beam, channel, [b])
-    raise_first_row_error(errors, beam, channel, [b])
-    return float(ratio[0])
+    b = _point(b)
+    (ratio,), code = _ratio_from_partition(beam, b, am_partition(beam, channel, b), True)
+    raise_row_error(code, beam, channel, b)
+    return float(ratio)  # a float for a numpy energy too
 
 
 def sublevel_profile(

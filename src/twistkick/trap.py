@@ -43,8 +43,8 @@ from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning, shown
 from .special_functions import _j_list, bessel_i_scaled_orders, bessel_j_orders, \
     check_bessel_domain
-from .units import HBARC_EV_NM, check_positive, extremes, frequency_to_energy, \
-    nonrel_recoil_energy, per_element
+from .units import HBARC_EV_NM, check_float_range, check_positive, extremes, \
+    frequency_to_energy, nonrel_recoil_energy, per_element
 
 
 class TrapModel(namedtuple("TrapModel", "axial_frequency transverse_frequency ion_mass")):
@@ -57,6 +57,8 @@ class TrapModel(namedtuple("TrapModel", "axial_frequency transverse_frequency io
         for name, value in zip(cls._fields, (axial_frequency, transverse_frequency, ion_mass)):
             if not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be positive and finite, got {shown(value)}")
+            if isinstance(value, int):
+                check_float_range(value, name)
         return super().__new__(cls, axial_frequency, transverse_frequency, ion_mass)
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace

@@ -90,6 +90,13 @@ def check_positive(value, name: str) -> None:
         raise DomainError(f"{name} must be positive, got {shown(value)}")
 
 
+def check_positive_finite(value, name: str) -> None:
+    """:func:`check_positive`, and DomainError where ``value`` is inf."""
+    check_positive(value, name)
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite, got {shown(value)}")
+
+
 def extremes(value, name: str) -> tuple:
     """What a bound or finiteness check of ``value`` must pass: ``(value,)``
     for a float or an int, and for an array its least and greatest element
@@ -129,7 +136,7 @@ def sqrt(x):
 
 def wavelength_to_energy(wavelength_nm: float) -> float:
     """Photon energy E = 2*pi*hbar*c / lambda, eV for lambda in nm."""
-    check_positive(wavelength_nm, "wavelength")
+    check_positive_finite(wavelength_nm, "wavelength")
     energy = 2.0 * math.pi * HBARC_EV_NM / wavelength_nm
     if energy == math.inf:
         raise DomainError(
@@ -140,15 +147,13 @@ def wavelength_to_energy(wavelength_nm: float) -> float:
 
 def energy_to_wavelength(energy_ev: float) -> float:
     """Inverse of :func:`wavelength_to_energy`; round-trips to 1e-12 relative."""
-    check_positive(energy_ev, "energy")
+    check_positive_finite(energy_ev, "energy")
     return 2.0 * math.pi * HBARC_EV_NM / energy_ev
 
 
 def frequency_to_energy(frequency_hz: float) -> float:
     """Quantum energy h*f of an oscillation at ``frequency_hz``."""
-    check_positive(frequency_hz, "frequency")
-    if frequency_hz == math.inf:
-        raise DomainError(f"frequency must be finite, got {shown(frequency_hz)}")
+    check_positive_finite(frequency_hz, "frequency")
     energy = PLANCK_H_EV_S * frequency_hz
     if energy == 0.0:
         raise DomainError(

@@ -134,6 +134,12 @@ def test_superkick_vortex_singularity():
     with pytest.raises(DomainError) as err:
         superkick(1, 0.0)
     assert err.value.code == "B_SINGULARITY"
+    assert str(err.value) == "impact parameter must be positive, got 0.0"
+    # a NaN b is named, not spelled
+    with pytest.raises(DomainError) as err:
+        superkick(1, math.nan)
+    assert str(err.value) == ("impact parameter must be positive, "
+                              "got a non-finite value (an input overflows)")
     with pytest.raises(DomainError):
         superkick(-1, 1.0)
 

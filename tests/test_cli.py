@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import twistkick
+from twistkick import cli
 from twistkick.cli import build_parser, main, result_to_csv, result_to_json
 from twistkick.sweeps import FIGURE_IDS, SweepResult, SweepSpec, run_sweep
 
@@ -328,13 +329,20 @@ SCALAR_ARGV = [
     ["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1"],
     ["deuteron-threshold", "--b-fm", "89"], ["crossover"],
     ["reproduce", "--figure", "deuteron_table"],
-]
+] + [[name, *count] for name in ("am-transfer", "recoil-ratio")
+     for count in ([], ["--count", "1"], ["--count", "30"])]
 SCALAR_ERROR_ARGV = [
     ["ion-recoil", "--b-nm", "0"], ["pair-threshold", "--pitch-urad", "5", "--b-fm", "0"],
     ["crossover", "--l-gamma", "0"], ["sidebands", "--b-nm", "10", "--n-max", "1"],
     ["trap-jump", "--b-nm", "10", "--sigma-nm", "0"],
     ["deuteron-threshold", "--m-gamma", "1", "--internal-am", "2", "--b-fm", "89"],
     ["am-transfer", "--multipole-j", "4"],
+    ["am-transfer", "--b-min-lambda", "-1"], ["recoil-ratio", "--b-min-lambda", "-1"],
+    ["recoil-ratio", "--b-min-lambda", "0"],
+    ["am-transfer", "--m-gamma", "0", "--pitch-rad", "0", "--b-min-lambda", "0.5"],
+    ["am-transfer", "--m-gamma", "70"], ["recoil-ratio", "--m-gamma", "70"],
+    ["am-transfer", "--lambda-nm", "1e300", "--b-min-lambda", "1e300"],
+    ["recoil-ratio", "--lambda-nm", "1e300", "--b-min-lambda", "1e300"],
     ["reproduce", "--figure", "fig6", "--set", "no_such_key=1"],
     ["reproduce", "--figure", "deuteron_table", "--set", "theta_k=abc"],
 ]
@@ -370,11 +378,13 @@ def test_focus_fraction_loads_no_numpy_polynomial_or_linalg():
 
 
 @pytest.mark.parametrize("argv", [
-    ["am-transfer"], ["focus-fraction", "--w0-pm", "50"], ["reproduce", "--figure", "fig7"],
+    ["am-transfer", "--count", str(cli._FLOAT_ROWS + 1)], ["focus-fraction", "--w0-pm", "50"],
+    ["reproduce", "--figure", "fig7"],
 ], ids=["am-transfer", "focus-fraction", "fig7"])
 def test_array_bessel_tables_load_no_numpy_ma(argv):
     # the octave groups of an array Bessel table are found without
-    # np.unique, which loads numpy.ma
+    # np.unique, which loads numpy.ma; an am-transfer table beyond the
+    # float rows builds one
     _, ((status, _, _),), loaded = run_cli_in_child([argv], report=["numpy"])
     assert (status, "numpy" in loaded, "numpy.ma" in loaded) == (0, True, False)
 
@@ -507,6 +517,79 @@ def test_am_transfer_rows_match_sublevel_weights(capsys):
         # the printed values carry 12 significant digits
         assert internal == pytest.approx(expected, abs=1e-11)
         assert cm == pytest.approx(-2.0 - expected, abs=1e-11)
+
+
+def test_linspace_is_numpy_linspace():
+    # the float grid of an AM sweep against np.linspace, its oracle, by repr:
+    # seeded ends and counts, reversed, equal and subnormal spans included
+    rng = random.Random(2302)
+    ends = [(0.0, 5e-324), (-5e-324, 5e-324), (1e-310, 1.0000001e-310), (-0.0, 0.0),
+            (2.5, 2.5), (1e308, -1e308 * 0.7), (-3.0, 7.0)]
+    for _ in range(3000):
+        scale = 10.0 ** rng.uniform(-320, 300)
+        ends.append((rng.uniform(-1.0, 1.0) * scale, rng.uniform(-1.0, 1.0) * scale))
+    for i, (start, stop) in enumerate(ends):
+        count = [1, 2, 3, 300, cli._FLOAT_ROWS][i % 5] if i < 100 else rng.randint(1, 40)
+        assert repr(cli._linspace(start, stop, count)) == \
+            repr(np.linspace(start, stop, count).tolist()), (start, stop, count)
+
+
+def _seeded_am_argv(rng):
+    name = rng.choice(["am-transfer", "recoil-ratio"])
+    return [name, "--multipole-j", str(rng.randint(1, 3)), "--m-gamma", str(rng.randint(-8, 8)),
+            "--lambda-spin", rng.choice(["-1", "1"]), "--pitch-rad", f"{rng.uniform(0, 1.5):.6g}",
+            "--lambda-nm", f"{rng.uniform(100, 1000):.6g}",
+            "--b-min-lambda", f"{rng.choice([1e-3, 0.2, 0.5, 0.0]):g}",
+            "--b-max-lambda", f"{rng.uniform(0.5, 40.0):.6g}",
+            "--format", rng.choice(["csv", "json"])]
+
+
+@pytest.mark.parametrize("count", [1, 30, 300, cli._FLOAT_ROWS, cli._FLOAT_ROWS + 1])
+def test_am_tables_on_floats_equal_the_array_tables(capsys, monkeypatch, count):
+    # each seeded am-transfer and recoil-ratio table, and its first-row
+    # error, is the same text whether its rows run on Python floats or on
+    # one array, on both sides of the row count where the CLI switches
+    rng = random.Random(2303 + count)
+    statuses = set()
+    for _ in range(8 if count < 300 else 3):
+        argv = _seeded_am_argv(rng) + ["--count", str(count)]
+        outcomes = []
+        for float_rows in (10**7, cli._FLOAT_ROWS, 0):
+            monkeypatch.setattr(cli, "_FLOAT_ROWS", float_rows)
+            outcomes.append(run_main(capsys, *argv))
+        assert outcomes[0] == outcomes[1] == outcomes[2], argv
+        statuses.add(outcomes[0][0])
+    assert 0 in statuses
+
+
+def test_am_columns_of_float_points_are_the_array_rows():
+    # one beam's AM sweep on a list of floats against the array: rows by
+    # repr, the code of each row, and with strict the error of the first
+    # failing row
+    from twistkick.sweeps import _am_columns, _lz_cm_column
+    from twistkick.transitions import TransitionChannel, _ratio_from_partition
+    from twistkick.beam import TwistedPhotonBeam
+    from twistkick.errors import TwistkickError
+    rng = random.Random(2304)
+    for _ in range(120):
+        theta = rng.choice([0.0, rng.uniform(0.0, 1.5)])
+        beams = [TwistedPhotonBeam(rng.choice([-3, 0, 1, 2, 3, 62, -64]),
+                                   rng.choice([-1, 1]), 3.1, theta)]
+        channel = TransitionChannel(rng.randint(1, 3), rng.choice([0.0, 0.5]))
+        xs = [rng.choice([-1.0, 0.0, math.nan, 1e300, rng.uniform(0.0, 3.0)])
+              for _ in range(rng.randint(1, 12))]
+        for kernel in (_lz_cm_column, _ratio_from_partition):
+            floats = _am_columns(beams, channel, xs, 400.0, kernel)
+            array = _am_columns(beams, channel, np.array(xs), 400.0, kernel)
+            assert repr(floats) == repr(array), (beams, xs)
+            errors = []
+            for points in (xs, np.array(xs)):
+                try:
+                    _am_columns(beams, channel, points, 400.0, kernel, strict=True)
+                    errors.append(None)
+                except TwistkickError as exc:
+                    errors.append((type(exc), exc.code, str(exc)))
+            assert errors[0] == errors[1], (beams, xs)
 
 
 @pytest.mark.parametrize("argv", [

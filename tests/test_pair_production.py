@@ -228,6 +228,13 @@ def test_fit_factor_to_one_unbounded():
         fit_beam_for_threshold_factor(1.0, 2.5)
 
 
+def test_fit_names_a_nan_factor_without_spelling_it():
+    with pytest.raises(DomainError) as err:
+        fit_beam_for_threshold_factor(math.nan, 2.5)
+    assert str(err.value) == ("threshold factor must exceed 1, "
+                              "got a non-finite value (an input overflows)")
+
+
 def test_query_validation():
     with pytest.raises(DomainError):
         PairThresholdQuery(omega2=0.0, pitch_angle=0.0)

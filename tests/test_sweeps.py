@@ -423,8 +423,10 @@ def test_row_bookkeeping_matches_the_numpy_mask(monkeypatch):
     assert outcomes == {"all kept", "some dropped", "all dropped"}
 
 
+@pytest.mark.filterwarnings("error")
 def test_numpy_float32_override_gives_python_floats():
-    # a numpy float override is accepted; rows and metadata hold Python floats
+    # a numpy float override is accepted, without a warning; rows and
+    # metadata hold Python floats
     theta = np.float32(0.1)
     result = run_sweep(SweepSpec("deuteron_table", overrides={"theta_k": theta}))
     assert {type(v) for row in result.rows for v in row} == {float}

@@ -13,6 +13,7 @@ from twistkick.transitions import (
     am_partition,
     am_partitions,
     excitation_probabilities,
+    raise_first_row_error,
     mean_cm_am,
     mean_internal_am,
     recoil_ratio,
@@ -464,7 +465,8 @@ def test_nan_impact_parameter_is_named(function):
     with pytest.raises(DomainError) as err:
         function(make_beam(1), TransitionChannel(1), float("nan"))
     assert err.value.code == "DOMAIN"
-    assert str(err.value) == "impact parameter must be a finite number, got nan"
+    assert str(err.value) == ("impact parameter must be a finite number, "
+                              "got a non-finite value (an input overflows)")
 
 
 def test_am_partitions_match_one_beam_at_a_time():
@@ -481,3 +483,104 @@ def test_am_partitions_match_one_beam_at_a_time():
         assert list(partition.errors) == list(single.errors)
     with pytest.raises(DomainError):
         am_partitions([make_beam(1), make_beam(2, theta=0.3)], channel, b)
+
+
+def _seeded_rows(rng, count):
+    # (beam, channel, b): J 1-3, m_gamma -8...8, integer and half-integer
+    # m_i, every pitch regime, and impact parameters on each side of every
+    # row rule (b < 0, NaN, inf, b = 0, kappa b beyond 1e6, kappa b that
+    # overflows)
+    for _ in range(count):
+        j = int(rng.integers(1, 4))
+        beam = make_beam(int(rng.integers(-8, 9)), spin=int(rng.choice([-1, 1])),
+                         theta=float(rng.choice([0.0, rng.uniform(0.0, 1.5)])),
+                         energy=wavelength_to_energy(float(rng.uniform(100.0, 1000.0))))
+        channel = TransitionChannel(j, m_initial=float(rng.choice([0.0, -0.5, 0.5, 1.5])))
+        b = float(rng.choice([0.0, -1.0, math.nan, math.inf, 1e307,
+                              rng.uniform(0.0, 3.0) * beam.wavelength,
+                              10.0 ** rng.uniform(-3.0, 8.0) * beam.wavelength]))
+        yield beam, channel, b
+
+
+def _row_outcome(function, *args):
+    try:
+        return repr(function(*args))
+    except (DomainError, UndefinedDistributionError) as exc:
+        return type(exc).__name__, exc.code, str(exc)
+
+
+def _array_row_view(name, beam, channel, b):
+    """What the one-row view ``name`` gives at b, read from the one-row
+    array partition and its first-row raise: the views' array oracle."""
+    b = np.array([b])
+    partition = am_partition(beam, channel, b)
+    if name == "recoil_ratio":
+        ratio, errors = recoil_ratio_array(beam, channel, b)
+        raise_first_row_error(errors, beam, channel, b)
+        return float(ratio[0])
+    raise_first_row_error(partition.errors, beam, channel, b)
+    if name == "mean_internal_am":
+        return float(partition.lz_internal[0])
+    if name == "mean_cm_am":
+        return float(partition.lz_cm[0])
+    m_f = channel.final_sublevels()
+    j = channel.j_int
+    return SublevelDistribution(dict(zip(m_f, partition.amplitudes[:, 0].tolist())),
+                                dict(zip(m_f, [beam.m_gamma - dm for dm in range(-j, j + 1)])),
+                                dict(zip(m_f, partition.weights[:, 0].tolist())))
+
+
+def test_float_partition_is_the_array_row_bit_for_bit():
+    # a float b runs on Python floats; each of its values is that row of the
+    # one-row array, and each one-row view gives what the array row and the
+    # first-row raise give, for a beam of numpy scalars too
+    rng = np.random.default_rng(2301)
+    codes = set()
+    for beam, channel, b in _seeded_rows(rng, 1500):
+        if rng.random() < 0.3:
+            beam = beam._replace(m_gamma=np.int64(beam.m_gamma), energy=np.float64(beam.energy),
+                                 pitch_angle=np.float64(beam.pitch_angle))
+        row = am_partition(beam, channel, b)
+        array = am_partition(beam, channel, np.array([b]))
+        assert isinstance(row.errors, str) and type(row.lz_cm) is float
+        assert (repr(row.amplitudes), repr(row.weights), repr(row.lz_internal), repr(row.lz_cm),
+                row.errors) == (repr(array.amplitudes[:, 0].tolist()),
+                                repr(array.weights[:, 0].tolist()),
+                                repr(float(array.lz_internal[0])), repr(float(array.lz_cm[0])),
+                                array.errors[0]), (beam, channel, b)
+        codes.add(recoil_ratio_array(beam, channel, np.array([b]))[1][0])
+        for view in (excitation_probabilities, mean_internal_am, mean_cm_am, recoil_ratio):
+            assert _row_outcome(view, beam, channel, b) == _row_outcome(
+                _array_row_view, view.__name__, beam, channel, b), (view, beam, b)
+    assert codes == {"", "DOMAIN", "B_SINGULARITY", "UNDEFINED_DISTRIBUTION"}
+
+
+def test_float_partitions_of_an_m_gamma_series_are_the_array_rows():
+    # one Bessel row for several beams, out-of-range orders included
+    channel = TransitionChannel(3, m_initial=0.5)
+    beams = [make_beam(m, spin=-1, theta=0.2) for m in (-3, 1, 6, 62)]
+    b = [-1.0, 0.0, 1e-3, 50.0, 400.0, 3e4, math.nan]
+    tables = am_partitions(beams, channel, np.array(b))
+    for i, b_i in enumerate(b):
+        for row, table in zip(am_partitions(beams, channel, b_i), tables):
+            assert repr((row.amplitudes, row.weights, row.lz_internal, row.lz_cm)) == repr(
+                (table.amplitudes[:, i].tolist(), table.weights[:, i].tolist(),
+                 float(table.lz_internal[i]), float(table.lz_cm[i])))
+            assert row.errors == table.errors[i]
+
+
+def test_recoil_ratio_names_a_nan_impact_parameter():
+    with pytest.raises(DomainError) as err:
+        recoil_ratio(make_beam(1), TransitionChannel(1), math.nan)
+    assert err.value.code == "B_SINGULARITY"
+    assert not re.search(r"\b(nan|inf)\b", str(err.value), re.IGNORECASE), err.value
+
+
+def test_int_impact_parameter_beyond_float_range_is_domain():
+    for function in (mean_cm_am, recoil_ratio, am_partition):
+        with pytest.raises(DomainError, match="impact parameter is beyond") as err:
+            function(make_beam(1), TransitionChannel(1), 10**400)
+        assert err.value.code == "DOMAIN"
+    # a float-range int is its float
+    assert mean_cm_am(make_beam(2), TransitionChannel(1), 100) == \
+        mean_cm_am(make_beam(2), TransitionChannel(1), 100.0)

@@ -48,6 +48,17 @@ def test_trap_rejects_non_finite_inputs(slot, bad):
     assert err.value.code == "DOMAIN"
 
 
+@pytest.mark.parametrize("slot", range(3))
+def test_trap_rejects_an_int_beyond_the_float_range(slot):
+    # accepted before, with an uncoded OverflowError where the mass was used
+    inputs = [1.5e6, 1.5e6, CA40_ION_MASS_EV]
+    inputs[slot] = 10**400
+    with pytest.raises(DomainError, match="is beyond the floating-point range") as err:
+        TrapModel(*inputs)
+    assert err.value.code == "DOMAIN"
+    assert str(err.value).startswith(TrapModel._fields[slot])
+
+
 def test_level_spacing_quotable():
     assert level_spacing(ca_trap()) == pytest.approx(6.2 * NEV, rel=0.02)
     assert level_spacing(ca_trap(0.75)) == pytest.approx(

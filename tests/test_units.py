@@ -175,10 +175,12 @@ def test_conversion_of_an_int_beyond_float_range_is_domain(convert):
 @pytest.mark.parametrize("convert, value", [
     (wavelength_to_energy, math.nan), (energy_to_wavelength, math.nan),
     (frequency_to_energy, math.nan), (frequency_to_energy, math.inf),
+    (wavelength_to_energy, math.inf), (energy_to_wavelength, math.inf),
 ])
 def test_conversion_of_a_non_finite_input_is_domain(convert, value):
-    # an infinite frequency has no finite quantum energy; the messages name
-    # a non-finite input without spelling nan or inf
+    # an infinite frequency, wavelength or energy has no finite converse
+    # (it was 0.0); the messages name a non-finite input without spelling
+    # nan or inf
     with pytest.raises(DomainError) as err:
         convert(value)
     assert err.value.code == "DOMAIN"
