@@ -93,7 +93,7 @@ def superkick(delta_l: int, b) -> float | np.ndarray:
     raises for the whole array where the float call raises for some b.
     """
     if not delta_l >= 0:
-        raise DomainError(f"delta_l must be non-negative, got {delta_l}")
+        raise DomainError(f"delta_l must be non-negative, got {shown(delta_l)}")
     check_float_range(delta_l, "delta_l")
     for end in extremes(b, "impact parameter"):
         if not end > 0.0:

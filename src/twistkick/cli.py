@@ -30,15 +30,9 @@ written while numpy is not loaded takes the exact spelling whatever its
 size, so the text is the same either way.  ``json`` too is imported on
 first use, so a CSV call never loads it.
 
-``am-transfer`` and ``recoil-ratio`` run through ``sweeps._am_columns``.  A
-table of at most ``_FLOAT_ROWS`` = 1000 rows builds its grid with a
-pure-Python ``linspace`` that equals ``numpy.linspace`` bit for bit, runs
-on Python floats and loads no numpy; a longer one takes ``numpy.linspace``
-and one array.  Both give the same values.  Measured on a 2-core Xeon VM
-(medians of 7 alternating child runs, handler plus output, numpy import
-included; BENCH_23.json): 300 rows took 16-21 ms on floats against
-91-119 ms on the array path, 1000 rows 32-74 ms against 95-130 ms, and
-3000 rows 75-134 ms against 90-120 ms, so the two meet near 3000 rows.
+``am-transfer`` and ``recoil-ratio`` run through ``sweeps._am_columns``
+on the ``sweeps._linspace`` grid, which equals ``numpy.linspace`` bit for
+bit; ``sweeps`` documents when a table runs on Python floats.
 """
 
 from __future__ import annotations
@@ -57,7 +51,8 @@ from .pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, absorption_energy, \
     deuteron_threshold, focus_fraction, ratio_cut_radius, transverse_recoil_energy
-from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, _am_columns, run_sweep
+from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, _am_columns, _linspace, \
+    run_sweep
 from .transitions import TransitionChannel, _ratio_from_partition
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
@@ -66,7 +61,6 @@ from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, 
 
 _CA40_MEV = CA40_ION_MASS_EV / MEV
 _EXACT_TABLE_VALUES = 60  # a smaller table spells every value exactly
-_FLOAT_ROWS = 1000  # an AM table of at most this many rows runs on floats (docstring)
 
 
 def result_to_csv(result: SweepResult) -> str:
@@ -170,30 +164,10 @@ def _am_sweep(args, columns, kernel) -> SweepResult:
     if not math.isfinite(args.b_max_lambda - args.b_min_lambda):
         raise DomainError(f"sweep span [{args.b_min_lambda:g}, {args.b_max_lambda:g}] "
                           "lambda is beyond the floating-point range")
-    if args.count > _FLOAT_ROWS:
-        import numpy as np
-        xs = np.linspace(args.b_min_lambda, args.b_max_lambda, args.count)
-    else:
-        xs = _linspace(args.b_min_lambda, args.b_max_lambda, args.count)
+    xs = _linspace(args.b_min_lambda, args.b_max_lambda, args.count)
     table, _ = _am_columns([beam], TransitionChannel(float(args.multipole_j)), xs,
                            args.lambda_nm, kernel, strict=True)
     return _table(args, [("b", "lambda")] + columns, table)
-
-
-def _linspace(start: float, stop: float, count: int) -> list[float]:
-    """``numpy.linspace(start, stop, count)`` as a list of floats, by the
-    same operations, so the same bits (a test holds them equal)."""
-    div = count - 1
-    if div <= 0:
-        return [0.0 * (stop - start) + start]
-    delta = stop - start
-    step = delta / div
-    if step == 0.0:  # a zero span, or a step that underflows: scale the span, as numpy does
-        values = [i / div * delta + start for i in range(count)]
-    else:
-        values = [i * step + start for i in range(count)]
-    values[-1] = stop
-    return values
 
 
 def _am_transfer_columns(beam, b, partition, scalar):

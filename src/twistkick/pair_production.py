@@ -75,7 +75,7 @@ class PairThresholdQuery(namedtuple("PairThresholdQuery",
 def plane_wave_threshold(omega2: float) -> float:
     """Minimum VHE photon energy m_e^2/omega2 for untwisted head-on photons."""
     if not (omega2 > 0.0 and math.isfinite(omega2)):
-        raise DomainError(f"omega2 must be finite and positive, got {omega2}")
+        raise DomainError(f"omega2 must be finite and positive, got {shown(omega2)}")
     threshold = ELECTRON_MASS_EV * ELECTRON_MASS_EV / omega2
     if not math.isfinite(threshold):
         raise DomainError(
@@ -212,7 +212,8 @@ def fit_beam_for_threshold_factor(
     if not factor > 1.0:
         raise DomainError(f"threshold factor must exceed 1, got {shown(factor)}")
     if not w0_over_b > 0.0:
-        raise DomainError(f"w0/b must be positive, got {w0_over_b:g}")
+        raise DomainError("w0/b must be positive, got " + (
+            f"{w0_over_b:g}" if math.isfinite(w0_over_b) else shown(w0_over_b)))
     _check_l_gamma(l_gamma, 1)
     p_t = 2.0 * ELECTRON_MASS_EV * math.sqrt(factor - 1.0)
     b = l_gamma * HBARC_EV_NM / p_t

@@ -5,20 +5,25 @@ Every figure id carries documented default parameters (pitch angle, trap
 frequency, wavelength, ...) for the quantities its source plot leaves
 unstated; all of them are overridable.
 
-A figure builder takes the whole grid and returns ``(rows, codes)``: rows
-of Python floats and one code per row ("" where the row is defined, NaN
-values where it is not).  The AM panels (fig2-fig5) evaluate the grid at
-once through :func:`_am_columns`, the one AM sweep, which ``am-transfer``
-and ``recoil-ratio`` share (they run it point by point on Python floats up
-to 1000 rows).  fig6, fig7, fig8a and fig8b write one row
-function that takes a float or an array, and :func:`_whole_grid` calls it
-once on the array of every grid point; where that call raises, the grid
-runs per point through :func:`_per_point`, the one source of per-row error
-codes, as the two fixed tables do, without numpy.  Rows that carry a code
-(e.g. the vortex line b = 0) or a non-finite value are dropped and counted
-in the metadata, in total and per error code (``NON_FINITE`` for a
-non-finite value), never silently interpolated.  A sweep that drops every
-row raises the first row's coded error instead of returning an empty table.
+A grid (:meth:`GridSpec.values`) is a list of Python floats.  A figure
+builder takes it whole and returns ``(rows, codes)``: rows of Python floats
+and one code per row ("" where the row is defined, NaN values where it is
+not).  The AM panels (fig2-fig5) run :func:`_am_columns`, the one AM sweep,
+which ``am-transfer`` and ``recoil-ratio`` share; fig6, fig7, fig8a and
+fig8b write one row function of a float or an array for :func:`_whole_grid`.
+One rule, :func:`_on_floats`, picks for both: a grid of at most
+``FLOAT_ROWS`` = 1000 points in a process without numpy (a fresh CLI call)
+runs per point on Python floats, any other as one array, with the same
+values.  On a 2-core AMD EPYC VM without numpy an AM panel row (3 beams)
+costs 16-19 us and a fig7 row 16 us, against 41 ms to import numpy, so the
+dearest 1000-point float grid, an AM panel at ~19 ms, still wins.
+Where the array call raises, the grid runs per point through
+:func:`_per_point`, the one source of per-row error codes, as the two fixed
+tables do.  Rows that carry a code (e.g. the vortex line b = 0) or a
+non-finite value are dropped and counted in the metadata, in total and per
+error code (``NON_FINITE`` for a non-finite value), never silently
+interpolated.  A sweep that drops every row raises the first row's coded
+error instead of returning an empty table.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .pair_production import PairThresholdQuery, crossover_product, pair_thresho
     fit_beam_for_threshold_factor, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, deuteron_threshold, \
     transverse_recoil_energy
-from .transitions import TransitionChannel, _ratio_from_partition, am_partition, \
-    am_partitions, raise_first_row_error, raise_row_error, sublevel_profile
+from .transitions import TransitionChannel, _ratio_from_partition, am_partitions, \
+    raise_first_row_error, raise_row_error, sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
     constants_sha256, nonrel_recoil_energy, wavelength_to_energy
@@ -69,19 +74,44 @@ class GridSpec(namedtuple("GridSpec", "start stop count scale")):
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
-    def values(self) -> np.ndarray:
-        import numpy as np
+    def values(self) -> list[float]:
+        """The grid points, a list of Python floats."""
         if self.scale == "lin":
-            return np.linspace(self.start, self.stop, self.count)
+            return _linspace(self.start, self.stop, self.count)
         if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.count)
+            return _geomspace(self.start, self.stop, self.count)
         split = min(100.0 * self.start, 0.5 * self.stop)
         n_log = self.count // 2
-        n_lin = self.count - n_log
-        return np.concatenate([
-            np.geomspace(self.start, split, n_log, endpoint=False),
-            np.linspace(split, self.stop, n_lin),
-        ])
+        return _geomspace(self.start, split, n_log, endpoint=False) + \
+            _linspace(split, self.stop, self.count - n_log)
+
+
+def _linspace(start: float, stop: float, count: int, endpoint: bool = True) -> list[float]:
+    """``numpy.linspace(start, stop, count, endpoint)`` as a list of floats,
+    by the same operations, so the same bits (a test holds them equal)."""
+    div = count - 1 if endpoint else count
+    if div <= 0:
+        return [0.0 * (stop - start) + start]
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:  # a zero span, or a step that underflows: scale the span, as numpy does
+        values = [i / div * delta + start for i in range(count)]
+    else:
+        values = [i * step + start for i in range(count)]
+    if endpoint:
+        values[-1] = stop
+    return values
+
+
+_LOG10_MAX = math.log10(sys.float_info.max)  # 10.0 ** y overflows from here up
+
+
+def _geomspace(start: float, stop: float, count: int, endpoint: bool = True) -> list[float]:
+    """``numpy.geomspace`` of positive ends by numpy's steps, 10 ** y over
+    the :func:`_linspace` of the ends' log10 with the ends exact, on
+    Python's ``**``; a point beyond the float range is inf, as numpy's."""
+    ys = _linspace(math.log10(start), math.log10(stop), count, endpoint)[1:count - endpoint]
+    return [start, *(10.0 ** y if y < _LOG10_MAX else math.inf for y in ys)] + [stop] * endpoint
 
 
 class SweepSpec(namedtuple("SweepSpec", "figure_id overrides grid")):
@@ -117,6 +147,16 @@ class _Figure:
 _M_GAMMA_SERIES = (1, 2, 3)
 
 
+FLOAT_ROWS = 1000  # a grid of at most this many points may run on floats (module docstring)
+
+
+def _on_floats(count: int) -> bool:
+    """The one float-or-array rule: a grid of ``count`` points runs point by
+    point on Python floats while numpy is not loaded and ``count`` <=
+    FLOAT_ROWS, and as one array otherwise."""
+    return count <= FLOAT_ROWS and sys.modules.get("numpy") is None
+
+
 def _per_point(build_row):
     """Lift ``build_row(params) -> row(point)`` to a numpy-free whole-grid
     builder of ``(rows, codes)``, each value through ``float()``: a point whose
@@ -125,7 +165,7 @@ def _per_point(build_row):
     def build(params, points, strict=False):
         row = build_row(params)
         rows, codes = [], []
-        for point in points if isinstance(points, (list, tuple)) else points.tolist():
+        for point in points:
             try:
                 rows.append([float(v) for v in row(point)])
                 codes.append("")
@@ -141,13 +181,14 @@ def _per_point(build_row):
 
 def _whole_grid(build_row):
     """Lift ``build_row(params) -> row(point)``, whose row takes a float or an
-    array, to a whole-grid builder that calls the row once on the array of
-    every grid point.  Where that call raises a coded error, and with
-    ``strict``, the grid runs through :func:`_per_point` instead."""
+    array, to a whole-grid builder: where :func:`_on_floats` picks floats,
+    the grid runs through :func:`_per_point`; otherwise the row is called
+    once on the array of every grid point.  Where that call raises a coded
+    error, and with ``strict``, the grid runs through :func:`_per_point` too."""
     def build(params, points, strict=False):
-        import numpy as np
-        row = build_row(params)  # a build error propagates, as per point
-        if not strict:
+        if not (strict or _on_floats(len(points))):
+            import numpy as np
+            row = build_row(params)  # a build error propagates, as per point
             try:
                 with np.errstate(over="ignore"):  # overflow is inf, as on floats
                     columns = row(np.asarray(points, dtype=float))
@@ -166,22 +207,24 @@ def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
     """The AM sweep of ``am-transfer``, ``recoil-ratio`` and fig2-fig5: the
     table [xs, kernel columns of each beam] at b = xs * wavelength, and the
     first error code of each row, or with ``strict`` the error of the first
-    failing row of the first failing beam raised.  An array ``xs`` takes the
-    partitions of all ``beams`` from one :func:`am_partitions` call; a list
-    of floats, for one beam, runs point by point on Python floats.  Either
-    way each value is the same float."""
-    if isinstance(xs, list):
-        (beam,) = beams
-        rows, errors = [], []
+    failing row of the first failing beam raised.  The partitions of all
+    ``beams`` come from one :func:`am_partitions` call: per point on Python
+    floats where :func:`_on_floats` picks them, else on the array of ``xs``.
+    Either way each value is the same float."""
+    if _on_floats(len(xs)):
+        cells = []  # per point, the (columns, code) of each beam
         for x in xs:
             b = x * wavelength
-            values, code = kernel(beam, b, am_partition(beam, channel, b), True)
-            if strict:
-                raise_row_error(code, beam, channel, b)
-            rows.append([x, *values])
-            errors.append(code)
-        return rows, errors
+            cells.append([kernel(beam, b, partition, True)
+                          for beam, partition in zip(beams, am_partitions(beams, channel, b))])
+        for k, beam in enumerate(beams if strict else ()):  # beam-major, as the array path
+            for x, row in zip(xs, cells):
+                raise_row_error(row[k][1], beam, channel, x * wavelength)
+        return ([[x, *chain.from_iterable(values for values, _ in row)]
+                 for x, row in zip(xs, cells)],
+                [next((code for _, code in row if code), "") for row in cells])
     import numpy as np
+    xs = np.asarray(xs, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing b is a coded row error
         b = xs * wavelength
     columns = [xs]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import twistkick
-from twistkick import cli
+from twistkick import cli, sweeps
 from twistkick.cli import build_parser, main, result_to_csv, result_to_json
 from twistkick.sweeps import FIGURE_IDS, SweepResult, SweepSpec, run_sweep
 
@@ -321,8 +321,10 @@ def test_every_call_runs_with_scipy_blocked(capsys):
         assert status == 0 and out, argv
 
 
-# the subcommands that answer one point on Python floats, and their coded
-# errors (with a usage error)
+# the calls that run on Python floats: the subcommands that answer one
+# point, the AM sweeps and every figure grid up to 1000 points, and their
+# coded errors (with a usage error)
+GRID_FIGURES = [figure for figure in FIGURE_IDS if figure not in ("deuteron_table", "pair_table")]
 SCALAR_ARGV = [
     ["ion-recoil", "--b-nm", "10"], ["trap-jump", "--b-nm", "20"],
     ["sidebands", "--b-nm", "20"], ["pair-threshold", "--pitch-urad", "5", "--b-fm", "200"],
@@ -330,7 +332,15 @@ SCALAR_ARGV = [
     ["deuteron-threshold", "--b-fm", "89"], ["crossover"],
     ["reproduce", "--figure", "deuteron_table"],
 ] + [[name, *count] for name in ("am-transfer", "recoil-ratio")
-     for count in ([], ["--count", "1"], ["--count", "30"])]
+     for count in ([], ["--count", "1"], ["--count", "30"])] + [
+    ["reproduce", "--figure", figure] for figure in GRID_FIGURES] + [
+    ["reproduce", "--figure", "fig4b", "--grid-start", "1e-3", "--grid-stop", "1.5",
+     "--grid-count", "1000", "--grid-scale", "loglin"],
+    # rows at b <= 0 dropped and counted
+    ["reproduce", "--figure", "fig6", "--grid-start", "-1", "--grid-stop", "100"],
+    ["reproduce", "--figure", "fig3a", "--grid-start", "-0.5", "--grid-stop", "1",
+     "--grid-count", "7"],
+]
 SCALAR_ERROR_ARGV = [
     ["ion-recoil", "--b-nm", "0"], ["pair-threshold", "--pitch-urad", "5", "--b-fm", "0"],
     ["crossover", "--l-gamma", "0"], ["sidebands", "--b-nm", "10", "--n-max", "1"],
@@ -345,13 +355,19 @@ SCALAR_ERROR_ARGV = [
     ["recoil-ratio", "--lambda-nm", "1e300", "--b-min-lambda", "1e300"],
     ["reproduce", "--figure", "fig6", "--set", "no_such_key=1"],
     ["reproduce", "--figure", "deuteron_table", "--set", "theta_k=abc"],
+    # every row dropped
+    ["reproduce", "--figure", "fig7", "--set", "sigma_nm=-1"],
+    ["reproduce", "--figure", "fig2a", "--set", "theta_k=0"],
+    ["reproduce", "--figure", "fig8a", "--grid-start", "-5", "--grid-stop", "0",
+     "--grid-count", "4"],
 ]
 
 
 def test_scalar_calls_run_with_numpy_blocked(capsys, tmp_path):
     # importing the CLI loads neither dataclasses nor json; with every numpy
     # import failing (so the import loads none either), the child runs each
-    # scalar subcommand, fixed table and coded error in CSV and JSON, and
+    # scalar subcommand, AM sweep, fixed table, figure grid of up to 1000
+    # points and coded error in CSV and JSON, and
     # each gives the status, stdout and stderr it gives here; a table written
     # with --output holds what stdout would
     argvs = [argv + ["--format", fmt] for argv in SCALAR_ARGV + SCALAR_ERROR_ARGV
@@ -378,13 +394,14 @@ def test_focus_fraction_loads_no_numpy_polynomial_or_linalg():
 
 
 @pytest.mark.parametrize("argv", [
-    ["am-transfer", "--count", str(cli._FLOAT_ROWS + 1)], ["focus-fraction", "--w0-pm", "50"],
-    ["reproduce", "--figure", "fig7"],
+    ["am-transfer", "--count", str(sweeps.FLOAT_ROWS + 1)], ["focus-fraction", "--w0-pm", "50"],
+    ["reproduce", "--figure", "fig7", "--grid-start", "10", "--grid-stop", "3000",
+     "--grid-count", str(sweeps.FLOAT_ROWS + 1)],
 ], ids=["am-transfer", "focus-fraction", "fig7"])
 def test_array_bessel_tables_load_no_numpy_ma(argv):
     # the octave groups of an array Bessel table are found without
-    # np.unique, which loads numpy.ma; an am-transfer table beyond the
-    # float rows builds one
+    # np.unique, which loads numpy.ma; an am-transfer table or a fig7 grid
+    # beyond the float rows builds one
     _, ((status, _, _),), loaded = run_cli_in_child([argv], report=["numpy"])
     assert (status, "numpy" in loaded, "numpy.ma" in loaded) == (0, True, False)
 
@@ -529,8 +546,8 @@ def test_linspace_is_numpy_linspace():
         scale = 10.0 ** rng.uniform(-320, 300)
         ends.append((rng.uniform(-1.0, 1.0) * scale, rng.uniform(-1.0, 1.0) * scale))
     for i, (start, stop) in enumerate(ends):
-        count = [1, 2, 3, 300, cli._FLOAT_ROWS][i % 5] if i < 100 else rng.randint(1, 40)
-        assert repr(cli._linspace(start, stop, count)) == \
+        count = [1, 2, 3, 300, sweeps.FLOAT_ROWS][i % 5] if i < 100 else rng.randint(1, 40)
+        assert repr(sweeps._linspace(start, stop, count)) == \
             repr(np.linspace(start, stop, count).tolist()), (start, stop, count)
 
 
@@ -544,28 +561,31 @@ def _seeded_am_argv(rng):
             "--format", rng.choice(["csv", "json"])]
 
 
-@pytest.mark.parametrize("count", [1, 30, 300, cli._FLOAT_ROWS, cli._FLOAT_ROWS + 1])
+@pytest.mark.parametrize("count", [1, 30, 300, sweeps.FLOAT_ROWS, sweeps.FLOAT_ROWS + 1])
 def test_am_tables_on_floats_equal_the_array_tables(capsys, monkeypatch, count):
     # each seeded am-transfer and recoil-ratio table, and its first-row
     # error, is the same text whether its rows run on Python floats or on
-    # one array, on both sides of the row count where the CLI switches
+    # one array, on both sides of the row count where a process without
+    # numpy switches (the float-or-array rule is forced, as numpy is loaded
+    # here)
     rng = random.Random(2303 + count)
     statuses = set()
     for _ in range(8 if count < 300 else 3):
         argv = _seeded_am_argv(rng) + ["--count", str(count)]
         outcomes = []
-        for float_rows in (10**7, cli._FLOAT_ROWS, 0):
-            monkeypatch.setattr(cli, "_FLOAT_ROWS", float_rows)
+        for float_rows in (10**7, sweeps.FLOAT_ROWS, 0):
+            monkeypatch.setattr(sweeps, "_on_floats", lambda n, rows=float_rows: n <= rows)
             outcomes.append(run_main(capsys, *argv))
         assert outcomes[0] == outcomes[1] == outcomes[2], argv
         statuses.add(outcomes[0][0])
     assert 0 in statuses
 
 
-def test_am_columns_of_float_points_are_the_array_rows():
-    # one beam's AM sweep on a list of floats against the array: rows by
-    # repr, the code of each row, and with strict the error of the first
-    # failing row
+def test_am_columns_of_float_points_are_the_array_rows(monkeypatch):
+    # the AM sweep of one to three beams on a list of floats against the
+    # array: rows by repr, the first code of each row, and with strict the
+    # error of the first failing row of the first failing beam (the
+    # float-or-array rule forced each way)
     from twistkick.sweeps import _am_columns, _lz_cm_column
     from twistkick.transitions import TransitionChannel, _ratio_from_partition
     from twistkick.beam import TwistedPhotonBeam
@@ -573,17 +593,21 @@ def test_am_columns_of_float_points_are_the_array_rows():
     rng = random.Random(2304)
     for _ in range(120):
         theta = rng.choice([0.0, rng.uniform(0.0, 1.5)])
-        beams = [TwistedPhotonBeam(rng.choice([-3, 0, 1, 2, 3, 62, -64]),
-                                   rng.choice([-1, 1]), 3.1, theta)]
+        beams = [TwistedPhotonBeam(rng.choice([-3, 0, 1, 2, 3, 62, -64, 70]),
+                                   rng.choice([-1, 1]), 3.1, theta)
+                 for _ in range(rng.randint(1, 3))]
         channel = TransitionChannel(rng.randint(1, 3), rng.choice([0.0, 0.5]))
         xs = [rng.choice([-1.0, 0.0, math.nan, 1e300, rng.uniform(0.0, 3.0)])
               for _ in range(rng.randint(1, 12))]
         for kernel in (_lz_cm_column, _ratio_from_partition):
+            monkeypatch.setattr(sweeps, "_on_floats", lambda n: True)
             floats = _am_columns(beams, channel, xs, 400.0, kernel)
+            monkeypatch.setattr(sweeps, "_on_floats", lambda n: False)
             array = _am_columns(beams, channel, np.array(xs), 400.0, kernel)
             assert repr(floats) == repr(array), (beams, xs)
             errors = []
-            for points in (xs, np.array(xs)):
+            for on_floats, points in ((True, xs), (False, np.array(xs))):
+                monkeypatch.setattr(sweeps, "_on_floats", lambda n, f=on_floats: f)
                 try:
                     _am_columns(beams, channel, points, 400.0, kernel, strict=True)
                     errors.append(None)

@@ -235,6 +235,30 @@ def test_fit_names_a_nan_factor_without_spelling_it():
                               "got a non-finite value (an input overflows)")
 
 
+@pytest.mark.parametrize("call, finite_call, finite_message", [
+    (lambda x: plane_wave_threshold(x), lambda: plane_wave_threshold(-2.5),
+     "omega2 must be finite and positive, got -2.5"),
+    (lambda x: fit_beam_for_threshold_factor(10.0, x), lambda: fit_beam_for_threshold_factor(
+        10.0, 0.0), "omega2 must be finite and positive, got 0.0"),
+    (lambda x: fit_beam_for_threshold_factor(10.0, 2.5, 1, x),
+     lambda: fit_beam_for_threshold_factor(10.0, 2.5, 1, -0.5), "w0/b must be positive, got -0.5"),
+    (lambda x: beam.superkick(x, 1.0), lambda: beam.superkick(-1.5, 1.0),
+     "delta_l must be non-negative, got -1.5"),
+], ids=["plane_wave_threshold", "fit-omega2", "fit-w0_over_b", "superkick"])
+def test_nan_inputs_are_named_without_spelling_them(call, finite_call, finite_message):
+    # a NaN input is a coded DOMAIN error whose text names it through
+    # errors.shown rather than spelling "nan"; a finite input's message is
+    # the value as before
+    with pytest.raises(DomainError) as err:
+        call(math.nan)
+    assert err.value.code == "DOMAIN"
+    assert "nan" not in str(err.value).lower()
+    assert str(err.value).endswith("got a non-finite value (an input overflows)")
+    with pytest.raises(DomainError) as err:
+        finite_call()
+    assert str(err.value) == finite_message
+
+
 def test_query_validation():
     with pytest.raises(DomainError):
         PairThresholdQuery(omega2=0.0, pitch_angle=0.0)

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -554,3 +556,146 @@ def test_numpy_integers_pass_every_integer_check():
         assert bessel_j_array(order, [7.5]).tolist() == [bessel_j(int(order), 7.5)]
     with pytest.raises(DomainError):
         bessel_j(np.float64(3.0), 7.5)
+
+
+def _ulps(a, b):
+    return np.abs(np.array(a).view(np.int64) - np.array(b).view(np.int64))
+
+
+def _seeded_grids(count):
+    # ends log-uniform over the float range, each scale and count; a loglin
+    # grid spans a factor of at least 3, so its log part rises
+    rng = random.Random(2401)
+    grids = [figure.grid for figure in sweeps._REGISTRY.values() if figure.grid is not None]
+    for _ in range(count):
+        scale = rng.choice(["lin", "log", "loglin"])
+        start = 10.0 ** rng.uniform(-320.0, 290.0)
+        stop = start * 10.0 ** rng.uniform(0.5 if scale == "loglin" else 1e-3,
+                                           min(12.0, 308.0 - math.log10(start)))
+        grids.append(GridSpec(start, stop, rng.choice([2, 3, 20, 200, 1000, 1001]), scale))
+    return grids
+
+
+def test_grid_values_are_python_floats_near_numpy():
+    # the grid of each scale is a list of Python floats with exact ends,
+    # strictly increasing: lin is np.linspace bit for bit; log and loglin
+    # are Python's 10.0 ** y over np.linspace of the ends' math.log10 (ends
+    # exact), within 1 ulp of np.geomspace (or of its np.concatenate form)
+    # wherever math.log10 and numpy's log10 agree on the ends.  They may
+    # not: glibc's log10 misses by an ulp on ~0.04% of inputs, which moves
+    # the points by a few ulps
+    agreeing = 0
+    for grid in _seeded_grids(600):
+        start, stop, count, scale = grid
+        values = grid.values()
+        assert {type(v) for v in values} == {float} and len(values) == count, grid
+        # a loglin grid of 2 points is its start and the split, as numpy's
+        # concatenate form gives: its one lin point is the split
+        last = min(100.0 * start, 0.5 * stop) if (scale, count) == ("loglin", 2) else stop
+        assert values[0] == start and values[-1] == last, grid
+        assert all(a < b for a, b in zip(values, values[1:])), grid
+        if scale == "lin":
+            assert repr(values) == repr(np.linspace(start, stop, count).tolist()), grid
+            continue
+        if scale == "log":
+            parts = [(start, stop, count, True)]
+        else:
+            split, n_log = min(100.0 * start, 0.5 * stop), count // 2
+            parts = [(start, split, n_log, False)]
+        powers, numpy_grid = [], []
+        for low, high, n, endpoint in parts:
+            ys = np.linspace(math.log10(low), math.log10(high), n, endpoint=endpoint).tolist()
+            powers += [low] + [10.0 ** y for y in ys[1:n - endpoint]] + [high] * endpoint
+            numpy_grid += np.geomspace(low, high, n, endpoint=endpoint).tolist()
+        if scale == "loglin":
+            powers += np.linspace(split, stop, count - n_log).tolist()
+            numpy_grid += np.linspace(split, stop, count - n_log).tolist()
+        assert repr(values) == repr(powers), grid
+        ends = [end for low, high, _, _ in parts for end in (low, high)]
+        if all(math.log10(end) == float(np.log10(end)) for end in ends):
+            agreeing += 1
+            assert _ulps(values, numpy_grid).max() <= 1, grid
+    assert agreeing > 300
+
+
+def test_log_grid_point_beyond_the_float_range_is_inf():
+    # the interior points of a log grid at the top of the float range round
+    # past it: inf, as np.geomspace gives, not an OverflowError from **
+    grid = GridSpec(1.7976931348623155e308, 1.7976931348623157e308, 4, "log")
+    with np.errstate(over="ignore"):
+        expected = np.geomspace(grid.start, grid.stop, 4).tolist()
+    assert grid.values() == expected == [grid.start, math.inf, math.inf, grid.stop]
+
+
+def test_grid_values_load_no_numpy():
+    # with every numpy import failing, each grid is built and holds the
+    # values it holds here
+    grids = _seeded_grids(30)
+    code = ("import sys\nsys.modules['numpy'] = None\n"
+            "from twistkick.sweeps import GridSpec\n"
+            f"print(repr([GridSpec(*g).values() for g in {[tuple(g) for g in grids]!r}]))\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == repr([grid.values() for grid in grids]) + "\n"
+
+
+_GRID_FIGURES = [figure_id for figure_id in FIGURE_IDS
+                 if sweeps._REGISTRY[figure_id].grid is not None]
+# the float parameters a seeded spec overrides, drawn log-uniformly
+_FLOAT_OVERRIDES = {"lambda_nm": (100.0, 2000.0), "theta_k": (1e-4, 1.2),
+                    "sigma_nm": (0.1, 500.0), "trap_mhz": (0.01, 50.0),
+                    "omega2_ev": (1e-3, 1e3), "pitch_urad": (1e-2, 1e4), "b_fm": (1.0, 1e5)}
+
+
+def _seeded_grid_spec(rng, figure_id, count):
+    # overrides beyond the defaults, and a grid through b = 0 (at 20 and
+    # 1000 points), from b = 0 (at 200) or one that scales the figure's
+    # default grid
+    figure = sweeps._REGISTRY[figure_id]
+    overrides = {key: math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                 for key, (lo, hi) in _FLOAT_OVERRIDES.items()
+                 if key in figure.defaults and rng.random() < 0.5}
+    for key, (lo, hi) in (("m_gamma", (-66, 66)), ("l_gamma", (-1, 4))):
+        if key in figure.defaults and rng.random() < 0.4:
+            overrides[key] = rng.randint(lo, hi)
+    start, stop, _, scale = figure.grid
+    if count in (20, sweeps.FLOAT_ROWS):
+        grid = GridSpec(-0.25 * stop, stop, count)
+    elif count == 200:  # from b = 0, where some beams fail, past the Bessel range
+        grid = GridSpec(0.0, 1e7 * stop, count)
+    else:
+        factor = 10.0 ** rng.uniform(-2.0, 2.0)
+        grid = GridSpec(start * factor, stop * factor * 10.0 ** rng.uniform(-0.5, 1.0), count,
+                        scale)
+    return SweepSpec(figure_id, overrides=overrides, grid=grid)
+
+
+def _caught(func):
+    try:
+        return repr(func())
+    except TwistkickError as exc:
+        return type(exc), exc.code, str(exc)
+
+
+@pytest.mark.parametrize("figure_id", _GRID_FIGURES)
+def test_grid_figures_on_floats_equal_the_array_path(monkeypatch, figure_id):
+    # the float-or-array rule forced each way: at seeded overrides and grids
+    # of 2 to 1001 points, each figure's rows (by repr) and codes, its
+    # strict error (first failing row, then first failing beam) and its
+    # run_sweep table and metadata, or error, are the same
+    rng = random.Random(2402 + FIGURE_IDS.index(figure_id))
+    figure = sweeps._REGISTRY[figure_id]
+    strict_raised = set()
+    for count in (2, 20, 200, sweeps.FLOAT_ROWS, sweeps.FLOAT_ROWS + 1):
+        spec = _seeded_grid_spec(rng, figure_id, count)
+        params = {**figure.defaults, **spec.overrides}
+        points = spec.grid.values()
+        outcomes = []
+        for on_floats in (True, False):
+            monkeypatch.setattr(sweeps, "_on_floats", lambda n, f=on_floats: f)
+            outcomes.append((_caught(lambda: figure.builder(params, points)),
+                             _caught(lambda: figure.builder(params, points, strict=True)),
+                             _outcome(spec)))
+        assert outcomes[0] == outcomes[1], spec
+        strict_raised.add(isinstance(outcomes[0][1], tuple))
+    assert strict_raised == {True, False}  # some seeded grid fails strictly, some does not
