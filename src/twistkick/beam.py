@@ -7,6 +7,12 @@ Fourier components all propagate at the pitch angle theta_k to the beam
 axis, giving a transverse wavenumber kappa = (E/hbar c) sin(theta_k) and a
 position-space amplitude J_{l_gamma}(kappa rho) exp(-rho^2/w0^2) once a
 Gaussian envelope of scale w0 is imposed.
+
+The profile's quadrature (:func:`radial_intensity_integral`) runs its nodes
+on Python floats through :func:`bessel_gauss_amplitudes` where the
+package's float-or-array rule (:func:`twistkick.units.on_floats`, at most
+``FLOAT_NODES`` nodes) picks floats, and as numpy tables otherwise; both
+take the same nodes, products and summation order.
 """
 
 from __future__ import annotations
@@ -15,11 +21,13 @@ import functools
 import math
 import numbers
 from collections import namedtuple
+from operator import add
 
 from .errors import ConfigurationError, DomainError, QuadratureError, shown
-from .special_functions import bessel_i_scaled_orders, bessel_j, bessel_j_array, \
-    check_bessel_domain, first_lobe_peak_argument
-from .units import HBARC_EV_NM, check_float_range, energy_to_wavelength, extremes
+from .special_functions import _BANDS, _j_list, bessel_i_scaled_orders, bessel_j, \
+    bessel_j_array, check_bessel_domain, first_lobe_peak_argument
+from .units import FLOAT_NODES, HBARC_EV_NM, check_float_range, energy_to_wavelength, \
+    extremes, on_floats
 
 #: Pitch angle used by figure sweeps when none is specified.  The value is a
 #: documented modeling default, not a measured quantity; every consumer
@@ -42,7 +50,7 @@ class TwistedPhotonBeam(namedtuple("TwistedPhotonBeam",
         if lambda_spin not in (-1, 1):
             raise DomainError(f"lambda_spin must be +1 or -1, got {lambda_spin}")
         if not isinstance(m_gamma, numbers.Integral):
-            raise DomainError(f"m_gamma must be an integer, got {m_gamma!r}")
+            raise DomainError(f"m_gamma must be an integer, got {shown(m_gamma)}")
         if not 0.0 < energy < math.inf:
             raise DomainError(f"energy must be positive and finite, got {shown(energy)}")
         if not 0.0 <= pitch_angle < 0.5 * math.pi:
@@ -148,6 +156,25 @@ def bessel_gauss_amplitude(beam: TwistedPhotonBeam, rho) -> float | np.ndarray:
     return bessel_j_array(beam.l_gamma, kappa * rho) * np.exp(-((rho / w0) ** 2))
 
 
+def bessel_gauss_amplitudes(beam: TwistedPhotonBeam, rhos: list[float]) -> list[float]:
+    """:func:`bessel_gauss_amplitude` at each of ``rhos``, a list of floats
+    >= 0 (nm), as a list of floats, without numpy: the array call's checks
+    once, then J_l from the float Bessel row of each point, which the array
+    table equals bit for bit, times ``math.exp`` of the envelope
+    (``numpy.exp`` may round it an ulp apart)."""
+    w0 = _require_w0(beam)
+    kappa = transverse_wavenumber(beam)
+    if not min(rhos) >= 0.0:
+        raise DomainError("rho must be non-negative")
+    l = beam.l_gamma
+    n = abs(l)
+    check_bessel_domain(l, kappa * max(rhos))
+    top = _BANDS[0] if n <= _BANDS[0] else _BANDS[1]
+    sign = -1.0 if l < 0 and n % 2 else 1.0  # J_{-n} = (-1)^n J_n
+    return [sign * _j_list(top, kappa * rho, n + 1)[n] * math.exp(-(rho / w0) * (rho / w0))
+            for rho in rhos]
+
+
 # 16-node Gauss-Legendre panels, evaluated _PANEL_CHUNK panels at a time so
 # that kappa * upper near the Bessel limit (~3e5 panels) stays small in memory
 _MIN_PANELS = 8
@@ -169,11 +196,31 @@ _GL16_HALF = (
 )
 
 
+#: the 16 (node, weight) pairs in ascending order
+_GL16 = tuple((-node, weight) for node, weight in reversed(_GL16_HALF)) + _GL16_HALF
+
+
 @functools.cache
-def _gauss_legendre():  # the nodes and weights, built at the first quadrature
+def _gauss_legendre():  # the nodes and weights, built at the first array quadrature
     import numpy as np
-    node, weight = np.array(_GL16_HALF).T
-    return np.concatenate([-node[::-1], node]), np.concatenate([weight[::-1], weight])
+    return np.array([node for node, _ in _GL16]), np.array([weight for _, weight in _GL16])
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """The sum of ``values`` in the order ``numpy.sum`` adds a contiguous
+    float array (its pairwise summation): fewer than 8 values one by one,
+    up to 128 as eight running sums of every eighth value, more as the sums
+    of two halves split at a multiple of 8."""
+    count = len(values)
+    if count < 8:
+        return functools.reduce(add, values, 0.0)
+    if count <= 128:
+        stop = count - count % 8
+        r = [functools.reduce(add, values[j:stop:8]) for j in range(8)]
+        return functools.reduce(add, values[stop:],
+                      ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = count // 2 - count // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def radial_intensity_integral(
@@ -187,15 +234,43 @@ def radial_intensity_integral(
     sum and the estimate its change from the P-panel one.  Each pass is
     summed in chunks of at most _PANEL_CHUNK panels, whose amplitudes come
     from shared tables of at most _PANEL_CHUNK panels (one while 3P fits).
+
+    Where :func:`on_floats` picks floats for the 48 P nodes of both passes
+    (at most ``FLOAT_NODES``), each pass is one chunk of Python floats: the
+    same nodes and products from :func:`bessel_gauss_amplitudes`, summed in
+    ``numpy.sum``'s order, so the two paths differ only where ``math.exp``
+    and ``numpy.exp`` round an envelope apart (within a few ulps of the
+    value; a test bounds it).
     """
-    import numpy as np
     kappa = transverse_wavenumber(beam)
     check_bessel_domain(beam.l_gamma, kappa * upper)
     panels = max(_MIN_PANELS, math.ceil(kappa * (upper - lower) / (2.0 * math.pi)))
+    steps = {count: (upper - lower) / count for count in (panels, 2 * panels)}
+    node_sums = _float_sums if on_floats(48 * panels, FLOAT_NODES) else _array_sums
+    sums = node_sums(beam, lower, steps)
+    coarse, fine = (0.5 * step * sums[count] for count, step in steps.items())
+    return fine, abs(fine - coarse)
+
+
+def _float_sums(beam: TwistedPhotonBeam, lower: float, steps: dict) -> dict:
+    # the node sum of each pass {panels: step}, on Python floats: one chunk a
+    # pass, summed in numpy.sum's order
+    rule = [(0.5 * (node + 1.0), weight) for node, weight in _GL16]
+    sums = dict.fromkeys(steps, 0.0)
+    for count, step in steps.items():
+        rhos = [lower + step * (i + offset) for i in range(count) for offset, _ in rule]
+        amps = bessel_gauss_amplitudes(beam, rhos)
+        sums[count] += _pairwise_sum(
+            [a * a * rho * weight for a, rho, (_, weight) in zip(amps, rhos, rule * count)])
+    return sums
+
+
+def _array_sums(beam: TwistedPhotonBeam, lower: float, steps: dict) -> dict:
+    # the node sum of each pass {panels: step}, on numpy tables
+    import numpy as np
+    sums = dict.fromkeys(steps, 0.0)
     nodes, weights = _gauss_legendre()
     offsets = 0.5 * (nodes + 1.0)
-    steps = {count: (upper - lower) / count for count in (panels, 2 * panels)}
-    sums = dict.fromkeys(steps, 0.0)
     # the chunks of both passes in order, packed into tables greedily
     tables = [[]]
     for count in steps:
@@ -213,8 +288,7 @@ def radial_intensity_integral(
         for (count, _, _), rho in zip(table, rhos):
             part, amp = amp[:len(rho)], amp[len(rho):]
             sums[count] += float(np.sum(part * part * rho * weights))
-    coarse, fine = (0.5 * step * sums[count] for count, step in steps.items())
-    return fine, abs(fine - coarse)
+    return sums
 
 
 def radial_intensity_total(beam: TwistedPhotonBeam) -> float:

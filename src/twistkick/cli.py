@@ -31,8 +31,8 @@ size, so the text is the same either way.  ``json`` too is imported on
 first use, so a CSV call never loads it.
 
 ``am-transfer`` and ``recoil-ratio`` run through ``sweeps._am_columns``
-on the ``sweeps._linspace`` grid, which equals ``numpy.linspace`` bit for
-bit; ``sweeps`` documents when a table runs on Python floats.
+on the ``units._linspace`` grid, which equals ``numpy.linspace`` bit for
+bit; ``units`` documents when a table runs on Python floats.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ from .pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, absorption_energy, \
     deuteron_threshold, focus_fraction, ratio_cut_radius, transverse_recoil_energy
-from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, _am_columns, _linspace, \
-    run_sweep
+from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, _am_columns, run_sweep
 from .transitions import TransitionChannel, _ratio_from_partition
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
 from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, KEV, \
-    MEV, NEV, PM, check_float_range, nonrel_recoil_energy, wavelength_to_energy
+    MEV, NEV, PM, _linspace, check_float_range, nonrel_recoil_energy, wavelength_to_energy
 
 _CA40_MEV = CA40_ION_MASS_EV / MEV
 _EXACT_TABLE_VALUES = 60  # a smaller table spells every value exactly

@@ -8,11 +8,13 @@ import math
 
 
 def shown(value) -> str:
-    """``value`` as error text: a string quoted, a non-finite float (from an
-    input that overflows) named as such rather than spelled nan or inf, an
-    integer of more than 20 digits named by its length instead of echoed
-    digit for digit."""
-    if isinstance(value, float) and not math.isfinite(value):
+    """``value`` as error text: a string quoted, a NaN named as a value that
+    is not a number and an infinite float as a non-finite value from an
+    input that overflows, rather than spelled nan or inf, an integer of more
+    than 20 digits named by its length instead of echoed digit for digit."""
+    if isinstance(value, float) and math.isnan(value):
+        return "a value that is not a number"
+    if isinstance(value, float) and math.isinf(value):
         return "a non-finite value (an input overflows)"
     if isinstance(value, int) and abs(value) >= 10**20:
         digits = int(math.log10(abs(value)))  # may round across a power of ten

@@ -20,6 +20,11 @@ p_T = (m_e^2/w2) sin(theta_k), i.e. at the product
     b*theta_k = l_gamma hbar c w2/m_e^2 * theta_k/sin(theta_k),
 
 invariant up to the relative term theta_k^2/6.
+
+The beam fit (:func:`fit_beam_for_threshold_factor`) checks its profile on
+a grid of 4000 points: on Python floats in a process without numpy, as one
+array otherwise (:func:`twistkick.units.on_floats`), so ``beam-fit`` and
+``reproduce --figure pair_table`` load no numpy.
 """
 
 from __future__ import annotations
@@ -28,17 +33,19 @@ import math
 import numbers
 from collections import namedtuple
 
-from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, first_lobe_peak_argument, \
-    profile_peak_radius, superkick
+from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, bessel_gauss_amplitudes, \
+    first_lobe_peak_argument, profile_peak_radius, superkick
 from .errors import DomainError, SolverError, shown
 from .recoil_kinematics import ThresholdSolution
-from .units import ELECTRON_MASS_EV, HBARC_EV_NM, check_float_range, extremes, \
-    per_element, sqrt
+from .units import ELECTRON_MASS_EV, FLOAT_FIT_POINTS, HBARC_EV_NM, _linspace, \
+    check_float_range, extremes, on_floats, per_element, sqrt
+
+_FIT_GRID_POINTS = 4000  # of the profile grid that checks a fit's peak
 
 
 def _check_l_gamma(l_gamma, least: int) -> None:
     if not (isinstance(l_gamma, numbers.Integral) and l_gamma >= least):
-        raise DomainError(f"l_gamma must be an integer >= {least}, got {l_gamma!r}")
+        raise DomainError(f"l_gamma must be an integer >= {least}, got {shown(l_gamma)}")
     check_float_range(l_gamma, "l_gamma")
 
 
@@ -175,6 +182,22 @@ def crossover_product(
     return CrossoverResult(mean, (max(products) - min(products)) / mean, pitch_angles)
 
 
+def _profile_grid(beam: TwistedPhotonBeam, end: float):
+    """``(rho, |amplitude|, largest |amplitude|)`` on the fit's grid of
+    ``_FIT_GRID_POINTS`` radii over [0, ``end``]: lists of Python floats
+    where :func:`on_floats` picks them, else numpy arrays.  The radii are
+    the same floats; an amplitude may differ by an ulp or two where
+    ``math.exp`` and ``numpy.exp`` round its envelope apart."""
+    if on_floats(_FIT_GRID_POINTS, FLOAT_FIT_POINTS):
+        rho = _linspace(0.0, end, _FIT_GRID_POINTS)
+        grid = [abs(a) for a in bessel_gauss_amplitudes(beam, rho)]
+        return rho, grid, max(grid)
+    import numpy as np
+    rho = np.linspace(0.0, end, _FIT_GRID_POINTS)
+    grid = np.abs(bessel_gauss_amplitude(beam, rho))
+    return rho, grid, grid.max()
+
+
 class BeamFitResult(namedtuple("BeamFitResult", "threshold_factor p_T impact_parameter "
                                "pitch_angle envelope_w0 photon_energy peak_radius")):
     """Beam parameters realizing a requested threshold increase: the required
@@ -207,7 +230,10 @@ def fit_beam_for_threshold_factor(
     interior peak), theta_k > 1 rad, the global maximum (``peak_radius``)
     misses b by more than 1e-7 b, or a 4000-point grid of the profile over
     [0, min(10, sqrt(-ln|A(b)|)) w0] exceeds its value A(b) at b (so kappa
-    times that radius must be <= 1e6).
+    times that radius must be <= 1e6).  The grid runs on Python floats
+    where :func:`twistkick.units.on_floats` picks them (a process without
+    numpy), else as one array: the same radii, and amplitudes within an ulp
+    or two, so the same check.
     """
     if not factor > 1.0:
         raise DomainError(f"threshold factor must exceed 1, got {shown(factor)}")
@@ -242,12 +268,11 @@ def fit_beam_for_threshold_factor(
     # peak_radius solves the fit's own equation, so a grid of the profile checks
     # that b is the global maximum (to rounding at a grid point next to b); it
     # ends where the envelope, which bounds the profile, falls below |A(b)|
-    import numpy as np
     at_b = abs(bessel_gauss_amplitude(beam, b))
-    rho = np.linspace(0.0, min(10.0, math.sqrt(-math.log(at_b))) * w0, 4000)
-    grid = np.abs(bessel_gauss_amplitude(beam, rho))
-    if grid.max() > at_b * (1.0 + 1e-12):
-        raise SolverError(f"fitted profile is larger at {rho[grid.argmax()]:g} nm "
+    rho, grid, top = _profile_grid(beam, min(10.0, math.sqrt(-math.log(at_b))) * w0)
+    if top > at_b * (1.0 + 1e-12):
+        first = next(r for r, a in zip(rho, grid) if a == top)
+        raise SolverError(f"fitted profile is larger at {first:g} nm "
                           f"than at b = {b:g} nm", code="FIT")
     return BeamFitResult(
         threshold_factor=factor,

@@ -253,7 +253,7 @@ def check_bessel_domain(n: int, x: float) -> None:
     """Raise DomainError unless n is an integer with |n| <= 64 and x is
     finite with |x| <= 1e6."""
     if not isinstance(n, numbers.Integral):
-        raise DomainError(f"Bessel order must be an integer, got {n!r}")
+        raise DomainError(f"Bessel order must be an integer, got {shown(n)}")
     if abs(int(n)) > MAX_ORDER:
         raise DomainError(f"Bessel order |n| <= {MAX_ORDER} supported, got {shown(n)}")
     check_bessel_argument(x)

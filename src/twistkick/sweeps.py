@@ -11,13 +11,12 @@ and one code per row ("" where the row is defined, NaN values where it is
 not).  The AM panels (fig2-fig5) run :func:`_am_columns`, the one AM sweep,
 which ``am-transfer`` and ``recoil-ratio`` share; fig6, fig7, fig8a and
 fig8b write one row function of a float or an array for :func:`_whole_grid`.
-One rule, :func:`_on_floats`, picks for both: a grid of at most
-``FLOAT_ROWS`` = 1000 points in a process without numpy (a fresh CLI call)
-runs per point on Python floats, any other as one array, with the same
-values.  On a 2-core AMD EPYC VM without numpy an AM panel row (3 beams)
-costs 16-19 us and a fig7 row 16 us, against 41 ms to import numpy, so the
-dearest 1000-point float grid, an AM panel at ~19 ms, still wins.
-Where the array call raises, the grid runs per point through
+The package's float-or-array rule, :func:`twistkick.units.on_floats`,
+picks for both: a grid of at most ``FLOAT_ROWS`` = 1000 points in a
+process without numpy (a fresh CLI call) runs per point on Python floats,
+any other as one array, with the same values.  The fixed tables run per
+point; ``pair_table``'s beam fits check their grids on floats by the same
+rule.  Where the array call raises, the grid runs per point through
 :func:`_per_point`, the one source of per-row error codes, as the two fixed
 tables do.  Rows that carry a code (e.g. the vortex line b = 0) or a
 non-finite value are dropped and counted in the metadata, in total and per
@@ -44,15 +43,16 @@ from .recoil_kinematics import TargetParticle, deuteron_threshold, \
 from .transitions import TransitionChannel, _ratio_from_partition, am_partitions, \
     raise_first_row_error, raise_row_error, sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
-from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FM, GEV, KEV, MEV, NEV, \
-    constants_sha256, nonrel_recoil_energy, wavelength_to_energy
+from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FLOAT_ROWS, FM, GEV, KEV, MEV, NEV, \
+    _linspace, constants_sha256, nonrel_recoil_energy, on_floats, wavelength_to_energy
 
 
 class GridSpec(namedtuple("GridSpec", "start stop count scale")):
     """1-D sweep axis: floats [start, stop] with an integer ``count`` of
     points, spaced linearly ("lin"), geometrically ("log"), or geometrically
     up to min(100*start, stop/2) and linearly beyond ("loglin", resolving
-    both the a -> 0 limit and structure at O(stop))."""
+    both the a -> 0 limit and structure at O(stop)).  Every grid starts at
+    ``start`` and ends at ``stop``."""
 
     __slots__ = ()
 
@@ -82,25 +82,9 @@ class GridSpec(namedtuple("GridSpec", "start stop count scale")):
             return _geomspace(self.start, self.stop, self.count)
         split = min(100.0 * self.start, 0.5 * self.stop)
         n_log = self.count // 2
-        return _geomspace(self.start, split, n_log, endpoint=False) + \
-            _linspace(split, self.stop, self.count - n_log)
-
-
-def _linspace(start: float, stop: float, count: int, endpoint: bool = True) -> list[float]:
-    """``numpy.linspace(start, stop, count, endpoint)`` as a list of floats,
-    by the same operations, so the same bits (a test holds them equal)."""
-    div = count - 1 if endpoint else count
-    if div <= 0:
-        return [0.0 * (stop - start) + start]
-    delta = stop - start
-    step = delta / div
-    if step == 0.0:  # a zero span, or a step that underflows: scale the span, as numpy does
-        values = [i / div * delta + start for i in range(count)]
-    else:
-        values = [i * step + start for i in range(count)]
-    if endpoint:
-        values[-1] = stop
-    return values
+        # a lin part of one point is the stop, so that every grid ends there
+        lin = _linspace(split, self.stop, self.count - n_log) if self.count > 2 else [self.stop]
+        return _geomspace(self.start, split, n_log, endpoint=False) + lin
 
 
 _LOG10_MAX = math.log10(sys.float_info.max)  # 10.0 ** y overflows from here up
@@ -147,16 +131,6 @@ class _Figure:
 _M_GAMMA_SERIES = (1, 2, 3)
 
 
-FLOAT_ROWS = 1000  # a grid of at most this many points may run on floats (module docstring)
-
-
-def _on_floats(count: int) -> bool:
-    """The one float-or-array rule: a grid of ``count`` points runs point by
-    point on Python floats while numpy is not loaded and ``count`` <=
-    FLOAT_ROWS, and as one array otherwise."""
-    return count <= FLOAT_ROWS and sys.modules.get("numpy") is None
-
-
 def _per_point(build_row):
     """Lift ``build_row(params) -> row(point)`` to a numpy-free whole-grid
     builder of ``(rows, codes)``, each value through ``float()``: a point whose
@@ -181,12 +155,12 @@ def _per_point(build_row):
 
 def _whole_grid(build_row):
     """Lift ``build_row(params) -> row(point)``, whose row takes a float or an
-    array, to a whole-grid builder: where :func:`_on_floats` picks floats,
+    array, to a whole-grid builder: where :func:`on_floats` picks floats,
     the grid runs through :func:`_per_point`; otherwise the row is called
     once on the array of every grid point.  Where that call raises a coded
     error, and with ``strict``, the grid runs through :func:`_per_point` too."""
     def build(params, points, strict=False):
-        if not (strict or _on_floats(len(points))):
+        if not (strict or on_floats(len(points), FLOAT_ROWS)):
             import numpy as np
             row = build_row(params)  # a build error propagates, as per point
             try:
@@ -209,9 +183,9 @@ def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
     first error code of each row, or with ``strict`` the error of the first
     failing row of the first failing beam raised.  The partitions of all
     ``beams`` come from one :func:`am_partitions` call: per point on Python
-    floats where :func:`_on_floats` picks them, else on the array of ``xs``.
+    floats where :func:`on_floats` picks them, else on the array of ``xs``.
     Either way each value is the same float."""
-    if _on_floats(len(xs)):
+    if on_floats(len(xs), FLOAT_ROWS):
         cells = []  # per point, the (columns, code) of each beam
         for x in xs:
             b = x * wavelength

@@ -11,6 +11,30 @@ lengths in nm and energies in eV and every formula below is regime-blind.
 
 Constants are frozen CODATA-2018 values so that all derived tables are
 bit-reproducible.
+
+**Floats or arrays.**  A kernel that runs over many points computes them
+either one by one on Python floats or as one numpy array, with the same
+values (or, where ``math.exp`` and ``numpy.exp`` round apart, within a few
+ulps); :func:`on_floats` is the one rule that picks.  A kernel runs on
+floats while numpy is not loaded (a fresh CLI call) and its own count is at
+most its own limit, and as one array otherwise, so in-process callers,
+which have numpy loaded, keep the array code.  Each limit keeps the dearest
+float call of its kernel well below what importing numpy costs, 40 ms on a
+2-core AMD EPYC VM (73 ms for ``python -c "import numpy"`` against 33 ms
+for ``python -c pass``).  Measured there, in a process without numpy:
+
+- ``FLOAT_ROWS`` = 1000 rows of a figure grid or an AM sweep
+  (:mod:`twistkick.sweeps`): an AM panel row (3 beams) costs 16-19 us and a
+  fig7 row 16 us, so a grid costs at most ~19 ms.
+- ``FLOAT_FIT_POINTS`` = 4000, every point of a beam fit's grid check
+  (:mod:`twistkick.pair_production`): a point costs 2-3 us for l_gamma <= 8
+  and up to 6 us at l_gamma = 64, so a whole fit takes 9-14 ms, and 24 ms
+  at l_gamma = 64.
+- ``FLOAT_NODES`` = 2400 nodes of one profile integral, both passes (50
+  panels, :func:`twistkick.beam.radial_intensity_integral`): a node costs
+  2.1-3.7 us for |l_gamma| <= 8 and up to 8.2 us at |l_gamma| = 64, so an
+  integral costs at most ~20 ms.  The ``focus-fraction`` draws of the
+  ``cli_calls`` benchmark need up to 112 panels; 1.6% of them exceed 50.
 """
 
 from __future__ import annotations
@@ -70,6 +94,38 @@ def constants_sha256() -> str:
     ",".  The constants are frozen, so the digest is too; the tests recompute
     it from :func:`constants_table`."""
     return "1bcfcc73313c3fe9dff2f45f7f7dfd012544257c0b8a85cf3b0ecdea4080449a"
+
+
+# --- floats or arrays (module docstring) -------------------------------------
+
+#: the most items each kernel runs on Python floats (module docstring)
+FLOAT_ROWS = 1000
+FLOAT_FIT_POINTS = 4000
+FLOAT_NODES = 2400
+
+
+def on_floats(count: int, most: int) -> bool:
+    """The one float-or-array rule: ``count`` items run one by one on Python
+    floats while numpy is not loaded and ``count`` <= ``most``, the limit of
+    the kernel asking, and as one array otherwise."""
+    return count <= most and sys.modules.get("numpy") is None
+
+
+def _linspace(start: float, stop: float, count: int, endpoint: bool = True) -> list[float]:
+    """``numpy.linspace(start, stop, count, endpoint)`` as a list of floats,
+    by the same operations, so the same bits (a test holds them equal)."""
+    div = count - 1 if endpoint else count
+    if div <= 0:
+        return [0.0 * (stop - start) + start]
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:  # a zero span, or a step that underflows: scale the span, as numpy does
+        values = [i / div * delta + start for i in range(count)]
+    else:
+        values = [i * step + start for i in range(count)]
+    if endpoint:
+        values[-1] = stop
+    return values
 
 
 # --- conversions -------------------------------------------------------------

@@ -322,15 +322,20 @@ def test_every_call_runs_with_scipy_blocked(capsys):
 
 
 # the calls that run on Python floats: the subcommands that answer one
-# point, the AM sweeps and every figure grid up to 1000 points, and their
-# coded errors (with a usage error)
+# point, the AM sweeps, every figure grid up to 1000 points, the beam fits
+# and the profile integrals up to the float nodes, and their coded errors
+# (with a usage error)
 GRID_FIGURES = [figure for figure in FIGURE_IDS if figure not in ("deuteron_table", "pair_table")]
 SCALAR_ARGV = [
     ["ion-recoil", "--b-nm", "10"], ["trap-jump", "--b-nm", "20"],
     ["sidebands", "--b-nm", "20"], ["pair-threshold", "--pitch-urad", "5", "--b-fm", "200"],
     ["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1"],
     ["deuteron-threshold", "--b-fm", "89"], ["crossover"],
-    ["reproduce", "--figure", "deuteron_table"],
+    ["reproduce", "--figure", "deuteron_table"], ["reproduce", "--figure", "pair_table"],
+    ["beam-fit"], ["beam-fit", "--l-gamma", "2", "--w0-over-b", "2.5"],
+    # the inner integral alone, with the outer one, and b* >= 8 w0 (none)
+    ["focus-fraction", "--w0-pm", "50"], ["focus-fraction", "--w0-pm", "0.5"],
+    ["focus-fraction", "--w0-pm", "0.1"],
 ] + [[name, *count] for name in ("am-transfer", "recoil-ratio")
      for count in ([], ["--count", "1"], ["--count", "30"])] + [
     ["reproduce", "--figure", figure] for figure in GRID_FIGURES] + [
@@ -353,6 +358,8 @@ SCALAR_ERROR_ARGV = [
     ["am-transfer", "--m-gamma", "70"], ["recoil-ratio", "--m-gamma", "70"],
     ["am-transfer", "--lambda-nm", "1e300", "--b-min-lambda", "1e300"],
     ["recoil-ratio", "--lambda-nm", "1e300", "--b-min-lambda", "1e300"],
+    ["beam-fit", "--factor", "1"], ["beam-fit", "--w0-over-b", "1"],
+    ["focus-fraction", "--w0-pm", "50", "--ratio-cut", "0"],
     ["reproduce", "--figure", "fig6", "--set", "no_such_key=1"],
     ["reproduce", "--figure", "deuteron_table", "--set", "theta_k=abc"],
     # every row dropped
@@ -367,7 +374,7 @@ def test_scalar_calls_run_with_numpy_blocked(capsys, tmp_path):
     # importing the CLI loads neither dataclasses nor json; with every numpy
     # import failing (so the import loads none either), the child runs each
     # scalar subcommand, AM sweep, fixed table, figure grid of up to 1000
-    # points and coded error in CSV and JSON, and
+    # points, beam fit, focus fraction and coded error in CSV and JSON, and
     # each gives the status, stdout and stderr it gives here; a table written
     # with --output holds what stdout would
     argvs = [argv + ["--format", fmt] for argv in SCALAR_ARGV + SCALAR_ERROR_ARGV
@@ -394,14 +401,17 @@ def test_focus_fraction_loads_no_numpy_polynomial_or_linalg():
 
 
 @pytest.mark.parametrize("argv", [
-    ["am-transfer", "--count", str(sweeps.FLOAT_ROWS + 1)], ["focus-fraction", "--w0-pm", "50"],
+    ["am-transfer", "--count", str(sweeps.FLOAT_ROWS + 1)],
+    # an inner integral of 159 panels, 7632 nodes
+    ["focus-fraction", "--w0-pm", "500", "--ratio-cut", "1e-4"],
     ["reproduce", "--figure", "fig7", "--grid-start", "10", "--grid-stop", "3000",
      "--grid-count", str(sweeps.FLOAT_ROWS + 1)],
 ], ids=["am-transfer", "focus-fraction", "fig7"])
 def test_array_bessel_tables_load_no_numpy_ma(argv):
     # the octave groups of an array Bessel table are found without
     # np.unique, which loads numpy.ma; an am-transfer table or a fig7 grid
-    # beyond the float rows builds one
+    # beyond the float rows, or a profile integral beyond the float nodes,
+    # builds one
     _, ((status, _, _),), loaded = run_cli_in_child([argv], report=["numpy"])
     assert (status, "numpy" in loaded, "numpy.ma" in loaded) == (0, True, False)
 
@@ -574,7 +584,7 @@ def test_am_tables_on_floats_equal_the_array_tables(capsys, monkeypatch, count):
         argv = _seeded_am_argv(rng) + ["--count", str(count)]
         outcomes = []
         for float_rows in (10**7, sweeps.FLOAT_ROWS, 0):
-            monkeypatch.setattr(sweeps, "_on_floats", lambda n, rows=float_rows: n <= rows)
+            monkeypatch.setattr(sweeps, "on_floats", lambda n, most, rows=float_rows: n <= rows)
             outcomes.append(run_main(capsys, *argv))
         assert outcomes[0] == outcomes[1] == outcomes[2], argv
         statuses.add(outcomes[0][0])
@@ -600,14 +610,14 @@ def test_am_columns_of_float_points_are_the_array_rows(monkeypatch):
         xs = [rng.choice([-1.0, 0.0, math.nan, 1e300, rng.uniform(0.0, 3.0)])
               for _ in range(rng.randint(1, 12))]
         for kernel in (_lz_cm_column, _ratio_from_partition):
-            monkeypatch.setattr(sweeps, "_on_floats", lambda n: True)
+            monkeypatch.setattr(sweeps, "on_floats", lambda n, most: True)
             floats = _am_columns(beams, channel, xs, 400.0, kernel)
-            monkeypatch.setattr(sweeps, "_on_floats", lambda n: False)
+            monkeypatch.setattr(sweeps, "on_floats", lambda n, most: False)
             array = _am_columns(beams, channel, np.array(xs), 400.0, kernel)
             assert repr(floats) == repr(array), (beams, xs)
             errors = []
             for on_floats, points in ((True, xs), (False, np.array(xs))):
-                monkeypatch.setattr(sweeps, "_on_floats", lambda n, f=on_floats: f)
+                monkeypatch.setattr(sweeps, "on_floats", lambda n, most, f=on_floats: f)
                 try:
                     _am_columns(beams, channel, points, 400.0, kernel, strict=True)
                     errors.append(None)

@@ -232,7 +232,7 @@ def test_fit_names_a_nan_factor_without_spelling_it():
     with pytest.raises(DomainError) as err:
         fit_beam_for_threshold_factor(math.nan, 2.5)
     assert str(err.value) == ("threshold factor must exceed 1, "
-                              "got a non-finite value (an input overflows)")
+                              "got a value that is not a number")
 
 
 @pytest.mark.parametrize("call, finite_call, finite_message", [
@@ -253,7 +253,7 @@ def test_nan_inputs_are_named_without_spelling_them(call, finite_call, finite_me
         call(math.nan)
     assert err.value.code == "DOMAIN"
     assert "nan" not in str(err.value).lower()
-    assert str(err.value).endswith("got a non-finite value (an input overflows)")
+    assert str(err.value).endswith("got a value that is not a number")
     with pytest.raises(DomainError) as err:
         finite_call()
     assert str(err.value) == finite_message
@@ -327,17 +327,75 @@ def test_fit_wide_envelope_peaks_at_b(l_gamma, w0_over_b):
     assert abs(fit.peak_radius - fit.impact_parameter) <= 1e-12 * fit.impact_parameter
 
 
+def _force_rule(monkeypatch, on_floats):
+    # the float-or-array rule of the fit's grid, forced (numpy is loaded here)
+    monkeypatch.setattr(pair_production, "on_floats", lambda count, most: on_floats)
+
+
 def test_fit_grid_check_sees_a_larger_lobe_than_b(monkeypatch):
     # a root on the second lobe of J_1 that the peak search confirms: only
-    # the grid of the fitted profile sees that the first lobe is larger
+    # the grid of the fitted profile sees that the first lobe is larger, on
+    # Python floats as on the array, naming the same radius
     b = HBARC_EV_NM / (6.0 * ELECTRON_MASS_EV)
     monkeypatch.setattr(pair_production, "first_lobe_peak_argument",
                         lambda l_gamma, envelope_slope: 5.3314)
     monkeypatch.setattr(pair_production, "profile_peak_radius", lambda beam: b)
-    with pytest.raises(SolverError) as err:
-        fit_beam_for_threshold_factor(10.0, 2.5)
-    assert err.value.code == "FIT"
-    assert "fitted profile is larger at" in str(err.value)
+    messages = []
+    for on_floats in (True, False):
+        _force_rule(monkeypatch, on_floats)
+        with pytest.raises(SolverError) as err:
+            fit_beam_for_threshold_factor(10.0, 2.5)
+        assert err.value.code == "FIT"
+        assert "fitted profile is larger at" in str(err.value)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def _flag_range_fit_draws(count=40, seed=25):
+    # (factor, omega2, l_gamma, w0/b) over the range of each beam-fit flag:
+    # factors from just above 1, omega2 over seven decades, every order and
+    # envelopes from just wide enough for an interior peak to 1e5 b
+    rng = random.Random(seed)
+    draws = [(10.0, 2.5, 1, 2.0), (10.0, 2.5, 2, 2.5), (10.0, 2.5, 64, 2.0),
+             (10.0, 1e6, 1, 2.0), (10.0, 2.5, 1, 1.0)]  # two FIT errors
+    for _ in range(count):
+        l_gamma = rng.choice([1, 2, rng.randint(1, 64)])
+        draws.append((1.0 + 10.0 ** rng.uniform(-6.0, 6.0), 10.0 ** rng.uniform(-3.0, 4.0),
+                      l_gamma, math.sqrt(2.0 / l_gamma) * math.exp(rng.uniform(0.01, 12.0))))
+    return draws
+
+
+def test_fit_grid_on_floats_is_the_array_grid(monkeypatch):
+    # seeded fits over every beam-fit flag's range give the same result or
+    # error with the grid on Python floats as on the array; and on each
+    # grid a fit checks, both hold the same radii bit for bit, the same
+    # first maximum, and amplitudes within 2 ulps (math.exp and numpy.exp
+    # may round the envelope apart)
+    checked = []
+    profile_grid = pair_production._profile_grid
+
+    def recorded(beam_, end):
+        checked.append((beam_, end))
+        return profile_grid(beam_, end)
+
+    monkeypatch.setattr(pair_production, "_profile_grid", recorded)
+    for draw in _flag_range_fit_draws():
+        outcomes = []
+        for on_floats in (True, False):
+            _force_rule(monkeypatch, on_floats)
+            outcomes.append(_fit_outcome(draw))
+        assert outcomes[0] == outcomes[1], draw
+    assert len(checked) > 80  # two calls a draw that reaches the grid
+    for beam_, end in checked[::2]:
+        _force_rule(monkeypatch, True)
+        rho, grid, top = profile_grid(beam_, end)
+        _force_rule(monkeypatch, False)
+        rho_array, grid_array, top_array = profile_grid(beam_, end)
+        assert type(rho) is list and {type(v) for v in grid} == {float}
+        assert repr(rho) == repr(rho_array.tolist())
+        assert grid.index(top) == int(np.argmax(grid_array)), beam_
+        ulps = np.abs(np.array(grid).view(np.int64) - grid_array.view(np.int64))
+        assert ulps.max() <= 2, beam_
 
 
 @pytest.mark.parametrize("call", [
@@ -351,6 +409,7 @@ def test_non_integer_l_gamma_is_domain_error(call, l_gamma):
         call(l_gamma)
     assert err.value.code == "DOMAIN"
     assert "l_gamma" in str(err.value)
+    assert "nan" not in str(err.value).lower()
 
 
 def _fit_draws(count=60, seed=22):

@@ -59,6 +59,17 @@ def test_first_j0_root_bracketed_bisection():
     assert bessel_j(0, root) == pytest.approx(0.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("order, shown", [
+    (math.nan, "a value that is not a number"),
+    (-math.inf, "a non-finite value (an input overflows)"), (2.5, "2.5"),
+])
+def test_non_integer_order_is_named_without_spelling_it(order, shown):
+    for call in (lambda: bessel_j(order, 1.0), lambda: bessel_j_array(order, [1.0, 2.0])):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"Bessel order must be an integer, got {shown}"
+
+
 def test_negative_order_symmetry_bitwise():
     rng = np.random.default_rng(3)
     for _ in range(100):

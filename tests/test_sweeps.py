@@ -589,10 +589,7 @@ def test_grid_values_are_python_floats_near_numpy():
         start, stop, count, scale = grid
         values = grid.values()
         assert {type(v) for v in values} == {float} and len(values) == count, grid
-        # a loglin grid of 2 points is its start and the split, as numpy's
-        # concatenate form gives: its one lin point is the split
-        last = min(100.0 * start, 0.5 * stop) if (scale, count) == ("loglin", 2) else stop
-        assert values[0] == start and values[-1] == last, grid
+        assert values[0] == start and values[-1] == stop, grid
         assert all(a < b for a, b in zip(values, values[1:])), grid
         if scale == "lin":
             assert repr(values) == repr(np.linspace(start, stop, count).tolist()), grid
@@ -607,15 +604,28 @@ def test_grid_values_are_python_floats_near_numpy():
             ys = np.linspace(math.log10(low), math.log10(high), n, endpoint=endpoint).tolist()
             powers += [low] + [10.0 ** y for y in ys[1:n - endpoint]] + [high] * endpoint
             numpy_grid += np.geomspace(low, high, n, endpoint=endpoint).tolist()
-        if scale == "loglin":
-            powers += np.linspace(split, stop, count - n_log).tolist()
-            numpy_grid += np.linspace(split, stop, count - n_log).tolist()
+        if scale == "loglin":  # a lin part of one point is the stop
+            lin = np.linspace(split, stop, count - n_log).tolist() if count > 2 else [stop]
+            powers += lin
+            numpy_grid += lin
         assert repr(values) == repr(powers), grid
         ends = [end for low, high, _, _ in parts for end in (low, high)]
         if all(math.log10(end) == float(np.log10(end)) for end in ends):
             agreeing += 1
             assert _ulps(values, numpy_grid).max() <= 1, grid
     assert agreeing > 300
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5])
+def test_loglin_grid_of_few_points_ends_at_stop(count):
+    # the log part takes count // 2 points, the lin part the rest; a lin
+    # part of one point is the stop, not the split
+    for start, stop in [(1e-3, 1.5), (1.0, 100.0), (1e-300, 1e300), (2.0, 6.0)]:
+        values = GridSpec(start, stop, count, "loglin").values()
+        assert len(values) == count and values[0] == start and values[-1] == stop
+        assert all(a < b for a, b in zip(values, values[1:]))
+    assert GridSpec(1e-3, 1.5, 2, "loglin").values() == [1e-3, 1.5]
+    assert GridSpec(1e-3, 1.5, 3, "loglin").values() == [1e-3, 0.1, 1.5]
 
 
 def test_log_grid_point_beyond_the_float_range_is_inf():
@@ -692,7 +702,7 @@ def test_grid_figures_on_floats_equal_the_array_path(monkeypatch, figure_id):
         points = spec.grid.values()
         outcomes = []
         for on_floats in (True, False):
-            monkeypatch.setattr(sweeps, "_on_floats", lambda n, f=on_floats: f)
+            monkeypatch.setattr(sweeps, "on_floats", lambda n, most, f=on_floats: f)
             outcomes.append((_caught(lambda: figure.builder(params, points)),
                              _caught(lambda: figure.builder(params, points, strict=True)),
                              _outcome(spec)))

@@ -466,7 +466,7 @@ def test_nan_impact_parameter_is_named(function):
         function(make_beam(1), TransitionChannel(1), float("nan"))
     assert err.value.code == "DOMAIN"
     assert str(err.value) == ("impact parameter must be a finite number, "
-                              "got a non-finite value (an input overflows)")
+                              "got a value that is not a number")
 
 
 def test_am_partitions_match_one_beam_at_a_time():
