@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections import namedtuple
 from operator import add
 
-from .errors import ConfigurationError, DomainError, QuadratureError, shown
+from .errors import ConfigurationError, DomainError, QuadratureError
 from .special_functions import _BANDS, _j_list, bessel_i_scaled_orders, bessel_j, \
     bessel_j_array, check_bessel_domain, first_lobe_peak_argument
-from .units import FLOAT_NODES, HBARC_EV_NM, check_float_range, energy_to_wavelength, \
-    extremes, on_floats
+from .units import FLOAT_NODES, HBARC_EV_NM, check, energy_to_wavelength, extremes, \
+    on_floats
 
 #: Pitch angle used by figure sweeps when none is specified.  The value is a
 #: documented modeling default, not a measured quantity; every consumer
@@ -47,26 +46,17 @@ class TwistedPhotonBeam(namedtuple("TwistedPhotonBeam",
     __slots__ = ()
 
     def __new__(cls, m_gamma, lambda_spin, energy, pitch_angle, envelope_w0=None):
-        if lambda_spin not in (-1, 1):
-            raise DomainError(f"lambda_spin must be +1 or -1, got {lambda_spin}")
-        if not isinstance(m_gamma, numbers.Integral):
-            raise DomainError(f"m_gamma must be an integer, got {shown(m_gamma)}")
-        if not 0.0 < energy < math.inf:
-            raise DomainError(f"energy must be positive and finite, got {shown(energy)}")
-        if not 0.0 <= pitch_angle < 0.5 * math.pi:
-            raise DomainError(f"pitch angle must lie in [0, pi/2), got {shown(pitch_angle)}")
-        if envelope_w0 is not None and not 0.0 < envelope_w0 < math.inf:
-            raise DomainError(
-                f"envelope_w0 must be positive and finite, got {shown(envelope_w0)}"
-            )
-        return super().__new__(cls, m_gamma, lambda_spin, energy, pitch_angle, envelope_w0)
+        return super().__new__(
+            cls, check(m_gamma, "m_gamma"), check(lambda_spin, "lambda_spin"),
+            check(energy, "energy"), check(pitch_angle, "pitch angle"),
+            None if envelope_w0 is None else check(envelope_w0, "envelope_w0"))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
     @property
     def l_gamma(self) -> int:
         """Orbital index l_gamma = m_gamma - Lambda."""
-        return int(self.m_gamma) - int(self.lambda_spin)
+        return self.m_gamma - self.lambda_spin
 
     @property
     def wavelength(self) -> float:
@@ -100,14 +90,7 @@ def superkick(delta_l: int, b) -> float | np.ndarray:
     target's own extent, which callers must model explicitly.  An array
     raises for the whole array where the float call raises for some b.
     """
-    if not delta_l >= 0:
-        raise DomainError(f"delta_l must be non-negative, got {shown(delta_l)}")
-    check_float_range(delta_l, "delta_l")
-    for end in extremes(b, "impact parameter"):
-        if not end > 0.0:
-            raise DomainError(
-                f"impact parameter must be positive, got {shown(end)}", code="B_SINGULARITY"
-            )
+    delta_l, b = check(delta_l, "delta_l"), check(b, "b kick")
     if isinstance(b, (float, int)):
         return delta_l * HBARC_EV_NM / b
     import numpy as np
@@ -145,15 +128,17 @@ def bessel_gauss_amplitude(beam: TwistedPhotonBeam, rho) -> float | np.ndarray:
     """
     w0 = _require_w0(beam)
     kappa = transverse_wavenumber(beam)
-    if isinstance(rho, numbers.Real):
-        if rho < 0.0:
-            raise DomainError(f"rho must be non-negative, got {rho}")
-        return bessel_j(beam.l_gamma, kappa * rho) * math.exp(-(rho / w0) ** 2)
+    rho = check(rho, "rho")
+    if isinstance(rho, (float, int)):  # an envelope of 0 where (rho/w0)^2 overflows
+        envelope = math.exp(-(rho / w0) ** 2) if rho / w0 < 1e150 else 0.0
+        return bessel_j(beam.l_gamma, kappa * rho) * envelope
     import numpy as np
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0):
-        raise DomainError("rho must be non-negative")
-    return bessel_j_array(beam.l_gamma, kappa * rho) * np.exp(-((rho / w0) ** 2))
+    # the largest rho first, so that kappa rho is only formed within the domain
+    check_bessel_domain(beam.l_gamma, kappa * max(extremes(rho), default=0.0))
+    with np.errstate(over="ignore"):  # an envelope of 0 where the square overflows
+        envelope = np.exp(-((rho / w0) ** 2))
+    return bessel_j_array(beam.l_gamma, kappa * rho) * envelope
 
 
 def bessel_gauss_amplitudes(beam: TwistedPhotonBeam, rhos: list[float]) -> list[float]:
@@ -164,8 +149,7 @@ def bessel_gauss_amplitudes(beam: TwistedPhotonBeam, rhos: list[float]) -> list[
     (``numpy.exp`` may round it an ulp apart)."""
     w0 = _require_w0(beam)
     kappa = transverse_wavenumber(beam)
-    if not min(rhos) >= 0.0:
-        raise DomainError("rho must be non-negative")
+    check(min(rhos), "rho")
     l = beam.l_gamma
     n = abs(l)
     check_bessel_domain(l, kappa * max(rhos))

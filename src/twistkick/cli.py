@@ -20,15 +20,12 @@ The two spellings differ in four classes only: values that round to an
 integer, +-0 included (``repr`` adds ".0"), 1e12 <= |x| < 1e16 (``%g``
 switches to exponent form there and ``repr`` does not), subnormals
 (``repr`` is shorter), and NaN and +-inf (JSON spells them NaN and
-Infinity).  A numpy mask finds a superset of these values, and each of them
-is written as ``json.dumps`` of its CSV value parsed back.  That spelling is
-right for every value, so a table of fewer than 60 values (every scalar
-subcommand's, sidebands up to ``--n-max 18``) takes it for all of them and
-needs no numpy, whose import costs ~0.1 s; once numpy is loaded the mask is
-the cheaper from about a dozen values up, ~0.1 ms cheaper at 60.  A table
-written while numpy is not loaded takes the exact spelling whatever its
-size, so the text is the same either way.  ``json`` too is imported on
-first use, so a CSV call never loads it.
+Infinity).  Once numpy is loaded, a numpy mask finds a superset of these
+values, and each of them is written as ``json.dumps`` of its CSV value
+parsed back.  That spelling is right for every value, so a table written
+while numpy is not loaded takes it for all of its values and needs no numpy,
+whose import costs ~0.1 s; the text is the same either way.  ``json`` too is
+imported on first use, so a CSV call never loads it.
 
 ``am-transfer`` and ``recoil-ratio`` run through ``sweeps._am_columns``
 on the ``units._linspace`` grid, which equals ``numpy.linspace`` bit for
@@ -46,7 +43,7 @@ from itertools import chain
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
-from .errors import DomainError, TruncationWarning, TwistkickError, shown
+from .errors import DomainError, TruncationWarning, TwistkickError
 from .pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, absorption_energy, \
@@ -56,10 +53,9 @@ from .transitions import TransitionChannel, _ratio_from_partition
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
 from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, KEV, \
-    MEV, NEV, PM, _linspace, check_float_range, nonrel_recoil_energy, wavelength_to_energy
+    MEV, NEV, PM, _linspace, check, nonrel_recoil_energy, wavelength_to_energy
 
 _CA40_MEV = CA40_ION_MASS_EV / MEV
-_EXACT_TABLE_VALUES = 60  # a smaller table spells every value exactly
 
 
 def result_to_csv(result: SweepResult) -> str:
@@ -99,7 +95,7 @@ def result_to_json(result: SweepResult) -> str:
     slots = ["\n      %s"] * width
     slots[0] = "\n    [" + slots[0]
     slots[-1] += "\n    ]"
-    if len(values) < _EXACT_TABLE_VALUES or sys.modules.get("numpy") is None:
+    if sys.modules.get("numpy") is None:
         # every value spelled exactly; json.dumps spells each value of a list
         # as it spells that value alone
         specs = slots * len(result.rows)
@@ -178,9 +174,7 @@ def _cmd_ion_recoil(args) -> SweepResult:
     delta_l = args.m_gamma - args.lambda_spin
     # the library takes an infinite mass as a recoil-free absorber; here it
     # can only be a --mass-mev whose conversion to eV overflows
-    mass = args.mass_mev * MEV
-    if not 0.0 < mass < math.inf:
-        raise DomainError(f"ion_mass must be positive and finite, got {shown(mass)}")
+    mass = check(args.mass_mev * MEV, "ion_mass")
     target = TargetParticle(mass, args.b_nm)
     e_long = nonrel_recoil_energy(energy, target.mass)
     e_t = transverse_recoil_energy(target, delta_l) if delta_l > 0 else 0.0
@@ -250,15 +244,12 @@ def _cmd_pair_threshold(args) -> SweepResult:
     l_gamma = args.l_gamma
     if args.pt_mev is None:
         b = args.b_fm * FM
-    elif args.pt_mev < 0.0:
-        raise DomainError(f"p_T must be non-negative, got {args.pt_mev:g} MeV/c")
-    elif args.pt_mev == 0.0:
+    elif check(args.pt_mev, "p_T kick") == 0.0:
         b, l_gamma = 0.0, 0
     elif not math.isfinite(args.pt_mev * MEV):
         raise DomainError(f"p_T = {args.pt_mev:g} MeV/c is beyond the floating-point range")
     else:  # express the requested kick as the impact parameter delivering it
-        check_float_range(l_gamma, "l_gamma")
-        b = l_gamma * HBARC_EV_NM / (args.pt_mev * MEV)
+        b = check(l_gamma, "l_gamma") * HBARC_EV_NM / (args.pt_mev * MEV)
     solution = pair_threshold(
         PairThresholdQuery(args.omega2_ev, args.pitch_urad * 1e-6, b, l_gamma)
     )

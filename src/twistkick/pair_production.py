@@ -30,23 +30,16 @@ array otherwise (:func:`twistkick.units.on_floats`), so ``beam-fit`` and
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 
 from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, bessel_gauss_amplitudes, \
     first_lobe_peak_argument, profile_peak_radius, superkick
 from .errors import DomainError, SolverError, shown
 from .recoil_kinematics import ThresholdSolution
-from .units import ELECTRON_MASS_EV, FLOAT_FIT_POINTS, HBARC_EV_NM, _linspace, \
-    check_float_range, extremes, on_floats, per_element, sqrt
+from .units import ELECTRON_MASS_EV, FLOAT_FIT_POINTS, HBARC_EV_NM, _linspace, check, \
+    extremes, on_floats, per_element, sqrt
 
 _FIT_GRID_POINTS = 4000  # of the profile grid that checks a fit's peak
-
-
-def _check_l_gamma(l_gamma, least: int) -> None:
-    if not (isinstance(l_gamma, numbers.Integral) and l_gamma >= least):
-        raise DomainError(f"l_gamma must be an integer >= {least}, got {shown(l_gamma)}")
-    check_float_range(l_gamma, "l_gamma")
 
 
 class PairThresholdQuery(namedtuple("PairThresholdQuery",
@@ -59,17 +52,9 @@ class PairThresholdQuery(namedtuple("PairThresholdQuery",
     __slots__ = ()
 
     def __new__(cls, omega2, pitch_angle, impact_parameter=0.0, l_gamma=0):
-        if not (omega2 > 0.0 and math.isfinite(omega2)):
-            raise DomainError(f"omega2 must be finite and positive, got {shown(omega2)}")
-        for theta in extremes(pitch_angle, "pitch angle"):
-            if not 0.0 <= theta < 0.5 * math.pi:
-                raise DomainError(f"pitch angle must lie in [0, pi/2), got {shown(theta)}")
-        ends = extremes(impact_parameter, "impact parameter")
-        for b in ends:
-            if not math.isfinite(b):
-                raise DomainError(f"impact parameter must be finite, got {shown(b)}")
-        _check_l_gamma(l_gamma, 0)
-        if l_gamma > 0 and not all(b > 0.0 for b in ends):
+        omega2, pitch_angle = check(omega2, "omega2"), check(pitch_angle, "pitch angles")
+        impact_parameter, l_gamma = check(impact_parameter, "b finite"), check(l_gamma, "l_gamma")
+        if l_gamma > 0 and not all(b > 0.0 for b in extremes(impact_parameter)):
             raise DomainError(
                 "l_gamma > 0 requires a positive impact parameter",
                 code="B_SINGULARITY",
@@ -81,8 +66,7 @@ class PairThresholdQuery(namedtuple("PairThresholdQuery",
 
 def plane_wave_threshold(omega2: float) -> float:
     """Minimum VHE photon energy m_e^2/omega2 for untwisted head-on photons."""
-    if not (omega2 > 0.0 and math.isfinite(omega2)):
-        raise DomainError(f"omega2 must be finite and positive, got {shown(omega2)}")
+    omega2 = check(omega2, "omega2")
     threshold = ELECTRON_MASS_EV * ELECTRON_MASS_EV / omega2
     if not math.isfinite(threshold):
         raise DomainError(
@@ -94,12 +78,7 @@ def plane_wave_threshold(omega2: float) -> float:
 
 def small_angle_threshold(omega2: float, p_t: float) -> float:
     """Threshold in the very-small-pitch-angle limit: m_e^2/w2 + p_T^2/(4 w2)."""
-    if not 0.0 < omega2 < math.inf:
-        raise DomainError(f"omega2 must be finite and positive, got {shown(omega2)}")
-    if not 0.0 <= p_t < math.inf:
-        raise DomainError(f"p_T must be finite and non-negative, got {shown(p_t)}")
-    check_float_range(omega2, "omega2")  # an int beyond the float range
-    check_float_range(p_t, "p_T")
+    omega2, p_t = check(omega2, "omega2"), check(p_t, "p_T")
     numerator = ELECTRON_MASS_EV * ELECTRON_MASS_EV + 0.25 * p_t * p_t
     if numerator == math.inf:
         raise DomainError(f"p_T = {p_t:g} eV is too large to square in floating point")
@@ -129,9 +108,9 @@ def pair_threshold(query: PairThresholdQuery) -> ThresholdSolution:
         import numpy as np
         with np.errstate(over="ignore"):  # inf where it overflows, as on floats
             p_t_sq = p_t * p_t
-    for square in extremes(p_t_sq, "p_T^2"):
+    for square in extremes(p_t_sq):
         if not math.isfinite(square):
-            b = extremes(query.impact_parameter, "impact parameter")[0]  # the largest kick
+            b = extremes(query.impact_parameter)[0]  # the largest kick
             raise DomainError(
                 f"the superkick p_T = l_gamma hbar c / b at b = {b:g} nm "
                 "is too large to square in floating point"
@@ -142,9 +121,9 @@ def pair_threshold(query: PairThresholdQuery) -> ThresholdSolution:
     # sin -> 0 limit reduces exactly to the small-angle form
     disc = 4.0 * query.omega2 * query.omega2 + sin_t * sin_t * rhs
     omega1 = rhs / (2.0 * query.omega2 + sqrt(disc))
-    for end in extremes(omega1, "omega1"):
+    for end in extremes(omega1):
         if not (end > 0.0 and math.isfinite(end)):
-            raise SolverError(f"no positive threshold root (got {end})")
+            raise SolverError(f"no positive threshold root (got {shown(end)})")
     return ThresholdSolution(
         photon_energy=omega1,
         p_z=omega1 * per_element(math.cos, query.pitch_angle),
@@ -172,13 +151,15 @@ def crossover_product(
     docstring), averaged over the supplied pitch angles; ``relative_variation``
     is its (max-min)/mean spread, quantifying how invariant the product is.
     """
-    _check_l_gamma(l_gamma, 1)
-    pitch_angles = tuple(pitch_angles)
-    if not pitch_angles or not all(0.0 < t < 0.5 * math.pi for t in pitch_angles):
-        raise DomainError(f"pitch angles must be one or more in (0, pi/2), got {pitch_angles}")
+    l_gamma = check(l_gamma, "l_gamma > 0")
+    pitch_angles = tuple([check(theta, "crossover pitch angle") for theta in pitch_angles])
+    if not pitch_angles:
+        raise DomainError("pitch angles must be one or more, got ()")
     invariant = l_gamma * HBARC_EV_NM / plane_wave_threshold(omega2)
     products = [invariant * theta / math.sin(theta) for theta in pitch_angles]
     mean = math.fsum(products) / len(products)
+    if not 0.0 < mean < math.inf:  # a tiny pitch angle, or a huge l_gamma omega2
+        raise DomainError("the product b*theta_k leaves the floating-point range")
     return CrossoverResult(mean, (max(products) - min(products)) / mean, pitch_angles)
 
 
@@ -235,12 +216,8 @@ def fit_beam_for_threshold_factor(
     numpy), else as one array: the same radii, and amplitudes within an ulp
     or two, so the same check.
     """
-    if not factor > 1.0:
-        raise DomainError(f"threshold factor must exceed 1, got {shown(factor)}")
-    if not w0_over_b > 0.0:
-        raise DomainError("w0/b must be positive, got " + (
-            f"{w0_over_b:g}" if math.isfinite(w0_over_b) else shown(w0_over_b)))
-    _check_l_gamma(l_gamma, 1)
+    factor, w0_over_b = check(factor, "threshold factor"), check(w0_over_b, "w0/b")
+    l_gamma = check(l_gamma, "l_gamma > 0")
     p_t = 2.0 * ELECTRON_MASS_EV * math.sqrt(factor - 1.0)
     b = l_gamma * HBARC_EV_NM / p_t
     w0 = w0_over_b * b

@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import units
 from .beam import TwistedPhotonBeam, longitudinal_momentum, radial_intensity_integral, \
     radial_intensity_total, superkick
 from .errors import DomainError, QuadratureError, SolverError, shown
-from .units import DEUTERON_BINDING_EV, DEUTERON_MASS_EV, extremes, nonrel_recoil_energy
+from .units import DEUTERON_BINDING_EV, DEUTERON_MASS_EV, HBARC_EV_NM, check, \
+    nonrel_recoil_energy
 
 
 class TargetParticle(namedtuple("TargetParticle", "mass impact_parameter spread_rms")):
@@ -36,14 +36,9 @@ class TargetParticle(namedtuple("TargetParticle", "mass impact_parameter spread_
     __slots__ = ()
 
     def __new__(cls, mass, impact_parameter=0.0, spread_rms=None):
-        units.check_positive(mass, "mass")
-        for b in extremes(impact_parameter, "impact parameter"):
-            if not 0.0 <= b < math.inf:
-                raise DomainError(f"impact parameter must be finite and non-negative, "
-                                  f"got {shown(b)}")
-        if spread_rms is not None and not 0.0 < spread_rms < math.inf:
-            raise DomainError(f"spread_rms must be finite and positive, got {shown(spread_rms)}")
-        return super().__new__(cls, mass, impact_parameter, spread_rms)
+        return super().__new__(
+            cls, check(mass, "mass"), check(impact_parameter, "b target"),
+            None if spread_rms is None else check(spread_rms, "spread_rms"))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
@@ -70,9 +65,8 @@ def absorption_energy(
     (physical root of the quadratic).  delta_l_cm > 0 requires a positive
     impact parameter.
     """
-    units.check_positive(omega0, "omega0")
-    if delta_l_cm < 0:
-        raise DomainError(f"delta_l_cm must be non-negative, got {delta_l_cm}")
+    omega0, delta_l_cm = check(omega0, "omega0"), check(delta_l_cm, "delta_l_cm")
+    check(target.impact_parameter, "b point")  # one b, not an array
     if delta_l_cm > 0:
         p_t = superkick(delta_l_cm, target.impact_parameter)
     else:
@@ -115,11 +109,11 @@ def deuteron_threshold(
     the remainder dl_cm = m_gamma - internal goes to the center of mass.
     With dl_cm = 0 the threshold is the plane-wave one at any position.
     """
-    delta_l_cm = int(beam.m_gamma) - int(internal_am_absorbed)
+    internal = check(internal_am_absorbed, "internal AM")
+    delta_l_cm = beam.m_gamma - internal
     if delta_l_cm < 0:
         raise DomainError(
-            f"internal AM {shown(internal_am_absorbed)} exceeds the photon's "
-            f"m_gamma={beam.m_gamma}"
+            f"internal AM {shown(internal)} exceeds the photon's m_gamma={beam.m_gamma}"
         )
     target = TargetParticle(mass=DEUTERON_MASS_EV, impact_parameter=b)
     return absorption_energy(DEUTERON_BINDING_EV, target, delta_l_cm)
@@ -129,13 +123,10 @@ def ratio_cut_radius(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float)
     """Impact parameter below which p_T/p_z exceeds ``ratio_cut``.
 
     b* = dl hbar / (ratio_cut * p_z) with the paraxial p_z."""
-    units.check_positive(ratio_cut, "ratio_cut")
-    if delta_l_cm <= 0:
-        raise DomainError(f"delta_l_cm must be positive, got {delta_l_cm}")
-    units.check_float_range(delta_l_cm, "delta_l_cm")
+    ratio_cut, delta_l_cm = check(ratio_cut, "ratio_cut"), check(delta_l_cm, "delta_l_cm > 0")
     p_z = longitudinal_momentum(beam, paraxial=True)
     denominator = ratio_cut * p_z
-    b_star = delta_l_cm * units.HBARC_EV_NM / denominator if denominator > 0.0 else math.inf
+    b_star = delta_l_cm * HBARC_EV_NM / denominator if denominator > 0.0 else math.inf
     if b_star == math.inf:
         raise DomainError(
             f"ratio_cut {ratio_cut:g} at p_z = {p_z:g} eV/c puts b* beyond the "

@@ -58,6 +58,7 @@ import numbers
 import sys
 
 from .errors import DomainError, shown
+from .units import check
 
 MAX_ORDER = 64
 MAX_ARGUMENT = 1.0e6
@@ -116,10 +117,13 @@ def _forward(rows: int, x) -> list:
     return values[:rows]
 
 
+@functools.lru_cache(maxsize=1024)
 def _start_order(n: int, x: float) -> int:
     """Even order from which the backward recurrence reaches orders <= n at
     arguments <= x with a truncation below 1e-17 of min(1, sqrt(2/(pi x)))
-    (fitted to the converged recurrence for n <= 340, x <= 512)."""
+    (fitted to the converged recurrence for n <= 340, x <= 512).  Callers
+    pass x as a power-of-two octave or a first-lobe bracket, so the keys are
+    few and a float Bessel row reads its start order from the cache."""
     cube = 12.0 * x ** (1.0 / 3.0)
     start = max(x + cube + 2.0, n + 8.0 + cube * min(1.0, x * x / max(n, 1) ** 2))
     return 2 * math.ceil(0.5 * start)
@@ -503,13 +507,13 @@ def wigner_small_d(j: float, m_f: float, m_i: float, theta: float) -> float:
 
     ``j`` and the magnetic numbers may be half-integers but must share
     integer/half-integer character; supported up to j = 3 per the package
-    contract (the formula itself is exact for any modest j).
+    contract (the formula itself is exact for any modest j), and accepted
+    up to j = 49, where its factorials stay within the floating-point range.
     """
-    two_j = _half_int(j, "j")
+    two_j = _half_int(check(j, "j"), "j")
     two_mf = _half_int(m_f, "m_f")
     two_mi = _half_int(m_i, "m_i")
-    if two_j < 0:
-        raise DomainError(f"j must be non-negative, got {j}")
+    theta = check(theta, "theta")
     if (two_j - two_mf) % 2 or (two_j - two_mi) % 2:
         raise DomainError(
             f"(j, m_f, m_i)=({j}, {m_f}, {m_i}) must share integer/half-integer character"

@@ -46,7 +46,7 @@ from .errors import DomainError, UndefinedDistributionError, shown
 from .special_functions import MAX_ARGUMENT, MAX_ORDER, _half_int, _j_row, \
     bessel_first_max, bessel_j, bessel_j_array, check_bessel_argument, check_bessel_domain, \
     wigner_small_d
-from .units import check_float_range
+from .units import check
 
 
 class TransitionChannel(namedtuple("TransitionChannel", "multipole_J m_initial label")):
@@ -61,10 +61,8 @@ class TransitionChannel(namedtuple("TransitionChannel", "multipole_J m_initial l
     __slots__ = ()
 
     def __new__(cls, multipole_J, m_initial=0.0, label=""):
-        two_j = _half_int(multipole_J, "multipole_J")
-        if not multipole_J >= 1.0:
-            raise DomainError(f"multipole_J must be >= 1, got {multipole_J}")
-        if two_j % 2:
+        multipole_J, m_initial = check(multipole_J, "multipole_J"), check(m_initial, "m_initial")
+        if _half_int(multipole_J, "multipole_J") % 2:
             raise DomainError(
                 f"multipole_J must be an integer (photon multipolarity), got {multipole_J}"
             )
@@ -75,7 +73,7 @@ class TransitionChannel(namedtuple("TransitionChannel", "multipole_J m_initial l
 
     @property
     def j_int(self) -> int:
-        return int(round(float(self.multipole_J)))
+        return round(self.multipole_J)
 
     def final_sublevels(self) -> list[float]:
         """m_f values m_i - J ... m_i + J (inclusive, integer steps)."""
@@ -143,7 +141,7 @@ def am_partitions(
     for every order they need."""
     scalar = isinstance(b, numbers.Real)  # the one float-or-array decision
     if scalar:
-        b = _point(b)
+        b = check(b, "b point")
     else:
         import numpy as np
         b = np.asarray(b, dtype=float)
@@ -154,13 +152,13 @@ def am_partitions(
     # a beam whose widest order m_gamma -+ J is beyond the Bessel range reads
     # order 0 at m_gamma 0 and has every row coded
     in_range = [abs(beam.m_gamma) + j <= MAX_ORDER for beam in beams]
-    m_gammas = [int(beam.m_gamma) if ok else 0 for beam, ok in zip(beams, in_range)]
+    m_gammas = [beam.m_gamma if ok else 0 for beam, ok in zip(beams, in_range)]
     orders = [_orders(beam, channel) if ok else [0] * (2 * j + 1)
               for beam, ok in zip(beams, in_range)]
     # an overflowing kappa b, inf * 0 (a NaN) and the NaN of an invalid row
     # are coded, not warned about
     with _quiet(scalar):
-        x = float(kappa) * b  # a Python float for a float b, whatever the energy's type
+        x = kappa * b
         valid = (abs(x) <= MAX_ARGUMENT) & (b >= 0.0)  # False for NaN and inf
         x = _where(scalar, valid, x, 0.0)
         if scalar:
@@ -170,13 +168,6 @@ def am_partitions(
             tables = bessel_j_array(np.array(orders)[:, :, None], x)
         return [_partition(beam, channel, m_gamma, valid & ok, table, scalar)
                 for beam, m_gamma, ok, table in zip(beams, m_gammas, in_range, tables)]
-
-
-def _point(b) -> float:
-    # a scalar impact parameter as a float; an int beyond the float range is DOMAIN
-    if isinstance(b, int):
-        check_float_range(b, "impact parameter")
-    return float(b)
 
 
 def _quiet(scalar: bool):
@@ -286,18 +277,15 @@ def raise_row_error(code: str, beam: TwistedPhotonBeam, channel: TransitionChann
     if not code:
         return
     if code == "B_SINGULARITY":
-        raise DomainError(f"impact parameter must be positive, got {shown(b)}", code=code)
+        check(b, "b kick")
     if code == "UNDEFINED_DISTRIBUTION":
         raise UndefinedDistributionError(
             f"all sublevel amplitudes vanish at b={b}; no absorption"
         )
-    if math.isnan(b):
-        raise DomainError(f"impact parameter must be a finite number, got {shown(b)}")
-    x = float(transverse_wavenumber(beam)) * b
-    if not math.isfinite(x):
+    x = transverse_wavenumber(beam) * b
+    if not (math.isfinite(x) or math.isnan(b)):
         raise DomainError("the Bessel argument kappa b overflows the floating-point range")
-    if b < 0.0:
-        raise DomainError(f"impact parameter must be non-negative, got {shown(b)}")
+    check(b, "b target")  # NaN, or b < 0
     for nu in _orders(beam, channel):
         check_bessel_domain(nu, x)
     raise AssertionError(f"row error code {code!r} at b={b} names no error")
@@ -306,7 +294,7 @@ def raise_row_error(code: str, beam: TwistedPhotonBeam, channel: TransitionChann
 def _checked_row(
     beam: TwistedPhotonBeam, channel: TransitionChannel, b: float
 ) -> AmPartition:
-    b = _point(b)
+    b = check(b, "b point")
     partition = am_partition(beam, channel, b)
     raise_row_error(partition.errors, beam, channel, b)
     return partition
@@ -352,10 +340,10 @@ def recoil_ratio(beam: TwistedPhotonBeam, channel: TransitionChannel, b: float) 
 
     p_T/p_z = <l_z>_cm * lambda / (2 pi b), with the paraxial p_z = E/c.
     """
-    b = _point(b)
+    b = check(b, "b point")
     (ratio,), code = _ratio_from_partition(beam, b, am_partition(beam, channel, b), True)
     raise_row_error(code, beam, channel, b)
-    return float(ratio)  # a float for a numpy energy too
+    return ratio
 
 
 def sublevel_profile(
@@ -383,16 +371,15 @@ def sublevel_profile(
     d = wigner_small_d(
         float(channel.j_int), two_dm / 2, float(beam.lambda_spin), beam.pitch_angle
     )
-    scalar = isinstance(b, numbers.Real)
+    b = check(b, "b finite")
+    scalar = isinstance(b, (float, int))
     if not scalar:
         import numpy as np
         b = np.asarray(b, dtype=float)
     x = transverse_wavenumber(beam) * b
     if d == 0.0:
         check_bessel_argument(x if scalar else (float(np.abs(x).max()) if x.size else 0.0))
-        if b < 0.0 if scalar else np.any(b < 0.0):
-            raise DomainError("impact parameter must be non-negative"
-                              + (f", got {b}" if scalar else ""))
+        check(b, "b target")
         return 0.0 if scalar else np.zeros(b.shape)
     peak = bessel_first_max(nu)[1]
     val = (bessel_j(nu, x) if scalar else bessel_j_array(nu, x)) / peak

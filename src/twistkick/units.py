@@ -12,6 +12,18 @@ lengths in nm and energies in eV and every formula below is regime-blind.
 Constants are frozen CODATA-2018 values so that all derived tables are
 bit-reproducible.
 
+**Accepted ranges.**  :data:`RANGES` declares, once, every checked input
+quantity: integer or real, its bounds and which ends are closed, whether it
+takes a 1-D array, and its error code.  :func:`check` enforces it, and the
+record constructors and exported functions of every physics module take
+their numeric arguments through it.  So an int beyond the floating-point
+range, a NaN or an infinity is handled in one place, an error names the
+value through :func:`twistkick.errors.shown`, and a numpy scalar comes back
+as the Python number it holds.  What stays with the callers: checks on
+results (an energy that overflows), relations between inputs (the internal
+AM within m_gamma, b > 0 where l_gamma > 0) and the Bessel kernel contract
+on the derived argument kappa rho.
+
 **Floats or arrays.**  A kernel that runs over many points computes them
 either one by one on Python floats or as one numpy array, with the same
 values (or, where ``math.exp`` and ``numpy.exp`` round apart, within a few
@@ -40,7 +52,9 @@ for ``python -c pass``).  Measured there, in a process without numpy:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
+from collections import namedtuple
 
 from .errors import DomainError, shown
 
@@ -128,42 +142,153 @@ def _linspace(start: float, stop: float, count: int, endpoint: bool = True) -> l
     return values
 
 
-# --- conversions -------------------------------------------------------------
+# --- accepted ranges (module docstring) ---------------------------------------
 
-def check_float_range(value: int, name: str) -> None:
-    """Raise DomainError naming ``name`` when the integer ``value`` is beyond
-    the floating-point range, where ``value * HBARC_EV_NM`` would overflow."""
-    if abs(value) > sys.float_info.max:
-        raise DomainError(f"{name} is beyond the floating-point range")
+_INF = math.inf
+_FLOAT_MAX = sys.float_info.max
 
-
-def check_positive(value, name: str) -> None:
-    """Raise DomainError naming ``name`` unless ``value`` is positive (NaN is
-    not), or where it is an int beyond the floating-point range."""
-    if isinstance(value, int):
-        check_float_range(value, name)
-    if not value > 0.0:
-        raise DomainError(f"{name} must be positive, got {shown(value)}")
+#: Highest trap level a sideband spectrum may retain.  The log-space series
+#: itself has no such limit; 170 is where the factorial-normalized grid
+#: oracle in the tests still has finite weights (171! overflows a double),
+#: so the whole accepted range is checked against an independent method.
+MAX_SIDEBAND_LEVEL = 170
+#: largest j of a Wigner d, and so of a multipole order: the factorials of
+#: the explicit sum stay within the floating-point range up to 2j = 98
+MAX_WIGNER_J = 49
 
 
-def check_positive_finite(value, name: str) -> None:
-    """:func:`check_positive`, and DomainError where ``value`` is inf."""
-    check_positive(value, name)
-    if value == math.inf:
-        raise DomainError(f"{name} must be finite, got {shown(value)}")
+class Range(namedtuple("Range", "name integer low high ends arrays code rule")):
+    """The accepted values of one input quantity: ``name`` as messages spell
+    it, an integer or a real number, bounds ``low`` and ``high`` with
+    ``ends`` telling which are included ("()", "[)", "(]" or "[]"; "{}"
+    for the two ends alone, integers two apart such as a sign; "" for any
+    number, NaN included), whether a 1-D array of them is accepted, the
+    code of the error, and ``rule``, the range in the words of a message."""
+
+    __slots__ = ()
 
 
-def extremes(value, name: str) -> tuple:
+def _range(name, low=-_INF, high=_INF, ends="()", integer=False, arrays=False,
+           code="DOMAIN") -> Range:
+    return Range(name, integer, low, high, ends, arrays, code, _rule(integer, low, high, ends))
+
+
+def _rule(integer: bool, low, high, ends: str) -> str:
+    # the words of "<name> must <rule>, got <value>"
+    if ends == "{}":
+        return f"be {high:+d} or {low:+d}"
+    if low > -_INF and high < _INF:
+        end = {0.5 * math.pi: "pi/2"}
+        return (f"{'be an integer in' if integer else 'lie in'} "
+                f"{ends[0]}{end.get(low, f'{low:g}')}, {end.get(high, f'{high:g}')}{ends[1]}")
+    if integer:
+        return {0: "be a non-negative integer", 1: "be a positive integer"}.get(
+            low, "be an integer")
+    words = [{"(0": "positive", "[0": "non-negative"}.get(
+        f"{ends[0]}{low:g}", f"{'greater than' if ends[0] == '(' else 'at least'} {low:g}")
+        ] if low > -_INF else []
+    return "be " + (" and ".join(words + ["finite"] * (ends[1:] == ")")) or "a number")
+
+
+def _bounds(q: Range) -> tuple:
+    """The closed bounds :func:`check` compares with: of a float (an empty
+    interval for an integer quantity) and of an int (within the
+    floating-point range), and the int that "{}" ends exclude."""
+    lo = math.nextafter(q.low, _INF) if q.ends[:1] == "(" else q.low
+    hi = math.nextafter(q.high, -_INF) if q.ends[1:] == ")" else q.high
+    hole = (q.low + q.high) // 2 if q.ends == "{}" else math.nan
+    floats = (_INF, -_INF) if q.integer else (lo, hi)
+    return (*floats, max(lo, -_FLOAT_MAX), min(hi, _FLOAT_MAX), hole)
+
+
+def _ranges(names: str, *bounds, **kinds) -> dict:
+    # one range under each of the comma-separated names
+    return {name: _range(name, *bounds, **kinds) for name in names.split(", ")}
+
+
+#: Every checked input quantity, once: the record constructors and the
+#: exported functions take their numeric arguments through :func:`check`.
+#: Energies in eV, lengths in nm, angles in rad, frequencies in Hz.
+RANGES = {
+    # integers: quanta of angular momentum (hbar), orders and levels
+    **_ranges("m_gamma, nu, internal AM", integer=True),
+    **_ranges("delta_l, delta_l_cm, l_gamma", 0, ends="[)", integer=True),
+    "delta_l_cm > 0": _range("delta_l_cm", 1, ends="[)", integer=True),
+    "l_gamma > 0": _range("l_gamma", 1, ends="[)", integer=True),
+    "lambda_spin": _range("lambda_spin", -1, 1, "{}", integer=True),
+    "n_max": _range("n_max", 2, MAX_SIDEBAND_LEVEL, "[]", integer=True),
+    # energies (eV), lengths (nm), frequencies (Hz) and ratios
+    **_ranges("energy, envelope_w0, omega0, omega2, spread_rms, w0/b, sigma, axial_frequency, "
+              "transverse_frequency, ion_mass, wavelength, frequency", 0.0),
+    # inf accepted: the recoil-free absorber, b* = 0, and lamb_dicke names its overflow
+    **_ranges("mass, ratio_cut, recoil energy", 0.0, ends="(]"),
+    "threshold factor": _range("threshold factor", 1.0),
+    "p_T": _range("p_T", 0.0, ends="[)"),
+    "p_T kick": _range("p_T", 0.0, ends="[]", arrays=True),
+    "eta": _range("eta", 0.0, ends="[]"),
+    "momentum": _range("momentum", -_INF, _INF, "[]", arrays=True),
+    # angles (rad) and the indices of a Wigner d
+    "pitch angle": _range("pitch angle", 0.0, 0.5 * math.pi, "[)"),
+    "pitch angles": _range("pitch angle", 0.0, 0.5 * math.pi, "[)", arrays=True),
+    "crossover pitch angle": _range("pitch angle", 0.0, 0.5 * math.pi),
+    **_ranges("theta, m_initial"),
+    "j": _range("j", 0.0, MAX_WIGNER_J, "[]"),
+    "multipole_J": _range("multipole_J", 1.0, MAX_WIGNER_J, "[]"),
+    # impact parameters (nm): of a superkick, of a target or a packet (and
+    # the profile's radius rho), of a pair query or a sublevel profile, and
+    # of one point whose caller codes or checks its range
+    "b kick": _range("impact parameter", 0.0, ends="(]", arrays=True, code="B_SINGULARITY"),
+    "b target": _range("impact parameter", 0.0, ends="[)", arrays=True),
+    "rho": _range("rho", 0.0, ends="[)", arrays=True),
+    "b finite": _range("impact parameter", arrays=True),
+    "b point": _range("impact parameter", ends=""),
+}
+
+
+_BOUNDS = {quantity: _bounds(q) for quantity, q in RANGES.items()}
+
+
+def check(value, quantity: str):
+    """``value`` if it lies in the range :data:`RANGES` declares for
+    ``quantity``, as a Python ``float`` or ``int`` (a numpy scalar is
+    converted; an accepted array is returned as given); DomainError, with
+    the quantity's code, otherwise.
+
+    A non-integer is rejected where the quantity is an integer, an int
+    beyond the floating-point range everywhere, and an array where the
+    quantity takes none; an array is checked through its :func:`extremes`.
+    The message names the value through :func:`twistkick.errors.shown`,
+    so it never spells nan or inf.  A float or an int in range returns
+    after a few comparisons; text is built only to raise."""
+    flo, fhi, ilo, ihi, hole = _BOUNDS[quantity]
+    kind = type(value)
+    if flo <= value <= fhi if kind is float else \
+            kind is int and ilo <= value <= ihi and value != hole:
+        return value
+    q = RANGES[quantity]
+    if isinstance(value, numbers.Real):
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
+        if type(value) is int and abs(value) > _FLOAT_MAX:
+            raise DomainError(f"{q.name} is beyond the floating-point range")
+        ends = (value,)
+    elif q.arrays:
+        ends = extremes(value)
+    else:
+        raise DomainError(f"{q.name} must be a real number, got {type(value).__name__}")
+    lo, hi = (ilo, ihi) if q.integer else (flo, fhi)
+    for end in ends:
+        if not (lo <= end <= hi and end != hole or not q.ends) or q.integer and type(end) is float:
+            raise DomainError(f"{q.name} must {q.rule}, got {shown(end)}", code=q.code)
+    return value
+
+
+def extremes(value) -> tuple:
     """What a bound or finiteness check of ``value`` must pass: ``(value,)``
     for a float or an int, and for an array its least and greatest element
     as floats (both NaN where some element is NaN; none for an empty array).
     A check written once for a float thus holds for every element of an
-    array exactly when it holds for each extreme.  An int beyond the
-    floating-point range raises DomainError naming ``name``: it would
-    overflow the first formula it met."""
+    array exactly when it holds for each extreme."""
     if isinstance(value, (float, int)):
-        if isinstance(value, int):
-            check_float_range(value, name)
         return (value,)
     import numpy as np
     value = np.asarray(value, dtype=float)
@@ -192,7 +317,7 @@ def sqrt(x):
 
 def wavelength_to_energy(wavelength_nm: float) -> float:
     """Photon energy E = 2*pi*hbar*c / lambda, eV for lambda in nm."""
-    check_positive_finite(wavelength_nm, "wavelength")
+    wavelength_nm = check(wavelength_nm, "wavelength")
     energy = 2.0 * math.pi * HBARC_EV_NM / wavelength_nm
     if energy == math.inf:
         raise DomainError(
@@ -203,13 +328,16 @@ def wavelength_to_energy(wavelength_nm: float) -> float:
 
 def energy_to_wavelength(energy_ev: float) -> float:
     """Inverse of :func:`wavelength_to_energy`; round-trips to 1e-12 relative."""
-    check_positive_finite(energy_ev, "energy")
-    return 2.0 * math.pi * HBARC_EV_NM / energy_ev
+    energy_ev = check(energy_ev, "energy")
+    wavelength = 2.0 * math.pi * HBARC_EV_NM / energy_ev
+    if wavelength == math.inf:
+        raise DomainError(f"energy {energy_ev:g} eV is too low: its wavelength overflows")
+    return wavelength
 
 
 def frequency_to_energy(frequency_hz: float) -> float:
     """Quantum energy h*f of an oscillation at ``frequency_hz``."""
-    check_positive_finite(frequency_hz, "frequency")
+    frequency_hz = check(frequency_hz, "frequency")
     energy = PLANCK_H_EV_S * frequency_hz
     if energy == 0.0:
         raise DomainError(
@@ -227,9 +355,8 @@ def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:
     as on a float; an int momentum or mass beyond that range raises
     DomainError.  Where 2 M overflows, the energy is (p/2) (p/M).
     """
-    check_positive(mass_ev, "mass")
+    mass_ev, p_ev = check(mass_ev, "mass"), check(p_ev, "momentum")
     if isinstance(p_ev, int):
-        check_float_range(p_ev, "momentum")
         p_ev = float(p_ev)  # its square overflows to inf, where an int's would raise
     if math.isinf(mass_ev):
         return 0.0

@@ -560,3 +560,14 @@ def test_profile_peak_degenerate_profiles():
         profile_peak_radius(make_beam(m=1, spin=1, w0=10.0))  # l_gamma = 0
     with pytest.raises(DomainError):
         profile_peak_radius(make_beam(m=2, spin=1, theta=0.0, w0=10.0))  # kappa = 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_amplitude_where_the_envelope_square_overflows():
+    # (rho/w0)^2 overflowed: an OverflowError on a float, a numpy warning on
+    # an array; the envelope there is 0
+    beam = make_beam(w0=1e-300)
+    rho = [0.0, 1e-310, 1.0, 2.0]
+    assert bessel_gauss_amplitude(beam, np.array(rho)).tolist() == [
+        bessel_gauss_amplitude(beam, r) for r in rho]
+    assert bessel_gauss_amplitude(beam, 1.0) == 0.0

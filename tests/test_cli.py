@@ -513,7 +513,7 @@ def test_beam_fit_out_of_range_factor_has_no_nan(capsys):
     (["recoil-ratio", "--b-min-lambda", "0"], "B_SINGULARITY",
      "impact parameter must be positive, got 0.0"),
     (["am-transfer", "--b-min-lambda", "2", "--b-max-lambda", "-1", "--count", "9"],
-     "DOMAIN", "impact parameter must be non-negative, got -99.25"),
+     "DOMAIN", "impact parameter must be non-negative and finite, got -99.25"),
     (["recoil-ratio", "--b-max-lambda", "1e7", "--count", "50"], "DOMAIN",
      "Bessel argument |x| <= 1e+06 supported, got 1024117.3174895761"),
     (["am-transfer", "--m-gamma", "-63", "--multipole-j", "2"], "DOMAIN",
@@ -651,10 +651,10 @@ def test_json_parameters_record_every_parsed_option(capsys, argv):
 
 @pytest.mark.parametrize("figure,override,code,message", [
     ("fig7", "sigma_nm=-1", "DOMAIN",
-     "figure 'fig7' dropped every row; at b=10 nm: sigma must be positive, got -1"),
+     "figure 'fig7' dropped every row; at b=10 nm: sigma must be positive and finite, got -1"),
     ("pair_table", "omega2_ev=0", "DOMAIN",
      "figure 'pair_table' dropped every row; at case (1, 10.0): "
-     "omega2 must be finite and positive, got 0"),
+     "omega2 must be positive and finite, got 0"),
     ("fig2a", "theta_k=0", "UNDEFINED_DISTRIBUTION",
      "figure 'fig2a' dropped every row; at b=0.001 lambda: "
      "all sublevel amplitudes vanish at b=0.397; no absorption"),
@@ -676,7 +676,7 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
     status, out, err = run_main(capsys, "pair-threshold", "--pitch-urad", "5", "--pt-mev", "-1")
     assert status == 2
     assert out == ""
-    assert err == "twistkick: error [DOMAIN]: p_T must be non-negative, got -1 MeV/c\n"
+    assert err == "twistkick: error [DOMAIN]: p_T must be non-negative, got -1.0\n"
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -707,7 +707,7 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
     (["focus-fraction", "--w0-pm", "1e300", "--energy-mev", "1e300"], "DOMAIN",
      "Bessel argument |x| <= 1e+06 supported, got a non-finite value (an input overflows)"),
     (["beam-fit", "--w0-over-b", "1e-300"], "FIT", "w0/b = 1e-300 gives no interior peak"),
-    (["beam-fit", "--w0-over-b", "0"], "DOMAIN", "w0/b must be positive, got 0"),
+    (["beam-fit", "--w0-over-b", "0"], "DOMAIN", "w0/b must be positive and finite, got 0.0"),
     (["focus-fraction", "--w0-pm", "1e300", "--pitch-rad", "0"], "QUADRATURE",
      "profile is not normalizable: its integral at w0 = 1e+297 nm is not finite"),
     (["focus-fraction", "--w0-pm", "1e300", "--ratio-cut", "1e-300", "--energy-mev", "1e-300"],
@@ -861,10 +861,13 @@ def test_formatters_match_per_value_oracle():
         assert result_to_json(result) == oracle_json(result)
 
 
-@pytest.mark.parametrize("cut", [0, 10**9], ids=["mask-only", "exact-only"])
-def test_json_spellings_agree_across_the_small_table_cut(monkeypatch, cut):
-    # every table spelled through the numpy mask alone, then through the
-    # exact spelling of small tables alone
-    monkeypatch.setattr("twistkick.cli._EXACT_TABLE_VALUES", cut)
-    for result in formatter_cases():
+@pytest.mark.parametrize("numpy_loaded", [True, False], ids=["mask-only", "exact-only"])
+def test_json_spellings_agree_across_the_small_table_cut(monkeypatch, numpy_loaded):
+    # every table, small ones too, spelled through the numpy mask while numpy
+    # is loaded, then through the exact spelling while it is seen as not
+    # loaded: the one cut between the two spellings
+    cases = formatter_cases()
+    if not numpy_loaded:
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    for result in cases:
         assert result_to_json(result) == oracle_json(result)

@@ -231,19 +231,20 @@ def test_fit_factor_to_one_unbounded():
 def test_fit_names_a_nan_factor_without_spelling_it():
     with pytest.raises(DomainError) as err:
         fit_beam_for_threshold_factor(math.nan, 2.5)
-    assert str(err.value) == ("threshold factor must exceed 1, "
+    assert str(err.value) == ("threshold factor must be greater than 1 and finite, "
                               "got a value that is not a number")
 
 
 @pytest.mark.parametrize("call, finite_call, finite_message", [
     (lambda x: plane_wave_threshold(x), lambda: plane_wave_threshold(-2.5),
-     "omega2 must be finite and positive, got -2.5"),
+     "omega2 must be positive and finite, got -2.5"),
     (lambda x: fit_beam_for_threshold_factor(10.0, x), lambda: fit_beam_for_threshold_factor(
-        10.0, 0.0), "omega2 must be finite and positive, got 0.0"),
+        10.0, 0.0), "omega2 must be positive and finite, got 0.0"),
     (lambda x: fit_beam_for_threshold_factor(10.0, 2.5, 1, x),
-     lambda: fit_beam_for_threshold_factor(10.0, 2.5, 1, -0.5), "w0/b must be positive, got -0.5"),
+     lambda: fit_beam_for_threshold_factor(10.0, 2.5, 1, -0.5),
+     "w0/b must be positive and finite, got -0.5"),
     (lambda x: beam.superkick(x, 1.0), lambda: beam.superkick(-1.5, 1.0),
-     "delta_l must be non-negative, got -1.5"),
+     "delta_l must be a non-negative integer, got -1.5"),
 ], ids=["plane_wave_threshold", "fit-omega2", "fit-w0_over_b", "superkick"])
 def test_nan_inputs_are_named_without_spelling_them(call, finite_call, finite_message):
     # a NaN input is a coded DOMAIN error whose text names it through
@@ -476,3 +477,13 @@ def test_fit_roots_take_fewer_ratio_evaluations_than_bisection(monkeypatch):
     assert len(counts) > 100
     assert sum(itp for itp, _ in counts) <= 24 * len(counts)
     assert all(itp <= bisection + 3 for itp, bisection in counts)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_of_a_huge_envelope_raises_before_kappa_rho_overflows():
+    # with numpy loaded the grid ran kappa * rho on an array and warned
+    # "overflow encountered in multiply" before its DOMAIN error
+    with pytest.raises(DomainError) as err:
+        fit_beam_for_threshold_factor(10.0, 2.5, 1, 1.7e308)
+    assert str(err.value) == ("Bessel argument |x| <= 1e+06 supported, "
+                              "got a non-finite value (an input overflows)")

@@ -74,7 +74,7 @@ REJECTED = [
     (PairThresholdQuery, "impact_parameter", 0.0, "B_SINGULARITY",
      "l_gamma > 0 requires a positive impact parameter"),
     (TargetParticle, "impact_parameter", -20.0, "DOMAIN",
-     "impact parameter must be finite and non-negative, got -20.0"),
+     "impact parameter must be non-negative and finite, got -20.0"),
     (GridSpec, "count", 1, "DOMAIN", "grid count must lie in [2, 1e6], got 1"),
     (TransitionChannel, "multipole_J", 2.5, "DOMAIN",
      "multipole_J must be an integer (photon multipolarity), got 2.5"),

@@ -465,7 +465,7 @@ def test_nan_impact_parameter_is_named(function):
     with pytest.raises(DomainError) as err:
         function(make_beam(1), TransitionChannel(1), float("nan"))
     assert err.value.code == "DOMAIN"
-    assert str(err.value) == ("impact parameter must be a finite number, "
+    assert str(err.value) == ("impact parameter must be non-negative and finite, "
                               "got a value that is not a number")
 
 

@@ -203,3 +203,79 @@ def test_fig7_sweep_loads_no_hashlib():
     _, ((status, _, _),), loaded = run_cli_in_child([["reproduce", "--figure", "fig7"]],
                                                     report=["_hashlib"])
     assert (status, loaded) == (0, [])
+
+
+def _declared(q, value) -> bool:
+    """Whether ``value`` lies in the range ``q`` declares, read from its
+    bounds and ends alone (not from the check's own closed bounds)."""
+    import numbers
+    if q.integer and not isinstance(value, numbers.Integral):
+        return False
+    if isinstance(value, numbers.Integral) and abs(int(value)) > sys.float_info.max:
+        return False
+    if not q.ends:
+        return True
+    if q.ends == "{}":
+        return value in (q.low, q.high)
+    above = q.low < value if q.ends[0] == "(" else q.low <= value
+    below = value < q.high if q.ends[1] == ")" else value <= q.high
+    return above and below
+
+
+def _probes(q):
+    # the edge values, and each finite bound with its float and int neighbours
+    values = [0, -0.0, 5e-324, 1e-300, 1.5, 1e300, 1.7e308, math.nan, math.inf, -math.inf,
+              10**400, -(10**400), -1.0, -1, -3, 2, 7, np.float64(1.5), np.int64(2), True]
+    for end in (q.low, q.high):
+        if math.isfinite(end):
+            values += [end, float(end), math.nextafter(end, -math.inf),
+                       math.nextafter(end, math.inf), round(end) - 1, round(end) + 1]
+    return values
+
+
+@pytest.mark.parametrize("quantity", sorted(units.RANGES))
+def test_check_accepts_exactly_the_declared_range(quantity):
+    # the fast path's closed bounds and the slow path agree with the declared
+    # bounds and ends on every probe; an accepted scalar comes back as a
+    # plain number equal to it, a rejected one as a coded error that spells
+    # no nan or inf
+    q = units.RANGES[quantity]
+    for value in _probes(q):
+        try:
+            result = units.check(value, quantity)
+        except DomainError as err:
+            assert not _declared(q, value), (quantity, value, str(err))
+            assert err.code == (q.code if str(err).startswith(f"{q.name} must")
+                                else "DOMAIN")
+            assert not re.search(r"\b(nan|inf)\b", str(err), re.IGNORECASE), str(err)
+        else:
+            assert _declared(q, value), (quantity, value)
+            assert type(result) in (int, float) and (result == value or math.isnan(value))
+
+
+@pytest.mark.parametrize("quantity", sorted(q for q, r in units.RANGES.items() if r.arrays))
+def test_check_reads_an_array_through_its_extremes(quantity):
+    q = units.RANGES[quantity]
+    inside = [v for v in _probes(q) if isinstance(v, float) and _declared(q, v)]
+    values = np.array(inside)
+    assert units.check(values, quantity) is values
+    for bad in (v for v in _probes(q) if isinstance(v, float) and not _declared(q, v)):
+        with pytest.raises(DomainError) as err:
+            units.check(np.array(inside + [bad]), quantity)
+        assert err.value.code == q.code
+    # the same array where a quantity takes none
+    scalar = next(k for k, r in units.RANGES.items() if not r.arrays)
+    with pytest.raises(DomainError, match="must be a real number, got ndarray"):
+        units.check(np.array(inside), scalar)
+
+
+def test_energy_whose_wavelength_overflows_is_domain():
+    # it returned inf, and equal_kick_radius too through it
+    from twistkick.beam import TwistedPhotonBeam, equal_kick_radius
+    for call in (lambda: energy_to_wavelength(5e-324),
+                 lambda: equal_kick_radius(TwistedPhotonBeam(2, 1, 5e-324, 0.1))):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.code == "DOMAIN"
+        assert str(err.value) == "energy 4.94066e-324 eV is too low: its wavelength overflows"
+    assert energy_to_wavelength(1e-300) == 2.0 * math.pi * HBARC_EV_NM / 1e-300
