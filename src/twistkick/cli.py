@@ -53,7 +53,7 @@ from .transitions import TransitionChannel, _ratio_from_partition
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
 from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, KEV, \
-    MEV, NEV, PM, _linspace, check, nonrel_recoil_energy, wavelength_to_energy
+    MEV, NEV, PM, RANGES, _linspace, check, nonrel_recoil_energy, wavelength_to_energy
 
 _CA40_MEV = CA40_ION_MASS_EV / MEV
 
@@ -299,24 +299,22 @@ def _parse_override(text: str):
     return key, value
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
-    return value
+def _flag(quantity: str):
+    """The argparse type of a flag: its text as the number ``quantity``
+    takes, checked against :data:`twistkick.units.RANGES`; a failure is a
+    usage error."""
+    kind = int if RANGES[quantity].integer else float
+
+    def parse(text: str):
+        try:
+            return check(kind(text), quantity)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value: 'x'"
+    return parse
 
 
-def _point_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= count <= 10**6:
-        raise argparse.ArgumentTypeError(f"count must lie in [1, 1e6], got {count}")
-    return count
+_float_flag = _flag("flag value")
 
 
 class _UsageError(TwistkickError):
@@ -345,12 +343,12 @@ def _add_output_flags(parser):
 
 # flags that several subcommands share, each defined once
 _SHARED_FLAGS = {
-    "--b-nm": dict(type=_finite_float, required=True, help="impact parameter [nm] (required)"),
-    "--mass-mev": dict(type=_finite_float, default=_CA40_MEV,
+    "--b-nm": dict(type=_float_flag, required=True, help="impact parameter [nm] (required)"),
+    "--mass-mev": dict(type=_float_flag, default=_CA40_MEV,
                        help=f"ion rest energy [MeV] (default: {_CA40_MEV:.4f}, 40Ca+)"),
-    "--pitch-rad": dict(type=_finite_float, default=DEFAULT_PITCH_ANGLE,
+    "--pitch-rad": dict(type=_float_flag, default=DEFAULT_PITCH_ANGLE,
                         help=f"pitch angle [rad] (default: {DEFAULT_PITCH_ANGLE})"),
-    "--omega2-ev": dict(type=_finite_float, default=2.5,
+    "--omega2-ev": dict(type=_float_flag, default=2.5,
                         help="background photon energy [eV] (default: 2.5)"),
     "--l-gamma": dict(type=int, default=1, help="orbital index l_gamma [1] (default: 1)"),
 }
@@ -362,7 +360,7 @@ def _add_shared_flags(parser, *flags):
 
 
 def _add_beam_flags(parser, lambda_default, m_default, spin_default):
-    parser.add_argument("--lambda-nm", type=_finite_float, default=lambda_default,
+    parser.add_argument("--lambda-nm", type=_float_flag, default=lambda_default,
                         help=f"photon wavelength [nm] (default: {lambda_default})")
     parser.add_argument("--m-gamma", type=int, default=m_default,
                         help=f"total AM projection m_gamma [hbar] (default: {m_default})")
@@ -380,9 +378,9 @@ def _add_trap_flags(parser):
     parser.add_argument("--nu", type=int, default=1,
                         help="AM units transferred to the c.m. [hbar] (default: 1)")
     _add_shared_flags(parser, "--b-nm")
-    parser.add_argument("--sigma-nm", type=_finite_float, default=10.0,
+    parser.add_argument("--sigma-nm", type=_float_flag, default=10.0,
                         help="wavepacket rms spread per axis [nm] (default: 10)")
-    parser.add_argument("--trap-mhz", type=_finite_float, default=1.5,
+    parser.add_argument("--trap-mhz", type=_float_flag, default=1.5,
                         help="trap frequency [MHz] (default: 1.5)")
     _add_shared_flags(parser, "--mass-mev")
 
@@ -410,11 +408,11 @@ def build_parser() -> _Parser:
         p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),
                        help="multipole order J [1] (default: 1)")
         _add_beam_flags(p, 397.0, 2, 1)
-        p.add_argument("--b-min-lambda", type=_finite_float, default=1e-3,
+        p.add_argument("--b-min-lambda", type=_float_flag, default=1e-3,
                        help="sweep start [lambda] (default: 0.001)")
-        p.add_argument("--b-max-lambda", type=_finite_float, default=1.5,
+        p.add_argument("--b-max-lambda", type=_float_flag, default=1.5,
                        help="sweep stop [lambda] (default: 1.5)")
-        p.add_argument("--count", type=_point_count, default=300,
+        p.add_argument("--count", type=_flag("count"), default=300,
                        help="number of points [1] (default: 300)")
         _add_output_flags(p)
         p.set_defaults(handler=partial(_am_sweep, columns=columns, kernel=kernel))
@@ -449,9 +447,9 @@ def build_parser() -> _Parser:
                    help="photon total AM [hbar] (default: 2)")
     p.add_argument("--internal-am", type=int, default=1,
                    help="AM absorbed internally (multipole J) [hbar] (default: 1)")
-    p.add_argument("--b-fm", type=_finite_float, required=True,
+    p.add_argument("--b-fm", type=_float_flag, required=True,
                    help="impact parameter [fm] (required)")
-    p.add_argument("--lambda-fm", type=_finite_float, default=559.0,
+    p.add_argument("--lambda-fm", type=_float_flag, default=559.0,
                    help="photon wavelength [fm] (default: 559)")
     _add_shared_flags(p, "--pitch-rad")
     _add_output_flags(p)
@@ -459,13 +457,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("focus-fraction",
                        help="fraction of absorptions with recoil ratio above a cut")
-    p.add_argument("--w0-pm", type=_finite_float, required=True,
+    p.add_argument("--w0-pm", type=_float_flag, required=True,
                    help="Bessel-Gauss envelope scale [pm] (required)")
-    p.add_argument("--ratio-cut", type=_finite_float, default=0.1,
+    p.add_argument("--ratio-cut", type=_float_flag, default=0.1,
                    help="p_T/p_z cut [1] (default: 0.1)")
     p.add_argument("--delta-l", type=int, default=1,
                    help="AM to the c.m. [hbar] (default: 1)")
-    p.add_argument("--energy-mev", type=_finite_float, default=DEUTERON_BINDING_EV / MEV,
+    p.add_argument("--energy-mev", type=_float_flag, default=DEUTERON_BINDING_EV / MEV,
                    help="photon energy [MeV] (default: deuteron binding 2.22452)")
     _add_shared_flags(p, "--pitch-rad")
     _add_output_flags(p)
@@ -474,12 +472,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pair-threshold",
                        help="gamma-gamma pair-production threshold for a twisted photon")
     _add_shared_flags(p, "--omega2-ev")
-    p.add_argument("--pitch-urad", type=_finite_float, required=True,
+    p.add_argument("--pitch-urad", type=_float_flag, required=True,
                    help="pitch angle [urad] (required)")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pt-mev", type=_finite_float, default=None,
+    group.add_argument("--pt-mev", type=_float_flag, default=None,
                        help="transverse kick [MeV/c] (alternative to --b-fm)")
-    group.add_argument("--b-fm", type=_finite_float, default=None,
+    group.add_argument("--b-fm", type=_float_flag, default=None,
                        help="impact parameter [fm] (alternative to --pt-mev)")
     _add_shared_flags(p, "--l-gamma")
     _add_output_flags(p)
@@ -493,10 +491,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("beam-fit",
                        help="beam parameters realizing a requested threshold increase")
-    p.add_argument("--factor", type=_finite_float, default=10.0,
+    p.add_argument("--factor", type=_float_flag, default=10.0,
                    help="threshold multiplication factor [1] (default: 10)")
     _add_shared_flags(p, "--omega2-ev", "--l-gamma")
-    p.add_argument("--w0-over-b", type=_finite_float, default=2.0,
+    p.add_argument("--w0-over-b", type=_float_flag, default=2.0,
                    help="envelope scale over target radius [1] (default: 2)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_beam_fit)
@@ -506,9 +504,9 @@ def build_parser() -> _Parser:
                    help="figure id")
     p.add_argument("--set", action="append", type=_parse_override, metavar="KEY=VALUE",
                    help="override a figure parameter (repeatable)")
-    p.add_argument("--grid-start", type=_finite_float, default=None,
+    p.add_argument("--grid-start", type=_float_flag, default=None,
                    help="replacement grid start [figure x-unit]")
-    p.add_argument("--grid-stop", type=_finite_float, default=None,
+    p.add_argument("--grid-stop", type=_float_flag, default=None,
                    help="replacement grid stop [figure x-unit]")
     p.add_argument("--grid-count", type=int, default=None,
                    help="replacement grid point count [1]")

@@ -152,7 +152,10 @@ def focus_fraction(beam: TwistedPhotonBeam, delta_l_cm: int, ratio_cut: float) -
     b_star = ratio_cut_radius(beam, delta_l_cm, ratio_cut)
     total = radial_intensity_total(beam)  # ConfigurationError without envelope_w0
     w0 = beam.envelope_w0
-    # the envelope exp(-2 rho^2/w0^2) < 1e-55 beyond 8 w0
+    # the profile beyond 8 w0 holds at most 3e-10 of the total: the envelope
+    # exp(-2 rho^2/w0^2) < 1e-55 there, but J_l^2 grows like rho^(2l), and
+    # at |l| = 64 the tail reaches 2.9e-10 (7e-15 for |l| <= 48; a test pins
+    # it below 1e-9), inside the 1e-8 the quadrature is held to
     if b_star >= 8.0 * w0:
         return 1.0
     inner, err_i = radial_intensity_integral(beam, b_star)

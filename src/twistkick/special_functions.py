@@ -54,13 +54,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import sys
 
 from .errors import DomainError, shown
-from .units import check
+from .units import MAX_BESSEL_ORDER as MAX_ORDER, check
 
-MAX_ORDER = 64
 MAX_ARGUMENT = 1.0e6
 
 #: from here on J_0 and J_1 come from Hankel's expansion
@@ -254,12 +251,10 @@ def bessel_j_orders(n_max: int, x, rows: int | None = None) -> np.ndarray:
 
 
 def check_bessel_domain(n: int, x: float) -> None:
-    """Raise DomainError unless n is an integer with |n| <= 64 and x is
+    """Raise DomainError unless n is a "Bessel order" of
+    :data:`twistkick.units.RANGES` (an integer with |n| <= 64) and x is
     finite with |x| <= 1e6."""
-    if not isinstance(n, numbers.Integral):
-        raise DomainError(f"Bessel order must be an integer, got {shown(n)}")
-    if abs(int(n)) > MAX_ORDER:
-        raise DomainError(f"Bessel order |n| <= {MAX_ORDER} supported, got {shown(n)}")
+    check(n, "Bessel order")
     check_bessel_argument(x)
 
 
@@ -277,7 +272,7 @@ def bessel_j(n: int, x: float) -> float:
     arithmetic; J_|n|(|x|) is read from :func:`bessel_j_orders` (absolute
     error below 5e-14 of min(1, sqrt(2/(pi |x|)))).
     """
-    check_bessel_domain(n, x)
+    check_bessel_domain(n, check(x, "Bessel argument"))
     n = int(n)
     top = _BANDS[0] if abs(n) <= _BANDS[0] else _BANDS[1]
     value = float(_j_list(top, abs(float(x)), abs(n) + 1)[-1])
@@ -297,9 +292,10 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     import numpy as np
     x = np.asarray(x, dtype=float)
     order = np.asarray(n)
-    # the widest of integer orders stands for all; a float order, or an int
-    # beyond int64, goes to the check as given, which rejects it
-    widest = int(order.flat[np.abs(order).argmax()]) if order.dtype.kind in "iu" else n
+    # the widest order stands for all; one that numpy holds as no number (an
+    # int beyond int64, a bool) goes to the check as given, which rejects it
+    widest = order.flat[np.abs(order).argmax()].item() \
+        if order.dtype.kind in "iuf" and order.size else n
     magnitude = np.abs(x)
     check_bessel_domain(widest, float(magnitude.max()) if x.size else 0.0)
     # J_0 ... J_|widest|(|x|), each order from the table of its band
@@ -397,10 +393,9 @@ def first_lobe_peak_argument(l_gamma: int, envelope_slope) -> float:
     bisection's 54.  A point counts as below the root exactly where
     bisection counted it so, ratio > l + s(x), so both end on the same two
     floats."""
-    l = abs(int(l_gamma))
-    if not 1 <= l <= MAX_ORDER:
-        raise DomainError(f"first-lobe order 1 <= |l| <= {MAX_ORDER} supported, "
-                          f"got {shown(l_gamma)}")
+    l = abs(check(l_gamma, "Bessel order"))
+    if l == 0:
+        raise DomainError("first-lobe order must be nonzero, got 0")
     lo, hi = 0.0, _first_lobe_bracket(l)
     # f(x) = ratio - (l + s(x)), whose sign fl() keeps; f(0) is its limit
     f_lo = l - envelope_slope(0.0)
@@ -446,9 +441,7 @@ def bessel_first_max(n: int) -> tuple[float, float]:
     :func:`first_lobe_peak_argument` finds with a zero envelope slope.
     Results are cached per order.
     """
-    n = abs(int(n))
-    if n > MAX_ORDER:
-        raise DomainError(f"Bessel order |n| <= {MAX_ORDER} supported, got {shown(n)}")
+    n = abs(check(n, "Bessel order"))
     cached = _FIRST_MAX_CACHE.get(n)
     if cached is not None:
         return cached
@@ -466,15 +459,14 @@ _FIRST_MAX_CACHE: dict[int, tuple[float, float]] = {}
 
 # --- Wigner small-d ----------------------------------------------------------
 
-def _half_int(value: float, name: str) -> int:
-    """2 * value as an integer; DomainError unless 2 * value is finite and
-    ``value`` an integer or half-integer."""
-    if not abs(value) <= 0.5 * sys.float_info.max:  # also False for NaN
-        raise DomainError(f"{name} must be an integer or half-integer of magnitude at most "
-                          f"{0.5 * sys.float_info.max:g}, got {shown(value)}")
+def _half_int(value: float, quantity: str) -> int:
+    """2 * value as an integer, ``value`` checked as the ``quantity`` of
+    :data:`twistkick.units.RANGES` it is; DomainError unless it is an
+    integer or half-integer."""
+    value = check(value, quantity)
     two = round(2.0 * value)
     if abs(2.0 * value - two) > 1e-9:
-        raise DomainError(f"{name} must be integer or half-integer, got {value}")
+        raise DomainError(f"{quantity} must be integer or half-integer, got {value}")
     return int(two)
 
 
@@ -510,7 +502,7 @@ def wigner_small_d(j: float, m_f: float, m_i: float, theta: float) -> float:
     contract (the formula itself is exact for any modest j), and accepted
     up to j = 49, where its factorials stay within the floating-point range.
     """
-    two_j = _half_int(check(j, "j"), "j")
+    two_j = _half_int(j, "j")
     two_mf = _half_int(m_f, "m_f")
     two_mi = _half_int(m_i, "m_i")
     theta = check(theta, "theta")

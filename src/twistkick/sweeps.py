@@ -28,14 +28,13 @@ error instead of returning an empty table.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections import Counter, namedtuple
 from itertools import chain
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
-from .errors import DomainError, TwistkickError, shown
+from .errors import DomainError, TwistkickError
 from .pair_production import PairThresholdQuery, crossover_product, pair_threshold, \
     fit_beam_for_threshold_factor, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, deuteron_threshold, \
@@ -44,7 +43,7 @@ from .transitions import TransitionChannel, _ratio_from_partition, am_partitions
     raise_first_row_error, raise_row_error, sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FLOAT_ROWS, FM, GEV, KEV, MEV, NEV, \
-    _linspace, constants_sha256, nonrel_recoil_energy, on_floats, wavelength_to_energy
+    _linspace, check, constants_sha256, nonrel_recoil_energy, on_floats, wavelength_to_energy
 
 
 class GridSpec(namedtuple("GridSpec", "start stop count scale")):
@@ -57,10 +56,8 @@ class GridSpec(namedtuple("GridSpec", "start stop count scale")):
     __slots__ = ()
 
     def __new__(cls, start, stop, count, scale="lin"):
-        if not 2 <= count <= 10**6:
-            raise DomainError(f"grid count must lie in [2, 1e6], got {count}")
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise DomainError(f"grid ends must be finite, got [{start}, {stop}]")
+        count = check(count, "grid count")
+        start, stop = check(start, "grid start"), check(stop, "grid stop")
         if not stop > start:
             raise DomainError(f"grid needs stop > start, got [{start}, {stop}]")
         if not math.isfinite(stop - start):
@@ -70,7 +67,8 @@ class GridSpec(namedtuple("GridSpec", "start stop count scale")):
             raise DomainError(f"grid scale must be lin/log/loglin, got {scale!r}")
         if scale in ("log", "loglin") and not start > 0.0:
             raise DomainError("log-spaced grids need start > 0")
-        return super().__new__(cls, start, stop, count, scale)
+        # what namedtuple's own __new__ does, one Python call fewer
+        return tuple.__new__(cls, (start, stop, count, scale))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace
 
@@ -413,25 +411,6 @@ _register(
 FIGURE_IDS = tuple(sorted(_REGISTRY))
 
 
-def _check_override_type(figure_id: str, key: str, value, default) -> None:
-    # an int default takes an int; a float default a finite int or float
-    np = sys.modules.get("numpy")  # loaded wherever a numpy float exists
-    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if isinstance(default, int):
-        ok, expected = is_int, "an integer"
-    else:
-        # finite, compared as a Python float (a numpy float32 would cast the
-        # bound to its own type); isfinite raises on a huge int
-        ok = abs(value) <= sys.float_info.max if is_int else \
-            isinstance(value, (float, np.floating) if np else float) and math.isfinite(value)
-        expected = "a finite number"
-    if not ok:
-        raise DomainError(
-            f"figure {figure_id!r} parameter {key!r} expects {expected}, got {shown(value)}",
-            code="PARAMETER_TYPE",
-        )
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested figure; identical specs give identical results.
     The figure's builder returns ``(rows, codes)``: lists of float rows and codes."""
@@ -447,8 +426,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 f"(available: {', '.join(sorted(params)) or 'none'})",
                 code="UNKNOWN_PARAMETER",
             )
-        _check_override_type(spec.figure_id, key, value, params[key])
-        params[key] = value
+        # an int default takes an integer, a float default a finite number
+        try:
+            params[key] = check(value, "integer parameter" if type(params[key]) is int
+                                else "real parameter")
+        except DomainError as exc:
+            raise DomainError(f"figure {spec.figure_id!r} parameter {key!r}: {exc}",
+                              code="PARAMETER_TYPE") from None
 
     if figure.grid is None and spec.grid is not None:
         raise DomainError(
@@ -468,13 +452,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         _raise_every_row_dropped(spec.figure_id, figure, params, points)
     dropped_codes = [code for code in codes if code]
 
-    np = sys.modules.get("numpy")  # a numpy scalar override needs numpy loaded
     metadata = {
         "figure": spec.figure_id,
         "description": figure.description,
-        # numpy scalars (accepted as overrides) become the Python numbers JSON takes
-        "parameters": {k: v.item() if np and isinstance(v, np.generic) else v
-                       for k, v in params.items()},
+        "parameters": params,
         "grid": None if grid is None else grid._asdict(),
         "rows": len(rows),
         "dropped_rows": len(dropped_codes),

@@ -38,11 +38,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import numbers
 from collections import namedtuple
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
-from .errors import DomainError, UndefinedDistributionError, shown
+from .errors import DomainError, UndefinedDistributionError
 from .special_functions import MAX_ARGUMENT, MAX_ORDER, _half_int, _j_row, \
     bessel_first_max, bessel_j, bessel_j_array, check_bessel_argument, check_bessel_domain, \
     wigner_small_d
@@ -139,10 +138,9 @@ def am_partitions(
     """:func:`am_partition` of each of ``beams``, which share one transverse
     wavenumber (the m_gamma series of an AM panel), from one Bessel table
     for every order they need."""
-    scalar = isinstance(b, numbers.Real)  # the one float-or-array decision
-    if scalar:
-        b = check(b, "b point")
-    else:
+    b = check(b, "b row")  # a row code stands for its range
+    scalar = isinstance(b, (float, int))  # the one float-or-array decision
+    if not scalar:
         import numpy as np
         b = np.asarray(b, dtype=float)
     j = channel.j_int
@@ -240,7 +238,7 @@ def recoil_ratio_array(
     ratios and per-row error codes as in :class:`AmPartition`, with
     ``B_SINGULARITY`` (checked first) wherever b > 0 fails."""
     import numpy as np
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(check(b, "b row"), dtype=float)
     (ratio,), errors = _ratio_from_partition(beam, b, am_partition(beam, channel, b), False)
     return ratio, errors
 

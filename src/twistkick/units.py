@@ -14,14 +14,20 @@ bit-reproducible.
 
 **Accepted ranges.**  :data:`RANGES` declares, once, every checked input
 quantity: integer or real, its bounds and which ends are closed, whether it
-takes a 1-D array, and its error code.  :func:`check` enforces it, and the
-record constructors and exported functions of every physics module take
-their numeric arguments through it.  So an int beyond the floating-point
+takes a 1-D array, and its error code.  :func:`check` enforces it, and
+every numeric input goes through it: the record constructors and exported
+functions of every physics module, the Bessel orders and Wigner indices, a
+figure's grid and parameter overrides (:mod:`twistkick.sweeps`) and the
+CLI's float flags and point count (:mod:`twistkick.cli`, whose failures are
+usage errors).  So a bool or a non-number, an int beyond the floating-point
 range, a NaN or an infinity is handled in one place, an error names the
 value through :func:`twistkick.errors.shown`, and a numpy scalar comes back
 as the Python number it holds.  What stays with the callers: checks on
 results (an energy that overflows), relations between inputs (the internal
-AM within m_gamma, b > 0 where l_gamma > 0) and the Bessel kernel contract
+AM within m_gamma, b > 0 where l_gamma > 0, a grid's stop above its start,
+a nonzero first-lobe order, a half-integer magnetic number), the code an
+error takes where a caller needs its own (a figure parameter's
+``PARAMETER_TYPE``, a CLI flag's ``USAGE``), and the Bessel kernel contract
 on the derived argument kappa rho.
 
 **Floats or arrays.**  A kernel that runs over many points computes them
@@ -155,6 +161,11 @@ MAX_SIDEBAND_LEVEL = 170
 #: largest j of a Wigner d, and so of a multipole order: the factorials of
 #: the explicit sum stay within the floating-point range up to 2j = 98
 MAX_WIGNER_J = 49
+#: largest |n| of a Bessel order: the tables of
+#: :mod:`twistkick.special_functions` reach it
+MAX_BESSEL_ORDER = 64
+#: largest |m| of a magnetic number, whose double is then finite
+_HALF_MAX = 0.5 * _FLOAT_MAX
 
 
 class Range(namedtuple("Range", "name integer low high ends arrays code rule")):
@@ -178,7 +189,7 @@ def _rule(integer: bool, low, high, ends: str) -> str:
     if ends == "{}":
         return f"be {high:+d} or {low:+d}"
     if low > -_INF and high < _INF:
-        end = {0.5 * math.pi: "pi/2"}
+        end = {0.5 * math.pi: "pi/2", 1e6: "1e6"}
         return (f"{'be an integer in' if integer else 'lie in'} "
                 f"{ends[0]}{end.get(low, f'{low:g}')}, {end.get(high, f'{high:g}')}{ends[1]}")
     if integer:
@@ -192,13 +203,14 @@ def _rule(integer: bool, low, high, ends: str) -> str:
 
 def _bounds(q: Range) -> tuple:
     """The closed bounds :func:`check` compares with: of a float (an empty
-    interval for an integer quantity) and of an int (within the
-    floating-point range), and the int that "{}" ends exclude."""
+    interval for an integer quantity), and, as ints, of an int (within the
+    floating-point range) with the int it excludes: the middle of "{}" ends,
+    else one past the top, so that an int compares with ints alone."""
     lo = math.nextafter(q.low, _INF) if q.ends[:1] == "(" else q.low
     hi = math.nextafter(q.high, -_INF) if q.ends[1:] == ")" else q.high
-    hole = (q.low + q.high) // 2 if q.ends == "{}" else math.nan
-    floats = (_INF, -_INF) if q.integer else (lo, hi)
-    return (*floats, max(lo, -_FLOAT_MAX), min(hi, _FLOAT_MAX), hole)
+    ilo, ihi = math.ceil(max(lo, -_FLOAT_MAX)), math.floor(min(hi, _FLOAT_MAX))
+    hole = (q.low + q.high) // 2 if q.ends == "{}" else ihi + 1
+    return (_INF, -_INF) if q.integer else (lo, hi), (ilo, ihi, hole)
 
 
 def _ranges(names: str, *bounds, **kinds) -> dict:
@@ -213,6 +225,8 @@ RANGES = {
     # integers: quanta of angular momentum (hbar), orders and levels
     **_ranges("m_gamma, nu, internal AM", integer=True),
     **_ranges("delta_l, delta_l_cm, l_gamma", 0, ends="[)", integer=True),
+    "Bessel order": _range("Bessel order", -MAX_BESSEL_ORDER, MAX_BESSEL_ORDER, "[]",
+                           integer=True),
     "delta_l_cm > 0": _range("delta_l_cm", 1, ends="[)", integer=True),
     "l_gamma > 0": _range("l_gamma", 1, ends="[)", integer=True),
     "lambda_spin": _range("lambda_spin", -1, 1, "{}", integer=True),
@@ -231,21 +245,34 @@ RANGES = {
     "pitch angle": _range("pitch angle", 0.0, 0.5 * math.pi, "[)"),
     "pitch angles": _range("pitch angle", 0.0, 0.5 * math.pi, "[)", arrays=True),
     "crossover pitch angle": _range("pitch angle", 0.0, 0.5 * math.pi),
-    **_ranges("theta, m_initial"),
+    "theta": _range("theta"),
+    **_ranges("m_initial, m_f, m_i", -_HALF_MAX, _HALF_MAX, "[]"),
     "j": _range("j", 0.0, MAX_WIGNER_J, "[]"),
     "multipole_J": _range("multipole_J", 1.0, MAX_WIGNER_J, "[]"),
     # impact parameters (nm): of a superkick, of a target or a packet (and
     # the profile's radius rho), of a pair query or a sublevel profile, and
-    # of one point whose caller codes or checks its range
+    # of one point or an AM row whose caller codes or checks its range
     "b kick": _range("impact parameter", 0.0, ends="(]", arrays=True, code="B_SINGULARITY"),
     "b target": _range("impact parameter", 0.0, ends="[)", arrays=True),
     "rho": _range("rho", 0.0, ends="[)", arrays=True),
     "b finite": _range("impact parameter", arrays=True),
     "b point": _range("impact parameter", ends=""),
+    "b row": _range("impact parameter", ends="", arrays=True),
+    # a Bessel argument, whose range (|x| <= 1e6) the Bessel kernels check
+    "Bessel argument": _range("Bessel argument", ends=""),
+    # a figure's grid and parameters (by the type of the default), and the
+    # CLI's float flags and point count
+    **_ranges("grid start, grid stop"),
+    "grid count": _range("grid count", 2, 10**6, "[]", integer=True),
+    "integer parameter": _range("value", integer=True),
+    "real parameter": _range("value"),
+    "flag value": _range("flag value"),
+    "count": _range("count", 1, 10**6, "[]", integer=True),
 }
 
 
-_BOUNDS = {quantity: _bounds(q) for quantity, q in RANGES.items()}
+_FLOAT_BOUNDS, _INT_BOUNDS = ({quantity: _bounds(q)[k] for quantity, q in RANGES.items()}
+                              for k in (0, 1))
 
 
 def check(value, quantity: str):
@@ -257,29 +284,55 @@ def check(value, quantity: str):
     A non-integer is rejected where the quantity is an integer, an int
     beyond the floating-point range everywhere, and an array where the
     quantity takes none; an array is checked through its :func:`extremes`.
+    A bool, and any other value that is neither a real number nor an array
+    of them, is rejected with ``DOMAIN`` whatever the quantity's code, by
+    a message that names its type.
     The message names the value through :func:`twistkick.errors.shown`,
     so it never spells nan or inf.  A float or an int in range returns
     after a few comparisons; text is built only to raise."""
-    flo, fhi, ilo, ihi, hole = _BOUNDS[quantity]
     kind = type(value)
-    if flo <= value <= fhi if kind is float else \
-            kind is int and ilo <= value <= ihi and value != hole:
-        return value
+    if kind is float:
+        lo, hi = _FLOAT_BOUNDS[quantity]
+        if lo <= value <= hi:
+            return value
+    elif kind is int:
+        lo, hi, hole = _INT_BOUNDS[quantity]
+        if lo <= value <= hi and value != hole:
+            return value
     q = RANGES[quantity]
-    if isinstance(value, numbers.Real):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         value = int(value) if isinstance(value, numbers.Integral) else float(value)
         if type(value) is int and abs(value) > _FLOAT_MAX:
-            raise DomainError(f"{q.name} is beyond the floating-point range")
+            raise DomainError(f"{q.name} is beyond the floating-point range, got {shown(value)}")
         ends = (value,)
-    elif q.arrays:
-        ends = extremes(value)
+    elif q.arrays and _real_array(value):
+        ends = extremes(value) if q.ends else ()  # "" ends take any number
     else:
-        raise DomainError(f"{q.name} must be a real number, got {type(value).__name__}")
-    lo, hi = (ilo, ihi) if q.integer else (flo, fhi)
+        raise DomainError(f"{q.name} must be a real number{' or an array of them' * q.arrays}, "
+                          f"got {_type_of(value)}")
+    ilo, ihi, hole = _INT_BOUNDS[quantity]
+    lo, hi = (ilo, ihi) if q.integer else _FLOAT_BOUNDS[quantity]
     for end in ends:
         if not (lo <= end <= hi and end != hole or not q.ends) or q.integer and type(end) is float:
             raise DomainError(f"{q.name} must {q.rule}, got {shown(end)}", code=q.code)
     return value
+
+
+def _real_array(value) -> bool:
+    # whether numpy reads ``value`` as an array of real numbers, bool not one
+    import numpy as np
+    try:
+        return np.asarray(value).dtype.kind in "fiu"
+    except ValueError:  # a ragged sequence
+        return False
+
+
+def _type_of(value) -> str:
+    # a rejected value's type as error text, with that of the first element
+    # of a list or tuple that is no real number
+    held = [v for v in value if isinstance(v, bool) or not isinstance(v, numbers.Real)] \
+        if isinstance(value, (list, tuple)) else []
+    return type(value).__name__ + (f" holding {type(held[0]).__name__}" if held else "")
 
 
 def extremes(value) -> tuple:

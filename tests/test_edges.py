@@ -1,25 +1,34 @@
-"""Every exported callable and record constructor at edge values: one numeric
-argument at a time (a field of a beam, target, trap or query argument counts
-as an argument) is set to each of the values below, with numpy loaded and
-warnings raised as errors.  Each call must end in a finite result of its
-documented type, holding plain Python numbers, or in a coded TwistkickError
-whose text spells no value as nan or inf.  The exceptions are documented in
+"""Every exported callable and record constructor, the grid record, the
+first-maximum and first-lobe roots of the Bessel functions, and every figure
+parameter override, at edge values: one numeric argument at a time (a field
+of a beam, target, trap or query argument counts as an argument) is set to
+each of the values below, with numpy loaded and warnings raised as errors.
+Each call must end in a finite result of its documented type, holding plain
+Python numbers, or in a coded TwistkickError whose text spells no value as
+nan or inf.  A value that is no number (a bool, a string, None, a list
+holding a string) must end in a ``DOMAIN`` error that names its type, but
+None where an argument takes it.  The exceptions are documented in
 ``INF_ALLOWED`` and ``ROW_CODES`` below, each with its reason.  The inputs
 are a fixed list, so the test is deterministic."""
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import twistkick
-from twistkick import TruncationWarning, TwistkickError
+from twistkick import TruncationWarning, TwistkickError, special_functions, sweeps
 from twistkick.units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, DEUTERON_MASS_EV
 
+# values that are no number, each named by its type in the error
+NOT_NUMBERS = (True, "abc", None, [1.0, "x"])
 EDGES = (0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, math.nan, math.inf, -math.inf,
-         10**400, -(10**400), -1.0, -3, 2, 7, np.float64(1.5), np.int64(2))
+         10**400, -(10**400), -1.0, -3, 2, 7, np.float64(1.5), np.int64(2), *NOT_NUMBERS)
+# the arguments and record fields that take None
+TAKES_NONE = {"envelope_w0", "spread_rms"}
 
 _SPELLED = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
@@ -85,6 +94,16 @@ CALLS = {
     "energy_to_wavelength": {"energy_ev": 3.12},
     "frequency_to_energy": {"frequency_hz": 1.5e6},
     "wavelength_to_energy": {"wavelength_nm": 397.0},
+}
+# callables of the package's modules that it does not export, each with its
+# base arguments; an argument that is no number (a scale, a function) is
+# not varied
+MODULE_CALLS = {
+    "GridSpec": (lambda **kw: (lambda grid: (grid, grid.values()))(sweeps.GridSpec(**kw)),
+                 {"start": 1.0, "stop": 100.0, "count": 5, "scale": "lin"}),
+    "bessel_first_max": (special_functions.bessel_first_max, {"n": 3}),
+    "first_lobe_peak_argument": (special_functions.first_lobe_peak_argument,
+                                 {"l_gamma": 3, "envelope_slope": lambda x: 0.1 * x}),
 }
 
 # the arguments (or record fields) whose docstring admits a 1-D array: each
@@ -156,24 +175,34 @@ def _forms(owner, key, base_value, edge):
     if (owner, key) in ARRAYS:
         try:
             forms.append(np.array([base_value, edge], dtype=float))
-        except OverflowError:
+        except (OverflowError, TypeError, ValueError):  # or a str, None, a list
             pass
     return forms
 
 
+def _no_number(key, form, edge):
+    """The type name a call's error must give where ``form`` passes ``edge``,
+    a value that is no number, as ``key`` (which may take None); else None."""
+    if isinstance(form, np.ndarray) or not any(edge is v for v in NOT_NUMBERS):
+        return None
+    return None if edge is None and key in TAKES_NONE else type(edge).__name__
+
+
 def _variants(name):
-    """(label, call) of every call of ``name`` with one numeric argument, or
-    one field of one record argument, set to an edge value.  A record field
-    value that its constructor rejects, or fails on, is covered by the
-    constructor's own calls, so that call is skipped here."""
-    base = CALLS[name]
-    function = getattr(twistkick, name)
+    """(label, call, type name) of every call of ``name`` with one numeric
+    argument, or one field of one record argument, set to an edge value, the
+    type name that of a value that is no number (:func:`_no_number`).  A
+    record field value that its constructor rejects, or fails on, is covered
+    by the constructor's own calls, so that call is skipped here."""
+    function, base = MODULE_CALLS[name] if name in MODULE_CALLS else \
+        (getattr(twistkick, name), CALLS[name])
     if name in RECORDS_BY_CLASS:  # a constructor: its fields are its arguments
         for field, value in base.items():
             for edge in EDGES:
                 for form in _forms(name, field, value, edge):
                     yield f"{field}={form!r}", \
-                        lambda field=field, form=form: function(**{**base, field: form})
+                        lambda field=field, form=form: function(**{**base, field: form}), \
+                        _no_number(field, form, edge)
         return
 
     def arguments(changed_record=None, field=None, form=None):
@@ -187,6 +216,8 @@ def _variants(name):
         return args
 
     for key, value in base.items():
+        if isinstance(value, str) and value not in RECORDS or callable(value):
+            continue
         for edge in EDGES:
             if value in RECORDS:
                 cls, fields = RECORDS[value]
@@ -196,15 +227,19 @@ def _variants(name):
                             args = arguments(key, field, form)
                         except Exception:  # noqa: BLE001 - the constructor's own fault
                             continue
-                        yield f"{key}.{field}={form!r}", lambda args=args: function(**args)
+                        yield f"{key}.{field}={form!r}", lambda args=args: function(**args), \
+                            _no_number(field, form, edge)
             else:
                 for form in _forms(name, key, value, edge):
                     args = {**arguments(), key: form}
-                    yield f"{key}={form!r}", lambda args=args: function(**args)
+                    yield f"{key}={form!r}", lambda args=args: function(**args), \
+                        _no_number(key, form, edge)
 
 
-def _outcome(name, call):
-    """None where the call ends as documented, else what went wrong."""
+def _outcome(name, call, no_number=None):
+    """None where the call ends as documented, else what went wrong; with
+    ``no_number``, the type name of a value that is no number, the call
+    must end in a DOMAIN error naming that type."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", TruncationWarning)  # a documented warning
@@ -214,9 +249,13 @@ def _outcome(name, call):
             text = str(exc)
             if _SPELLED.search(text):
                 return f"{type(exc).__name__} [{exc.code}] spells a value: {text}"
+            if no_number and (exc.code != "DOMAIN" or f"got {no_number}" not in text):
+                return f"{type(exc).__name__} [{exc.code}] does not name {no_number}: {text}"
             return None
         except Exception as exc:  # noqa: BLE001 - the fault under test
             return f"uncoded {type(exc).__name__}: {exc}"
+    if no_number:
+        return f"took a {no_number}: returned {result!r}"
     # a float b has one code string, an array one code per row
     codes = np.atleast_1d(ROW_CODES[name](result)).tolist() if name in ROW_CODES else []
     if not _plain(result, allow_inf=name in INF_ALLOWED, allow_nan=any(codes)):
@@ -224,12 +263,49 @@ def _outcome(name, call):
     return None
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(CALLS) + sorted(MODULE_CALLS))
 def test_edge_values_end_in_a_value_or_a_coded_error(name):
     faults = []
-    for label, call in _variants(name):
-        fault = _outcome(name, call)
+    for label, call, no_number in _variants(name):
+        fault = _outcome(name, call, no_number)
         if fault:
             faults.append(f"{name}({label}): {fault}")
+    assert not faults, "\n".join(faults)
+
+
+def _rejected_override(default, value) -> bool:
+    """Whether an override is no number of its default's kind: an integer
+    for an int default, a finite number for a float one, neither a bool nor
+    an int beyond the floating-point range."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.number)):
+        return True
+    if isinstance(value, (int, np.integer)):
+        return abs(int(value)) > sys.float_info.max
+    return isinstance(default, int) or not math.isfinite(value)
+
+
+@pytest.mark.parametrize("figure_id", sweeps.FIGURE_IDS)
+def test_every_figure_parameter_override_ends_in_a_table_or_a_coded_error(figure_id):
+    # each parameter of the figure set to each edge value, on a 3-point grid
+    # (the fixed tables on their cases); an override that is no number of
+    # its default's kind is PARAMETER_TYPE
+    figure = sweeps._REGISTRY[figure_id]
+    grid = None if figure.grid is None else sweeps.GridSpec(
+        figure.grid.start, figure.grid.stop, 3, figure.grid.scale)
+    faults = []
+    for key, default in figure.defaults.items():
+        for edge in EDGES:
+            spec = sweeps.SweepSpec(figure_id, {key: edge}, grid)
+            fault = _outcome("run_sweep", lambda: sweeps.run_sweep(spec))
+            if not fault and _rejected_override(default, edge):
+                try:
+                    sweeps.run_sweep(spec)
+                except TwistkickError as exc:
+                    if exc.code != "PARAMETER_TYPE":
+                        fault = f"[{exc.code}] {exc}"
+                else:
+                    fault = "took it"
+            if fault:
+                faults.append(f"{figure_id}({key}={edge!r}): {fault}")
     assert not faults, "\n".join(faults)
 

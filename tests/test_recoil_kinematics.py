@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from twistkick import recoil_kinematics
-from twistkick.beam import TwistedPhotonBeam, bessel_gauss_amplitude, radial_intensity_total
+from twistkick.beam import TwistedPhotonBeam, bessel_gauss_amplitude, radial_intensity_integral, \
+    radial_intensity_total
 from twistkick.errors import ConfigurationError, DomainError, QuadratureError, SolverError
 from twistkick.recoil_kinematics import (
     TargetParticle,
@@ -314,3 +315,28 @@ def test_target_rejects_non_finite_inputs(inputs):
 def test_target_of_infinite_mass_is_accepted():
     # an infinitely heavy target takes no recoil (absorption_energy tests it)
     assert TargetParticle(math.inf).mass == math.inf
+
+
+@pytest.mark.parametrize("l_gamma", [56, 60, 64])
+@pytest.mark.parametrize("kappa_w0", [0.1, 1.0, 3.0])
+def test_profile_tail_beyond_8_w0_is_below_1e_9_of_the_total(l_gamma, kappa_w0):
+    # focus_fraction answers exactly 1.0 for b* >= 8 w0.  J_l^2 grows like
+    # rho^(2l) there, so the tail beyond 8 w0 is not the envelope's 1e-55:
+    # it is largest at |l| = 64, where it reaches 2.9e-10 of the total.
+    # Oracle: mpmath's quadrature of the tail over mpmath's closed-form total
+    # (Weber's second exponential integral, w0 = 1); then the package's own
+    # quadrature over [0, 8 w0] against its closed-form total
+    import mpmath
+    with mpmath.workdps(30):
+        y = kappa_w0**2 / 4
+        total = mpmath.exp(-y) * mpmath.besseli(l_gamma, y) / 4
+        tail = mpmath.quad(lambda r: mpmath.besselj(l_gamma, kappa_w0 * r) ** 2
+                           * mpmath.exp(-2 * r * r) * r, [8, 9, 10, 12, mpmath.inf])
+        assert 0 < tail / total <= 1e-9
+    w0 = 1.0
+    pitch = 0.1
+    beam = TwistedPhotonBeam(l_gamma + 1, 1, kappa_w0 / w0 * HBARC_EV_NM / math.sin(pitch),
+                             pitch, envelope_w0=w0)
+    inner, error = radial_intensity_integral(beam, 8.0 * w0)
+    closed = radial_intensity_total(beam)
+    assert abs(closed - inner) <= 1e-9 * closed and error <= 1e-8 * closed

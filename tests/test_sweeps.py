@@ -426,16 +426,33 @@ def test_row_bookkeeping_matches_the_numpy_mask(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_numpy_float32_override_gives_python_floats():
+@pytest.mark.parametrize("figure_id, key, value", [
+    ("deuteron_table", "theta_k", 0.1), ("fig7", "trap_mhz", 1.3),
+    ("fig8a", "pitch_urad", 5.3), ("fig8b", "b_fm", 201.7),
+])
+def test_numpy_float32_override_gives_python_floats(figure_id, key, value):
     # a numpy float override is accepted, without a warning; rows and
-    # metadata hold Python floats
-    theta = np.float32(0.1)
-    result = run_sweep(SweepSpec("deuteron_table", overrides={"theta_k": theta}))
+    # metadata hold Python floats, and the rows are those of the Python
+    # float it holds (a float32 multiplied in a builder stayed float32)
+    override = np.float32(value)
+    result = run_sweep(SweepSpec(figure_id, overrides={key: override}))
     assert {type(v) for row in result.rows for v in row} == {float}
-    assert type(result.metadata["parameters"]["theta_k"]) is float
-    assert result.metadata["parameters"]["theta_k"] == float(theta)
-    expected = run_sweep(SweepSpec("deuteron_table", overrides={"theta_k": float(theta)}))
+    assert type(result.metadata["parameters"][key]) is float
+    assert result.metadata["parameters"][key] == float(override)
+    expected = run_sweep(SweepSpec(figure_id, overrides={key: float(override)}))
     assert repr(result.rows) == repr(expected.rows)
+
+
+def test_sweep_on_a_numpy_scalar_grid_is_written_as_json():
+    # the grid holds the Python numbers of its numpy ends and count, so its
+    # metadata is JSON's
+    from twistkick.cli import result_to_json
+    grid = GridSpec(np.float64(1.0), np.int64(100), np.int64(5), "log")
+    assert grid == GridSpec(1.0, 100, 5, "log")
+    assert [type(v) for v in grid[:3]] == [float, int, int]
+    result = run_sweep(SweepSpec("fig6", grid=grid))
+    assert json.loads(result_to_json(result))["metadata"]["grid"] == {
+        "start": 1.0, "stop": 100, "count": 5, "scale": "log"}
 
 
 def test_degenerate_grid():
