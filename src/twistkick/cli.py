@@ -375,6 +375,7 @@ def _beam(args) -> TwistedPhotonBeam:
 
 
 def _add_trap_flags(parser):
+    _add_beam_flags(parser, 729.0, -2, -1)
     parser.add_argument("--nu", type=int, default=1,
                         help="AM units transferred to the c.m. [hbar] (default: 1)")
     _add_shared_flags(parser, "--b-nm")
@@ -389,60 +390,31 @@ def _trap(args) -> TrapModel:
     return TrapModel(args.trap_mhz * 1e6, args.trap_mhz * 1e6, args.mass_mev * MEV)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="twistkick",
-        description="Recoil kinematics of twisted-photon absorption: "
-                    "AM partitioning, superkick recoil, threshold shifts.",
-    )
-    parser.add_argument("--version", action="version", version=f"twistkick {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+def _add_am_flags(p):
+    p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),
+                   help="multipole order J [1] (default: 1)")
+    _add_beam_flags(p, 397.0, 2, 1)
+    p.add_argument("--b-min-lambda", type=_float_flag, default=1e-3,
+                   help="sweep start [lambda] (default: 0.001)")
+    p.add_argument("--b-max-lambda", type=_float_flag, default=1.5,
+                   help="sweep stop [lambda] (default: 1.5)")
+    p.add_argument("--count", type=_flag("count"), default=300,
+                   help="number of points [1] (default: 300)")
 
-    for name, help_text, columns, kernel in (
-        ("am-transfer", "mean internal/c.m. angular momentum vs impact parameter",
-         [("lz_internal", "hbar"), ("lz_cm", "hbar")], _am_transfer_columns),
-        ("recoil-ratio", "transverse/longitudinal recoil ratio vs impact parameter",
-         [("pT_over_pz", "1")], _ratio_from_partition),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),
-                       help="multipole order J [1] (default: 1)")
-        _add_beam_flags(p, 397.0, 2, 1)
-        p.add_argument("--b-min-lambda", type=_float_flag, default=1e-3,
-                       help="sweep start [lambda] (default: 0.001)")
-        p.add_argument("--b-max-lambda", type=_float_flag, default=1.5,
-                       help="sweep stop [lambda] (default: 1.5)")
-        p.add_argument("--count", type=_flag("count"), default=300,
-                       help="number of points [1] (default: 300)")
-        _add_output_flags(p)
-        p.set_defaults(handler=partial(_am_sweep, columns=columns, kernel=kernel))
 
-    p = sub.add_parser("ion-recoil",
-                       help="longitudinal and superkick recoil energies for a trapped ion")
+def _add_ion_recoil_flags(p):
     # --pitch-rad is accepted but unread: the recoil energies do not depend on it
     _add_beam_flags(p, 397.0, 2, 1)
     _add_shared_flags(p, "--b-nm", "--mass-mev")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_ion_recoil)
 
-    p = sub.add_parser("trap-jump",
-                       help="trap excitation probability: point-impulse vs extended packet")
-    _add_beam_flags(p, 729.0, -2, -1)
-    _add_trap_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_trap_jump)
 
-    p = sub.add_parser("sidebands",
-                       help="transverse sideband spectrum from the motional ground state")
-    _add_beam_flags(p, 729.0, -2, -1)
+def _add_sidebands_flags(p):
     _add_trap_flags(p)
     p.add_argument("--n-max", type=int, default=8,
                    help="highest trap level retained, 2-170 [1] (default: 8)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_sidebands)
 
-    p = sub.add_parser("deuteron-threshold",
-                       help="photodisintegration threshold for a deuteron off the vortex axis")
+
+def _add_deuteron_flags(p):
     p.add_argument("--m-gamma", type=int, default=2,
                    help="photon total AM [hbar] (default: 2)")
     p.add_argument("--internal-am", type=int, default=1,
@@ -452,11 +424,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-fm", type=_float_flag, default=559.0,
                    help="photon wavelength [fm] (default: 559)")
     _add_shared_flags(p, "--pitch-rad")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_deuteron_threshold)
 
-    p = sub.add_parser("focus-fraction",
-                       help="fraction of absorptions with recoil ratio above a cut")
+
+def _add_focus_flags(p):
     p.add_argument("--w0-pm", type=_float_flag, required=True,
                    help="Bessel-Gauss envelope scale [pm] (required)")
     p.add_argument("--ratio-cut", type=_float_flag, default=0.1,
@@ -466,11 +436,9 @@ def build_parser() -> _Parser:
     p.add_argument("--energy-mev", type=_float_flag, default=DEUTERON_BINDING_EV / MEV,
                    help="photon energy [MeV] (default: deuteron binding 2.22452)")
     _add_shared_flags(p, "--pitch-rad")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_focus_fraction)
 
-    p = sub.add_parser("pair-threshold",
-                       help="gamma-gamma pair-production threshold for a twisted photon")
+
+def _add_pair_flags(p):
     _add_shared_flags(p, "--omega2-ev")
     p.add_argument("--pitch-urad", type=_float_flag, required=True,
                    help="pitch angle [urad] (required)")
@@ -480,26 +448,17 @@ def build_parser() -> _Parser:
     group.add_argument("--b-fm", type=_float_flag, default=None,
                        help="impact parameter [fm] (alternative to --pt-mev)")
     _add_shared_flags(p, "--l-gamma")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_pair_threshold)
 
-    p = sub.add_parser("crossover",
-                       help="b*theta_k product where twisted and plane-wave thresholds meet")
-    _add_shared_flags(p, "--omega2-ev", "--l-gamma")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_crossover)
 
-    p = sub.add_parser("beam-fit",
-                       help="beam parameters realizing a requested threshold increase")
+def _add_beam_fit_flags(p):
     p.add_argument("--factor", type=_float_flag, default=10.0,
                    help="threshold multiplication factor [1] (default: 10)")
     _add_shared_flags(p, "--omega2-ev", "--l-gamma")
     p.add_argument("--w0-over-b", type=_float_flag, default=2.0,
                    help="envelope scale over target radius [1] (default: 2)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_beam_fit)
 
-    p = sub.add_parser("reproduce", help="emit the data table behind a canned figure")
+
+def _add_reproduce_flags(p):
     p.add_argument("--figure", required=True, choices=FIGURE_IDS,
                    help="figure id")
     p.add_argument("--set", action="append", type=_parse_override, metavar="KEY=VALUE",
@@ -512,9 +471,54 @@ def build_parser() -> _Parser:
                    help="replacement grid point count [1]")
     p.add_argument("--grid-scale", choices=("lin", "log", "loglin"), default="lin",
                    help="replacement grid spacing (default: lin)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_reproduce)
 
+
+#: every subcommand, once: its help, its handler and what adds its flags
+#: (the output flags, which every subcommand takes, come last)
+_COMMANDS = {
+    "am-transfer": ("mean internal/c.m. angular momentum vs impact parameter",
+                    partial(_am_sweep, columns=[("lz_internal", "hbar"), ("lz_cm", "hbar")],
+                            kernel=_am_transfer_columns), _add_am_flags),
+    "recoil-ratio": ("transverse/longitudinal recoil ratio vs impact parameter",
+                     partial(_am_sweep, columns=[("pT_over_pz", "1")],
+                             kernel=_ratio_from_partition), _add_am_flags),
+    "ion-recoil": ("longitudinal and superkick recoil energies for a trapped ion",
+                   _cmd_ion_recoil, _add_ion_recoil_flags),
+    "trap-jump": ("trap excitation probability: point-impulse vs extended packet",
+                  _cmd_trap_jump, _add_trap_flags),
+    "sidebands": ("transverse sideband spectrum from the motional ground state",
+                  _cmd_sidebands, _add_sidebands_flags),
+    "deuteron-threshold": ("photodisintegration threshold for a deuteron off the vortex axis",
+                           _cmd_deuteron_threshold, _add_deuteron_flags),
+    "focus-fraction": ("fraction of absorptions with recoil ratio above a cut",
+                       _cmd_focus_fraction, _add_focus_flags),
+    "pair-threshold": ("gamma-gamma pair-production threshold for a twisted photon",
+                       _cmd_pair_threshold, _add_pair_flags),
+    "crossover": ("b*theta_k product where twisted and plane-wave thresholds meet",
+                  _cmd_crossover, lambda p: _add_shared_flags(p, "--omega2-ev", "--l-gamma")),
+    "beam-fit": ("beam parameters realizing a requested threshold increase",
+                 _cmd_beam_fit, _add_beam_fit_flags),
+    "reproduce": ("emit the data table behind a canned figure", _cmd_reproduce,
+                  _add_reproduce_flags),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of ``command`` alone; a
+    subcommand parses, and prints its usage and errors, the same either way."""
+    parser = _Parser(
+        prog="twistkick",
+        description="Recoil kinematics of twisted-photon absorption: "
+                    "AM partitioning, superkick recoil, threshold shifts.",
+    )
+    parser.add_argument("--version", action="version", version=f"twistkick {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name in _COMMANDS if command is None else (command,):
+        help_text, handler, add_flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        _add_output_flags(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -528,8 +532,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command first needs its own parser alone; anything else (an
+    # option, an unknown or no command) goes to the full one
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

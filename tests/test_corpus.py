@@ -227,9 +227,9 @@ def _digest(text: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _parser(build=cli.build_parser):
-    # one parser serves every call: parsing does not change it
-    return build()
+def _parser(command=None, build=cli.build_parser):
+    # one parser per command serves every call: parsing does not change it
+    return build(command)
 
 
 def run_in_process(argv) -> list:
