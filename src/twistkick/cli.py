@@ -171,7 +171,8 @@ def _am_transfer_columns(beam, b, partition, scalar):
 
 def _cmd_ion_recoil(args) -> SweepResult:
     energy = wavelength_to_energy(args.lambda_nm)
-    delta_l = args.m_gamma - args.lambda_spin
+    # a negative delta_l reaches no library check, so m_gamma is checked here
+    delta_l = check(args.m_gamma, "m_gamma") - args.lambda_spin
     # the library takes an infinite mass as a recoil-free absorber; here it
     # can only be a --mass-mev whose conversion to eV overflows
     mass = check(args.mass_mev * MEV, "ion_mass")

@@ -290,7 +290,11 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     call; an order column of shape (k, 1) against x of shape (m,) gives the
     (k, m) table."""
     import numpy as np
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        check(x, "Bessel argument")  # the coded error that names its type
+        raise
     order = np.asarray(n)
     # the widest order stands for all; one that numpy holds as no number (an
     # int beyond int64, a bool) goes to the check as given, which rejects it

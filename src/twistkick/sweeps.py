@@ -60,7 +60,9 @@ class GridSpec(namedtuple("GridSpec", "start stop count scale")):
         start, stop = check(start, "grid start"), check(stop, "grid stop")
         if not stop > start:
             raise DomainError(f"grid needs stop > start, got [{start}, {stop}]")
-        if not math.isfinite(stop - start):
+        # the span of the floats: that of two ints is an int, which can
+        # exceed the float range where each end does not
+        if not math.isfinite(float(stop) - float(start)):
             raise DomainError(f"grid span [{start:g}, {stop:g}] is beyond the "
                               "floating-point range")
         if scale not in ("lin", "log", "loglin"):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import random
@@ -52,6 +53,59 @@ def test_help_lists_all_subcommands():
     assert cp.returncode == 0
     for name in SUBCOMMANDS:
         assert name in cp.stdout
+
+
+# each subcommand with its required flags
+REQUIRED_ARGV = {
+    "am-transfer": [], "recoil-ratio": [], "ion-recoil": ["--b-nm", "10"],
+    "trap-jump": ["--b-nm", "20"], "sidebands": ["--b-nm", "20"],
+    "deuteron-threshold": ["--b-fm", "89"], "focus-fraction": ["--w0-pm", "50"],
+    "pair-threshold": ["--pitch-urad", "5", "--b-fm", "200"], "crossover": [], "beam-fit": [],
+    "reproduce": ["--figure", "fig6"],
+}
+
+
+def _subcommands(parser) -> list[str]:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+def test_parser_of_one_command_holds_that_command_alone():
+    assert _subcommands(build_parser()) == SUBCOMMANDS == list(REQUIRED_ARGV)
+    for name in SUBCOMMANDS:
+        assert _subcommands(build_parser(name)) == [name]
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_one_command_parser_parses_as_the_full_parser(name):
+    argv = [name, *REQUIRED_ARGV[name]]
+    one, full = (vars(parser.parse_args(argv)) for parser in (build_parser(name), build_parser()))
+    assert one.pop("handler") is full.pop("handler")
+    assert one == full
+
+
+@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["bogus"], 1), ([], 1)])
+def test_top_level_help_and_errors_name_every_subcommand(capsys, argv, status):
+    code, out, err = run_main(capsys, *argv)
+    assert code == status
+    text = out + err
+    assert all(name in text for name in SUBCOMMANDS) if argv else "COMMAND" in text
+
+
+def test_main_builds_the_parser_its_first_argument_names(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build_parser(command))
+    for argv in (["crossover"], ["--version"], ["bogus"], [], ["crossove"], ["-h"],
+                 ["--format", "json", "crossover"]):
+        run_main(capsys, *argv)
+    assert built == ["crossover"] + [None] * 6
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    expected = run_main(capsys, "crossover", "--format", "json")
+    monkeypatch.setattr(sys, "argv", ["twistkick", "crossover", "--format", "json"])
+    assert (main(), *capsys.readouterr()) == expected
 
 
 def test_subcommand_help_shows_units_and_defaults(capsys):
@@ -420,7 +474,10 @@ def test_array_bessel_tables_load_no_numpy_ma(argv):
     (["sidebands", "--b-nm", "10", "--nu", "1" + "0" * 60], "DOMAIN"),
     (["deuteron-threshold", "--b-fm", "10", "--internal-am", "1" + "0" * 60], "DOMAIN"),
     (["reproduce", "--figure", "fig2a", "--set", "theta_k=1" + "0" * 400], "PARAMETER_TYPE"),
-], ids=["sidebands-nu", "deuteron-internal-am", "reproduce-theta-k"])
+    (["ion-recoil", "--b-nm", "10", "--m-gamma=-1" + "0" * 400], "DOMAIN"),
+    (["ion-recoil", "--b-nm", "10", "--m-gamma", "1" + "0" * 400], "DOMAIN"),
+], ids=["sidebands-nu", "deuteron-internal-am", "reproduce-theta-k", "ion-recoil-negative-m-gamma",
+        "ion-recoil-m-gamma"])
 def test_huge_integer_is_named_by_its_length(capsys, argv, code):
     status, out, err = run_main(capsys, *argv)
     assert status == 2 and out == ""

@@ -70,6 +70,21 @@ def test_non_integer_order_is_named_without_spelling_it(order, shown):
         assert str(err.value) == f"Bessel order must be an integer in [-64, 64], got {shown}"
 
 
+@pytest.mark.parametrize("x, shown", [
+    ("abc", "must be a real number, got str"),
+    ([1.0, "x"], "must be a real number, got list holding str"),
+    ({"a": 1.0}, "must be a real number, got dict"),
+    (1 + 2j, "must be a real number, got complex"),
+    (10**400, "is beyond the floating-point range, got an integer of 401 digits"),
+])
+def test_argument_that_numpy_cannot_read_as_floats_is_a_domain_error(x, shown):
+    # the array call gives the scalar call's coded error, not numpy's
+    for call in (lambda: bessel_j(1, x), lambda: bessel_j_array(1, x)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == ("DOMAIN", f"Bessel argument {shown}")
+
+
 def test_negative_order_symmetry_bitwise():
     rng = np.random.default_rng(3)
     for _ in range(100):

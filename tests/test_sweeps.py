@@ -726,3 +726,14 @@ def test_grid_figures_on_floats_equal_the_array_path(monkeypatch, figure_id):
         assert outcomes[0] == outcomes[1], spec
         strict_raised.add(isinstance(outcomes[0][1], tuple))
     assert strict_raised == {True, False}  # some seeded grid fails strictly, some does not
+
+
+@pytest.mark.parametrize("start, stop", [(-int(1.7e308), int(1.7e308)), (-1.7e308, 1.7e308),
+                                         (-int(1.7e308), 1.7e308)], ids=["ints", "floats", "mixed"])
+def test_grid_span_beyond_the_float_range_is_a_domain_error(start, stop):
+    # each end lies within the float range; the span of two ints is an int
+    # that does not
+    with pytest.raises(DomainError) as err:
+        GridSpec(start, stop, 3)
+    assert err.value.code == "DOMAIN"
+    assert str(err.value) == "grid span [-1.7e+308, 1.7e+308] is beyond the floating-point range"
