@@ -30,6 +30,14 @@ imported on first use, so a CSV call never loads it.
 ``am-transfer`` and ``recoil-ratio`` run through ``sweeps._am_columns``
 on the ``units._linspace`` grid, which equals ``numpy.linspace`` bit for
 bit; ``units`` documents when a table runs on Python floats.
+
+Each subcommand is declared once, in ``_COMMANDS``.  A call whose first
+argument is a subcommand's name builds the parser of that subcommand alone,
+about half the cost of all eleven; any other call (``--help``,
+``--version``, an unknown or no subcommand) builds the full parser.  The
+output is the same bytes either way: a subcommand's usage, help and errors
+do not depend on its siblings, and the ``COMMAND`` metavar keeps the list
+of subcommands out of every usage line.
 """
 
 from __future__ import annotations
