@@ -84,18 +84,20 @@ def test_one_command_parser_parses_as_the_full_parser(name):
     assert one == full
 
 
-@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["bogus"], 1), ([], 1)])
-def test_top_level_help_and_errors_name_every_subcommand(capsys, argv, status):
+@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["bogus"], 1)])
+def test_top_level_help_and_unknown_command_name_every_subcommand(capsys, argv, status):
     code, out, err = run_main(capsys, *argv)
     assert code == status
-    text = out + err
-    assert all(name in text for name in SUBCOMMANDS) if argv else "COMMAND" in text
+    assert all(name in out + err for name in SUBCOMMANDS)
 
 
 def test_main_builds_the_parser_its_first_argument_names(capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
-                        or build_parser(command))
+
+    def recording(command=None):
+        built.append(command)
+        return build_parser(command)
+    monkeypatch.setattr(cli, "build_parser", recording)
     for argv in (["crossover"], ["--version"], ["bogus"], [], ["crossove"], ["-h"],
                  ["--format", "json", "crossover"]):
         run_main(capsys, *argv)
