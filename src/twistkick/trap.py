@@ -23,10 +23,32 @@ exp(-x) (x/2)^n / (n_r! (n_r+|l|)!), n = 2 n_r + |l|, x = (kappa sigma)^2.
 Summed over n_r that weight is exp(-x) I_l(x) (Weber's second exponential
 integral, DLMF 10.22.67).  :func:`jump_probability_extended` sums the whole
 series; :func:`sideband_spectrum` splits it level by level, one b a call.
+
+The series runs over |l| <= L, the smallest L >= |nu| + 1 at which the
+dropped tail is provably below 2^-60 of the strength S = <0||F|^2|0> at
+every kappa b <= 1e6, capped at the earlier rule max(|nu|, 9 sqrt(x)) + 30,
+which takes over from x ~ 20-30 (:func:`_half_width`); L <= |nu| + 9 for
+x <= 0.012, the ion's packets.  With w_l = exp(-x) I_l(x), m = |nu| + 1
+and z = kappa b:
+
+- the power series of I_l (DLMF 10.25.2) gives w_l <= u_l =
+  exp(-x) (x/2)^l / l! exp(x^2 / (4(l+1))), and u_{l+1}/u_l <= x/(2(l+1)),
+  so sum_{l > L} w_l <= u_{L+1} / (1 - r) with r = x / (2(L+2)) < 1;
+- for |l| > L >= m neither nu - l nor nu + l is 0, and |J_n| <= 2^-1/2
+  for n >= 1 (DLMF 10.14.1), so the tail is at most sum_{l > L} w_l;
+- S keeps l = nu, nu +- 1, and w_l falls with |l| (DLMF 10.37), so
+  S >= w_m (J_0(z)^2 + J_1(z)^2) >= exp(-x) (x/2)^m / m! (J_0^2 + J_1^2);
+- J_0^2 + J_1^2 falls with z (its derivative is -2 J_1^2 / z) and stays
+  above 0.18 min(1, 1/z) (a test checks it against mpmath at z = 2^k,
+  k = 0 ... 20), so at least 0.18e-6.
+
+exp(-x) cancels in the ratio of the two bounds, so L depends on nu and x
+alone: a float b and an array of b sum the same terms.
+
 The jump probabilities also take a 1-D array (of b, of p_T).  A float runs
 on Python floats and ``math``; an array of b sums the series from one
-Bessel table, and one helper, :func:`_packet_strength`, adds the terms in
-the same order on both, so each element equals the float result bit for
+Bessel table, and one helper, :func:`_packet_strength`, adds the terms
+left to right on both, so each element equals the float result bit for
 bit.  An array call raises for the whole array where the float call raises
 for some element.
 """
@@ -40,8 +62,8 @@ from collections import namedtuple
 
 from .beam import TwistedPhotonBeam, transverse_wavenumber
 from .errors import DomainError, NoAbsorptionError, TruncationWarning
-from .special_functions import _j_list, bessel_i_scaled_orders, bessel_j_orders, \
-    check_bessel_domain
+from .special_functions import MAX_ARGUMENT, _j_list, bessel_i_scaled_orders, \
+    bessel_j_orders, check_bessel_domain
 from .units import HBARC_EV_NM, MAX_SIDEBAND_LEVEL, check, extremes, frequency_to_energy, \
     nonrel_recoil_energy, per_element
 
@@ -115,27 +137,59 @@ def jump_probability_point(p_t, trap: TrapModel) -> float | np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _packet_weights(half_width: int, x: float) -> tuple[float, ...]:
-    # e^{-x} I_l(x), l = 0 ... half_width: one packet's weights, shared by
-    # every b of a sweep
-    return tuple(bessel_i_scaled_orders(half_width, x))
+def _packet_weights(nu_abs: int, x: float) -> tuple[int, tuple[float, ...]]:
+    # the half width L of the series and e^{-x} I_l(x), l = 0 ... L: one
+    # packet's, shared by every b of a sweep and by a jump and a spectrum
+    half_width = _half_width(nu_abs, x)
+    return half_width, tuple(bessel_i_scaled_orders(half_width, x))
+
+
+#: log of 2^-60 * 0.18e-6: the dropped tail's share of the strength times
+#: the least J_0^2 + J_1^2 >= 0.18 min(1, 1/kappa b) at kappa b <= 1e6
+_LOG_TAIL_BUDGET = math.log(0.18 / MAX_ARGUMENT) - 60.0 * math.log(2.0)
+_LOG_2 = math.log(2.0)
 
 
 def _half_width(nu: int, x: float) -> int:
-    # the series' |l| <= max(|nu|, 9 sqrt(x)) + 30 of jump_probability_extended
-    return math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
+    # the series' L of the module docstring: the smallest L >= m = |nu| + 1,
+    # at most max(|nu|, 9 sqrt(x)) + 30, at which the log of the tail bound
+    # u_{L+1} / (1 - r) over exp(-x) (x/2)^m / m! is at most _LOG_TAIL_BUDGET
+    # (up to the rounding of the logs; exp(-x) cancels)
+    low = abs(nu) + 1
+    top = math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
+    if x == 0.0:  # no partial wave but l = 0 carries weight
+        return low
+    log_half_x = math.log(x) - _LOG_2  # x / 2 underflows at the least subnormal
+    log_low = math.lgamma(low + 1)
+    # bisection for the smallest width that passes, the cap passing by fiat:
+    # where r < 1 the log bound falls with the width, so the widths that pass
+    # lie above those that fail
+    lo, hi = low, top
+    while lo < hi:
+        width = (lo + hi) // 2
+        r = x / (2.0 * width + 4.0)
+        if r < 1.0 and (width + 1 - low) * log_half_x + log_low - math.lgamma(width + 2) \
+                + 0.5 * x * r - math.log1p(-r) <= _LOG_TAIL_BUDGET:
+            hi = width
+        else:
+            lo = width + 1
+    return hi
 
 
 def _packet_strength(j_sq, i_scaled, nu: int, half_width: int):
     """<0||F|^2|0> = sum_l J_{nu-l}(kappa b)^2 e^{-x} I_l(x) over |l| <=
     ``half_width``, from ``j_sq[k]`` = J_k(kappa b)^2 and ``i_scaled[l]`` =
     e^{-x} I_l(x).  ``j_sq`` is a list of floats (one b) or a table of rows
-    (one row per order, one column per b); either way the terms are added
-    in the same order, so a column equals the float result bit for bit."""
+    (one row per order, one column per b).  Either way one loop adds the
+    terms left to right (the builtin ``sum`` of floats compensates since
+    Python 3.12, that of rows does not), so a column equals the float
+    result bit for bit."""
     # J_{nu-l}^2 = J_{|nu-l|}^2 and e^{-x} I_l = e^{-x} I_{|l|}: the terms
     # summed in +-l pairs
-    return j_sq[abs(nu)] * i_scaled[0] + sum([
-        i_scaled[l] * (j_sq[abs(nu - l)] + j_sq[abs(nu + l)]) for l in range(1, half_width + 1)])
+    total = 0.0
+    for l in range(1, half_width + 1):
+        total = total + i_scaled[l] * (j_sq[abs(nu - l)] + j_sq[abs(nu + l)])
+    return j_sq[abs(nu)] * i_scaled[0] + total
 
 
 def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int = 0):
@@ -161,13 +215,13 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int
     carrier_decay = math.exp(-x)
     if carrier_decay == 0.0:
         return nu, None, x, None, 0.0 * b
-    half_width = _half_width(nu, x)
+    half_width, i_scaled = _packet_weights(abs(nu), x)
     n_top = abs(nu) + max(half_width, n_max)
     if scalar:
         j_sq = [j * j for j in _j_list(n_top, kappa * b, n_top + 1)]
     else:
         j_sq = bessel_j_orders(n_top, kappa * b) ** 2
-    strength = _packet_strength(j_sq, _packet_weights(half_width, x), nu, half_width)
+    strength = _packet_strength(j_sq, i_scaled, nu, half_width)
     if not (0.0 < strength < math.inf if scalar
             else np.all((0.0 < strength) & (strength < math.inf))):
         value = f"= {strength}" if scalar else "is not positive and finite at some b"
@@ -190,8 +244,10 @@ def jump_probability_extended(
 
     The first is the Gaussian average of the plane-wave (conical)
     decomposition of F; the second is the series of the module docstring,
-    summed over |l| <= max(|nu|, 9 sqrt(x)) + 30, beyond which exp(-x) I_l(x)
-    has fallen below exp(-40) of the terms kept.  Once exp(-x) underflows
+    summed over |l| <= L, the smallest L >= |nu| + 1 at which the terms
+    dropped are provably below 2^-60 of the sum at every kappa b <= 1e6,
+    and at most the earlier max(|nu|, 9 sqrt(x)) + 30 (the module docstring
+    gives the proof; L <= |nu| + 9 for x <= 0.012).  Once exp(-x) underflows
     (x > 745, a packet wider than ~27/kappa) the carrier is gone and P = 1.
     The domain is that of the beam factor over the packet out to 9 sigma:
     |nu| <= 64 and kappa (b + 9 sigma) <= 1e6.  ``b`` (nm) is a float or a

@@ -1,5 +1,6 @@
 """Test-only oracles shared by several test modules."""
 
+import contextlib
 import math
 from collections import Counter
 
@@ -8,7 +9,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import jv
 
 from twistkick import beam as beam_module
-from twistkick import special_functions
+from twistkick import special_functions, trap
 from twistkick.beam import bessel_gauss_amplitude, transverse_wavenumber
 from twistkick.errors import DomainError, UndefinedDistributionError
 from twistkick.special_functions import bessel_j, wigner_small_d
@@ -135,3 +136,26 @@ def dict_sublevel_distribution(beam, channel, b):
             f"all sublevel amplitudes vanish at b={b}; no absorption"
         )
     return amps, winding, {m_f: v / total for m_f, v in sq.items()}
+
+
+def fixed_half_width(nu: int, x: float) -> int:
+    """|l| <= max(|nu|, 9 sqrt(x)) + 30: the fixed-margin half width of the
+    extended-packet series that the proven width of ``trap._half_width``
+    replaced, kept as its oracle (and as that width's cap)."""
+    return math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
+
+
+@contextlib.contextmanager
+def fixed_width_series():
+    """Run the extended-packet series (jump probabilities, sideband spectra,
+    fig7) at :func:`fixed_half_width` within the block: the series as it was
+    summed before its width was proven, with the packet weights' cache
+    emptied on entry and on exit."""
+    proven = trap._half_width
+    trap._packet_weights.cache_clear()
+    trap._half_width = fixed_half_width
+    try:
+        yield
+    finally:
+        trap._half_width = proven
+        trap._packet_weights.cache_clear()

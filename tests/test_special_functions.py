@@ -85,6 +85,18 @@ def test_argument_that_numpy_cannot_read_as_floats_is_a_domain_error(x, shown):
         assert (err.value.code, str(err.value)) == ("DOMAIN", f"Bessel argument {shown}")
 
 
+@pytest.mark.parametrize("x, shown", [
+    (True, "bool"), (None, "NoneType"), (np.array([True, False]), "ndarray"),
+], ids=["bool", "None", "bool-array"])
+def test_bool_or_none_argument_is_a_domain_error(x, shown):
+    # numpy reads True as 1.0 and None as NaN; both calls reject them by type
+    for call in (lambda: bessel_j(1, x), lambda: bessel_j_array(1, x)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == (
+            "DOMAIN", f"Bessel argument must be a real number, got {shown}")
+
+
 def test_negative_order_symmetry_bitwise():
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -1,14 +1,24 @@
+import functools
 import math
+import operator
+import random
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 from scipy.special import eval_genlaguerre, jv
 
+from oracles import fixed_half_width, fixed_width_series
+from twistkick import trap as trap_module
 from twistkick.beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick, \
     transverse_wavenumber
-from twistkick.errors import DomainError, NoAbsorptionError, TruncationWarning
+from twistkick.errors import DomainError, NoAbsorptionError, TruncationWarning, \
+    TwistkickError
 from twistkick.pair_production import small_angle_threshold
+from twistkick.special_functions import bessel_i_scaled_orders, bessel_j_orders
+from twistkick.sweeps import GridSpec, SweepSpec, run_sweep
 from twistkick.trap import (
     MAX_SIDEBAND_LEVEL,
     TrapModel,
@@ -633,3 +643,198 @@ def test_combined_curve_shape():
     interior_max = max(vals)
     assert interior_max > 0.0
     assert vals[-1] < 0.5 * interior_max
+
+
+# --- the width of the extended-packet series --------------------------------
+
+def packet_draws(seed, count):
+    """(beam, nu, b, sigma) across the series' accepted domain: |nu| in
+    {0, 1, 2, 64}; x = (kappa sigma)^2 from 0 (sigma = 5e-324) through
+    1e-8 ... 630 to just below and above 745, where exp(-x) underflows; b
+    uniform, 0, 1e-300, or at kappa (b + 9 sigma) = 1e6."""
+    rng = random.Random(seed)
+    for i in range(count):
+        beam = make_beam(m=rng.randint(-3, 3), spin=rng.choice((-1, 1)),
+                         lam=rng.uniform(350.0, 1000.0), theta=rng.uniform(0.01, 0.3))
+        kappa = transverse_wavenumber(beam)
+        nu = rng.choice((0, 1, -1, 2, -2, 64, -64))
+        x = rng.choice((rng.uniform(0.0, 0.012), 10.0 ** rng.uniform(-8.0, 2.8),
+                        rng.uniform(744.0, 746.0)))
+        sigma = 5e-324 if i % 5 == 1 else math.sqrt(x) / kappa
+        b = [rng.uniform(0.0, 40.0), rng.uniform(0.0, 30.0 / kappa), 0.0, 1e-300,
+             1e6 / kappa - 9.0 * sigma][i % 5 if i % 5 != 1 else rng.randrange(2)]
+        while kappa * (b + 9.0 * sigma) > 1e6:
+            b = math.nextafter(b, 0.0)
+        yield beam, nu, b, sigma
+
+
+def _outcome(call):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            return np.ravel(np.asarray(call(), dtype=float)).tolist()
+    except TwistkickError as err:
+        return (err.code, str(err))
+
+
+def _ulps(a, b):
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def test_packet_series_matches_the_fixed_width_oracle():
+    # the proven width against the series summed at max(|nu|, 9 sqrt(x)) + 30:
+    # the same errors, and values equal but where the smaller Bessel tables
+    # start their recurrences at other orders (5e-14 accuracy, not the tail)
+    rng = random.Random(2905)
+    calls = []
+    for beam, nu, b, sigma in packet_draws(2904, 300):
+        n_max = rng.choice((2, 10, 40, MAX_SIDEBAND_LEVEL))
+        calls += [
+            ("jump", 1.0, functools.partial(
+                jump_probability_extended, beam, nu, b, ca_trap(), sigma)),
+            ("jump array", 1.0, functools.partial(
+                jump_probability_extended, beam, nu, np.array([b, 0.5 * b, 0.0] * 4),
+                ca_trap(), sigma)),
+            ("sideband", None, lambda beam=beam, nu=nu, b=b, sigma=sigma, n_max=n_max: list(
+                sideband_spectrum(beam, nu, b, ca_trap(), sigma, n_max).weights.values())),
+        ]
+    for _ in range(30):
+        overrides = {"sigma_nm": rng.choice((5e-324, 10.0 ** rng.uniform(-3.0, 2.5))),
+                     "lambda_nm": rng.uniform(350.0, 1000.0), "theta_k": rng.uniform(0.01, 0.3),
+                     "m_gamma": rng.randint(-3, 3)}
+        grid = GridSpec(0.0, rng.uniform(1.0, 3000.0), rng.choice((3, 20, 120)))
+        spec = SweepSpec("fig7", overrides, grid)
+        calls.append(("fig7", 1.0, lambda spec=spec: run_sweep(spec).rows))
+    with fixed_width_series():
+        oracle = [_outcome(call) for _, _, call in calls]
+    differences, values = [], 0
+    for (name, scale, call), expected in zip(calls, oracle):
+        got = _outcome(call)
+        if isinstance(expected, tuple) or isinstance(got, tuple):
+            assert got == expected, name
+            continue
+        assert len(got) == len(expected)
+        values += len(got)
+        for new, old in zip(got, expected):
+            if new != old and not (math.isnan(new) and math.isnan(old)):
+                differences.append((name, old, new, _ulps(old, new)))
+                assert abs(new - old) <= 1e-13 * (scale or abs(old)), differences[-1]
+    # mostly bit-identical; each difference is listed on failure with its ulps
+    assert values > 10_000 and len(differences) <= 0.01 * values, differences
+
+
+def _log_tail_over_strength(nu, x, width):
+    # the log of the tail bound u_{width+1} / (1 - r) over the strength's
+    # bound exp(-x) (x/2)^m / m! 0.18e-6 of the trap docstring, in mpmath
+    m = abs(nu) + 1
+    x = mpmath.mpf(x)
+    r = x / (2 * (width + 2))
+    if r >= 1:
+        return mpmath.inf
+    return ((width + 1 - m) * mpmath.log(x / 2) + mpmath.loggamma(m + 1)
+            - mpmath.loggamma(width + 2) + x * x / (4 * (width + 2)) - mpmath.log1p(-r)
+            - mpmath.log(mpmath.mpf("0.18e-6")))
+
+
+def test_half_width_is_the_smallest_the_bound_admits():
+    rng = random.Random(2906)
+    budget = -60 * mpmath.log(2)
+    cases = [(nu, x) for nu in (0, 1, -2, 64) for x in (0.0, 5e-324, 1e-300, 744.9, 745.1)]
+    cases += [(rng.randint(-64, 64), 10.0 ** rng.uniform(-12.0, 2.9)) for _ in range(150)]
+    cases += [(rng.randint(-2, 2), rng.uniform(0.0, 0.012)) for _ in range(100)]
+    with mpmath.workdps(40):
+        for nu, x in cases:
+            width, low, cap = trap_module._half_width(nu, x), abs(nu) + 1, fixed_half_width(nu, x)
+            assert width == trap_module._half_width(-nu, x) and low <= width <= cap
+            if x == 0.0:
+                assert width == low
+                continue
+            assert width == cap or _log_tail_over_strength(nu, x, width) <= budget, (nu, x)
+            assert width == low or _log_tail_over_strength(nu, x, width - 1) > budget, (nu, x)
+    # the ion's packets (x <= 0.012): at most |nu| + 9, where the cap gave |nu| + 30 or more
+    assert max(trap_module._half_width(nu, 0.012) - abs(nu) for nu in range(-2, 3)) == 9
+
+
+def test_dropped_tail_is_below_the_documented_bound():
+    # the terms the fixed width keeps and the proven width drops, from one
+    # table each (the oracle strength minus the new strength, free of the
+    # rounding of two sums): below 2^-60 of the strength, and their weights
+    # below the geometric bound u_{L+1} / (1 - r)
+    checked = 0
+    for beam, nu, b, sigma in packet_draws(2907, 400):
+        kappa = transverse_wavenumber(beam)
+        x = (kappa * sigma) ** 2
+        width, wide = trap_module._half_width(nu, x), fixed_half_width(nu, x)
+        if math.exp(-x) == 0.0:
+            continue
+        j_sq = (bessel_j_orders(abs(nu) + wide, kappa * b) ** 2).tolist()
+        w = bessel_i_scaled_orders(wide, x)
+        terms = [j_sq[abs(nu)] * w[0]] + [
+            w[l] * (j_sq[abs(nu - l)] + j_sq[abs(nu + l)]) for l in range(1, wide + 1)]
+        kept, dropped = math.fsum(terms[:width + 1]), math.fsum(terms[width + 1:])
+        if kept == 0.0:  # no absorption: the strength underflows
+            continue
+        assert dropped <= 2.0 ** -60 * kept, (nu, x, b)
+        if width < wide and x > 0.0:
+            r = x / (2.0 * width + 4.0)
+            bound = math.exp((width + 1) * math.log(0.5 * x) - math.lgamma(width + 2)
+                             + x * x / (4.0 * (width + 2)) - x) / (1.0 - r)
+            # the tables' 5e-14 relative error, where the bound is sharp
+            assert math.fsum(w[width + 1:]) <= bound * (1.0 + 1e-12), (nu, x)
+            assert dropped <= bound * (1.0 + 1e-12)
+        checked += 1
+    assert checked > 200
+
+
+def test_scaled_bessel_i_tail_bound_against_mpmath():
+    # sum_{l > L} e^{-x} I_l(x) <= u_{L+1} / (1 - r), summed to convergence
+    rng = random.Random(2908)
+    cases = [(rng.randint(0, 64), 10.0 ** rng.uniform(-10.0, 1.4)) for _ in range(25)]
+    with mpmath.workdps(30):
+        for nu, x in cases:
+            width = trap_module._half_width(nu, x)
+            if width == fixed_half_width(nu, x):
+                continue
+            x = mpmath.mpf(x)
+            tail = mpmath.nsum(lambda l: mpmath.besseli(l, x), [width + 1, mpmath.inf])
+            r = x / (2 * (width + 2))
+            bound = (x / 2) ** (width + 1) / mpmath.factorial(width + 1) \
+                * mpmath.exp(x * x / (4 * (width + 2))) / (1 - r)
+            assert tail <= bound, (nu, x)
+
+
+def test_j0_squared_plus_j1_squared_bounds_the_strength():
+    # J_0^2 + J_1^2 falls with z (its derivative is -2 J_1^2 / z, from
+    # J_0' = -J_1 and J_1' = J_0 - J_1 / z), so its value at the right end of
+    # each octave [2^k, 2^(k+1)] bounds it on the octave: at least
+    # 0.18 min(1, 1/z) for 0 < z <= 2^20 > 1e6
+    def f(z):
+        return mpmath.besselj(0, z) ** 2 + mpmath.besselj(1, z) ** 2
+
+    with mpmath.workdps(30):
+        for z in (mpmath.mpf("1e-3"), mpmath.mpf("0.7"), mpmath.mpf(3), mpmath.mpf(1234.5)):
+            assert mpmath.diff(f, z) == pytest.approx(
+                -2 * mpmath.besselj(1, z) ** 2 / z, rel=1e-20, abs=1e-25)
+        assert f(1) >= 0.18
+        for k in range(20):
+            assert f(mpmath.mpf(2) ** (k + 1)) >= mpmath.mpf("0.18") / 2 ** k, k
+
+
+def test_packet_strength_adds_left_to_right():
+    # numpy-free: the float path's strength is the left-to-right fold of its
+    # terms (the builtin sum of floats compensates since Python 3.12, which
+    # a column of the array path does not)
+    rng = random.Random(2909)
+    for _ in range(3000):
+        beam = make_beam(m=rng.randint(-3, 3), spin=rng.choice((-1, 1)),
+                         lam=rng.uniform(350.0, 1000.0), theta=rng.uniform(0.01, 0.3))
+        kappa = transverse_wavenumber(beam)
+        nu = rng.randint(-3, 3)
+        sigma = math.sqrt(10.0 ** rng.uniform(-6.0, 2.0)) / kappa
+        b = rng.uniform(0.0, 40.0 / kappa)
+        nu, j_sq, x, strength, _ = trap_module._packet_series(beam, nu, b, sigma)
+        assert isinstance(j_sq, list)
+        width, w = trap_module._packet_weights(abs(nu), x)
+        pairs = functools.reduce(operator.add, [
+            w[l] * (j_sq[abs(nu - l)] + j_sq[abs(nu + l)]) for l in range(1, width + 1)])
+        assert strength == j_sq[abs(nu)] * w[0] + pairs
