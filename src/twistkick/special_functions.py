@@ -288,16 +288,16 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     band of the orders up to the largest at |x|, and one ``np.where``
     folding in the signs, so each element is bit-identical to the scalar
     call; an order column of shape (k, 1) against x of shape (m,) gives the
-    (k, m) table.  A bool, None or a bool array is a ``DOMAIN`` error naming
-    its type, as in :func:`bessel_j`, not the number numpy reads."""
+    (k, m) table.  A bool, None or text (or an array of them) is a
+    ``DOMAIN`` error naming its type, as in :func:`bessel_j`, not the number
+    numpy reads."""
     import numpy as np
     given = x
     try:
         x = np.asarray(x)
-        if x.dtype.kind == "b" or given is None:
-            raise TypeError  # numpy would read True as 1.0 and None as NaN
-        x = x.astype(float, copy=False) if x.dtype.kind in "fiu" \
-            else np.asarray(given, dtype=float)
+        if x.dtype.kind not in "fiuO" or given is None:
+            raise TypeError  # numpy reads True as 1.0, "2" as 2.0 and None as NaN
+        x = x.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         check(given, "Bessel argument")  # the coded error that names its type
         raise

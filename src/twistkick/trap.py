@@ -147,7 +147,6 @@ def _packet_weights(nu_abs: int, x: float) -> tuple[int, tuple[float, ...]]:
 #: log of 2^-60 * 0.18e-6: the dropped tail's share of the strength times
 #: the least J_0^2 + J_1^2 >= 0.18 min(1, 1/kappa b) at kappa b <= 1e6
 _LOG_TAIL_BUDGET = math.log(0.18 / MAX_ARGUMENT) - 60.0 * math.log(2.0)
-_LOG_2 = math.log(2.0)
 
 
 def _half_width(nu: int, x: float) -> int:
@@ -159,7 +158,7 @@ def _half_width(nu: int, x: float) -> int:
     top = math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
     if x == 0.0:  # no partial wave but l = 0 carries weight
         return low
-    log_half_x = math.log(x) - _LOG_2  # x / 2 underflows at the least subnormal
+    log_half_x = math.log(x) - math.log(2.0)  # x / 2 underflows at the least subnormal
     log_low = math.lgamma(low + 1)
     # bisection for the smallest width that passes, the cap passing by fiat:
     # where r < 1 the log bound falls with the width, so the widths that pass

@@ -651,7 +651,8 @@ def packet_draws(seed, count):
     """(beam, nu, b, sigma) across the series' accepted domain: |nu| in
     {0, 1, 2, 64}; x = (kappa sigma)^2 from 0 (sigma = 5e-324) through
     1e-8 ... 630 to just below and above 745, where exp(-x) underflows; b
-    uniform, 0, 1e-300, or at kappa (b + 9 sigma) = 1e6."""
+    uniform below 40 nm or below kappa b = 60 (J from Hankel's expansion
+    from 25 on), 0, 1e-300, or at kappa (b + 9 sigma) = 1e6."""
     rng = random.Random(seed)
     for i in range(count):
         beam = make_beam(m=rng.randint(-3, 3), spin=rng.choice((-1, 1)),
@@ -661,8 +662,8 @@ def packet_draws(seed, count):
         x = rng.choice((rng.uniform(0.0, 0.012), 10.0 ** rng.uniform(-8.0, 2.8),
                         rng.uniform(744.0, 746.0)))
         sigma = 5e-324 if i % 5 == 1 else math.sqrt(x) / kappa
-        b = [rng.uniform(0.0, 40.0), rng.uniform(0.0, 30.0 / kappa), 0.0, 1e-300,
-             1e6 / kappa - 9.0 * sigma][i % 5 if i % 5 != 1 else rng.randrange(2)]
+        b = rng.choice((rng.uniform(0.0, 40.0), rng.uniform(0.0, 60.0 / kappa), 0.0, 1e-300,
+                        1e6 / kappa - 9.0 * sigma))
         while kappa * (b + 9.0 * sigma) > 1e6:
             b = math.nextafter(b, 0.0)
         yield beam, nu, b, sigma
