@@ -56,7 +56,7 @@ import functools
 import math
 
 from .errors import DomainError, shown
-from .units import MAX_BESSEL_ORDER as MAX_ORDER, check
+from .units import MAX_BESSEL_ORDER as MAX_ORDER, _not_numbers, check
 
 MAX_ARGUMENT = 1.0e6
 
@@ -288,15 +288,19 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
     band of the orders up to the largest at |x|, and one ``np.where``
     folding in the signs, so each element is bit-identical to the scalar
     call; an order column of shape (k, 1) against x of shape (m,) gives the
-    (k, m) table.  A bool, None or text (or an array of them) is a
-    ``DOMAIN`` error naming its type, as in :func:`bessel_j`, not the number
-    numpy reads."""
+    (k, m) table.  A bool, None or text (or an array or a list holding one)
+    is a ``DOMAIN`` error naming its type, as in :func:`bessel_j`, not the
+    number numpy reads."""
     import numpy as np
     given = x
     try:
         x = np.asarray(x)
-        if x.dtype.kind not in "fiuO" or given is None:
-            raise TypeError  # numpy reads True as 1.0, "2" as 2.0 and None as NaN
+        kind = x.dtype.kind
+        # numpy reads True as 1.0, "2" as 2.0 and None as NaN: an ndarray of
+        # numbers is taken by its dtype, a list or an object array by its elements
+        if kind not in "fiuO" or (kind == "O" or isinstance(given, (list, tuple))) \
+                and _not_numbers(given):
+            raise TypeError
         x = x.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         check(given, "Bessel argument")  # the coded error that names its type

@@ -23,13 +23,27 @@ exp(-x) (x/2)^n / (n_r! (n_r+|l|)!), n = 2 n_r + |l|, x = (kappa sigma)^2.
 Summed over n_r that weight is exp(-x) I_l(x) (Weber's second exponential
 integral, DLMF 10.22.67).  :func:`jump_probability_extended` sums the whole
 series; :func:`sideband_spectrum` splits it level by level, one b a call.
+Both read one pair table per packet, P_0 = J_nu(kappa b)^2 and P_a =
+J_{nu-a}^2 + J_{nu+a}^2: the +-l partial waves share e^{-x} I_l(x) in the
+strength and their factorials in a level, so a level is
+
+    w_n = e^{n ln(x/2) - x} sum_{a = n mod 2, n mod 2 + 2 ... n} C_n[a] P_a / S,
+
+with S = <0||F|^2|0> the strength and the row C_n[a] = 1 / (r! (r + a)!),
+r = (n - a)/2, depending on n alone: computed once per process, one exp
+and one sum a level.  The exponent is at most 585 for n <= 170 and
+x <= 745, so it does not overflow, and 1/170!, the least entry of the
+rows, is a normal double.
 
 The series runs over |l| <= L, the smallest L >= |nu| + 1 at which the
-dropped tail is provably below 2^-60 of the strength S = <0||F|^2|0> at
-every kappa b <= 1e6, capped at the earlier rule max(|nu|, 9 sqrt(x)) + 30,
+dropped tail is provably below 2^-60 of the strength S at every
+kappa b <= 1e6, capped at the earlier rule max(|nu|, 9 sqrt(x)) + 30,
 which takes over from x ~ 20-30 (:func:`_half_width`); L <= |nu| + 9 for
-x <= 0.012, the ion's packets.  With w_l = exp(-x) I_l(x), m = |nu| + 1
-and z = kappa b:
+x <= 0.012, the ion's packets.  Where the cap holds the proof below does
+not reach, and what the cap drops rests on a test instead: the tail summed
+in mpmath is below 2^-60 of S for |nu| in {0, 2, 64}, kappa b in {0, 1,
+25, 1e3, 1e6} and x from 20 to 745.  Below the cap, with w_l = exp(-x)
+I_l(x), m = |nu| + 1 and z = kappa b:
 
 - the power series of I_l (DLMF 10.25.2) gives w_l <= u_l =
   exp(-x) (x/2)^l / l! exp(x^2 / (4(l+1))), and u_{l+1}/u_l <= x/(2(l+1)),
@@ -175,31 +189,32 @@ def _half_width(nu: int, x: float) -> int:
     return hi
 
 
-def _packet_strength(j_sq, i_scaled, nu: int, half_width: int):
-    """<0||F|^2|0> = sum_l J_{nu-l}(kappa b)^2 e^{-x} I_l(x) over |l| <=
-    ``half_width``, from ``j_sq[k]`` = J_k(kappa b)^2 and ``i_scaled[l]`` =
-    e^{-x} I_l(x).  ``j_sq`` is a list of floats (one b) or a table of rows
-    (one row per order, one column per b).  Either way one loop adds the
-    terms left to right (the builtin ``sum`` of floats compensates since
-    Python 3.12, that of rows does not), so a column equals the float
-    result bit for bit."""
-    # J_{nu-l}^2 = J_{|nu-l|}^2 and e^{-x} I_l = e^{-x} I_{|l|}: the terms
-    # summed in +-l pairs
+def _packet_strength(pairs, i_scaled):
+    """<0||F|^2|0> = sum_l J_{nu-l}(kappa b)^2 e^{-x} I_l(x) over |l| <= L,
+    from the pair table ``pairs`` of :func:`_packet_series`
+    (``pairs[0]`` = J_nu^2, ``pairs[l]`` = J_{nu-l}^2 + J_{nu+l}^2) and
+    ``i_scaled[l]`` = e^{-x} I_l(x) for l = 0 ... L, e^{-x} I_{-l} being
+    e^{-x} I_l.  A pair is a float (one b) or a row (one column per b).
+    Either way one loop adds the terms left to right (the builtin ``sum``
+    of floats compensates since Python 3.12, that of rows does not), so a
+    column equals the float result bit for bit."""
     total = 0.0
-    for l in range(1, half_width + 1):
-        total = total + i_scaled[l] * (j_sq[abs(nu - l)] + j_sq[abs(nu + l)])
-    return j_sq[abs(nu)] * i_scaled[0] + total
+    for l in range(1, len(i_scaled)):
+        total = total + i_scaled[l] * pairs[l]
+    return pairs[0] * i_scaled[0] + total
 
 
 def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int = 0):
     """Input checks and packet averages shared by the extended-packet jump and
-    spectrum at a float b or at every b of a 1-D array: (nu, J_k(kappa b)^2
-    for k = 0 ... |nu| + max(half width, n_max), x, strength <0||F|^2|0>
-    from :func:`_packet_strength`, carrier |<0|F|0>|^2 / strength).  For a
-    float the J^2 are a list of floats, which keeps a call cheap; for an
-    array a table of rows, one per order.  Once exp(-x) underflows
-    (x > 745) the table and strength are None and the carrier 0.  An array
-    raises where the float call raises for some b."""
+    spectrum at a float b or at every b of a 1-D array: (J_k(kappa b)^2 for
+    k = 0 ... |nu| + top, the pair table P_0 = J_nu^2, P_a = J_{nu-a}^2 +
+    J_{nu+a}^2 for a = 1 ... top, x, strength <0||F|^2|0> from
+    :func:`_packet_strength`, carrier |<0|F|0>|^2 / strength), top being
+    the larger of the half width L and ``n_max``.  For a float the J^2 and
+    the pairs are floats in lists, which keeps a call cheap; for an array
+    rows, one per order.  Once exp(-x) underflows (x > 745) the tables and
+    strength are None and the carrier 0.  An array raises where the float
+    call raises for some b."""
     sigma, b = check(sigma, "sigma"), check(b, "b target")
     b_max = max(extremes(b), default=0.0)
     scalar = isinstance(b, (float, int))
@@ -210,23 +225,25 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int
     nu = check(nu, "nu")
     # kappa (b + 9 sigma) rounds monotonically in b, so the largest b stands for all
     check_bessel_domain(nu, kappa * (b_max + 9.0 * sigma))
+    nu = abs(nu)  # J_{-k}^2 = J_k^2, so the pairs depend on |nu| alone
     x = (kappa * sigma) ** 2
     carrier_decay = math.exp(-x)
     if carrier_decay == 0.0:
-        return nu, None, x, None, 0.0 * b
-    half_width, i_scaled = _packet_weights(abs(nu), x)
-    n_top = abs(nu) + max(half_width, n_max)
+        return None, None, x, None, 0.0 * b
+    half_width, i_scaled = _packet_weights(nu, x)
+    top = max(half_width, n_max)
     if scalar:
-        j_sq = [j * j for j in _j_list(n_top, kappa * b, n_top + 1)]
+        j_sq = [j * j for j in _j_list(nu + top, kappa * b, nu + top + 1)]
     else:
-        j_sq = bessel_j_orders(n_top, kappa * b) ** 2
-    strength = _packet_strength(j_sq, i_scaled, nu, half_width)
+        j_sq = bessel_j_orders(nu + top, kappa * b) ** 2
+    pairs = [j_sq[nu]] + [j_sq[abs(nu - a)] + j_sq[nu + a] for a in range(1, top + 1)]
+    strength = _packet_strength(pairs, i_scaled)
     if not (0.0 < strength < math.inf if scalar
             else np.all((0.0 < strength) & (strength < math.inf))):
         value = f"= {strength}" if scalar else "is not positive and finite at some b"
         raise NoAbsorptionError(f"absorption strength <|F|^2> {value}; jump probability "
                                 "and sideband spectrum undefined")
-    return nu, j_sq, x, strength, j_sq[abs(nu)] * carrier_decay / strength
+    return j_sq, pairs, x, strength, pairs[0] * carrier_decay / strength
 
 
 def jump_probability_extended(
@@ -263,6 +280,17 @@ def jump_probability_extended(
     return np.maximum(1.0 - carrier, 0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _level_rows(n_max: int) -> tuple[tuple[float, ...], ...]:
+    # rows 0 ... n_max of the level sum, row n holding 1 / (r! (r + a)!),
+    # r = (n - a) / 2, for a = n mod 2, n mod 2 + 2 ... n: each entry one
+    # correctly rounded division of two ints (1/170! is still a normal
+    # double, 1/171! no longer); the rows below n_max are shared
+    row = tuple(1 / (math.factorial((n_max - a) // 2) * math.factorial((n_max + a) // 2))
+                for a in range(n_max % 2, n_max + 1, 2))
+    return (_level_rows(n_max - 1) if n_max else ()) + (row,)
+
+
 class SidebandSpectrum(namedtuple("SidebandSpectrum", "weights carrier_weight "
                                  "truncation_residual quantum_energy")):
     """Relative weights of transverse trap levels populated by absorption.
@@ -297,7 +325,9 @@ def sideband_spectrum(
         w_n = exp(-x) (x/2)^n sum_{|l| <= n} J_{nu-l}(kappa b)^2
               / (n_r! (n_r+|l|)!) / <0||F|^2|0>,   n_r = (n - |l|)/2,
 
-    each term evaluated in log space.  ``weights[0]`` is the carrier term of
+    summed in +-l pairs from the packet's pair table and the cached
+    factorial row of the level (module docstring): one exp a level, the
+    terms added left to right.  ``weights[0]`` is the carrier term of
     the jump probability, so P_jump = 1 - carrier_weight.  A residual above
     1e-3 raises a TruncationWarning; beyond the carrier underflow (x > 745)
     every weight is 0 and the residual 1.  ``n_max`` must lie in
@@ -305,20 +335,18 @@ def sideband_spectrum(
     """
     # one float b, whose range the packet series checks
     b, n_max = check(b, "b point"), check(n_max, "n_max")
-    nu, j_sq, x, strength, carrier = _packet_series(beam, nu, b, sigma, n_max)
+    _, pairs, x, strength, carrier = _packet_series(beam, nu, b, sigma, n_max)
     weights = {n: 0.0 for n in range(n_max + 1)}
     weights[0] = carrier
     if strength is not None:
-        log_half_x = math.log(0.5 * x) if x > 0.0 else -math.inf
-        log_factorial = [math.lgamma(k + 1) for k in range(n_max + 1)]
+        # log(x / 2) without halving x, which rounds the least subnormal to 0
+        log_half_x = math.log(x) - math.log(2.0) if x > 0.0 else -math.inf
+        rows, by_parity = _level_rows(n_max), (pairs[::2], pairs[1::2])
         for n in range(1, n_max + 1):
-            total = 0.0
-            scale = n * log_half_x - x
-            for l in range(-n, n + 1, 2):
-                n_r = (n - abs(l)) // 2
-                total += j_sq[abs(nu - l)] * math.exp(
-                    scale - log_factorial[n_r] - log_factorial[n_r + abs(l)])
-            weights[n] = total / strength
+            level = 0.0  # left to right, as the strength (builtin sum compensates since 3.12)
+            for c, p in zip(rows[n], by_parity[n % 2]):
+                level = level + c * p
+            weights[n] = math.exp(n * log_half_x - x) * level / strength
 
     residual = 1.0 - math.fsum(weights.values())
     if residual > 1e-3:

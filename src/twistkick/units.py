@@ -153,10 +153,11 @@ def _linspace(start: float, stop: float, count: int, endpoint: bool = True) -> l
 _INF = math.inf
 _FLOAT_MAX = sys.float_info.max
 
-#: Highest trap level a sideband spectrum may retain.  The log-space series
-#: itself has no such limit; 170 is where the factorial-normalized grid
-#: oracle in the tests still has finite weights (171! overflows a double),
-#: so the whole accepted range is checked against an independent method.
+#: Highest trap level a sideband spectrum may retain: the kernel's limit, as
+#: its cached rows 1 / (r! (r + a)!) stay normal doubles up to 1/170! (1/171!
+#: is subnormal), and the factorial-normalized grid oracle's in the tests,
+#: whose weights stay finite up to 170! (171! overflows a double), so the
+#: whole accepted range is checked against an independent method.
 MAX_SIDEBAND_LEVEL = 170
 #: largest j of a Wigner d, and so of a multipole order: the factorials of
 #: the explicit sum stay within the floating-point range up to 2j = 98
@@ -319,20 +320,41 @@ def check(value, quantity: str):
 
 
 def _real_array(value) -> bool:
-    # whether numpy reads ``value`` as an array of real numbers, bool not one
+    # whether numpy reads ``value`` as an array of real numbers and each
+    # element is one: an ndarray by its dtype alone, bool not one; a list or
+    # tuple by its elements too, as numpy reads a True among floats as 1.0
     import numpy as np
     try:
-        return np.asarray(value).dtype.kind in "fiu"
+        kind = np.asarray(value).dtype.kind
     except ValueError:  # a ragged sequence
         return False
+    return kind in "fiu" and (isinstance(value, np.ndarray) or not _not_numbers(value))
+
+
+def _elements(value) -> list:
+    # the elements of a sequence or an array, at any depth
+    import numpy as np
+    return np.asarray(value, dtype=object).ravel().tolist()
+
+
+def _not_numbers(value) -> list:
+    # the elements of a sequence or an array that are no real number, a bool
+    # (which numpy reads as 1.0 or 0.0) and None (NaN) among them
+    return [v for v in _elements(value) if isinstance(v, bool) or not isinstance(v, numbers.Real)]
 
 
 def _type_of(value) -> str:
-    # a rejected value's type as error text, with that of the first element
-    # of a list or tuple that is no real number
-    held = [v for v in value if isinstance(v, bool) or not isinstance(v, numbers.Real)] \
-        if isinstance(value, (list, tuple)) else []
-    return type(value).__name__ + (f" holding {type(held[0]).__name__}" if held else "")
+    # a rejected value's type as error text: an ndarray's with its dtype; a
+    # list's, a tuple's or an object array's with that of its first element
+    # that is no real number, else of the first that is no float (an int
+    # beyond the floating-point range)
+    kind = type(value).__name__
+    if kind == "ndarray" and value.dtype.kind != "O":
+        return f"{kind} of {value.dtype.type.__name__.rstrip('_')}"
+    if not isinstance(value, (list, tuple)) and kind != "ndarray":
+        return kind
+    held = _not_numbers(value) or [v for v in _elements(value) if not isinstance(v, float)]
+    return kind + (f" holding {type(held[0]).__name__}" if held else "")
 
 
 def extremes(value) -> tuple:

@@ -77,7 +77,12 @@ def test_non_integer_order_is_named_without_spelling_it(order, shown):
     (1 + 2j, "must be a real number, got complex"),
     (10**400, "is beyond the floating-point range, got an integer of 401 digits"),
     (True, "must be a real number, got bool"), (None, "must be a real number, got NoneType"),
-    (np.array([True, False]), "must be a real number, got ndarray"),
+    (np.array([True, False]), "must be a real number, got ndarray of bool"),
+    # a list holding a bool or None, which numpy reads as 1.0 or NaN among floats
+    ([True, 1.0], "must be a real number, got list holding bool"),
+    ((1.0, None), "must be a real number, got tuple holding NoneType"),
+    (np.array([1.0, None], dtype=object), "must be a real number, got ndarray holding NoneType"),
+    ([10**400, 1.0], "must be a real number, got list holding int"),
 ])
 def test_argument_that_numpy_cannot_read_as_floats_is_a_domain_error(x, shown):
     # the array call gives the scalar call's coded error, not numpy's; nor

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import sys
 import warnings
 
 import mpmath
@@ -484,6 +485,106 @@ def test_sideband_matches_grid_oracle_edges(nu, b, sigma, n_max):
     assert_matches_grid_oracle(make_beam(), nu, b, sigma, n_max)
 
 
+def _mp_scaled_i(x, top):
+    """e^{-x} I_l(x) for l = 0 ... top + 1 in mpmath: the backward recurrence
+    I_{l-1} = I_{l+1} + (2l/x) I_l (stable, I_l being its minimal solution)
+    from mpmath's two top orders, checked against mpmath's I_0."""
+    x = mpmath.mpf(x)
+    i = [mpmath.mpf(0)] * top + [mpmath.besseli(top, x), mpmath.besseli(top + 1, x)]
+    for l in range(top, 0, -1):
+        i[l - 1] = i[l + 1] + 2 * l / x * i[l]
+    assert abs(i[0] / mpmath.besseli(0, x) - 1) < mpmath.mpf(10) ** -30
+    return [v * mpmath.exp(-x) for v in i]
+
+
+def _mp_j_squared(z, top):
+    """J_k(z)^2 for k = 0 ... top + 1 in mpmath, by the backward recurrence
+    J_{k-1} = (2k/z) J_k - J_{k+1} from mpmath's two top orders, checked
+    against mpmath's J_0."""
+    if z == 0.0:
+        return [mpmath.mpf(1)] + [mpmath.mpf(0)] * (top + 1)
+    z = mpmath.mpf(z)
+    j = [mpmath.mpf(0)] * top + [mpmath.besselj(top, z), mpmath.besselj(top + 1, z)]
+    for k in range(top, 0, -1):
+        j[k - 1] = 2 * k / z * j[k] - j[k + 1]
+    assert abs(j[0] - mpmath.besselj(0, z)) < mpmath.mpf(10) ** -30
+    return [v * v for v in j]
+
+
+def mpmath_sideband_weights(nu, z, x, n_max):
+    """The level weights at kappa b = z, summed term by term in mpmath as
+    the trap docstring writes them, over -n <= l <= n and not in +-l pairs:
+    exp(-x) (x/2)^n sum_l J_{nu-l}(z)^2 / (n_r! (n_r+|l|)!) / S, the
+    strength S being the whole series, summed until its terms are below
+    1e-25 of it."""
+    nu = abs(nu)
+    top = max(nu + 100 + math.ceil(x), n_max + 2)
+    w, j2 = _mp_scaled_i(x, top), _mp_j_squared(z, nu + top)
+    strength = mpmath.fsum([j2[nu] * w[0]] + [
+        w[l] * (j2[abs(nu - l)] + j2[nu + l]) for l in range(1, top + 1)])
+    # w_l falls with l, by at least half a step from l = x on
+    assert 2 * w[top + 1] < mpmath.mpf(10) ** -25 * strength
+    inverse_factorial = [1 / mpmath.factorial(k) for k in range(n_max + 1)]
+    x = mpmath.mpf(x)
+    return [mpmath.exp(-x) * (x / 2) ** n * mpmath.fsum(
+        j2[abs(nu - l)] * inverse_factorial[(n - abs(l)) // 2]
+        * inverse_factorial[(n + abs(l)) // 2] for l in range(-n, n + 1, 2)) / strength
+        for n in range(n_max + 1)]
+
+
+def test_sideband_weights_match_mpmath():
+    # every level of seeded spectra against the 40-digit sum: 5e-13 relative
+    # where a weight is at least 1e-290, 1e-300 absolute below, where the
+    # float weights lose digits to subnormal rounding
+    rng = random.Random(3001)
+    checked = 0
+    with mpmath.workdps(40):
+        for i in range(48):
+            beam = make_beam(m=rng.randint(-3, 3), spin=rng.choice((-1, 1)),
+                             lam=rng.uniform(350.0, 1000.0), theta=rng.uniform(0.01, 0.3))
+            kappa = transverse_wavenumber(beam)
+            nu, n_max = rng.randint(-2, 2), (2, 10, 40, MAX_SIDEBAND_LEVEL)[i % 4]
+            sigma = math.sqrt(10.0 ** rng.uniform(-6.0, math.log10(744.0))) / kappa
+            b = rng.choice((0.0, rng.uniform(0.0, 60.0 / kappa)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                spectrum = sideband_spectrum(beam, nu, b, ca_trap(), sigma, n_max)
+            oracle = mpmath_sideband_weights(nu, kappa * b, (kappa * sigma) ** 2, n_max)
+            for n, expected in enumerate(oracle):
+                got = spectrum.weights[n]
+                if expected >= 1e-290:
+                    assert abs(got - expected) <= 5e-13 * expected, (nu, b, sigma, n)
+                else:
+                    assert abs(got - expected) <= 1e-300, (nu, b, sigma, n)
+                checked += 1
+    assert checked > 2500
+
+
+def test_level_rows_are_correctly_rounded_normal_doubles():
+    # C_n[a] = 1 / (r! (r + a)!), r = (n - a)/2: each entry the double
+    # nearest the exact fraction, and every one normal up to the cap
+    from fractions import Fraction
+    rows = trap_module._level_rows(MAX_SIDEBAND_LEVEL)
+    assert len(rows) == MAX_SIDEBAND_LEVEL + 1
+    for n, row in enumerate(rows):
+        assert row == tuple(float(Fraction(1, math.factorial((n - a) // 2)
+                                           * math.factorial((n + a) // 2)))
+                            for a in range(n % 2, n + 1, 2))
+        assert min(row) >= sys.float_info.min, n
+    assert trap_module._level_rows(4) == rows[:5]
+    assert 1 / math.factorial(MAX_SIDEBAND_LEVEL + 1) < sys.float_info.min
+
+
+def test_sideband_weights_at_the_least_subnormal_x():
+    # x = (kappa sigma)^2 = 5e-324: halving x for log(x/2) rounds it to 0
+    beam = make_beam()
+    sigma = 2.2e-162 / transverse_wavenumber(beam)
+    assert (transverse_wavenumber(beam) * sigma) ** 2 == 5e-324
+    spectrum = sideband_spectrum(beam, -1, 10.0, ca_trap(), sigma, n_max=4)
+    assert spectrum.carrier_weight == 1.0
+    assert all(0.0 <= spectrum.weights[n] < 1e-300 for n in range(1, 5))
+
+
 def test_sideband_beyond_carrier_underflow():
     # x = (kappa sigma)^2 > 745: exp(-x) underflows, no level keeps a
     # representable weight and the jump is certain
@@ -602,8 +703,8 @@ def test_sideband_rejects_bad_inputs():
 
 
 def test_sideband_n_max_cap():
-    # the log-space series has no overflow; 170 is where the grid oracle's
-    # factorial normalization still is finite (171! overflows a double)
+    # 170 is where the kernel's factorial rows stay normal doubles (1/170!)
+    # and the grid oracle's factorial normalization finite (171! overflows)
     assert MAX_SIDEBAND_LEVEL == 170
     beam = make_beam()
     spectrum = sideband_spectrum(beam, -1, 20.0, ca_trap(), 10.0, n_max=MAX_SIDEBAND_LEVEL)
@@ -787,6 +888,32 @@ def test_dropped_tail_is_below_the_documented_bound():
     assert checked > 200
 
 
+def test_capped_width_drops_below_the_documented_share():
+    # where the width is the cap max(|nu|, 9 sqrt(x)) + 30 (x from ~20 to
+    # 745) no proof bounds what it drops, so this test does: the tail
+    # sum_{|l|>L} J_{nu-l}(z)^2 e^{-x} I_l(x) in mpmath, below 2^-60 of the
+    # strength at z = kappa b in {0, 1, 25, 1e3, 1e6}
+    top, capped = 700, 0
+    with mpmath.workdps(40):
+        j_sq = {z: _mp_j_squared(z, 64 + top) for z in (0.0, 1.0, 25.0, 1e3, 1e6)}
+        for x in (20.0, 22.0, 25.0, 30.0, 35.0, 50.0, 100.0, 200.0, 400.0, 600.0, 744.9):
+            w = _mp_scaled_i(x, top)
+            for nu in (0, 2, 64):
+                width = trap_module._half_width(nu, x)
+                if width < fixed_half_width(nu, x):
+                    continue
+                for z, j2 in j_sq.items():
+                    terms = [j2[nu] * w[0]] + [w[l] * (j2[abs(nu - l)] + j2[nu + l])
+                                               for l in range(1, top + 1)]
+                    strength, dropped = mpmath.fsum(terms[:width + 1]), mpmath.fsum(
+                        terms[width + 1:])
+                    assert terms[-1] < mpmath.mpf(10) ** -40 * strength  # summed to the end
+                    assert dropped <= mpmath.mpf(2) ** -60 * strength, (nu, x, z)
+                capped += 1
+    # every (nu, x) from x = 35 on, and some below
+    assert capped >= 24
+
+
 def test_scaled_bessel_i_tail_bound_against_mpmath():
     # sum_{l > L} e^{-x} I_l(x) <= u_{L+1} / (1 - r), summed to convergence
     rng = random.Random(2908)
@@ -833,7 +960,7 @@ def test_packet_strength_adds_left_to_right():
         nu = rng.randint(-3, 3)
         sigma = math.sqrt(10.0 ** rng.uniform(-6.0, 2.0)) / kappa
         b = rng.uniform(0.0, 40.0 / kappa)
-        nu, j_sq, x, strength, _ = trap_module._packet_series(beam, nu, b, sigma)
+        j_sq, _, x, strength, _ = trap_module._packet_series(beam, nu, b, sigma)
         assert isinstance(j_sq, list)
         width, w = trap_module._packet_weights(abs(nu), x)
         pairs = functools.reduce(operator.add, [

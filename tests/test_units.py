@@ -272,6 +272,47 @@ def test_check_reads_an_array_through_its_extremes(quantity):
         units.check(np.array(inside), scalar)
 
 
+@pytest.mark.parametrize("value, held", [
+    ([True, 1.0], "list holding bool"), ([1.0, np.True_], "list holding bool"),
+    ([[2.0, True]], "list holding bool"),
+    (np.array([True]), "ndarray of bool"), (np.array(["1.5"]), "ndarray of str"),
+    (np.array([1.0, None], dtype=object), "ndarray holding NoneType"),
+    ([10**400, 1.0], "list holding int"),
+])
+def test_array_holding_no_number_is_named_by_type(value, held):
+    # numpy reads a True among floats as 1.0 and None as NaN; every array
+    # input rejects both with the DOMAIN error that names what it holds
+    from twistkick.beam import TwistedPhotonBeam
+    from twistkick.transitions import TransitionChannel, am_partition
+    from twistkick.trap import TrapModel, jump_probability_extended, jump_probability_point
+    beam = TwistedPhotonBeam(2, 1, wavelength_to_energy(397.0), 0.1)
+    trap = TrapModel(1e6, 3e6, CA40_ION_MASS_EV)
+    for name, call in [
+        ("impact parameter", lambda: jump_probability_extended(beam, -1, value, trap, 10.0)),
+        ("p_T", lambda: jump_probability_point(value, trap)),
+        ("impact parameter", lambda: am_partition(beam, TransitionChannel(2, -0.5), value)),
+        ("impact parameter", lambda: units.check(value, "b target")),
+    ]:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == (
+            "DOMAIN", f"{name} must be a real number or an array of them, got {held}")
+
+
+def test_float_array_check_reads_no_element(monkeypatch):
+    # an ndarray of floats is taken by its dtype: no per-element test
+    from twistkick import special_functions
+
+    def refused(value, floats=False):
+        raise AssertionError("an element test ran on a float array")
+
+    monkeypatch.setattr(units, "_not_numbers", refused)
+    monkeypatch.setattr(special_functions, "_not_numbers", refused)
+    values = np.linspace(0.0, 5.0, 7)
+    assert units.check(values, "b target") is values
+    assert special_functions.bessel_j_array(1, values).shape == (7,)
+
+
 def test_energy_whose_wavelength_overflows_is_domain():
     # it returned inf, and equal_kick_radius too through it
     from twistkick.beam import TwistedPhotonBeam, equal_kick_radius
