@@ -42,8 +42,8 @@ which takes over from x ~ 20-30 (:func:`_half_width`); L <= |nu| + 9 for
 x <= 0.012, the ion's packets.  Where the cap holds the proof below does
 not reach, and what the cap drops rests on a test instead: the tail summed
 in mpmath is below 2^-60 of S for |nu| in {0, 2, 64}, kappa b in {0, 1,
-25, 1e3, 1e6} and x from 20 to 745.  Below the cap, with w_l = exp(-x)
-I_l(x), m = |nu| + 1 and z = kappa b:
+25, 1e3, 1e6} and the x from 20 to 745 where the width is the cap.  Below
+the cap, with w_l = exp(-x) I_l(x), m = |nu| + 1 and z = kappa b:
 
 - the power series of I_l (DLMF 10.25.2) gives w_l <= u_l =
   exp(-x) (x/2)^l / l! exp(x^2 / (4(l+1))), and u_{l+1}/u_l <= x/(2(l+1)),
