@@ -167,17 +167,39 @@ def _half_width(nu: int, x: float) -> int:
     # the series' L of the module docstring: the smallest L >= m = |nu| + 1,
     # at most max(|nu|, 9 sqrt(x)) + 30, at which the log of the tail bound
     # u_{L+1} / (1 - r) over exp(-x) (x/2)^m / m! is at most _LOG_TAIL_BUDGET
-    # (up to the rounding of the logs; exp(-x) cancels)
-    low = abs(nu) + 1
-    top = math.ceil(max(abs(nu), 9.0 * math.sqrt(x))) + 30
+    # (up to the rounding of the logs; exp(-x) cancels).  L never falls as x
+    # grows, so the widths at the ends of x's quarter binade bracket it: where
+    # they agree that is L, else the bisection runs between them
+    nu = abs(nu)
     if x == 0.0:  # no partial wave but l = 0 carries weight
-        return low
+        return nu + 1
+    mantissa, exponent = math.frexp(x)
+    low, high = _width_bracket(nu, exponent, int(8.0 * mantissa))
+    return low if low == high else _bisected_width(nu, x, low, min(high, _width_cap(nu, x)))
+
+
+@functools.lru_cache(maxsize=256)
+def _width_bracket(nu_abs: int, exponent: int, eighths: int) -> tuple[int, int]:
+    # the widths at both ends of the quarter binade [eighths, eighths + 1)
+    # * 2^(exponent - 3) (an end that is not a double rounds to the nearest,
+    # which still brackets every double of the quarter)
+    return tuple(_bisected_width(nu_abs, end, nu_abs + 1, _width_cap(nu_abs, end))
+                 for end in (math.ldexp(eighths, exponent - 3),
+                             math.ldexp(eighths + 1, exponent - 3)))
+
+
+def _width_cap(nu_abs: int, x: float) -> int:
+    # the earlier fixed rule, which caps the width
+    return math.ceil(max(nu_abs, 9.0 * math.sqrt(x))) + 30
+
+
+def _bisected_width(nu_abs: int, x: float, lo: int, hi: int) -> int:
+    # the smallest width in [lo, hi] that passes the bound of _half_width for
+    # a positive x, hi passing by fiat: where r < 1 the log bound falls with
+    # the width, so the widths that pass lie above those that fail
+    low = nu_abs + 1
     log_half_x = math.log(x) - math.log(2.0)  # x / 2 underflows at the least subnormal
     log_low = math.lgamma(low + 1)
-    # bisection for the smallest width that passes, the cap passing by fiat:
-    # where r < 1 the log bound falls with the width, so the widths that pass
-    # lie above those that fail
-    lo, hi = low, top
     while lo < hi:
         width = (lo + hi) // 2
         r = x / (2.0 * width + 4.0)

@@ -159,3 +159,27 @@ def fixed_width_series():
     finally:
         trap._half_width = proven
         trap._packet_weights.cache_clear()
+
+
+def bisected_half_width(nu: int, x: float) -> int:
+    """The smallest width L >= |nu| + 1 at which the log tail bound of
+    ``trap._half_width`` is at most ``trap._LOG_TAIL_BUDGET``, the cap
+    max(|nu|, 9 sqrt(x)) + 30 passing by fiat, by one bisection of the whole
+    range [|nu| + 1, cap]: the search that the cached quarter-binade
+    bracket of ``trap._half_width`` replaced, kept as its oracle."""
+    low = abs(nu) + 1
+    top = fixed_half_width(nu, x)
+    if x == 0.0:  # no partial wave but l = 0 carries weight
+        return low
+    log_half_x = math.log(x) - math.log(2.0)
+    log_low = math.lgamma(low + 1)
+    lo, hi = low, top
+    while lo < hi:
+        width = (lo + hi) // 2
+        r = x / (2.0 * width + 4.0)
+        if r < 1.0 and (width + 1 - low) * log_half_x + log_low - math.lgamma(width + 2) \
+                + 0.5 * x * r - math.log1p(-r) <= trap._LOG_TAIL_BUDGET:
+            hi = width
+        else:
+            lo = width + 1
+    return hi

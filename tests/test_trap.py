@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.special import eval_genlaguerre, jv
 
-from oracles import fixed_half_width, fixed_width_series
+from oracles import bisected_half_width, fixed_half_width, fixed_width_series
 from twistkick import trap as trap_module
 from twistkick.beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick, \
     transverse_wavenumber
@@ -823,6 +823,35 @@ def test_packet_series_matches_the_fixed_width_oracle():
                 assert abs(new - old) <= 1e-13 * (scale or abs(old)), differences[-1]
     # mostly bit-identical; each difference is listed on failure with its ulps
     assert values > 10_000 and len(differences) <= 0.01 * values, differences
+
+
+def _quarter_binade_edges(lowest, highest):
+    # every double (4 + q) 2^(e - 3), q = 0 ... 3, in [lowest, highest], ascending
+    return [edge for e in range(-1073, 11) for eighths in range(4, 8)
+            if lowest <= (edge := math.ldexp(eighths, e - 3)) <= highest]
+
+
+def test_half_width_from_its_bracket_is_the_plain_bisection():
+    # _half_width bisects only between the cached widths at the ends of x's
+    # quarter binade; the oracle bisects the whole range [|nu| + 1, cap].  x
+    # runs over a log grid on [5e-324, 745.2] and every quarter-binade edge
+    # with its +-1-ulp neighbours.  Below 2^-82 every width is |nu| + 1 (the
+    # bound passes at the first width, as the test asserts), so there each
+    # edge is checked at one |nu|, taken in turn, which keeps the test < 1 s
+    lowest, highest, trivial = 5e-324, 745.2, 2.0 ** -82
+    step = (math.log(highest) - math.log(lowest)) / 300
+    grid = [lowest, highest] + [math.exp(math.log(lowest) + i * step) for i in range(1, 300)]
+    near = [[math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+            for edge in _quarter_binade_edges(lowest, highest)]
+    shared = [x for edge in near if edge[1] >= trivial for x in edge]
+    in_turn = [edge for edge in near if edge[1] < trivial]
+    for nu in range(65):
+        xs = sorted(set(grid + shared + [x for edge in in_turn[nu::65] for x in edge]))
+        widths = [bisected_half_width(nu, x) for x in xs]
+        assert [trap_module._half_width(nu, x) for x in xs] == widths, nu
+        assert all(w == nu + 1 for x, w in zip(xs, widths) if x < trivial), nu
+        # the property the bracket rests on
+        assert all(a <= b for a, b in zip(widths, widths[1:])), nu
 
 
 def _log_tail_over_strength(nu, x, width):
