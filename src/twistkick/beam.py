@@ -267,8 +267,9 @@ def _array_sums(beam: TwistedPhotonBeam, lower: float, steps: dict) -> dict:
         rhos = [lower + steps[count] * (np.arange(start, stop)[:, None] + offsets)
                 for count, start, stop in table]
         # no amplitude depends on the other nodes of its table, so each chunk
-        # sums the operand a table of its own would give
-        amp = bessel_gauss_amplitude(beam, np.concatenate(rhos))
+        # sums the operand a table of its own would give; the amplitude takes
+        # the nodes as one 1-D array, a row of 16 a panel
+        amp = bessel_gauss_amplitude(beam, np.concatenate(rhos).ravel()).reshape(-1, offsets.size)
         for (count, _, _), rho in zip(table, rhos):
             part, amp = amp[:len(rho)], amp[len(rho):]
             sums[count] += float(np.sum(part * part * rho * weights))

@@ -36,8 +36,8 @@ from .beam import TwistedPhotonBeam, bessel_gauss_amplitude, bessel_gauss_amplit
     first_lobe_peak_argument, profile_peak_radius, superkick
 from .errors import DomainError, SolverError, shown
 from .recoil_kinematics import ThresholdSolution
-from .units import ELECTRON_MASS_EV, FLOAT_FIT_POINTS, HBARC_EV_NM, _linspace, check, \
-    extremes, on_floats, per_element, sqrt
+from .units import ELECTRON_MASS_EV, FLOAT_FIT_POINTS, HBARC_EV_NM, _linspace, _type_of, \
+    check, extremes, on_floats, per_element, sqrt
 
 _FIT_GRID_POINTS = 4000  # of the profile grid that checks a fit's peak
 
@@ -150,9 +150,17 @@ def crossover_product(
     coincide, l_gamma hbar c w2/m_e^2 * theta_k/sin(theta_k) (module
     docstring), averaged over the supplied pitch angles; ``relative_variation``
     is its (max-min)/mean spread, quantifying how invariant the product is.
+    ``pitch_angles`` is a sequence or a 1-D array of angles; one angle is
+    passed as a one-element sequence, and a single number, which is no
+    sequence, is a ``DOMAIN`` error that names its type.
     """
     l_gamma = check(l_gamma, "l_gamma > 0")
-    pitch_angles = tuple([check(theta, "crossover pitch angle") for theta in pitch_angles])
+    try:
+        angles = iter(pitch_angles)
+    except TypeError:
+        raise DomainError("pitch angles must be a sequence of real numbers, "
+                          f"got {_type_of(pitch_angles)}") from None
+    pitch_angles = tuple([check(theta, "crossover pitch angle") for theta in angles])
     if not pitch_angles:
         raise DomainError("pitch angles must be one or more, got ()")
     invariant = l_gamma * HBARC_EV_NM / plane_wave_threshold(omega2)

@@ -236,9 +236,10 @@ def recoil_ratio_array(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`recoil_ratio` at every impact parameter of ``b`` (nm): the
     ratios and per-row error codes as in :class:`AmPartition`, with
-    ``B_SINGULARITY`` (checked first) wherever b > 0 fails."""
+    ``B_SINGULARITY`` (checked first) wherever b > 0 fails.  ``b`` is a 1-D
+    array, or a number, which gives arrays of one row."""
     import numpy as np
-    b = np.asarray(check(b, "b row"), dtype=float)
+    b = np.asarray(check(b, "b row"), dtype=float).reshape(-1)
     (ratio,), errors = _ratio_from_partition(beam, b, am_partition(beam, channel, b), False)
     return ratio, errors
 

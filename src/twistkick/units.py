@@ -285,9 +285,13 @@ def check(value, quantity: str):
     A non-integer is rejected where the quantity is an integer, an int
     beyond the floating-point range everywhere, and an array where the
     quantity takes none; an array is checked through its :func:`extremes`.
-    A bool, and any other value that is neither a real number nor an array
-    of them, is rejected with ``DOMAIN`` whatever the quantity's code, by
-    a message that names its type.
+    A 0-d array is read as the number it holds.  An array is a 1-D ndarray,
+    list or tuple of real numbers, numpy's dtype or Python's number types
+    (an int beyond int64, a ``Fraction``); one of two or more dimensions is
+    rejected with ``DOMAIN`` by a message that names its shape.  A bool,
+    and any other value that is neither a real number nor an array of
+    them, is rejected with ``DOMAIN`` whatever the quantity's code, by a
+    message that names its type.
     The message names the value through :func:`twistkick.errors.shown`,
     so it never spells nan or inf.  A float or an int in range returns
     after a few comparisons; text is built only to raise."""
@@ -301,12 +305,17 @@ def check(value, quantity: str):
         if lo <= value <= hi and value != hole:
             return value
     q = RANGES[quantity]
+    if getattr(value, "ndim", None) == 0:  # a 0-d array: the number it holds
+        value = value.item()
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         value = int(value) if isinstance(value, numbers.Integral) else float(value)
         if type(value) is int and abs(value) > _FLOAT_MAX:
             raise DomainError(f"{q.name} is beyond the floating-point range, got {shown(value)}")
         ends = (value,)
-    elif q.arrays and _real_array(value):
+    elif q.arrays and (shape := _real_array_shape(value)) is not None:
+        if len(shape) > 1:
+            raise DomainError(f"{q.name} must be a real number or a 1-D array of them, "
+                              f"got {type(value).__name__} of shape {shape}")
         ends = extremes(value) if q.ends else ()  # "" ends take any number
     else:
         raise DomainError(f"{q.name} must be a real number{' or an array of them' * q.arrays}, "
@@ -319,16 +328,27 @@ def check(value, quantity: str):
     return value
 
 
-def _real_array(value) -> bool:
-    # whether numpy reads ``value`` as an array of real numbers and each
-    # element is one: an ndarray by its dtype alone, bool not one; a list or
-    # tuple by its elements too, as numpy reads a True among floats as 1.0
+def _real_array_shape(value) -> tuple | None:
+    # the shape numpy reads ``value`` with if that is an array of real
+    # numbers, else None: an ndarray of numbers by its dtype alone; a list, a
+    # tuple or an object array by its elements too, as numpy reads a True
+    # among floats as 1.0, and holds an int beyond int64 or a Fraction as an
+    # object, which converts unless it is beyond the floating-point range
     import numpy as np
     try:
-        kind = np.asarray(value).dtype.kind
+        array = np.asarray(value)
     except ValueError:  # a ragged sequence
-        return False
-    return kind in "fiu" and (isinstance(value, np.ndarray) or not _not_numbers(value))
+        return None
+    kind = array.dtype.kind
+    if kind in "fiu" and isinstance(value, np.ndarray):
+        return array.shape
+    if kind not in "fiuO" or _not_numbers(value):
+        return None
+    try:
+        array.astype(float)
+    except OverflowError:
+        return None
+    return array.shape
 
 
 def _elements(value) -> list:
@@ -439,5 +459,6 @@ def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:
     if isinstance(p_ev, float):
         return p_ev * p_ev / two_m if two_m < math.inf else 0.5 * p_ev * (p_ev / mass_ev)
     import numpy as np
+    p_ev = np.asarray(p_ev, dtype=float)
     with np.errstate(over="ignore"):
         return p_ev * p_ev / two_m if two_m < math.inf else 0.5 * p_ev * (p_ev / mass_ev)

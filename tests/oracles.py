@@ -62,7 +62,7 @@ def composite_gl(beam, lower: float, upper: float, panels: int) -> float:
     for start in range(0, panels, beam_module._PANEL_CHUNK):
         index = np.arange(start, min(start + beam_module._PANEL_CHUNK, panels))
         rho = lower + h * (index[:, None] + offsets)
-        amp = bessel_gauss_amplitude(beam, rho)
+        amp = bessel_gauss_amplitude(beam, rho.ravel()).reshape(rho.shape)
         total += float(np.sum(amp * amp * rho * weights))
     return 0.5 * h * total
 

@@ -12,7 +12,8 @@ subsample and must match the same entries.  A mismatch names the argv.
 
 Byte identity holds for one machine and numpy build: the file records the
 machine it was frozen on, and on another one a mismatch is reported as a
-warning, not as a failure.  Re-freezing is a deliberate act; list the
+warning, not as a failure.  An entry that ends in a traceback (a status
+reading ``uncaught ...``) fails on every machine.  Re-freezing is a deliberate act; list the
 entries that changed with the change that needs it:
 
     PYTHONPATH=src python tests/test_corpus.py --freeze
@@ -260,12 +261,16 @@ def _frozen():
     return data["machine"], data["entries"]
 
 
-def _mismatches(entries, results) -> list[str]:
-    return [f"{argv}: frozen {frozen}, got {got}"
-            for (argv, *frozen), got in zip(entries, results) if frozen != got]
-
-
-def _report(faults, frozen_machine) -> None:
+def _report(entries, results, frozen_machine) -> None:
+    # a traceback fails on every machine; another difference fails on the
+    # machine the corpus was frozen on and is a warning elsewhere
+    tracebacks = [f"{argv}: {got[0]}" for (argv, *_), got in zip(entries, results)
+                  if str(got[0]).startswith("uncaught")]
+    if tracebacks:
+        pytest.fail(f"{len(tracebacks)} corpus entries end in a traceback:\n"
+                    + "\n".join(tracebacks[:40]))
+    faults = [f"{argv}: frozen {frozen}, got {got}"
+              for (argv, *frozen), got in zip(entries, results) if frozen != got]
     if not faults:
         return
     text = f"{len(faults)} corpus entries differ:\n" + "\n".join(faults[:40])
@@ -288,7 +293,7 @@ def test_corpus_argv_list_is_the_frozen_one():
 def test_corpus_outputs_are_the_frozen_ones(terminal):
     frozen_machine, entries = _frozen()
     results = [run_in_process(argv) for argv, *_ in entries]
-    _report(_mismatches(entries, results), frozen_machine)
+    _report(entries, results, frozen_machine)
 
 
 # every SUBSAMPLE-th entry runs in the child; one whose run imports numpy
@@ -330,7 +335,17 @@ def test_corpus_without_numpy_matches_the_same_entries():
     results = json.loads(cp.stdout)
     ran = [(entry, got) for entry, got in zip(sample, results) if got is not None]
     assert len(ran) >= 0.9 * len(sample)
-    _report(_mismatches(*zip(*ran)), frozen_machine)
+    _report(*zip(*ran), frozen_machine)
+
+
+def test_a_traceback_fails_on_every_machine():
+    # off the frozen machine a hash mismatch warns, a traceback fails
+    other = {**machine(), "python": "0.0"}
+    entry = [["crossover"], 0, "0" * 16, "0" * 16]
+    with pytest.warns(UserWarning, match="1 corpus entries differ"):
+        _report([entry], [[0, "1" * 16, "0" * 16]], other)
+    with pytest.raises(pytest.fail.Exception, match="uncaught TypeError"):
+        _report([entry], [["uncaught TypeError", "0" * 16, "0" * 16]], other)
 
 
 def freeze() -> None:

@@ -190,6 +190,20 @@ def test_crossover_rejects_bad_pitch_angles(pitch_angles):
     assert err.value.code == "DOMAIN"
 
 
+
+@pytest.mark.parametrize("single, named", [
+    (2.5, "float"), (1e-6, "float"), (1, "int"), (None, "NoneType"),
+    (np.array(1e-6), "ndarray of float64"),
+])
+def test_crossover_single_pitch_angle_is_a_domain_error(single, named):
+    # a number is no sequence of angles; it raised "'float' object is not iterable"
+    with pytest.raises(DomainError) as err:
+        crossover_product(2.5, 1, single)
+    assert (err.value.code, str(err.value)) == (
+        "DOMAIN", f"pitch angles must be a sequence of real numbers, got {named}")
+    assert crossover_product(2.5, 1, [1e-6]) == crossover_product(2.5, 1, (1e-6,))
+
+
 def test_crossover_closed_form():
     # b*theta_k = l hbar c w2/m_e^2 * theta_k/sin(theta_k); the spread over
     # the default decade is (1e-10 - 1e-12)/6 to leading order

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -323,3 +324,90 @@ def test_energy_whose_wavelength_overflows_is_domain():
         assert err.value.code == "DOMAIN"
         assert str(err.value) == "energy 4.94066e-324 eV is too low: its wavelength overflows"
     assert energy_to_wavelength(1e-300) == 2.0 * math.pi * HBARC_EV_NM / 1e-300
+
+
+def _array_calls():
+    # (name, call) of every export that takes an array of a checked quantity
+    from twistkick.beam import TwistedPhotonBeam, bessel_gauss_amplitude, superkick
+    from twistkick.pair_production import PairThresholdQuery
+    from twistkick.recoil_kinematics import TargetParticle
+    from twistkick.transitions import TransitionChannel, am_partition, recoil_ratio_array, \
+        sublevel_profile
+    from twistkick.trap import TrapModel, jump_probability_extended, jump_probability_point
+    beam = TwistedPhotonBeam(2, 1, wavelength_to_energy(397.0), 0.1, 500.0)
+    channel, trap = TransitionChannel(2, -0.5), TrapModel(1e6, 3e6, CA40_ION_MASS_EV)
+    return [
+        ("check", lambda v: units.check(v, "b target")),
+        ("superkick", lambda v: superkick(1, v)),
+        ("jump_probability_point", lambda v: jump_probability_point(v, trap)),
+        ("jump_probability_extended", lambda v: jump_probability_extended(beam, -1, v, trap, 10.0)),
+        ("am_partition", lambda v: am_partition(beam, channel, v)),
+        ("recoil_ratio_array", lambda v: recoil_ratio_array(beam, channel, v)),
+        ("sublevel_profile", lambda v: sublevel_profile(beam, channel, 0.5, v)),
+        ("nonrel_recoil_energy", lambda v: nonrel_recoil_energy(v, CA40_ION_MASS_EV)),
+        ("bessel_gauss_amplitude", lambda v: bessel_gauss_amplitude(beam, v)),
+        # records, which hold an accepted array as given
+        ("PairThresholdQuery pitch", lambda v: PairThresholdQuery(2.5, v, 1.0, 1)),
+        ("PairThresholdQuery b", lambda v: PairThresholdQuery(2.5, 0.1, v, 1)),
+        ("TargetParticle", lambda v: TargetParticle(1e9, v)),
+    ]
+
+
+def _result_or_error(call, value):
+    # what a call gives, as text that tells a float from a numpy scalar or
+    # array, or the type, code and message of what it raises
+    try:
+        return repr(call(value))
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc).__name__, getattr(exc, "code", None), str(exc)
+
+
+@pytest.mark.parametrize("value, shape", [
+    (np.ones((2, 2)), "ndarray of shape (2, 2)"), (np.ones((1, 1, 3)), "ndarray of shape (1, 1, 3)"),
+    ([[1.0, 2.0]], "list of shape (1, 2)"), (((1.0,), (2.0,)), "tuple of shape (2, 1)"),
+])
+def test_array_of_two_or_more_dimensions_is_named_by_its_shape(value, shape):
+    # am_partition and recoil_ratio_array raised numpy's IndexError, and
+    # superkick and the jump probabilities returned arrays of that shape
+    for name, call in _array_calls():
+        got = _result_or_error(call, value)
+        assert got[:2] == ("DomainError", "DOMAIN"), name
+        assert got[2].endswith(f"must be a real number or a 1-D array of them, got {shape}"), name
+
+
+def test_zero_dimensional_array_is_read_as_its_number():
+    # superkick and the extended jump returned 0-d arrays, am_partition
+    # partitions of one-element rows, and a quantity without arrays rejected it
+    for name, call in _array_calls():
+        for number in (2.0, 3):
+            assert _result_or_error(call, np.array(number)) == _result_or_error(call, number), name
+    assert units.check(np.array(2.5), "sigma") == 2.5 and type(units.check(
+        np.array(7, dtype=np.int32), "n_max")) is int
+    with pytest.raises(DomainError, match="got bool"):
+        units.check(np.array(True), "b target")
+
+
+@pytest.mark.parametrize("value", [[2**70, 1.0], [Fraction(1, 2), 1.0], (Fraction(3), 2**64),
+                                   np.array([Fraction(1, 2), 1.0], dtype=object)])
+def test_list_of_python_numbers_is_read_as_their_floats(value):
+    # numpy holds an int beyond int64 or a Fraction as an object; check
+    # rejected such a list ("got list holding int") where bessel_j_array
+    # converted it: now every array input converts it
+    from twistkick.special_functions import bessel_j_array
+    floats = np.array([float(v) for v in value])
+    for name, call in _array_calls() + [("bessel_j_array", lambda v: bessel_j_array(1, v))]:
+        got, expected = _result_or_error(call, value), _result_or_error(call, floats)
+        if name in ("check", "TargetParticle") or name.startswith("PairThresholdQuery"):
+            # the call holds the input as given
+            got, expected = type(got), type(expected)
+        assert got == expected, name
+    assert units.check(value, "b target") is value
+
+
+def test_momentum_sequence_is_converted():
+    # a list raised "can't multiply sequence by non-int"
+    assert nonrel_recoil_energy([], 1.0).shape == (0,)
+    assert nonrel_recoil_energy([2.0, 4.0], 2.0).tolist() == [1.0, 4.0]
+    assert nonrel_recoil_energy((2.0,), 2.0).tolist() == [1.0]
+    with pytest.raises(DomainError, match=r"got list of shape \(1, 2\)"):
+        nonrel_recoil_energy([[1.0, 2.0]], 1.0)
