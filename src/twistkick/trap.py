@@ -59,6 +59,16 @@ the cap, with w_l = exp(-x) I_l(x), m = |nu| + 1 and z = kappa b:
 exp(-x) cancels in the ratio of the two bounds, so L depends on nu and x
 alone: a float b and an array of b sum the same terms.
 
+L never decreases as x grows: every term of the log bound rises with x,
+and so do r and the cap.  So for x in the quarter binade [(4 + q)/8,
+(5 + q)/8) 2^e, q = 0 ... 3, L lies between the widths at its two ends,
+which are cached per (|nu|, e, q).  Where they agree (most packets) that
+is L; else L is bisected between them, the upper end lowered to the cap
+at x.  It is the same search over a smaller range, so L is the same
+integer that a bisection of [|nu| + 1, cap] finds (a test holds the two
+equal for every |nu| <= 64 over a log grid of x and at every quarter
+edge and its neighbouring doubles).
+
 The jump probabilities also take a 1-D array (of b, of p_T).  A float runs
 on Python floats and ``math``; an array of b sums the series from one
 Bessel table, and one helper, :func:`_packet_strength`, adds the terms
