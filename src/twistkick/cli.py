@@ -31,13 +31,24 @@ imported on first use, so a CSV call never loads it.
 on the ``units._linspace`` grid, which equals ``numpy.linspace`` bit for
 bit; ``units`` documents when a table runs on Python floats.
 
-Each subcommand is declared once, in ``_COMMANDS``.  A call whose first
-argument is a subcommand's name builds the parser of that subcommand alone,
-about half the cost of all eleven; any other call (``--help``,
-``--version``, an unknown or no subcommand) builds the full parser.  The
-output is the same bytes either way: a subcommand's usage, help and errors
-do not depend on its siblings, and the ``COMMAND`` metavar keeps the list
-of subcommands out of every usage line.
+Each subcommand is declared once, in ``_COMMANDS``, and each of its flags
+once, in the parameter table of :mod:`twistkick.sweeps` (``_PARAMETERS``),
+which also declares the figure parameters that ``reproduce --set`` takes:
+its unit, help words and default.  A subcommand lists its flags by name, in
+the order of its help and of its JSON metadata, and gives its own default
+only where subcommands differ (``trap-jump`` and ``sidebands`` take the
+729 nm line of 40Ca+, as fig7 does).  Parsing reads an int flag as an int
+and a float flag as a finite float, and checks ``--count`` against its
+range and the choices of ``--multipole-j`` and ``--lambda-spin`` (a usage
+error, status 1, otherwise); every other range is the library's to check
+(status 2).
+
+A call whose first argument is a subcommand's name builds the parser of
+that subcommand alone, about half the cost of all eleven; any other call
+(``--help``, ``--version``, an unknown or no subcommand) builds the full
+parser.  The output is the same bytes either way: a subcommand's usage,
+help and errors do not depend on its siblings, and the ``COMMAND`` metavar
+keeps the list of subcommands out of every usage line.
 """
 
 from __future__ import annotations
@@ -50,20 +61,19 @@ from functools import partial
 from itertools import chain
 
 from . import __version__
-from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
+from .beam import TwistedPhotonBeam, superkick
 from .errors import DomainError, TruncationWarning, TwistkickError
 from .pair_production import PairThresholdQuery, crossover_product, \
     fit_beam_for_threshold_factor, pair_threshold, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, absorption_energy, \
     deuteron_threshold, focus_fraction, ratio_cut_radius, transverse_recoil_energy
-from .sweeps import FIGURE_IDS, GridSpec, SweepResult, SweepSpec, _am_columns, run_sweep
+from .sweeps import _ION_LINE, _PARAMETERS, FIGURE_IDS, GridSpec, SweepResult, SweepSpec, \
+    _am_columns, run_sweep
 from .transitions import TransitionChannel, _ratio_from_partition
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
-from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, FM, GEV, HBARC_EV_NM, KEV, \
-    MEV, NEV, PM, RANGES, _linspace, check, nonrel_recoil_energy, wavelength_to_energy
-
-_CA40_MEV = CA40_ION_MASS_EV / MEV
+from .units import FM, GEV, HBARC_EV_NM, KEV, MEV, NEV, PM, RANGES, _linspace, check, \
+    nonrel_recoil_energy, wavelength_to_energy
 
 
 def result_to_csv(result: SweepResult) -> str:
@@ -350,32 +360,41 @@ def _add_output_flags(parser):
                         help="write to PATH instead of stdout")
 
 
-# flags that several subcommands share, each defined once
-_SHARED_FLAGS = {
-    "--b-nm": dict(type=_float_flag, required=True, help="impact parameter [nm] (required)"),
-    "--mass-mev": dict(type=_float_flag, default=_CA40_MEV,
-                       help=f"ion rest energy [MeV] (default: {_CA40_MEV:.4f}, 40Ca+)"),
-    "--pitch-rad": dict(type=_float_flag, default=DEFAULT_PITCH_ANGLE,
-                        help=f"pitch angle [rad] (default: {DEFAULT_PITCH_ANGLE})"),
-    "--omega2-ev": dict(type=_float_flag, default=2.5,
-                        help="background photon energy [eV] (default: 2.5)"),
-    "--l-gamma": dict(type=int, default=1, help="orbital index l_gamma [1] (default: 1)"),
-}
+# argparse settings beyond the parameter table's: the choices a command
+# takes, and the point count, which parsing checks
+_ARGPARSE = {"multipole_j": dict(choices=(1, 2, 3)), "lambda_spin": dict(choices=(-1, 1)),
+             "count": dict(type=_flag("count"))}
 
 
-def _add_shared_flags(parser, *flags):
-    for flag in flags:
-        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+def _option(name: str) -> str:
+    # the flag of a parameter, its argparse dest spelled with dashes
+    return "--" + (_PARAMETERS[name].flag or name).replace("_", "-")
 
 
-def _add_beam_flags(parser, lambda_default, m_default, spin_default):
-    parser.add_argument("--lambda-nm", type=_float_flag, default=lambda_default,
-                        help=f"photon wavelength [nm] (default: {lambda_default})")
-    parser.add_argument("--m-gamma", type=int, default=m_default,
-                        help=f"total AM projection m_gamma [hbar] (default: {m_default})")
-    parser.add_argument("--lambda-spin", type=int, choices=(-1, 1), default=spin_default,
-                        help=f"paraxial helicity [1] (default: {spin_default})")
-    _add_shared_flags(parser, "--pitch-rad")
+def _add_flag(parser, name, note, **settings):
+    parameter = _PARAMETERS[name]
+    kind = int if type(parameter.default) is int else _float_flag  # None: a float
+    parser.add_argument(_option(name), **{"type": kind, **settings, **_ARGPARSE.get(name, {})},
+                        help=f"{parameter.words} [{parameter.unit}] ({note})")
+
+
+def _flags(*names, **defaults):
+    """What adds the flags of ``names`` to a subcommand's parser, in order:
+    each with its default from ``defaults``, else from the parameter table,
+    and required where that is None; a pair of names is a required choice
+    of one of the two."""
+    def add(parser):
+        for name in names:
+            if isinstance(name, tuple):
+                group = parser.add_mutually_exclusive_group(required=True)
+                for one, other in (name, name[::-1]):
+                    _add_flag(group, one, f"alternative to {_option(other)}")
+            else:
+                default = defaults.get(name, _PARAMETERS[name].default)
+                _add_flag(parser, name,
+                          "required" if default is None else f"default: {default:g}",
+                          default=default, required=default is None)
+    return add
 
 
 def _beam(args) -> TwistedPhotonBeam:
@@ -383,88 +402,14 @@ def _beam(args) -> TwistedPhotonBeam:
     return TwistedPhotonBeam(args.m_gamma, args.lambda_spin, energy, args.pitch_rad)
 
 
-def _add_trap_flags(parser):
-    _add_beam_flags(parser, 729.0, -2, -1)
-    parser.add_argument("--nu", type=int, default=1,
-                        help="AM units transferred to the c.m. [hbar] (default: 1)")
-    _add_shared_flags(parser, "--b-nm")
-    parser.add_argument("--sigma-nm", type=_float_flag, default=10.0,
-                        help="wavepacket rms spread per axis [nm] (default: 10)")
-    parser.add_argument("--trap-mhz", type=_float_flag, default=1.5,
-                        help="trap frequency [MHz] (default: 1.5)")
-    _add_shared_flags(parser, "--mass-mev")
-
-
 def _trap(args) -> TrapModel:
     return TrapModel(args.trap_mhz * 1e6, args.trap_mhz * 1e6, args.mass_mev * MEV)
 
 
-def _add_am_flags(p):
-    p.add_argument("--multipole-j", type=int, default=1, choices=(1, 2, 3),
-                   help="multipole order J [1] (default: 1)")
-    _add_beam_flags(p, 397.0, 2, 1)
-    p.add_argument("--b-min-lambda", type=_float_flag, default=1e-3,
-                   help="sweep start [lambda] (default: 0.001)")
-    p.add_argument("--b-max-lambda", type=_float_flag, default=1.5,
-                   help="sweep stop [lambda] (default: 1.5)")
-    p.add_argument("--count", type=_flag("count"), default=300,
-                   help="number of points [1] (default: 300)")
-
-
-def _add_ion_recoil_flags(p):
-    # --pitch-rad is accepted but unread: the recoil energies do not depend on it
-    _add_beam_flags(p, 397.0, 2, 1)
-    _add_shared_flags(p, "--b-nm", "--mass-mev")
-
-
-def _add_sidebands_flags(p):
-    _add_trap_flags(p)
-    p.add_argument("--n-max", type=int, default=8,
-                   help="highest trap level retained, 2-170 [1] (default: 8)")
-
-
-def _add_deuteron_flags(p):
-    p.add_argument("--m-gamma", type=int, default=2,
-                   help="photon total AM [hbar] (default: 2)")
-    p.add_argument("--internal-am", type=int, default=1,
-                   help="AM absorbed internally (multipole J) [hbar] (default: 1)")
-    p.add_argument("--b-fm", type=_float_flag, required=True,
-                   help="impact parameter [fm] (required)")
-    p.add_argument("--lambda-fm", type=_float_flag, default=559.0,
-                   help="photon wavelength [fm] (default: 559)")
-    _add_shared_flags(p, "--pitch-rad")
-
-
-def _add_focus_flags(p):
-    p.add_argument("--w0-pm", type=_float_flag, required=True,
-                   help="Bessel-Gauss envelope scale [pm] (required)")
-    p.add_argument("--ratio-cut", type=_float_flag, default=0.1,
-                   help="p_T/p_z cut [1] (default: 0.1)")
-    p.add_argument("--delta-l", type=int, default=1,
-                   help="AM to the c.m. [hbar] (default: 1)")
-    p.add_argument("--energy-mev", type=_float_flag, default=DEUTERON_BINDING_EV / MEV,
-                   help="photon energy [MeV] (default: deuteron binding 2.22452)")
-    _add_shared_flags(p, "--pitch-rad")
-
-
-def _add_pair_flags(p):
-    _add_shared_flags(p, "--omega2-ev")
-    p.add_argument("--pitch-urad", type=_float_flag, required=True,
-                   help="pitch angle [urad] (required)")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pt-mev", type=_float_flag, default=None,
-                       help="transverse kick [MeV/c] (alternative to --b-fm)")
-    group.add_argument("--b-fm", type=_float_flag, default=None,
-                       help="impact parameter [fm] (alternative to --pt-mev)")
-    _add_shared_flags(p, "--l-gamma")
-
-
-def _add_beam_fit_flags(p):
-    p.add_argument("--factor", type=_float_flag, default=10.0,
-                   help="threshold multiplication factor [1] (default: 10)")
-    _add_shared_flags(p, "--omega2-ev", "--l-gamma")
-    p.add_argument("--w0-over-b", type=_float_flag, default=2.0,
-                   help="envelope scale over target radius [1] (default: 2)")
+_AM_FLAGS = _flags("multipole_j", "lambda_nm", "m_gamma", "lambda_spin", "theta_k",
+                   "b_min_lambda", "b_max_lambda", "count")
+_TRAP_PARAMETERS = ("lambda_nm", "m_gamma", "lambda_spin", "theta_k", "nu", "b_nm", "sigma_nm",
+                    "trap_mhz", "mass_mev")
 
 
 def _add_reproduce_flags(p):
@@ -487,26 +432,33 @@ def _add_reproduce_flags(p):
 _COMMANDS = {
     "am-transfer": ("mean internal/c.m. angular momentum vs impact parameter",
                     partial(_am_sweep, columns=[("lz_internal", "hbar"), ("lz_cm", "hbar")],
-                            kernel=_am_transfer_columns), _add_am_flags),
+                            kernel=_am_transfer_columns), _AM_FLAGS),
     "recoil-ratio": ("transverse/longitudinal recoil ratio vs impact parameter",
                      partial(_am_sweep, columns=[("pT_over_pz", "1")],
-                             kernel=_ratio_from_partition), _add_am_flags),
+                             kernel=_ratio_from_partition), _AM_FLAGS),
+    # --pitch-rad is accepted but unread: the recoil energies do not depend on it
     "ion-recoil": ("longitudinal and superkick recoil energies for a trapped ion",
-                   _cmd_ion_recoil, _add_ion_recoil_flags),
+                   _cmd_ion_recoil,
+                   _flags("lambda_nm", "m_gamma", "lambda_spin", "theta_k", "b_nm", "mass_mev")),
     "trap-jump": ("trap excitation probability: point-impulse vs extended packet",
-                  _cmd_trap_jump, _add_trap_flags),
+                  _cmd_trap_jump, _flags(*_TRAP_PARAMETERS, **_ION_LINE)),
     "sidebands": ("transverse sideband spectrum from the motional ground state",
-                  _cmd_sidebands, _add_sidebands_flags),
+                  _cmd_sidebands, _flags(*_TRAP_PARAMETERS, "n_max", **_ION_LINE)),
     "deuteron-threshold": ("photodisintegration threshold for a deuteron off the vortex axis",
-                           _cmd_deuteron_threshold, _add_deuteron_flags),
+                           _cmd_deuteron_threshold,
+                           _flags("m_gamma", "internal_am", "b_fm", "lambda_fm", "theta_k",
+                                  b_fm=None)),
     "focus-fraction": ("fraction of absorptions with recoil ratio above a cut",
-                       _cmd_focus_fraction, _add_focus_flags),
+                       _cmd_focus_fraction,
+                       _flags("w0_pm", "ratio_cut", "delta_l", "energy_mev", "theta_k")),
     "pair-threshold": ("gamma-gamma pair-production threshold for a twisted photon",
-                       _cmd_pair_threshold, _add_pair_flags),
+                       _cmd_pair_threshold,
+                       _flags("omega2_ev", "pitch_urad", ("pt_mev", "b_fm"), "l_gamma",
+                              pitch_urad=None)),
     "crossover": ("b*theta_k product where twisted and plane-wave thresholds meet",
-                  _cmd_crossover, lambda p: _add_shared_flags(p, "--omega2-ev", "--l-gamma")),
+                  _cmd_crossover, _flags("omega2_ev", "l_gamma")),
     "beam-fit": ("beam parameters realizing a requested threshold increase",
-                 _cmd_beam_fit, _add_beam_fit_flags),
+                 _cmd_beam_fit, _flags("factor", "omega2_ev", "l_gamma", "w0_over_b")),
     "reproduce": ("emit the data table behind a canned figure", _cmd_reproduce,
                   _add_reproduce_flags),
 }

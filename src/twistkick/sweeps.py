@@ -1,9 +1,18 @@
 """Figure-reproduction engine: canned parameter sweeps composing the physics
 modules into deterministic data tables with stable column schemas.
 
-Every figure id carries documented default parameters (pitch angle, trap
-frequency, wavelength, ...) for the quantities its source plot leaves
-unstated; all of them are overridable.
+Every figure id carries default parameters (pitch angle, trap frequency,
+wavelength, ...) for the quantities its source plot leaves unstated; all of
+them are overridable.  Each user parameter, a figure's or a CLI flag's, is
+declared once, in ``_PARAMETERS``: its unit and help words, its default,
+the :data:`twistkick.units.RANGES` quantity it feeds and the factor that
+takes it to library units.  A figure lists its parameters by name and
+overrides a default only where it differs (fig7's 729 nm line,
+``_ION_LINE``); ``twistkick.cli`` builds each subcommand's flags from the
+same table.  :func:`run_sweep` checks each override before any row is
+built: its type (``PARAMETER_TYPE``), then its quantity's range on the
+value the library would get, after the factor, with the quantity's code
+and a message naming the figure, the parameter and the value as given.
 
 A grid (:meth:`GridSpec.values`) is a list of Python floats.  A figure
 builder takes it whole and returns ``(rows, codes)``: rows of Python floats
@@ -34,7 +43,7 @@ from itertools import chain
 
 from . import __version__
 from .beam import DEFAULT_PITCH_ANGLE, TwistedPhotonBeam, superkick
-from .errors import DomainError, TwistkickError
+from .errors import DomainError, TwistkickError, shown
 from .pair_production import PairThresholdQuery, crossover_product, pair_threshold, \
     fit_beam_for_threshold_factor, plane_wave_threshold
 from .recoil_kinematics import TargetParticle, deuteron_threshold, \
@@ -42,8 +51,63 @@ from .recoil_kinematics import TargetParticle, deuteron_threshold, \
 from .transitions import TransitionChannel, _ratio_from_partition, am_partitions, \
     raise_first_row_error, raise_row_error, sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
-from .units import CA40_ION_MASS_EV, DEUTERON_MASS_EV, FLOAT_ROWS, FM, GEV, KEV, MEV, NEV, \
-    _linspace, check, constants_sha256, nonrel_recoil_energy, on_floats, wavelength_to_energy
+from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, DEUTERON_MASS_EV, FLOAT_ROWS, FM, \
+    GEV, KEV, MEV, NEV, PM, RANGES, _linspace, check, constants_sha256, nonrel_recoil_energy, \
+    on_floats, wavelength_to_energy
+
+
+#: A user parameter: its help words and unit, its default (None where its
+#: flag is required), the :data:`RANGES` quantity its value feeds, the
+#: factor from its unit to the library's (1 by default, which keeps an int
+#: an int), and its flag's argparse dest where that is not its name.
+_Parameter = namedtuple("_Parameter", "words unit default quantity factor flag",
+                        defaults=(1, None))
+
+
+#: Every user parameter, once, by its figure key or flag dest.  A figure
+#: parameter's quantity is that of the library call its figure makes.
+_PARAMETERS = {
+    # a beam, and the AM sweep of am-transfer and recoil-ratio
+    "multipole_j": _Parameter("multipole order J", "1", 1, "multipole_J"),
+    "lambda_nm": _Parameter("photon wavelength", "nm", 397.0, "wavelength"),
+    "m_gamma": _Parameter("total AM projection m_gamma", "hbar", 2, "m_gamma"),
+    "lambda_spin": _Parameter("paraxial helicity", "1", 1, "lambda_spin"),
+    "theta_k": _Parameter("pitch angle", "rad", DEFAULT_PITCH_ANGLE, "pitch angle",
+                          flag="pitch_rad"),
+    "b_min_lambda": _Parameter("sweep start", "lambda", 1e-3, "b row"),
+    "b_max_lambda": _Parameter("sweep stop", "lambda", 1.5, "b row"),
+    "count": _Parameter("number of points", "1", 300, "count"),
+    # a trapped ion, its packet and its sublevels
+    "nu": _Parameter("AM units transferred to the c.m.", "hbar", 1, "nu"),
+    "b_nm": _Parameter("impact parameter", "nm", None, "b target"),
+    "sigma_nm": _Parameter("wavepacket rms spread per axis", "nm", 10.0, "sigma"),
+    "trap_mhz": _Parameter("trap frequency", "MHz", 1.5, "axial_frequency", 1e6),
+    "mass_mev": _Parameter("ion rest energy (40Ca+ by default)", "MeV", CA40_ION_MASS_EV / MEV,
+                           "ion_mass", MEV),
+    "n_max": _Parameter("highest trap level retained, 2-170", "1", 8, "n_max"),
+    "m_initial": _Parameter("initial magnetic number", "hbar", -0.5, "m_initial"),
+    "m_final": _Parameter("final magnetic number", "hbar", -1.5, "m_f"),
+    # a deuteron, and the focus of a Bessel-Gauss beam on it
+    "internal_am": _Parameter("AM absorbed internally (multipole J)", "hbar", 1, "internal AM"),
+    "lambda_fm": _Parameter("photon wavelength", "fm", 559.0, "wavelength", FM),
+    "w0_pm": _Parameter("Bessel-Gauss envelope scale", "pm", None, "envelope_w0", PM),
+    "ratio_cut": _Parameter("p_T/p_z cut", "1", 0.1, "ratio_cut"),
+    "delta_l": _Parameter("AM to the c.m.", "hbar", 1, "delta_l_cm > 0"),
+    "energy_mev": _Parameter("photon energy (deuteron binding by default)", "MeV",
+                             DEUTERON_BINDING_EV / MEV, "energy", MEV),
+    # pair production on a background photon
+    "omega2_ev": _Parameter("background photon energy", "eV", 2.5, "omega2"),
+    "pitch_urad": _Parameter("pitch angle", "urad", 5.0, "pitch angle", 1e-6),
+    "pt_mev": _Parameter("transverse kick", "MeV/c", None, "p_T kick", MEV),
+    "b_fm": _Parameter("impact parameter", "fm", 200.0, "b finite", FM),
+    "l_gamma": _Parameter("orbital index l_gamma", "1", 1, "l_gamma"),
+    "factor": _Parameter("threshold multiplication factor", "1", 10.0, "threshold factor"),
+    "w0_over_b": _Parameter("envelope scale over target radius", "1", 2.0, "w0/b"),
+}
+
+#: the defaults of the 729 nm S1/2 -> D5/2 line of 40Ca+, where fig7,
+#: trap-jump and sidebands differ from the table
+_ION_LINE = {"lambda_nm": 729.0, "m_gamma": -2, "lambda_spin": -1}
 
 
 class GridSpec(namedtuple("GridSpec", "start stop count scale")):
@@ -332,15 +396,13 @@ def _ratio_columns():
     return [("b", "lambda")] + [(f"pT_over_pz(m_gamma={m})", "1") for m in _M_GAMMA_SERIES]
 
 
-_AM_DEFAULTS = {
-    "theta_k": DEFAULT_PITCH_ANGLE,
-    "lambda_nm": 397.0,
-}
-
 _REGISTRY: dict[str, _Figure] = {}
 
 
-def _register(figure_id, columns, defaults, grid, builder, description, cases=()):
+def _register(figure_id, columns, names, grid, builder, description, cases=(), **defaults):
+    # the figure's parameters by name, each with the table's default but
+    # where ``defaults`` gives its own
+    defaults = {name: defaults.get(name, _PARAMETERS[name].default) for name in names}
     _REGISTRY[figure_id] = _Figure(columns, defaults, grid, builder, description, cases)
 
 
@@ -353,7 +415,7 @@ _AM_PANELS = (
 for _letter, _j in (("a", 1), ("b", 2), ("c", 3)):
     for _prefix, _columns, _kernel, _spin, _quantity in _AM_PANELS:
         _register(
-            f"{_prefix}{_letter}", _columns(), dict(_AM_DEFAULTS),
+            f"{_prefix}{_letter}", _columns(), ("theta_k", "lambda_nm"),
             GridSpec(1e-3, 1.5, 600, "loglin"),
             _m_gamma_series_builder(_kernel, _j, _spin),
             f"{_quantity} vs b/lambda, multipole J={_j}, helicity {_spin:+d}",
@@ -363,7 +425,7 @@ _register(
     "fig6",
     [("b", "nm"), ("E_long", "neV"), ("E_T(m_gamma=2)", "neV"),
      ("E_T(m_gamma=3)", "neV"), ("E_T(m_gamma=4)", "neV")],
-    {"lambda_nm": 397.0},
+    ("lambda_nm",),
     GridSpec(1.0, 100.0, 200, "log"), _whole_grid(_fig6_build),
     "trapped-ion recoil energies vs impact parameter (40Ca+, 397 nm)",
 )
@@ -371,23 +433,22 @@ _register(
     "fig7",
     [("b", "nm"), ("excitation", "1"), ("jump_point", "1"),
      ("jump_extended", "1"), ("combined_point", "1"), ("combined_extended", "1")],
-    {"lambda_nm": 729.0, "theta_k": DEFAULT_PITCH_ANGLE, "m_gamma": -2,
-     "lambda_spin": -1, "m_initial": -0.5, "m_final": -1.5,
-     "sigma_nm": 10.0, "trap_mhz": 1.5},
+    ("lambda_nm", "theta_k", "m_gamma", "lambda_spin", "m_initial", "m_final", "sigma_nm",
+     "trap_mhz"),
     GridSpec(10.0, 3000.0, 120, "lin"), _whole_grid(_fig7_build),
-    "sublevel excitation profile and trap-jump probabilities vs b",
+    "sublevel excitation profile and trap-jump probabilities vs b", **_ION_LINE,
 )
 _register(
     "fig8a",
     [("b", "fm"), ("threshold", "GeV"), ("plane_wave", "GeV")],
-    {"omega2_ev": 2.5, "l_gamma": 1, "pitch_urad": 5.0},
+    ("omega2_ev", "l_gamma", "pitch_urad"),
     GridSpec(20.0, 2000.0, 200, "log"), _whole_grid(_fig8_build("b_fm")),
     "pair-production threshold vs impact parameter at fixed pitch angle",
 )
 _register(
     "fig8b",
     [("theta_k", "urad"), ("threshold", "GeV"), ("plane_wave", "GeV")],
-    {"omega2_ev": 2.5, "l_gamma": 1, "b_fm": 200.0},
+    ("omega2_ev", "l_gamma", "b_fm"),
     GridSpec(0.5, 50.0, 200, "log"), _whole_grid(_fig8_build("pitch_urad")),
     "pair-production threshold vs pitch angle at fixed impact parameter",
 )
@@ -395,7 +456,7 @@ _register(
     "deuteron_table",
     [("m_gamma", "hbar"), ("internal_am", "hbar"), ("b", "fm"),
      ("threshold", "MeV"), ("recoil", "keV"), ("transverse_recoil", "keV")],
-    {"lambda_fm": 559.0, "theta_k": DEFAULT_PITCH_ANGLE},
+    ("lambda_fm", "theta_k"),
     None, _per_point(_deuteron_table_build),
     "deuteron photodisintegration thresholds per multipole channel", _DEUTERON_CASES,
 )
@@ -404,7 +465,7 @@ _register(
     [("omega2", "eV"), ("l_gamma", "1"), ("factor", "1"), ("p_T", "MeV"),
      ("b", "fm"), ("w0", "fm"), ("theta_k", "urad"), ("peak_radius", "fm"),
      ("plane_wave", "GeV"), ("threshold", "GeV"), ("crossover", "pm*urad")],
-    {"omega2_ev": 2.5},
+    ("omega2_ev",),
     None, _per_point(_pair_table_build),
     "beam parameters for ten-fold pair-threshold increase and crossover products",
     _PAIR_CASES,
@@ -428,13 +489,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 f"(available: {', '.join(sorted(params)) or 'none'})",
                 code="UNKNOWN_PARAMETER",
             )
-        # an int default takes an integer, a float default a finite number
+        # an int default takes an integer, a float default a finite number;
+        # then the quantity's range holds what the library would get
+        parameter = _PARAMETERS[key]
         try:
-            params[key] = check(value, "integer parameter" if type(params[key]) is int
-                                else "real parameter")
+            value = check(value, "integer parameter" if type(params[key]) is int
+                          else "real parameter")
         except DomainError as exc:
             raise DomainError(f"figure {spec.figure_id!r} parameter {key!r}: {exc}",
                               code="PARAMETER_TYPE") from None
+        try:
+            check(value * parameter.factor, parameter.quantity)
+        except DomainError as exc:
+            raise DomainError(f"figure {spec.figure_id!r} parameter {key!r} must "
+                              f"{RANGES[parameter.quantity].rule}, got {shown(value)}",
+                              code=exc.code) from None
+        params[key] = value
 
     if figure.grid is None and spec.grid is not None:
         raise DomainError(

@@ -25,10 +25,12 @@ value through :func:`twistkick.errors.shown`, and a numpy scalar comes back
 as the Python number it holds.  What stays with the callers: checks on
 results (an energy that overflows), relations between inputs (the internal
 AM within m_gamma, b > 0 where l_gamma > 0, a grid's stop above its start,
-a nonzero first-lobe order, a half-integer magnetic number), the code an
-error takes where a caller needs its own (a figure parameter's
-``PARAMETER_TYPE``, a CLI flag's ``USAGE``), and the Bessel kernel contract
-on the derived argument kappa rho.
+a nonzero first-lobe order, a half-integer magnetic number), the code or
+the words an error takes where a caller needs its own (a figure
+parameter's ``PARAMETER_TYPE``, and its range error, which names the
+figure and the parameter with the quantity's code; a CLI flag's
+``USAGE``), and the Bessel kernel contract on the derived argument kappa
+rho.
 
 **Floats or arrays.**  A kernel that runs over many points computes them
 either one by one on Python floats or as one numpy array, with the same
@@ -288,10 +290,15 @@ def check(value, quantity: str):
     A 0-d array is read as the number it holds.  An array is a 1-D ndarray,
     list or tuple of real numbers, numpy's dtype or Python's number types
     (an int beyond int64, a ``Fraction``); one of two or more dimensions is
-    rejected with ``DOMAIN`` by a message that names its shape.  A bool,
-    and any other value that is neither a real number nor an array of
-    them, is rejected with ``DOMAIN`` whatever the quantity's code, by a
-    message that names its type.
+    rejected with ``DOMAIN`` by a message that names its shape, and one
+    holding a number beyond the floating-point range by the message that
+    number alone gets.  An empty 1-D array passes where arrays do, so every
+    function that takes an array returns an empty result for it, of the
+    kind an array gives; ``crossover_product``, which reduces over its
+    pitch angles, raises ``DOMAIN`` instead.  A bool, and any other value
+    that is neither a real number nor an array of them, is rejected with
+    ``DOMAIN`` whatever the quantity's code, by a message that names its
+    type.
     The message names the value through :func:`twistkick.errors.shown`,
     so it never spells nan or inf.  A float or an int in range returns
     after a few comparisons; text is built only to raise."""
@@ -312,7 +319,7 @@ def check(value, quantity: str):
         if type(value) is int and abs(value) > _FLOAT_MAX:
             raise DomainError(f"{q.name} is beyond the floating-point range, got {shown(value)}")
         ends = (value,)
-    elif q.arrays and (shape := _real_array_shape(value)) is not None:
+    elif q.arrays and (shape := _real_array_shape(value, q.name)) is not None:
         if len(shape) > 1:
             raise DomainError(f"{q.name} must be a real number or a 1-D array of them, "
                               f"got {type(value).__name__} of shape {shape}")
@@ -328,12 +335,13 @@ def check(value, quantity: str):
     return value
 
 
-def _real_array_shape(value) -> tuple | None:
+def _real_array_shape(value, name: str) -> tuple | None:
     # the shape numpy reads ``value`` with if that is an array of real
     # numbers, else None: an ndarray of numbers by its dtype alone; a list, a
     # tuple or an object array by its elements too, as numpy reads a True
     # among floats as 1.0, and holds an int beyond int64 or a Fraction as an
-    # object, which converts unless it is beyond the floating-point range
+    # object, which converts unless it is beyond the floating-point range,
+    # a DomainError that names ``name`` and the first such element
     import numpy as np
     try:
         array = np.asarray(value)
@@ -347,7 +355,9 @@ def _real_array_shape(value) -> tuple | None:
     try:
         array.astype(float)
     except OverflowError:
-        return None
+        beyond = next(v for v in _elements(value) if abs(v) > _FLOAT_MAX)
+        raise DomainError(f"{name} is beyond the floating-point range, got {shown(beyond)}") \
+            from None
     return array.shape
 
 
@@ -366,8 +376,7 @@ def _not_numbers(value) -> list:
 def _type_of(value) -> str:
     # a rejected value's type as error text: an ndarray's with its dtype; a
     # list's, a tuple's or an object array's with that of its first element
-    # that is no real number, else of the first that is no float (an int
-    # beyond the floating-point range)
+    # that is no real number, else of the first that is no float
     kind = type(value).__name__
     if kind == "ndarray" and value.dtype.kind != "O":
         return f"{kind} of {value.dtype.type.__name__.rstrip('_')}"
@@ -446,19 +455,20 @@ def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:
 
     ``p_ev`` is the momentum as p*c in eV, a float or an array, and
     ``mass_ev`` the rest energy in eV; ``mass_ev = math.inf`` is accepted and
-    yields 0.  An energy beyond the floating-point range is inf, on an array
+    yields 0, or zeros of the momentum's shape.  An energy beyond the floating-point range is inf, on an array
     as on a float; an int momentum or mass beyond that range raises
     DomainError.  Where 2 M overflows, the energy is (p/2) (p/M).
     """
     mass_ev, p_ev = check(mass_ev, "mass"), check(p_ev, "momentum")
-    if isinstance(p_ev, int):
-        p_ev = float(p_ev)  # its square overflows to inf, where an int's would raise
-    if math.isinf(mass_ev):
-        return 0.0
     two_m = 2.0 * mass_ev
-    if isinstance(p_ev, float):
+    if isinstance(p_ev, (float, int)):
+        p_ev = float(p_ev)  # its square overflows to inf, where an int's would raise
+        if math.isinf(mass_ev):
+            return 0.0
         return p_ev * p_ev / two_m if two_m < math.inf else 0.5 * p_ev * (p_ev / mass_ev)
     import numpy as np
     p_ev = np.asarray(p_ev, dtype=float)
+    if math.isinf(mass_ev):
+        return np.zeros(p_ev.shape)
     with np.errstate(over="ignore"):
         return p_ev * p_ev / two_m if two_m < math.inf else 0.5 * p_ev * (p_ev / mass_ev)

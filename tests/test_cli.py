@@ -717,11 +717,12 @@ def test_json_parameters_record_every_parsed_option(capsys, argv):
 
 
 @pytest.mark.parametrize("figure,override,code,message", [
-    ("fig7", "sigma_nm=-1", "DOMAIN",
-     "figure 'fig7' dropped every row; at b=10 nm: sigma must be positive and finite, got -1"),
-    ("pair_table", "omega2_ev=0", "DOMAIN",
-     "figure 'pair_table' dropped every row; at case (1, 10.0): "
-     "omega2 must be positive and finite, got 0"),
+    ("fig7", "m_final=0", "DOMAIN",
+     "figure 'fig7' dropped every row; at b=10 nm: "
+     "m_f=0 is not reachable from m_i=-0.5 with multipole J=2.0"),
+    ("pair_table", "omega2_ev=1e-300", "DOMAIN",
+     "figure 'pair_table' dropped every row; at case (1, 10.0): omega2 = 1e-300 eV puts "
+     "the plane-wave threshold m_e^2/omega2 beyond the floating-point range"),
     ("fig2a", "theta_k=0", "UNDEFINED_DISTRIBUTION",
      "figure 'fig2a' dropped every row; at b=0.001 lambda: "
      "all sublevel amplitudes vanish at b=0.397; no absorption"),
@@ -737,6 +738,18 @@ def test_sweep_dropping_every_row_is_coded_error(capsys, figure, override, code,
     assert status == 2
     assert out == ""
     assert err == f"twistkick: error [{code}]: {message}\n"
+
+
+@pytest.mark.parametrize("override, message", [
+    ("trap_mhz=0", "figure 'fig7' parameter 'trap_mhz' must be positive and finite, got 0"),
+    ("sigma_nm=-1", "figure 'fig7' parameter 'sigma_nm' must be positive and finite, got -1"),
+])
+def test_figure_parameter_out_of_range_is_named(capsys, override, message):
+    # the override is checked before any row is built, and the error names
+    # it, not the library field it feeds (axial_frequency) or a dropped row
+    status, out, err = run_main(capsys, "reproduce", "--figure", "fig7", "--set", override)
+    assert (status, out) == (2, "")
+    assert err == f"twistkick: error [DOMAIN]: {message}\n"
 
 
 def test_pair_threshold_negative_kick_is_domain_error(capsys):
@@ -784,10 +797,11 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
     (["deuteron-threshold", "--b-fm", "1", "--lambda-fm", "1e-300"], "DOMAIN",
      "wavelength 1e-306 nm is too short: its photon energy overflows"),
     (["reproduce", "--figure", "fig7", "--set", "m_initial=1e308"], "DOMAIN",
-     "m_initial must lie in [-8.98847e+307, 8.98847e+307], got 1e+308"),
+     "figure 'fig7' parameter 'm_initial' must lie in [-8.98847e+307, 8.98847e+307], "
+     "got 1e+308"),
     (["reproduce", "--figure", "fig7", "--set", "m_final=1.7e308", "--set", "m_initial=-8e307"],
-     "DOMAIN", "figure 'fig7' dropped every row; at b=10 nm: "
-     "m_f must lie in [-8.98847e+307, 8.98847e+307], got 1.7e+308"),
+     "DOMAIN", "figure 'fig7' parameter 'm_final' must lie in [-8.98847e+307, 8.98847e+307], "
+     "got 1.7e+308"),
     (["trap-jump", "--b-nm", "20", "--trap-mhz", "5e-324"], "DOMAIN",
      "frequency 4.94066e-318 Hz is too low: its quantum energy underflows to 0"),
     (["sidebands", "--b-nm", "20", "--trap-mhz", "5e-324"], "DOMAIN",

@@ -11,10 +11,11 @@ and log-uniform draws around the default.  A child with numpy blocked runs a
 subsample and must match the same entries.  A mismatch names the argv.
 
 Byte identity holds for one machine and numpy build: the file records the
-machine it was frozen on, and on another one a mismatch is reported as a
-warning, not as a failure.  An entry that ends in a traceback (a status
-reading ``uncaught ...``) fails on every machine.  Re-freezing is a deliberate act; list the
-entries that changed with the change that needs it:
+machine it was frozen on, and on another one a hash mismatch is reported as
+a warning, not as a failure.  An exit status other than the frozen one, and
+an entry that ends in a traceback (a status reading ``uncaught ...``), fail
+on every machine.  Re-freezing is a deliberate act; list the entries that
+changed with the change that needs it:
 
     PYTHONPATH=src python tests/test_corpus.py --freeze
 """
@@ -262,13 +263,15 @@ def _frozen():
 
 
 def _report(entries, results, frozen_machine) -> None:
-    # a traceback fails on every machine; another difference fails on the
-    # machine the corpus was frozen on and is a warning elsewhere
-    tracebacks = [f"{argv}: {got[0]}" for (argv, *_), got in zip(entries, results)
-                  if str(got[0]).startswith("uncaught")]
-    if tracebacks:
-        pytest.fail(f"{len(tracebacks)} corpus entries end in a traceback:\n"
-                    + "\n".join(tracebacks[:40]))
+    # a traceback or another exit status fails on every machine; a hash
+    # difference fails on the machine the corpus was frozen on and is a
+    # warning elsewhere
+    statuses = [f"{argv}: frozen status {status}, got {got[0]}"
+                for (argv, status, *_), got in zip(entries, results)
+                if got[0] != status or str(got[0]).startswith("uncaught")]
+    if statuses:
+        pytest.fail(f"{len(statuses)} corpus entries end in another exit status or a "
+                    "traceback:\n" + "\n".join(statuses[:40]))
     faults = [f"{argv}: frozen {frozen}, got {got}"
               for (argv, *frozen), got in zip(entries, results) if frozen != got]
     if not faults:
@@ -346,6 +349,16 @@ def test_a_traceback_fails_on_every_machine():
         _report([entry], [[0, "1" * 16, "0" * 16]], other)
     with pytest.raises(pytest.fail.Exception, match="uncaught TypeError"):
         _report([entry], [["uncaught TypeError", "0" * 16, "0" * 16]], other)
+
+
+def test_an_exit_status_change_fails_on_every_machine():
+    # off the frozen machine a hash change warns, a status change fails
+    other = {**machine(), "python": "0.0"}
+    entry = [["crossover"], 0, "0" * 16, "0" * 16]
+    with pytest.warns(UserWarning, match="1 corpus entries differ"):
+        _report([entry], [[0, "0" * 16, "1" * 16]], other)
+    with pytest.raises(pytest.fail.Exception, match="frozen status 0, got 2"):
+        _report([entry], [[2, "0" * 16, "0" * 16]], other)
 
 
 def freeze() -> None:

@@ -7,7 +7,9 @@ Each call must end in a finite result of its documented type, holding plain
 Python numbers, or in a coded TwistkickError whose text spells no value as
 nan or inf.  A value that is no number (a bool, a string, None, a list
 holding a string) must end in a ``DOMAIN`` error that names its type, but
-None where an argument takes it.  The exceptions are documented in
+None where an argument takes it.  An empty array is one of the values: an
+argument that takes arrays gives an empty result, any other a ``DOMAIN``
+error.  The exceptions are documented in
 ``INF_ALLOWED`` and ``ROW_CODES`` below, each with its reason.  The inputs
 are a fixed list, so the test is deterministic."""
 
@@ -25,8 +27,9 @@ from twistkick.units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, DEUTERON_MASS
 
 # values that are no number, each named by its type in the error
 NOT_NUMBERS = (True, "abc", None, [1.0, "x"])
+EMPTY = np.empty(0)
 EDGES = (0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, math.nan, math.inf, -math.inf,
-         10**400, -(10**400), -1.0, -3, 2, 7, np.float64(1.5), np.int64(2), *NOT_NUMBERS)
+         10**400, -(10**400), -1.0, -3, 2, 7, np.float64(1.5), np.int64(2), *NOT_NUMBERS, EMPTY)
 # the arguments and record fields that take None
 TAKES_NONE = {"envelope_w0", "spread_rms"}
 
@@ -166,12 +169,12 @@ def _plain(value, allow_inf, allow_nan) -> bool:
 
 def _forms(owner, key, base_value, edge):
     """The edge value as an argument: itself (but for recoil_ratio_array,
-    which takes only arrays), in a tuple for crossover_product's pitch
-    angles, and in an array after the base value where ``owner`` admits
-    one (unless a float array cannot hold it)."""
+    which takes only arrays, a number), in a tuple for crossover_product's
+    pitch angles, and in an array after the base value where ``owner``
+    admits one (unless a float array cannot hold it)."""
     if key == "pitch_angles":
         return [(edge,)]
-    forms = [] if owner == "recoil_ratio_array" else [edge]
+    forms = [] if owner == "recoil_ratio_array" and edge is not EMPTY else [edge]
     if (owner, key) in ARRAYS:
         try:
             forms.append(np.array([base_value, edge], dtype=float))
@@ -189,9 +192,10 @@ def _no_number(key, form, edge):
 
 
 def _variants(name):
-    """(label, call, type name) of every call of ``name`` with one numeric
-    argument, or one field of one record argument, set to an edge value, the
-    type name that of a value that is no number (:func:`_no_number`).  A
+    """(label, call, type name, form) of every call of ``name`` with one
+    numeric argument, or one field of one record argument, set to an edge
+    value in one of its forms, the type name that of a value that is no
+    number (:func:`_no_number`).  A
     record field value that its constructor rejects, or fails on, is covered
     by the constructor's own calls, so that call is skipped here."""
     function, base = MODULE_CALLS[name] if name in MODULE_CALLS else \
@@ -202,7 +206,7 @@ def _variants(name):
                 for form in _forms(name, field, value, edge):
                     yield f"{field}={form!r}", \
                         lambda field=field, form=form: function(**{**base, field: form}), \
-                        _no_number(field, form, edge)
+                        _no_number(field, form, edge), form
         return
 
     def arguments(changed_record=None, field=None, form=None):
@@ -228,12 +232,12 @@ def _variants(name):
                         except Exception:  # noqa: BLE001 - the constructor's own fault
                             continue
                         yield f"{key}.{field}={form!r}", lambda args=args: function(**args), \
-                            _no_number(field, form, edge)
+                            _no_number(field, form, edge), form
             else:
                 for form in _forms(name, key, value, edge):
                     args = {**arguments(), key: form}
                     yield f"{key}={form!r}", lambda args=args: function(**args), \
-                        _no_number(key, form, edge)
+                        _no_number(key, form, edge), form
 
 
 def _outcome(name, call, no_number=None):
@@ -266,11 +270,47 @@ def _outcome(name, call, no_number=None):
 @pytest.mark.parametrize("name", sorted(CALLS) + sorted(MODULE_CALLS))
 def test_edge_values_end_in_a_value_or_a_coded_error(name):
     faults = []
-    for label, call, no_number in _variants(name):
+    for label, call, no_number, _ in _variants(name):
         fault = _outcome(name, call, no_number)
         if fault:
             faults.append(f"{name}({label}): {fault}")
     assert not faults, "\n".join(faults)
+
+
+def _holds_only_empty_arrays(value) -> bool:
+    # a result whose arrays are all empty, and which holds one
+    arrays = [v for v in (value if isinstance(value, tuple) else (value,))
+              if isinstance(v, np.ndarray)]
+    return bool(arrays) and all(v.size == 0 for v in arrays)
+
+
+def test_empty_array_gives_an_empty_result():
+    # the rule of units.check for an empty 1-D array: every argument (or
+    # record field) that takes arrays gives a result of empty arrays; any
+    # other argument rejects it with DOMAIN, and so does crossover_product,
+    # which reduces over its pitch angles and has none
+    accepted = set()
+    for name in sorted(CALLS):
+        for label, call, _, form in _variants(name):
+            if form is not EMPTY:
+                continue
+            try:
+                result = call()
+            except TwistkickError as exc:
+                assert exc.code == "DOMAIN", f"{name}({label}): [{exc.code}] {exc}"
+                continue
+            assert _holds_only_empty_arrays(result), f"{name}({label}) returned {result!r}"
+            accepted.add(f"{name}({label.split('=')[0]})")
+    assert accepted == {
+        "PairThresholdQuery(impact_parameter)", "PairThresholdQuery(pitch_angle)",
+        "TargetParticle(impact_parameter)", "am_partition(b)", "bessel_gauss_amplitude(rho)",
+        "jump_probability_extended(b)", "jump_probability_point(p_t)",
+        "nonrel_recoil_energy(p_ev)", "pair_threshold(query.impact_parameter)",
+        "pair_threshold(query.pitch_angle)", "recoil_ratio_array(b)", "sublevel_profile(b)",
+        "superkick(b)", "transverse_recoil_energy(target.impact_parameter)"}
+    with pytest.raises(TwistkickError, match="pitch angles must be one or more") as err:
+        twistkick.crossover_product(2.5, 1, EMPTY)
+    assert err.value.code == "DOMAIN"
 
 
 def _rejected_override(default, value) -> bool:

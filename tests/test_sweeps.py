@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from twistkick import sweeps
-from twistkick.errors import DomainError, TwistkickError
+from twistkick.errors import DomainError, TwistkickError, shown
 from twistkick.sweeps import FIGURE_IDS, GridSpec, SweepSpec, run_sweep
-from twistkick.units import FM, PM
+from twistkick.units import FM, PM, RANGES, check
 
 from oracles import mask_kept_rows
 
@@ -550,6 +550,39 @@ def test_override_types_checked_against_defaults():
     parameters = result.metadata["parameters"]
     assert json.loads(json.dumps(parameters)) == parameters
     assert (type(parameters["m_gamma"]), type(parameters["trap_mhz"])) == (int, float)
+
+
+# per figure parameter, a value of its default's kind, in its own unit,
+# whose library value (after the factor to library units) lies outside its
+# quantity's range; None where the quantity takes every number of that kind
+_OUTSIDE = {"lambda_nm": -1.0, "theta_k": 2.0, "m_gamma": None, "lambda_spin": 0,
+            "m_initial": -1.7e308, "m_final": 1.7e308, "sigma_nm": 0.0, "trap_mhz": 1e303,
+            "omega2_ev": 0.0, "l_gamma": -1, "pitch_urad": 2e6, "b_fm": None,
+            "lambda_fm": 1e-320}
+
+
+@pytest.mark.parametrize("figure_id, key", [(figure_id, key) for figure_id in FIGURE_IDS
+                                             for key in sweeps._REGISTRY[figure_id].defaults])
+def test_override_outside_its_range_is_refused_before_any_row(monkeypatch, figure_id, key):
+    # the range of the library value is checked on the override itself: the
+    # quantity's code, the figure, the parameter and the value as given, and
+    # no row built
+    def builder(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(sweeps._REGISTRY[figure_id], "builder", builder)
+    value, quantity = _OUTSIDE[key], sweeps._PARAMETERS[key].quantity
+    q = RANGES[quantity]
+    if value is None:
+        big = 10**300 if q.integer else 1.7e308
+        assert check(big, quantity) == big and check(-big, quantity) == -big
+        return
+    assert type(value) is type(sweeps._REGISTRY[figure_id].defaults[key])
+    with pytest.raises(DomainError) as err:
+        run_sweep(SweepSpec(figure_id, {key: value}))
+    assert err.value.code == q.code
+    assert str(err.value) == f"figure {figure_id!r} parameter {key!r} must {q.rule}, " \
+                             f"got {shown(value)}"
 
 
 def test_numpy_integers_pass_every_integer_check():

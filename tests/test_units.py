@@ -278,7 +278,7 @@ def test_check_reads_an_array_through_its_extremes(quantity):
     ([[2.0, True]], "list holding bool"),
     (np.array([True]), "ndarray of bool"), (np.array(["1.5"]), "ndarray of str"),
     (np.array([1.0, None], dtype=object), "ndarray holding NoneType"),
-    ([10**400, 1.0], "list holding int"),
+    ([10**400, "a"], "list holding str"),
 ])
 def test_array_holding_no_number_is_named_by_type(value, held):
     # numpy reads a True among floats as 1.0 and None as NaN; every array
@@ -402,6 +402,24 @@ def test_list_of_python_numbers_is_read_as_their_floats(value):
             got, expected = type(got), type(expected)
         assert got == expected, name
     assert units.check(value, "b target") is value
+
+
+def test_list_holding_an_int_beyond_the_float_range_is_a_range_error():
+    # it was named by its type ("got list holding int"), where the int alone
+    # is beyond the floating-point range
+    for name, call in _array_calls():
+        got = _result_or_error(call, [10**400, 1.0])
+        assert got == _result_or_error(call, 10**400), name
+        assert got[1:] == ("DOMAIN", got[2].split(" is ")[0] + " is beyond the floating-point "
+                           "range, got an integer of 401 digits"), name
+
+
+def test_infinite_mass_gives_zeros_of_the_momentum_shape():
+    # an array returned the float 0.0
+    for p in (np.array([1.0, 2.0]), [1.0, -2.0], np.empty(0)):
+        result = nonrel_recoil_energy(p, math.inf)
+        assert type(result) is np.ndarray and result.tolist() == [0.0] * len(p)
+    assert nonrel_recoil_energy(-2, math.inf) == 0.0
 
 
 def test_momentum_sequence_is_converted():
