@@ -95,7 +95,7 @@ def superkick(delta_l: int, b) -> float | np.ndarray:
         return delta_l * HBARC_EV_NM / b
     import numpy as np
     with np.errstate(over="ignore"):  # a kick beyond the float range is inf, as on floats
-        return delta_l * HBARC_EV_NM / np.asarray(b, dtype=float)
+        return delta_l * HBARC_EV_NM / b
 
 
 def equal_kick_radius(beam: TwistedPhotonBeam) -> float:
@@ -133,7 +133,6 @@ def bessel_gauss_amplitude(beam: TwistedPhotonBeam, rho) -> float | np.ndarray:
         envelope = math.exp(-(rho / w0) ** 2) if rho / w0 < 1e150 else 0.0
         return bessel_j(beam.l_gamma, kappa * rho) * envelope
     import numpy as np
-    rho = np.asarray(rho, dtype=float)
     # the largest rho first, so that kappa rho is only formed within the domain
     check_bessel_domain(beam.l_gamma, kappa * max(extremes(rho), default=0.0))
     with np.errstate(over="ignore"):  # an envelope of 0 where the square overflows

@@ -5,21 +5,26 @@ failures in a stable, grep-able form on stderr.
 """
 
 import math
+import numbers
 
 
 def shown(value) -> str:
     """``value`` as error text: a string quoted, a NaN named as a value that
     is not a number and an infinite float as a non-finite value from an
     input that overflows, rather than spelled nan or inf, an integer of more
-    than 20 digits named by its length instead of echoed digit for digit."""
+    than 20 digits named by its length, and a fraction (``Fraction``) of
+    that size by the length of its integer part, instead of echoed digit
+    for digit."""
     if isinstance(value, float) and math.isnan(value):
         return "a value that is not a number"
     if isinstance(value, float) and math.isinf(value):
         return "a non-finite value (an input overflows)"
-    if isinstance(value, int) and abs(value) >= 10**20:
-        digits = int(math.log10(abs(value)))  # may round across a power of ten
-        digits += (10 ** (digits + 1) <= abs(value)) - (10**digits > abs(value))
-        return f"an integer of {digits + 1} digits"
+    if isinstance(value, numbers.Rational) and abs(value) >= 10**20:
+        whole = int(abs(value))
+        digits = int(math.log10(whole))  # may round across a power of ten
+        digits += (10 ** (digits + 1) <= whole) - (10**digits > whole)
+        return (f"an integer of {digits + 1} digits" if isinstance(value, numbers.Integral)
+                else f"a fraction with an integer part of {digits + 1} digits")
     return repr(value) if isinstance(value, str) else str(value)
 
 

@@ -47,7 +47,8 @@ class PairThresholdQuery(namedtuple("PairThresholdQuery",
     """Inputs for one threshold evaluation: background photon energy omega2
     (eV), pitch angle (rad), impact parameter (nm), integer orbital index
     l_gamma.  The pitch angle or the impact parameter may be an array of
-    them, each checked as a float is."""
+    them, each checked as a float is; where both are, they pair element by
+    element and must be of one length."""
 
     __slots__ = ()
 
@@ -59,6 +60,10 @@ class PairThresholdQuery(namedtuple("PairThresholdQuery",
                 "l_gamma > 0 requires a positive impact parameter",
                 code="B_SINGULARITY",
             )
+        sizes = [v.size for v in (pitch_angle, impact_parameter) if not isinstance(v, (float, int))]
+        if len(sizes) == 2 and sizes[0] != sizes[1]:
+            raise DomainError(f"{sizes[0]} pitch angles cannot pair with {sizes[1]} impact "
+                              "parameters: arrays of one length are needed")
         return super().__new__(cls, omega2, pitch_angle, impact_parameter, l_gamma)
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # checked, as is _replace

@@ -56,7 +56,7 @@ import functools
 import math
 
 from .errors import DomainError, shown
-from .units import MAX_BESSEL_ORDER as MAX_ORDER, _not_numbers, check
+from .units import MAX_BESSEL_ORDER as MAX_ORDER, check, extremes
 
 MAX_ARGUMENT = 1.0e6
 
@@ -280,38 +280,28 @@ def bessel_j(n: int, x: float) -> float:
     return -value if n % 2 and (x < 0.0) != (n < 0) else value
 
 
-def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
+def bessel_j_array(n, x) -> np.ndarray:
     """Vectorized :func:`bessel_j`: J_n(x) with the integer order ``n`` (a
-    scalar or an array) broadcast against the arguments ``x``.
+    scalar or an array) broadcast against the arguments ``x``, a number or
+    a 1-D array.
 
     One domain check over the largest order and argument, one table per
     band of the orders up to the largest at |x|, and one ``np.where``
     folding in the signs, so each element is bit-identical to the scalar
     call; an order column of shape (k, 1) against x of shape (m,) gives the
-    (k, m) table.  A bool, None or text (or an array or a list holding one)
-    is a ``DOMAIN`` error naming its type, as in :func:`bessel_j`, not the
-    number numpy reads."""
+    (k, m) table.  ``x`` goes through :func:`twistkick.units.check`: a
+    bool, None or text (or an array or a list holding one) is a ``DOMAIN``
+    error naming its type, as in :func:`bessel_j`, not the number numpy
+    reads, and an array of two or more dimensions one naming its shape."""
     import numpy as np
-    given = x
-    try:
-        x = np.asarray(x)
-        kind = x.dtype.kind
-        # numpy reads True as 1.0, "2" as 2.0 and None as NaN: an ndarray of
-        # numbers is taken by its dtype, a list or an object array by its elements
-        if kind not in "fiuO" or (kind == "O" or isinstance(given, (list, tuple))) \
-                and _not_numbers(given):
-            raise TypeError
-        x = x.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):
-        check(given, "Bessel argument")  # the coded error that names its type
-        raise
+    x = check(x, "Bessel arguments")
     order = np.asarray(n)
     # the widest order stands for all; one that numpy holds as no number (an
     # int beyond int64, a bool) goes to the check as given, which rejects it
     widest = order.flat[np.abs(order).argmax()].item() \
         if order.dtype.kind in "iuf" and order.size else n
-    magnitude = np.abs(x)
-    check_bessel_domain(widest, float(magnitude.max()) if x.size else 0.0)
+    magnitude = abs(x)
+    check_bessel_domain(widest, max(extremes(magnitude), default=0.0))
     # J_0 ... J_|widest|(|x|), each order from the table of its band
     n_top = abs(widest)
     table = bessel_j_orders(_BANDS[0], magnitude, min(n_top, _BANDS[0]) + 1)
@@ -319,7 +309,7 @@ def bessel_j_array(n, x: np.ndarray) -> np.ndarray:
         table = np.concatenate(
             [table, bessel_j_orders(_BANDS[1], magnitude, n_top + 1)[_BANDS[0] + 1:]])
     index = np.abs(order)
-    values = table[(index,) + np.indices(x.shape, sparse=True)] if index.ndim else table[index]
+    values = table[(index,) + np.indices(np.shape(x), sparse=True)] if index.ndim else table[index]
     # odd order: one sign flip for n < 0, another for x < 0
     return np.where((order % 2 == 1) & ((x < 0.0) != (order < 0)), -values, values)
 

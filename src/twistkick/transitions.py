@@ -140,9 +140,6 @@ def am_partitions(
     for every order they need."""
     b = check(b, "b row")  # a row code stands for its range
     scalar = isinstance(b, (float, int))  # the one float-or-array decision
-    if not scalar:
-        import numpy as np
-        b = np.asarray(b, dtype=float)
     j = channel.j_int
     kappa = transverse_wavenumber(beams[0])
     if any(transverse_wavenumber(beam) != kappa for beam in beams):
@@ -163,6 +160,7 @@ def am_partitions(
             row = _j_row([n for beam_orders in orders for n in beam_orders], x)
             tables = [row[k:k + 2 * j + 1] for k in range(0, len(row), 2 * j + 1)]
         else:
+            import numpy as np
             tables = bessel_j_array(np.array(orders)[:, :, None], x)
         return [_partition(beam, channel, m_gamma, valid & ok, table, scalar)
                 for beam, m_gamma, ok, table in zip(beams, m_gammas, in_range, tables)]
@@ -374,7 +372,6 @@ def sublevel_profile(
     scalar = isinstance(b, (float, int))
     if not scalar:
         import numpy as np
-        b = np.asarray(b, dtype=float)
     x = transverse_wavenumber(beam) * b
     if d == 0.0:
         check_bessel_argument(x if scalar else (float(np.abs(x).max()) if x.size else 0.0))

@@ -155,8 +155,7 @@ def jump_probability_point(p_t, trap: TrapModel) -> float | np.ndarray:
         return 1.0 - math.exp(-eta_sq)
     import numpy as np
     with np.errstate(over="ignore"):  # an infinite eta^2, as on floats
-        eta_sq = nonrel_recoil_energy(np.asarray(p_t, dtype=float), trap.ion_mass) \
-            / level_spacing(trap, "transverse")
+        eta_sq = nonrel_recoil_energy(p_t, trap.ion_mass) / level_spacing(trap, "transverse")
     return per_element(lambda e: 1.0 - math.exp(-e), eta_sq)
 
 
@@ -250,9 +249,6 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int
     sigma, b = check(sigma, "sigma"), check(b, "b target")
     b_max = max(extremes(b), default=0.0)
     scalar = isinstance(b, (float, int))
-    if not scalar:
-        import numpy as np
-        b = np.asarray(b, dtype=float)
     kappa = transverse_wavenumber(beam)
     nu = check(nu, "nu")
     # kappa (b + 9 sigma) rounds monotonically in b, so the largest b stands for all
@@ -271,7 +267,7 @@ def _packet_series(beam: TwistedPhotonBeam, nu: int, b, sigma: float, n_max: int
     pairs = [j_sq[nu]] + [j_sq[abs(nu - a)] + j_sq[nu + a] for a in range(1, top + 1)]
     strength = _packet_strength(pairs, i_scaled)
     if not (0.0 < strength < math.inf if scalar
-            else np.all((0.0 < strength) & (strength < math.inf))):
+            else ((0.0 < strength) & (strength < math.inf)).all()):
         value = f"= {strength}" if scalar else "is not positive and finite at some b"
         raise NoAbsorptionError(f"absorption strength <|F|^2> {value}; jump probability "
                                 "and sideband spectrum undefined")

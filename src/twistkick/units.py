@@ -19,10 +19,13 @@ every numeric input goes through it: the record constructors and exported
 functions of every physics module, the Bessel orders and Wigner indices, a
 figure's grid and parameter overrides (:mod:`twistkick.sweeps`) and the
 CLI's float flags and point count (:mod:`twistkick.cli`, whose failures are
-usage errors).  So a bool or a non-number, an int beyond the floating-point
-range, a NaN or an infinity is handled in one place, an error names the
-value through :func:`twistkick.errors.shown`, and a numpy scalar comes back
-as the Python number it holds.  What stays with the callers: checks on
+usage errors).  So a bool or a non-number, an int or a ``Fraction`` beyond
+the floating-point range, a NaN or an infinity is handled in one place, an
+error names the value through :func:`twistkick.errors.shown`, a numpy
+scalar comes back as the Python number it holds, and an accepted array as
+the 1-D float64 ndarray the kernels compute on: an array input is converted
+once, here, and a kernel tells a float from an array by the type ``check``
+returned.  What stays with the callers: checks on
 results (an energy that overflows), relations between inputs (the internal
 AM within m_gamma, b > 0 where l_gamma > 0, a grid's stop above its start,
 a nonzero first-lobe order, a half-integer magnetic number), the code or
@@ -261,8 +264,10 @@ RANGES = {
     "b finite": _range("impact parameter", arrays=True),
     "b point": _range("impact parameter", ends=""),
     "b row": _range("impact parameter", ends="", arrays=True),
-    # a Bessel argument, whose range (|x| <= 1e6) the Bessel kernels check
+    # a Bessel argument, or an array of them, whose range (|x| <= 1e6) the
+    # Bessel kernels check
     "Bessel argument": _range("Bessel argument", ends=""),
+    "Bessel arguments": _range("Bessel argument", ends="", arrays=True),
     # a figure's grid and parameters (by the type of the default), and the
     # CLI's float flags and point count
     **_ranges("grid start, grid stop"),
@@ -281,15 +286,17 @@ _FLOAT_BOUNDS, _INT_BOUNDS = ({quantity: _bounds(q)[k] for quantity, q in RANGES
 def check(value, quantity: str):
     """``value`` if it lies in the range :data:`RANGES` declares for
     ``quantity``, as a Python ``float`` or ``int`` (a numpy scalar is
-    converted; an accepted array is returned as given); DomainError, with
-    the quantity's code, otherwise.
+    converted; an accepted array is returned as the float ndarray, a 1-D
+    float64 one as itself, uncopied and unread); DomainError, with the
+    quantity's code, otherwise.
 
-    A non-integer is rejected where the quantity is an integer, an int
-    beyond the floating-point range everywhere, and an array where the
-    quantity takes none; an array is checked through its :func:`extremes`.
-    A 0-d array is read as the number it holds.  An array is a 1-D ndarray,
-    list or tuple of real numbers, numpy's dtype or Python's number types
-    (an int beyond int64, a ``Fraction``); one of two or more dimensions is
+    A non-integer is rejected where the quantity is an integer, an int or a
+    ``Fraction`` beyond the floating-point range everywhere, and an array
+    where the quantity takes none; an array is checked through its
+    :func:`extremes`.  A 0-d array is read as the number it holds.  An
+    array is a 1-D ndarray, list or tuple of real numbers, numpy's dtype or
+    Python's number types (an int beyond int64, a ``Fraction``), converted
+    to floats once; one of two or more dimensions is
     rejected with ``DOMAIN`` by a message that names its shape, and one
     holding a number beyond the floating-point range by the message that
     number alone gets.  An empty 1-D array passes where arrays do, so every
@@ -315,14 +322,15 @@ def check(value, quantity: str):
     if getattr(value, "ndim", None) == 0:  # a 0-d array: the number it holds
         value = value.item()
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        value = int(value) if isinstance(value, numbers.Integral) else float(value)
-        if type(value) is int and abs(value) > _FLOAT_MAX:
+        if isinstance(value, numbers.Rational) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
             raise DomainError(f"{q.name} is beyond the floating-point range, got {shown(value)}")
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
         ends = (value,)
-    elif q.arrays and (shape := _real_array_shape(value, q.name)) is not None:
-        if len(shape) > 1:
+    elif q.arrays and (array := _real_array(value, q.name)) is not None:
+        if array.ndim > 1:
             raise DomainError(f"{q.name} must be a real number or a 1-D array of them, "
-                              f"got {type(value).__name__} of shape {shape}")
+                              f"got {type(value).__name__} of shape {array.shape}")
+        value = array
         ends = extremes(value) if q.ends else ()  # "" ends take any number
     else:
         raise DomainError(f"{q.name} must be a real number{' or an array of them' * q.arrays}, "
@@ -335,30 +343,28 @@ def check(value, quantity: str):
     return value
 
 
-def _real_array_shape(value, name: str) -> tuple | None:
-    # the shape numpy reads ``value`` with if that is an array of real
-    # numbers, else None: an ndarray of numbers by its dtype alone; a list, a
-    # tuple or an object array by its elements too, as numpy reads a True
-    # among floats as 1.0, and holds an int beyond int64 or a Fraction as an
-    # object, which converts unless it is beyond the floating-point range,
-    # a DomainError that names ``name`` and the first such element
+def _real_array(value, name: str):
+    # ``value`` as a float64 ndarray if numpy reads it as an array of real
+    # numbers, else None: an ndarray of numbers by its dtype alone, a float64
+    # one returned as given; a list, a tuple or an object array by its
+    # elements too, as numpy reads a True among floats as 1.0, and holds an
+    # int beyond int64 or a Fraction as an object, which converts unless its
+    # magnitude exceeds the largest float, a DomainError that names ``name``
+    # and the first such element
     import numpy as np
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged sequence
         return None
     kind = array.dtype.kind
-    if kind in "fiu" and isinstance(value, np.ndarray):
-        return array.shape
-    if kind not in "fiuO" or _not_numbers(value):
+    if (kind not in "fiu" or not isinstance(value, np.ndarray)) \
+            and (kind not in "fiuO" or _not_numbers(value)):
         return None
-    try:
-        array.astype(float)
-    except OverflowError:
-        beyond = next(v for v in _elements(value) if abs(v) > _FLOAT_MAX)
-        raise DomainError(f"{name} is beyond the floating-point range, got {shown(beyond)}") \
-            from None
-    return array.shape
+    beyond = [v for v in _elements(value) if isinstance(v, numbers.Rational)
+              and not -_FLOAT_MAX <= v <= _FLOAT_MAX] if kind == "O" else []
+    if beyond:  # the rule of an int or a Fraction alone, not float()'s rounding
+        raise DomainError(f"{name} is beyond the floating-point range, got {shown(beyond[0])}")
+    return array.astype(float, copy=False)
 
 
 def _elements(value) -> list:
@@ -387,27 +393,26 @@ def _type_of(value) -> str:
 
 
 def extremes(value) -> tuple:
-    """What a bound or finiteness check of ``value`` must pass: ``(value,)``
-    for a float or an int, and for an array its least and greatest element
-    as floats (both NaN where some element is NaN; none for an empty array).
+    """What a bound or finiteness check of ``value``, a value :func:`check`
+    returned, must pass: ``(value,)`` for a float or an int, and for the
+    float ndarray its least and greatest element as floats (both NaN where
+    some element is NaN; none for an empty array).
     A check written once for a float thus holds for every element of an
     array exactly when it holds for each extreme."""
     if isinstance(value, (float, int)):
         return (value,)
-    import numpy as np
-    value = np.asarray(value, dtype=float)
     return (float(value.min()), float(value.max())) if value.size else ()
 
 
 def per_element(func, x):
-    """``func(x)`` for a float; for an array, an array of ``func`` called on
-    each element as a float.  ``math`` and numpy need not round alike, so
-    each element then equals the float call bit for bit."""
+    """``func(x)`` for a float; for a 1-D float ndarray (as :func:`check`
+    returns it), an array of ``func`` called on each element as a float.
+    ``math`` and numpy need not round alike, so each element then equals
+    the float call bit for bit."""
     if isinstance(x, (float, int)):
         return func(x)
     import numpy as np
-    x = np.asarray(x, dtype=float)
-    return np.array([func(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.array([func(v) for v in x.tolist()])
 
 
 def sqrt(x):
@@ -467,7 +472,6 @@ def nonrel_recoil_energy(p_ev: float, mass_ev: float) -> float:
             return 0.0
         return p_ev * p_ev / two_m if two_m < math.inf else 0.5 * p_ev * (p_ev / mass_ev)
     import numpy as np
-    p_ev = np.asarray(p_ev, dtype=float)
     if math.isinf(mass_ev):
         return np.zeros(p_ev.shape)
     with np.errstate(over="ignore"):

@@ -17,6 +17,7 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from twistkick.units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, DEUTERON_MASS
 NOT_NUMBERS = (True, "abc", None, [1.0, "x"])
 EMPTY = np.empty(0)
 EDGES = (0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, math.nan, math.inf, -math.inf,
-         10**400, -(10**400), -1.0, -3, 2, 7, np.float64(1.5), np.int64(2), *NOT_NUMBERS, EMPTY)
+         10**400, -(10**400), Fraction(10**400), -1.0, -3, 2, 7, np.float64(1.5), np.int64(2),
+         *NOT_NUMBERS, EMPTY)
 # the arguments and record fields that take None
 TAKES_NONE = {"envelope_w0", "spread_rms"}
 

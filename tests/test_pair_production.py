@@ -57,6 +57,24 @@ def test_pair_threshold_array_matches_float_calls():
                     assert column.tolist() == [getattr(f, name) for f in floats], name
 
 
+def test_query_of_two_arrays_pairs_them_and_needs_one_length():
+    # arrays of pitch angles and impact parameters of different lengths
+    # raised numpy's uncoded broadcast ValueError in pair_threshold
+    with pytest.raises(DomainError) as err:
+        PairThresholdQuery(2.5, [1e-6, 2e-6], [1.0, 2.0, 3.0], 1)
+    assert (err.value.code, str(err.value)) == (
+        "DOMAIN", "2 pitch angles cannot pair with 3 impact parameters: arrays of one length "
+        "are needed")
+    for theta, b in (([1e-6], [1.0, 2.0]), (np.empty(0), [1.0])):
+        with pytest.raises(DomainError, match="arrays of one length"):
+            PairThresholdQuery(2.5, theta, b, 1)
+    theta, b = [1e-6, 0.3, 1.2], [2e-4, 1.0, 3e-7]
+    solution = pair_threshold(PairThresholdQuery(2.5, theta, b, 1))
+    for k, (t, v) in enumerate(zip(theta, b)):
+        point = pair_threshold(PairThresholdQuery(2.5, t, v, 1))
+        assert [float(column[k]) for column in solution] == list(point)
+
+
 @pytest.mark.parametrize("field, bad", [
     ("impact_parameter", 0.0), ("impact_parameter", -1.0), ("impact_parameter", math.nan),
     ("impact_parameter", 1e-306),  # the superkick is too large to square

@@ -301,14 +301,14 @@ def test_array_holding_no_number_is_named_by_type(value, held):
 
 
 def test_float_array_check_reads_no_element(monkeypatch):
-    # an ndarray of floats is taken by its dtype: no per-element test
+    # an ndarray of floats is taken by its dtype: no per-element test, in
+    # check or in bessel_j_array, which takes its arguments through check
     from twistkick import special_functions
 
     def refused(value, floats=False):
         raise AssertionError("an element test ran on a float array")
 
     monkeypatch.setattr(units, "_not_numbers", refused)
-    monkeypatch.setattr(special_functions, "_not_numbers", refused)
     values = np.linspace(0.0, 5.0, 7)
     assert units.check(values, "b target") is values
     assert special_functions.bessel_j_array(1, values).shape == (7,)
@@ -331,6 +331,7 @@ def _array_calls():
     from twistkick.beam import TwistedPhotonBeam, bessel_gauss_amplitude, superkick
     from twistkick.pair_production import PairThresholdQuery
     from twistkick.recoil_kinematics import TargetParticle
+    from twistkick.special_functions import bessel_j_array
     from twistkick.transitions import TransitionChannel, am_partition, recoil_ratio_array, \
         sublevel_profile
     from twistkick.trap import TrapModel, jump_probability_extended, jump_probability_point
@@ -346,7 +347,8 @@ def _array_calls():
         ("sublevel_profile", lambda v: sublevel_profile(beam, channel, 0.5, v)),
         ("nonrel_recoil_energy", lambda v: nonrel_recoil_energy(v, CA40_ION_MASS_EV)),
         ("bessel_gauss_amplitude", lambda v: bessel_gauss_amplitude(beam, v)),
-        # records, which hold an accepted array as given
+        ("bessel_j_array", lambda v: bessel_j_array(1, v)),
+        # records, which hold the float array that check returns
         ("PairThresholdQuery pitch", lambda v: PairThresholdQuery(2.5, v, 1.0, 1)),
         ("PairThresholdQuery b", lambda v: PairThresholdQuery(2.5, 0.1, v, 1)),
         ("TargetParticle", lambda v: TargetParticle(1e9, v)),
@@ -392,26 +394,53 @@ def test_zero_dimensional_array_is_read_as_its_number():
 def test_list_of_python_numbers_is_read_as_their_floats(value):
     # numpy holds an int beyond int64 or a Fraction as an object; check
     # rejected such a list ("got list holding int") where bessel_j_array
-    # converted it: now every array input converts it
-    from twistkick.special_functions import bessel_j_array
+    # converted it: now every array input converts it, once, in check, so
+    # the records hold the floats too
     floats = np.array([float(v) for v in value])
-    for name, call in _array_calls() + [("bessel_j_array", lambda v: bessel_j_array(1, v))]:
-        got, expected = _result_or_error(call, value), _result_or_error(call, floats)
-        if name in ("check", "TargetParticle") or name.startswith("PairThresholdQuery"):
-            # the call holds the input as given
-            got, expected = type(got), type(expected)
-        assert got == expected, name
-    assert units.check(value, "b target") is value
+    for name, call in _array_calls():
+        assert _result_or_error(call, value) == _result_or_error(call, floats), name
+    assert units.check(value, "b target").tobytes() == floats.tobytes()
+
+
+def test_check_returns_the_float_array_that_the_kernels_use():
+    # an array came back as given, and each kernel converted it again; a
+    # float64 ndarray still comes back as itself, uncopied
+    from twistkick.pair_production import PairThresholdQuery
+    from twistkick.recoil_kinematics import TargetParticle
+    floats = np.array([0.5, 1.0, 3.0])
+    for value, expected in (
+            ([0.5, 1, 3.0], floats), ((0.5, 1.0, 3), floats), ([Fraction(1, 2), 1, 3], floats),
+            (np.array([0.5, 1, 3], dtype=object), floats),
+            (np.array([0.5, 1.0, 3.0], dtype=np.float32), floats),
+            (np.array([1, 2, 6]), 2 * floats), (np.array([1, 2, 6], dtype=np.uint64), 2 * floats)):
+        got = units.check(value, "b target")
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.ndim == 1
+        assert got.tobytes() == expected.tobytes()
+    assert units.check(floats, "b target") is floats
+    target, query = TargetParticle(1e9, [0.5, 1, 3.0]), PairThresholdQuery(2.5, (0.1, 0.2), [1, 2])
+    for held, expected in ((target.impact_parameter, floats), (query.pitch_angle, [0.1, 0.2]),
+                           (query.impact_parameter, [1.0, 2.0])):
+        assert type(held) is np.ndarray and held.dtype == np.float64
+        assert held.tolist() == list(expected)
+    assert TargetParticle(1e9, floats).impact_parameter is floats
 
 
 def test_list_holding_an_int_beyond_the_float_range_is_a_range_error():
     # it was named by its type ("got list holding int"), where the int alone
-    # is beyond the floating-point range
-    for name, call in _array_calls():
-        got = _result_or_error(call, [10**400, 1.0])
-        assert got == _result_or_error(call, 10**400), name
-        assert got[1:] == ("DOMAIN", got[2].split(" is ")[0] + " is beyond the floating-point "
-                           "range, got an integer of 401 digits"), name
+    # is beyond the floating-point range; a Fraction beyond it raised an
+    # uncoded OverflowError alone and echoed its 401 digits in a list; an int
+    # or a Fraction just past the largest float, which float() rounds down
+    # to it, was taken in a list and refused alone
+    for big, shown in ((10**400, "an integer of 401 digits"),
+                       (Fraction(10**400), "a fraction with an integer part of 401 digits"),
+                       (int(sys.float_info.max) + 1, "an integer of 309 digits"),
+                       (Fraction(sys.float_info.max) + 1, "a fraction with an integer part "
+                                                          "of 309 digits")):
+        for name, call in _array_calls():
+            got = _result_or_error(call, [big, 1.0])
+            assert got == _result_or_error(call, big), name
+            assert got[1:] == ("DOMAIN", got[2].split(" is ")[0] + " is beyond the "
+                               f"floating-point range, got {shown}"), name
 
 
 def test_infinite_mass_gives_zeros_of_the_momentum_shape():
