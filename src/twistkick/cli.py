@@ -27,9 +27,11 @@ while numpy is not loaded takes it for all of its values and needs no numpy,
 whose import costs ~0.1 s; the text is the same either way.  ``json`` too is
 imported on first use, so a CSV call never loads it.
 
-``am-transfer`` and ``recoil-ratio`` run through ``sweeps._am_columns``
-on the ``units._linspace`` grid, which equals ``numpy.linspace`` bit for
-bit; ``units`` documents when a table runs on Python floats.
+``am-transfer`` and ``recoil-ratio`` run the AM panels' row,
+``sweeps._am_row`` of one beam, through ``sweeps._whole_grid`` with
+``strict``, so the first failing point raises its coded error, on the
+``units._linspace`` grid, which equals ``numpy.linspace`` bit for bit;
+``units`` documents when a table runs on Python floats.
 
 Each subcommand is declared once, in ``_COMMANDS``, and each of its flags
 once, in the parameter table of :mod:`twistkick.sweeps` (``_PARAMETERS``),
@@ -40,8 +42,12 @@ only where subcommands differ (``trap-jump`` and ``sidebands`` take the
 729 nm line of 40Ca+, as fig7 does).  Parsing reads an int flag as an int
 and a float flag as a finite float, and checks ``--count`` against its
 range and the choices of ``--multipole-j`` and ``--lambda-spin`` (a usage
-error, status 1, otherwise); every other range is the library's to check
-(status 2).
+error, status 1, otherwise).  A flag in another unit than the library's
+(``--trap-mhz``, ``--pitch-urad``, ...) is checked before the run, as
+``reproduce --set`` checks a figure parameter, by the parameter table's
+quantity and factor: its error names the flag and states its range in the
+flag's unit.  Every other range is the library's to check (status 2 for
+both).
 
 A call whose first argument is a subcommand's name builds the parser of
 that subcommand alone, about half the cost of all eleven; any other call
@@ -68,7 +74,7 @@ from .pair_production import PairThresholdQuery, crossover_product, \
 from .recoil_kinematics import TargetParticle, absorption_energy, \
     deuteron_threshold, focus_fraction, ratio_cut_radius, transverse_recoil_energy
 from .sweeps import _ION_LINE, _PARAMETERS, FIGURE_IDS, GridSpec, SweepResult, SweepSpec, \
-    _am_columns, run_sweep
+    _am_row, _check_parameter, _whole_grid, run_sweep
 from .transitions import TransitionChannel, _ratio_from_partition
 from .trap import TrapModel, jump_probability_extended, jump_probability_point, \
     sideband_spectrum
@@ -178,8 +184,8 @@ def _am_sweep(args, columns, kernel) -> SweepResult:
         raise DomainError(f"sweep span [{args.b_min_lambda:g}, {args.b_max_lambda:g}] "
                           "lambda is beyond the floating-point range")
     xs = _linspace(args.b_min_lambda, args.b_max_lambda, args.count)
-    table, _ = _am_columns([beam], TransitionChannel(float(args.multipole_j)), xs,
-                           args.lambda_nm, kernel, strict=True)
+    row = _am_row([beam], TransitionChannel(float(args.multipole_j)), args.lambda_nm, kernel)
+    table, _ = _whole_grid(lambda _: row)(args, xs, strict=True)
     return _table(args, [("b", "lambda")] + columns, table)
 
 
@@ -191,10 +197,7 @@ def _cmd_ion_recoil(args) -> SweepResult:
     energy = wavelength_to_energy(args.lambda_nm)
     # a negative delta_l reaches no library check, so m_gamma is checked here
     delta_l = check(args.m_gamma, "m_gamma") - args.lambda_spin
-    # the library takes an infinite mass as a recoil-free absorber; here it
-    # can only be a --mass-mev whose conversion to eV overflows
-    mass = check(args.mass_mev * MEV, "ion_mass")
-    target = TargetParticle(mass, args.b_nm)
+    target = TargetParticle(args.mass_mev * MEV, args.b_nm)
     e_long = nonrel_recoil_energy(energy, target.mass)
     e_t = transverse_recoil_energy(target, delta_l) if delta_l > 0 else 0.0
     solution = absorption_energy(energy, target, max(delta_l, 0))
@@ -263,10 +266,8 @@ def _cmd_pair_threshold(args) -> SweepResult:
     l_gamma = args.l_gamma
     if args.pt_mev is None:
         b = args.b_fm * FM
-    elif check(args.pt_mev, "p_T kick") == 0.0:
+    elif args.pt_mev == 0.0:
         b, l_gamma = 0.0, 0
-    elif not math.isfinite(args.pt_mev * MEV):
-        raise DomainError(f"p_T = {args.pt_mev:g} MeV/c is beyond the floating-point range")
     else:  # express the requested kick as the impact parameter delivering it
         b = check(l_gamma, "l_gamma") * HBARC_EV_NM / (args.pt_mev * MEV)
     solution = pair_threshold(
@@ -483,6 +484,14 @@ def build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
+def _check_unit_flags(args) -> None:
+    # a flag in a unit other than the library's is checked as a figure
+    # parameter is: named, and its range stated, in its own unit
+    for name, value in vars(args).items():
+        if name in _PARAMETERS and _PARAMETERS[name].factor != 1 and value is not None:
+            _check_parameter(name, value, _option(name))
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     """Print a TruncationWarning as one coded stderr line; others as Python does."""
     if issubclass(category, TruncationWarning):
@@ -500,6 +509,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
+            _check_unit_flags(args)
             result = args.handler(args)
             _emit(result, args)
         except TwistkickError as exc:

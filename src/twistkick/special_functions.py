@@ -56,7 +56,7 @@ import functools
 import math
 
 from .errors import DomainError, shown
-from .units import MAX_BESSEL_ORDER as MAX_ORDER, check, extremes
+from .units import MAX_BESSEL_ORDER as MAX_ORDER, _elements, check, extremes
 
 MAX_ARGUMENT = 1.0e6
 
@@ -285,25 +285,32 @@ def bessel_j_array(n, x) -> np.ndarray:
     scalar or an array) broadcast against the arguments ``x``, a number or
     a 1-D array.
 
-    One domain check over the largest order and argument, one table per
-    band of the orders up to the largest at |x|, and one ``np.where``
-    folding in the signs, so each element is bit-identical to the scalar
-    call; an order column of shape (k, 1) against x of shape (m,) gives the
-    (k, m) table.  ``x`` goes through :func:`twistkick.units.check`: a
-    bool, None or text (or an array or a list holding one) is a ``DOMAIN``
-    error naming its type, as in :func:`bessel_j`, not the number numpy
-    reads, and an array of two or more dimensions one naming its shape."""
+    One range check over the largest argument, one table per band of the
+    orders up to the largest at |x|, and one ``np.where`` folding in the
+    signs, so each element is bit-identical to the scalar call; an order
+    column of shape (k, 1) against x of shape (m,) gives the (k, m) table,
+    and shapes that do not broadcast are a ``DOMAIN`` error.  ``x`` goes
+    through :func:`twistkick.units.check`, and each order as given through
+    the check :func:`bessel_j` makes of its order: a bool, None or text (or
+    an array or a list holding one) is a ``DOMAIN`` error naming its type,
+    not the number numpy reads, an order that is no integer in [-64, 64]
+    one naming that order, and an argument array of two or more dimensions
+    one naming its shape."""
     import numpy as np
     x = check(x, "Bessel arguments")
-    order = np.asarray(n)
-    # the widest order stands for all; one that numpy holds as no number (an
-    # int beyond int64, a bool) goes to the check as given, which rejects it
-    widest = order.flat[np.abs(order).argmax()].item() \
-        if order.dtype.kind in "iuf" and order.size else n
+    # each order as given, as bessel_j checks its order (not as numpy reads it)
+    for element in _elements(n):
+        check(element, "Bessel order")
+    order = np.asarray(n, dtype=np.int64)
+    try:
+        np.broadcast_shapes(order.shape, np.shape(x))
+    except ValueError:
+        raise DomainError(f"Bessel orders of shape {order.shape} do not broadcast against "
+                          f"arguments of shape {np.shape(x)}") from None
     magnitude = abs(x)
-    check_bessel_domain(widest, max(extremes(magnitude), default=0.0))
-    # J_0 ... J_|widest|(|x|), each order from the table of its band
-    n_top = abs(widest)
+    check_bessel_argument(max(extremes(magnitude), default=0.0))
+    # J_0 ... J_n_top(|x|), each order from the table of its band
+    n_top = int(np.abs(order).max(initial=0))
     table = bessel_j_orders(_BANDS[0], magnitude, min(n_top, _BANDS[0]) + 1)
     if n_top > _BANDS[0]:
         table = np.concatenate(

@@ -10,28 +10,32 @@ takes it to library units.  A figure lists its parameters by name and
 overrides a default only where it differs (fig7's 729 nm line,
 ``_ION_LINE``); ``twistkick.cli`` builds each subcommand's flags from the
 same table.  :func:`run_sweep` checks each override before any row is
-built: its type (``PARAMETER_TYPE``), then its quantity's range on the
-value the library would get, after the factor, with the quantity's code
-and a message naming the figure, the parameter and the value as given.
+built: its type (``PARAMETER_TYPE``), then, through
+:func:`_check_parameter`, its quantity's range on the value the library
+would get, after the factor, with the quantity's code and a message naming
+the figure, the parameter, its range and the value in the parameter's own
+unit; the CLI checks its flags in other units than the library's the same
+way.
 
 A grid (:meth:`GridSpec.values`) is a list of Python floats.  A figure
 builder takes it whole and returns ``(rows, codes)``: rows of Python floats
 and one code per row ("" where the row is defined, NaN values where it is
-not).  The AM panels (fig2-fig5) run :func:`_am_columns`, the one AM sweep,
-which ``am-transfer`` and ``recoil-ratio`` share; fig6, fig7, fig8a and
-fig8b write one row function of a float or an array for :func:`_whole_grid`.
-The package's float-or-array rule, :func:`twistkick.units.on_floats`,
-picks for both: a grid of at most ``FLOAT_ROWS`` = 1000 points in a
-process without numpy (a fresh CLI call) runs per point on Python floats,
-any other as one array, with the same values.  The fixed tables run per
-point; ``pair_table``'s beam fits check their grids on floats by the same
-rule.  Where the array call raises, the grid runs per point through
-:func:`_per_point`, the one source of per-row error codes, as the two fixed
-tables do.  Rows that carry a code (e.g. the vortex line b = 0) or a
-non-finite value are dropped and counted in the metadata, in total and per
-error code (``NON_FINITE`` for a non-finite value), never silently
-interpolated.  A sweep that drops every row raises the first row's coded
-error instead of returning an empty table.
+not).  Every figure with a grid writes one row function of a float or an
+array for :func:`_whole_grid`, the one sweep path: the AM panels (fig2-fig5)
+the row of :func:`_am_row`, which ``am-transfer`` and ``recoil-ratio`` run
+too, and fig6, fig7, fig8a and fig8b their own.  The package's
+float-or-array rule, :func:`twistkick.units.on_floats`, picks: a grid of at
+most ``FLOAT_ROWS`` = 1000 points in a process without numpy (a fresh CLI
+call) runs per point on Python floats, any other as one array, with the
+same values.  The fixed tables run per point; ``pair_table``'s beam fits
+check their grids on floats by the same rule.  Where the array call raises,
+the grid runs per point through :func:`_per_point`, the one source of
+per-row error codes, as the two fixed tables do.  Rows that carry a code
+(e.g. the vortex line b = 0) or a non-finite value are dropped and counted
+in the metadata, in total and per error code (``NON_FINITE`` for a
+non-finite value), never silently interpolated.  A sweep that drops every
+row raises the first row's coded error instead of returning an empty
+table.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter, namedtuple
+from functools import partial
 from itertools import chain
 
 from . import __version__
@@ -52,8 +57,8 @@ from .transitions import TransitionChannel, _ratio_from_partition, am_partitions
     raise_first_row_error, raise_row_error, sublevel_profile
 from .trap import TrapModel, jump_probability_extended, jump_probability_point
 from .units import CA40_ION_MASS_EV, DEUTERON_BINDING_EV, DEUTERON_MASS_EV, FLOAT_ROWS, FM, \
-    GEV, KEV, MEV, NEV, PM, RANGES, _linspace, check, constants_sha256, nonrel_recoil_energy, \
-    on_floats, wavelength_to_energy
+    GEV, KEV, MEV, NEV, PM, RANGES, _linspace, _rule, check, constants_sha256, \
+    nonrel_recoil_energy, on_floats, wavelength_to_energy
 
 
 #: A user parameter: its help words and unit, its default (None where its
@@ -104,6 +109,29 @@ _PARAMETERS = {
     "factor": _Parameter("threshold multiplication factor", "1", 10.0, "threshold factor"),
     "w0_over_b": _Parameter("envelope scale over target radius", "1", 2.0, "w0/b"),
 }
+
+
+def _check_parameter(key: str, value, label: str):
+    """``value``, a finite number, of the parameter ``key`` if the value the
+    library gets, after the factor, lies in the range of its quantity; else
+    a DomainError with the quantity's code (``DOMAIN`` where the factor
+    overflows), naming the parameter as ``label`` and the range and the
+    value in the parameter's own unit."""
+    parameter = _PARAMETERS[key]
+    library = value * parameter.factor
+    if not math.isfinite(library):
+        raise DomainError(f"{label} = {shown(value)} {parameter.unit} overflows the "
+                          "floating-point range in library units")
+    try:
+        check(library, parameter.quantity)
+    except DomainError as exc:
+        q = RANGES[parameter.quantity]
+        rule = q.rule if parameter.factor == 1 else _rule(
+            q.integer, q.low / parameter.factor, q.high / parameter.factor, q.ends,
+            f" {parameter.unit}")
+        raise DomainError(f"{label} must {rule}, got {shown(value)}", code=exc.code) from None
+    return value
+
 
 #: the defaults of the 729 nm S1/2 -> D5/2 line of 40Ca+, where fig7,
 #: trap-jump and sidebands differ from the table
@@ -221,10 +249,12 @@ def _whole_grid(build_row):
     """Lift ``build_row(params) -> row(point)``, whose row takes a float or an
     array, to a whole-grid builder: where :func:`on_floats` picks floats,
     the grid runs through :func:`_per_point`; otherwise the row is called
-    once on the array of every grid point.  Where that call raises a coded
-    error, and with ``strict``, the grid runs through :func:`_per_point` too."""
+    once on the array of every grid point, with ``strict`` as without.
+    Where that call raises a coded error, the grid runs through
+    :func:`_per_point`, which gives each point its code, or with ``strict``
+    raises the error of the first failing point."""
     def build(params, points, strict=False):
-        if not (strict or on_floats(len(points), FLOAT_ROWS)):
+        if not on_floats(len(points), FLOAT_ROWS):
             import numpy as np
             row = build_row(params)  # a build error propagates, as per point
             try:
@@ -241,39 +271,21 @@ def _whole_grid(build_row):
     return build
 
 
-def _am_columns(beams, channel, xs, wavelength, kernel, strict=False):
-    """The AM sweep of ``am-transfer``, ``recoil-ratio`` and fig2-fig5: the
-    table [xs, kernel columns of each beam] at b = xs * wavelength, and the
-    first error code of each row, or with ``strict`` the error of the first
-    failing row of the first failing beam raised.  The partitions of all
-    ``beams`` come from one :func:`am_partitions` call: per point on Python
-    floats where :func:`on_floats` picks them, else on the array of ``xs``.
-    Either way each value is the same float."""
-    if on_floats(len(xs), FLOAT_ROWS):
-        cells = []  # per point, the (columns, code) of each beam
-        for x in xs:
-            b = x * wavelength
-            cells.append([kernel(beam, b, partition, True)
-                          for beam, partition in zip(beams, am_partitions(beams, channel, b))])
-        for k, beam in enumerate(beams if strict else ()):  # beam-major, as the array path
-            for x, row in zip(xs, cells):
-                raise_row_error(row[k][1], beam, channel, x * wavelength)
-        return ([[x, *chain.from_iterable(values for values, _ in row)]
-                 for x, row in zip(xs, cells)],
-                [next((code for _, code in row if code), "") for row in cells])
-    import numpy as np
-    xs = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore"):  # an overflowing b is a coded row error
-        b = xs * wavelength
-    columns = [xs]
-    errors = np.full(len(xs), "", dtype=object)
-    for beam, partition in zip(beams, am_partitions(beams, channel, b)):
-        values, beam_errors = kernel(beam, b, partition, False)
-        if strict:
-            raise_first_row_error(beam_errors, beam, channel, b)
-        columns.extend(values)
-        errors = np.where(errors == "", beam_errors, errors)
-    return np.column_stack(columns).tolist(), errors.tolist()
+def _am_row(beams, channel, wavelength, kernel):
+    """The row of an AM sweep at x, a float or an array of b in wavelengths:
+    x, then each of ``beams``' kernel columns at b = x * wavelength, all from
+    one :func:`am_partitions` call.  A coded row raises its error: for an
+    array, that of the first coded row of the first beam that codes one."""
+    def row(x):
+        b = x * wavelength
+        scalar = isinstance(x, (float, int))
+        columns = [x]
+        for beam, partition in zip(beams, am_partitions(beams, channel, b)):
+            values, errors = kernel(beam, b, partition, scalar)
+            (raise_row_error if scalar else raise_first_row_error)(errors, beam, channel, b)
+            columns.extend(values)
+        return columns
+    return row
 
 
 # an AM kernel, as _ratio_from_partition: (beam, b, partition, scalar) ->
@@ -282,17 +294,12 @@ def _lz_cm_column(beam, b, partition, scalar):
     return (partition.lz_cm,), partition.errors
 
 
-def _m_gamma_series_builder(kernel, j: int, lambda_spin: int):
-    # the kernel's column per m_gamma, b in wavelengths
-    def build(params, xs, strict=False):
-        energy = wavelength_to_energy(params["lambda_nm"])
-        beams = [
-            TwistedPhotonBeam(m, lambda_spin, energy, params["theta_k"])
-            for m in _M_GAMMA_SERIES
-        ]
-        return _am_columns(beams, TransitionChannel(float(j)), xs, params["lambda_nm"],
-                           kernel, strict)
-    return build
+def _am_panel(kernel, j: int, lambda_spin: int, params):
+    # the row of the kernel's column per m_gamma, b in wavelengths
+    energy = wavelength_to_energy(params["lambda_nm"])
+    beams = [TwistedPhotonBeam(m, lambda_spin, energy, params["theta_k"])
+             for m in _M_GAMMA_SERIES]
+    return _am_row(beams, TransitionChannel(float(j)), params["lambda_nm"], kernel)
 
 
 def _fig6_build(params):
@@ -417,7 +424,7 @@ for _letter, _j in (("a", 1), ("b", 2), ("c", 3)):
         _register(
             f"{_prefix}{_letter}", _columns(), ("theta_k", "lambda_nm"),
             GridSpec(1e-3, 1.5, 600, "loglin"),
-            _m_gamma_series_builder(_kernel, _j, _spin),
+            _whole_grid(partial(_am_panel, _kernel, _j, _spin)),
             f"{_quantity} vs b/lambda, multipole J={_j}, helicity {_spin:+d}",
         )
 
@@ -491,20 +498,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             )
         # an int default takes an integer, a float default a finite number;
         # then the quantity's range holds what the library would get
-        parameter = _PARAMETERS[key]
+        label = f"figure {spec.figure_id!r} parameter {key!r}"
         try:
             value = check(value, "integer parameter" if type(params[key]) is int
                           else "real parameter")
         except DomainError as exc:
-            raise DomainError(f"figure {spec.figure_id!r} parameter {key!r}: {exc}",
-                              code="PARAMETER_TYPE") from None
-        try:
-            check(value * parameter.factor, parameter.quantity)
-        except DomainError as exc:
-            raise DomainError(f"figure {spec.figure_id!r} parameter {key!r} must "
-                              f"{RANGES[parameter.quantity].rule}, got {shown(value)}",
-                              code=exc.code) from None
-        params[key] = value
+            raise DomainError(f"{label}: {exc}", code="PARAMETER_TYPE") from None
+        params[key] = _check_parameter(key, value, label)
 
     if figure.grid is None and spec.grid is not None:
         raise DomainError(

@@ -190,19 +190,21 @@ def _range(name, low=-_INF, high=_INF, ends="()", integer=False, arrays=False,
     return Range(name, integer, low, high, ends, arrays, code, _rule(integer, low, high, ends))
 
 
-def _rule(integer: bool, low, high, ends: str) -> str:
-    # the words of "<name> must <rule>, got <value>"
+def _rule(integer: bool, low, high, ends: str, unit: str = "") -> str:
+    # the words of "<name> must <rule>, got <value>", a bound other than 0
+    # followed by ``unit``
     if ends == "{}":
         return f"be {high:+d} or {low:+d}"
     if low > -_INF and high < _INF:
         end = {0.5 * math.pi: "pi/2", 1e6: "1e6"}
         return (f"{'be an integer in' if integer else 'lie in'} "
-                f"{ends[0]}{end.get(low, f'{low:g}')}, {end.get(high, f'{high:g}')}{ends[1]}")
+                f"{ends[0]}{end.get(low, f'{low:g}')}, {end.get(high, f'{high:g}')}{ends[1]}"
+                + unit)
     if integer:
         return {0: "be a non-negative integer", 1: "be a positive integer"}.get(
             low, "be an integer")
     words = [{"(0": "positive", "[0": "non-negative"}.get(
-        f"{ends[0]}{low:g}", f"{'greater than' if ends[0] == '(' else 'at least'} {low:g}")
+        f"{ends[0]}{low:g}", f"{'greater than' if ends[0] == '(' else 'at least'} {low:g}{unit}")
         ] if low > -_INF else []
     return "be " + (" and ".join(words + ["finite"] * (ends[1:] == ")")) or "a number")
 

@@ -658,39 +658,79 @@ def test_am_tables_on_floats_equal_the_array_tables(capsys, monkeypatch, count):
     assert 0 in statuses
 
 
-def test_am_columns_of_float_points_are_the_array_rows(monkeypatch):
-    # the AM sweep of one to three beams on a list of floats against the
-    # array: rows by repr, the first code of each row, and with strict the
-    # error of the first failing row of the first failing beam (the
-    # float-or-array rule forced each way)
-    from twistkick.sweeps import _am_columns, _lz_cm_column
+# AM panels on grids through b <= 0: rows kept and dropped by code, and a
+# grid that drops every row, whose first point's error is the message
+_AM_GRIDS_THROUGH_ZERO = [
+    ["reproduce", "--figure", figure, "--grid-start", start, "--grid-stop", "1.5",
+     "--grid-count", "11", "--format", "json"]
+    for figure in ("fig2c", "fig4b") for start in ("-1", "-1.5")
+] + [["reproduce", "--figure", "fig5a", "--grid-start", "-2", "--grid-stop", "0",
+      "--grid-count", "5"],
+     ["recoil-ratio", "--b-min-lambda=-1", "--count", "9"]]
+
+
+def test_am_rows_of_float_points_are_the_array_rows(monkeypatch, capsys):
+    # the AM row of one to three beams under _whole_grid, on a list of
+    # floats against the array: rows by repr, the code of each row, and with
+    # strict the error of the first failing point (the float-or-array rule
+    # forced each way)
+    from twistkick.sweeps import _am_row, _lz_cm_column, _whole_grid
     from twistkick.transitions import TransitionChannel, _ratio_from_partition
     from twistkick.beam import TwistedPhotonBeam
     from twistkick.errors import TwistkickError
     rng = random.Random(2304)
+    whole_arrays = 0
     for _ in range(120):
         theta = rng.choice([0.0, rng.uniform(0.0, 1.5)])
         beams = [TwistedPhotonBeam(rng.choice([-3, 0, 1, 2, 3, 62, -64, 70]),
                                    rng.choice([-1, 1]), 3.1, theta)
                  for _ in range(rng.randint(1, 3))]
         channel = TransitionChannel(rng.randint(1, 3), rng.choice([0.0, 0.5]))
-        xs = [rng.choice([-1.0, 0.0, math.nan, 1e300, rng.uniform(0.0, 3.0)])
-              for _ in range(rng.randint(1, 12))]
+        # half the grids hold only b > 0; in the others about half the
+        # points are where each kernel codes its row
+        bad = rng.random() < 0.5
+        xs = [rng.choice([-1.0, 0.0, math.nan, 1e300]) if bad and rng.random() < 0.5
+              else rng.uniform(1e-3, 3.0) for _ in range(rng.randint(1, 12))]
         for kernel in (_lz_cm_column, _ratio_from_partition):
-            monkeypatch.setattr(sweeps, "on_floats", lambda n, most: True)
-            floats = _am_columns(beams, channel, xs, 400.0, kernel)
-            monkeypatch.setattr(sweeps, "on_floats", lambda n, most: False)
-            array = _am_columns(beams, channel, np.array(xs), 400.0, kernel)
-            assert repr(floats) == repr(array), (beams, xs)
-            errors = []
-            for on_floats, points in ((True, xs), (False, np.array(xs))):
+            row = _am_row(beams, channel, 400.0, kernel)
+            build = _whole_grid(lambda params: row)
+            outcomes = []
+            for on_floats in (True, False):
                 monkeypatch.setattr(sweeps, "on_floats", lambda n, most, f=on_floats: f)
                 try:
-                    _am_columns(beams, channel, points, 400.0, kernel, strict=True)
-                    errors.append(None)
+                    build(None, xs, strict=True)
+                    error = None
                 except TwistkickError as exc:
-                    errors.append((type(exc), exc.code, str(exc)))
-            assert errors[0] == errors[1], (beams, xs)
+                    error = (type(exc), exc.code, str(exc))
+                outcomes.append((repr(build(None, xs)), error))
+            assert outcomes[0] == outcomes[1], (beams, xs)
+            first = None  # the first failing point's error
+            for x in xs:
+                try:
+                    row(x)
+                except TwistkickError as exc:
+                    first = (type(exc), exc.code, str(exc))
+                    break
+            assert outcomes[0][1] == first, (beams, xs)
+            if first is None:  # no row is coded: the array call gives every row
+                columns = row(np.array(xs))
+                assert repr((np.column_stack(columns).tolist(), [""] * len(xs))) \
+                    == outcomes[0][0]
+                whole_arrays += 1
+    assert whole_arrays > 20
+    # an AM panel through b <= 0 run by run_sweep: the same rows,
+    # dropped_by_code and messages in process as in a child without numpy,
+    # which runs them on floats
+    in_process = [run_main(capsys, *argv) for argv in _AM_GRIDS_THROUGH_ZERO]
+    _, in_child, _ = run_cli_in_child(_AM_GRIDS_THROUGH_ZERO, block=["numpy"])
+    assert in_process == [tuple(run) for run in in_child]
+    # b < 0 is DOMAIN for the c.m. AM, and the recoil ratio codes b <= 0 first
+    assert [json.loads(out)["metadata"]["dropped_by_code"] for _, out, _ in in_process[:4]] \
+        == [{"DOMAIN": 4}, {"DOMAIN": 5}, {"B_SINGULARITY": 5}, {"B_SINGULARITY": 6}]
+    assert [status for status, _, _ in in_process] == [0] * 4 + [2, 2]
+    assert in_process[4][2] == ("twistkick: error [B_SINGULARITY]: figure 'fig5a' dropped "
+                                "every row; at b=-2 lambda: impact parameter must be positive, "
+                                "got -794.0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -756,7 +796,23 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
     status, out, err = run_main(capsys, "pair-threshold", "--pitch-urad", "5", "--pt-mev", "-1")
     assert status == 2
     assert out == ""
-    assert err == "twistkick: error [DOMAIN]: p_T must be non-negative, got -1.0\n"
+    assert err == "twistkick: error [DOMAIN]: --pt-mev must be non-negative, got -1.0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trap-jump", "--b-nm", "10", "--trap-mhz", "0"],
+     "--trap-mhz must be positive and finite, got 0.0"),
+    (["pair-threshold", "--pitch-urad", "-5", "--b-fm", "100"],
+     "--pitch-urad must lie in [0, 1.5708e+06) urad, got -5.0"),
+    (["deuteron-threshold", "--b-fm", "89", "--lambda-fm", "-1"],
+     "--lambda-fm must be positive and finite, got -1.0"),
+    (["reproduce", "--figure", "fig8a", "--set", "pitch_urad=2e6"],
+     "figure 'fig8a' parameter 'pitch_urad' must lie in [0, 1.5708e+06) urad, got 2000000.0"),
+])
+def test_flag_in_its_own_unit_fails_in_that_unit(capsys, argv, message):
+    # a flag or a figure parameter whose unit is not the library's is named,
+    # and its range stated, in its own unit, not in the library's terms
+    assert run_main(capsys, *argv) == (2, "", f"twistkick: error [DOMAIN]: {message}\n")
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -773,7 +829,7 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
      "the superkick p_T = l_gamma hbar c / b at b = 1e-306 nm "
      "is too large to square in floating point"),
     (["pair-threshold", "--pitch-urad", "5", "--pt-mev", "1e308"], "DOMAIN",
-     "p_T = 1e+308 MeV/c is beyond the floating-point range"),
+     "--pt-mev = 1e+308 MeV/c overflows the floating-point range in library units"),
     (["reproduce", "--figure", "fig2a", "--grid-start=-1.7e308", "--grid-stop=1.7e308",
       "--grid-count", "3"], "DOMAIN",
      "grid span [-1.7e+308, 1.7e+308] is beyond the floating-point range"),
@@ -817,13 +873,13 @@ def test_pair_threshold_negative_kick_is_domain_error(capsys):
      "figure 'fig8a' dropped every row; at b=1e-300 fm: the superkick p_T = l_gamma hbar c / b "
      "at b = 1e-306 nm is too large to square in floating point"),
     (["trap-jump", "--b-nm", "20", "--trap-mhz", "1e308"], "DOMAIN",
-     "axial_frequency must be positive and finite, got a non-finite value (an input overflows)"),
+     "--trap-mhz = 1e+308 MHz overflows the floating-point range in library units"),
     (["trap-jump", "--b-nm", "20", "--mass-mev", "1e308"], "DOMAIN",
-     "ion_mass must be positive and finite, got a non-finite value (an input overflows)"),
+     "--mass-mev = 1e+308 MeV overflows the floating-point range in library units"),
     (["ion-recoil", "--b-nm", "10", "--mass-mev", "1e308"], "DOMAIN",
-     "ion_mass must be positive and finite, got a non-finite value (an input overflows)"),
+     "--mass-mev = 1e+308 MeV overflows the floating-point range in library units"),
     (["focus-fraction", "--w0-pm", "50", "--energy-mev", "1e308"], "DOMAIN",
-     "energy must be positive and finite, got a non-finite value (an input overflows)"),
+     "--energy-mev = 1e+308 MeV overflows the floating-point range in library units"),
     (["pair-threshold", "--pitch-urad", "5", "--pt-mev", "5e-324"], "DOMAIN",
      "impact parameter must be finite, got a non-finite value (an input overflows)"),
 ], ids=["crossover", "pair-plane-wave", "pair-pt", "pair-b", "pair-pt-overflow",

@@ -70,6 +70,23 @@ def test_non_integer_order_is_named_without_spelling_it(order, shown):
         assert str(err.value) == f"Bessel order must be an integer in [-64, 64], got {shown}"
 
 
+@pytest.mark.parametrize("orders, message", [
+    # numpy reads True as 1; bessel_j(True, x) rejects it by its type
+    ([True, 2], "Bessel order must be a real number, got bool"),
+    (np.array([True, False]), "Bessel order must be a real number, got bool"),
+    ([2, None], "Bessel order must be a real number, got NoneType"),
+    # the non-integer is named, not the widest order
+    (np.array([1.5, 2]), "Bessel order must be an integer in [-64, 64], got 1.5"),
+    (np.array([[1, 2], [70, 3]]), "Bessel order must be an integer in [-64, 64], got 70"),
+    ([], "Bessel orders of shape (0,) do not broadcast against arguments of shape (2,)"),
+    ([1, 2, 3], "Bessel orders of shape (3,) do not broadcast against arguments of shape (2,)"),
+])
+def test_each_array_order_takes_the_order_check(orders, message):
+    with pytest.raises(DomainError) as err:
+        bessel_j_array(orders, [1.0, 2.0])
+    assert (err.value.code, str(err.value)) == ("DOMAIN", message)
+
+
 @pytest.mark.parametrize("x, shown", [
     ("abc", "must be a real number, got str"),
     ([1.0, "x"], "must be a real number, got list holding str"),

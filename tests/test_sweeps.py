@@ -295,16 +295,15 @@ def test_fig6_grid_keeps_each_rows_error_code():
 
 
 def test_every_grid_figure_sweeps_its_whole_grid():
-    # a figure with a grid is built by the AM sweep or by _whole_grid, which
-    # calls its row once on the grid array; only the fixed tables go per point
+    # a figure with a grid, the AM panels fig2-fig5 among them, is built by
+    # _whole_grid, which calls its row once on the grid array; only the
+    # fixed tables go per point
     for figure_id, figure in sweeps._REGISTRY.items():
         lifter = figure.builder.__qualname__.split(".<locals>")[0]
-        if figure.grid is None:
-            assert lifter == "_per_point", figure_id
-        else:
-            assert lifter in ("_m_gamma_series_builder", "_whole_grid"), figure_id
+        assert lifter == ("_per_point" if figure.grid is None else "_whole_grid"), figure_id
     assert {figure_id for figure_id, figure in sweeps._REGISTRY.items()
-            if figure.builder.__qualname__.startswith("_whole_grid")} == set(_ROW_BUILDERS)
+            if figure.grid is not None} == set(_ROW_BUILDERS) | {
+        f"fig{n}{letter}" for n in (2, 3, 4, 5) for letter in "abc"}
 
 
 def test_error_rows_dropped_and_counted():
@@ -581,8 +580,12 @@ def test_override_outside_its_range_is_refused_before_any_row(monkeypatch, figur
     with pytest.raises(DomainError) as err:
         run_sweep(SweepSpec(figure_id, {key: value}))
     assert err.value.code == q.code
-    assert str(err.value) == f"figure {figure_id!r} parameter {key!r} must {q.rule}, " \
-                             f"got {shown(value)}"
+    # a parameter in a unit other than the library's states its range in
+    # that unit, and a factor that overflows as such
+    expected = {"trap_mhz": "= 1e+303 MHz overflows the floating-point range in library units",
+                "pitch_urad": "must lie in [0, 1.5708e+06) urad, got 2000000.0"}
+    assert str(err.value) == f"figure {figure_id!r} parameter {key!r} " + expected.get(
+        key, f"must {q.rule}, got {shown(value)}")
 
 
 def test_numpy_integers_pass_every_integer_check():
